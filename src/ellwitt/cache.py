@@ -1,8 +1,10 @@
 """Content-addressed on-disk cache for computed report sections.
 
-Entries are keyed by (schema_version, kind, parameters) and carry a
-sha256 of their canonical payload; a hit is byte-identical to
-recomputation by construction.  Corrupt entries (bad JSON, checksum or
+Entries are keyed by (schema_version, kind, algorithm version,
+parameters) and carry a sha256 of their canonical payload; a hit is
+byte-identical to recomputation by construction.  The algorithm version
+is part of the file name and of the stored key, so an entry that older
+code computed is never served.  Corrupt entries (bad JSON, checksum or
 key mismatch) are discarded with a warning and recomputed.  Writes are
 atomic (write-temp-then-rename).
 """
@@ -20,12 +22,21 @@ from .report import SCHEMA_VERSION, canonical_json
 
 ENV_CACHE_DIR = "ELLWITT_CACHE_DIR"
 
+#: Version of the computation behind each cached kind; bump a kind's
+#: entry whenever the way its payload is computed changes.  Version 2:
+#: the supersingular j-set comes from the Cantor-Zassenhaus root finder.
+ALGORITHM_VERSIONS = {"ss": 2, "lift": 2}
+
 
 def cache_dir() -> Path:
     override = os.environ.get(ENV_CACHE_DIR)
     if override:
         return Path(override)
     return Path.home() / ".cache" / "ellwitt"
+
+
+def _versioned(kind: str, key: dict) -> dict:
+    return {**key, "algo": ALGORITHM_VERSIONS[kind]}
 
 
 def _entry_path(kind: str, key: dict) -> Path:
@@ -39,6 +50,7 @@ def _checksum(payload: dict) -> str:
 
 def load(kind: str, key: dict):
     """The cached payload for (kind, key), or None on miss/corruption."""
+    key = _versioned(kind, key)
     path = _entry_path(kind, key)
     if not path.exists():
         return None
@@ -61,6 +73,7 @@ def load(kind: str, key: dict):
 
 
 def store(kind: str, key: dict, payload: dict) -> None:
+    key = _versioned(kind, key)
     path = _entry_path(kind, key)
     path.parent.mkdir(parents=True, exist_ok=True)
     entry = {

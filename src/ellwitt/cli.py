@@ -251,7 +251,7 @@ def verify_all_section(p_max: int) -> dict:
         if got != want:
             raise ValidationError(f"spot locus at p={p}: {got} != {want}")
     out["spot_values"] = {"ok": True}
-    formal_primes = [p for p in _VERIFY_PRIMES if p <= max(p_max, 5)]
+    formal_primes = [p for p in _VERIFY_PRIMES if p <= p_max]
     out["deligne"] = {str(p): deligne_section(p) for p in formal_primes}
     gl = {str(p): gl_section(p) for p in formal_primes}
     powers = {s["common_power_of_12"] for s in gl.values()}
@@ -521,6 +521,9 @@ def _dispatch(args):
         report.sections["gross_landweber"] = gl_section(args.prime)
         printer = _print_gl
     elif args.command == "verify" and args.verify_what == "all":
+        if args.max < 5:
+            raise UsageError(
+                f"verify all: enforced bound is max >= 5, got {args.max}")
         report.sections["verify_all"] = verify_all_section(args.max)
         printer = _print_verify_all
     elif args.command == "scan" and args.scan_what == "ogg":
@@ -538,6 +541,9 @@ def _dispatch(args):
         if args.weight > modforms.MAX_BERNOULLI:
             raise UsageError(f"forms: enforced bound is weight <= "
                              f"{modforms.MAX_BERNOULLI}")
+        if args.prec < 1:
+            raise UsageError(
+                f"forms: enforced bound is prec >= 1, got {args.prec}")
         report.sections["forms"] = forms_section(args.weight, args.prec)
         printer = _print_forms
     else:  # pragma: no cover - argparse prevents this

@@ -21,6 +21,8 @@ bookkeeping only, kept when it is well defined and dropped otherwise.
 from __future__ import annotations
 
 import math
+import random
+import struct
 from fractions import Fraction
 
 from .errors import PrecisionError
@@ -34,12 +36,6 @@ __all__ = [
 # Horner composition is fine for short series; block (Brent-Kung)
 # composition wins once the term count justifies the g^k table.
 _BK_THRESHOLD = 48
-
-# roots_in_field switches from the object-level scan to the vectorized
-# int64 kernel above these sizes.
-_NUMPY_FQ2_MIN_P = 40
-_NUMPY_FP_MIN_P = 10_000
-_MAX_SCAN_SIZE = 10 ** 6
 
 
 class RationalField:
@@ -276,65 +272,181 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     return f.gcd(g)
 
 
-def _roots_scan_python(f: Poly, field):
-    out = set()
-    for x in field.elements():
-        if not f.evaluate(x):
-            out.add(x)
-    return out
+def _trim(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
 
 
-def _roots_scan_numpy_fp(f: Poly, field):
-    import numpy as np
-    p = field.p
-    xs = np.arange(p, dtype=np.int64)
-    acc = np.zeros(p, dtype=np.int64)
-    for c in reversed(f.coeffs):
-        acc = (acc * xs + c.value) % p
-    return {field.elem(int(v)) for v in np.nonzero(acc == 0)[0]}
+class _FpX:
+    """Polynomials over F_p as int lists (low degree first, no trailing
+    zeros), for polynomials of length at most n.
 
+    Every product is one big-int multiply by Kronecker substitution: each
+    operand is packed into an int with one w-byte slot per coefficient,
+    and the slot is wide enough for any coefficient of a product of two
+    such polynomials, so nothing carries between slots.  A reduction mod
+    a monic f is two more products against the reversed inverse of f.
+    """
 
-def _roots_scan_numpy_fq2(f: Poly, ctx):
-    import numpy as np
-    p, g1, g0 = ctx.p, ctx.g1, ctx.g0
-    xa = np.repeat(np.arange(p, dtype=np.int64), p)
-    xb = np.tile(np.arange(p, dtype=np.int64), p)
-    aa = np.zeros(p * p, dtype=np.int64)
-    ab = np.zeros(p * p, dtype=np.int64)
-    for c in reversed(f.coeffs):
-        bd = ab * xb
-        aa, ab = ((aa * xa - g0 * bd + c.a) % p,
-                  (aa * xb + ab * xa - g1 * bd + c.b) % p)
-    hits = np.nonzero((aa == 0) & (ab == 0))[0]
-    return {ctx.elem(int(i) // p, int(i) % p) for i in hits}
+    __slots__ = ("p", "w", "code")
+
+    def __init__(self, p: int, n: int):
+        self.p = p
+        need = (2 * (p - 1).bit_length() + n.bit_length() + 7) // 8
+        self.w = 4 if need <= 4 else 8 if need <= 8 else need
+        self.code = {4: "I", 8: "Q"}.get(self.w)
+
+    def _pack(self, a) -> int:
+        if self.code:
+            raw = struct.pack(f"<{len(a)}{self.code}", *a)
+        else:
+            raw = b"".join(c.to_bytes(self.w, "little") for c in a)
+        return int.from_bytes(raw, "little")
+
+    def _unpack(self, x: int, m: int) -> list:
+        w, p = self.w, self.p
+        raw = x.to_bytes(w * m, "little")
+        if self.code:
+            vals = struct.unpack(f"<{m}{self.code}", raw)
+        else:
+            vals = [int.from_bytes(raw[i:i + w], "little")
+                    for i in range(0, w * m, w)]
+        return _trim([c % p for c in vals])
+
+    def mul(self, a, b) -> list:
+        if not a or not b:
+            return []
+        x = self._pack(a)
+        y = x if b is a else self._pack(b)
+        return self._unpack(x * y, len(a) + len(b) - 1)
+
+    def add(self, a, b, s=1) -> list:
+        """a + s*b."""
+        p = self.p
+        if len(a) < len(b):
+            a = a + [0] * (len(b) - len(a))
+        return _trim([(x + s * y) % p for x, y in zip(a, b)]
+                     + a[len(b):])
+
+    def monic(self, a) -> list:
+        p = self.p
+        inv = pow(a[-1], -1, p)
+        return [c * inv % p for c in a]
+
+    def inv_rev(self, f, k: int) -> list:
+        """1 / rev(f) mod X^k for monic f, by Newton iteration."""
+        r = f[::-1]
+        g, prec = [1], 1
+        while prec < k:
+            prec = min(2 * prec, k)
+            e = self.add([2], self.mul(r[:prec], g)[:prec], -1)
+            g = self.mul(g, e)[:prec]
+        return g
+
+    def divrem(self, a, f, finv) -> tuple:
+        """(q, r) with a = q*f + r for monic f; finv = inv_rev(f, k) with
+        k > deg a - deg f."""
+        n = len(f) - 1
+        k = len(a) - n
+        if k <= 0:
+            return [], a
+        qr = self.mul(a[n:][::-1], finv[:k])[:k]
+        q = [0] * (k - len(qr)) + qr[::-1]
+        return q, self.add(a[:n], self.mul(q, f)[:n], -1)
+
+    def powmod(self, a, e: int, f, finv) -> list:
+        """a^e mod f (left-to-right binary); finv = inv_rev(f, deg f)."""
+        out = [1]
+        for bit in bin(e)[2:]:
+            out = self.divrem(self.mul(out, out), f, finv)[1]
+            if bit == "1":
+                out = self.divrem(self.mul(out, a), f, finv)[1]
+        return out
+
+    def gcd(self, a, b) -> list:
+        """Monic gcd (Euclid); gcd(a, 0) = monic(a)."""
+        while b:
+            b = self.monic(b)
+            binv = self.inv_rev(b, len(a) - len(b) + 1)
+            a, b = b, self.divrem(a, b, binv)[1]
+        return self.monic(a) if a else a
+
+    def split(self, g, d: int, rng) -> list:
+        """Monic factors of g, a product of distinct monic irreducibles of
+        degree d (Cantor-Zassenhaus equal-degree splitting)."""
+        n = len(g) - 1
+        if n <= d:
+            return [g] if n > 0 else []
+        ginv = self.inv_rev(g, n)
+        e = (self.p ** d - 1) // 2
+        while True:
+            a = _trim([rng.randrange(self.p) for _ in range(n)])
+            h = self.gcd(g, self.add(self.powmod(a, e, g, ginv), [1], -1))
+            if 0 < len(h) - 1 < n:
+                break
+        rest = self.divrem(g, h, self.inv_rev(h, n))[0]
+        return self.split(h, d, rng) + self.split(rest, d, rng)
 
 
 def roots_in_field(f: Poly, field) -> set:
     """All roots of f in the given field (F_p or F_{p^2}), each once.
 
-    Exhaustive scan; the field size is capped at 10^6.  A polynomial over
-    F_p may be scanned over a matching F_{p^2} (coefficients are embedded
-    first).  Multiplicity is not reported.
+    Distinct-degree then equal-degree factorization (Cantor-Zassenhaus)
+    over F_p: g = gcd(f, X^q - X) collects the roots in the field of size
+    q, gcd(g, X^p - X) the F_p-rational ones, and the quotient is a
+    product of irreducible quadratics whose conjugate roots come from one
+    square root each.  F_{p^2} coefficients are handled through the norm
+    f * f^sigma, whose roots are filtered back against f.  A polynomial
+    over F_p may be solved in a matching F_{p^2}.  Multiplicity is not
+    reported.
     """
-    from .arith import Fq2Ctx, PrimeField
+    from .arith import Fq2Ctx, PrimeField, sqrt_mod
     if f.is_zero():
         raise ValueError("roots_in_field of the zero polynomial")
-    if field.size > _MAX_SCAN_SIZE:
-        raise ValueError(
-            f"field size {field.size} exceeds the 10^6 exhaustive-scan cap")
-    if isinstance(field, Fq2Ctx) and isinstance(f.ring, PrimeField):
+    ext = isinstance(field, Fq2Ctx)
+    if ext and isinstance(f.ring, PrimeField):
         if f.ring.p != field.p:
             raise ValueError("characteristic mismatch")
-        f = f.map_coeffs(field.embed, field)
-    if f.ring != field:
-        raise ValueError("polynomial ring does not match the scan field")
-    if isinstance(field, Fq2Ctx):
-        if field.p >= _NUMPY_FQ2_MIN_P:
-            return _roots_scan_numpy_fq2(f, field)
-        return _roots_scan_python(f, field)
-    if field.p >= _NUMPY_FP_MIN_P:
-        return _roots_scan_numpy_fp(f, field)
-    return _roots_scan_python(f, field)
+    elif f.ring != field:
+        raise ValueError("polynomial ring does not match the root field")
+    p = field.p
+    f = f.monic()
+    if not ext or isinstance(f.ring, PrimeField):
+        h = [c.value for c in f.coeffs]
+        norm = False
+    else:
+        h = [c.a for c in f.coeffs]
+        B = _trim([c.b for c in f.coeffs])
+        norm = bool(B)
+    fx = _FpX(p, 2 * len(h) if norm else len(h))
+    if norm:
+        # N(a + b*x) = a^2 - g1*a*b + g0*b^2 = a*(a - g1*b) + g0*b^2
+        h = fx.add(fx.mul(h, fx.add(h, B, -field.g1)),
+                   fx.mul(B, B), field.g0)
+    if len(h) < 2:
+        return set()
+    hinv = fx.inv_rev(h, len(h) - 1)
+    xp = fx.powmod([0, 1], p, h, hinv)
+    # X^q mod h, q = field.size: X^(p^2) = (X^p)^p
+    xq = fx.powmod(xp, p, h, hinv) if ext else xp
+    g = fx.gcd(h, fx.add(xq, [0, 1], -1))
+    lin = fx.gcd(g, fx.add(xp, [0, 1], -1)) if ext else g
+    rng = random.Random(0)
+    out = {field.elem(-r[0]) for r in fx.split(lin, 1, rng)}
+    if not ext:
+        return out
+    rest = fx.divrem(g, lin, fx.inv_rev(lin, len(g)))[0]
+    inv2 = pow(2, -1, p)
+    dinv = pow(field.g1 * field.g1 - 4 * field.g0, -1, p)
+    for c0, c1, _ in fx.split(rest, 2, rng):
+        # sqrt(c1^2 - 4 c0) = s * (2x + g1), x the generator of the model
+        s = sqrt_mod(field.field.elem((c1 * c1 - 4 * c0) * dinv)).value
+        out.add(field.elem((s * field.g1 - c1) * inv2, s))
+        out.add(field.elem((-s * field.g1 - c1) * inv2, -s))
+    if norm:
+        out = {x for x in out if not f.evaluate(x)}
+    return out
 
 
 # ---------------------------------------------------------------------------

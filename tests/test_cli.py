@@ -181,3 +181,61 @@ def test_cache_hit_is_byte_identical_to_recomputation(tmp_path):
     finally:
         os.environ.clear()
         os.environ.update(old)
+
+
+def test_verify_all_max_below_five_is_usage_error(tmp_path):
+    for bound in ("3", "-1"):
+        proc = run_cli(["verify", "all", "--max", bound], tmp_path,
+                       check=False)
+        assert proc.returncode == 1
+        assert "max >= 5" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+def test_forms_prec_below_one_is_usage_error(tmp_path):
+    for prec in ("-3", "0"):
+        proc = run_cli(["forms", "--weight", "6", "--prec", prec],
+                       tmp_path, check=False)
+        assert proc.returncode == 1
+        assert "prec >= 1" in proc.stderr
+        assert proc.stdout == ""
+
+
+def test_hasse_does_not_import_numpy(tmp_path):
+    code = ("import sys\n"
+            "from ellwitt.cli import main\n"
+            "rc = main(['hasse', '--prime', '397', '--json'])\n"
+            "sys.stderr.write('numpy loaded: %s' % ('numpy' in sys.modules))\n"
+            "sys.exit(rc)\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={"PATH": "/usr/bin:/bin", "ELLWITT_CACHE_DIR": str(tmp_path),
+             "PYTHONPATH": ":".join(sys.path)})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["sections"]["hasse"]["degree"] == 198
+    assert "numpy loaded: False" in proc.stderr
+
+
+def test_unversioned_cache_entry_is_a_miss(tmp_path, monkeypatch):
+    # entries written without an algorithm version, at the old file name
+    # and at the current one, are never served: the locus is recomputed
+    import ellwitt.cache as cachemod
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    monkeypatch.setenv("ELLWITT_CACHE_DIR", str(cache_dir))
+    want = json.loads((GOLDEN / "ss_p13.json").read_text())
+    payload = dict(want["sections"]["ss_locus"], j_values=[[7, 0]])
+    entry = {"schema_version": "1", "key": {"p": 13},
+             "sha256": cachemod._checksum(payload), "payload": payload}
+    (cache_dir / "ss_p13.json").write_text(json.dumps(entry))
+    assert cachemod.load("ss", {"p": 13}) is None
+    current = cachemod._entry_path("ss", cachemod._versioned("ss", {"p": 13}))
+    assert current.name != "ss_p13.json"
+    current.write_text(json.dumps(entry))
+    assert cachemod.load("ss", {"p": 13}) is None
+    assert not current.exists()
+    out = run_cli(["ss", "--prime", "13", "--json"], cache_dir).stdout
+    got = json.loads(out)
+    got["timings"] = {}
+    assert got == want
+    assert cachemod.load("ss", {"p": 13}) == want["sections"]["ss_locus"]

@@ -80,18 +80,16 @@ def test_roots_in_field_examples():
     assert {r.value for r in roots} == {0, 1}
 
 
-def test_roots_in_field_numpy_path_agrees_with_scan():
-    # p = 53 uses the vectorized kernel over F_{p^2}; check it against a
-    # polynomial with known roots.
+def test_roots_in_field_known_conjugate_and_rational_roots():
+    # a conjugate pair and a rational root over F_{53^2}, and a conjugate
+    # pair alone over F_{13^2}
     p = 53
-    F = PrimeField(p)
     ctx = fq2_context(p)
     pts = [ctx.elem(3, 1), ctx.elem(3, p - 1), ctx.elem(17, 0)]
     f = Poly(ctx, [ctx.one()])
     for r in pts:
         f = f * Poly(ctx, [-r, ctx.one()])
     assert roots_in_field(f, ctx) == set(pts)
-    # same check through the pure-python path at small p
     q = 13
     ctxq = fq2_context(q)
     pts = [ctxq.elem(3, 1), ctxq.elem(3, q - 1)]
@@ -101,10 +99,18 @@ def test_roots_in_field_numpy_path_agrees_with_scan():
     assert roots_in_field(f, ctxq) == set(pts)
 
 
-def test_roots_in_field_size_cap():
-    ctx = fq2_context(1009)  # size 1018081 > 10^6
-    with pytest.raises(ValueError):
-        roots_in_field(Poly(ctx, [1, 1]), ctx)
+def test_roots_in_field_beyond_a_million_elements():
+    # F_{1009^2} has 1018081 elements; the roots of a product of linear
+    # factors are found without visiting them
+    ctx = fq2_context(1009)
+    pts = {ctx.elem(0, 0), ctx.elem(1008, 0), ctx.elem(5, 7),
+           ctx.elem(123, 456), ctx.elem(1000, 1)}
+    f = Poly(ctx, [ctx.one()])
+    for r in pts:
+        f = f * Poly(ctx, [-r, ctx.one()])
+    assert roots_in_field(f, ctx) == pts
+    assert roots_in_field(f * f, ctx) == pts
+    assert roots_in_field(Poly(ctx, [1, 1]), ctx) == {ctx.elem(1008)}
 
 
 # --- series ---

@@ -32,6 +32,8 @@ from .sslocus import (
 )
 
 DEFAULT_PRECISION = 10
+MAX_FORMS_PREC = 1000
+MAX_SQRT3_SCAN = 10 ** 6
 _VERIFY_PRIMES = (5, 7, 11, 13)
 
 
@@ -128,9 +130,9 @@ def split_section(p: int, N: int) -> dict:
 def formal_section(p: int, a4: int, a6: int) -> dict:
     field = PrimeField(p)
     E = WCurve.short(field, a4, a6)
-    v1, v2 = formalgroup.v_invariants(E, p)
     lift = WCurve.short(QQ, E.a4.value, E.a6.value)
     ps = formalgroup.mult_by_p_series(lift, p)
+    v1, v2 = formalgroup.heights_from_series(E, p, ps.series_mod_p)
     return {
         "prime": p,
         "a4": E.a4.value,
@@ -462,12 +464,14 @@ def build_parser() -> argparse.ArgumentParser:
                     help=f"upper bound (<= {MAX_DEURING_PRIME})")
     sp.add_argument("--json", action="store_true")
     sp = ssub.add_parser("sqrt3")
-    sp.add_argument("--max", type=int, required=True)
+    sp.add_argument("--max", type=int, required=True,
+                    help=f"upper bound (<= {MAX_SQRT3_SCAN})")
     sp.add_argument("--json", action="store_true")
 
     sp = add("forms", "exact Eisenstein q-expansion")
     sp.add_argument("--weight", type=int, required=True)
-    sp.add_argument("--prec", type=int, default=10)
+    sp.add_argument("--prec", type=int, default=10,
+                    help=f"q-precision (1 <= prec <= {MAX_FORMS_PREC})")
     return top
 
 
@@ -533,6 +537,9 @@ def _dispatch(args):
         report.sections["ogg"] = ogg_section(args.max)
         printer = _print_ogg
     elif args.command == "scan" and args.scan_what == "sqrt3":
+        if args.max > MAX_SQRT3_SCAN:
+            raise UsageError(f"scan sqrt3: enforced bound is max <= "
+                             f"{MAX_SQRT3_SCAN}, got {args.max}")
         report.sections["sqrt3"] = sqrt3_section(args.max)
         printer = _print_sqrt3
     elif args.command == "forms":
@@ -544,6 +551,9 @@ def _dispatch(args):
         if args.prec < 1:
             raise UsageError(
                 f"forms: enforced bound is prec >= 1, got {args.prec}")
+        if args.prec > MAX_FORMS_PREC:
+            raise UsageError(f"forms: enforced bound is prec <= "
+                             f"{MAX_FORMS_PREC}, got {args.prec}")
         report.sections["forms"] = forms_section(args.weight, args.prec)
         printer = _print_forms
     else:  # pragma: no cover - argparse prevents this

@@ -1,19 +1,23 @@
 """Formal group of a Weierstrass curve in the parameter t = -x/y: the
-formal log/exp route to the multiplication-by-p series, extraction of
-the height invariants v1/v2, and the exhaustive Deligne and
-Gross-Landweber verifications.
+multiplication-by-p series, extraction of the height invariants v1/v2,
+and the exhaustive Deligne and Gross-Landweber verifications.
 
-[p](t) is computed over exact rationals as exp(p * log(t)) where log is
-the integral of the invariant differential; every coefficient is then
-certified p-integral before reduction.  The v1-only stage runs at
-precision p+1; the full p^2+1 window is expanded only when v1 = 0 (the
-supersingular case, where the height-2 assertions and v2 live).
+The formal group law of an integral model has integral coefficients, so
+[p](t) is computed in Z[[t]] on plain int lists: the point (t, w(t)) is
+multiplied by p with tangent doublings and chord additions, and every
+series division must be exact, which certifies integrality.  The
+formal log/exp route, [p](t) = exp(p * log(t)) over exact rationals
+(``_mult_by_m``), computes the same series and is kept as the test
+oracle.  v1 needs only precision p+1; the full p^2+1 window is expanded
+only when v1 = 0 (the supersingular case, where the height-2 assertions
+and v2 live).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .arith import FpElem, PrimeField, is_prime
 from .errors import ValidationError
@@ -22,7 +26,8 @@ from . import modforms
 
 __all__ = [
     "WCurve", "PSeries", "curve_invariants", "formal_expansion",
-    "formal_log", "mult_by_p_series", "v_invariants", "classical_hasse",
+    "formal_log", "mult_by_p_series", "v_invariants", "heights_from_series",
+    "classical_hasse",
     "verify_deligne", "verify_gross_landweber",
     "DeligneReport", "GLReport", "MAX_FORMAL_PRIME",
 ]
@@ -84,25 +89,17 @@ def curve_invariants(E: WCurve):
     return E.invariants()
 
 
-def formal_expansion(E: WCurve, prec: int):
-    """(x(t), y(t), omega(t)) as Laurent/power series in t = -x/y.
-
-    w(t) = t^3 + ... solves the defining fixed-point equation; then
-    x = t/w, y = -1/w and omega = x'/(2y + a1 x + a3), normalized to
-    1 + O(t).  omega carries abs precision prec; x and y slightly less.
-    """
-    if prec > MAX_EXPANSION_PREC:
-        raise ValueError(f"expansion precision capped at "
-                         f"{MAX_EXPANSION_PREC}, got {prec}")
-    ring = E.ring
-    zero = ring.zero()
-    P = prec + 3
-    a1, a2, a3, a4, a6 = E.a1, E.a2, E.a3, E.a4, E.a6
+def _w_coeffs(coeffs, P: int, zero, one) -> list:
+    """The first P coefficients of w(t) = t^3 + ..., the solution of
+    w = t^3 + a1 t w + a2 t^2 w + a3 w^2 + a4 t w^2 + a6 w^3 by its
+    fixed-point recurrence.  Works over any coefficient ring whose
+    zero and one are given, plain ints included."""
+    a1, a2, a3, a4, a6 = coeffs
     w = [zero] * P
     w2 = [zero] * P
     w3 = [zero] * P
     if P > 3:
-        w[3] = ring.one()
+        w[3] = one
     for n in range(4, P):
         if n >= 6:
             s = None
@@ -132,12 +129,29 @@ def formal_expansion(E: WCurve, prec: int):
         if a6 and w3[n]:
             acc = acc + a6 * w3[n]
         w[n] = acc
+    return w
+
+
+def formal_expansion(E: WCurve, prec: int):
+    """(x(t), y(t), omega(t)) as Laurent/power series in t = -x/y.
+
+    w(t) = t^3 + ... solves the defining fixed-point equation; then
+    x = t/w, y = -1/w and omega = x'/(2y + a1 x + a3), normalized to
+    1 + O(t).  omega carries abs precision prec; x and y slightly less.
+    """
+    if prec > MAX_EXPANSION_PREC:
+        raise ValueError(f"expansion precision capped at "
+                         f"{MAX_EXPANSION_PREC}, got {prec}")
+    ring = E.ring
+    zero = ring.zero()
+    P = prec + 3
+    w = _w_coeffs((E.a1, E.a2, E.a3, E.a4, E.a6), P, zero, ring.one())
     w_series = QSeries(ring, 3, w[3:])
     winv = w_series.inverse()
     x = winv.shift(1)
     y = -winv
-    denom = ring.from_int(2) * y + x.scale(a1) + \
-        QSeries(ring, 0, [a3] + [zero] * (P - 1))
+    denom = ring.from_int(2) * y + x.scale(E.a1) + \
+        QSeries(ring, 0, [E.a3] + [zero] * (P - 1))
     omega = x.derivative() * denom.inverse()
     return x, y, omega
 
@@ -175,14 +189,10 @@ def formal_log(E: WCurve, prec: int) -> QSeries:
 
 @dataclass(frozen=True)
 class PSeries:
-    """[p]-series of an integral curve with its formal intermediates."""
+    """[p]-series of an integral curve."""
     p: int
     curve: WCurve
-    x: QSeries
-    y: QSeries
-    omega: QSeries
-    log: QSeries
-    series: QSeries         # [p](t) over exact rationals
+    series: QSeries         # [p](t), integral, as exact rationals
     series_mod_p: QSeries   # reduction mod p
 
 
@@ -195,12 +205,122 @@ def _mult_by_m(E: WCurve, m: int, prec: int):
     return x, y, omega, log, exp.compose(log.scale(Fraction(m)))
 
 
-def mult_by_p_series(E: WCurve, p: int, prec: int | None = None) -> PSeries:
-    """[p](t) = exp(p*log(t)) over exact rationals, reduced mod p after
-    certifying p-integrality of every coefficient.
+# Series in Z[[t]] below are plain int lists holding the coefficients of
+# t^0 .. t^(n-1); a list's length is its absolute precision.
 
-    Default (and maximum) precision is p^2 + 1; p is capped at 13, where
-    the exact-rational work stays desk-scale.
+def _mul(a: list, b: list, n: int) -> list:
+    """The first n coefficients of a*b."""
+    return [sum(map(mul, a[:k + 1], b[k::-1])) for k in range(n)]
+
+
+def _lin(n: int, *terms) -> list:
+    """sum(c * s) over the (c, s) terms, to n coefficients."""
+    out = [0] * n
+    for c, s in terms:
+        if c:
+            for i in range(n):
+                out[i] += c * s[i]
+    return out
+
+
+def _div(a: list, b: list) -> list:
+    """The quotient a/b in Z[[t]], b[0] != 0.  Every coefficient must
+    divide exactly by b[0]: a remainder means the quotient is not
+    integral, which the formal group law rules out."""
+    b0 = b[0]
+    q = []
+    for k in range(min(len(a), len(b))):
+        c, r = divmod(a[k] - sum(map(mul, q, b[k:0:-1])), b0)
+        if r:
+            raise ValidationError(
+                f"series division by {b0} + ... leaves a remainder at "
+                f"t^{k}: the quotient is not integral (precision or "
+                f"algebra bug)")
+        q.append(c)
+    return q
+
+
+def _third_point(a, z1, w1, z2, lam):
+    """P1 + P2 for points P1 = (z1, w1), P2 = (z2, .) on the line
+    w = lam*z + nu: the line meets the curve again at P3, and
+    P1 + P2 = -P3.  All series carry len(lam) coefficients."""
+    a1, a2, a3, a4, a6 = a
+    n = len(lam)
+    nu = _lin(n, (1, w1), (-1, _mul(lam, z1, n)))
+    l2 = _mul(lam, lam, n)
+    # num = a1 lam + a3 lam^2 + nu (a2 + 2 a4 lam + 3 a6 lam^2) and
+    # den = 1 + lam (a2 + a4 lam + a6 lam^2): the z^2 and z^3
+    # coefficients of the curve's equation restricted to the line
+    u = _lin(n, (2 * a4, lam), (3 * a6, l2))
+    v = _lin(n, (a4, lam), (a6, l2))
+    u[0] += a2
+    v[0] += a2
+    num = _lin(n, (a1, lam), (a3, l2), (1, _mul(nu, u, n)))
+    den = _mul(lam, v, n)
+    den[0] += 1
+    z3 = _lin(n, (-1, z1), (-1, z2), (-1, _div(num, den)))
+    w3 = _lin(n, (1, nu), (1, _mul(lam, z3, n)))
+    # -(z, w) = (-z, -w) / (1 - a1 z - a3 w)
+    zn, wn = [-c for c in z3], [-c for c in w3]
+    if a1 or a3:
+        d = _lin(n, (-a1, z3), (-a3, w3))
+        d[0] += 1
+        zn, wn = _div(zn, d), _div(wn, d)
+    return zn, wn
+
+
+def _double(a, z, w):
+    """2P by the tangent at P = (z, w); the slope's denominator has
+    constant term 1."""
+    a1, a2, a3, a4, a6 = a
+    n = len(z)
+    zz, zw, ww = _mul(z, z, n), _mul(z, w, n), _mul(w, w, n)
+    num = _lin(n, (3, zz), (a1, w), (2 * a2, zw), (a4, ww))
+    den = _lin(n, (-a1, z), (-a2, zz), (-2 * a3, w), (-2 * a4, zw),
+               (-3 * a6, ww))
+    den[0] += 1
+    return _third_point(a, z, w, z, _div(num, den))
+
+
+def _add(a, z1, w1, z2, w2):
+    """P1 + P2 by the chord, for P1 = (t, w(t)) and P2 = [n]P1 with
+    n > 1.  Both slope terms are divided by t first, which costs one
+    coefficient; the denominator then starts with 1 - n."""
+    L = len(z2) - 1
+    dz = [u - v for u, v in zip(z1[1:], z2[1:])]
+    dw = [u - v for u, v in zip(w1[1:], w2[1:])]
+    return _third_point(a, z1[:L], w1[:L], z2[:L], _div(dw, dz))
+
+
+def _mult_by_p_integral(a, p: int, prec: int) -> list:
+    """Coefficients of t^0 .. t^prec of [p](t) in Z[[t]] for the
+    integral Weierstrass coefficients a = (a1, a2, a3, a4, a6): an
+    addition chain on the bits of p applied to the point (t, w(t))."""
+    bits = bin(p)[3:]
+    P = prec + 1 + bits.count("1")
+    w = _w_coeffs(a, P, 0, 1)
+    t = [0, 1] + [0] * (P - 2)
+    z, wz = t, w
+    for bit in bits:
+        z, wz = _double(a, z, wz)
+        if bit == "1":
+            z, wz = _add(a, t, w, z, wz)
+    if len(z) < prec + 1:
+        raise ValidationError(
+            f"[p]-series kept {len(z)} coefficients, {prec + 1} needed")
+    return z[:prec + 1]
+
+
+def mult_by_p_series(E: WCurve, p: int, prec: int | None = None) -> PSeries:
+    """[p](t) through t^prec, computed in Z[[t]].
+
+    The formal group law of an integral model has integral coefficients,
+    so [p](t) is built from the point (t, w(t)) by tangent doublings and
+    chord additions on plain int series, every division exact (a
+    remainder raises ValidationError).  The log/exp route of
+    ``_mult_by_m`` over exact rationals computes the same series and is
+    kept as the test oracle.  Default (and maximum) precision is
+    p^2 + 1; p is capped at 13.
     """
     if not is_prime(p) or p <= 3:
         raise ValueError(f"p must be a prime > 3, got {p}")
@@ -214,20 +334,15 @@ def mult_by_p_series(E: WCurve, p: int, prec: int | None = None) -> PSeries:
     if not 2 <= prec <= full:
         raise ValueError(f"prec must be in [2, p^2+1] = [2, {full}]")
     _require_integral(E, "mult_by_p_series")
-    field = PrimeField(p)
     _, _, disc, _ = E.invariants()
     if disc.denominator != 1 or disc.numerator % p == 0:
         raise ValueError(f"curve has bad reduction at {p}")
-    x, y, omega, log, mp = _mult_by_m(E, p, prec)
-    if mp.coeff(1) != p:
+    a = tuple(c.numerator for c in (E.a1, E.a2, E.a3, E.a4, E.a6))
+    coeffs = _mult_by_p_integral(a, p, prec)[1:]
+    if coeffs[0] != p:
         raise ValidationError("[p]-series does not start with p*t")
-    for i, c in enumerate(mp.coeffs):
-        if c.denominator % p == 0:
-            raise ValidationError(
-                f"[p]-series coefficient at t^{mp.offset + i} has {p} in "
-                f"its denominator (precision or algebra bug)")
-    return PSeries(p=p, curve=E, x=x, y=y, omega=omega, log=log,
-                   series=mp, series_mod_p=mp.reduce_mod(field))
+    return PSeries(p=p, curve=E, series=QSeries(QQ, 1, coeffs),
+                   series_mod_p=QSeries(PrimeField(p), 1, coeffs))
 
 
 def _lift_short_curve(E: WCurve) -> WCurve:
@@ -239,33 +354,44 @@ def v_invariants(E: WCurve, p: int):
     """(v1, v2) of a short curve over F_p, from the [p]-series of its
     [0,p) integral lift.
 
-    v1 is the t^p coefficient mod p.  When v1 = 0 the series is expanded
-    to t^(p^2), every intermediate coefficient is asserted to vanish
-    mod p, and the unit v2 is returned; otherwise v2 is absent (None)
-    and the coefficients below t^p are asserted to vanish.
+    v1 is read from the series at precision p+1; only when v1 = 0 (the
+    supersingular case) is the full p^2+1 window computed for v2.  See
+    ``heights_from_series`` for the assertions.
     """
     if not isinstance(E.ring, PrimeField) or E.ring.p != p:
         raise ValueError("v_invariants wants a curve over F_p")
     if not E.is_short:
         raise ValueError("v_invariants wants a short Weierstrass curve")
     lift = _lift_short_curve(E)
-    field = E.ring
     head = mult_by_p_series(lift, p, prec=p + 1).series_mod_p
-    v1 = head.coeff(p)
+    if not head.coeff(p):
+        head = mult_by_p_series(lift, p).series_mod_p
+    return heights_from_series(E, p, head)
+
+
+def heights_from_series(E: WCurve, p: int, series_mod_p: QSeries):
+    """(v1, v2) of E over F_p read off [p](t) mod p.
+
+    v1 is the t^p coefficient.  When v1 != 0 the coefficients below t^p
+    are asserted to vanish and v2 is absent (None).  When v1 = 0 the
+    series must reach t^(p^2): every coefficient below it is asserted
+    to vanish mod p, and the unit v2 is returned.
+    """
+    field = E.ring
+    v1 = series_mod_p.coeff(p)
     if v1:
         for k in range(2, p):
-            if head.coeff(k):
+            if series_mod_p.coeff(k):
                 raise ValidationError(
                     f"ordinary curve {E!r}: t^{k} coefficient nonzero mod "
                     f"{p} — [p] does not factor through Frobenius")
         return v1, None
-    tail = mult_by_p_series(lift, p).series_mod_p
     for k in range(1, p * p):
-        if tail.coeff(k):
+        if series_mod_p.coeff(k):
             raise ValidationError(
                 f"supersingular curve {E!r}: t^{k} coefficient nonzero "
                 f"mod {p} — [p] does not factor through Frobenius^2")
-    v2 = tail.coeff(p * p)
+    v2 = series_mod_p.coeff(p * p)
     if not v2:
         raise ValidationError(
             f"supersingular curve {E!r}: v2 is not a unit")

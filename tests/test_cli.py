@@ -201,6 +201,18 @@ def test_forms_prec_below_one_is_usage_error(tmp_path):
         assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("argv, bound", [
+    (["forms", "--weight", "6", "--prec", "1001"], "prec <= 1000"),
+    (["scan", "sqrt3", "--max", "1000001"], "max <= 1000000"),
+])
+def test_argument_above_upper_bound_is_usage_error(argv, bound, tmp_path):
+    proc = run_cli(argv, tmp_path, check=False)
+    assert proc.returncode == 1
+    assert bound in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_hasse_does_not_import_numpy(tmp_path):
     code = ("import sys\n"
             "from ellwitt.cli import main\n"

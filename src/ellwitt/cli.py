@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from fractions import Fraction
 
 from . import cache, formalgroup, modforms, padicwitt, sslocus
 from .arith import PrimeField, fq2_context, has_sqrt3, is_prime
@@ -215,11 +214,16 @@ def forms_section(k: int, prec: int) -> dict:
 
 def _q_identities_section() -> dict:
     prec = 200
-    e4 = modforms.eisenstein_q(4, prec)
-    e6 = modforms.eisenstein_q(6, prec)
-    lhs = e4 ** 3 - e6 ** 2
-    rhs = modforms.eta24_q(prec).scale(Fraction(1728))
-    if not (lhs - rhs).is_zero():
+    e4, e6 = (modforms.eisenstein_q(k, prec).coeff_list(0, prec)
+              for k in (4, 6))
+    if any(c.denominator != 1 for c in e4 + e6):
+        raise ValidationError("E4 or E6 has a non-integral q-coefficient")
+    e4, e6 = [int(c) for c in e4], [int(c) for c in e6]
+    mul = formalgroup._mul
+    lhs = [a - b for a, b in zip(mul(mul(e4, e4, prec), e4, prec),
+                                 mul(e6, e6, prec))]
+    rhs = [1728 * c for c in modforms.eta24_q(prec).coeff_list(0, prec)]
+    if lhs != rhs:
         raise ValidationError(
             "E4^3 - E6^2 != 1728 * eta^24 at q-precision 200")
     j = modforms.j_q(4)

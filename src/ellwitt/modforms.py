@@ -30,18 +30,26 @@ MAX_EISENSTEIN_PRIME = 97
 
 @lru_cache(maxsize=None)
 def _bernoulli_list(top: int) -> tuple:
-    bs = [Fraction(1), Fraction(-1, 2)]
-    from math import comb
-    for m in range(2, top + 1):
-        acc = Fraction(0)
-        for i in range(m):
-            acc += comb(m + 1, i) * bs[i]
-        bs.append(-acc / (m + 1))
-    return tuple(bs)
+    """B_0 .. B_top from the integer tangent numbers T_1, T_2, ... =
+    1, 2, 16, 272, ... (Brent and Harvey's in-place recurrence, O(top^2)
+    small-int steps): B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), and
+    B_1 = -1/2 is the only nonzero odd one."""
+    n = top // 2
+    t = [0, 1] + [0] * (n - 1)
+    for k in range(2, n + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, n + 1):
+        for i in range(k, n + 1):
+            t[i] = (i - k) * t[i - 1] + (i - k + 2) * t[i]
+    bs = [Fraction(1), Fraction(-1, 2)] + [Fraction(0)] * (top - 1)
+    for k in range(1, n + 1):
+        bs[2 * k] = Fraction((-1) ** (k - 1) * 2 * k * t[k],
+                             4 ** k * (4 ** k - 1))
+    return tuple(bs[:top + 1])
 
 
 def bernoulli(k: int) -> Fraction:
-    """B_k for even 2 <= k <= 200, via the standard recurrence."""
+    """B_k for even 2 <= k <= 200, from the tangent numbers."""
     if k < 2 or k % 2 or k > MAX_BERNOULLI:
         raise ValueError(f"bernoulli wants even 2 <= k <= {MAX_BERNOULLI}")
     return _bernoulli_list(MAX_BERNOULLI)[k]
@@ -122,7 +130,8 @@ def weight_basis(k: int) -> WeightBasis:
 
 
 def _solve_exact(rows, rhs):
-    """Gaussian elimination over Fraction; raises on singular systems."""
+    """Gaussian elimination over Fraction; a singular or inconsistent
+    system raises ValidationError."""
     n = len(rows[0])
     m = len(rows)
     aug = [list(rows[i]) + [rhs[i]] for i in range(m)]
@@ -131,7 +140,7 @@ def _solve_exact(rows, rhs):
     for col in range(n):
         piv = next((i for i in range(r, m) if aug[i][col] != 0), None)
         if piv is None:
-            raise ValueError("singular linear system (precision bug?)")
+            raise ValidationError("singular linear system (precision bug?)")
         aug[r], aug[piv] = aug[piv], aug[r]
         inv = Fraction(1) / aug[r][col]
         aug[r] = [x * inv for x in aug[r]]
@@ -144,7 +153,7 @@ def _solve_exact(rows, rhs):
     # remaining rows must have zero rhs (consistency)
     for i in range(r, m):
         if aug[i][n] != 0:
-            raise ValueError("inconsistent linear system")
+            raise ValidationError("inconsistent linear system")
     return [aug[i][n] for i in range(n)]
 
 

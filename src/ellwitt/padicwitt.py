@@ -443,7 +443,8 @@ def hensel_root(f: Poly, r0):
 
     f lives over PadicRing or WittCtx; r0 may be given in the same ring
     or as the mod-p root (FpElem / Fq2Elem), which is lifted naively.
-    Quadratic convergence; at most ceil(log2 N) + 1 steps.
+    Quadratic convergence; at most ceil(log2 N) + 1 steps.  A root that
+    is not simple, or not a root mod p, raises ValidationError.
     """
     ring = f.ring
     if isinstance(ring, PadicRing):
@@ -459,14 +460,15 @@ def hensel_root(f: Poly, r0):
     r = ring.coerce(r0)
     fp = f.derivative()
     if not ring.is_unit(fp.evaluate(r)):
-        raise ValueError("root is not simple: f'(r0) is not a unit mod p")
+        raise ValidationError(
+            "root is not simple: f'(r0) is not a unit mod p")
     fr = f.evaluate(r)
     if isinstance(ring, PadicRing):
         bad = fr.value % p != 0
     else:
         bad = fr.a % p != 0 or fr.b % p != 0
     if bad:
-        raise ValueError("r0 is not a root of f mod p")
+        raise ValidationError("r0 is not a root of f mod p")
     steps = max(1, N.bit_length() + 1)
     for _ in range(steps):
         fr = f.evaluate(r)

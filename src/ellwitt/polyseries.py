@@ -25,7 +25,7 @@ import random
 import struct
 from fractions import Fraction
 
-from .errors import PrecisionError
+from .errors import PrecisionError, ValidationError
 
 __all__ = [
     "RationalField", "QQ", "Poly", "QSeries",
@@ -691,11 +691,11 @@ class QSeries:
                        [fn(c) for c in self.coeffs], w)
 
     def reduce_mod(self, field) -> "QSeries":
-        """Reduce a rational series mod p; raises ValueError when any
-        denominator is divisible by p."""
+        """Reduce a rational series mod p; raises ValidationError when
+        any denominator is divisible by p."""
         def red(c: Fraction):
             if c.denominator % field.p == 0:
-                raise ValueError(
+                raise ValidationError(
                     f"denominator {c.denominator} divisible by {field.p}")
             return field.elem(c.numerator * pow(c.denominator, -1, field.p))
         return self.map_coeffs(red, field)

@@ -4,8 +4,10 @@ cross-validation.
 Route 1 (sslocus): Deuring's criterion — roots of the degree-(p-1)/2
 Legendre polynomial in F_{p^2}, pushed through lambda -> j.
 Route 2 (modforms): Laurent peeling of the reduced E_{p-1}.
-Route 3 (here, p <= 31): brute-force point counts over F_{p^2}, marking
-a curve supersingular exactly when its trace vanishes mod p.
+Route 3 (here, p <= 31): character-sum point counts over F_{p^2},
+marking a curve supersingular exactly when its trace vanishes mod p;
+one big-int correlation counts a twist family y^2 = x^3 + cx + c for
+every c at once.
 
 Any disagreement raises ValidationError naming the two methods and the
 symmetric difference; agreement is consolidated into an SSLocus.
@@ -13,6 +15,7 @@ symmetric difference; agreement is consolidated into an SSLocus.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -115,39 +118,83 @@ def curve_from_j(j):
 
 @lru_cache(maxsize=None)
 def ss_j_point_count(p: int) -> frozenset:
-    """Brute-force oracle: j in F_{p^2} is supersingular iff the trace of
-    its standard model over F_{p^2} vanishes mod p.  Cost O(p^4); the
-    p <= 31 bound is enforced, not advisory."""
+    """Point-count oracle: j in F_q, q = p^2, is supersingular iff the
+    trace of a curve with that j-invariant over F_q vanishes mod p.
+
+    For j not in {0, 1728} the curve is y^2 = x^3 + cx + c with
+    c = 27j / (4(1728 - j)), a quadratic twist over F_q of
+    curve_from_j(j) (a twist keeps "trace = 0 mod p"), and
+    j = 6912c / (4c + 27).  Since chi(-1) = 1 in F_q and
+    x^3 + c(x + 1) = (x + 1)(g(x) + c) with g(x) = x^3 / (x + 1),
+    its character sum is S(c) = 1 + sum_v H(v) chi(v + c), where
+    H(v) = sum of chi(x + 1) over x != -1 with g(x) = v.  That is one
+    correlation over the additive group (Z/p)^2 for every c at once,
+    computed as a single Kronecker big-int product of two p x p grids
+    folded mod p in both coordinates: O(p^2) work plus one product.
+    j = 0 and 1728 are direct sums.  The p <= 31 bound is enforced."""
     if not (3 < p <= MAX_POINT_COUNT_PRIME) or not is_prime(p):
         raise ValueError(
             f"point-count oracle wants a prime 3 < p <= "
             f"{MAX_POINT_COUNT_PRIME}")
-    import numpy as np
     ctx = fq2_context(p)
     g1, g0 = ctx.g1, ctx.g0
     q = p * p
-    xa = np.repeat(np.arange(p, dtype=np.int64), p)
-    xb = np.tile(np.arange(p, dtype=np.int64), p)
+    # element a + b*xbar of F_q sits at index a + p*b
+    elems = [(a, b) for b in range(p) for a in range(p)]
 
-    def vmul(ua, ub, va, vb):
-        bd = ub * vb
-        return (ua * va - g0 * bd) % p, (ua * vb + ub * va - g1 * bd) % p
+    def mul(u, v):
+        bd = u[1] * v[1]
+        return ((u[0] * v[0] - g0 * bd) % p,
+                (u[0] * v[1] + u[1] * v[0] - g1 * bd) % p)
 
-    sqa, sqb = vmul(xa, xb, xa, xb)
-    chi = np.full(q, -1, dtype=np.int64)
-    chi[sqa * p + sqb] = 1
+    chi = [-1] * q
+    for z in elems:
+        a, b = mul(z, z)
+        chi[a + p * b] = 1
     chi[0] = 0
-    cba, cbb = vmul(sqa, sqb, xa, xb)  # x^3
+    cubes = [mul(mul(z, z), z) for z in elems]
     out = set()
-    for j in ctx.elements():
-        E = curve_from_j(j)
-        A, B = E.a4, E.a6
-        bd = A.b * xb
-        ua = (cba + A.a * xa - g0 * bd + B.a) % p
-        ub = (cbb + A.a * xb + A.b * xa - g1 * bd + B.b) % p
-        trace = -int(chi[ua * p + ub].sum())
-        if trace % p == 0:
-            out.add(j)
+    for j in (0, 1728):
+        # y^2 = x^3 + 1 at j = 0 and y^2 = x^3 + x at j = 1728
+        s = 0
+        for (a, b), (ca, cb) in zip(elems, cubes):
+            ca, cb = (ca + a, cb + b) if j else (ca + 1, cb)
+            s += chi[ca % p + p * (cb % p)]
+        if s % p == 0:
+            out.add(ctx.from_int(j))
+    h = [0] * q
+    for (a, b), cube in zip(elems, cubes):
+        a = (a + 1) % p  # y = x + 1
+        if a == b == 0:
+            continue
+        n = pow((a * a - g1 * a * b + g0 * b * b) % p, -1, p)
+        va, vb = mul(cube, ((a - g1 * b) * n, -b * n))  # x^3 / y
+        h[va + p * vb] += chi[a + p * b]
+    # sum_u (h(-u) + 3)(chi(c - u) + 1) for every c: both grids hold
+    # their p x p values in rows of 2p slots, so the linear product
+    # (rows 2p - 1 wide) never carries into the next row, and no slot
+    # of it is negative or above 12q
+    code = "H" if 12 * q < 1 << 16 else "I"
+    w = struct.calcsize(code)
+    hgrid = [0] * (2 * q)
+    cgrid = [0] * (2 * q)
+    for i, (a, b) in enumerate(elems):
+        hgrid[a + 2 * p * b] = h[(-a) % p + p * ((-b) % p)] + 3
+        cgrid[a + 2 * p * b] = chi[i] + 1
+    x, y = (int.from_bytes(struct.pack(f"<{2 * q}{code}", *g), "little")
+            for g in (hgrid, cgrid))
+    lin = struct.unpack(f"<{4 * q}{code}",
+                        (x * y).to_bytes(4 * q * w, "little"))
+    off = sum(h) + 3 * sum(chi) + 3 * q
+    r = 2 * q  # fold rows b + p and columns a + p onto (a, b)
+    for i, (a, b) in enumerate(elems):
+        k = a + 2 * p * b
+        s = 1 + lin[k] + lin[k + p] + lin[k + r] + lin[k + r + p] - off
+        if i and s % p == 0:
+            c = ctx.elem(a, b)
+            den = ctx.from_int(4) * c + ctx.from_int(27)
+            if den:  # c = -27/4 gives a singular curve
+                out.add(ctx.from_int(6912) * c * den.inverse())
     return frozenset(out)
 
 

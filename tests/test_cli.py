@@ -213,18 +213,38 @@ def test_argument_above_upper_bound_is_usage_error(argv, bound, tmp_path):
     assert proc.stdout == ""
 
 
-def test_hasse_does_not_import_numpy(tmp_path):
+def _run_reporting_numpy(argv, cache_dir):
+    # main(argv) in a fresh interpreter; stderr ends with whether numpy
+    # was imported
     code = ("import sys\n"
             "from ellwitt.cli import main\n"
-            "rc = main(['hasse', '--prime', '397', '--json'])\n"
+            f"rc = main({argv!r})\n"
             "sys.stderr.write('numpy loaded: %s' % ('numpy' in sys.modules))\n"
             "sys.exit(rc)\n")
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
-        env={"PATH": "/usr/bin:/bin", "ELLWITT_CACHE_DIR": str(tmp_path),
+        env={"PATH": "/usr/bin:/bin", "ELLWITT_CACHE_DIR": str(cache_dir),
              "PYTHONPATH": ":".join(sys.path)})
     assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_hasse_does_not_import_numpy(tmp_path):
+    proc = _run_reporting_numpy(["hasse", "--prime", "397", "--json"],
+                                tmp_path)
     assert json.loads(proc.stdout)["sections"]["hasse"]["degree"] == 198
+    assert "numpy loaded: False" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["ss", "--prime", "31"],
+    ["lift", "--prime", "17", "--precision", "3"],
+    ["split", "--prime", "5", "--precision", "2"],
+    ["verify", "gross-landweber", "--prime", "7"],
+])
+def test_commands_do_not_import_numpy(argv, tmp_path):
+    proc = _run_reporting_numpy(argv + ["--json"], tmp_path)
+    assert json.loads(proc.stdout)["sections"]
     assert "numpy loaded: False" in proc.stderr
 
 

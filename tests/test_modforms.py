@@ -2,12 +2,16 @@
 supersingular polynomial."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from ellwitt.arith import PrimeField, is_prime
 from ellwitt.errors import ValidationError
 from ellwitt.modforms import (
+    MAX_BERNOULLI,
+    _bernoulli_list,
+    _solve_exact,
     bernoulli,
     delta_q,
     eisenstein_q,
@@ -30,6 +34,36 @@ def test_bernoulli_values():
     assert bernoulli(96).denominator % 97 == 0  # von Staudt-Clausen at 97
     with pytest.raises(ValueError):
         bernoulli(3)
+
+
+def _bernoulli_recurrence(top):
+    # the replaced kernel, kept as the oracle:
+    # sum_{i=0}^{m} C(m+1, i) B_i = 0 over Fraction
+    bs = [Fraction(1), Fraction(-1, 2)]
+    for m in range(2, top + 1):
+        acc = Fraction(0)
+        for i in range(m):
+            acc += comb(m + 1, i) * bs[i]
+        bs.append(-acc / (m + 1))
+    return tuple(bs)
+
+
+def test_bernoulli_tangent_numbers_match_recurrence():
+    want = _bernoulli_recurrence(MAX_BERNOULLI)
+    got = _bernoulli_list(MAX_BERNOULLI)
+    assert len(got) == len(want) == MAX_BERNOULLI + 1
+    for k, (g, w) in enumerate(zip(got, want)):
+        assert type(g) is Fraction and g == w, k
+    for top in range(12):
+        assert _bernoulli_list(top) == want[:top + 1]
+
+
+def test_solve_exact_invariant_failures_are_validation_errors():
+    assert _solve_exact([[2, 0], [0, 3]], [4, 9]) == [2, 3]
+    with pytest.raises(ValidationError, match="singular"):
+        _solve_exact([[1, 2], [2, 4]], [1, 2])
+    with pytest.raises(ValidationError, match="inconsistent"):
+        _solve_exact([[1], [2]], [1, 3])
 
 
 def test_eisenstein_expansions():

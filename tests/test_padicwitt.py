@@ -6,6 +6,7 @@ import random
 import pytest
 
 from ellwitt.arith import PrimeField, fq2_context
+from ellwitt.errors import ValidationError
 from ellwitt.padicwitt import (
     PadicRing,
     hensel_root,
@@ -124,8 +125,17 @@ def test_hensel_examples():
     assert r.value == 10
     R = PadicRing(11, 9)
     assert hensel_root(Poly(R, [0, -1, 1]), PrimeField(11).elem(1)) == R.one()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         hensel_root(Poly(R, [0, 0, 1]), PrimeField(11).elem(0))
+
+
+def test_hensel_non_root_is_validation_error():
+    R = PadicRing(7, 4)
+    with pytest.raises(ValidationError, match="not a root"):
+        hensel_root(Poly(R, [-2, 0, 1]), PrimeField(7).elem(2))
+    w = lift_context(fq2_context(7), 3)
+    with pytest.raises(ValidationError, match="not simple"):
+        hensel_root(Poly(w, [0, 0, 1]), fq2_context(7).zero())
 
 
 def test_hensel_independent_of_starting_lift():

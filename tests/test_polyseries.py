@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from ellwitt.arith import PrimeField, fq2_context
-from ellwitt.errors import PrecisionError
+from ellwitt.errors import PrecisionError, ValidationError
 from ellwitt.polyseries import (
     QQ,
     Poly,
@@ -290,3 +290,10 @@ def test_weight_tags():
     c = qs([1, 5], weight=6)
     assert (a + c).weight is None
     assert (a ** 3).weight == 12
+
+
+def test_reduce_mod_p_in_denominator_is_validation_error():
+    s = QSeries(QQ, 0, [Fraction(1, 2), Fraction(3, 4)])
+    assert s.reduce_mod(PrimeField(5)).coeff_list(0, 2) == [3, 2]
+    with pytest.raises(ValidationError, match="divisible by 7"):
+        QSeries(QQ, 0, [1, Fraction(1, 14)]).reduce_mod(PrimeField(7))

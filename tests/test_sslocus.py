@@ -109,6 +109,44 @@ def test_point_count_spot_values():
         ss_j_point_count(37)
 
 
+def _point_count_numpy(p):
+    # the replaced kernel, kept as the oracle: the trace of
+    # curve_from_j(j) over F_{p^2} for every j, one numpy sum each
+    import numpy as np
+    ctx = fq2_context(p)
+    g1, g0 = ctx.g1, ctx.g0
+    q = p * p
+    xa = np.repeat(np.arange(p, dtype=np.int64), p)
+    xb = np.tile(np.arange(p, dtype=np.int64), p)
+
+    def vmul(ua, ub, va, vb):
+        bd = ub * vb
+        return (ua * va - g0 * bd) % p, (ua * vb + ub * va - g1 * bd) % p
+
+    sqa, sqb = vmul(xa, xb, xa, xb)
+    chi = np.full(q, -1, dtype=np.int64)
+    chi[sqa * p + sqb] = 1
+    chi[0] = 0
+    cba, cbb = vmul(sqa, sqb, xa, xb)  # x^3
+    out = set()
+    for j in ctx.elements():
+        E = curve_from_j(j)
+        A, B = E.a4, E.a6
+        bd = A.b * xb
+        ua = (cba + A.a * xa - g0 * bd + B.a) % p
+        ub = (cbb + A.a * xb + A.b * xa - g1 * bd + B.b) % p
+        if int(chi[ua * p + ub].sum()) % p == 0:
+            out.add(j)
+    return frozenset(out)
+
+
+@pytest.mark.parametrize("p", [p for p in range(5, 32) if is_prime(p)])
+def test_point_count_matches_numpy_oracle_and_deuring(p):
+    got = ss_j_point_count(p)
+    assert got == _point_count_numpy(p)
+    assert got == ss_j_deuring(p)
+
+
 def test_cross_validate_spot_loci():
     L7 = cross_validate(7)
     assert (L7.sigma, L7.all_rational) == (1, True)

@@ -11,7 +11,6 @@ atomic (write-temp-then-rename).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import sys
@@ -45,6 +44,8 @@ def _entry_path(kind: str, key: dict) -> Path:
 
 
 def _checksum(payload: dict) -> str:
+    # Imported here: hashlib loads OpenSSL, and only cached kinds need it.
+    import hashlib
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
 
 

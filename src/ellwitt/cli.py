@@ -15,7 +15,7 @@ import time
 from . import cache, formalgroup, modforms, padicwitt, sslocus
 from .arith import PrimeField, fq2_context, has_sqrt3, is_prime
 from .errors import ValidationError
-from .formalgroup import MAX_FORMAL_PRIME, WCurve
+from .formalgroup import _VERIFY_PRIMES, MAX_FORMAL_PRIME, WCurve
 from .modforms import MAX_EISENSTEIN_PRIME
 from .padicwitt import (
     MAX_LIFT_PRECISION,
@@ -28,12 +28,12 @@ from .sslocus import (
     MAX_DEURING_PRIME,
     MAX_POINT_COUNT_PRIME,
     MONSTER_PRIMES,
+    _sorted_j,
 )
 
 DEFAULT_PRECISION = 10
 MAX_FORMS_PREC = 1000
 MAX_SQRT3_SCAN = 10 ** 6
-_VERIFY_PRIMES = (5, 7, 11, 13)
 
 
 class UsageError(Exception):
@@ -45,10 +45,6 @@ def _require_prime(p: int, bound: int, what: str) -> None:
         raise UsageError(f"{what}: --prime must be a prime > 3, got {p}")
     if p > bound:
         raise UsageError(f"{what}: enforced bound is p <= {bound}, got {p}")
-
-
-def _sorted_j(js):
-    return sorted(js, key=lambda z: (z.a, z.b))
 
 
 # --- section builders (all deterministic) ---

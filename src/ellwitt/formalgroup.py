@@ -15,7 +15,7 @@ and v2 live).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from operator import mul
 
@@ -187,13 +187,9 @@ def formal_log(E: WCurve, prec: int) -> QSeries:
     return _integrate_log(omega)
 
 
-@dataclass(frozen=True)
-class PSeries:
-    """[p]-series of an integral curve."""
-    p: int
-    curve: WCurve
-    series: QSeries         # [p](t), integral, as exact rationals
-    series_mod_p: QSeries   # reduction mod p
+#: [p]-series of an integral curve: p, curve (WCurve), series ([p](t),
+#: integral, as exact rationals), series_mod_p (its reduction mod p).
+PSeries = namedtuple("PSeries", "p curve series series_mod_p")
 
 
 def _mult_by_m(E: WCurve, m: int, prec: int):
@@ -419,11 +415,8 @@ def _hasse_form_value(hf: dict, c4: FpElem, c6: FpElem) -> FpElem:
     return acc
 
 
-@dataclass(frozen=True)
-class DeligneReport:
-    prime: int
-    curves_checked: int
-    supersingular_curves: int
+DeligneReport = namedtuple(
+    "DeligneReport", "prime curves_checked supersingular_curves")
 
 
 def verify_deligne(p: int) -> DeligneReport:
@@ -458,25 +451,15 @@ def verify_deligne(p: int) -> DeligneReport:
                          supersingular_curves=ss_count)
 
 
-@dataclass(frozen=True)
-class GLCurveResult:
-    j: int
-    a4: int
-    a6: int
-    v2: int
-    predicted: int
-    match: bool
-    ratio: int
-    ratio_pow_of_12: int | None
+#: One supersingular curve's v2 against the prediction; ratio_pow_of_12
+#: is None when the ratio is not a power of 12.
+GLCurveResult = namedtuple(
+    "GLCurveResult", "j a4 a6 v2 predicted match ratio ratio_pow_of_12")
 
-
-@dataclass(frozen=True)
-class GLReport:
-    prime: int
-    sign: int
-    entries: tuple
-    all_match: bool
-    common_power_of_12: int | None
+#: entries is a tuple of GLCurveResult; common_power_of_12 is None unless
+#: every entry has the same one.
+GLReport = namedtuple(
+    "GLReport", "prime sign entries all_match common_power_of_12")
 
 
 def _pow12_index(r: FpElem) -> int | None:

@@ -9,7 +9,7 @@ happen only after p-integrality has been certified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -103,11 +103,8 @@ def j_q(prec: int) -> QSeries:
     return (e4 ** 3 * dlt.inverse()).truncate(prec)
 
 
-@dataclass(frozen=True)
-class WeightBasis:
-    """Monomials E4^a E6^b spanning M_k, listed with b ascending."""
-    k: int
-    monomials: tuple
+#: Monomials E4^a E6^b spanning M_k, listed with b ascending.
+WeightBasis = namedtuple("WeightBasis", "k monomials")
 
 
 def _dim_mk(k: int) -> int:
@@ -197,13 +194,8 @@ def express_in_e4e6(s: QSeries) -> dict:
     return {mon: c for mon, c in zip(basis.monomials, sol)}
 
 
-@dataclass(frozen=True)
-class HasseDecomposition:
-    """p - 1 = 12m + 4*delta + 6*eps with delta, eps in {0, 1}."""
-    p: int
-    m: int
-    delta: int
-    eps: int
+#: p - 1 = 12m + 4*delta + 6*eps with delta, eps in {0, 1}.
+HasseDecomposition = namedtuple("HasseDecomposition", "p m delta eps")
 
 
 def hasse_decomposition(p: int) -> HasseDecomposition:

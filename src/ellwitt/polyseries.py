@@ -25,12 +25,12 @@ import random
 import struct
 from fractions import Fraction
 
+from .arith import Fq2Ctx, PrimeField, sqrt_mod
 from .errors import PrecisionError, ValidationError
 
 __all__ = [
     "RationalField", "QQ", "Poly", "QSeries",
     "poly_divrem", "poly_gcd", "roots_in_field",
-    "series_inverse", "series_compose", "series_revert",
 ]
 
 # Horner composition is fine for short series; block (Brent-Kung)
@@ -197,8 +197,13 @@ class Poly:
         return self.divrem(g)[1]
 
     def gcd(self, g: "Poly") -> "Poly":
-        """Monic gcd over a field; gcd(0, 0) = 0 by convention."""
+        """Monic gcd over a field; gcd(0, 0) = 0 by convention.  Over F_p
+        Euclid runs on int lists (_FpX)."""
         a, b = self, self._same(g)
+        if isinstance(self.ring, PrimeField):
+            a, b = [c.value for c in a.coeffs], [c.value for c in b.coeffs]
+            fx = _FpX(self.ring.p, max(len(a), len(b)))
+            return Poly(self.ring, fx.gcd(a, b))
         while not b.is_zero():
             a, b = b, a.divrem(b)[1]
         if a.is_zero():
@@ -401,7 +406,6 @@ def roots_in_field(f: Poly, field) -> set:
     over F_p may be solved in a matching F_{p^2}.  Multiplicity is not
     reported.
     """
-    from .arith import Fq2Ctx, PrimeField, sqrt_mod
     if f.is_zero():
         raise ValueError("roots_in_field of the zero polynomial")
     ext = isinstance(field, Fq2Ctx)
@@ -795,15 +799,3 @@ def _compose_lists(ring, fl, gl, P):
     if len(fl) <= _BK_THRESHOLD:
         return _compose_horner(ring, fl, gl, P)
     return _compose_bk(ring, fl, gl, P)
-
-
-def series_inverse(s: QSeries) -> QSeries:
-    return s.inverse()
-
-
-def series_compose(f: QSeries, g: QSeries) -> QSeries:
-    return f.compose(g)
-
-
-def series_revert(f: QSeries) -> QSeries:
-    return f.revert()

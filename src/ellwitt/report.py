@@ -10,7 +10,6 @@ string ("d0,d1,...") next to an explicit (p, N) header.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 SCHEMA_VERSION = "1"
 
@@ -37,15 +36,23 @@ def canonical_json(data) -> str:
                       separators=(",", ": ")) + "\n"
 
 
-@dataclass
 class Report:
     """One CLI invocation's structured result."""
 
-    prime: int | None = None
-    precision: int | None = None
-    sections: dict = field(default_factory=dict)
-    timings: dict = field(default_factory=dict)
-    schema_version: str = SCHEMA_VERSION
+    def __init__(self, prime: int | None = None,
+                 precision: int | None = None, sections: dict | None = None,
+                 timings: dict | None = None,
+                 schema_version: str = SCHEMA_VERSION):
+        self.prime = prime
+        self.precision = precision
+        self.sections = {} if sections is None else sections
+        self.timings = {} if timings is None else timings
+        self.schema_version = schema_version
+
+    def __eq__(self, other):
+        if not isinstance(other, Report):
+            return NotImplemented
+        return self.to_dict() == other.to_dict()
 
     def to_dict(self) -> dict:
         return {

@@ -16,7 +16,7 @@ symmetric difference; agreement is consolidated into an SSLocus.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import comb
 
@@ -198,14 +198,10 @@ def ss_j_point_count(p: int) -> frozenset:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class SSLocus:
-    """Consolidated supersingular locus at p, validated across methods."""
-    p: int
-    j_values: frozenset
-    ss_poly: Poly
-    sigma: int
-    all_rational: bool
+#: Consolidated supersingular locus at p, validated across methods:
+#: j_values (frozenset of F_{p^2} elements), ss_poly (Poly over F_p),
+#: sigma (its degree) and all_rational (every j in F_p).
+SSLocus = namedtuple("SSLocus", "p j_values ss_poly sigma all_rational")
 
 
 def _sorted_j(js) -> list:

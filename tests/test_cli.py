@@ -1,12 +1,19 @@
 """CLI surface: output shapes, exit codes, JSON schema stability,
-determinism and the cache round-trip."""
+determinism, the cache round-trip, what a request imports, and a
+property test over arbitrary argument vectors."""
 
+import io
 import json
+import os
+import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ellwitt.report import Report, canonical_json, padic_digits, \
     parse_padic_digits
@@ -213,13 +220,14 @@ def test_argument_above_upper_bound_is_usage_error(argv, bound, tmp_path):
     assert proc.stdout == ""
 
 
-def _run_reporting_numpy(argv, cache_dir):
-    # main(argv) in a fresh interpreter; stderr ends with whether numpy
-    # was imported
+def _run_reporting(argv, cache_dir, module="numpy"):
+    # main(argv) in a fresh interpreter; stderr ends with whether the
+    # module was imported
     code = ("import sys\n"
             "from ellwitt.cli import main\n"
             f"rc = main({argv!r})\n"
-            "sys.stderr.write('numpy loaded: %s' % ('numpy' in sys.modules))\n"
+            f"sys.stderr.write('{module} loaded: %s'"
+            f" % ({module!r} in sys.modules))\n"
             "sys.exit(rc)\n")
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
@@ -230,8 +238,7 @@ def _run_reporting_numpy(argv, cache_dir):
 
 
 def test_hasse_does_not_import_numpy(tmp_path):
-    proc = _run_reporting_numpy(["hasse", "--prime", "397", "--json"],
-                                tmp_path)
+    proc = _run_reporting(["hasse", "--prime", "397", "--json"], tmp_path)
     assert json.loads(proc.stdout)["sections"]["hasse"]["degree"] == 198
     assert "numpy loaded: False" in proc.stderr
 
@@ -243,7 +250,7 @@ def test_hasse_does_not_import_numpy(tmp_path):
     ["verify", "gross-landweber", "--prime", "7"],
 ])
 def test_commands_do_not_import_numpy(argv, tmp_path):
-    proc = _run_reporting_numpy(argv + ["--json"], tmp_path)
+    proc = _run_reporting(argv + ["--json"], tmp_path)
     assert json.loads(proc.stdout)["sections"]
     assert "numpy loaded: False" in proc.stderr
 
@@ -271,3 +278,154 @@ def test_unversioned_cache_entry_is_a_miss(tmp_path, monkeypatch):
     got["timings"] = {}
     assert got == want
     assert cachemod.load("ss", {"p": 13}) == want["sections"]["ss_locus"]
+
+
+# --- start-up: what one request imports ---
+
+TRACER = Path(__file__).parent.parent / "bench" / "tracer.py"
+
+
+def test_import_loads_only_what_a_request_needs():
+    # -S keeps site's own imports out of the comparison
+    code = ("import json, sys\n"
+            "before = set(sys.modules)\n"
+            "import ellwitt.cli\n"
+            "print(json.dumps(sorted(set(sys.modules) - before)))\n")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": ":".join(sys.path)})
+    assert proc.returncode == 0, proc.stderr
+    added = set(json.loads(proc.stdout))
+    heavy = {"dataclasses", "inspect", "ast", "dis", "hashlib", "typing",
+             "numpy"}
+    assert not added & heavy
+    # the bench tracer resolves every span owner right after this import
+    traced = set(re.findall(r'"(ellwitt\.\w+)"', TRACER.read_text()))
+    assert traced and traced <= added
+
+
+def test_uncached_command_does_not_import_hashlib(tmp_path):
+    proc = _run_reporting(["forms", "--weight", "4", "--prec", "20",
+                           "--json"], tmp_path, "hashlib")
+    assert json.loads(proc.stdout)["sections"]["forms"]["prec"] == 20
+    assert "hashlib loaded: False" in proc.stderr
+
+
+def test_ss_cold_then_warm_checks_the_cache_checksum(tmp_path):
+    want = (GOLDEN / "ss_p5.json").read_text()
+    for _ in ("cold", "warm"):
+        proc = _run_reporting(["ss", "--prime", "5", "--json"], tmp_path,
+                              "hashlib")
+        got = json.loads(proc.stdout)
+        got["timings"] = {}
+        assert canonical_json(got) == want
+        assert "hashlib loaded: True" in proc.stderr
+        assert "discarding" not in proc.stderr
+    assert len(list(tmp_path.glob("ss_*.json"))) == 1
+
+
+# --- property: no argument vector gives a traceback ---
+
+_COMMANDS = {
+    ("ss",): ("--prime",),
+    ("hasse",): ("--prime",),
+    ("lift",): ("--prime", "--precision"),
+    ("split",): ("--prime", "--precision"),
+    ("formal",): ("--prime", "--a4", "--a6"),
+    ("verify", "deligne"): ("--prime",),
+    ("verify", "gross-landweber"): ("--prime",),
+    ("verify", "all"): ("--max",),
+    ("scan", "ogg"): ("--max",),
+    ("scan", "sqrt3"): ("--max",),
+    ("forms",): ("--weight", "--prec"),
+    ("verify",): (),
+    ("scan",): (),
+    (): (),
+}
+_FLAGS = sorted({f for fs in _COMMANDS.values() for f in fs}
+                | {"--json", "--help", "--bogus"})
+
+
+def _near_bounds() -> list:
+    from ellwitt.arith import is_prime
+    from ellwitt.cli import MAX_FORMS_PREC, MAX_SQRT3_SCAN
+    from ellwitt.formalgroup import MAX_FORMAL_PRIME
+    from ellwitt.modforms import MAX_BERNOULLI, MAX_EISENSTEIN_PRIME
+    from ellwitt.padicwitt import (
+        MAX_LIFT_PRECISION, MAX_SPLIT_PRECISION, MAX_SPLIT_PRIME)
+    from ellwitt.sslocus import MAX_DEURING_PRIME, MAX_POINT_COUNT_PRIME
+    bounds = (0, 1, 3, 4, 5, MAX_FORMAL_PRIME, MAX_POINT_COUNT_PRIME,
+              MAX_SPLIT_PRIME, MAX_SPLIT_PRECISION, MAX_LIFT_PRECISION,
+              MAX_EISENSTEIN_PRIME, MAX_BERNOULLI, MAX_DEURING_PRIME,
+              MAX_FORMS_PREC, MAX_SQRT3_SCAN)
+    out = set()
+    for b in bounds:
+        above = next(n for n in range(b + 1, 2 * b + 3) if is_prime(n))
+        out |= {b - 1, b, b + 1, above, -b}
+    return sorted(out)
+
+
+_VALUES = st.one_of(
+    st.sampled_from(_near_bounds()).map(str),
+    st.integers(-20, 120).map(str),
+    st.sampled_from(["", "1.5", "1e3", "0x1f", "five", "-", "--prime",
+                     " 7", "7 ", "٧", "9" * 40]),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    argv = list(command)
+    for flag in _COMMANDS[command]:
+        if draw(st.integers(0, 9)):
+            argv += [flag, draw(_VALUES)]
+    for _ in range(draw(st.integers(0, 2))):
+        argv += draw(st.sampled_from([[f] for f in _FLAGS]
+                                     + [[f, "7"] for f in _FLAGS]))
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+def _too_slow(argv) -> bool:
+    # valid requests whose work the other tests cover: every verify
+    # suite, and the scans and lifts near their upper bounds
+    from ellwitt.cli import build_parser
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            args = build_parser().parse_args(argv)
+    except SystemExit:
+        return False
+    if args.command == "verify":
+        return True
+    if args.command == "scan":
+        return args.max > (200 if args.scan_what == "ogg" else 10 ** 5)
+    if args.command in ("hasse", "lift", "split"):
+        return args.prime > 200 or getattr(args, "precision", 0) > 16
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argvs())
+def test_any_argument_vector_exits_cleanly(tmp_path_factory, argv):
+    assume(not _too_slow(argv))
+    from ellwitt.cli import main
+    cache_dir = tmp_path_factory.getbasetemp() / "property-cache"
+    old = os.environ.get("ELLWITT_CACHE_DIR")
+    os.environ["ELLWITT_CACHE_DIR"] = str(cache_dir)
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        if old is None:
+            del os.environ["ELLWITT_CACHE_DIR"]
+        else:
+            os.environ["ELLWITT_CACHE_DIR"] = old
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -3,7 +3,8 @@ claim, JSON reports, and the one-shot verification suite.
 
 Exit codes: 0 success, 1 usage error (including out-of-range arguments),
 2 validation failure (two methods disagree — the printed counterexample
-names the prime, the curve and the methods involved).
+names the prime, the curve and the methods involved) or an internal
+error.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 import time
 
 from . import cache, formalgroup, modforms, padicwitt, sslocus
-from .arith import PrimeField, fq2_context, has_sqrt3, is_prime
+from .arith import PrimeField, has_sqrt3, is_prime
 from .errors import ValidationError
 from .formalgroup import _VERIFY_PRIMES, MAX_FORMAL_PRIME, WCurve
 from .modforms import MAX_EISENSTEIN_PRIME
@@ -26,6 +27,7 @@ from .polyseries import QQ
 from .report import Report, padic_digits
 from .sslocus import (
     MAX_DEURING_PRIME,
+    MAX_OGG_SCAN,
     MAX_POINT_COUNT_PRIME,
     MONSTER_PRIMES,
     _sorted_j,
@@ -71,17 +73,14 @@ def ss_section(p: int) -> dict:
 
 def hasse_section(p: int) -> dict:
     H = sslocus.hasse_polynomial(p)
-    ctx = fq2_context(p)
-    from .polyseries import roots_in_field
-    lams = _sorted_j(roots_in_field(H, ctx))
     return {
         "prime": p,
         "degree": H.degree,
         "hasse_poly": [c.value for c in H.coeffs],
-        "lambda_roots": [[z.a, z.b] for z in lams],
-        "j_images": [[z.a, z.b] for z in
-                     _sorted_j({sslocus.legendre_to_j(lam)
-                                for lam in lams})],
+        "lambda_roots": [[z.a, z.b]
+                         for z in _sorted_j(sslocus.hasse_roots(p))],
+        "j_images": [[z.a, z.b]
+                     for z in _sorted_j(sslocus.ss_j_deuring(p))],
     }
 
 
@@ -237,6 +236,12 @@ def verify_all_section(p_max: int) -> dict:
         locus = sslocus.cross_validate(p)   # raises on any disagreement
         if locus.ss_poly.degree != sslocus.sigma(p):
             raise ValidationError(f"degree formula fails at p={p}")
+        deu = sum(z.in_prime_field for z in locus.j_values)
+        scan = sslocus.rational_ss_count(p)
+        if deu != scan:
+            raise ValidationError(
+                f"p={p}: {deu} F_p-rational supersingular j by Deuring, "
+                f"{scan} by the Ogg scan count")
     out["degree_formula"] = {"primes": primes, "ok": True}
     out["three_method_agreement"] = {
         "primes": primes,
@@ -461,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     ssub = scan.add_subparsers(dest="scan_what", required=True)
     sp = ssub.add_parser("ogg")
     sp.add_argument("--max", type=int, required=True,
-                    help=f"upper bound (<= {MAX_DEURING_PRIME})")
+                    help=f"upper bound (<= {MAX_OGG_SCAN})")
     sp.add_argument("--json", action="store_true")
     sp = ssub.add_parser("sqrt3")
     sp.add_argument("--max", type=int, required=True,
@@ -506,6 +511,10 @@ def _dispatch(args):
         printer = _print_split
     elif args.command == "formal":
         _require_prime(args.prime, MAX_FORMAL_PRIME, "formal")
+        if formalgroup.has_bad_reduction(
+                WCurve.short(QQ, args.a4, args.a6), args.prime):
+            raise UsageError(
+                f"formal: curve has bad reduction at {args.prime}")
         report.prime = args.prime
         report.sections["formal"] = formal_section(
             args.prime, args.a4, args.a6)
@@ -531,9 +540,9 @@ def _dispatch(args):
         report.sections["verify_all"] = verify_all_section(args.max)
         printer = _print_verify_all
     elif args.command == "scan" and args.scan_what == "ogg":
-        if args.max > MAX_DEURING_PRIME:
-            raise UsageError(
-                f"scan ogg: enforced bound is max <= {MAX_DEURING_PRIME}")
+        if args.max > MAX_OGG_SCAN:
+            raise UsageError(f"scan ogg: enforced bound is max <= "
+                             f"{MAX_OGG_SCAN}, got {args.max}")
         report.sections["ogg"] = ogg_section(args.max)
         printer = _print_ogg
     elif args.command == "scan" and args.scan_what == "sqrt3":
@@ -571,11 +580,12 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"ellwitt: error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"ellwitt: error: {exc}", file=sys.stderr)
-        return 1
     except ValidationError as exc:
         print(f"VALIDATION FAILURE: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        # arguments are checked above as UsageError; this is a bug
+        print(f"ellwitt: internal error: {exc}", file=sys.stderr)
         return 2
     if getattr(args, "json", False):
         sys.stdout.write(report.to_json())

@@ -27,7 +27,7 @@ from . import modforms
 __all__ = [
     "WCurve", "PSeries", "curve_invariants", "formal_expansion",
     "formal_log", "mult_by_p_series", "v_invariants", "heights_from_series",
-    "classical_hasse",
+    "classical_hasse", "has_bad_reduction",
     "verify_deligne", "verify_gross_landweber",
     "DeligneReport", "GLReport", "MAX_FORMAL_PRIME",
 ]
@@ -307,6 +307,16 @@ def _mult_by_p_integral(a, p: int, prec: int) -> list:
     return z[:prec + 1]
 
 
+def has_bad_reduction(E: WCurve, p: int) -> bool:
+    """Whether the curve E over Q fails to have good reduction at p: its
+    discriminant is 0, not integral, or divisible by p."""
+    try:
+        disc = E.invariants()[2]
+    except ValueError:  # discriminant 0
+        return True
+    return disc.denominator != 1 or disc.numerator % p == 0
+
+
 def mult_by_p_series(E: WCurve, p: int, prec: int | None = None) -> PSeries:
     """[p](t) through t^prec, computed in Z[[t]].
 
@@ -330,8 +340,7 @@ def mult_by_p_series(E: WCurve, p: int, prec: int | None = None) -> PSeries:
     if not 2 <= prec <= full:
         raise ValueError(f"prec must be in [2, p^2+1] = [2, {full}]")
     _require_integral(E, "mult_by_p_series")
-    _, _, disc, _ = E.invariants()
-    if disc.denominator != 1 or disc.numerator % p == 0:
+    if has_bad_reduction(E, p):
         raise ValueError(f"curve has bad reduction at {p}")
     a = tuple(c.numerator for c in (E.a1, E.a2, E.a3, E.a4, E.a6))
     coeffs = _mult_by_p_integral(a, p, prec)[1:]

@@ -30,7 +30,7 @@ from .errors import PrecisionError, ValidationError
 
 __all__ = [
     "RationalField", "QQ", "Poly", "QSeries",
-    "poly_divrem", "poly_gcd", "roots_in_field",
+    "poly_divrem", "poly_gcd", "roots_in_field", "count_roots_in_fp",
 ]
 
 # Horner composition is fine for short series; block (Brent-Kung)
@@ -377,6 +377,13 @@ class _FpX:
             a, b = b, self.divrem(a, b, binv)[1]
         return self.monic(a) if a else a
 
+    def linear_part(self, h, hinv) -> tuple:
+        """(X^p mod h, gcd(h, X^p - X)) for monic h of degree >= 1; the
+        gcd is the product of the distinct linear factors of h, so its
+        degree counts the roots of h in F_p."""
+        xp = self.powmod([0, 1], self.p, h, hinv)
+        return xp, self.gcd(h, self.add(xp, [0, 1], -1))
+
     def split(self, g, d: int, rng) -> list:
         """Monic factors of g, a product of distinct monic irreducibles of
         degree d (Cantor-Zassenhaus equal-degree splitting)."""
@@ -398,13 +405,13 @@ def roots_in_field(f: Poly, field) -> set:
     """All roots of f in the given field (F_p or F_{p^2}), each once.
 
     Distinct-degree then equal-degree factorization (Cantor-Zassenhaus)
-    over F_p: g = gcd(f, X^q - X) collects the roots in the field of size
-    q, gcd(g, X^p - X) the F_p-rational ones, and the quotient is a
-    product of irreducible quadratics whose conjugate roots come from one
-    square root each.  F_{p^2} coefficients are handled through the norm
-    f * f^sigma, whose roots are filtered back against f.  A polynomial
-    over F_p may be solved in a matching F_{p^2}.  Multiplicity is not
-    reported.
+    over F_p: gcd(f, X^p - X) collects the F_p-rational roots,
+    g = gcd(f, X^q - X) the roots in the field of size q, and g over the
+    first is a product of irreducible quadratics whose conjugate roots
+    come from one square root each.  F_{p^2} coefficients are handled
+    through the norm f * f^sigma, whose roots are filtered back against
+    f.  A polynomial over F_p may be solved in a matching F_{p^2}.
+    Multiplicity is not reported.
     """
     if f.is_zero():
         raise ValueError("roots_in_field of the zero polynomial")
@@ -431,15 +438,14 @@ def roots_in_field(f: Poly, field) -> set:
     if len(h) < 2:
         return set()
     hinv = fx.inv_rev(h, len(h) - 1)
-    xp = fx.powmod([0, 1], p, h, hinv)
-    # X^q mod h, q = field.size: X^(p^2) = (X^p)^p
-    xq = fx.powmod(xp, p, h, hinv) if ext else xp
-    g = fx.gcd(h, fx.add(xq, [0, 1], -1))
-    lin = fx.gcd(g, fx.add(xp, [0, 1], -1)) if ext else g
+    xp, lin = fx.linear_part(h, hinv)
     rng = random.Random(0)
     out = {field.elem(-r[0]) for r in fx.split(lin, 1, rng)}
     if not ext:
         return out
+    # X^q mod h, q = field.size: X^(p^2) = (X^p)^p; lin divides g
+    xq = fx.powmod(xp, p, h, hinv)
+    g = fx.gcd(h, fx.add(xq, [0, 1], -1))
     rest = fx.divrem(g, lin, fx.inv_rev(lin, len(g)))[0]
     inv2 = pow(2, -1, p)
     dinv = pow(field.g1 * field.g1 - 4 * field.g0, -1, p)
@@ -451,6 +457,19 @@ def roots_in_field(f: Poly, field) -> set:
     if norm:
         out = {x for x in out if not f.evaluate(x)}
     return out
+
+
+def count_roots_in_fp(f: Poly) -> int:
+    """The number of distinct roots in F_p of a nonzero f over F_p,
+    deg gcd(f, X^p - X): one Frobenius powmod and one gcd, no root
+    finding.  Degree <= 1 is read off (X + c has the root -c)."""
+    if not isinstance(f.ring, PrimeField) or f.is_zero():
+        raise ValueError("count_roots_in_fp wants a nonzero f over F_p")
+    h = [c.value for c in f.monic().coeffs]
+    if len(h) <= 2:
+        return len(h) - 1
+    fx = _FpX(f.ring.p, len(h))
+    return len(fx.linear_part(h, fx.inv_rev(h, len(h) - 1))[1]) - 1
 
 
 # ---------------------------------------------------------------------------

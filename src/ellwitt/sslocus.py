@@ -1,5 +1,5 @@
-"""The supersingular locus mod p by three independent routes, and their
-cross-validation.
+"""The supersingular locus mod p by four independent routes, their
+cross-validation, and the Ogg scan.
 
 Route 1 (sslocus): Deuring's criterion — roots of the degree-(p-1)/2
 Legendre polynomial in F_{p^2}, pushed through lambda -> j.
@@ -8,9 +8,17 @@ Route 3 (here, p <= 31): character-sum point counts over F_{p^2},
 marking a curve supersingular exactly when its trace vanishes mod p;
 one big-int correlation counts a twist family y^2 = x^3 + cx + c for
 every c at once.
+Route 4 (here): Kaneko and Zagier's closed form of ss_p, a
+hypergeometric sum in O(p) int work; it must equal route 2 coefficient
+by coefficient.
 
 Any disagreement raises ValidationError naming the two methods and the
 symmetric difference; agreement is consolidated into an SSLocus.
+
+The Ogg scan finds no roots: it counts the F_p-rational roots of the
+closed form as deg gcd(ss_p, X^p - X) and checks that count against
+the class numbers of the orders Z[sqrt(-p)] and Z[(1 + sqrt(-p))/2]
+(Delfs and Galbraith).
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from __future__ import annotations
 import struct
 from collections import namedtuple
 from functools import lru_cache
-from math import comb
+from math import comb, gcd, isqrt
 
 from .arith import (
     Fq2Elem,
@@ -29,17 +37,22 @@ from .arith import (
 )
 from .errors import ValidationError
 from .formalgroup import WCurve
-from .polyseries import Poly, roots_in_field
+from .polyseries import Poly, count_roots_in_fp, roots_in_field
 from . import modforms
 
 __all__ = [
-    "sigma", "hasse_polynomial", "legendre_to_j", "ss_j_deuring",
-    "curve_from_j", "ss_j_point_count", "cross_validate", "ogg_scan",
+    "sigma", "hasse_polynomial", "hasse_roots", "legendre_to_j",
+    "ss_j_deuring", "curve_from_j", "ss_j_point_count", "ss_poly_closed",
+    "class_number", "rational_ss_count", "cross_validate", "ogg_scan",
     "SSLocus", "MONSTER_PRIMES", "MAX_DEURING_PRIME",
-    "MAX_POINT_COUNT_PRIME",
+    "MAX_POINT_COUNT_PRIME", "MAX_OGG_SCAN",
 ]
 
 MAX_DEURING_PRIME = 1000
+#: ogg_scan(3000) takes 3.3 s and ogg_scan(10^4) 56 s in one process
+#: (2-core host, Python 3.11), almost all of it in the gcd per prime:
+#: the cost grows like p_max^2.4 between those two points.
+MAX_OGG_SCAN = 3000
 MAX_POINT_COUNT_PRIME = 31
 MAX_CROSS_VALIDATE_PRIME = modforms.MAX_EISENSTEIN_PRIME
 
@@ -82,25 +95,32 @@ def legendre_to_j(lam):
 
 
 @lru_cache(maxsize=None)
-def ss_j_deuring(p: int) -> frozenset:
-    """Supersingular j-invariants in F_{p^2} via Deuring's criterion.
+def hasse_roots(p: int) -> frozenset:
+    """The lambda-roots in F_{p^2} of the Hasse polynomial at p.
 
-    The Hasse polynomial must be squarefree with all (p-1)/2 roots in
-    F_{p^2}; a shortfall falsifies the rationality claim and raises."""
+    Deuring's criterion needs the polynomial squarefree with all (p-1)/2
+    roots in F_{p^2}; a shortfall falsifies the rationality claim and
+    raises."""
     if not (3 < p <= MAX_DEURING_PRIME) or not is_prime(p):
         raise ValueError(
-            f"ss_j_deuring wants a prime 3 < p <= {MAX_DEURING_PRIME}")
+            f"the Deuring route wants a prime 3 < p <= {MAX_DEURING_PRIME}")
     H = hasse_polynomial(p)
     if H.gcd(H.derivative()).degree != 0:
         raise ValidationError(
             f"Hasse polynomial at p={p} is not squarefree")
-    ctx = fq2_context(p)
-    lams = roots_in_field(H, ctx)
+    lams = roots_in_field(H, fq2_context(p))
     if len(lams) != (p - 1) // 2:
         raise ValidationError(
             f"only {len(lams)} of {(p - 1) // 2} lambda-roots lie in "
             f"F_{p}^2 at p={p}: a root escapes the quadratic extension")
-    return frozenset(legendre_to_j(lam) for lam in lams)
+    return frozenset(lams)
+
+
+@lru_cache(maxsize=None)
+def ss_j_deuring(p: int) -> frozenset:
+    """Supersingular j-invariants in F_{p^2} via Deuring's criterion: the
+    images of hasse_roots(p) under lambda -> j."""
+    return frozenset(legendre_to_j(lam) for lam in hasse_roots(p))
 
 
 def curve_from_j(j):
@@ -198,6 +218,69 @@ def ss_j_point_count(p: int) -> frozenset:
     return frozenset(out)
 
 
+def ss_poly_closed(p: int) -> Poly:
+    """ss_p over F_p from Kaneko and Zagier's closed form: with
+    p - 1 = 12m + 4 delta + 6 eps,
+
+        ss_p(X) = X^delta (X - 1728)^eps
+                  sum_{k <= m} (a)_k (b)_k / (k!)^2 1728^k X^(m-k),
+
+    (a, b) = (1/12, 5/12) if eps = 0 and (7/12, 11/12) if eps = 1.  O(m)
+    int work mod p, and no denominator vanishes since k <= m < p.  The
+    degree must be sigma(p)."""
+    if p <= 3 or not is_prime(p):
+        raise ValueError(f"p must be a prime > 3, got {p}")
+    m, r = divmod(p - 1, 12)
+    delta, eps = int(r % 6 == 4), int(r >= 6)
+    i12 = pow(12, -1, p)
+    a, b = (7 * i12, 11 * i12) if eps else (i12, 5 * i12)
+    s = [1] * (m + 1)  # s[m - k] multiplies X^(m-k)
+    for k in range(1, m + 1):
+        s[m - k] = (s[m - k + 1] * (a + k - 1) * (b + k - 1) * 1728
+                    * pow(k * k, -1, p) % p)
+    s = [0] * delta + s
+    if eps:
+        s = [(lo - 1728 * hi) % p for lo, hi in zip([0] + s, s + [0])]
+    if len(s) - 1 != sigma(p):
+        raise ValidationError(
+            f"p={p}: closed form has degree {len(s) - 1}, "
+            f"sigma={sigma(p)}")
+    return Poly(PrimeField(p), s)
+
+
+def class_number(D: int) -> int:
+    """h(D) for a discriminant D < 0: the number of primitive reduced
+    forms ax^2 + bxy + cy^2 with b^2 - 4ac = D, |b| <= a <= c, and
+    b >= 0 when |b| = a or a = c."""
+    if D >= 0 or D % 4 not in (0, 1):
+        raise ValueError(f"not a negative discriminant: {D}")
+    h = 0
+    for b in range(D % 2, isqrt(-D // 3) + 1, 2):
+        ac = (b * b - D) // 4
+        for a in range(max(b, 1), isqrt(ac) + 1):
+            if ac % a == 0 and gcd(a, b, ac // a) == 1:
+                h += 1 if b in (0, a) or a * a == ac else 2
+    return h
+
+
+def rational_ss_count(p: int) -> int:
+    """The number of supersingular j in F_p, deg gcd(ss_p, X^p - X) on
+    the closed form, which must equal the count of F_p-rational
+    supersingular curves from class numbers (Delfs and Galbraith, 2016):
+    h(-4p)/2 for p = 1 mod 4, h(-p) for p = 7 mod 8, 2h(-p) for
+    p = 3 mod 8."""
+    count = count_roots_in_fp(ss_poly_closed(p))
+    if p % 4 == 1:
+        by_h = class_number(-4 * p) // 2
+    else:
+        by_h = class_number(-p) * (1 if p % 8 == 7 else 2)
+    if count != by_h:
+        raise ValidationError(
+            f"p={p}: {count} F_p-rational supersingular j by "
+            f"gcd(ss_p, X^p - X), {by_h} by class numbers")
+    return count
+
+
 #: Consolidated supersingular locus at p, validated across methods:
 #: j_values (frozenset of F_{p^2} elements), ss_poly (Poly over F_p),
 #: sigma (its degree) and all_rational (every j in F_p).
@@ -218,14 +301,23 @@ def _diff_msg(name_a: str, set_a, name_b: str, set_b) -> str:
 @lru_cache(maxsize=None)
 def cross_validate(p: int) -> SSLocus:
     """Assert the Eisenstein, Deuring and (p <= 31) point-count j-sets
-    coincide, check Galois stability, squarefreeness, degree = sigma(p)
-    and the classical 0/1728 membership criteria, and consolidate."""
+    coincide and that the closed form equals the Eisenstein ss_p, check
+    Galois stability, squarefreeness, degree = sigma(p) and the
+    classical 0/1728 membership criteria, and consolidate."""
     if not (3 < p <= MAX_CROSS_VALIDATE_PRIME) or not is_prime(p):
         raise ValueError(
             f"cross_validate wants a prime 3 < p <= "
             f"{MAX_CROSS_VALIDATE_PRIME}")
     ctx = fq2_context(p)
     sp = modforms.ss_poly_eisenstein(p)
+    kz = [c.value for c in ss_poly_closed(p).coeffs]
+    ec = [c.value for c in sp.coeffs]
+    if kz != ec:
+        k, u, v = next((k, u, v) for k, (u, v) in enumerate(zip(
+            kz + [0] * len(ec), ec + [0] * len(kz))) if u != v)
+        raise ValidationError(
+            f"p={p}: closed form vs eisenstein disagree at the "
+            f"coefficient of X^{k}: {u} != {v}")
     eis = frozenset(roots_in_field(sp, ctx))
     deu = ss_j_deuring(p)
     if eis != deu:
@@ -260,11 +352,9 @@ def _primes_in(lo: int, hi: int) -> list:
 
 def ogg_scan(p_max: int) -> list:
     """Primes 3 < p <= p_max whose supersingular j-invariants all lie in
-    the prime field (via the Deuring route; p_max <= 1000)."""
-    if p_max > MAX_DEURING_PRIME:
-        raise ValueError(f"ogg_scan capped at p <= {MAX_DEURING_PRIME}")
-    out = []
-    for p in _primes_in(5, p_max):
-        if all(z.in_prime_field for z in ss_j_deuring(p)):
-            out.append(p)
-    return out
+    the prime field: those with rational_ss_count(p) = sigma(p).  No
+    roots are found (p_max <= MAX_OGG_SCAN)."""
+    if p_max > MAX_OGG_SCAN:
+        raise ValueError(f"ogg_scan capped at p <= {MAX_OGG_SCAN}")
+    return [p for p in _primes_in(5, p_max)
+            if rational_ss_count(p) == sigma(p)]

@@ -220,6 +220,62 @@ def test_argument_above_upper_bound_is_usage_error(argv, bound, tmp_path):
     assert proc.stdout == ""
 
 
+def test_scan_ogg_above_its_bound_is_usage_error(tmp_path):
+    from ellwitt.sslocus import MAX_OGG_SCAN
+    proc = run_cli(["scan", "ogg", "--max", str(MAX_OGG_SCAN + 1)],
+                   tmp_path, check=False)
+    assert proc.returncode == 1
+    assert f"max <= {MAX_OGG_SCAN}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_formal_bad_reduction_is_usage_error(capsys):
+    from ellwitt.cli import main
+    # 4*3^3 + 27*4^2 = 540 = 0 mod 5, and a4 = a6 = 0 is singular over Q
+    for a4, a6 in (("-2", "-1"), ("0", "5")):
+        assert main(["formal", "--prime", "5", "--a4", a4,
+                     "--a6", a6]) == 1
+        assert "bad reduction at 5" in capsys.readouterr().err
+
+
+def test_internal_value_error_exits_2(monkeypatch, capsys):
+    # a ValueError escaping a section builder is a bug, not a usage error
+    import ellwitt.cli as climod
+
+    def broken(p):
+        raise ValueError("an internal invariant broke")
+
+    monkeypatch.setattr(climod, "hasse_section", broken)
+    assert climod.main(["hasse", "--prime", "7", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert "an internal invariant broke" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_hasse_root_shortfall_exits_2(monkeypatch, capsys):
+    import ellwitt.cli as climod
+    import ellwitt.sslocus as sslocus
+    real = sslocus.roots_in_field
+    monkeypatch.setattr(sslocus, "roots_in_field",
+                        lambda f, field: set(list(real(f, field))[1:]))
+    sslocus.hasse_roots.cache_clear()  # an earlier test may have cached 11
+    assert climod.main(["hasse", "--prime", "11"]) == 2
+    err = capsys.readouterr().err
+    assert "VALIDATION FAILURE" in err and "only 4 of 5" in err
+
+
+def test_verify_all_checks_the_scan_count_against_deuring(monkeypatch):
+    import ellwitt.cli as climod
+    import ellwitt.sslocus as sslocus
+    from ellwitt.errors import ValidationError
+    monkeypatch.setattr(sslocus, "rational_ss_count", lambda p: 0)
+    with pytest.raises(ValidationError,
+                       match="p=5: 1 F_p-rational .* 0 by the Ogg scan"):
+        climod.verify_all_section(5)
+
+
 def _run_reporting(argv, cache_dir, module="numpy"):
     # main(argv) in a fresh interpreter; stderr ends with whether the
     # module was imported
@@ -353,11 +409,12 @@ def _near_bounds() -> list:
     from ellwitt.modforms import MAX_BERNOULLI, MAX_EISENSTEIN_PRIME
     from ellwitt.padicwitt import (
         MAX_LIFT_PRECISION, MAX_SPLIT_PRECISION, MAX_SPLIT_PRIME)
-    from ellwitt.sslocus import MAX_DEURING_PRIME, MAX_POINT_COUNT_PRIME
+    from ellwitt.sslocus import (
+        MAX_DEURING_PRIME, MAX_OGG_SCAN, MAX_POINT_COUNT_PRIME)
     bounds = (0, 1, 3, 4, 5, MAX_FORMAL_PRIME, MAX_POINT_COUNT_PRIME,
               MAX_SPLIT_PRIME, MAX_SPLIT_PRECISION, MAX_LIFT_PRECISION,
               MAX_EISENSTEIN_PRIME, MAX_BERNOULLI, MAX_DEURING_PRIME,
-              MAX_FORMS_PREC, MAX_SQRT3_SCAN)
+              MAX_OGG_SCAN, MAX_FORMS_PREC, MAX_SQRT3_SCAN)
     out = set()
     for b in bounds:
         above = next(n for n in range(b + 1, 2 * b + 3) if is_prime(n))

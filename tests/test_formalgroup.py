@@ -13,6 +13,7 @@ from ellwitt.formalgroup import (
     curve_invariants,
     formal_expansion,
     formal_log,
+    has_bad_reduction,
     mult_by_p_series,
     v_invariants,
     verify_deligne,
@@ -101,6 +102,18 @@ def test_mult_by_p_series_examples():
         mult_by_p_series(E, 17)
     with pytest.raises(ValueError):
         mult_by_p_series(WCurve.short(QQ, 0, 5), 5)  # bad reduction
+
+
+@pytest.mark.parametrize("a4, a6, p, bad", [
+    (0, 1, 5, False), (1, 0, 7, False),
+    (0, 5, 5, True),    # 27 a6^2 = 0 mod 5
+    (-3, 2, 7, True),   # discriminant 0 over Q
+    (1, 1, 31, True),   # 4 a4^3 + 27 a6^2 = 31
+    (1, 1, 29, False),
+    (Fraction(1, 2), 1, 5, True),  # not integral
+])
+def test_has_bad_reduction(a4, a6, p, bad):
+    assert has_bad_reduction(WCurve.short(QQ, a4, a6), p) is bad
 
 
 def test_v_invariants_examples():

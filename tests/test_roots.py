@@ -1,4 +1,5 @@
-"""roots_in_field against an exhaustive plain-int scan of the field.
+"""roots_in_field and count_roots_in_fp against an exhaustive plain-int
+scan of the field.
 
 The scan visits every element of F_p or F_{p^2} and evaluates f there by
 Horner's rule on bare integers; it is the oracle the Cantor-Zassenhaus
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from ellwitt.arith import Fq2Ctx, PrimeField, fq2_context, is_prime
 from ellwitt.modforms import ss_poly_eisenstein
-from ellwitt.polyseries import Poly, roots_in_field
+from ellwitt.polyseries import Poly, count_roots_in_fp, roots_in_field
 from ellwitt.sslocus import hasse_polynomial
 
 SMALL_PRIMES = (5, 7, 11, 13)
@@ -115,6 +116,13 @@ def test_deuring_and_eisenstein_polynomials_match_scan(p):
             {ctx.field.elem(z.a) for z in want if z.in_prime_field}
 
 
+@pytest.mark.parametrize("p", [p for p in range(5, 98) if is_prime(p)])
+def test_rational_root_count_of_locus_polynomials_matches_scan(p):
+    F = PrimeField(p)
+    for f in (hasse_polynomial(p), ss_poly_eisenstein(p)):
+        assert count_roots_in_fp(f) == len(scan_roots(f, F))
+
+
 # --- drawn polynomials at p in {5, 7, 11, 13} ---
 
 
@@ -182,6 +190,30 @@ def test_arbitrary_coefficients(data, p, model):
             assert roots_in_field(fp, field) == scan_roots(fp, field)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data(), primes)
+def test_count_roots_in_fp_matches_scan(data, p):
+    # repeated linear factors times arbitrary coefficients, degree 0 and
+    # 1 included: the count is of distinct roots
+    F = PrimeField(p)
+    cs = data.draw(st.lists(elements(F), min_size=1, max_size=6))
+    f = product(F, data.draw(linear_factors(F)) + [Poly(F, cs)])
+    if f.is_zero():
+        with pytest.raises(ValueError):
+            count_roots_in_fp(f)
+        return
+    assert count_roots_in_fp(f) == len(scan_roots(f, F))
+
+
+def test_count_roots_in_fp_degree_zero_and_one():
+    F = PrimeField(13)
+    assert count_roots_in_fp(Poly(F, [5])) == 0
+    assert count_roots_in_fp(Poly(F, [0, 1])) == 1
+    assert count_roots_in_fp(Poly(F, [8, 3])) == 1
+    with pytest.raises(ValueError):
+        count_roots_in_fp(Poly(fq2_context(13), [0, 1]))
+
+
 @pytest.mark.parametrize("p", [1_000_003, 2 ** 61 - 1])
 def test_large_primes(p):
     # fields far too large to scan; the wider prime needs Kronecker slots
@@ -197,3 +229,4 @@ def test_large_primes(p):
     assert s * s == ctx.from_int(n)
     assert roots_in_field(f, ctx) == {ctx.embed(r) for r in rational} \
         | {s, -s}
+    assert count_roots_in_fp(f) == len(rational)

@@ -1,19 +1,27 @@
-"""Supersingular locus: Deuring criterion, point-count oracle, and the
-three-way cross-validation."""
+"""Supersingular locus: Deuring criterion, point-count oracle, the
+Kaneko-Zagier closed form, the cross-validation, and the Ogg scan with
+its class-number check."""
 
 import pytest
 
+import ellwitt.sslocus as sslocus
 from ellwitt.arith import PrimeField, fq2_context, frobenius_fq2, is_prime
+from ellwitt.errors import ValidationError
+from ellwitt.modforms import MAX_EISENSTEIN_PRIME, ss_poly_eisenstein
+from ellwitt.polyseries import Poly, count_roots_in_fp
 from ellwitt.sslocus import (
     MONSTER_PRIMES,
+    class_number,
     cross_validate,
     curve_from_j,
     hasse_polynomial,
     legendre_to_j,
     ogg_scan,
+    rational_ss_count,
     sigma,
     ss_j_deuring,
     ss_j_point_count,
+    ss_poly_closed,
 )
 
 
@@ -178,3 +186,80 @@ def test_ogg_scan():
     assert ogg_scan(13) == [5, 7, 11, 13]
     assert 37 not in ogg_scan(37)
     assert ogg_scan(71) == [p for p in MONSTER_PRIMES if p > 3]
+
+
+# --- the closed form, the rational count, and the Ogg scan ---
+
+
+@pytest.mark.parametrize(
+    "p", [p for p in range(5, MAX_EISENSTEIN_PRIME + 1) if is_prime(p)])
+def test_closed_form_equals_eisenstein(p):
+    got = ss_poly_closed(p)
+    assert [c.value for c in got.coeffs] == \
+        [c.value for c in ss_poly_eisenstein(p).coeffs]
+    assert got.degree == sigma(p)
+
+
+def test_class_number_examples():
+    # h(-12) = 1: 2x^2 + 2xy + 2y^2 is reduced but not primitive
+    want = {-3: 1, -4: 1, -12: 1, -20: 2, -23: 3, -47: 5, -56: 4,
+            -71: 7, -84: 4, -308: 8}
+    assert {D: class_number(D) for D in want} == want
+    for D in (0, 5, -6):
+        with pytest.raises(ValueError):
+            class_number(D)
+
+
+def _class_number_count(p):
+    # Delfs and Galbraith: the F_p-rational supersingular curves
+    if p % 4 == 1:
+        return class_number(-4 * p) // 2
+    return class_number(-p) * (1 if p % 8 == 7 else 2)
+
+
+def _deuring_rational_count(p):
+    return sum(z.in_prime_field for z in ss_j_deuring(p))
+
+
+@pytest.mark.parametrize("p", [p for p in range(5, 301) if is_prime(p)])
+def test_rational_counts_agree(p):
+    gcd_count = count_roots_in_fp(ss_poly_closed(p))
+    assert gcd_count == _class_number_count(p) == \
+        _deuring_rational_count(p) == rational_ss_count(p)
+
+
+def test_ogg_scan_equals_deuring_oracle():
+    oracle = [p for p in range(5, 301) if is_prime(p)
+              and all(z.in_prime_field for z in ss_j_deuring(p))]
+    assert ogg_scan(300) == oracle == [p for p in MONSTER_PRIMES if p > 3]
+
+
+@pytest.mark.parametrize("p, root", [(5, 0), (7, 6), (13, 5)])
+def test_degree_one_primes(p, root):
+    # ss_p = X - root: the count is read off, not taken from a powmod
+    assert [c.value for c in ss_poly_closed(p).coeffs] == [-root % p, 1]
+    assert rational_ss_count(p) == 1 == sigma(p)
+    assert {(z.a, z.b) for z in ss_j_deuring(p)} == {(root, 0)}
+    assert p in ogg_scan(p)
+
+
+def test_ogg_scan_bound():
+    with pytest.raises(ValueError):
+        ogg_scan(sslocus.MAX_OGG_SCAN + 1)
+
+
+def test_closed_form_disagreement_names_the_coefficient(monkeypatch):
+    real = ss_poly_closed(13)
+    bad = Poly(real.ring, [real.coeffs[0] + real.ring.one(), 1])
+    monkeypatch.setattr(sslocus, "ss_poly_closed", lambda p: bad)
+    with pytest.raises(ValidationError, match=r"p=13: closed form vs "
+                       r"eisenstein disagree at the coefficient of X\^0: "
+                       r"9 != 8"):
+        cross_validate.__wrapped__(13)
+
+
+def test_class_number_disagreement_names_both_counts(monkeypatch):
+    monkeypatch.setattr(sslocus, "class_number", lambda D: 2)
+    with pytest.raises(ValidationError,
+                       match=r"p=11: 2 F_p-rational .* 4 by class numbers"):
+        rational_ss_count(11)

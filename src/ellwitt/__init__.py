@@ -4,11 +4,11 @@ structure constants.
 
 Subpackage map:
 
-- arith        F_p / F_{p^2} arithmetic, quadratic residues
+- arith        Z/p^N and (Z/p^N)[x]/(g): F_p, F_{p^2} and W(F_{p^2})/p^N
 - polyseries   dense polynomials and truncated power/Laurent series
 - modforms     exact q-expansions, E4/E6 basis, supersingular polynomial
 - sslocus      Deuring criterion, point-count oracle, cross-validation
-- padicwitt    Z/p^N and W(F_{p^2})/p^N, Teichmuller/Hensel lifts, splitting
+- padicwitt    Teichmuller modulus and lifts, Hensel lifts, splitting
 - formalgroup  [p]-series, v1/v2, Deligne and Gross-Landweber checks
 - cli          ellwitt command-line surface and JSON reports
 """

@@ -1,15 +1,20 @@
-"""Prime-field and quadratic-extension arithmetic for odd primes p > 3.
+"""Residue rings Z/p^N and their unramified quadratic extensions, for odd
+primes p > 3.
 
-Field elements carry their field context and never coerce across
-moduli: an operation mixing two different contexts raises ValueError
-instead of guessing.  The quadratic extension F_{p^2} is realized as
-F_p[x]/(g) with g(x) = x^2 + g1*x + g0 monic irreducible, selected
-deterministically per prime by fq2_context() so that serialized data is
-reproducible: x^2 + 1 when p = 3 mod 4, otherwise x^2 - n with n the
-smallest quadratic non-residue.
+Zmod(p, N) is Z/p^N; at N = 1, the default, it is the field F_p.
+Quad(p, g1, g0, N) is (Z/p^N)[x]/(g) with g(x) = x^2 + g1*x + g0 monic
+and irreducible mod p: the field F_{p^2} at N = 1, and W(F_{p^2})/p^N
+when g is the Teichmuller modulus built by padicwitt.lift_context.
+PrimeField/FpElem and Fq2Ctx/Fq2Elem are the same classes under their
+field names (padicwitt adds PadicRing/PadicInt and WittCtx/WittQuad).
 
-All values are immutable; field and extension contexts can be shared
-freely across workers.
+Elements carry their ring and never coerce across moduli: an operation
+mixing two different rings raises ValueError instead of guessing.  The
+F_{p^2} model is selected deterministically per prime by fq2_context()
+so that serialized data is reproducible: x^2 + 1 when p = 3 mod 4,
+otherwise x^2 - n with n the smallest quadratic non-residue.
+
+All values are immutable; rings can be shared freely across workers.
 """
 
 from __future__ import annotations
@@ -18,6 +23,10 @@ from functools import lru_cache
 
 __all__ = [
     "is_prime",
+    "Zmod",
+    "ZmodElem",
+    "Quad",
+    "QuadElem",
     "PrimeField",
     "FpElem",
     "Fq2Ctx",
@@ -56,91 +65,109 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class PrimeField:
-    """The field F_p for an odd prime p > 3.
+class Zmod:
+    """Z/p^N for a prime p > 3; the field F_p at N = 1.
 
     Also serves as the coefficient-ring context consumed by Poly and
     QSeries: zero/one/from_int/coerce/is_unit/inv.
     """
 
-    __slots__ = ("p",)
+    __slots__ = ("p", "N", "modulus")
 
-    def __init__(self, p: int):
+    def __init__(self, p: int, N: int = 1):
         if not is_prime(p) or p <= 3:
             raise ValueError(f"modulus must be a prime > 3, got {p}")
+        if N < 1:
+            raise ValueError("precision N must be >= 1")
         self.p = p
+        self.N = N
+        self.modulus = p ** N
 
     @property
     def size(self) -> int:
-        return self.p
+        return self.modulus
 
-    def elem(self, value: int) -> "FpElem":
-        return FpElem(value % self.p, self)
+    def elem(self, value: int) -> "ZmodElem":
+        return ZmodElem(value, self)
 
     # ring protocol
-    def zero(self) -> "FpElem":
-        return FpElem(0, self)
+    def zero(self) -> "ZmodElem":
+        return ZmodElem(0, self)
 
-    def one(self) -> "FpElem":
-        return FpElem(1, self)
+    def one(self) -> "ZmodElem":
+        return ZmodElem(1, self)
 
-    def from_int(self, n: int) -> "FpElem":
-        return FpElem(n % self.p, self)
+    def from_int(self, n: int) -> "ZmodElem":
+        return ZmodElem(n, self)
 
-    def coerce(self, c) -> "FpElem":
-        if isinstance(c, FpElem):
-            if c.field != self:
-                raise ValueError(f"element of {c.field} used in {self}")
+    def coerce(self, c) -> "ZmodElem":
+        if isinstance(c, ZmodElem):
+            if c.ring != self:
+                raise ValueError(f"element of {c.ring} used in {self}")
             return c
         if isinstance(c, int):
-            return self.from_int(c)
+            return ZmodElem(c, self)
         raise TypeError(f"cannot coerce {type(c).__name__} into {self}")
 
-    def is_unit(self, a: "FpElem") -> bool:
-        return self.coerce(a).value != 0
+    def is_unit(self, a: "ZmodElem") -> bool:
+        return self.coerce(a).value % self.p != 0
 
-    def inv(self, a: "FpElem") -> "FpElem":
-        a = self.coerce(a)
-        return FpElem(pow(a.value, -1, self.p), self)
+    def inv(self, a: "ZmodElem") -> "ZmodElem":
+        return self.coerce(a).inverse()
+
+    def at(self, M: int) -> "Zmod":
+        """This ring at the lower precision M <= N."""
+        if M > self.N:
+            raise ValueError("cannot raise precision by reduction")
+        return Zmod(self.p, M)
+
+    def lift(self, x) -> "ZmodElem":
+        """x as an element of this ring: an element of it, an int, or a
+        residue in self.at(1) lifted to its [0, p) representative.  An
+        element of any other ring raises ValueError."""
+        if isinstance(x, ZmodElem) and x.ring == self.at(1):
+            return ZmodElem(x.value, self)
+        return self.coerce(x)
 
     def elements(self):
-        for v in range(self.p):
-            yield FpElem(v, self)
+        for v in range(self.modulus):
+            yield ZmodElem(v, self)
 
     def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
+        return (isinstance(other, Zmod) and other.p == self.p
+                and other.N == self.N)
 
     def __hash__(self):
-        return hash(("F_p", self.p))
+        return hash(("Zmod", self.p, self.N))
 
     def __repr__(self):
-        return f"F_{self.p}"
+        return f"F_{self.p}" if self.N == 1 else f"Z/{self.p}^{self.N}"
 
 
-class FpElem:
-    """A residue in F_p, pinned to its field."""
+class ZmodElem:
+    """A residue mod p^N, pinned to its ring."""
 
-    __slots__ = ("value", "field")
+    __slots__ = ("value", "ring")
 
-    def __init__(self, value: int, field: PrimeField):
-        self.value = value % field.p
-        self.field = field
+    def __init__(self, value: int, ring: Zmod):
+        self.value = value % ring.modulus
+        self.ring = ring
 
-    def _same(self, other) -> "FpElem":
-        if isinstance(other, FpElem):
-            if other.field != self.field:
+    def _same(self, other) -> "ZmodElem":
+        if isinstance(other, ZmodElem):
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise ValueError(
-                    f"mixed moduli: {self.field} vs {other.field}")
+                    f"mixed moduli: {self.ring} vs {other.ring}")
             return other
         if isinstance(other, int):
-            return self.field.from_int(other)
+            return ZmodElem(other, self.ring)
         return NotImplemented
 
     def __add__(self, other):
         o = self._same(other)
         if o is NotImplemented:
             return o
-        return FpElem(self.value + o.value, self.field)
+        return ZmodElem(self.value + o.value, self.ring)
 
     __radd__ = __add__
 
@@ -148,75 +175,89 @@ class FpElem:
         o = self._same(other)
         if o is NotImplemented:
             return o
-        return FpElem(self.value - o.value, self.field)
+        return ZmodElem(self.value - o.value, self.ring)
 
     def __rsub__(self, other):
         o = self._same(other)
         if o is NotImplemented:
             return o
-        return FpElem(o.value - self.value, self.field)
+        return ZmodElem(o.value - self.value, self.ring)
 
     def __mul__(self, other):
         o = self._same(other)
         if o is NotImplemented:
             return o
-        return FpElem(self.value * o.value, self.field)
+        return ZmodElem(self.value * o.value, self.ring)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return FpElem(-self.value, self.field)
+        return ZmodElem(-self.value, self.ring)
 
     def __pow__(self, e: int):
-        return FpElem(pow(self.value, e, self.field.p), self.field)
+        return ZmodElem(pow(self.value, e, self.ring.modulus), self.ring)
 
     def __truediv__(self, other):
         o = self._same(other)
         if o is NotImplemented:
             return o
-        return FpElem(self.value * pow(o.value, -1, self.field.p), self.field)
+        m = self.ring.modulus
+        return ZmodElem(self.value * pow(o.value, -1, m), self.ring)
 
-    def inverse(self) -> "FpElem":
-        return FpElem(pow(self.value, -1, self.field.p), self.field)
+    def inverse(self) -> "ZmodElem":
+        """Raises ValueError when self is not a unit."""
+        return ZmodElem(pow(self.value, -1, self.ring.modulus), self.ring)
+
+    def reduce_precision(self, M: int) -> "ZmodElem":
+        return ZmodElem(self.value, self.ring.at(M))
+
+    def reduce_mod_p(self) -> "ZmodElem":
+        return self.reduce_precision(1)
 
     def __bool__(self):
         return self.value != 0
 
     def __eq__(self, other):
-        if isinstance(other, FpElem):
-            return other.field == self.field and other.value == self.value
+        if isinstance(other, ZmodElem):
+            return other.ring == self.ring and other.value == self.value
         if isinstance(other, int):
-            return self.value == other % self.field.p
+            return self.value == other % self.ring.modulus
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.field.p, self.value))
+        return hash((self.ring.p, self.ring.N, self.value))
 
     def __int__(self):
         return self.value
 
     def __repr__(self):
-        return f"{self.value} (mod {self.field.p})"
+        r = self.ring
+        mod = r.p if r.N == 1 else f"{r.p}^{r.N}"
+        return f"{self.value} (mod {mod})"
 
 
-def is_quadratic_residue(a: FpElem) -> bool:
-    """Euler criterion a^((p-1)/2) = 1.  Zero is rejected: it is neither
-    a residue nor a non-residue under this contract."""
-    if a.value == 0:
-        raise ValueError("is_quadratic_residue(0) is undefined")
-    p = a.field.p
+def is_quadratic_residue(a: ZmodElem) -> bool:
+    """Euler criterion a^((p-1)/2) = 1.  Zero, and any non-unit of
+    Z/p^N, is rejected: it is neither a residue nor a non-residue under
+    this contract."""
+    p = a.ring.p
+    if a.value % p == 0:
+        raise ValueError(f"is_quadratic_residue({a.value}) is undefined")
     return pow(a.value, (p - 1) // 2, p) == 1
 
 
-def sqrt_mod(a: FpElem) -> FpElem:
-    """Square root of a residue, canonical representative min(r, p-r).
+def sqrt_mod(a: ZmodElem) -> ZmodElem:
+    """Square root of a residue in F_p, canonical representative
+    min(r, p-r).
 
-    a = 0 returns 0; non-residues raise ValueError.  Tonelli-Shanks,
-    with the p = 3 mod 4 shortcut.
+    a = 0 returns 0; non-residues raise ValueError, as does an element
+    of Z/p^N with N > 1.  Tonelli-Shanks, with the p = 3 mod 4 shortcut.
     """
-    p = a.field.p
+    p = a.ring.p
+    if a.ring.N != 1:
+        raise ValueError(f"sqrt_mod wants an element of F_{p}, not {a.ring}")
     if a.value == 0:
-        return a.field.zero()
+        return a.ring.zero()
     if not is_quadratic_residue(a):
         raise ValueError(f"{a.value} is not a quadratic residue mod {p}")
     if p % 4 == 3:
@@ -240,7 +281,7 @@ def sqrt_mod(a: FpElem) -> FpElem:
             b = pow(c, 1 << (m - i - 1), p)
             m, c = i, b * b % p
             t, r = t * c % p, r * b % p
-    return a.field.elem(min(r, p - r))
+    return a.ring.elem(min(r, p - r))
 
 
 def has_sqrt3(p: int) -> bool:
@@ -248,23 +289,27 @@ def has_sqrt3(p: int) -> bool:
     to p = +-1 mod 12, which the acceptance suite checks exhaustively."""
     if p <= 3 or not is_prime(p):
         raise ValueError(f"p must be a prime > 3, got {p}")
-    return is_quadratic_residue(PrimeField(p).elem(3))
+    return is_quadratic_residue(Zmod(p).elem(3))
 
 
-class Fq2Ctx:
-    """The field F_{p^2} = F_p[x]/(g), g(x) = x^2 + g1*x + g0 irreducible.
+class Quad:
+    """(Z/p^N)[x]/(g), g(x) = x^2 + g1*x + g0 irreducible mod p: F_{p^2}
+    at N = 1, and W(F_{p^2})/p^N when g is the Teichmuller modulus.
 
-    Elements are a + b*xbar.  Irreducibility is certified at construction
-    by the discriminant g1^2 - 4*g0 being a non-residue.
+    Elements are a + b*xbar over the scalar ring field = Zmod(p, N).
+    Irreducibility is certified at construction by the discriminant
+    g1^2 - 4*g0 being a non-residue mod p.
     """
 
-    __slots__ = ("p", "g1", "g0", "field")
+    __slots__ = ("p", "N", "modulus", "g1", "g0", "field")
 
-    def __init__(self, p: int, g1: int, g0: int):
-        self.field = PrimeField(p)
+    def __init__(self, p: int, g1: int, g0: int, N: int = 1):
+        self.field = Zmod(p, N)
         self.p = p
-        self.g1 = g1 % p
-        self.g0 = g0 % p
+        self.N = N
+        self.modulus = self.field.modulus
+        self.g1 = g1 % self.modulus
+        self.g0 = g0 % self.modulus
         disc = (self.g1 * self.g1 - 4 * self.g0) % p
         if disc == 0 or pow(disc, (p - 1) // 2, p) == 1:
             raise ValueError(
@@ -272,87 +317,107 @@ class Fq2Ctx:
 
     @property
     def size(self) -> int:
-        return self.p * self.p
+        return self.modulus * self.modulus
 
-    def elem(self, a: int, b: int = 0) -> "Fq2Elem":
-        return Fq2Elem(a % self.p, b % self.p, self)
+    def elem(self, a: int, b: int = 0) -> "QuadElem":
+        return QuadElem(a, b, self)
 
-    def embed(self, x) -> "Fq2Elem":
-        """Image of an F_p element (or int) under F_p -> F_{p^2}."""
-        if isinstance(x, FpElem):
-            if x.field.p != self.p:
-                raise ValueError(f"cannot embed {x.field} into {self}")
-            return Fq2Elem(x.value, 0, self)
-        return Fq2Elem(x % self.p, 0, self)
+    def embed(self, x) -> "QuadElem":
+        """Image of a scalar (an element of self.field, or an int)."""
+        if isinstance(x, ZmodElem):
+            if x.ring != self.field:
+                raise ValueError(f"cannot embed {x.ring} into {self}")
+            return QuadElem(x.value, 0, self)
+        return QuadElem(x, 0, self)
 
     # ring protocol
-    def zero(self) -> "Fq2Elem":
-        return Fq2Elem(0, 0, self)
+    def zero(self) -> "QuadElem":
+        return QuadElem(0, 0, self)
 
-    def one(self) -> "Fq2Elem":
-        return Fq2Elem(1, 0, self)
+    def one(self) -> "QuadElem":
+        return QuadElem(1, 0, self)
 
-    def from_int(self, n: int) -> "Fq2Elem":
-        return Fq2Elem(n % self.p, 0, self)
+    def from_int(self, n: int) -> "QuadElem":
+        return QuadElem(n, 0, self)
 
-    def coerce(self, c) -> "Fq2Elem":
-        if isinstance(c, Fq2Elem):
-            if c.ctx != self:
-                raise ValueError(f"element of {c.ctx} used in {self}")
+    def coerce(self, c) -> "QuadElem":
+        if isinstance(c, QuadElem):
+            if c.ring != self:
+                raise ValueError(f"element of {c.ring} used in {self}")
             return c
-        if isinstance(c, FpElem):
+        if isinstance(c, (ZmodElem, int)):
             return self.embed(c)
-        if isinstance(c, int):
-            return self.from_int(c)
         raise TypeError(f"cannot coerce {type(c).__name__} into {self}")
 
-    def is_unit(self, z: "Fq2Elem") -> bool:
+    def is_unit(self, z: "QuadElem") -> bool:
         z = self.coerce(z)
-        return z.a != 0 or z.b != 0
+        return z.a % self.p != 0 or z.b % self.p != 0
 
-    def inv(self, z: "Fq2Elem") -> "Fq2Elem":
+    def inv(self, z: "QuadElem") -> "QuadElem":
         return self.coerce(z).inverse()
 
+    def at(self, M: int) -> "Quad":
+        """This ring at the lower precision M <= N (g reduced mod p^M)."""
+        if M > self.N:
+            raise ValueError("cannot raise precision by reduction")
+        return Quad(self.p, self.g1, self.g0, M)
+
+    def lift(self, x) -> "QuadElem":
+        """x as an element of this ring: as Zmod.lift, a residue in
+        self.at(1) is lifted coordinatewise."""
+        if isinstance(x, QuadElem) and x.ring == self.at(1):
+            return QuadElem(x.a, x.b, self)
+        return self.coerce(x)
+
     def elements(self):
-        for a in range(self.p):
-            for b in range(self.p):
-                yield Fq2Elem(a, b, self)
+        for a in range(self.modulus):
+            for b in range(self.modulus):
+                yield QuadElem(a, b, self)
 
     def __eq__(self, other):
-        return (isinstance(other, Fq2Ctx) and other.p == self.p
-                and other.g1 == self.g1 and other.g0 == self.g0)
+        return (isinstance(other, Quad) and other.p == self.p
+                and other.N == self.N and other.g1 == self.g1
+                and other.g0 == self.g0)
 
     def __hash__(self):
-        return hash(("F_p2", self.p, self.g1, self.g0))
+        return hash(("Quad", self.p, self.N, self.g1, self.g0))
 
     def __repr__(self):
-        return f"F_{self.p}^2[x^2+{self.g1}x+{self.g0}]"
+        if self.N == 1:
+            return f"F_{self.p}^2[x^2+{self.g1}x+{self.g0}]"
+        return f"W(F_{self.p}^2)/{self.p}^{self.N}"
 
 
-class Fq2Elem:
-    """a + b*xbar in F_p[x]/(g); immutable."""
+class QuadElem:
+    """a + b*xbar in (Z/p^N)[x]/(g); immutable."""
 
-    __slots__ = ("a", "b", "ctx")
+    __slots__ = ("a", "b", "ring")
 
-    def __init__(self, a: int, b: int, ctx: Fq2Ctx):
-        self.a = a % ctx.p
-        self.b = b % ctx.p
-        self.ctx = ctx
+    def __init__(self, a: int, b: int, ring: Quad):
+        self.a = a % ring.modulus
+        self.b = b % ring.modulus
+        self.ring = ring
 
-    def _same(self, other) -> "Fq2Elem":
-        if isinstance(other, Fq2Elem):
-            if other.ctx != self.ctx:
-                raise ValueError(f"mixed contexts: {self.ctx} vs {other.ctx}")
+    @property
+    def ctx(self) -> Quad:
+        """The ring, under the name Fq2Elem callers know it by."""
+        return self.ring
+
+    def _same(self, other) -> "QuadElem":
+        if isinstance(other, QuadElem):
+            if other.ring is not self.ring and other.ring != self.ring:
+                raise ValueError(
+                    f"mixed contexts: {self.ring} vs {other.ring}")
             return other
-        if isinstance(other, (FpElem, int)):
-            return self.ctx.coerce(other)
+        if isinstance(other, (ZmodElem, int)):
+            return self.ring.coerce(other)
         return NotImplemented
 
     def __add__(self, other):
         o = self._same(other)
         if o is NotImplemented:
             return o
-        return Fq2Elem(self.a + o.a, self.b + o.b, self.ctx)
+        return QuadElem(self.a + o.a, self.b + o.b, self.ring)
 
     __radd__ = __add__
 
@@ -360,33 +425,32 @@ class Fq2Elem:
         o = self._same(other)
         if o is NotImplemented:
             return o
-        return Fq2Elem(self.a - o.a, self.b - o.b, self.ctx)
+        return QuadElem(self.a - o.a, self.b - o.b, self.ring)
 
     def __rsub__(self, other):
         o = self._same(other)
         if o is NotImplemented:
             return o
-        return Fq2Elem(o.a - self.a, o.b - self.b, self.ctx)
+        return QuadElem(o.a - self.a, o.b - self.b, self.ring)
 
     def __mul__(self, other):
         o = self._same(other)
         if o is NotImplemented:
             return o
-        p, g1, g0 = self.ctx.p, self.ctx.g1, self.ctx.g0
+        r = self.ring
         bd = self.b * o.b
-        return Fq2Elem((self.a * o.a - g0 * bd) % p,
-                       (self.a * o.b + self.b * o.a - g1 * bd) % p,
-                       self.ctx)
+        return QuadElem(self.a * o.a - r.g0 * bd,
+                        self.a * o.b + self.b * o.a - r.g1 * bd, r)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return Fq2Elem(-self.a, -self.b, self.ctx)
+        return QuadElem(-self.a, -self.b, self.ring)
 
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.ctx.one()
+        result = self.ring.one()
         base = self
         while e:
             if e & 1:
@@ -401,70 +465,83 @@ class Fq2Elem:
             return o
         return self * o.inverse()
 
-    def norm(self) -> FpElem:
-        """z * conj(z), an element of F_p."""
-        p, g1, g0 = self.ctx.p, self.ctx.g1, self.ctx.g0
-        n = (self.a * self.a - g1 * self.a * self.b
-             + g0 * self.b * self.b) % p
-        return self.ctx.field.elem(n)
+    def norm(self) -> ZmodElem:
+        """z * conj(z), a scalar."""
+        r = self.ring
+        return r.field.elem(self.a * self.a - r.g1 * self.a * self.b
+                            + r.g0 * self.b * self.b)
 
-    def conj(self) -> "Fq2Elem":
-        """Galois conjugate = z^p (Frobenius)."""
-        g1 = self.ctx.g1
-        return Fq2Elem(self.a - self.b * g1, -self.b, self.ctx)
+    def conj(self) -> "QuadElem":
+        """The conjugate a + b*xbar -> (a - b*g1) - b*xbar: z^p on F_{p^2},
+        and the Frobenius lift on W(F_{p^2})/p^N."""
+        return QuadElem(self.a - self.b * self.ring.g1, -self.b, self.ring)
 
-    def inverse(self) -> "Fq2Elem":
+    def inverse(self) -> "QuadElem":
         n = self.norm().value
-        if n == 0:
-            raise ZeroDivisionError("inverse of 0 in F_{p^2}")
-        ninv = pow(n, -1, self.ctx.p)
+        if n % self.ring.p == 0:
+            raise ZeroDivisionError(f"{self!r} is not a unit")
+        ninv = pow(n, -1, self.ring.modulus)
         c = self.conj()
-        return Fq2Elem(c.a * ninv, c.b * ninv, self.ctx)
+        return QuadElem(c.a * ninv, c.b * ninv, self.ring)
 
     @property
     def in_prime_field(self) -> bool:
+        """Whether self is a scalar (in F_p at N = 1)."""
         return self.b == 0
 
-    def to_fp(self) -> FpElem:
+    def to_fp(self) -> ZmodElem:
         if self.b != 0:
             raise ValueError(f"{self!r} is not in the prime field")
-        return self.ctx.field.elem(self.a)
+        return self.ring.field.elem(self.a)
+
+    def reduce_precision(self, M: int) -> "QuadElem":
+        return QuadElem(self.a, self.b, self.ring.at(M))
+
+    def reduce_mod_p(self) -> "QuadElem":
+        return self.reduce_precision(1)
 
     def __bool__(self):
         return self.a != 0 or self.b != 0
 
     def __eq__(self, other):
-        if isinstance(other, Fq2Elem):
-            return (other.ctx == self.ctx and other.a == self.a
+        if isinstance(other, QuadElem):
+            return (other.ring == self.ring and other.a == self.a
                     and other.b == self.b)
-        if isinstance(other, (FpElem, int)):
-            o = self.ctx.coerce(other)
+        if isinstance(other, (ZmodElem, int)):
+            o = self.ring.coerce(other)
             return o.a == self.a and o.b == self.b
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.ctx.p, self.a, self.b))
+        return hash((self.ring.p, self.ring.N, self.a, self.b))
 
     def __repr__(self):
+        r = self.ring
+        where, x = ((f"F_{r.p}^2", "x") if r.N == 1
+                    else (f"W/{r.p}^{r.N}", "w"))
         if self.b == 0:
-            return f"{self.a} (in F_{self.ctx.p}^2)"
-        return f"{self.a}+{self.b}x (in F_{self.ctx.p}^2)"
+            return f"{self.a} (in {where})"
+        return f"{self.a}+{self.b}{x} (in {where})"
+
+
+PrimeField, FpElem = Zmod, ZmodElem
+Fq2Ctx, Fq2Elem = Quad, QuadElem
 
 
 @lru_cache(maxsize=None)
-def fq2_context(p: int) -> Fq2Ctx:
+def fq2_context(p: int) -> Quad:
     """Deterministic F_{p^2} model: x^2 + 1 when p = 3 mod 4, otherwise
     x^2 - n with n the smallest quadratic non-residue (ascending scan)."""
     if p <= 3 or not is_prime(p):
         raise ValueError(f"p must be a prime > 3, got {p}")
     if p % 4 == 3:
-        return Fq2Ctx(p, 0, 1)
+        return Quad(p, 0, 1)
     n = 2
     while pow(n, (p - 1) // 2, p) != p - 1:
         n += 1
-    return Fq2Ctx(p, 0, -n % p)
+    return Quad(p, 0, -n % p)
 
 
-def frobenius_fq2(z: Fq2Elem) -> Fq2Elem:
+def frobenius_fq2(z: QuadElem) -> QuadElem:
     """z -> z^p, computed as the conjugate a - b*g1 - b*xbar."""
     return z.conj()

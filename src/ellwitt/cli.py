@@ -95,8 +95,8 @@ def lift_section(p: int, N: int) -> dict:
         "prime": p,
         "precision": N,
         "digit_order": "little-endian base-p",
-        "modulus_g1": padic_digits(wctx.G1, p, N),
-        "modulus_g0": padic_digits(wctx.G0, p, N),
+        "modulus_g1": padic_digits(wctx.g1, p, N),
+        "modulus_g0": padic_digits(wctx.g0, p, N),
         "coeffs": [{"a": padic_digits(c.a, p, N),
                     "b": padic_digits(c.b, p, N)} for c in shat.coeffs],
         "frobenius_fixed": True,

@@ -25,7 +25,7 @@ from .polyseries import QQ, Poly, QSeries
 from . import modforms
 
 __all__ = [
-    "WCurve", "PSeries", "curve_invariants", "formal_expansion",
+    "WCurve", "PSeries", "formal_expansion",
     "formal_log", "mult_by_p_series", "v_invariants", "heights_from_series",
     "classical_hasse", "has_bad_reduction",
     "verify_deligne", "verify_gross_landweber",
@@ -83,10 +83,6 @@ class WCurve:
             return f"y^2 = x^3 + {self.a4!r}*x + {self.a6!r}"
         return (f"WCurve({self.a1!r},{self.a2!r},{self.a3!r},"
                 f"{self.a4!r},{self.a6!r})")
-
-
-def curve_invariants(E: WCurve):
-    return E.invariants()
 
 
 def _w_coeffs(coeffs, P: int, zero, one) -> list:
@@ -363,7 +359,7 @@ def v_invariants(E: WCurve, p: int):
     supersingular case) is the full p^2+1 window computed for v2.  See
     ``heights_from_series`` for the assertions.
     """
-    if not isinstance(E.ring, PrimeField) or E.ring.p != p:
+    if E.ring != PrimeField(p):
         raise ValueError("v_invariants wants a curve over F_p")
     if not E.is_short:
         raise ValueError("v_invariants wants a short Weierstrass curve")
@@ -406,7 +402,7 @@ def heights_from_series(E: WCurve, p: int, series_mod_p: QSeries):
 def classical_hasse(E: WCurve, p: int) -> FpElem:
     """Coefficient of x^(p-1) in (x^3 + Ax + B)^((p-1)/2): the classical
     Hasse-invariant criterion, independent of the formal group."""
-    if not isinstance(E.ring, PrimeField) or E.ring.p != p:
+    if E.ring != PrimeField(p):
         raise ValueError("classical_hasse wants a curve over F_p")
     if not E.is_short:
         raise ValueError("classical_hasse wants a short curve")
@@ -417,7 +413,7 @@ def classical_hasse(E: WCurve, p: int) -> FpElem:
 
 def _hasse_form_value(hf: dict, c4: FpElem, c6: FpElem) -> FpElem:
     """hasse_form evaluated at (E4, E6) = (c4, -c6)."""
-    field = c4.field
+    field = c4.ring
     acc = field.zero()
     for (a, b), c in hf.items():
         acc = acc + c * c4 ** a * (-c6) ** b
@@ -473,7 +469,7 @@ GLReport = namedtuple(
 
 def _pow12_index(r: FpElem) -> int | None:
     """Smallest k >= 0 with 12^k = r mod p, if one exists."""
-    field = r.field
+    field = r.ring
     twelve = field.from_int(12)
     acc = field.one()
     for k in range(field.p):

@@ -3,9 +3,11 @@ pluggable coefficient rings.
 
 A coefficient ring is any context object providing zero(), one(),
 from_int(n), coerce(c), is_unit(a) and inv(a); element arithmetic goes
-through the usual operators.  PrimeField and Fq2Ctx from arith qualify,
-as do the p-adic rings in padicwitt; exact rationals are covered by the
-RationalField singleton QQ below (elements are fractions.Fraction).
+through the usual operators.  The residue rings Zmod (F_p and Z/p^N)
+and Quad (F_{p^2} and W(F_{p^2})/p^N) from arith qualify; exact
+rationals are covered by the RationalField singleton QQ below (elements
+are fractions.Fraction).  The int-list kernels (_FpX) serve F_p and
+F_{p^2} only, never a ring with N > 1.
 
 Poly: coeffs[i] is the degree-i coefficient; the leading stored
 coefficient is nonzero ([] is the zero polynomial).
@@ -30,7 +32,7 @@ from .errors import PrecisionError, ValidationError
 
 __all__ = [
     "RationalField", "QQ", "Poly", "QSeries",
-    "poly_divrem", "poly_gcd", "roots_in_field", "count_roots_in_fp",
+    "roots_in_field", "count_roots_in_fp",
 ]
 
 # Horner composition is fine for short series; block (Brent-Kung)
@@ -198,9 +200,9 @@ class Poly:
 
     def gcd(self, g: "Poly") -> "Poly":
         """Monic gcd over a field; gcd(0, 0) = 0 by convention.  Over F_p
-        Euclid runs on int lists (_FpX)."""
+        itself Euclid runs on int lists (_FpX)."""
         a, b = self, self._same(g)
-        if isinstance(self.ring, PrimeField):
+        if _is_fp(self.ring):
             a, b = [c.value for c in a.coeffs], [c.value for c in b.coeffs]
             fx = _FpX(self.ring.p, max(len(a), len(b)))
             return Poly(self.ring, fx.gcd(a, b))
@@ -269,12 +271,9 @@ def c_str(c) -> str:
     return str(c)
 
 
-def poly_divrem(f: Poly, g: Poly) -> tuple[Poly, Poly]:
-    return f.divrem(g)
-
-
-def poly_gcd(f: Poly, g: Poly) -> Poly:
-    return f.gcd(g)
+def _is_fp(ring) -> bool:
+    """Whether ring is a prime field F_p itself, not Z/p^N with N > 1."""
+    return isinstance(ring, PrimeField) and ring.N == 1
 
 
 def _trim(a: list) -> list:
@@ -415,15 +414,15 @@ def roots_in_field(f: Poly, field) -> set:
     """
     if f.is_zero():
         raise ValueError("roots_in_field of the zero polynomial")
+    if getattr(field, "N", None) != 1:
+        raise ValueError(f"roots_in_field wants F_p or F_p^2, not {field}")
     ext = isinstance(field, Fq2Ctx)
-    if ext and isinstance(f.ring, PrimeField):
-        if f.ring.p != field.p:
-            raise ValueError("characteristic mismatch")
-    elif f.ring != field:
+    over_fp = f.ring == (field.field if ext else field)
+    if not over_fp and f.ring != field:
         raise ValueError("polynomial ring does not match the root field")
     p = field.p
     f = f.monic()
-    if not ext or isinstance(f.ring, PrimeField):
+    if over_fp:
         h = [c.value for c in f.coeffs]
         norm = False
     else:
@@ -463,7 +462,7 @@ def count_roots_in_fp(f: Poly) -> int:
     """The number of distinct roots in F_p of a nonzero f over F_p,
     deg gcd(f, X^p - X): one Frobenius powmod and one gcd, no root
     finding.  Degree <= 1 is read off (X + c has the root -c)."""
-    if not isinstance(f.ring, PrimeField) or f.is_zero():
+    if not _is_fp(f.ring) or f.is_zero():
         raise ValueError("count_roots_in_fp wants a nonzero f over F_p")
     h = [c.value for c in f.monic().coeffs]
     if len(h) <= 2:
@@ -621,25 +620,11 @@ class QSeries:
         Result has offset -valuation and abs_prec reduced by 2*valuation."""
         if not self.coeffs:
             raise ValueError("cannot invert a series that is 0 to precision")
-        lead = self.coeffs[0]
-        if not self.ring.is_unit(lead):
+        if not self.ring.is_unit(self.coeffs[0]):
             raise ValueError("leading series coefficient is not a unit")
-        v = self.offset
-        u = self.coeffs
-        L = len(u)
-        inv0 = self.ring.inv(lead)
-        out = [inv0] + [self.ring.zero()] * (L - 1)
-        for n in range(1, L):
-            s = None
-            top = min(n, L - 1)
-            for k in range(1, top + 1):
-                if u[k]:
-                    term = u[k] * out[n - k]
-                    s = term if s is None else s + term
-            if s is not None:
-                out[n] = -(inv0 * s)
+        out = _inv_list(self.ring, self.coeffs, len(self.coeffs))
         w = -self.weight if self.weight is not None else None
-        return QSeries(self.ring, -v, out, w)
+        return QSeries(self.ring, -self.offset, out, w)
 
     def derivative(self) -> "QSeries":
         out = []

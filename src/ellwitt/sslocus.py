@@ -28,13 +28,7 @@ from collections import namedtuple
 from functools import lru_cache
 from math import comb, gcd, isqrt
 
-from .arith import (
-    Fq2Elem,
-    PrimeField,
-    fq2_context,
-    frobenius_fq2,
-    is_prime,
-)
+from .arith import PrimeField, fq2_context, frobenius_fq2, is_prime
 from .errors import ValidationError
 from .formalgroup import WCurve
 from .polyseries import Poly, count_roots_in_fp, roots_in_field
@@ -85,7 +79,7 @@ def legendre_to_j(lam):
     (Cubed numerator: the exponent that sends the harmonic lambda = 2
     to 1728; cross_validate confirms against the other two methods.)
     """
-    ring = lam.ctx if isinstance(lam, Fq2Elem) else lam.field
+    ring = lam.ring
     one = ring.one()
     if lam == ring.zero() or lam == one:
         raise ValueError("lambda in {0, 1} is a degenerate Legendre curve")
@@ -127,7 +121,7 @@ def curve_from_j(j):
     """A Weierstrass model with the given j-invariant (char != 2, 3):
     y^2 = x^3 + 3k x + 2k with k = j/(1728 - j) away from j in
     {0, 1728}; y^2 = x^3 + 1 at j = 0 and y^2 = x^3 + x at j = 1728."""
-    ring = j.ctx if isinstance(j, Fq2Elem) else j.field
+    ring = j.ring
     if j == ring.zero():
         return WCurve.short(ring, ring.zero(), ring.one())
     if j == ring.from_int(1728):

@@ -10,7 +10,6 @@ from ellwitt.arith import PrimeField
 from ellwitt.formalgroup import (
     WCurve,
     classical_hasse,
-    curve_invariants,
     formal_expansion,
     formal_log,
     has_bad_reduction,
@@ -26,12 +25,12 @@ from ellwitt.sslocus import ss_j_point_count
 
 def test_curve_invariants_examples():
     F5 = PrimeField(5)
-    c4, c6, disc, j = curve_invariants(WCurve.short(F5, 0, 1))
+    c4, c6, disc, j = WCurve.short(F5, 0, 1).invariants()
     assert (c4.value, c6.value, disc.value, j.value) == (0, 1, 3, 0)
-    _, _, _, j = curve_invariants(WCurve.short(QQ, 1, 0))
+    _, _, _, j = WCurve.short(QQ, 1, 0).invariants()
     assert j == 1728
     with pytest.raises(ValueError):
-        curve_invariants(WCurve.short(QQ, 0, 0))
+        WCurve.short(QQ, 0, 0).invariants()
 
 
 def test_curve_relations_random():

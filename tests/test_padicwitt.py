@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from ellwitt.arith import PrimeField, fq2_context
+from ellwitt.arith import Fq2Ctx, PrimeField, fq2_context
 from ellwitt.errors import ValidationError
 from ellwitt.padicwitt import (
     PadicRing,
@@ -34,14 +34,14 @@ def test_padic_ring_basics():
 def test_lift_context_n1_is_base():
     ctx = fq2_context(5)
     w = lift_context(ctx, 1)
-    assert (w.G1, w.G0) == (ctx.g1, ctx.g0)
+    assert (w.g1, w.g0) == (ctx.g1, ctx.g0)
 
 
 def test_lift_context_p5_n2():
     ctx = fq2_context(5)  # x^2 - 2
     w = lift_context(ctx, 2)
-    assert (w.G1 - ctx.g1) % 5 == 0 and (w.G0 - ctx.g0) % 5 == 0
-    assert (w.G1, w.G0) == (0, 18)  # X^2 - 7 mod 25
+    assert (w.g1 - ctx.g1) % 5 == 0 and (w.g0 - ctx.g0) % 5 == 0
+    assert (w.g1, w.g0) == (0, 18)  # X^2 - 7 mod 25
     om = w.elem(0, 1)
     assert om ** 24 == w.one()
 
@@ -49,7 +49,7 @@ def test_lift_context_p5_n2():
 def test_lift_context_discriminant_is_unit():
     for p, N in ((7, 4), (13, 6), (29, 3)):
         w = lift_context(fq2_context(p), N)
-        disc = (w.G1 * w.G1 - 4 * w.G0) % w.modulus
+        disc = (w.g1 * w.g1 - 4 * w.g0) % w.modulus
         assert disc % p != 0
 
 
@@ -136,6 +136,20 @@ def test_hensel_non_root_is_validation_error():
     w = lift_context(fq2_context(7), 3)
     with pytest.raises(ValidationError, match="not simple"):
         hensel_root(Poly(w, [0, 0, 1]), fq2_context(7).zero())
+
+
+def test_hensel_rejects_a_residue_of_another_ring():
+    R = PadicRing(7, 4)
+    with pytest.raises(ValueError):
+        hensel_root(Poly(R, [-2, 0, 1]), PrimeField(11).elem(3))
+    with pytest.raises(ValueError):
+        hensel_root(Poly(R, [-2, 0, 1]), PadicRing(7, 2).elem(3))
+    # the same F_49, but another model of it: x is not the model's x
+    w = lift_context(fq2_context(7), 3)
+    with pytest.raises(ValueError):
+        hensel_root(Poly(w, [1, 0, 1]), Fq2Ctx(7, 1, 3).elem(0, 1))
+    assert hensel_root(Poly(w, [1, 0, 1]), fq2_context(7).elem(0, 1)) == \
+        w.elem(0, 1)
 
 
 def test_hensel_independent_of_starting_lift():

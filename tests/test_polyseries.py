@@ -12,8 +12,6 @@ from ellwitt.polyseries import (
     QQ,
     Poly,
     QSeries,
-    poly_divrem,
-    poly_gcd,
     roots_in_field,
 )
 
@@ -25,15 +23,15 @@ F11 = PrimeField(11)
 
 
 def test_divrem_examples():
-    q, r = poly_divrem(Poly(QQ, [-1, 0, 1]), Poly(QQ, [-1, 1]))
+    q, r = Poly(QQ, [-1, 0, 1]).divrem(Poly(QQ, [-1, 1]))
     assert q == Poly(QQ, [1, 1]) and r.is_zero()
 
     # Hasse polynomial at p=7 divided by (x+1)
-    q, r = poly_divrem(Poly(F7, [1, 2, 2, 1]), Poly(F7, [1, 1]))
+    q, r = Poly(F7, [1, 2, 2, 1]).divrem(Poly(F7, [1, 1]))
     assert q == Poly(F7, [1, 1, 1]) and r.is_zero()
 
     f = Poly(F11, [3, 1, 4, 1, 5])
-    q, r = poly_divrem(f, f)
+    q, r = f.divrem(f)
     assert q == Poly(F11, [1]) and r.is_zero()
 
 
@@ -45,7 +43,7 @@ def test_divrem_roundtrip_random():
             g = Poly(ring, [rng.randrange(-6, 7) for _ in range(rng.randrange(1, 6))])
             if g.is_zero():
                 continue
-            q, r = poly_divrem(f, g)
+            q, r = f.divrem(g)
             assert q * g + r == f
             assert r.degree < g.degree
 
@@ -56,15 +54,15 @@ def test_divrem_nonunit_leading_coefficient():
     f = Poly(R, [1, 0, 1])
     g = Poly(R, [1, 5])  # leading coefficient divisible by p
     with pytest.raises(ValueError):
-        poly_divrem(f, g)
+        f.divrem(g)
 
 
 def test_gcd_examples():
-    assert poly_gcd(Poly(QQ, [-1, 0, 1]), Poly(QQ, [-1, 1])) == Poly(QQ, [-1, 1])
+    assert Poly(QQ, [-1, 0, 1]).gcd(Poly(QQ, [-1, 1])) == Poly(QQ, [-1, 1])
     f = Poly(F11, [0, -1, 1])  # x(x-1)
-    assert poly_gcd(f, f.derivative()) == Poly(F11, [1])
-    assert poly_gcd(Poly(F7, [0, 0, 1]), Poly(F7, [0, 1])) == Poly(F7, [0, 1])
-    assert poly_gcd(Poly(F7, []), Poly(F7, [])).is_zero()
+    assert f.gcd(f.derivative()) == Poly(F11, [1])
+    assert Poly(F7, [0, 0, 1]).gcd(Poly(F7, [0, 1])) == Poly(F7, [0, 1])
+    assert Poly(F7, []).gcd(Poly(F7, [])).is_zero()
 
 
 def test_roots_in_field_examples():

@@ -1,0 +1,108 @@
+"""The two ring shapes at every precision: Zmod(p, N) (F_p at N = 1) and
+Quad(p, g1, g0, N) (F_{p^2} at N = 1, W(F_{p^2})/p^N over the
+Teichmuller modulus).  The F_p-only kernels must never serve N > 1."""
+
+import random
+
+import pytest
+
+from ellwitt import polyseries
+from ellwitt.arith import (
+    Fq2Ctx,
+    PrimeField,
+    Quad,
+    Zmod,
+    fq2_context,
+    is_quadratic_residue,
+    sqrt_mod,
+)
+from ellwitt.formalgroup import WCurve, classical_hasse, v_invariants
+from ellwitt.padicwitt import PadicRing, WittCtx, lift_context
+from ellwitt.polyseries import Poly, count_roots_in_fp, roots_in_field
+
+Z25 = Zmod(5, 2)
+W25 = lift_context(fq2_context(5), 2)
+
+
+@pytest.mark.parametrize("ring", [Z25, W25, Zmod(5), fq2_context(5)],
+                         ids=repr)
+def test_unit_exactly_when_inverse_exists(ring):
+    for z in ring.elements():
+        if ring.is_unit(z):
+            assert z * z.inverse() == ring.one()
+            assert z * ring.inv(z) == ring.one()
+        else:
+            with pytest.raises((ValueError, ZeroDivisionError)):
+                z.inverse()
+
+
+def test_reduce_precision_is_a_ring_hom():
+    for x in Z25.elements():
+        for y in Z25.elements():
+            assert (x + y).reduce_precision(1) == \
+                x.reduce_precision(1) + y.reduce_precision(1)
+            assert (x * y).reduce_precision(1) == \
+                x.reduce_precision(1) * y.reduce_precision(1)
+    rng = random.Random(5)
+    for _ in range(2000):
+        x = W25.elem(rng.randrange(25), rng.randrange(25))
+        y = W25.elem(rng.randrange(25), rng.randrange(25))
+        assert (x + y).reduce_mod_p() == x.reduce_mod_p() + y.reduce_mod_p()
+        assert (x * y).reduce_mod_p() == x.reduce_mod_p() * y.reduce_mod_p()
+    with pytest.raises(ValueError):
+        Z25.one().reduce_precision(3)
+
+
+def test_precision_one_is_the_field():
+    for p in (5, 7, 11, 13, 97):
+        assert PadicRing(p, 1) == PrimeField(p) == Zmod(p)
+        assert PadicRing(p, 2) != PrimeField(p)
+        ctx = fq2_context(p)
+        assert lift_context(ctx, 1) == ctx
+        assert lift_context(ctx, 3).at(1) == ctx
+    assert WittCtx is Quad is Fq2Ctx
+
+
+def test_reprs_follow_the_precision():
+    F7, R = PrimeField(7), PadicRing(7, 3)
+    assert (repr(F7), repr(F7.elem(3))) == ("F_7", "3 (mod 7)")
+    assert (repr(R), repr(R.elem(3))) == ("Z/7^3", "3 (mod 7^3)")
+    c7, w = fq2_context(7), lift_context(fq2_context(7), 3)
+    assert repr(c7) == "F_7^2[x^2+0x+1]"
+    assert repr(c7.elem(2, 3)) == "2+3x (in F_7^2)"
+    assert repr(w) == "W(F_7^2)/7^3"
+    assert repr(w.elem(2, 3)) == "2+3w (in W/7^3)"
+    assert repr(w.elem(2)) == "2 (in W/7^3)"
+
+
+def test_precisions_never_mix():
+    with pytest.raises(ValueError):
+        PrimeField(5).one() + Z25.one()
+    with pytest.raises(ValueError):
+        fq2_context(5).one() * W25.one()
+    with pytest.raises(ValueError):
+        W25.embed(PrimeField(5).one())
+
+
+def test_fp_kernels_never_serve_precision_two(monkeypatch):
+    def no_fpx(*args):
+        raise AssertionError("the F_p kernel ran for Z/p^2")
+    monkeypatch.setattr(polyseries, "_FpX", no_fpx)
+    f = Poly(Z25, [-1, 0, 1])
+    # Euclid over Z/25 stays generic: the divisors here have unit leads
+    assert f.gcd(Poly(Z25, [-1, 1])) == Poly(Z25, [-1, 1])
+    with pytest.raises(ValueError):
+        roots_in_field(f, Z25)
+    with pytest.raises(ValueError):
+        roots_in_field(Poly(W25, [-1, 0, 1]), W25)
+    with pytest.raises(ValueError):
+        count_roots_in_fp(f)
+    with pytest.raises(ValueError):
+        sqrt_mod(Z25.elem(4))
+    with pytest.raises(ValueError):
+        is_quadratic_residue(Z25.elem(5))
+    E = WCurve.short(Z25, 1, 1)
+    with pytest.raises(ValueError):
+        v_invariants(E, 5)
+    with pytest.raises(ValueError):
+        classical_hasse(E, 5)

@@ -23,6 +23,7 @@ from functools import lru_cache
 
 __all__ = [
     "is_prime",
+    "require_prime",
     "Zmod",
     "ZmodElem",
     "Quad",
@@ -65,6 +66,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def require_prime(p: int, what: str, bound: int | None = None) -> None:
+    """Raise ValueError naming the entry point `what` unless p is a prime
+    with 3 < p (and p <= bound when a bound is given)."""
+    if p <= 3 or not is_prime(p) or (bound is not None and p > bound):
+        top = "" if bound is None else f" <= {bound}"
+        raise ValueError(f"{what} wants a prime 3 < p{top}, got {p}")
+
+
 class Zmod:
     """Z/p^N for a prime p > 3; the field F_p at N = 1.
 
@@ -75,8 +84,7 @@ class Zmod:
     __slots__ = ("p", "N", "modulus")
 
     def __init__(self, p: int, N: int = 1):
-        if not is_prime(p) or p <= 3:
-            raise ValueError(f"modulus must be a prime > 3, got {p}")
+        require_prime(p, "Zmod")
         if N < 1:
             raise ValueError("precision N must be >= 1")
         self.p = p
@@ -287,8 +295,7 @@ def sqrt_mod(a: ZmodElem) -> ZmodElem:
 def has_sqrt3(p: int) -> bool:
     """Whether 3 is a square mod p (p > 3 prime).  Classically equivalent
     to p = +-1 mod 12, which the acceptance suite checks exhaustively."""
-    if p <= 3 or not is_prime(p):
-        raise ValueError(f"p must be a prime > 3, got {p}")
+    require_prime(p, "has_sqrt3")
     return is_quadratic_residue(Zmod(p).elem(3))
 
 
@@ -398,11 +405,6 @@ class QuadElem:
         self.b = b % ring.modulus
         self.ring = ring
 
-    @property
-    def ctx(self) -> Quad:
-        """The ring, under the name Fq2Elem callers know it by."""
-        return self.ring
-
     def _same(self, other) -> "QuadElem":
         if isinstance(other, QuadElem):
             if other.ring is not self.ring and other.ring != self.ring:
@@ -507,9 +509,11 @@ class QuadElem:
         if isinstance(other, QuadElem):
             return (other.ring == self.ring and other.a == self.a
                     and other.b == self.b)
-        if isinstance(other, (ZmodElem, int)):
-            o = self.ring.coerce(other)
-            return o.a == self.a and o.b == self.b
+        if isinstance(other, ZmodElem):  # False for a scalar of another ring
+            return (other.ring == self.ring.field and self.b == 0
+                    and other.value == self.a)
+        if isinstance(other, int):
+            return self.b == 0 and self.a == other % self.ring.modulus
         return NotImplemented
 
     def __hash__(self):
@@ -532,8 +536,7 @@ Fq2Ctx, Fq2Elem = Quad, QuadElem
 def fq2_context(p: int) -> Quad:
     """Deterministic F_{p^2} model: x^2 + 1 when p = 3 mod 4, otherwise
     x^2 - n with n the smallest quadratic non-residue (ascending scan)."""
-    if p <= 3 or not is_prime(p):
-        raise ValueError(f"p must be a prime > 3, got {p}")
+    require_prime(p, "fq2_context")
     if p % 4 == 3:
         return Quad(p, 0, 1)
     n = 2
@@ -542,6 +545,5 @@ def fq2_context(p: int) -> Quad:
     return Quad(p, 0, -n % p)
 
 
-def frobenius_fq2(z: QuadElem) -> QuadElem:
-    """z -> z^p, computed as the conjugate a - b*g1 - b*xbar."""
-    return z.conj()
+#: z -> z^p on F_{p^2}: the conjugate a - b*g1 - b*xbar.
+frobenius_fq2 = QuadElem.conj

@@ -179,20 +179,14 @@ def ogg_section(p_max: int) -> dict:
 
 
 def sqrt3_section(p_max: int) -> dict:
-    exceptions = []
-    checked = 0
-    for p in range(5, p_max + 1):
-        if not is_prime(p):
-            continue
-        checked += 1
-        if has_sqrt3(p) != (p % 12 in (1, 11)):
-            exceptions.append(p)
+    primes = sslocus._primes_in(5, p_max)
+    exceptions = [p for p in primes if has_sqrt3(p) != (p % 12 in (1, 11))]
     if exceptions:
         raise ValidationError(
             f"sqrt(3) rule fails at primes {exceptions}")
     return {
         "max": p_max,
-        "primes_checked": checked,
+        "primes_checked": len(primes),
         "all_match_mod_12_rule": True,
         "exceptions": [],
     }
@@ -231,7 +225,7 @@ def _q_identities_section() -> dict:
 def verify_all_section(p_max: int) -> dict:
     out = {}
     eis_max = min(p_max, MAX_EISENSTEIN_PRIME)
-    primes = [p for p in range(5, eis_max + 1) if is_prime(p)]
+    primes = sslocus._primes_in(5, eis_max)
     for p in primes:
         locus = sslocus.cross_validate(p)   # raises on any disagreement
         if locus.ss_poly.degree != sslocus.sigma(p):

@@ -19,7 +19,7 @@ from collections import namedtuple
 from fractions import Fraction
 from operator import mul
 
-from .arith import FpElem, PrimeField, is_prime
+from .arith import FpElem, PrimeField, require_prime
 from .errors import ValidationError
 from .polyseries import QQ, Poly, QSeries
 from . import modforms
@@ -324,12 +324,7 @@ def mult_by_p_series(E: WCurve, p: int, prec: int | None = None) -> PSeries:
     kept as the test oracle.  Default (and maximum) precision is
     p^2 + 1; p is capped at 13.
     """
-    if not is_prime(p) or p <= 3:
-        raise ValueError(f"p must be a prime > 3, got {p}")
-    if p > MAX_FORMAL_PRIME:
-        raise ValueError(
-            f"[p]-series computation capped at p <= {MAX_FORMAL_PRIME}, "
-            f"got {p}")
+    require_prime(p, "mult_by_p_series", MAX_FORMAL_PRIME)
     full = p * p + 1
     if prec is None:
         prec = full
@@ -497,7 +492,7 @@ def verify_gross_landweber(p: int) -> GLReport:
     sign = (-1) ** ((p - 1) // 2)
     exponent = (p * p - 1) // 12
     entries = []
-    for jval in sorted(locus.j_values, key=lambda z: (z.a, z.b)):
+    for jval in sslocus._sorted_j(locus.j_values):
         if not jval.in_prime_field:
             continue
         E = sslocus.curve_from_j(jval.to_fp())

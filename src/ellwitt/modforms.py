@@ -13,7 +13,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import PrimeField, is_prime
+from .arith import PrimeField, require_prime
 from .errors import ValidationError
 from .polyseries import QQ, Poly, QSeries
 
@@ -199,8 +199,7 @@ HasseDecomposition = namedtuple("HasseDecomposition", "p m delta eps")
 
 
 def hasse_decomposition(p: int) -> HasseDecomposition:
-    if p <= 3 or not is_prime(p):
-        raise ValueError(f"p must be a prime > 3, got {p}")
+    require_prime(p, "hasse_decomposition")
     delta, eps = {1: (0, 0), 5: (1, 0), 7: (0, 1), 11: (1, 1)}[p % 12]
     m = (p - 1 - 4 * delta - 6 * eps) // 12
     return HasseDecomposition(p, m, delta, eps)
@@ -214,9 +213,7 @@ def hasse_form(p: int) -> dict:
     Clausen), and the reduced combination is the Hasse invariant: its
     q-expansion is 1 mod p, which is asserted at solve precision.
     """
-    if not (3 < p <= MAX_EISENSTEIN_PRIME) or not is_prime(p):
-        raise ValueError(
-            f"hasse_form wants a prime 3 < p <= {MAX_EISENSTEIN_PRIME}")
+    require_prime(p, "hasse_form", MAX_EISENSTEIN_PRIME)
     d = _dim_mk(p - 1)
     need = d + _GUARD
     exact = express_in_e4e6(eisenstein_q(p - 1, need))
@@ -254,10 +251,7 @@ def ss_poly_eisenstein(p: int) -> Poly:
     Returns X^delta (X - 1728)^eps phi(X): monic, degree m + delta + eps,
     squarefree, with 1728 reduced mod p.
     """
-    if not (3 < p <= MAX_EISENSTEIN_PRIME) or not is_prime(p):
-        raise ValueError(
-            f"ss_poly_eisenstein wants a prime 3 < p <= "
-            f"{MAX_EISENSTEIN_PRIME}")
+    require_prime(p, "ss_poly_eisenstein", MAX_EISENSTEIN_PRIME)
     dec = hasse_decomposition(p)
     m, delta, eps = dec.m, dec.delta, dec.eps
     field = PrimeField(p)

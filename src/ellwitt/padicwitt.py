@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .arith import Quad, QuadElem, Zmod, ZmodElem, fq2_context, is_prime
+from .arith import (
+    Quad, QuadElem, Zmod, ZmodElem, fq2_context, require_prime)
 from .errors import ValidationError
 from .modforms import MAX_EISENSTEIN_PRIME
 from .polyseries import Poly
@@ -35,6 +36,17 @@ PadicRing, PadicInt = Zmod, ZmodElem
 WittCtx, WittQuad = Quad, QuadElem
 
 
+def _fixed_point(t, q: int, N: int):
+    """Iterate t -> t^q until it is fixed; each step fixes one more
+    p-adic digit, so N + 2 steps suffice at precision N."""
+    for _ in range(N + 2):
+        nt = t ** q
+        if nt == t:
+            return t
+        t = nt
+    raise ValidationError("Teichmuller iteration failed to stabilize")
+
+
 @lru_cache(maxsize=None)
 def lift_context(ctx: Quad, N: int) -> Quad:
     """The Witt context over the F_{p^2} model ctx at precision N.
@@ -49,14 +61,8 @@ def lift_context(ctx: Quad, N: int) -> Quad:
     if N > MAX_LIFT_PRECISION:
         raise ValueError(f"precision capped at N <= {MAX_LIFT_PRECISION}")
     p = ctx.p
-    t = Quad(p, ctx.g1, ctx.g0, N).elem(0, 1)  # the class of x
-    for _ in range(N + 2):
-        nt = t ** (p * p)
-        if nt == t:
-            break
-        t = nt
-    else:
-        raise ValidationError("Teichmuller iteration failed to stabilize")
+    x = Quad(p, ctx.g1, ctx.g0, N).elem(0, 1)  # the class of x
+    t = _fixed_point(x, p * p, N)
     c = t ** p  # the conjugate root
     s, pr = t + c, t * c
     if s.b or pr.b:
@@ -80,19 +86,12 @@ def teichmuller(x, N: int):
         raise TypeError("teichmuller wants an element of F_p or F_{p^2}")
     ring = (lift_context(field, N) if isinstance(field, Quad)
             else Zmod(field.p, N))
-    t = ring.lift(x)
-    for _ in range(N + 2):
-        nt = t ** field.size
-        if nt == t:
-            return t
-        t = nt
-    raise ValidationError("Teichmuller iteration failed to stabilize")
+    return _fixed_point(ring.lift(x), field.size, N)
 
 
-def witt_frobenius(z: QuadElem) -> QuadElem:
-    """The unique lift of x -> x^p: root conjugation.  A ring involution
-    reducing to frobenius_fq2 and fixing exactly the scalars."""
-    return z.conj()
+#: The unique lift of x -> x^p: root conjugation.  A ring involution
+#: reducing to frobenius_fq2 and fixing exactly the scalars.
+witt_frobenius = QuadElem.conj
 
 
 def hensel_root(f: Poly, r0):
@@ -130,7 +129,7 @@ def _teich_roots(p: int, N: int):
     canonical (a, b) representation."""
     locus = sslocus.cross_validate(p)
     wctx = lift_context(fq2_context(p), N)
-    js = sorted(locus.j_values, key=lambda z: (z.a, z.b))
+    js = sslocus._sorted_j(locus.j_values)
     return locus, wctx, [teichmuller(j, N) for j in js]
 
 
@@ -144,9 +143,7 @@ def lift_ss_poly(p: int, N: int) -> Poly:
     supersingular polynomial, (iii) the discriminant is a unit, and
     (iv) Hensel lifting of each mod-p root lands on the Teichmuller lift.
     """
-    if not (3 < p <= MAX_EISENSTEIN_PRIME) or not is_prime(p):
-        raise ValueError(f"lift_ss_poly wants a prime 3 < p <= "
-                         f"{MAX_EISENSTEIN_PRIME}")
+    require_prime(p, "lift_ss_poly", MAX_EISENSTEIN_PRIME)
     if not 1 <= N <= MAX_LIFT_PRECISION:
         raise ValueError(f"precision must satisfy 1 <= N <= "
                          f"{MAX_LIFT_PRECISION}")
@@ -173,8 +170,7 @@ def lift_ss_poly(p: int, N: int) -> Poly:
         raise ValidationError(
             f"lift_ss_poly({p},{N}): discriminant is not a unit — roots "
             f"are not simple")
-    for jbar, r in zip(
-            sorted(locus.j_values, key=lambda z: (z.a, z.b)), roots):
+    for jbar, r in zip(sslocus._sorted_j(locus.j_values), roots):
         if hensel_root(shat, jbar) != r:
             raise ValidationError(
                 f"lift_ss_poly({p},{N}): Hensel lift of {jbar!r} is not "
@@ -190,10 +186,7 @@ def splitting_idempotents(p: int, N: int) -> tuple:
 
     Verifies e_i^2 = e_i, e_i e_j = 0 and sum e_i = 1 modulo
     (p^N, S_p-hat)."""
-    if not (3 < p <= MAX_SPLIT_PRIME) or not is_prime(p):
-        raise ValueError(
-            f"splitting_idempotents wants a prime 3 < p <= "
-            f"{MAX_SPLIT_PRIME}")
+    require_prime(p, "splitting_idempotents", MAX_SPLIT_PRIME)
     if not 1 <= N <= MAX_SPLIT_PRECISION:
         raise ValueError(f"precision must satisfy 1 <= N <= "
                          f"{MAX_SPLIT_PRECISION}")

@@ -141,18 +141,9 @@ class Poly:
         if not isinstance(other, Poly):
             c = self.ring.coerce(other)
             return Poly(self.ring, [a * c for a in self.coeffs])
-        o = self._same(other)
-        if self.is_zero() or o.is_zero():
-            return Poly(self.ring, [])
-        zero = self.ring.zero()
-        out = [zero] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(o.coeffs):
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return Poly(self.ring, out)
+        a, b = self.coeffs, self._same(other).coeffs
+        return Poly(self.ring,
+                    _mul_lists(self.ring, a, b, len(a) + len(b) - 1))
 
     __rmul__ = __mul__
 
@@ -560,24 +551,12 @@ class QSeries:
         if not isinstance(other, QSeries):
             return self.scale(other)
         o = self._same(other)
-        P = min(self.offset + o.abs_prec, o.offset + self.abs_prec)
-        lo = self.offset + o.offset
+        # known to abs_prec min(a.offset + b.abs_prec, b.offset + a.abs_prec)
         n_out = min(len(self.coeffs), len(o.coeffs))
         w = (self.weight + o.weight
              if self.weight is not None and o.weight is not None else None)
-        if n_out <= 0:
-            return QSeries(self.ring, P, [], w)
-        zero = self.ring.zero()
-        out = [zero] * n_out
-        for i, a in enumerate(self.coeffs):
-            if not a or i >= n_out:
-                continue
-            top = min(n_out - i, len(o.coeffs))
-            for j in range(top):
-                b = o.coeffs[j]
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return QSeries(self.ring, lo, out, w)
+        return QSeries(self.ring, self.offset + o.offset,
+                       _mul_lists(self.ring, self.coeffs, o.coeffs, n_out), w)
 
     __rmul__ = __mul__
 
@@ -738,6 +717,7 @@ class QSeries:
 
 
 def _mul_lists(ring, a, b, P):
+    """The first P coefficients of a*b, skipping zero operands."""
     zero = ring.zero()
     out = [zero] * P
     for i, ai in enumerate(a):

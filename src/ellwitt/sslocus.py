@@ -28,7 +28,8 @@ from collections import namedtuple
 from functools import lru_cache
 from math import comb, gcd, isqrt
 
-from .arith import PrimeField, fq2_context, frobenius_fq2, is_prime
+from .arith import (
+    PrimeField, fq2_context, frobenius_fq2, is_prime, require_prime)
 from .errors import ValidationError
 from .formalgroup import WCurve
 from .polyseries import Poly, count_roots_in_fp, roots_in_field
@@ -58,16 +59,14 @@ MONSTER_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 41, 47, 59, 71)
 def sigma(p: int) -> int:
     """Count of supersingular j-invariants: 1 - eps(p) + floor(p/12),
     eps(p) = +-1 for p = +-1 mod 12 and 0 otherwise."""
-    if p <= 3 or not is_prime(p):
-        raise ValueError(f"p must be a prime > 3, got {p}")
+    require_prime(p, "sigma")
     eps = {1: 1, 11: -1}.get(p % 12, 0)
     return 1 - eps + p // 12
 
 
 def hasse_polynomial(p: int) -> Poly:
     """sum C((p-1)/2, k)^2 lambda^k mod p, degree (p-1)/2."""
-    if p <= 3 or not is_prime(p):
-        raise ValueError(f"p must be a prime > 3, got {p}")
+    require_prime(p, "hasse_polynomial")
     m = (p - 1) // 2
     field = PrimeField(p)
     return Poly(field, [comb(m, k) ** 2 for k in range(m + 1)])
@@ -95,9 +94,7 @@ def hasse_roots(p: int) -> frozenset:
     Deuring's criterion needs the polynomial squarefree with all (p-1)/2
     roots in F_{p^2}; a shortfall falsifies the rationality claim and
     raises."""
-    if not (3 < p <= MAX_DEURING_PRIME) or not is_prime(p):
-        raise ValueError(
-            f"the Deuring route wants a prime 3 < p <= {MAX_DEURING_PRIME}")
+    require_prime(p, "hasse_roots", MAX_DEURING_PRIME)
     H = hasse_polynomial(p)
     if H.gcd(H.derivative()).degree != 0:
         raise ValidationError(
@@ -146,10 +143,7 @@ def ss_j_point_count(p: int) -> frozenset:
     computed as a single Kronecker big-int product of two p x p grids
     folded mod p in both coordinates: O(p^2) work plus one product.
     j = 0 and 1728 are direct sums.  The p <= 31 bound is enforced."""
-    if not (3 < p <= MAX_POINT_COUNT_PRIME) or not is_prime(p):
-        raise ValueError(
-            f"point-count oracle wants a prime 3 < p <= "
-            f"{MAX_POINT_COUNT_PRIME}")
+    require_prime(p, "ss_j_point_count", MAX_POINT_COUNT_PRIME)
     ctx = fq2_context(p)
     g1, g0 = ctx.g1, ctx.g0
     q = p * p
@@ -222,8 +216,7 @@ def ss_poly_closed(p: int) -> Poly:
     (a, b) = (1/12, 5/12) if eps = 0 and (7/12, 11/12) if eps = 1.  O(m)
     int work mod p, and no denominator vanishes since k <= m < p.  The
     degree must be sigma(p)."""
-    if p <= 3 or not is_prime(p):
-        raise ValueError(f"p must be a prime > 3, got {p}")
+    require_prime(p, "ss_poly_closed")
     m, r = divmod(p - 1, 12)
     delta, eps = int(r % 6 == 4), int(r >= 6)
     i12 = pow(12, -1, p)
@@ -298,10 +291,7 @@ def cross_validate(p: int) -> SSLocus:
     coincide and that the closed form equals the Eisenstein ss_p, check
     Galois stability, squarefreeness, degree = sigma(p) and the
     classical 0/1728 membership criteria, and consolidate."""
-    if not (3 < p <= MAX_CROSS_VALIDATE_PRIME) or not is_prime(p):
-        raise ValueError(
-            f"cross_validate wants a prime 3 < p <= "
-            f"{MAX_CROSS_VALIDATE_PRIME}")
+    require_prime(p, "cross_validate", MAX_CROSS_VALIDATE_PRIME)
     ctx = fq2_context(p)
     sp = modforms.ss_poly_eisenstein(p)
     kz = [c.value for c in ss_poly_closed(p).coeffs]

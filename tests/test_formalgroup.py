@@ -129,7 +129,7 @@ def test_height_dichotomy_vs_point_count():
     for p in (5, 7):
         field = PrimeField(p)
         ss_js = ss_j_point_count(p)
-        ctx = next(iter(ss_js)).ctx
+        ctx = next(iter(ss_js)).ring
         for A in range(p):
             for B in range(p):
                 if (4 * A ** 3 + 27 * B ** 2) % p == 0:
@@ -148,7 +148,7 @@ def test_height_dichotomy_vs_point_count_11_13():
     for p in (11, 13):
         field = PrimeField(p)
         ss_js = ss_j_point_count(p)
-        ctx = next(iter(ss_js)).ctx
+        ctx = next(iter(ss_js)).ring
         for A in range(p):
             for B in range(p):
                 if (4 * A ** 3 + 27 * B ** 2) % p == 0:

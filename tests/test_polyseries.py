@@ -8,6 +8,7 @@ import pytest
 
 from ellwitt.arith import PrimeField, fq2_context
 from ellwitt.errors import PrecisionError, ValidationError
+from ellwitt.padicwitt import lift_context
 from ellwitt.polyseries import (
     QQ,
     Poly,
@@ -144,6 +145,65 @@ def test_series_mul_precision_rule():
     assert c.coeff_list(1, 3) == [1, 6]
     with pytest.raises(PrecisionError):
         c.coeff(3)
+
+
+W25 = lift_context(fq2_context(5), 2)
+
+#: Each ring of the product tests, with a random element of it.
+_RINGS = {
+    "F_7": (F7, lambda rng: F7.elem(rng.randrange(7))),
+    "QQ": (QQ, lambda rng: Fraction(rng.randrange(-9, 10),
+                                    rng.randrange(1, 5))),
+    "W25": (W25, lambda rng: W25.elem(rng.randrange(25), rng.randrange(25))),
+}
+
+
+def _double_loop(ring, a, b):
+    out = [ring.zero()] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+def _operands(name):
+    """Coefficient-list pairs: empty, all-zero and random operands."""
+    (ring, elem), rng = _RINGS[name], random.Random(8)
+    zero = ring.zero()
+
+    def rand(n):  # zero one time in three
+        return [zero if rng.randrange(3) == 0 else elem(rng)
+                for _ in range(n)]
+    pairs = [([], []), ([], rand(3)), (rand(4), []), ([zero] * 3, rand(5)),
+             (rand(2), [zero] * 4)]
+    pairs += [(rand(rng.randrange(1, 9)), rand(rng.randrange(1, 9)))
+              for _ in range(30)]
+    return ring, pairs
+
+
+@pytest.mark.parametrize("name", sorted(_RINGS))
+def test_poly_product_matches_a_double_loop(name):
+    ring, pairs = _operands(name)
+    for a, b in pairs:
+        assert Poly(ring, a) * Poly(ring, b) == \
+            Poly(ring, _double_loop(ring, a, b))
+
+
+@pytest.mark.parametrize("name", sorted(_RINGS))
+def test_series_product_matches_a_double_loop(name):
+    # nonzero offsets and unequal precisions: the product is known to
+    # min(x.offset + y.abs_prec, y.offset + x.abs_prec)
+    ring, pairs = _operands(name)
+    rng = random.Random(9)
+    for a, b in pairs:
+        x = QSeries(ring, rng.randrange(-3, 4), a)
+        y = QSeries(ring, rng.randrange(-3, 4), b)
+        lo = x.offset + y.offset
+        P = min(x.offset + y.abs_prec, y.offset + x.abs_prec)
+        for c in (x * y, y * x):
+            assert c.abs_prec == P
+            assert c.coeff_list(lo, P) == \
+                _double_loop(ring, x.coeffs, y.coeffs)[:P - lo]
 
 
 def test_series_compose_examples():

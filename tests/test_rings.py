@@ -84,6 +84,16 @@ def test_precisions_never_mix():
         W25.embed(PrimeField(5).one())
 
 
+def test_equality_with_another_ring_is_false():
+    f25 = fq2_context(5)
+    assert (f25.one() == PrimeField(7).one()) is False
+    assert (f25.one() == PadicRing(5, 2).one()) is False
+    assert PrimeField(7).one() not in [f25.one()]
+    # a scalar of the same F_p, and an int, still compare by value
+    assert f25.from_int(3) == PrimeField(5).elem(3) == f25.from_int(3)
+    assert f25.from_int(3) == 8 and f25.elem(3, 1) != 3
+
+
 def test_fp_kernels_never_serve_precision_two(monkeypatch):
     def no_fpx(*args):
         raise AssertionError("the F_p kernel ran for Z/p^2")

@@ -233,7 +233,10 @@ class ZmodElem:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.ring.p, self.ring.N, self.value))
+        # equal objects hash equal: an element hashes as its canonical
+        # int, as does the scalar QuadElem it equals.  A non-canonical int
+        # (8 == F_5(3)) compares equal but hashes apart.
+        return hash(self.value)
 
     def __int__(self):
         return self.value
@@ -517,6 +520,9 @@ class QuadElem:
         return NotImplemented
 
     def __hash__(self):
+        # a scalar (b = 0) hashes as its ZmodElem and its canonical int
+        if not self.b:
+            return hash(self.a)
         return hash((self.ring.p, self.ring.N, self.a, self.b))
 
     def __repr__(self):

@@ -282,6 +282,7 @@ class _FpX:
     and the slot is wide enough for any coefficient of a product of two
     such polynomials, so nothing carries between slots.  A reduction mod
     a monic f is two more products against the reversed inverse of f.
+    Only gcd divides by schoolbook passes instead.
     """
 
     __slots__ = ("p", "w", "code")
@@ -360,11 +361,22 @@ class _FpX:
         return out
 
     def gcd(self, a, b) -> list:
-        """Monic gcd (Euclid); gcd(a, 0) = monic(a)."""
+        """Monic gcd by schoolbook Euclid; gcd(a, 0) = monic(a).
+
+        Each remainder is one in-place pass over b per quotient
+        coefficient: nearly every quotient in a Euclid run is linear, and
+        two O(deg b) passes cost less than a Kronecker division."""
+        p = self.p
         while b:
-            b = self.monic(b)
-            binv = self.inv_rev(b, len(a) - len(b) + 1)
-            a, b = b, self.divrem(a, b, binv)[1]
+            m = len(b) - 1
+            inv = pow(b[-1], -1, p)
+            r = list(a)
+            for i in range(len(r) - 1, m - 1, -1):
+                q = r[i] * inv % p
+                if q:
+                    r[i - m:i] = [(x - q * y) % p
+                                  for x, y in zip(r[i - m:i], b)]
+            a, b = b, _trim(r[:m])
         return self.monic(a) if a else a
 
     def linear_part(self, h, hinv) -> tuple:
@@ -374,31 +386,65 @@ class _FpX:
         xp = self.powmod([0, 1], self.p, h, hinv)
         return xp, self.gcd(h, self.add(xp, [0, 1], -1))
 
-    def split(self, g, d: int, rng) -> list:
+    def split(self, g, d: int, rng, frob) -> list:
         """Monic factors of g, a product of distinct monic irreducibles of
-        degree d (Cantor-Zassenhaus equal-degree splitting)."""
+        degree d in {1, 2}; frob is X^p mod a multiple of g (d = 2 only).
+
+        Trace splitting: a below takes a value in F_p on every factor, so
+        gcd(g, a^((p-1)/2) - 1) splits g for a random a.  For d = 1,
+        a = X + c; for d = 2, a = U + c1*V + c0, where V = X + F and
+        U = X^2 + F^2 (F = X^p) are the traces of X and X^2.  A node of
+        degree 2d holds two factors and needs no trial: Y = X for d = 1,
+        else V, or U when V is constant (equal traces force distinct
+        norms), takes distinct values y1, y2 on them;
+        Y^2 = s*Y - P mod g gives s = y1 + y2 and P = y1*y2, and
+        gcd(g, Y - y1) is one factor.  One inverse per node serves the
+        reductions of F and F^2 and the powmod."""
         n = len(g) - 1
         if n <= d:
             return [g] if n > 0 else []
-        ginv = self.inv_rev(g, n)
-        e = (self.p ** d - 1) // 2
-        while True:
-            a = _trim([rng.randrange(self.p) for _ in range(n)])
-            h = self.gcd(g, self.add(self.powmod(a, e, g, ginv), [1], -1))
-            if 0 < len(h) - 1 < n:
-                break
-        rest = self.divrem(g, h, self.inv_rev(h, n))[0]
-        return self.split(h, d, rng) + self.split(rest, d, rng)
+        p = self.p
+        if d == 1:
+            ginv = self.inv_rev(g, n)
+            V = [0, 1]
+        else:
+            ginv = self.inv_rev(g, max(n, len(frob) - n))
+            frob = self.divrem(frob, g, ginv)[1]
+            V = self.add(frob, [0, 1])
+            U = self.add(self.divrem(self.mul(frob, frob), g, ginv)[1],
+                         [0, 0, 1])
+        if n == 2 * d:
+            Y = V if len(V) > 1 else U
+            Y2 = self.divrem(self.mul(Y, Y), g, ginv)[1] + [0] * n
+            t = len(Y) - 1
+            s = Y2[t] * pow(Y[t], -1, p) % p
+            P = s * Y[0] - Y2[0]
+            r = sqrt_mod(PrimeField(p).elem(s * s - 4 * P)).value
+            h = self.gcd(g, self.add(Y, [(s + r) * pow(2, -1, p)], -1))
+        else:
+            while True:
+                c = rng.randrange(p)
+                a = [c, 1] if d == 1 else self.add(
+                    self.add(U, V, rng.randrange(p)), [c])
+                h = self.gcd(g, self.add(
+                    self.powmod(a, (p - 1) // 2, g, ginv), [1], -1))
+                if 0 < len(h) - 1 < n:
+                    break
+        rest = self.divrem(g, h, self.inv_rev(h, n - len(h) + 2))[0]
+        return self.split(h, d, rng, frob) + self.split(rest, d, rng, frob)
 
 
 def roots_in_field(f: Poly, field) -> set:
     """All roots of f in the given field (F_p or F_{p^2}), each once.
 
-    Distinct-degree then equal-degree factorization (Cantor-Zassenhaus)
-    over F_p: gcd(f, X^p - X) collects the F_p-rational roots,
-    g = gcd(f, X^q - X) the roots in the field of size q, and g over the
-    first is a product of irreducible quadratics whose conjugate roots
-    come from one square root each.  F_{p^2} coefficients are handled
+    Distinct-degree then equal-degree factorization over F_p:
+    gcd(f, X^p - X) collects the F_p-rational roots, g = gcd(f, X^q - X)
+    the roots in the field of size q, and g over the first is a product
+    of irreducible quadratics whose conjugate roots come from one square
+    root each.  _FpX.split separates the factors by traces (X^p mod f
+    serves the quadratics) with exponent (p-1)/2, and finishes each
+    two-factor node from one square root; the gcds are schoolbook
+    Euclid.  F_{p^2} coefficients are handled
     through the norm f * f^sigma, whose roots are filtered back against
     f.  A polynomial over F_p may be solved in a matching F_{p^2}.
     Multiplicity is not reported.
@@ -430,7 +476,7 @@ def roots_in_field(f: Poly, field) -> set:
     hinv = fx.inv_rev(h, len(h) - 1)
     xp, lin = fx.linear_part(h, hinv)
     rng = random.Random(0)
-    out = {field.elem(-r[0]) for r in fx.split(lin, 1, rng)}
+    out = {field.elem(-r[0]) for r in fx.split(lin, 1, rng, None)}
     if not ext:
         return out
     # X^q mod h, q = field.size: X^(p^2) = (X^p)^p; lin divides g
@@ -439,7 +485,7 @@ def roots_in_field(f: Poly, field) -> set:
     rest = fx.divrem(g, lin, fx.inv_rev(lin, len(g)))[0]
     inv2 = pow(2, -1, p)
     dinv = pow(field.g1 * field.g1 - 4 * field.g0, -1, p)
-    for c0, c1, _ in fx.split(rest, 2, rng):
+    for c0, c1, _ in fx.split(rest, 2, rng, xp):
         # sqrt(c1^2 - 4 c0) = s * (2x + g1), x the generator of the model
         s = sqrt_mod(field.field.elem((c1 * c1 - 4 * c0) * dinv)).value
         out.add(field.elem((s * field.g1 - c1) * inv2, s))

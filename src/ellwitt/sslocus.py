@@ -44,9 +44,10 @@ __all__ = [
 ]
 
 MAX_DEURING_PRIME = 1000
-#: ogg_scan(3000) takes 3.3 s and ogg_scan(10^4) 56 s in one process
-#: (2-core host, Python 3.11), almost all of it in the gcd per prime:
-#: the cost grows like p_max^2.4 between those two points.
+#: ogg_scan(3000) takes about 1.5 s and ogg_scan(10^4) 45 s in one
+#: process (2-core shared host, Python 3.11), almost all of it in the
+#: schoolbook gcd per prime: the cost grows like p_max^2.8 between those
+#: two points.
 MAX_OGG_SCAN = 3000
 MAX_POINT_COUNT_PRIME = 31
 MAX_CROSS_VALIDATE_PRIME = modforms.MAX_EISENSTEIN_PRIME

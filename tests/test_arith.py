@@ -7,6 +7,7 @@ import pytest
 from ellwitt.arith import (
     Fq2Ctx,
     PrimeField,
+    Zmod,
     fq2_context,
     frobenius_fq2,
     has_sqrt3,
@@ -44,6 +45,25 @@ def test_mixed_moduli_is_hard_error():
         a + b
     with pytest.raises(ValueError):
         a * b
+
+
+def test_set_membership_agrees_with_list_membership():
+    # Equal elements hash equal: a scalar of F_{p^2}, the F_p element and
+    # the canonical int it equals all land in the same set bucket.  A
+    # non-canonical int (8 == F_5(3)) compares equal but is outside this
+    # rule.
+    for p in (5, 7, 13):
+        F, K = PrimeField(p), fq2_context(p)
+        pool = ([F.elem(v) for v in range(p)] + list(range(p))
+                + [K.elem(a, b) for a in range(p) for b in range(2)])
+        for x in pool:
+            for y in pool:
+                assert (x in {y}) == (x in [y]), (x, y)
+                assert (x in {y: 0}) == (x == y)
+    Z = Zmod(5, 3)
+    for v in range(125):
+        assert v in {Z.elem(v)} and Z.elem(v) in {v}
+    assert 8 in [PrimeField(5).elem(3)]
 
 
 def test_fermat_and_inverse():

@@ -61,6 +61,32 @@ def test_planted_common_factor_matches_euclid(draw):
         assert (got % c).is_zero()
 
 
+@st.composite
+def long_over_short(draw):
+    """(a, b) with deg a - deg b >= 3 for nonzero b, which may be a
+    constant or zero: several quotient coefficients per Euclid step."""
+    p = draw(st.sampled_from(DRAW_PRIMES))
+    F = PrimeField(p)
+    b = draw(polys(p, 4))
+    u = Poly(F, draw(st.lists(st.integers(0, p - 1), min_size=3,
+                              max_size=9)) + [draw(st.integers(1, p - 1))])
+    r = draw(polys(p, 3))
+    a = b * u + (r % b if not b.is_zero() else r)
+    assert b.is_zero() or a.degree - b.degree >= 3
+    return a, b
+
+
+@settings(max_examples=80, deadline=None)
+@given(long_over_short())
+def test_long_quotients_match_euclid(draw):
+    a, b = draw
+    F = a.ring
+    agree(a, b)
+    agree(a, Poly(F, []))                   # zero operand
+    agree(a, Poly(F, [F.p - 1]))            # constant divisor
+    agree(a * b, b)
+
+
 def test_edge_cases():
     F = PrimeField(13)
     zero = Poly(F, [])

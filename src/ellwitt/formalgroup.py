@@ -6,18 +6,25 @@ The formal group law of an integral model has integral coefficients, so
 [p](t) is computed in Z[[t]] on plain int lists: the point (t, w(t)) is
 multiplied by p with tangent doublings and chord additions, and every
 series division must be exact, which certifies integrality.  The
-formal log/exp route, [p](t) = exp(p * log(t)) over exact rationals
-(``_mult_by_m``), computes the same series and is kept as the test
-oracle.  v1 needs only precision p+1; the full p^2+1 window is expanded
-only when v1 = 0 (the supersingular case, where the height-2 assertions
-and v2 live).
+formal group is weighted-homogeneous (a_i of weight i, t of weight -1:
+Silverman, AEC IV.1), so when only the a_i with i in S are nonzero,
+z(t) lies in t*Z[[t^g]] and w(t) in t^3*Z[[t^g]] for g = gcd(S): 2 for
+a general short curve, 4 at j = 1728, 6 at j = 0.  The int-list kernels
+read each operand's support class from the list and multiply and
+divide on that class alone.  The formal log/exp route, [p](t) =
+exp(p * log(t)) over exact rationals (``_mult_by_m``), computes the
+same series and is kept as the test oracle.  v1 needs only precision
+p+1; the full p^2+1 window is expanded only when v1 = 0 (the
+supersingular case, where the height-2 assertions and v2 live).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from operator import mul
+from itertools import compress
+from math import gcd
+from operator import mul, sub
 
 from .arith import FpElem, PrimeField, require_prime
 from .errors import ValidationError
@@ -89,40 +96,35 @@ def _w_coeffs(coeffs, P: int, zero, one) -> list:
     """The first P coefficients of w(t) = t^3 + ..., the solution of
     w = t^3 + a1 t w + a2 t^2 w + a3 w^2 + a4 t w^2 + a6 w^3 by its
     fixed-point recurrence.  Works over any coefficient ring whose
-    zero and one are given, plain ints included."""
+    zero and one are given, plain ints included.
+
+    The t^n coefficient of w is a polynomial of weight n - 3 in the a_i
+    (a_i of weight i), so it vanishes unless g = gcd{i : a_i != 0}
+    divides n - 3; those of w^2 and w^3 sit at 6 and 9 mod g.  Only
+    those classes are computed."""
     a1, a2, a3, a4, a6 = coeffs
     w = [zero] * P
     w2 = [zero] * P
     w3 = [zero] * P
+    g = gcd(*compress((1, 2, 3, 4, 6), coeffs)) or P
     if P > 3:
         w[3] = one
-    for n in range(4, P):
-        if n >= 6:
-            s = None
-            for i in range(3, n - 2):
-                if w[i] and w[n - i]:
-                    term = w[i] * w[n - i]
-                    s = term if s is None else s + term
-            if s is not None:
-                w2[n] = s
-        if n >= 9:
-            s = None
-            for i in range(3, n - 5):
-                if w[i] and w2[n - i]:
-                    term = w[i] * w2[n - i]
-                    s = term if s is None else s + term
-            if s is not None:
-                w3[n] = s
+    for n in range(3 + g, P, g):
+        # the one index of w^2's class in (n - g, n]
+        m = n - (-3 % g)
+        w2[m] = sum(map(mul, w[3:m - 2:g], w[m - 3:2:-g]), zero)
+        if a6:
+            w3[n] = sum(map(mul, w[3:n - 5:g], w2[n - 3:5:-g]), zero)
         acc = zero
-        if a1 and w[n - 1]:
+        if a1:
             acc = acc + a1 * w[n - 1]
-        if a2 and w[n - 2]:
+        if a2:
             acc = acc + a2 * w[n - 2]
-        if a3 and w2[n]:
+        if a3:
             acc = acc + a3 * w2[n]
-        if a4 and w2[n - 1]:
+        if a4:
             acc = acc + a4 * w2[n - 1]
-        if a6 and w3[n]:
+        if a6:
             acc = acc + a6 * w3[n]
         w[n] = acc
     return w
@@ -198,11 +200,37 @@ def _mult_by_m(E: WCurve, m: int, prec: int):
 
 
 # Series in Z[[t]] below are plain int lists holding the coefficients of
-# t^0 .. t^(n-1); a list's length is its absolute precision.
+# t^0 .. t^(n-1); a list's length is its absolute precision.  The
+# nonzero coefficients of each sit on one class r mod g (see the module
+# docstring), which _support reads off the list.
+
+def _support(a: list, n: int):
+    """(r, g) such that every nonzero a[i], i < n, has i = r + g*k: r
+    is the first nonzero index and g the gcd of the gaps (0 for a single
+    term).  None when a[:n] is zero."""
+    idx = list(compress(range(n), a))
+    if not idx:
+        return None
+    return idx[0], gcd(*map(sub, idx[1:], idx))
+
 
 def _mul(a: list, b: list, n: int) -> list:
-    """The first n coefficients of a*b."""
-    return [sum(map(mul, a[:k + 1], b[k::-1])) for k in range(n)]
+    """The first n coefficients of a*b, which both must carry: the
+    classes of a's and b's supports convolve into one class of out."""
+    if n > min(len(a), len(b)):
+        raise ValueError(f"product to {n} coefficients of series with "
+                         f"{len(a)} and {len(b)}")
+    out = [0] * n
+    sa, sb = _support(a, n), _support(b, n)
+    if sa is None or sb is None:
+        return out
+    (ra, ga), (rb, gb) = sa, sb
+    g = gcd(ga, gb) or n
+    m = len(range(ra + rb, n, g))
+    x = a[ra:ra + g * m:g]
+    y = b[rb:rb + g * m:g][::-1]
+    out[ra + rb::g] = [sum(map(mul, x, y[m - 1 - k:])) for k in range(m)]
+    return out
 
 
 def _lin(n: int, *terms) -> list:
@@ -218,17 +246,30 @@ def _lin(n: int, *terms) -> list:
 def _div(a: list, b: list) -> list:
     """The quotient a/b in Z[[t]], b[0] != 0.  Every coefficient must
     divide exactly by b[0]: a remainder means the quotient is not
-    integral, which the formal group law rules out."""
+    integral, which the formal group law rules out.  The quotient lives
+    on the class of a's support modulo the step of b's, where the
+    division runs; off that class every remainder is zero."""
+    n = min(len(a), len(b))
+    q = [0] * n
+    sa = _support(a, n)
+    if sa is None:
+        return q
+    r, g = sa
+    g = gcd(g, *compress(range(n), b)) or n
     b0 = b[0]
-    q = []
-    for k in range(min(len(a), len(b))):
-        c, r = divmod(a[k] - sum(map(mul, q, b[k:0:-1])), b0)
-        if r:
+    x = a[r:n:g]
+    m = len(x)
+    y = b[:g * m:g][::-1]
+    c = []
+    for k in range(m):
+        ck, rem = divmod(x[k] - sum(map(mul, c, y[m - 1 - k:])), b0)
+        if rem:
             raise ValidationError(
                 f"series division by {b0} + ... leaves a remainder at "
-                f"t^{k}: the quotient is not integral (precision or "
-                f"algebra bug)")
-        q.append(c)
+                f"t^{r + g * k}: the quotient is not integral (precision "
+                f"or algebra bug)")
+        c.append(ck)
+    q[r::g] = c
     return q
 
 

@@ -1,0 +1,321 @@
+"""The support-aware Z[[t]] kernels of the [p]-series (``_mul``, ``_div``,
+``_w_coeffs``) against the dense kernels they replaced.
+
+The dense kernels below are the replaced code, kept verbatim as the
+oracle.  The new ones convolve and divide only the coefficient class a
+series' support allows, so on every input both must give the same
+coefficients, the same quotient and the same remainder error (the same
+t^k).  At curve level the whole chord-tangent chain runs once on each
+kernel set.
+
+    python tests/test_pseries_kernel.py
+
+runs the full sweep, every nonsingular short curve at p = 5, 7, 11 and
+13, which the test suite samples.
+"""
+
+import random
+from fractions import Fraction
+from operator import mul
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ellwitt import formalgroup
+from ellwitt.arith import PrimeField
+from ellwitt.errors import ValidationError
+from ellwitt.formalgroup import (
+    _div,
+    _mul,
+    _mult_by_p_integral,
+    _w_coeffs,
+)
+from ellwitt.polyseries import QQ
+
+STRIDES = (1, 2, 3, 4, 6)
+
+
+# -- the dense kernels, verbatim --------------------------------------------
+
+def _mul_dense(a: list, b: list, n: int) -> list:
+    """The first n coefficients of a*b."""
+    return [sum(map(mul, a[:k + 1], b[k::-1])) for k in range(n)]
+
+
+def _div_dense(a: list, b: list) -> list:
+    """The quotient a/b in Z[[t]], b[0] != 0.  Every coefficient must
+    divide exactly by b[0]: a remainder means the quotient is not
+    integral, which the formal group law rules out."""
+    b0 = b[0]
+    q = []
+    for k in range(min(len(a), len(b))):
+        c, r = divmod(a[k] - sum(map(mul, q, b[k:0:-1])), b0)
+        if r:
+            raise ValidationError(
+                f"series division by {b0} + ... leaves a remainder at "
+                f"t^{k}: the quotient is not integral (precision or "
+                f"algebra bug)")
+        q.append(c)
+    return q
+
+
+def _w_coeffs_dense(coeffs, P: int, zero, one) -> list:
+    """The first P coefficients of w(t) = t^3 + ..., the solution of
+    w = t^3 + a1 t w + a2 t^2 w + a3 w^2 + a4 t w^2 + a6 w^3 by its
+    fixed-point recurrence.  Works over any coefficient ring whose
+    zero and one are given, plain ints included."""
+    a1, a2, a3, a4, a6 = coeffs
+    w = [zero] * P
+    w2 = [zero] * P
+    w3 = [zero] * P
+    if P > 3:
+        w[3] = one
+    for n in range(4, P):
+        if n >= 6:
+            s = None
+            for i in range(3, n - 2):
+                if w[i] and w[n - i]:
+                    term = w[i] * w[n - i]
+                    s = term if s is None else s + term
+            if s is not None:
+                w2[n] = s
+        if n >= 9:
+            s = None
+            for i in range(3, n - 5):
+                if w[i] and w2[n - i]:
+                    term = w[i] * w2[n - i]
+                    s = term if s is None else s + term
+            if s is not None:
+                w3[n] = s
+        acc = zero
+        if a1 and w[n - 1]:
+            acc = acc + a1 * w[n - 1]
+        if a2 and w[n - 2]:
+            acc = acc + a2 * w[n - 2]
+        if a3 and w2[n]:
+            acc = acc + a3 * w2[n]
+        if a4 and w2[n - 1]:
+            acc = acc + a4 * w2[n - 1]
+        if a6 and w3[n]:
+            acc = acc + a6 * w3[n]
+        w[n] = acc
+    return w
+
+
+DENSE = {"_mul": _mul_dense, "_div": _div_dense,
+         "_w_coeffs": _w_coeffs_dense}
+
+
+def _dense_pseries(a, p, prec, monkeypatch):
+    with monkeypatch.context() as m:
+        for name, kernel in DENSE.items():
+            m.setattr(formalgroup, name, kernel)
+        return _mult_by_p_integral(a, p, prec)
+
+
+# -- series on one coefficient class ----------------------------------------
+
+def _strided(rng, length, r, g, density=1.0, bound=10 ** 6):
+    """A series of the given length whose support lies in r + g*Z."""
+    out = [0] * length
+    for i in range(r, length, g):
+        if rng.random() < density:
+            out[i] = rng.randint(-bound, bound)
+    return out
+
+
+@st.composite
+def strided_series(draw, length, r=None, head=None):
+    g = draw(st.sampled_from(STRIDES))
+    if r is None:
+        r = draw(st.integers(0, 5))
+    kind = draw(st.sampled_from(("dense", "sparse", "zero", "single")))
+    out = [0] * length
+    if kind == "single":
+        if r < length:
+            out[r] = draw(st.integers(-50, 50).filter(bool))
+    elif kind != "zero":
+        rng = random.Random(draw(st.integers(0, 2 ** 32)))
+        out = _strided(rng, length, r, g,
+                       density=1.0 if kind == "dense" else 0.4)
+    if head is not None:
+        out[0] = head
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.integers(0, 6).flatmap(lambda e: strided_series(n + e)),
+    st.integers(0, 6).flatmap(lambda e: strided_series(n + e)))))
+def test_mul_matches_dense(case):
+    n, a, b = case
+    assert _mul(a, b, n) == _mul_dense(a, b, n)
+    assert _mul(b, a, n) == _mul_dense(a, b, n)
+
+
+def test_mul_strides_and_offsets_seeded():
+    rng = random.Random(1)
+    for ga in STRIDES:
+        for gb in STRIDES:
+            for ra in range(3):
+                for rb in range(3):
+                    n = rng.randint(20, 60)
+                    a = _strided(rng, n + rng.randint(0, 5), ra, ga)
+                    b = _strided(rng, n + rng.randint(0, 5), rb, gb)
+                    assert _mul(a, b, n) == _mul_dense(a, b, n)
+
+
+def test_mul_edge_operands():
+    assert _mul([0, 0, 0], [1, 2, 3], 3) == [0, 0, 0]
+    assert _mul([0, 0, 5], [0, 7, 0], 3) == [0, 0, 0]
+    assert _mul([0, 0, 5, 0], [0, 7, 0, 0], 4) == [0, 0, 0, 35]
+    assert _mul([3], [4], 1) == [12]
+    assert _mul([1, 2], [3, 4], 0) == []
+
+
+def test_mul_needs_both_operands_to_carry_n_coefficients():
+    # a list's length is its absolute precision: t * 1 is known to O(t)
+    # only, so a product to two coefficients is refused
+    assert _mul([0, 1], [1, 0], 2) == [0, 1]
+    with pytest.raises(ValueError):
+        _mul([0, 1], [1], 2)
+    with pytest.raises(ValueError):
+        _mul([1], [0, 1], 2)
+
+
+def _div_outcome(kernel, a, b):
+    try:
+        return kernel(a, b)
+    except ValidationError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+    st.integers(0, 4).flatmap(lambda e: strided_series(n + e)),
+    st.sampled_from((1, -1, -2, -4, -6, -12)).flatmap(
+        lambda b0: st.integers(0, 4).flatmap(
+            lambda e: strided_series(n + e, r=0, head=b0))))))
+def test_div_matches_dense(case):
+    # b0 is +-1 or 1 - n, the constant terms the chain divides by
+    a, b = case
+    assert _div_outcome(_div, a, b) == _div_outcome(_div_dense, a, b)
+
+
+def test_div_exact_quotients_and_remainders_seeded():
+    rng = random.Random(2)
+    for gq in STRIDES:
+        for gb in STRIDES:
+            for r in range(3):
+                for b0 in (1, -1, -2, -4, -6, -12):
+                    n = rng.randint(15, 50)
+                    q = _strided(rng, n, r, gq)
+                    b = _strided(rng, n + rng.randint(0, 3), 0, gb)
+                    b[0] = b0
+                    a = _mul_dense(q, b, n)
+                    assert _div(a, b) == _div_dense(a, b) == q
+                    if b0 in (1, -1):
+                        continue
+                    # one on-class coefficient off by one leaves a
+                    # remainder at the same t^k on both kernels
+                    k = rng.randrange(r, n, gq)
+                    a[k] += 1
+                    got = _div_outcome(_div, a, b)
+                    assert isinstance(got, str) and f"t^{k}:" in got
+                    assert got == _div_outcome(_div_dense, a, b)
+
+
+# -- w(t) at its stride -----------------------------------------------------
+
+#: Weierstrass coefficient patterns (a1, a2, a3, a4, a6) by the gcd g of
+#: the indices i with a_i != 0.
+W_PATTERNS = {
+    1: [(1, 0, 0, 0, 0), (1, -1, 0, 5, 2), (0, 1, 1, 0, 0), (0, 0, 3, 2, 0)],
+    2: [(0, 3, 0, 2, 5), (0, 0, 0, 2, 5), (0, -1, 0, 0, 0), (0, 2, 0, 0, 7)],
+    3: [(0, 0, 2, 0, 7)],
+    4: [(0, 0, 0, 3, 0), (0, 0, 0, -1, 0)],
+    6: [(0, 0, 0, 0, 5), (0, 0, 0, 0, -2)],
+}
+
+
+@pytest.mark.parametrize("g, coeffs",
+                         [(g, c) for g, cs in W_PATTERNS.items() for c in cs])
+def test_w_coeffs_on_its_class(g, coeffs):
+    P = 60
+    w = _w_coeffs(coeffs, P, 0, 1)
+    assert w == _w_coeffs_dense(coeffs, P, 0, 1)
+    assert all(c == 0 for n, c in enumerate(w) if (n - 3) % g)
+    assert w[3] == 1
+    wq = _w_coeffs(tuple(Fraction(c) for c in coeffs), P,
+                   QQ.zero(), QQ.one())
+    assert wq == w and all(isinstance(c, Fraction) for c in wq)
+    for p in (5, 7, 13):
+        field = PrimeField(p)
+        wp = _w_coeffs(tuple(field.coerce(c) for c in coeffs), P,
+                       field.zero(), field.one())
+        assert [c.value for c in wp] == [c % p for c in w]
+
+
+def test_w_coeffs_of_the_zero_curve_and_short_windows():
+    assert _w_coeffs((0, 0, 0, 0, 0), 12, 0, 1) == [0, 0, 0, 1] + [0] * 8
+    for P in range(0, 12):
+        for cs in W_PATTERNS.values():
+            assert _w_coeffs(cs[0], P, 0, 1) == \
+                _w_coeffs_dense(cs[0], P, 0, 1)
+
+
+# -- the [p]-series on either kernel set ------------------------------------
+
+def _short_curves(p):
+    return [(a, b) for a in range(p) for b in range(p)
+            if (4 * a ** 3 + 27 * b * b) % p]
+
+
+def _assert_same_pseries(a, p, monkeypatch):
+    prec = p * p + 1
+    got = _mult_by_p_integral(a, p, prec)
+    assert got == _dense_pseries(a, p, prec, monkeypatch), (a, p)
+    assert got[1] == p
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_pseries_every_short_curve(p, monkeypatch):
+    for a4, a6 in _short_curves(p):
+        _assert_same_pseries((0, 0, 0, a4, a6), p, monkeypatch)
+
+
+@pytest.mark.parametrize("p", [11, 13])
+def test_pseries_sparse_curves_and_a_general_sample(p, monkeypatch):
+    curves = _short_curves(p)
+    sparse = [c for c in curves if not (c[0] and c[1])]
+    general = random.Random(p).sample([c for c in curves if c[0] and c[1]],
+                                      3)
+    for a4, a6 in sparse + general:
+        _assert_same_pseries((0, 0, 0, a4, a6), p, monkeypatch)
+
+
+@pytest.mark.parametrize("coeffs, p", [((1, -1, 0, 5, 2), 7),
+                                       ((0, 1, 1, 0, 0), 11)])
+def test_pseries_non_short_curves(coeffs, p, monkeypatch):
+    _assert_same_pseries(coeffs, p, monkeypatch)
+
+
+def sweep(primes=(5, 7, 11, 13)) -> int:
+    """Every nonsingular short curve at each prime on both kernel sets;
+    returns the number of curves compared."""
+    mp = pytest.MonkeyPatch()
+    count = 0
+    for p in primes:
+        for a4, a6 in _short_curves(p):
+            _assert_same_pseries((0, 0, 0, a4, a6), p, mp)
+            count += 1
+    return count
+
+
+if __name__ == "__main__":
+    import time
+    t0 = time.perf_counter()
+    n = sweep()
+    print(f"{n} short curves agree ({time.perf_counter() - t0:.1f} s)")

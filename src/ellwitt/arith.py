@@ -37,6 +37,7 @@ __all__ = [
     "has_sqrt3",
     "fq2_context",
     "frobenius_fq2",
+    "sqrt_fq2",
 ]
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -553,3 +554,34 @@ def fq2_context(p: int) -> Quad:
 
 #: z -> z^p on F_{p^2}: the conjugate a - b*g1 - b*xbar.
 frobenius_fq2 = QuadElem.conj
+
+
+def sqrt_fq2(z: QuadElem) -> QuadElem:
+    """A square root of z = A + B*xbar in F_{p^2} modelled, as by
+    fq2_context, with g1 = 0, so that xbar^2 = -g0 is a non-residue.
+
+    (a + b*xbar)^2 = (a^2 - g0*b^2) + 2ab*xbar, and the norm
+    A^2 + g0*B^2 is the square of n = +-(a^2 + g0*b^2).  So z is a square
+    exactly when its norm is one in F_p, and then a^2 = (A +- n)/2: for
+    B != 0 the two candidates multiply to -g0*B^2/4, a non-residue, so
+    exactly one is a square.  Two sqrt_mod calls in all; a scalar z needs
+    one.  A non-square raises ValueError, as does any other ring."""
+    ring = z.ring
+    if ring.N != 1 or ring.g1:
+        raise ValueError(f"sqrt_fq2 wants F_p^2 with g1 = 0, not {ring}")
+    p, g0, field = ring.p, ring.g0, ring.field
+    A, B = z.a, z.b
+    if B == 0:
+        if A == 0 or is_quadratic_residue(field.elem(A)):
+            return ring.embed(sqrt_mod(field.elem(A)))
+        return ring.elem(0, sqrt_mod(field.elem(-A * pow(g0, -1, p))).value)
+    norm = field.elem(A * A + g0 * B * B)
+    if not is_quadratic_residue(norm):
+        raise ValueError(f"{z!r} is not a square in {ring}")
+    n = sqrt_mod(norm).value
+    inv2 = (p + 1) // 2  # 1/2 mod p
+    t = field.elem((A + n) * inv2)
+    if not is_quadratic_residue(t):
+        t = field.elem((A - n) * inv2)
+    a = sqrt_mod(t).value
+    return ring.elem(a, B * pow(2 * a, -1, p))

@@ -44,6 +44,22 @@ MAX_EXPANSION_PREC = 200
 _VERIFY_PRIMES = (5, 7, 11, 13)
 
 
+def _c4_c6_disc(a1, a2, a3, a4, a6) -> tuple:
+    """Tate's c4, c6 and discriminant of [a1, a2, a3, a4, a6], for
+    coefficients of any ring whose elements multiply with ints, plain
+    ints included."""
+    b2 = a1 * a1 + 4 * a2
+    b4 = 2 * a4 + a1 * a3
+    b6 = a3 * a3 + 4 * a6
+    b8 = (a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3
+          - a4 * a4)
+    c4 = b2 * b2 - 24 * b4
+    c6 = -(b2 * b2 * b2) + 36 * b2 * b4 - 216 * b6
+    disc = (-(b2 * b2) * b8 - 8 * (b4 ** 3) - 27 * (b6 * b6)
+            + 9 * b2 * b4 * b6)
+    return c4, c6, disc
+
+
 class WCurve:
     """Weierstrass curve [a1, a2, a3, a4, a6] over a coefficient ring."""
 
@@ -70,16 +86,8 @@ class WCurve:
     def invariants(self):
         """(c4, c6, discriminant, j); raises on singular curves."""
         r = self.ring
-        a1, a2, a3, a4, a6 = self.a1, self.a2, self.a3, self.a4, self.a6
-        b2 = a1 * a1 + r.from_int(4) * a2
-        b4 = r.from_int(2) * a4 + a1 * a3
-        b6 = a3 * a3 + r.from_int(4) * a6
-        b8 = (a1 * a1 * a6 + r.from_int(4) * a2 * a6 - a1 * a3 * a4
-              + a2 * a3 * a3 - a4 * a4)
-        c4 = b2 * b2 - r.from_int(24) * b4
-        c6 = -(b2 * b2 * b2) + r.from_int(36) * b2 * b4 - r.from_int(216) * b6
-        disc = (-(b2 * b2) * b8 - r.from_int(8) * (b4 ** 3)
-                - r.from_int(27) * (b6 * b6) + r.from_int(9) * b2 * b4 * b6)
+        c4, c6, disc = _c4_c6_disc(
+            self.a1, self.a2, self.a3, self.a4, self.a6)
         if not r.is_unit(disc):
             raise ValueError("singular curve: discriminant is not a unit")
         j = c4 * c4 * c4 * r.inv(disc)
@@ -346,7 +354,11 @@ def _mult_by_p_integral(a, p: int, prec: int) -> list:
 
 def has_bad_reduction(E: WCurve, p: int) -> bool:
     """Whether the curve E over Q fails to have good reduction at p: its
-    discriminant is 0, not integral, or divisible by p."""
+    discriminant is 0, not integral, or divisible by p.  An integral
+    model's discriminant is computed on ints."""
+    a = (E.a1, E.a2, E.a3, E.a4, E.a6)
+    if E.ring == QQ and all(c.denominator == 1 for c in a):
+        return _c4_c6_disc(*(c.numerator for c in a))[2] % p == 0
     try:
         disc = E.invariants()[2]
     except ValueError:  # discriminant 0

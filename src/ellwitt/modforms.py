@@ -4,7 +4,8 @@ polynomial extracted from the weight-(p-1) Eisenstein series.
 Conventions (standard, not the paper-facsimile ones): Delta = eta^24 =
 (E4^3 - E6^2)/1728 and j = E4^3/Delta = q^-1 + 744 + ...  Everything is
 exact: rational q-expansions use Fraction coefficients, reductions mod p
-happen only after p-integrality has been certified.
+happen only after p-integrality has been certified, and series with
+integer coefficients (E4, E6) may be built mod p directly.
 """
 
 from __future__ import annotations
@@ -242,6 +243,22 @@ def hasse_form(p: int) -> dict:
     return out
 
 
+def _e4_e6_delta_j_mod_p(field, prec: int) -> tuple:
+    """E4, E6, Delta and j over F_p, equal to eisenstein_q(4, prec),
+    eisenstein_q(6, prec), delta_q(prec) and j_q(prec) reduced mod p:
+    E4 = 1 + 240 sum sigma_3(n) q^n and E6 = 1 - 504 sum sigma_5(n) q^n
+    from integer divisor sums, then Delta = (E4^3 - E6^2) / 1728 (1728
+    is a unit for p > 3) and j = E4^3 / Delta, both at j_q's padding."""
+    pad = prec + 3
+    e4, e6 = (QSeries(field, 0, [1] + [c * _sigma(n, k - 1)
+                                       for n in range(1, pad)], weight=k)
+              for k, c in ((4, 240), (6, -504)))
+    e4_3 = e4 ** 3
+    dlt = (e4_3 - e6 ** 2).scale(pow(1728, -1, field.p))
+    jbar = (e4_3 * dlt.inverse()).truncate(prec)
+    return e4.truncate(prec), e6.truncate(prec), dlt.truncate(prec), jbar
+
+
 @lru_cache(maxsize=None)
 def ss_poly_eisenstein(p: int) -> Poly:
     """The supersingular polynomial over F_p, by Laurent-peeling the
@@ -249,7 +266,8 @@ def ss_poly_eisenstein(p: int) -> Poly:
     polynomial in j.
 
     Returns X^delta (X - 1728)^eps phi(X): monic, degree m + delta + eps,
-    squarefree, with 1728 reduced mod p.
+    squarefree, with 1728 reduced mod p.  E_{p-1} is reduced from its
+    exact rational series; E4, E6, Delta and j are built over F_p.
     """
     require_prime(p, "ss_poly_eisenstein", MAX_EISENSTEIN_PRIME)
     dec = hasse_decomposition(p)
@@ -259,15 +277,15 @@ def ss_poly_eisenstein(p: int) -> Poly:
     ep1 = eisenstein_q(p - 1, prec0).reduce_mod(field)
     if not (ep1 - QSeries(field, 0, [1] + [0] * (prec0 - 1))).is_zero():
         raise ValidationError(f"E_{p-1} mod {p} is not the constant 1")
+    e4, e6, dlt, jbar = _e4_e6_delta_j_mod_p(field, prec0)
     F = ep1
     if delta:
-        F = F * eisenstein_q(4, prec0).reduce_mod(field).inverse()
+        F = F * e4.inverse()
     if eps:
-        F = F * eisenstein_q(6, prec0).reduce_mod(field).inverse()
+        F = F * e6.inverse()
     if m:
-        F = F * delta_q(prec0).reduce_mod(field).inverse() ** m
+        F = F * dlt.inverse() ** m
     assert F.weight in (0, None)
-    jbar = j_q(prec0).reduce_mod(field)
     span = max(1, F.prec)
     jpow = [QSeries(field, 0, [1] + [0] * (span - 1))]
     for _ in range(m):

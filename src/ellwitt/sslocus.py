@@ -2,7 +2,11 @@
 cross-validation, and the Ogg scan.
 
 Route 1 (sslocus): Deuring's criterion — roots of the degree-(p-1)/2
-Legendre polynomial in F_{p^2}, pushed through lambda -> j.
+Legendre polynomial in F_{p^2}, pushed through lambda -> j.  Its roots
+come in pairs {lambda, 1/lambda}, and z = (1 + lambda)/(1 - lambda)
+turns it into the parity-symmetric Legendre polynomial P_m of z, so the
+roots are found on a polynomial of degree floor(m/2) in w = z^2 and
+recovered by one square root in F_{p^2} per pair.
 Route 2 (modforms): Laurent peeling of the reduced E_{p-1}.
 Route 3 (here, p <= 31): character-sum point counts over F_{p^2},
 marking a curve supersingular exactly when its trace vanishes mod p;
@@ -29,7 +33,8 @@ from functools import lru_cache
 from math import comb, gcd, isqrt
 
 from .arith import (
-    PrimeField, fq2_context, frobenius_fq2, is_prime, require_prime)
+    PrimeField, fq2_context, frobenius_fq2, is_prime, require_prime,
+    sqrt_fq2)
 from .errors import ValidationError
 from .formalgroup import WCurve
 from .polyseries import Poly, count_roots_in_fp, roots_in_field
@@ -88,22 +93,64 @@ def legendre_to_j(lam):
     return num * den.inverse()
 
 
+def _legendre_half(p: int) -> Poly:
+    """Q(w) = sum_k (-1)^k C(m,k) C(2m-2k,m) w^(h-k) over F_p, with
+    m = (p-1)/2 and h = floor(m/2): 2^m P_m(z) = z^(m mod 2) Q(z^2) for
+    the Legendre polynomial P_m.  The coefficients come from the ratio
+    q_(k+1)/q_k = -(m-k)(m-2k)(m-2k-1) / ((k+1)(2m-2k)(2m-2k-1)), whose
+    denominator factors all lie in (0, p): O(m) int work."""
+    m = (p - 1) // 2
+    h = m // 2
+    q = [comb(2 * m, m) % p]
+    for k in range(h):
+        num = -(m - k) * (m - 2 * k) * (m - 2 * k - 1)
+        den = (k + 1) * (2 * m - 2 * k) * (2 * m - 2 * k - 1)
+        q.append(q[-1] * num * pow(den, -1, p) % p)
+    return Poly(PrimeField(p), q[::-1])
+
+
 @lru_cache(maxsize=None)
 def hasse_roots(p: int) -> frozenset:
     """The lambda-roots in F_{p^2} of the Hasse polynomial at p.
 
     Deuring's criterion needs the polynomial squarefree with all (p-1)/2
     roots in F_{p^2}; a shortfall falsifies the rationality claim and
-    raises."""
+    raises.
+
+    The roots are found at half the degree.  With m = (p-1)/2,
+    H_p(lambda) = (1 - lambda)^m P_m(z), z = (1 + lambda)/(1 - lambda),
+    for the Legendre polynomial P_m (Igusa 1958), and P_m has parity:
+    2^m P_m(z) = z^(m mod 2) Q(z^2) with Q of degree floor(m/2)
+    (_legendre_half).  Each root w of Q in F_{p^2} gives z = sqrt(w) and
+    the pair lambda = (z - 1)/(z + 1), 1/lambda (from -z); when m is odd,
+    z = 0 adds lambda = -1.  A w whose square root escapes F_{p^2} loses
+    its pair, which the count check reports."""
     require_prime(p, "hasse_roots", MAX_DEURING_PRIME)
     H = hasse_polynomial(p)
     if H.gcd(H.derivative()).degree != 0:
         raise ValidationError(
             f"Hasse polynomial at p={p} is not squarefree")
-    lams = roots_in_field(H, fq2_context(p))
-    if len(lams) != (p - 1) // 2:
+    m = (p - 1) // 2
+    ctx = fq2_context(p)
+    one = ctx.one()
+    lams = {-one} if m % 2 else set()
+    for w in roots_in_field(_legendre_half(p), ctx):
+        if w == 0 or w == 1:
+            raise ValidationError(
+                f"p={p}: w={w!r} is a root of the Legendre half "
+                f"polynomial, so z = sqrt(w) gives no simple lambda")
+        try:
+            z = sqrt_fq2(w)
+        except ValueError:
+            continue
+        if z * z != w:
+            raise ValidationError(f"p={p}: sqrt_fq2({w!r}) = {z!r} "
+                                  f"does not square back")
+        lam = (z - one) * (z + one).inverse()
+        lams.update((lam, lam.inverse()))
+    if len(lams) != m:
         raise ValidationError(
-            f"only {len(lams)} of {(p - 1) // 2} lambda-roots lie in "
+            f"only {len(lams)} of {m} lambda-roots lie in "
             f"F_{p}^2 at p={p}: a root escapes the quadratic extension")
     return frozenset(lams)
 
@@ -111,8 +158,15 @@ def hasse_roots(p: int) -> frozenset:
 @lru_cache(maxsize=None)
 def ss_j_deuring(p: int) -> frozenset:
     """Supersingular j-invariants in F_{p^2} via Deuring's criterion: the
-    images of hasse_roots(p) under lambda -> j."""
-    return frozenset(legendre_to_j(lam) for lam in hasse_roots(p))
+    images of hasse_roots(p) under lambda -> j, one image per
+    {lambda, 1/lambda} pair since j(lambda) = j(1/lambda)."""
+    lams = set(hasse_roots(p))
+    out = set()
+    while lams:
+        lam = lams.pop()
+        lams.discard(lam.inverse())
+        out.add(legendre_to_j(lam))
+    return frozenset(out)
 
 
 def curve_from_j(j):

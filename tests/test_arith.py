@@ -13,6 +13,7 @@ from ellwitt.arith import (
     has_sqrt3,
     is_prime,
     is_quadratic_residue,
+    sqrt_fq2,
     sqrt_mod,
 )
 
@@ -187,3 +188,34 @@ def test_fq2_inverse_and_norm():
             if z:
                 assert z * z.inverse() == ctx.one()
                 assert z.norm() == (z * z.conj()).to_fp()
+
+
+def sqrt_fq2_models(p):
+    """x^2 + 1 (g0 = 1, a field model when p = 3 mod 4) and x^2 - n for
+    the smallest non-residue n."""
+    n = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
+    models = [Fq2Ctx(p, 0, -n)]
+    if p % 4 == 3:
+        models.append(Fq2Ctx(p, 0, 1))
+    return models
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_sqrt_fq2_every_square_round_trips(p):
+    for ctx in sqrt_fq2_models(p):
+        squares = {z * z for z in ctx.elements()}
+        assert len(squares) == (p * p + 1) // 2
+        for w in squares:
+            r = sqrt_fq2(w)
+            assert r.ring == ctx and r * r == w
+        assert sqrt_fq2(ctx.zero()) == ctx.zero()
+        for w in set(ctx.elements()) - squares:
+            with pytest.raises(ValueError, match="not a square"):
+                sqrt_fq2(w)
+
+
+def test_sqrt_fq2_rejects_other_rings():
+    with pytest.raises(ValueError, match="g1 = 0"):
+        sqrt_fq2(Fq2Ctx(5, 1, 1).one())  # x^2 + x + 1, irreducible mod 5
+    with pytest.raises(ValueError, match="g1 = 0"):
+        sqrt_fq2(Fq2Ctx(7, 0, 1, 2).one())  # W(F_49)/49

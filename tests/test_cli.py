@@ -263,7 +263,9 @@ def test_hasse_root_shortfall_exits_2(monkeypatch, capsys):
     sslocus.hasse_roots.cache_clear()  # an earlier test may have cached 11
     assert climod.main(["hasse", "--prime", "11"]) == 2
     err = capsys.readouterr().err
-    assert "VALIDATION FAILURE" in err and "only 4 of 5" in err
+    # one dropped root w of the half-degree polynomial loses the pair
+    # {lambda, 1/lambda}; lambda = -1 (m = 5 is odd) remains
+    assert "VALIDATION FAILURE" in err and "only 3 of 5" in err
 
 
 def test_verify_all_checks_the_scan_count_against_deuring(monkeypatch):

@@ -115,6 +115,32 @@ def test_has_bad_reduction(a4, a6, p, bad):
     assert has_bad_reduction(WCurve.short(QQ, a4, a6), p) is bad
 
 
+def bad_reduction_by_fractions(E, p):
+    """The replaced route: the discriminant from WCurve.invariants()."""
+    try:
+        disc = E.invariants()[2]
+    except ValueError:  # discriminant 0
+        return True
+    return disc.denominator != 1 or disc.numerator % p == 0
+
+
+def test_has_bad_reduction_int_route_matches_fractions():
+    # every short curve at 5 and 7 (singular ones included), the two
+    # non-short curves of the [p]-series tests, and models the int route
+    # leaves to the Fraction one
+    cases = [(WCurve.short(QQ, a4, a6), p)
+             for p in (5, 7) for a4 in range(p) for a6 in range(p)]
+    cases += [(WCurve(QQ, 1, -1, 0, 5, 2), p) for p in (5, 7, 11)]
+    cases += [(WCurve(QQ, 0, 1, 1, 0, 0), p) for p in (5, 11)]
+    cases += [(WCurve.short(QQ, Fraction(1, 3), 1), 5),
+              (WCurve.short(QQ, Fraction(3, 4), Fraction(1, 4)), 7),
+              (WCurve.short(QQ, Fraction(-3, 4), Fraction(1, 4)), 5)]
+    assert {bad_reduction_by_fractions(E, p) for E, p in cases} == \
+        {True, False}
+    for E, p in cases:
+        assert has_bad_reduction(E, p) is bad_reduction_by_fractions(E, p)
+
+
 def test_v_invariants_examples():
     F5 = PrimeField(5)
     v1, v2 = v_invariants(WCurve.short(F5, 0, 1), 5)

@@ -8,9 +8,11 @@ import pytest
 
 from ellwitt.arith import PrimeField, is_prime
 from ellwitt.errors import ValidationError
+from ellwitt import modforms
 from ellwitt.modforms import (
     MAX_BERNOULLI,
     _bernoulli_list,
+    _e4_e6_delta_j_mod_p,
     _solve_exact,
     bernoulli,
     delta_q,
@@ -183,6 +185,28 @@ def test_ss_poly_degree_and_squarefree_range():
         assert sp.degree == sigma(p)
         assert sp.leading().value == 1
         assert sp.gcd(sp.derivative()).degree == 0
+
+
+def fraction_series_mod_p(field, prec):
+    """The replaced route: E4, E6, Delta and j as Fraction series, then
+    reduced mod p."""
+    return tuple(s.reduce_mod(field) for s in (
+        eisenstein_q(4, prec), eisenstein_q(6, prec), delta_q(prec),
+        j_q(prec)))
+
+
+@pytest.mark.parametrize("p", [p for p in range(5, 98) if is_prime(p)])
+def test_ss_poly_over_fp_matches_the_fraction_route(p, monkeypatch):
+    field = PrimeField(p)
+    prec = hasse_decomposition(p).m + 8
+    got = _e4_e6_delta_j_mod_p(field, prec)
+    want = fraction_series_mod_p(field, prec)
+    for g, w in zip(got, want):
+        assert (g, g.abs_prec, g.weight) == (w, w.abs_prec, w.weight)
+    new = ss_poly_eisenstein.__wrapped__(p)
+    monkeypatch.setattr(modforms, "_e4_e6_delta_j_mod_p",
+                        fraction_series_mod_p)
+    assert ss_poly_eisenstein.__wrapped__(p) == new
 
 
 def test_ss_poly_bounds():

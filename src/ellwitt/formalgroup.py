@@ -354,15 +354,11 @@ def _mult_by_p_integral(a, p: int, prec: int) -> list:
 
 def has_bad_reduction(E: WCurve, p: int) -> bool:
     """Whether the curve E over Q fails to have good reduction at p: its
-    discriminant is 0, not integral, or divisible by p.  An integral
-    model's discriminant is computed on ints."""
-    a = (E.a1, E.a2, E.a3, E.a4, E.a6)
-    if E.ring == QQ and all(c.denominator == 1 for c in a):
-        return _c4_c6_disc(*(c.numerator for c in a))[2] % p == 0
-    try:
-        disc = E.invariants()[2]
-    except ValueError:  # discriminant 0
-        return True
+    discriminant is 0, not integral, or divisible by p.  Integral
+    coefficients enter as ints, so an integral model's discriminant is
+    computed on ints."""
+    disc = _c4_c6_disc(*(c.numerator if c.denominator == 1 else c
+                         for c in (E.a1, E.a2, E.a3, E.a4, E.a6)))[2]
     return disc.denominator != 1 or disc.numerator % p == 0
 
 

@@ -70,13 +70,27 @@ def eisenstein_q(k: int, prec: int) -> QSeries:
     return QSeries(QQ, 0, coeffs, weight=k)
 
 
+def _level_one_forms(ring, prec: int) -> tuple:
+    """E4, E6, Delta and j over ring (QQ, or F_p with p > 3) through
+    absolute precision prec.  E4 = 1 + 240 sum sigma_3(n) q^n and
+    E6 = 1 - 504 sum sigma_5(n) q^n come from integer divisor sums, then
+    Delta = (E4^3 - E6^2)/1728 and j = E4^3/Delta.  Everything is built
+    3 terms further and truncated, which j's inversion of Delta needs."""
+    pad = prec + 3
+    e4, e6 = (QSeries(ring, 0, [1] + [c * _sigma(n, k - 1)
+                                      for n in range(1, pad)], weight=k)
+              for k, c in ((4, 240), (6, -504)))
+    e4_3 = e4 ** 3
+    dlt = (e4_3 - e6 ** 2).scale(ring.inv(ring.from_int(1728)))
+    j = (e4_3 * dlt.inverse()).truncate(prec)
+    return e4.truncate(prec), e6.truncate(prec), dlt.truncate(prec), j
+
+
 def delta_q(prec: int) -> QSeries:
     """Delta = (E4^3 - E6^2)/1728 = q - 24q^2 + 252q^3 - ..."""
     if prec < 2:
         raise ValueError("prec must be >= 2")
-    e4 = eisenstein_q(4, prec)
-    e6 = eisenstein_q(6, prec)
-    return (e4 ** 3 - e6 ** 2).scale(Fraction(1, 1728))
+    return _level_one_forms(QQ, prec)[2]
 
 
 def eta24_q(prec: int) -> QSeries:
@@ -98,10 +112,7 @@ def eta24_q(prec: int) -> QSeries:
 
 def j_q(prec: int) -> QSeries:
     """j = E4^3 / Delta = q^-1 + 744 + 196884q + ..., abs precision prec."""
-    pad = prec + 3
-    e4 = eisenstein_q(4, pad)
-    dlt = delta_q(pad)
-    return (e4 ** 3 * dlt.inverse()).truncate(prec)
+    return _level_one_forms(QQ, prec)[3]
 
 
 #: Monomials E4^a E6^b spanning M_k, listed with b ascending.
@@ -243,22 +254,6 @@ def hasse_form(p: int) -> dict:
     return out
 
 
-def _e4_e6_delta_j_mod_p(field, prec: int) -> tuple:
-    """E4, E6, Delta and j over F_p, equal to eisenstein_q(4, prec),
-    eisenstein_q(6, prec), delta_q(prec) and j_q(prec) reduced mod p:
-    E4 = 1 + 240 sum sigma_3(n) q^n and E6 = 1 - 504 sum sigma_5(n) q^n
-    from integer divisor sums, then Delta = (E4^3 - E6^2) / 1728 (1728
-    is a unit for p > 3) and j = E4^3 / Delta, both at j_q's padding."""
-    pad = prec + 3
-    e4, e6 = (QSeries(field, 0, [1] + [c * _sigma(n, k - 1)
-                                       for n in range(1, pad)], weight=k)
-              for k, c in ((4, 240), (6, -504)))
-    e4_3 = e4 ** 3
-    dlt = (e4_3 - e6 ** 2).scale(pow(1728, -1, field.p))
-    jbar = (e4_3 * dlt.inverse()).truncate(prec)
-    return e4.truncate(prec), e6.truncate(prec), dlt.truncate(prec), jbar
-
-
 @lru_cache(maxsize=None)
 def ss_poly_eisenstein(p: int) -> Poly:
     """The supersingular polynomial over F_p, by Laurent-peeling the
@@ -277,7 +272,7 @@ def ss_poly_eisenstein(p: int) -> Poly:
     ep1 = eisenstein_q(p - 1, prec0).reduce_mod(field)
     if not (ep1 - QSeries(field, 0, [1] + [0] * (prec0 - 1))).is_zero():
         raise ValidationError(f"E_{p-1} mod {p} is not the constant 1")
-    e4, e6, dlt, jbar = _e4_e6_delta_j_mod_p(field, prec0)
+    e4, e6, dlt, jbar = _level_one_forms(field, prec0)
     F = ep1
     if delta:
         F = F * e4.inverse()

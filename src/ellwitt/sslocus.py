@@ -158,15 +158,8 @@ def hasse_roots(p: int) -> frozenset:
 @lru_cache(maxsize=None)
 def ss_j_deuring(p: int) -> frozenset:
     """Supersingular j-invariants in F_{p^2} via Deuring's criterion: the
-    images of hasse_roots(p) under lambda -> j, one image per
-    {lambda, 1/lambda} pair since j(lambda) = j(1/lambda)."""
-    lams = set(hasse_roots(p))
-    out = set()
-    while lams:
-        lam = lams.pop()
-        lams.discard(lam.inverse())
-        out.add(legendre_to_j(lam))
-    return frozenset(out)
+    images of hasse_roots(p) under lambda -> j."""
+    return frozenset(legendre_to_j(lam) for lam in hasse_roots(p))
 
 
 def curve_from_j(j):

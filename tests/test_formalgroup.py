@@ -126,8 +126,7 @@ def bad_reduction_by_fractions(E, p):
 
 def test_has_bad_reduction_int_route_matches_fractions():
     # every short curve at 5 and 7 (singular ones included), the two
-    # non-short curves of the [p]-series tests, and models the int route
-    # leaves to the Fraction one
+    # non-short curves of the [p]-series tests, and non-integral models
     cases = [(WCurve.short(QQ, a4, a6), p)
              for p in (5, 7) for a4 in range(p) for a6 in range(p)]
     cases += [(WCurve(QQ, 1, -1, 0, 5, 2), p) for p in (5, 7, 11)]

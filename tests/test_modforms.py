@@ -12,7 +12,7 @@ from ellwitt import modforms
 from ellwitt.modforms import (
     MAX_BERNOULLI,
     _bernoulli_list,
-    _e4_e6_delta_j_mod_p,
+    _level_one_forms,
     _solve_exact,
     bernoulli,
     delta_q,
@@ -187,24 +187,40 @@ def test_ss_poly_degree_and_squarefree_range():
         assert sp.gcd(sp.derivative()).degree == 0
 
 
+def fraction_forms(prec):
+    """The replaced route: E4, E6, Delta and j as Fraction series from
+    eisenstein_q, with Delta at prec and j built at prec + 3."""
+    e4, e6 = eisenstein_q(4, prec + 3), eisenstein_q(6, prec + 3)
+    dlt = (e4 ** 3 - e6 ** 2).scale(Fraction(1, 1728))
+    j = (e4 ** 3 * dlt.inverse()).truncate(prec)
+    return e4.truncate(prec), e6.truncate(prec), dlt.truncate(prec), j
+
+
 def fraction_series_mod_p(field, prec):
-    """The replaced route: E4, E6, Delta and j as Fraction series, then
-    reduced mod p."""
-    return tuple(s.reduce_mod(field) for s in (
-        eisenstein_q(4, prec), eisenstein_q(6, prec), delta_q(prec),
-        j_q(prec)))
+    return tuple(s.reduce_mod(field) for s in fraction_forms(prec))
+
+
+def same_series(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert (g, g.abs_prec, g.weight) == (w, w.abs_prec, w.weight)
+
+
+@pytest.mark.parametrize("prec", [2, 3, 5, 20, 52])
+def test_delta_and_j_match_the_fraction_route(prec):
+    want = fraction_forms(prec)
+    same_series(_level_one_forms(QQ, prec), want)
+    same_series((delta_q(prec), j_q(prec)), want[2:])
+    assert all(type(c) is Fraction for c in delta_q(prec).coeffs)
 
 
 @pytest.mark.parametrize("p", [p for p in range(5, 98) if is_prime(p)])
 def test_ss_poly_over_fp_matches_the_fraction_route(p, monkeypatch):
     field = PrimeField(p)
     prec = hasse_decomposition(p).m + 8
-    got = _e4_e6_delta_j_mod_p(field, prec)
-    want = fraction_series_mod_p(field, prec)
-    for g, w in zip(got, want):
-        assert (g, g.abs_prec, g.weight) == (w, w.abs_prec, w.weight)
+    same_series(_level_one_forms(field, prec),
+                fraction_series_mod_p(field, prec))
     new = ss_poly_eisenstein.__wrapped__(p)
-    monkeypatch.setattr(modforms, "_e4_e6_delta_j_mod_p",
+    monkeypatch.setattr(modforms, "_level_one_forms",
                         fraction_series_mod_p)
     assert ss_poly_eisenstein.__wrapped__(p) == new
 

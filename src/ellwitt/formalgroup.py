@@ -33,7 +33,7 @@ from . import modforms
 
 __all__ = [
     "WCurve", "PSeries", "formal_expansion",
-    "formal_log", "mult_by_p_series", "v_invariants", "heights_from_series",
+    "mult_by_p_series", "v_invariants", "heights_from_series",
     "classical_hasse", "has_bad_reduction",
     "verify_deligne", "verify_gross_landweber",
     "DeligneReport", "GLReport", "MAX_FORMAL_PRIME",
@@ -170,7 +170,16 @@ def _require_integral(E: WCurve, what: str):
             raise ValueError(f"{what} wants integral curve coefficients")
 
 
-def _integrate_log(omega: QSeries) -> QSeries:
+#: [p]-series of an integral curve: p, curve (WCurve), series ([p](t),
+#: integral, as exact rationals), series_mod_p (its reduction mod p).
+PSeries = namedtuple("PSeries", "p curve series series_mod_p")
+
+
+def _mult_by_m(E: WCurve, m: int, prec: int):
+    """exp(m * log(t)) and its intermediates; the multiplication-by-m
+    series of the formal group.  log(t) = integral of omega must be
+    t + O(t^2) with each denominator dividing its index."""
+    x, y, omega = formal_expansion(E, prec)
     log = omega.integrate()
     if log.coeff(1) != 1:
         raise ValidationError("formal log is not t + O(t^2)")
@@ -179,30 +188,6 @@ def _integrate_log(omega: QSeries) -> QSeries:
         if (c * n).denominator != 1:
             raise ValidationError(
                 f"log coefficient at t^{n} has denominator not dividing {n}")
-    return log
-
-
-def formal_log(E: WCurve, prec: int) -> QSeries:
-    """log(t) = integral of omega: t + O(t^2), coefficients b_{n-1}/n.
-
-    The curve must be an integral model (rational coefficients with
-    denominator 1); each log coefficient's denominator divides its index.
-    """
-    _require_integral(E, "formal_log")
-    _, _, omega = formal_expansion(E, prec)
-    return _integrate_log(omega)
-
-
-#: [p]-series of an integral curve: p, curve (WCurve), series ([p](t),
-#: integral, as exact rationals), series_mod_p (its reduction mod p).
-PSeries = namedtuple("PSeries", "p curve series series_mod_p")
-
-
-def _mult_by_m(E: WCurve, m: int, prec: int):
-    """exp(m * log(t)) and its intermediates; the multiplication-by-m
-    series of the formal group."""
-    x, y, omega = formal_expansion(E, prec)
-    log = _integrate_log(omega)
     exp = log.revert()
     return x, y, omega, log, exp.compose(log.scale(Fraction(m)))
 

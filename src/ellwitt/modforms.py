@@ -61,13 +61,13 @@ def _sigma(n: int, e: int) -> int:
 
 
 def eisenstein_q(k: int, prec: int) -> QSeries:
-    """E_k = 1 - (2k/B_k) sum sigma_{k-1}(n) q^n, weight-tagged, exact."""
+    """E_k = 1 - (2k/B_k) sum sigma_{k-1}(n) q^n, exact."""
     if k < 4 or k % 2:
         raise ValueError("Eisenstein weight must be even and >= 4")
     factor = -Fraction(2 * k) / bernoulli(k)
     coeffs = [Fraction(1)]
     coeffs += [factor * _sigma(n, k - 1) for n in range(1, prec)]
-    return QSeries(QQ, 0, coeffs, weight=k)
+    return QSeries(QQ, 0, coeffs)
 
 
 def _level_one_forms(ring, prec: int) -> tuple:
@@ -78,7 +78,7 @@ def _level_one_forms(ring, prec: int) -> tuple:
     3 terms further and truncated, which j's inversion of Delta needs."""
     pad = prec + 3
     e4, e6 = (QSeries(ring, 0, [1] + [c * _sigma(n, k - 1)
-                                      for n in range(1, pad)], weight=k)
+                                      for n in range(1, pad)])
               for k, c in ((4, 240), (6, -504)))
     e4_3 = e4 ** 3
     dlt = (e4_3 - e6 ** 2).scale(ring.inv(ring.from_int(1728)))
@@ -107,7 +107,7 @@ def eta24_q(prec: int) -> QSeries:
         for _ in range(24):
             for i in range(L - 1, n - 1, -1):
                 c[i] -= c[i - n]
-    return QSeries(QQ, 1, c, weight=12)
+    return QSeries(QQ, 1, c)
 
 
 def j_q(prec: int) -> QSeries:
@@ -169,24 +169,23 @@ def _solve_exact(rows, rhs):
 _GUARD = 4
 
 
-def express_in_e4e6(s: QSeries) -> dict:
-    """Coefficients c_ab with sum c_ab E4^a E6^b = s, solved from the
-    first dim M_k q-coefficients and verified on 4 guard coefficients.
+def express_in_e4e6(s: QSeries, k: int) -> dict:
+    """Coefficients c_ab with sum c_ab E4^a E6^b = s, for s a modular
+    form of weight k, solved from the first dim M_k q-coefficients and
+    verified on 4 guard coefficients.
 
-    s must carry a weight tag and abs precision >= dim + 4.
+    s must have abs precision >= dim M_k + 4.
     """
-    if s.weight is None:
-        raise ValueError("series has no weight tag")
-    basis = weight_basis(s.weight)
+    basis = weight_basis(k)
     d = len(basis.monomials)
     need = d + _GUARD
     if s.abs_prec < need:
         raise ValueError(
-            f"need abs precision >= {need} for weight {s.weight}, "
+            f"need abs precision >= {need} for weight {k}, "
             f"got {s.abs_prec}")
     e4 = eisenstein_q(4, need)
     e6 = eisenstein_q(6, need)
-    one = QSeries(QQ, 0, [1] + [0] * (need - 1), weight=0)
+    one = QSeries(QQ, 0, [1] + [0] * (need - 1))
     cols = []
     for a, b in basis.monomials:
         mono = e4 ** a if a else one
@@ -201,7 +200,7 @@ def express_in_e4e6(s: QSeries) -> dict:
         if got != s.coeff(i):
             raise ValidationError(
                 f"guard coefficient q^{i} mismatch: input is not a "
-                f"modular form of weight {s.weight}")
+                f"modular form of weight {k}")
     assert sum(sol) == s.coeff(0)
     return {mon: c for mon, c in zip(basis.monomials, sol)}
 
@@ -228,7 +227,7 @@ def hasse_form(p: int) -> dict:
     require_prime(p, "hasse_form", MAX_EISENSTEIN_PRIME)
     d = _dim_mk(p - 1)
     need = d + _GUARD
-    exact = express_in_e4e6(eisenstein_q(p - 1, need))
+    exact = express_in_e4e6(eisenstein_q(p - 1, need), p - 1)
     field = PrimeField(p)
     out = {}
     for mon, c in exact.items():
@@ -280,7 +279,6 @@ def ss_poly_eisenstein(p: int) -> Poly:
         F = F * e6.inverse()
     if m:
         F = F * dlt.inverse() ** m
-    assert F.weight in (0, None)
     span = max(1, F.prec)
     jpow = [QSeries(field, 0, [1] + [0] * (span - 1))]
     for _ in range(m):

@@ -184,29 +184,29 @@ def splitting_idempotents(p: int, N: int) -> tuple:
     W(F_{p^2})/p^N [X] / (S_p-hat): the finite-level shadow of the
     sigma(p)-fold product splitting of the completed ring.
 
-    Verifies e_i^2 = e_i, e_i e_j = 0 and sum e_i = 1 modulo
-    (p^N, S_p-hat)."""
+    e_i = (S / (X - r_i)) * S'(r_i)^-1 with S = S_p-hat, already reduced
+    mod S (degree < sigma(p)).  Verifies e_i^2 = e_i, e_i e_j = 0 and
+    sum e_i = 1 modulo (p^N, S_p-hat)."""
     require_prime(p, "splitting_idempotents", MAX_SPLIT_PRIME)
     if not 1 <= N <= MAX_SPLIT_PRECISION:
         raise ValueError(f"precision must satisfy 1 <= N <= "
                          f"{MAX_SPLIT_PRECISION}")
     shat = lift_ss_poly(p, N)
     _, wctx, roots = _teich_roots(p, N)
+    dshat = shat.derivative()
     idems = []
-    for i, ri in enumerate(roots):
-        num = Poly(wctx, [wctx.one()])
-        den = wctx.one()
-        for k, rk in enumerate(roots):
-            if k == i:
-                continue
-            num = num * Poly(wctx, [-rk, wctx.one()])
-            d = ri - rk
-            if not wctx.is_unit(d):
-                raise ValidationError(
-                    f"splitting_idempotents({p},{N}): root difference "
-                    f"{d!r} is not a unit")
-            den = den * d
-        idems.append((num * den.inverse()).divrem(shat)[1])
+    for r in roots:
+        quot, rem = shat.divrem(Poly(wctx, [-r, wctx.one()]))
+        if not rem.is_zero():
+            raise ValidationError(
+                f"splitting_idempotents({p},{N}): X - {r!r} does not "
+                f"divide S_p-hat")
+        d = dshat.evaluate(r)
+        if not wctx.is_unit(d):
+            raise ValidationError(
+                f"splitting_idempotents({p},{N}): S_p-hat'({r!r}) = "
+                f"{d!r} is not a unit")
+        idems.append(quot * d.inverse())
     total = Poly(wctx, [])
     for i, e in enumerate(idems):
         if ((e * e).divrem(shat)[1]) != e:

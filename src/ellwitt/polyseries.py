@@ -16,8 +16,7 @@ QSeries: sum of coeffs[i] * q^(offset+i); exactly zero below offset and
 unknown at offset+len(coeffs) =: abs_prec and beyond.  Every operation
 propagates the honest precision of its result — nothing is ever
 extrapolated, and reading a coefficient at or past abs_prec raises
-PrecisionError.  An optional modular-weight tag rides along: it is
-bookkeeping only, kept when it is well defined and dropped otherwise.
+PrecisionError.
 """
 
 from __future__ import annotations
@@ -190,18 +189,15 @@ class Poly:
         return self.divrem(g)[1]
 
     def gcd(self, g: "Poly") -> "Poly":
-        """Monic gcd over a field; gcd(0, 0) = 0 by convention.  Over F_p
-        itself Euclid runs on int lists (_FpX)."""
-        a, b = self, self._same(g)
-        if _is_fp(self.ring):
-            a, b = [c.value for c in a.coeffs], [c.value for c in b.coeffs]
-            fx = _FpX(self.ring.p, max(len(a), len(b)))
-            return Poly(self.ring, fx.gcd(a, b))
-        while not b.is_zero():
-            a, b = b, a.divrem(b)[1]
-        if a.is_zero():
-            return a
-        return a * self.ring.inv(a.leading())
+        """Monic gcd over F_p, by Euclid on int lists (_FpX); gcd(0, 0)
+        = 0 by convention.  Any other ring raises ValueError."""
+        if not _is_fp(self.ring):
+            raise ValueError(f"Poly.gcd wants polynomials over F_p, "
+                             f"not {self.ring}")
+        a = [c.value for c in self.coeffs]
+        b = [c.value for c in self._same(g).coeffs]
+        fx = _FpX(self.ring.p, max(len(a), len(b)))
+        return Poly(self.ring, fx.gcd(a, b))
 
     def derivative(self) -> "Poly":
         return Poly(self.ring,
@@ -228,9 +224,6 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         return other.ring == self.ring and other.coeffs == self.coeffs
-
-    def __hash__(self):
-        return hash((self.ring, tuple(repr(c) for c in self.coeffs)))
 
     def __repr__(self):
         return f"Poly({self.coeffs!r})"
@@ -512,18 +505,12 @@ def count_roots_in_fp(f: Poly) -> int:
 # Truncated power / Laurent series
 
 
-def _combine_weight(w1, w2):
-    if w1 is not None and w2 is not None and w1 == w2:
-        return w1
-    return None
-
-
 class QSeries:
     """Truncated series sum(coeffs[i] q^(offset+i)) + O(q^abs_prec)."""
 
-    __slots__ = ("ring", "offset", "coeffs", "weight")
+    __slots__ = ("ring", "offset", "coeffs")
 
-    def __init__(self, ring, offset: int, coeffs, weight=None):
+    def __init__(self, ring, offset: int, coeffs):
         cs = [ring.coerce(c) for c in coeffs]
         while cs and not cs[0]:
             cs.pop(0)
@@ -531,7 +518,6 @@ class QSeries:
         self.ring = ring
         self.offset = offset
         self.coeffs = cs
-        self.weight = weight
 
     @property
     def abs_prec(self) -> int:
@@ -583,15 +569,13 @@ class QSeries:
             return s.coeffs[n - s.offset]
 
         return QSeries(self.ring, lo,
-                       [at(self, n) + at(o, n) for n in range(lo, P)],
-                       _combine_weight(self.weight, o.weight))
+                       [at(self, n) + at(o, n) for n in range(lo, P)])
 
     def __sub__(self, other):
         return self + (-self._same(other))
 
     def __neg__(self):
-        return QSeries(self.ring, self.offset, [-c for c in self.coeffs],
-                       self.weight)
+        return QSeries(self.ring, self.offset, [-c for c in self.coeffs])
 
     def __mul__(self, other):
         if not isinstance(other, QSeries):
@@ -599,28 +583,25 @@ class QSeries:
         o = self._same(other)
         # known to abs_prec min(a.offset + b.abs_prec, b.offset + a.abs_prec)
         n_out = min(len(self.coeffs), len(o.coeffs))
-        w = (self.weight + o.weight
-             if self.weight is not None and o.weight is not None else None)
         return QSeries(self.ring, self.offset + o.offset,
-                       _mul_lists(self.ring, self.coeffs, o.coeffs, n_out), w)
+                       _mul_lists(self.ring, self.coeffs, o.coeffs, n_out))
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "QSeries":
         c = self.ring.coerce(c)
-        return QSeries(self.ring, self.offset, [a * c for a in self.coeffs],
-                       self.weight)
+        return QSeries(self.ring, self.offset, [a * c for a in self.coeffs])
 
     def shift(self, k: int) -> "QSeries":
         """Multiply by q^k (exact)."""
-        return QSeries(self.ring, self.offset + k, self.coeffs, self.weight)
+        return QSeries(self.ring, self.offset + k, self.coeffs)
 
     def truncate(self, new_abs_prec: int) -> "QSeries":
         if new_abs_prec >= self.abs_prec:
             return self
         keep = max(0, new_abs_prec - self.offset)
         return QSeries(self.ring, min(self.offset, new_abs_prec),
-                       self.coeffs[:keep], self.weight)
+                       self.coeffs[:keep])
 
     def __pow__(self, e: int):
         if e < 0:
@@ -628,8 +609,7 @@ class QSeries:
         if e == 0:
             n = max(1, len(self.coeffs))
             return QSeries(self.ring, 0,
-                           [self.ring.one()] + [self.ring.zero()] * (n - 1),
-                           0 if self.weight is not None else None)
+                           [self.ring.one()] + [self.ring.zero()] * (n - 1))
         result = None
         base = self
         while e:
@@ -648,15 +628,14 @@ class QSeries:
         if not self.ring.is_unit(self.coeffs[0]):
             raise ValueError("leading series coefficient is not a unit")
         out = _inv_list(self.ring, self.coeffs, len(self.coeffs))
-        w = -self.weight if self.weight is not None else None
-        return QSeries(self.ring, -self.offset, out, w)
+        return QSeries(self.ring, -self.offset, out)
 
     def derivative(self) -> "QSeries":
         out = []
         for i, c in enumerate(self.coeffs):
             n = self.offset + i
             out.append(c * self.ring.from_int(n))
-        return QSeries(self.ring, self.offset - 1, out, None)
+        return QSeries(self.ring, self.offset - 1, out)
 
     def integrate(self) -> "QSeries":
         """Termwise antiderivative with zero constant; every exponent+1
@@ -668,7 +647,7 @@ class QSeries:
             if not self.ring.is_unit(nf):
                 raise ValueError(f"cannot divide by {n} in {self.ring}")
             out.append(c * self.ring.inv(nf))
-        return QSeries(self.ring, self.offset + 1, out, None)
+        return QSeries(self.ring, self.offset + 1, out)
 
     def compose(self, g: "QSeries") -> "QSeries":
         """self(g); g must have no constant term, self no negative powers."""
@@ -718,11 +697,6 @@ class QSeries:
                 [zero] * (P - prec)
         return QSeries(ring, 1, g[1:P])
 
-    def map_coeffs(self, fn, new_ring, weight="keep") -> "QSeries":
-        w = self.weight if weight == "keep" else weight
-        return QSeries(new_ring, self.offset,
-                       [fn(c) for c in self.coeffs], w)
-
     def reduce_mod(self, field) -> "QSeries":
         """Reduce a rational series mod p; raises ValidationError when
         any denominator is divisible by p."""
@@ -731,7 +705,7 @@ class QSeries:
                 raise ValidationError(
                     f"denominator {c.denominator} divisible by {field.p}")
             return field.elem(c.numerator * pow(c.denominator, -1, field.p))
-        return self.map_coeffs(red, field)
+        return QSeries(field, self.offset, [red(c) for c in self.coeffs])
 
     def __eq__(self, other):
         if not isinstance(other, QSeries):

@@ -24,55 +24,27 @@ def padic_digits(value: int, p: int, N: int) -> str:
     return ",".join(digits)
 
 
-def parse_padic_digits(s: str, p: int) -> int:
-    value = 0
-    for d in reversed(s.split(",")):
-        value = value * p + int(d)
-    return value
-
-
 def canonical_json(data) -> str:
     return json.dumps(data, sort_keys=True, indent=2,
                       separators=(",", ": ")) + "\n"
 
 
 class Report:
-    """One CLI invocation's structured result."""
+    """One CLI invocation's structured result: the caller sets prime,
+    precision (None when the command has none), one entry of sections
+    and its wall time in timings, then writes it with to_json."""
 
-    def __init__(self, prime: int | None = None,
-                 precision: int | None = None, sections: dict | None = None,
-                 timings: dict | None = None,
-                 schema_version: str = SCHEMA_VERSION):
-        self.prime = prime
-        self.precision = precision
-        self.sections = {} if sections is None else sections
-        self.timings = {} if timings is None else timings
-        self.schema_version = schema_version
+    def __init__(self):
+        self.prime = None
+        self.precision = None
+        self.sections = {}
+        self.timings = {}
 
-    def __eq__(self, other):
-        if not isinstance(other, Report):
-            return NotImplemented
-        return self.to_dict() == other.to_dict()
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
+    def to_json(self) -> str:
+        return canonical_json({
+            "schema_version": SCHEMA_VERSION,
             "prime": self.prime,
             "precision": self.precision,
             "sections": self.sections,
             "timings": self.timings,
-        }
-
-    def to_json(self) -> str:
-        return canonical_json(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Report":
-        return cls(prime=d.get("prime"), precision=d.get("precision"),
-                   sections=d.get("sections", {}),
-                   timings=d.get("timings", {}),
-                   schema_version=d.get("schema_version", SCHEMA_VERSION))
-
-    @classmethod
-    def from_json(cls, s: str) -> "Report":
-        return cls.from_dict(json.loads(s))
+        })

@@ -15,8 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ellwitt.report import Report, canonical_json, padic_digits, \
-    parse_padic_digits
+from ellwitt.report import canonical_json, padic_digits
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -37,16 +36,10 @@ def run_cli(args, cache_dir, check=True):
 def test_padic_digit_strings():
     assert padic_digits(7, 5, 2) == "2,1"
     assert padic_digits(0, 5, 3) == "0,0,0"
-    assert parse_padic_digits("2,1", 5) == 7
     for v in (0, 1, 1958, 13 ** 3 - 1):
-        assert parse_padic_digits(padic_digits(v, 13, 3), 13) == v % 13 ** 3
-
-
-def test_report_roundtrip():
-    r = Report(prime=13, precision=10,
-               sections={"x": {"a": [1, 2], "b": "s"}},
-               timings={"x": 1.25})
-    assert Report.from_json(r.to_json()) == r
+        digits = padic_digits(v, 13, 3).split(",")
+        assert sum(int(d) * 13 ** i for i, d in enumerate(digits)) == \
+            v % 13 ** 3
 
 
 def test_ss_table_output(tmp_path):

@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from ellwitt.arith import Fq2Ctx, PrimeField, fq2_context
+from ellwitt import padicwitt
+from ellwitt.arith import Fq2Ctx, PrimeField, fq2_context, is_prime
 from ellwitt.errors import ValidationError
 from ellwitt.padicwitt import (
     PadicRing,
@@ -199,6 +200,52 @@ def test_splitting_idempotents_spot():
         sorted([((0, 0), (1, 0)), ((1, 0), (w.modulus - 1, 0))])
     assert len(splitting_idempotents(13, 10)) == 1
     assert len(splitting_idempotents(23, 10)) == 3
+
+
+def lagrange_idempotents(p: int, N: int) -> tuple:
+    """The replaced construction, kept verbatim as the oracle: each e_i
+    as prod_{k != i} (X - r_k) / (r_i - r_k), reduced mod S_p-hat."""
+    shat = lift_ss_poly(p, N)
+    _, wctx, roots = padicwitt._teich_roots(p, N)
+    idems = []
+    for i, ri in enumerate(roots):
+        num = Poly(wctx, [wctx.one()])
+        den = wctx.one()
+        for k, rk in enumerate(roots):
+            if k == i:
+                continue
+            num = num * Poly(wctx, [-rk, wctx.one()])
+            d = ri - rk
+            if not wctx.is_unit(d):
+                raise ValidationError(
+                    f"splitting_idempotents({p},{N}): root difference "
+                    f"{d!r} is not a unit")
+            den = den * d
+        idems.append((num * den.inverse()).divrem(shat)[1])
+    return tuple(idems)
+
+
+@pytest.mark.parametrize("p", [p for p in range(5, 48) if is_prime(p)])
+def test_splitting_idempotents_match_lagrange(p):
+    for N in (1, 2, 5, 10, 32):
+        assert splitting_idempotents(p, N) == lagrange_idempotents(p, N)
+
+
+def test_splitting_idempotents_invariant_failures(monkeypatch):
+    build = splitting_idempotents.__wrapped__  # bypass the cache
+    locus, wctx, (r0, r1) = padicwitt._teich_roots(11, 10)
+    monkeypatch.setattr(padicwitt, "_teich_roots",
+                        lambda p, N: (locus, wctx, [r0, r1 + 1]))
+    with pytest.raises(ValidationError, match="does not divide"):
+        build(11, 10)
+    # a root of S_p-hat that is not simple mod p
+    twins = [r0, r0 + 11]
+    monkeypatch.setattr(padicwitt, "_teich_roots",
+                        lambda p, N: (locus, wctx, twins))
+    monkeypatch.setattr(padicwitt, "lift_ss_poly", lambda p, N: (
+        Poly(wctx, [-twins[0], 1]) * Poly(wctx, [-twins[1], 1])))
+    with pytest.raises(ValidationError, match="is not a unit"):
+        build(11, 10)
 
 
 def test_splitting_bounds():

@@ -50,10 +50,10 @@ def _bernoulli_list(top: int) -> tuple:
 
 
 def bernoulli(k: int) -> Fraction:
-    """B_k for even 2 <= k <= 200, from the tangent numbers."""
+    """B_k for even 2 <= k <= 200, from the tangent numbers to T_(k/2)."""
     if k < 2 or k % 2 or k > MAX_BERNOULLI:
         raise ValueError(f"bernoulli wants even 2 <= k <= {MAX_BERNOULLI}")
-    return _bernoulli_list(MAX_BERNOULLI)[k]
+    return _bernoulli_list(k)[k]
 
 
 def _sigma(n: int, e: int) -> int:
@@ -178,6 +178,8 @@ def express_in_e4e6(s: QSeries, k: int) -> dict:
     """
     basis = weight_basis(k)
     d = len(basis.monomials)
+    if not d:
+        raise ValueError(f"M_{k} = 0: no nonzero modular form of weight {k}")
     need = d + _GUARD
     if s.abs_prec < need:
         raise ValueError(

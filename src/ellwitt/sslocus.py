@@ -71,11 +71,14 @@ def sigma(p: int) -> int:
 
 
 def hasse_polynomial(p: int) -> Poly:
-    """sum C((p-1)/2, k)^2 lambda^k mod p, degree (p-1)/2."""
+    """sum C((p-1)/2, k)^2 lambda^k mod p, degree (p-1)/2.  C(m, k) comes
+    mod p from C(m, k+1) = C(m, k)(m-k)/(k+1), every factor in (0, p)."""
     require_prime(p, "hasse_polynomial")
     m = (p - 1) // 2
-    field = PrimeField(p)
-    return Poly(field, [comb(m, k) ** 2 for k in range(m + 1)])
+    c = [1]
+    for k in range(m):
+        c.append(c[-1] * (m - k) * pow(k + 1, -1, p) % p)
+    return Poly(PrimeField(p), [x * x % p for x in c])
 
 
 def legendre_to_j(lam):

@@ -271,14 +271,15 @@ def test_verify_all_checks_the_scan_count_against_deuring(monkeypatch):
         climod.verify_all_section(5)
 
 
-def _run_reporting(argv, cache_dir, module="numpy"):
-    # main(argv) in a fresh interpreter; stderr ends with whether the
-    # module was imported
+def _run_reporting(argv, cache_dir, *modules):
+    # main(argv) in a fresh interpreter; stderr ends with whether each
+    # module (numpy if none is named) was imported
     code = ("import sys\n"
             "from ellwitt.cli import main\n"
             f"rc = main({argv!r})\n"
-            f"sys.stderr.write('{module} loaded: %s'"
-            f" % ({module!r} in sys.modules))\n"
+            f"for m in {list(modules or ['numpy'])!r}:\n"
+            "    sys.stderr.write('%s loaded: %s\\n'"
+            " % (m, m in sys.modules))\n"
             "sys.exit(rc)\n")
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
@@ -362,17 +363,82 @@ def test_uncached_command_does_not_import_hashlib(tmp_path):
     assert "hashlib loaded: False" in proc.stderr
 
 
+#: The interpreter's own SHA-256 module, which the cache checksums with.
+BUILTIN_SHA = "_sha2" if sys.version_info >= (3, 12) else "_sha256"
+
+
 def test_ss_cold_then_warm_checks_the_cache_checksum(tmp_path):
     want = (GOLDEN / "ss_p5.json").read_text()
     for _ in ("cold", "warm"):
         proc = _run_reporting(["ss", "--prime", "5", "--json"], tmp_path,
-                              "hashlib")
+                              BUILTIN_SHA, "_hashlib")
         got = json.loads(proc.stdout)
         got["timings"] = {}
         assert canonical_json(got) == want
-        assert "hashlib loaded: True" in proc.stderr
+        assert f"{BUILTIN_SHA} loaded: True" in proc.stderr
+        assert "_hashlib loaded: False" in proc.stderr
         assert "discarding" not in proc.stderr
     assert len(list(tmp_path.glob("ss_*.json"))) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["ss", "--prime", "31"],
+    ["lift", "--prime", "17", "--precision", "3"],
+    ["split", "--prime", "5", "--precision", "2"],
+])
+def test_cached_commands_do_not_load_openssl(argv, tmp_path):
+    for _ in ("cold", "warm"):
+        proc = _run_reporting(argv + ["--json"], tmp_path, "_hashlib")
+        assert json.loads(proc.stdout)["sections"]
+        assert "_hashlib loaded: False" in proc.stderr
+        assert "discarding" not in proc.stderr
+
+
+def _hashlib_sha256(payload) -> str:
+    # the digest as hashlib (OpenSSL) takes it, which older entries carry
+    import hashlib
+    return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+
+
+def test_checksum_equals_hashlib_sha256(tmp_path):
+    import ellwitt.cache as cachemod
+    payloads = [json.loads((GOLDEN / f"ss_p{p}.json").read_text())
+                ["sections"]["ss_locus"] for p in (5, 11, 13)]
+    run_cli(["lift", "--prime", "11", "--precision", "4"], tmp_path)
+    [entry] = tmp_path.glob("lift_*.json")
+    payloads.append(json.loads(entry.read_text())["payload"])
+    for payload in payloads:
+        assert cachemod._checksum(payload) == _hashlib_sha256(payload)
+
+
+def test_checksum_does_not_fall_back_to_hashlib(monkeypatch):
+    # with hashlib unimportable, a fallback raises instead of passing
+    import ellwitt.cache as cachemod
+    payload = {"p": 5, "j_values": [[0, 0]]}
+    want = _hashlib_sha256(payload)
+    monkeypatch.setitem(sys.modules, "hashlib", None)
+    assert cachemod._checksum(payload) == want
+    assert BUILTIN_SHA in sys.modules
+
+
+def test_entry_checksummed_by_hashlib_is_served_warm(tmp_path):
+    # an entry as older code wrote it is a hit: no discard, no rewrite
+    import ellwitt.cache as cachemod
+    from ellwitt.report import SCHEMA_VERSION
+    want = (GOLDEN / "ss_p11.json").read_text()
+    payload = json.loads(want)["sections"]["ss_locus"]
+    key = cachemod._versioned("ss", {"p": 11})
+    entry = {"schema_version": SCHEMA_VERSION, "key": key,
+             "sha256": _hashlib_sha256(payload), "payload": payload}
+    path = tmp_path / cachemod._entry_path("ss", key).name
+    path.write_text(canonical_json(entry))
+    inode = path.stat().st_ino
+    proc = run_cli(["ss", "--prime", "11", "--json"], tmp_path)
+    got = json.loads(proc.stdout)
+    got["timings"] = {}
+    assert canonical_json(got) == want
+    assert "discarding" not in proc.stderr
+    assert path.stat().st_ino == inode
 
 
 # --- property: no argument vector gives a traceback ---

@@ -58,6 +58,17 @@ def test_bernoulli_tangent_numbers_match_recurrence():
         assert type(g) is Fraction and g == w, k
     for top in range(12):
         assert _bernoulli_list(top) == want[:top + 1]
+    for k in range(2, MAX_BERNOULLI + 1, 2):
+        assert bernoulli(k) == got[k], k
+
+
+def test_eisenstein_builds_bernoulli_numbers_only_up_to_its_weight():
+    _bernoulli_list.cache_clear()
+    eisenstein_q(16, 10)
+    info = _bernoulli_list.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    _bernoulli_list(16)
+    assert _bernoulli_list.cache_info().hits == info.hits + 1
 
 
 def test_solve_exact_invariant_failures_are_validation_errors():
@@ -120,6 +131,9 @@ def test_express_rejects_non_modular_input():
     fake = QSeries(QQ, 0, [1, 1, 1, 1, 1, 1, 1, 1])
     with pytest.raises((ValidationError, ValueError)):
         express_in_e4e6(fake, 12)
+    for k in (-4, 2, 5):  # M_k = 0
+        with pytest.raises(ValueError, match=f"M_{k} = 0"):
+            express_in_e4e6(eisenstein_q(4, 8), k)
 
 
 def test_hasse_form_frozen_values():

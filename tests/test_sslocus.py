@@ -2,6 +2,8 @@
 Kaneko-Zagier closed form, the cross-validation, and the Ogg scan with
 its class-number check."""
 
+from math import comb
+
 import pytest
 
 import ellwitt.sslocus as sslocus
@@ -39,6 +41,12 @@ def test_hasse_polynomial_values():
     assert [c.value for c in hasse_polynomial(7).coeffs] == [1, 2, 2, 1]
     h11 = hasse_polynomial(11)
     assert h11.degree == 5 and h11.coeff(0).value == 1
+    # the ratio recurrence mod p against the squared big-int binomials
+    for p in range(5, 1001):
+        if is_prime(p):
+            m = (p - 1) // 2
+            assert [c.value for c in hasse_polynomial(p).coeffs] == \
+                [comb(m, k) ** 2 % p for k in range(m + 1)], p
 
 
 def test_legendre_to_j_examples():

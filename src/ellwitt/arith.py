@@ -2,9 +2,11 @@
 primes p > 3.
 
 Zmod(p, N) is Z/p^N; at N = 1, the default, it is the field F_p.
-Quad(p, g1, g0, N) is (Z/p^N)[x]/(g) with g(x) = x^2 + g1*x + g0 monic
-and irreducible mod p: the field F_{p^2} at N = 1, and W(F_{p^2})/p^N
-when g is the Teichmuller modulus built by padicwitt.lift_context.
+Quad(p, g0, N) is (Z/p^N)[x]/(x^2 + g0) with -g0 a non-residue mod p:
+the field F_{p^2} at N = 1, and W(F_{p^2})/p^N when -g0 is the
+Teichmuller lift omega(n) that padicwitt.lift_context builds.  Every
+F_{p^2} model here is x^2 = n for a non-residue n, so the Frobenius
+z -> z^p (and its lift to W) is a + b*xbar -> a - b*xbar.
 PrimeField/FpElem and Fq2Ctx/Fq2Elem are the same classes under their
 field names (padicwitt adds PadicRing/PadicInt and WittCtx/WittQuad).
 
@@ -24,6 +26,7 @@ from functools import lru_cache
 __all__ = [
     "is_prime",
     "require_prime",
+    "power",
     "Zmod",
     "ZmodElem",
     "Quad",
@@ -65,6 +68,20 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def power(x, e: int):
+    """x^e for e >= 1 by squaring, right to left: e.bit_length() - 1
+    squarings and one product per set bit after the lowest.  The one
+    power loop of QuadElem, Poly and QSeries."""
+    result = None
+    while e:
+        if e & 1:
+            result = x if result is None else result * x
+        e >>= 1
+        if e:
+            x = x * x
+    return result
 
 
 def require_prime(p: int, what: str, bound: int | None = None) -> None:
@@ -304,27 +321,24 @@ def has_sqrt3(p: int) -> bool:
 
 
 class Quad:
-    """(Z/p^N)[x]/(g), g(x) = x^2 + g1*x + g0 irreducible mod p: F_{p^2}
-    at N = 1, and W(F_{p^2})/p^N when g is the Teichmuller modulus.
+    """(Z/p^N)[x]/(x^2 + g0) with -g0 a non-residue mod p: F_{p^2} at
+    N = 1, and W(F_{p^2})/p^N when -g0 is a Teichmuller lift.
 
     Elements are a + b*xbar over the scalar ring field = Zmod(p, N).
-    Irreducibility is certified at construction by the discriminant
-    g1^2 - 4*g0 being a non-residue mod p.
+    Irreducibility is certified at construction by -g0 being a
+    non-residue mod p.
     """
 
-    __slots__ = ("p", "N", "modulus", "g1", "g0", "field")
+    __slots__ = ("p", "N", "modulus", "g0", "field")
 
-    def __init__(self, p: int, g1: int, g0: int, N: int = 1):
+    def __init__(self, p: int, g0: int, N: int = 1):
         self.field = Zmod(p, N)
         self.p = p
         self.N = N
         self.modulus = self.field.modulus
-        self.g1 = g1 % self.modulus
         self.g0 = g0 % self.modulus
-        disc = (self.g1 * self.g1 - 4 * self.g0) % p
-        if disc == 0 or pow(disc, (p - 1) // 2, p) == 1:
-            raise ValueError(
-                f"x^2 + {self.g1}x + {self.g0} is reducible over F_{p}")
+        if pow(-g0 % p, (p - 1) // 2, p) != p - 1:
+            raise ValueError(f"x^2 + {self.g0} is reducible over F_{p}")
 
     @property
     def size(self) -> int:
@@ -371,7 +385,7 @@ class Quad:
         """This ring at the lower precision M <= N (g reduced mod p^M)."""
         if M > self.N:
             raise ValueError("cannot raise precision by reduction")
-        return Quad(self.p, self.g1, self.g0, M)
+        return Quad(self.p, self.g0, M)
 
     def lift(self, x) -> "QuadElem":
         """x as an element of this ring: as Zmod.lift, a residue in
@@ -387,20 +401,19 @@ class Quad:
 
     def __eq__(self, other):
         return (isinstance(other, Quad) and other.p == self.p
-                and other.N == self.N and other.g1 == self.g1
-                and other.g0 == self.g0)
+                and other.N == self.N and other.g0 == self.g0)
 
     def __hash__(self):
-        return hash(("Quad", self.p, self.N, self.g1, self.g0))
+        return hash(("Quad", self.p, self.N, self.g0))
 
     def __repr__(self):
         if self.N == 1:
-            return f"F_{self.p}^2[x^2+{self.g1}x+{self.g0}]"
+            return f"F_{self.p}^2[x^2+{self.g0}]"
         return f"W(F_{self.p}^2)/{self.p}^{self.N}"
 
 
 class QuadElem:
-    """a + b*xbar in (Z/p^N)[x]/(g); immutable."""
+    """a + b*xbar in (Z/p^N)[x]/(x^2 + g0); immutable."""
 
     __slots__ = ("a", "b", "ring")
 
@@ -443,10 +456,8 @@ class QuadElem:
         o = self._same(other)
         if o is NotImplemented:
             return o
-        r = self.ring
-        bd = self.b * o.b
-        return QuadElem(self.a * o.a - r.g0 * bd,
-                        self.a * o.b + self.b * o.a - r.g1 * bd, r)
+        return QuadElem(self.a * o.a - self.ring.g0 * self.b * o.b,
+                        self.a * o.b + self.b * o.a, self.ring)
 
     __rmul__ = __mul__
 
@@ -456,14 +467,7 @@ class QuadElem:
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.ring.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e) if e else self.ring.one()
 
     def __truediv__(self, other):
         o = self._same(other)
@@ -474,13 +478,12 @@ class QuadElem:
     def norm(self) -> ZmodElem:
         """z * conj(z), a scalar."""
         r = self.ring
-        return r.field.elem(self.a * self.a - r.g1 * self.a * self.b
-                            + r.g0 * self.b * self.b)
+        return r.field.elem(self.a * self.a + r.g0 * self.b * self.b)
 
     def conj(self) -> "QuadElem":
-        """The conjugate a + b*xbar -> (a - b*g1) - b*xbar: z^p on F_{p^2},
-        and the Frobenius lift on W(F_{p^2})/p^N."""
-        return QuadElem(self.a - self.b * self.ring.g1, -self.b, self.ring)
+        """The conjugate a + b*xbar -> a - b*xbar: z^p on F_{p^2}, and the
+        Frobenius lift on W(F_{p^2})/p^N."""
+        return QuadElem(self.a, -self.b, self.ring)
 
     def inverse(self) -> "QuadElem":
         n = self.norm().value
@@ -545,30 +548,30 @@ def fq2_context(p: int) -> Quad:
     x^2 - n with n the smallest quadratic non-residue (ascending scan)."""
     require_prime(p, "fq2_context")
     if p % 4 == 3:
-        return Quad(p, 0, 1)
+        return Quad(p, 1)
     n = 2
     while pow(n, (p - 1) // 2, p) != p - 1:
         n += 1
-    return Quad(p, 0, -n % p)
+    return Quad(p, -n)
 
 
-#: z -> z^p on F_{p^2}: the conjugate a - b*g1 - b*xbar.
+#: z -> z^p on F_{p^2}: the conjugate a - b*xbar.
 frobenius_fq2 = QuadElem.conj
 
 
 def sqrt_fq2(z: QuadElem) -> QuadElem:
-    """A square root of z = A + B*xbar in F_{p^2} modelled, as by
-    fq2_context, with g1 = 0, so that xbar^2 = -g0 is a non-residue.
+    """A square root of z = A + B*xbar in F_{p^2}, where xbar^2 = -g0 is
+    a non-residue.
 
     (a + b*xbar)^2 = (a^2 - g0*b^2) + 2ab*xbar, and the norm
     A^2 + g0*B^2 is the square of n = +-(a^2 + g0*b^2).  So z is a square
     exactly when its norm is one in F_p, and then a^2 = (A +- n)/2: for
     B != 0 the two candidates multiply to -g0*B^2/4, a non-residue, so
     exactly one is a square.  Two sqrt_mod calls in all; a scalar z needs
-    one.  A non-square raises ValueError, as does any other ring."""
+    one.  A non-square raises ValueError, as does W(F_{p^2})/p^N."""
     ring = z.ring
-    if ring.N != 1 or ring.g1:
-        raise ValueError(f"sqrt_fq2 wants F_p^2 with g1 = 0, not {ring}")
+    if ring.N != 1:
+        raise ValueError(f"sqrt_fq2 wants F_p^2, not {ring}")
     p, g0, field = ring.p, ring.g0, ring.field
     A, B = z.a, z.b
     if B == 0:

@@ -4,9 +4,11 @@ Entries are keyed by (schema_version, kind, algorithm version,
 parameters) and carry a sha256 of their canonical payload; a hit is
 byte-identical to recomputation by construction.  The algorithm version
 is part of the file name and of the stored key, so an entry that older
-code computed is never served.  Corrupt entries (bad JSON, checksum or
-key mismatch) are discarded with a warning and recomputed.  Writes are
-atomic (write-temp-then-rename).
+code computed is never served.  Corrupt entries (bad JSON, not an
+object, checksum or key mismatch) are discarded with a warning and
+recomputed.  Writes are atomic (write-temp-then-rename).  Neither load
+nor store raises: a cache the file system refuses costs a warning, not
+the result.
 """
 
 from __future__ import annotations
@@ -60,14 +62,20 @@ def _checksum(payload: dict) -> str:
 
 
 def load(kind: str, key: dict):
-    """The cached payload for (kind, key), or None on miss/corruption."""
+    """The cached payload for (kind, key), or None on miss/corruption.
+
+    An entry that cannot be read (an OSError) is a miss: the store that
+    follows replaces it, or warns that it cannot."""
     key = _versioned(kind, key)
     path = _entry_path(kind, key)
-    if not path.exists():
+    try:
+        text = path.read_text()
+    except OSError:
         return None
     try:
-        entry = json.loads(path.read_text())
-        ok = (entry.get("schema_version") == SCHEMA_VERSION
+        entry = json.loads(text)
+        ok = (isinstance(entry, dict)
+              and entry.get("schema_version") == SCHEMA_VERSION
               and entry.get("key") == key
               and entry.get("sha256") == _checksum(entry["payload"]))
     except (ValueError, KeyError, TypeError):
@@ -84,23 +92,30 @@ def load(kind: str, key: dict):
 
 
 def store(kind: str, key: dict, payload: dict) -> None:
+    """Write the entry atomically.  An OSError (say, a cache dir that is
+    a regular file) prints one warning and leaves the result uncached."""
     key = _versioned(kind, key)
     path = _entry_path(kind, key)
-    path.parent.mkdir(parents=True, exist_ok=True)
     entry = {
         "schema_version": SCHEMA_VERSION,
         "key": key,
         "sha256": _checksum(payload),
         "payload": payload,
     }
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    tmp = None
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             fh.write(canonical_json(entry))
         os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+        tmp = None
+    except OSError as exc:
+        print(f"warning: cannot write cache entry {path}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+    finally:
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass

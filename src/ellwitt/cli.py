@@ -95,7 +95,8 @@ def lift_section(p: int, N: int) -> dict:
         "prime": p,
         "precision": N,
         "digit_order": "little-endian base-p",
-        "modulus_g1": padic_digits(wctx.g1, p, N),
+        # G = X^2 + g0 has no X term; the schema keeps its digits
+        "modulus_g1": padic_digits(0, p, N),
         "modulus_g0": padic_digits(wctx.g0, p, N),
         "coeffs": [{"a": padic_digits(c.a, p, N),
                     "b": padic_digits(c.b, p, N)} for c in shat.coeffs],

@@ -2,12 +2,14 @@
 supersingular polynomial, and its finite-level idempotent splitting.
 
 Both rings come from arith: Z/p^N is Zmod(p, N), and W(F_{p^2})/p^N is
-Quad(p, G1, G0, N) = (Z/p^N)[x]/(G), where G is the monic quadratic
-whose roots are the Teichmuller lifts of the roots of the chosen
-F_{p^2} modulus g.  Ring operations are plain quadratic arithmetic,
-Frobenius is root conjugation, and no Witt addition polynomials are
-ever needed.  Contexts are constructed once per (p, N) and shared; all
-values are immutable.
+Quad(p, -omega(n), N) = (Z/p^N)[X]/(X^2 - omega(n)) over the F_{p^2}
+model x^2 = n, with omega(n) the Teichmuller lift of n in Z/p^N.  As
+the lift is multiplicative, the roots +-sqrt(omega(n)) of that modulus
+are the Teichmuller lifts of the roots +-sqrt(n) of x^2 - n.  Ring
+operations are plain quadratic arithmetic, Frobenius is root
+conjugation, and no Witt addition polynomials are ever needed.
+Contexts are constructed once per (p, N) and shared; all values are
+immutable.
 """
 
 from __future__ import annotations
@@ -49,28 +51,22 @@ def _fixed_point(t, q: int, N: int):
 
 @lru_cache(maxsize=None)
 def lift_context(ctx: Quad, N: int) -> Quad:
-    """The Witt context over the F_{p^2} model ctx at precision N.
+    """The Witt context over the F_{p^2} model ctx, x^2 = n, at
+    precision N: the modulus G = X^2 - omega(n) in Z/p^N.
 
-    Working in (Z/p^N)[x]/(g-lift), the class of x is iterated through
-    t -> t^(p^2) until fixed (one p-adic digit per step); the fixed point
-    omega and its Frobenius conjugate omega^p are the Teichmuller roots,
-    and G = (X - omega)(X - omega^p) has scalar coefficients.
+    omega is multiplicative, so omega(sqrt(n))^2 = omega(n) and
+    omega(-sqrt(n)) = -omega(sqrt(n)): G is the product of X minus the
+    Teichmuller lifts of the two roots of x^2 - n.
     """
     if N < 1:
         raise ValueError("precision N must be >= 1")
     if N > MAX_LIFT_PRECISION:
         raise ValueError(f"precision capped at N <= {MAX_LIFT_PRECISION}")
     p = ctx.p
-    x = Quad(p, ctx.g1, ctx.g0, N).elem(0, 1)  # the class of x
-    t = _fixed_point(x, p * p, N)
-    c = t ** p  # the conjugate root
-    s, pr = t + c, t * c
-    if s.b or pr.b:
-        raise ValidationError(
-            "Teichmuller modulus G has non-scalar coefficients")
-    if (s.a + ctx.g1) % p or (pr.a - ctx.g0) % p:
+    omega = _fixed_point(Zmod(p, N).elem(-ctx.g0), p, N)
+    wctx = Quad(p, -omega.value, N)
+    if (wctx.g0 - ctx.g0) % p:
         raise ValidationError("lifted modulus G does not reduce to g")
-    wctx = Quad(p, -s.a, pr.a, N)
     if wctx.elem(0, 1) ** (p * p - 1) != wctx.one():
         raise ValidationError(
             "class of x in (Z/p^N)[x]/(G) is not a (p^2-1)th root of unity")

@@ -6,8 +6,9 @@ from_int(n), coerce(c), is_unit(a) and inv(a); element arithmetic goes
 through the usual operators.  The residue rings Zmod (F_p and Z/p^N)
 and Quad (F_{p^2} and W(F_{p^2})/p^N) from arith qualify; exact
 rationals are covered by the RationalField singleton QQ below (elements
-are fractions.Fraction).  The int-list kernels (_FpX) serve F_p and
-F_{p^2} only, never a ring with N > 1.
+are fractions.Fraction).  The int-list kernels (_FpX) work over F_p
+only, never a ring with N > 1: roots_in_field takes a polynomial over
+F_p and finds its roots in F_p or F_{p^2}.
 
 Poly: coeffs[i] is the degree-i coefficient; the leading stored
 coefficient is nonzero ([] is the zero polynomial).
@@ -26,7 +27,7 @@ import random
 import struct
 from fractions import Fraction
 
-from .arith import Fq2Ctx, PrimeField, sqrt_mod
+from .arith import Fq2Ctx, PrimeField, power, sqrt_mod
 from .errors import PrecisionError, ValidationError
 
 __all__ = [
@@ -149,14 +150,7 @@ class Poly:
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative polynomial power")
-        result = Poly(self.ring, [self.ring.one()])
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e) if e else Poly(self.ring, [self.ring.one()])
 
     def divrem(self, g: "Poly") -> tuple["Poly", "Poly"]:
         """f = q*g + r with deg r < deg g; needs an invertible leading
@@ -428,7 +422,8 @@ class _FpX:
 
 
 def roots_in_field(f: Poly, field) -> set:
-    """All roots of f in the given field (F_p or F_{p^2}), each once.
+    """All roots of a nonzero f over F_p in the given field (F_p or
+    F_{p^2}), each once.
 
     Distinct-degree then equal-degree factorization over F_p:
     gcd(f, X^p - X) collects the F_p-rational roots, g = gcd(f, X^q - X)
@@ -437,35 +432,22 @@ def roots_in_field(f: Poly, field) -> set:
     root each.  _FpX.split separates the factors by traces (X^p mod f
     serves the quadratics) with exponent (p-1)/2, and finishes each
     two-factor node from one square root; the gcds are schoolbook
-    Euclid.  F_{p^2} coefficients are handled
-    through the norm f * f^sigma, whose roots are filtered back against
-    f.  A polynomial over F_p may be solved in a matching F_{p^2}.
-    Multiplicity is not reported.
+    Euclid.  Multiplicity is not reported.  A polynomial over any other
+    ring, F_{p^2} included, raises ValueError.
     """
     if f.is_zero():
         raise ValueError("roots_in_field of the zero polynomial")
     if getattr(field, "N", None) != 1:
         raise ValueError(f"roots_in_field wants F_p or F_p^2, not {field}")
     ext = isinstance(field, Fq2Ctx)
-    over_fp = f.ring == (field.field if ext else field)
-    if not over_fp and f.ring != field:
-        raise ValueError("polynomial ring does not match the root field")
+    if f.ring != (field.field if ext else field):
+        raise ValueError(f"roots_in_field wants a polynomial over "
+                         f"F_{field.p}, not over {f.ring}")
     p = field.p
-    f = f.monic()
-    if over_fp:
-        h = [c.value for c in f.coeffs]
-        norm = False
-    else:
-        h = [c.a for c in f.coeffs]
-        B = _trim([c.b for c in f.coeffs])
-        norm = bool(B)
-    fx = _FpX(p, 2 * len(h) if norm else len(h))
-    if norm:
-        # N(a + b*x) = a^2 - g1*a*b + g0*b^2 = a*(a - g1*b) + g0*b^2
-        h = fx.add(fx.mul(h, fx.add(h, B, -field.g1)),
-                   fx.mul(B, B), field.g0)
+    h = [c.value for c in f.monic().coeffs]
     if len(h) < 2:
         return set()
+    fx = _FpX(p, len(h))
     hinv = fx.inv_rev(h, len(h) - 1)
     xp, lin = fx.linear_part(h, hinv)
     rng = random.Random(0)
@@ -477,14 +459,13 @@ def roots_in_field(f: Poly, field) -> set:
     g = fx.gcd(h, fx.add(xq, [0, 1], -1))
     rest = fx.divrem(g, lin, fx.inv_rev(lin, len(g)))[0]
     inv2 = pow(2, -1, p)
-    dinv = pow(field.g1 * field.g1 - 4 * field.g0, -1, p)
+    dinv = pow(-4 * field.g0, -1, p)
     for c0, c1, _ in fx.split(rest, 2, rng, xp):
-        # sqrt(c1^2 - 4 c0) = s * (2x + g1), x the generator of the model
+        # X^2 + c1 X + c0 has the roots -c1/2 +- s*xbar, where
+        # c1^2 - 4 c0 = (2 s xbar)^2 = -4 g0 s^2
         s = sqrt_mod(field.field.elem((c1 * c1 - 4 * c0) * dinv)).value
-        out.add(field.elem((s * field.g1 - c1) * inv2, s))
-        out.add(field.elem((-s * field.g1 - c1) * inv2, -s))
-    if norm:
-        out = {x for x in out if not f.evaluate(x)}
+        out.add(field.elem(-c1 * inv2, s))
+        out.add(field.elem(-c1 * inv2, -s))
     return out
 
 
@@ -610,15 +591,7 @@ class QSeries:
             n = max(1, len(self.coeffs))
             return QSeries(self.ring, 0,
                            [self.ring.one()] + [self.ring.zero()] * (n - 1))
-        result = None
-        base = self
-        while e:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return power(self, e)
 
     def inverse(self) -> "QSeries":
         """Reciprocal; the coefficient at the valuation must be a unit.

@@ -132,17 +132,18 @@ def test_has_sqrt3_matches_mod12_rule_small():
 
 
 def test_fq2_context_examples():
-    c7 = fq2_context(7)
-    assert (c7.g1, c7.g0) == (0, 1)            # x^2 + 1
-    c13 = fq2_context(13)
-    assert (c13.g1, c13.g0) == (0, (-2) % 13)  # x^2 - 2
-    c5 = fq2_context(5)
-    assert (c5.g1, c5.g0) == (0, (-2) % 5)     # x^2 - 2
+    assert fq2_context(7).g0 == 1              # x^2 + 1
+    assert fq2_context(13).g0 == (-2) % 13     # x^2 - 2
+    assert fq2_context(5).g0 == (-2) % 5       # x^2 - 2
 
 
 def test_fq2_context_rejects_reducible():
     with pytest.raises(ValueError):
-        Fq2Ctx(7, 0, 7 - 1)  # x^2 - 1 = (x-1)(x+1)
+        Fq2Ctx(7, 7 - 1)  # x^2 - 1 = (x-1)(x+1)
+    with pytest.raises(ValueError):
+        Fq2Ctx(13, 0)  # x^2
+    with pytest.raises(ValueError):
+        Fq2Ctx(13, 1)  # x^2 + 1 = (x-5)(x+5)
 
 
 def test_frobenius_examples():
@@ -194,9 +195,9 @@ def sqrt_fq2_models(p):
     """x^2 + 1 (g0 = 1, a field model when p = 3 mod 4) and x^2 - n for
     the smallest non-residue n."""
     n = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
-    models = [Fq2Ctx(p, 0, -n)]
+    models = [Fq2Ctx(p, -n)]
     if p % 4 == 3:
-        models.append(Fq2Ctx(p, 0, 1))
+        models.append(Fq2Ctx(p, 1))
     return models
 
 
@@ -215,7 +216,5 @@ def test_sqrt_fq2_every_square_round_trips(p):
 
 
 def test_sqrt_fq2_rejects_other_rings():
-    with pytest.raises(ValueError, match="g1 = 0"):
-        sqrt_fq2(Fq2Ctx(5, 1, 1).one())  # x^2 + x + 1, irreducible mod 5
-    with pytest.raises(ValueError, match="g1 = 0"):
-        sqrt_fq2(Fq2Ctx(7, 0, 1, 2).one())  # W(F_49)/49
+    with pytest.raises(ValueError, match="wants F_p\\^2"):
+        sqrt_fq2(Fq2Ctx(7, 1, 2).one())  # W(F_49)/49

@@ -110,6 +110,18 @@ def test_golden_reports(tmp_path, p):
     assert got == want
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["lift", "--prime", "37", "--precision", "5"], "lift_p37_n5"),
+    (["split", "--prime", "37", "--precision", "4"], "split_p37_n4"),
+])
+def test_golden_lift_and_split_beyond_fp(tmp_path, argv, name):
+    # at p = 37 two of the three j lie outside F_p, so the lift and the
+    # idempotents have nonzero b digits over W(F_{p^2})
+    got = json.loads(run_cli(argv + ["--json"], tmp_path).stdout)
+    got["timings"] = {}
+    assert canonical_json(got) == (GOLDEN / f"{name}.json").read_text()
+
+
 def test_determinism_modulo_timings(tmp_path):
     a = run_cli(["ss", "--prime", "11", "--json"], tmp_path / "a").stdout
     b = run_cli(["ss", "--prime", "11", "--json"], tmp_path / "b").stdout
@@ -330,6 +342,54 @@ def test_unversioned_cache_entry_is_a_miss(tmp_path, monkeypatch):
     got["timings"] = {}
     assert got == want
     assert cachemod.load("ss", {"p": 13}) == want["sections"]["ss_locus"]
+
+
+def _ss13_against_golden(proc) -> None:
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr
+    got = json.loads(proc.stdout)
+    got["timings"] = {}
+    assert canonical_json(got) == (GOLDEN / "ss_p13.json").read_text()
+
+
+@pytest.mark.parametrize("text", ["[]", "null", '"x"'])
+def test_cache_entry_of_another_json_shape_is_discarded(tmp_path, text):
+    run_cli(["ss", "--prime", "13"], tmp_path)
+    [entry] = tmp_path.glob("ss_*.json")
+    entry.write_text(text)
+    proc = run_cli(["ss", "--prime", "13", "--json"], tmp_path, check=False)
+    _ss13_against_golden(proc)
+    assert proc.stderr == \
+        f"warning: discarding corrupt cache entry {entry}\n"
+    payload = json.loads(entry.read_text())["payload"]  # rewritten
+    assert payload == json.loads((GOLDEN / "ss_p13.json").read_text()
+                                 )["sections"]["ss_locus"]
+
+
+def test_cache_dir_that_is_a_file_costs_one_warning(tmp_path):
+    cache_file = tmp_path / "not_a_dir"
+    cache_file.write_text("keep me")
+    proc = run_cli(["ss", "--prime", "13", "--json"], cache_file,
+                   check=False)
+    _ss13_against_golden(proc)
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("warning: ")
+    assert cache_file.read_text() == "keep me"
+
+
+def test_cache_entry_that_is_a_directory_costs_one_warning(tmp_path):
+    run_cli(["ss", "--prime", "13"], tmp_path)
+    [entry] = tmp_path.glob("ss_*.json")
+    entry.unlink()
+    entry.mkdir()
+    proc = run_cli(["ss", "--prime", "13", "--json"], tmp_path, check=False)
+    _ss13_against_golden(proc)
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("warning: ")
+    assert entry.is_dir() and not list(tmp_path.glob("*.tmp"))
+    # the text form prints its result too
+    proc = run_cli(["ss", "--prime", "13"], tmp_path, check=False)
+    assert proc.returncode == 0 and "sigma = 1" in proc.stdout
+    assert len(proc.stderr.splitlines()) == 1
 
 
 # --- start-up: what one request imports ---

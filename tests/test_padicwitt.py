@@ -35,22 +35,50 @@ def test_padic_ring_basics():
 def test_lift_context_n1_is_base():
     ctx = fq2_context(5)
     w = lift_context(ctx, 1)
-    assert (w.g1, w.g0) == (ctx.g1, ctx.g0)
+    assert w == ctx
 
 
 def test_lift_context_p5_n2():
     ctx = fq2_context(5)  # x^2 - 2
     w = lift_context(ctx, 2)
-    assert (w.g1 - ctx.g1) % 5 == 0 and (w.g0 - ctx.g0) % 5 == 0
-    assert (w.g1, w.g0) == (0, 18)  # X^2 - 7 mod 25
+    assert (w.g0 - ctx.g0) % 5 == 0
+    assert w.g0 == 18  # X^2 - 7 mod 25
     om = w.elem(0, 1)
     assert om ** 24 == w.one()
+
+
+def _lift_modulus_fixed_point(ctx, N: int):
+    """The replaced lift_context, kept as the oracle: in (Z/p^N)[x]/(g),
+    the class of x is iterated through t -> t^(p^2) until fixed (one
+    p-adic digit per step); the fixed point omega and its Frobenius
+    conjugate omega^p are the Teichmuller roots, and
+    G = (X - omega)(X - omega^p) has scalar coefficients.  Returns
+    (G1, G0) with G = X^2 + G1*X + G0."""
+    p = ctx.p
+    x = Fq2Ctx(p, ctx.g0, N).elem(0, 1)  # the class of x
+    t = padicwitt._fixed_point(x, p * p, N)
+    c = t ** p  # the conjugate root
+    s, pr = t + c, t * c
+    if s.b or pr.b:
+        raise ValidationError(
+            "Teichmuller modulus G has non-scalar coefficients")
+    if s.a % p or (pr.a - ctx.g0) % p:
+        raise ValidationError("lifted modulus G does not reduce to g")
+    return -s.a % t.ring.modulus, pr.a
+
+
+@pytest.mark.parametrize("p", [p for p in range(5, 98) if is_prime(p)])
+def test_lift_context_matches_the_fixed_point_oracle(p):
+    ctx = fq2_context(p)
+    for N in (1, 2, 3, 5, 10, 32, 64):
+        w = lift_context(ctx, N)
+        assert _lift_modulus_fixed_point(ctx, N) == (0, w.g0), (p, N)
 
 
 def test_lift_context_discriminant_is_unit():
     for p, N in ((7, 4), (13, 6), (29, 3)):
         w = lift_context(fq2_context(p), N)
-        disc = (w.g1 * w.g1 - 4 * w.g0) % w.modulus
+        disc = -4 * w.g0 % w.modulus
         assert disc % p != 0
 
 
@@ -148,7 +176,7 @@ def test_hensel_rejects_a_residue_of_another_ring():
     # the same F_49, but another model of it: x is not the model's x
     w = lift_context(fq2_context(7), 3)
     with pytest.raises(ValueError):
-        hensel_root(Poly(w, [1, 0, 1]), Fq2Ctx(7, 1, 3).elem(0, 1))
+        hensel_root(Poly(w, [1, 0, 1]), Fq2Ctx(7, 4).elem(0, 1))
     assert hensel_root(Poly(w, [1, 0, 1]), fq2_context(7).elem(0, 1)) == \
         w.elem(0, 1)
 

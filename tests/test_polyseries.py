@@ -80,37 +80,48 @@ def test_roots_in_field_examples():
     assert {r.value for r in roots} == {0, 1}
 
 
+def with_roots(ctx, pts) -> Poly:
+    """The monic polynomial over F_p with the given roots in F_{p^2}, a
+    set closed under conjugation."""
+    f = Poly(ctx, [ctx.one()])
+    for r in pts:
+        f = f * Poly(ctx, [-r, ctx.one()])
+    return f.map_coeffs(lambda c: c.to_fp(), ctx.field)
+
+
 def test_roots_in_field_known_conjugate_and_rational_roots():
     # a conjugate pair and a rational root over F_{53^2}, and a conjugate
     # pair alone over F_{13^2}
     p = 53
     ctx = fq2_context(p)
     pts = [ctx.elem(3, 1), ctx.elem(3, p - 1), ctx.elem(17, 0)]
-    f = Poly(ctx, [ctx.one()])
-    for r in pts:
-        f = f * Poly(ctx, [-r, ctx.one()])
-    assert roots_in_field(f, ctx) == set(pts)
+    assert roots_in_field(with_roots(ctx, pts), ctx) == set(pts)
     q = 13
     ctxq = fq2_context(q)
     pts = [ctxq.elem(3, 1), ctxq.elem(3, q - 1)]
-    f = Poly(ctxq, [ctxq.one()])
-    for r in pts:
-        f = f * Poly(ctxq, [-r, ctxq.one()])
-    assert roots_in_field(f, ctxq) == set(pts)
+    assert roots_in_field(with_roots(ctxq, pts), ctxq) == set(pts)
 
 
 def test_roots_in_field_beyond_a_million_elements():
     # F_{1009^2} has 1018081 elements; the roots of a product of linear
     # factors are found without visiting them
     ctx = fq2_context(1009)
-    pts = {ctx.elem(0, 0), ctx.elem(1008, 0), ctx.elem(5, 7),
-           ctx.elem(123, 456), ctx.elem(1000, 1)}
-    f = Poly(ctx, [ctx.one()])
-    for r in pts:
-        f = f * Poly(ctx, [-r, ctx.one()])
+    pairs = {ctx.elem(5, 7), ctx.elem(123, 456), ctx.elem(1000, 1)}
+    pts = {ctx.elem(0, 0), ctx.elem(1008, 0)} | pairs \
+        | {z.conj() for z in pairs}
+    f = with_roots(ctx, pts)
     assert roots_in_field(f, ctx) == pts
     assert roots_in_field(f * f, ctx) == pts
-    assert roots_in_field(Poly(ctx, [1, 1]), ctx) == {ctx.elem(1008)}
+    assert roots_in_field(Poly(ctx.field, [1, 1]), ctx) == {ctx.elem(1008)}
+
+
+def test_roots_in_field_rejects_fq2_coefficients():
+    ctx = fq2_context(13)
+    for f in (Poly(ctx, [ctx.elem(1, 1), 1]), Poly(ctx, [-1, 0, 1])):
+        with pytest.raises(ValueError, match="over F_13"):
+            roots_in_field(f, ctx)
+    with pytest.raises(ValueError, match="over F_13"):
+        roots_in_field(Poly(ctx.field, [-1, 1]), PrimeField(11))
 
 
 # --- series ---

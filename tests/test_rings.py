@@ -1,5 +1,5 @@
 """The two ring shapes at every precision: Zmod(p, N) (F_p at N = 1) and
-Quad(p, g1, g0, N) (F_{p^2} at N = 1, W(F_{p^2})/p^N over the
+Quad(p, g0, N) (F_{p^2} at N = 1, W(F_{p^2})/p^N over the
 Teichmuller modulus).  The F_p-only kernels must never serve N > 1."""
 
 import random
@@ -11,6 +11,7 @@ from ellwitt.arith import (
     Fq2Ctx,
     PrimeField,
     Quad,
+    QuadElem,
     Zmod,
     fq2_context,
     is_quadratic_residue,
@@ -68,7 +69,7 @@ def test_reprs_follow_the_precision():
     assert (repr(F7), repr(F7.elem(3))) == ("F_7", "3 (mod 7)")
     assert (repr(R), repr(R.elem(3))) == ("Z/7^3", "3 (mod 7^3)")
     c7, w = fq2_context(7), lift_context(fq2_context(7), 3)
-    assert repr(c7) == "F_7^2[x^2+0x+1]"
+    assert repr(c7) == "F_7^2[x^2+1]"
     assert repr(c7.elem(2, 3)) == "2+3x (in F_7^2)"
     assert repr(w) == "W(F_7^2)/7^3"
     assert repr(w.elem(2, 3)) == "2+3w (in W/7^3)"
@@ -116,3 +117,34 @@ def test_fp_kernels_never_serve_precision_two(monkeypatch):
         v_invariants(E, 5)
     with pytest.raises(ValueError):
         classical_hasse(E, 5)
+
+
+def test_powers_square_only_below_the_top_bit(monkeypatch):
+    # x**2 is one product and x**3 two; every power up to 40 equals
+    # repeated multiplication, at N = 1 and N > 1
+    F13, c13 = PrimeField(13), fq2_context(13)
+    cases = [(Poly, Poly(F13, [3, 1, 2]), Poly(F13, [1])),
+             (Poly, Poly(W25, [W25.elem(2, 3), 1]), Poly(W25, [1])),
+             (QuadElem, c13.elem(3, 5), c13.one()),
+             (QuadElem, W25.elem(7, 11), W25.one())]
+    for cls, x, one in cases:
+        acc = one
+        for e in range(41):
+            assert x ** e == acc
+            acc = acc * x
+        real, products = cls.__mul__, []
+
+        def counted(a, b):
+            products.append(1)
+            return real(a, b)
+
+        monkeypatch.setattr(cls, "__mul__", counted)
+        for e, want in ((2, 1), (3, 2)):
+            products.clear()
+            x ** e
+            assert len(products) == want, (x, e)
+        monkeypatch.undo()
+    with pytest.raises(ValueError):
+        Poly(F13, [0, 1]) ** -1
+    z = c13.elem(3, 5)
+    assert z ** -3 == z.inverse() ** 3 and z ** 0 == c13.one()

@@ -130,14 +130,13 @@ def _point_count_numpy(p):
     # curve_from_j(j) over F_{p^2} for every j, one numpy sum each
     import numpy as np
     ctx = fq2_context(p)
-    g1, g0 = ctx.g1, ctx.g0
+    g0 = ctx.g0
     q = p * p
     xa = np.repeat(np.arange(p, dtype=np.int64), p)
     xb = np.tile(np.arange(p, dtype=np.int64), p)
 
     def vmul(ua, ub, va, vb):
-        bd = ub * vb
-        return (ua * va - g0 * bd) % p, (ua * vb + ub * va - g1 * bd) % p
+        return (ua * va - g0 * ub * vb) % p, (ua * vb + ub * va) % p
 
     sqa, sqb = vmul(xa, xb, xa, xb)
     chi = np.full(q, -1, dtype=np.int64)
@@ -150,7 +149,7 @@ def _point_count_numpy(p):
         A, B = E.a4, E.a6
         bd = A.b * xb
         ua = (cba + A.a * xa - g0 * bd + B.a) % p
-        ub = (cbb + A.a * xb + A.b * xa - g1 * bd + B.b) % p
+        ub = (cbb + A.a * xb + A.b * xa + B.b) % p
         if int(chi[ua * p + ub].sum()) % p == 0:
             out.add(j)
     return frozenset(out)

@@ -87,7 +87,7 @@ def power(x, e: int):
 def require_prime(p: int, what: str, bound: int | None = None) -> None:
     """Raise ValueError naming the entry point `what` unless p is a prime
     with 3 < p (and p <= bound when a bound is given)."""
-    if p <= 3 or not is_prime(p) or (bound is not None and p > bound):
+    if p <= 3 or (bound is not None and p > bound) or not is_prime(p):
         top = "" if bound is None else f" <= {bound}"
         raise ValueError(f"{what} wants a prime 3 < p{top}, got {p}")
 

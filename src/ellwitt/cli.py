@@ -10,6 +10,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 import time
 
@@ -43,10 +44,11 @@ class UsageError(Exception):
 
 
 def _require_prime(p: int, bound: int, what: str) -> None:
-    if not is_prime(p) or p <= 3:
-        raise UsageError(f"{what}: --prime must be a prime > 3, got {p}")
+    # the bound first: Miller-Rabin on a huge p takes seconds
     if p > bound:
         raise UsageError(f"{what}: enforced bound is p <= {bound}, got {p}")
+    if not is_prime(p) or p <= 3:
+        raise UsageError(f"{what}: --prime must be a prime > 3, got {p}")
 
 
 # --- section builders (all deterministic) ---
@@ -535,12 +537,18 @@ def _dispatch(args):
         report.sections["verify_all"] = verify_all_section(args.max)
         printer = _print_verify_all
     elif args.command == "scan" and args.scan_what == "ogg":
+        if args.max < 5:
+            raise UsageError(
+                f"scan ogg: enforced bound is max >= 5, got {args.max}")
         if args.max > MAX_OGG_SCAN:
             raise UsageError(f"scan ogg: enforced bound is max <= "
                              f"{MAX_OGG_SCAN}, got {args.max}")
         report.sections["ogg"] = ogg_section(args.max)
         printer = _print_ogg
     elif args.command == "scan" and args.scan_what == "sqrt3":
+        if args.max < 5:
+            raise UsageError(
+                f"scan sqrt3: enforced bound is max >= 5, got {args.max}")
         if args.max > MAX_SQRT3_SCAN:
             raise UsageError(f"scan sqrt3: enforced bound is max <= "
                              f"{MAX_SQRT3_SCAN}, got {args.max}")
@@ -569,6 +577,13 @@ def _dispatch(args):
 
 
 def main(argv=None) -> int:
+    """Process entry point: run one command and return its exit code.
+
+    It first freezes the heap (`gc.freeze`), so neither this run's
+    collections nor the interpreter's teardown at exit walk or free the
+    start-up objects the OS reclaims anyway.
+    """
+    gc.freeze()
     args = build_parser().parse_args(argv)
     try:
         report, printer = _dispatch(args)

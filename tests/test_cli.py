@@ -196,12 +196,15 @@ def test_cache_hit_is_byte_identical_to_recomputation(tmp_path):
 
 
 def test_verify_all_max_below_five_is_usage_error(tmp_path):
-    for bound in ("3", "-1"):
-        proc = run_cli(["verify", "all", "--max", bound], tmp_path,
-                       check=False)
-        assert proc.returncode == 1
-        assert "max >= 5" in proc.stderr
-        assert "Traceback" not in proc.stderr
+    # and the two scans: a vacuous range is refused, not reported
+    for command in (["verify", "all"], ["scan", "ogg"], ["scan", "sqrt3"]):
+        for bound in ("3", "-1", "-7"):
+            proc = run_cli(command + ["--max", bound], tmp_path,
+                           check=False)
+            assert proc.returncode == 1
+            assert "max >= 5" in proc.stderr
+            assert "Traceback" not in proc.stderr
+            assert proc.stdout == ""
 
 
 def test_forms_prec_below_one_is_usage_error(tmp_path):
@@ -223,6 +226,44 @@ def test_argument_above_upper_bound_is_usage_error(argv, bound, tmp_path):
     assert bound in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_prime_above_its_bound_is_refused_before_primality(
+        monkeypatch, capsys):
+    import ellwitt.arith
+    import ellwitt.cli
+    from ellwitt.cli import main
+
+    def no_primality_test(n):
+        raise AssertionError("is_prime ran on an out-of-bound p")
+
+    monkeypatch.setattr(ellwitt.cli, "is_prime", no_primality_test)
+    monkeypatch.setattr(ellwitt.arith, "is_prime", no_primality_test)
+    big = 2 ** 3217 - 1   # a Mersenne prime of 969 digits
+    for command, bound in (("ss", 97), ("hasse", 1000), ("split", 47)):
+        assert main([command, "--prime", str(big)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"ellwitt: error: {command}: enforced bound is "
+                       f"p <= {bound}, got {big}\n")
+
+
+def test_main_freezes_the_heap(tmp_path):
+    # the frozen start-up heap is what spares each command the teardown
+    # at exit; the report bytes must not change with it
+    code = ("import gc, sys\n"
+            "from ellwitt.cli import main\n"
+            "before = gc.get_freeze_count()\n"
+            "rc = main(['ss', '--prime', '13', '--json'])\n"
+            "sys.stderr.write('%d %d' % (before, gc.get_freeze_count()))\n"
+            "sys.exit(rc)\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={"PATH": "/usr/bin:/bin", "ELLWITT_CACHE_DIR": str(tmp_path),
+             "PYTHONPATH": ":".join(sys.path)})
+    _ss13_against_golden(proc)
+    before, after = map(int, proc.stderr.split())
+    assert before == 0 and after > 0
 
 
 def test_scan_ogg_above_its_bound_is_usage_error(tmp_path):

@@ -57,3 +57,21 @@ def test_bad_prime_raises_naming_the_entry_point(name, fn, bound, p):
     want = f"{name} wants a prime 3 < p{top}, got {p}"
     with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
         fn(p)
+
+
+@pytest.mark.parametrize(
+    "name, fn, bound",
+    [pytest.param(name, fn, bound, id=name)
+     for name, fn, bound in ENTRY_POINTS if bound])
+def test_bound_is_checked_before_primality(monkeypatch, name, fn, bound):
+    # Miller-Rabin on a huge p takes seconds; the bound answers first
+    import ellwitt.arith
+
+    def no_primality_test(n):
+        raise AssertionError("is_prime ran on an out-of-bound p")
+
+    monkeypatch.setattr(ellwitt.arith, "is_prime", no_primality_test)
+    p = 2 ** 3217 - 1   # a Mersenne prime of 969 digits
+    want = f"{name} wants a prime 3 < p <= {bound[0]}, got {p}"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        fn(p)

@@ -9,10 +9,11 @@ error.
 
 from __future__ import annotations
 
-import argparse
 import gc
+import re
 import sys
 import time
+from types import SimpleNamespace
 
 from . import cache, formalgroup, modforms, padicwitt, sslocus
 from .arith import PrimeField, has_sqrt3, is_prime
@@ -40,7 +41,12 @@ MAX_SQRT3_SCAN = 10 ** 6
 
 
 class UsageError(Exception):
-    pass
+    """A bad argument.  `usage` is the command's usage line, printed
+    above the error when the command line itself did not parse."""
+
+    def __init__(self, message: str, usage: str = ""):
+        super().__init__(message)
+        self.usage = usage
 
 
 def _require_prime(p: int, bound: int, what: str) -> None:
@@ -405,76 +411,178 @@ def _print_verify_all(s: dict) -> None:
 # --- argument parsing and dispatch ---
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        sys.exit(1)
+#: Every command by its words: its one-line help and its flags, each
+#: mapped to its default (None: the flag is required).  Every command
+#: also takes --json and -h/--help; "verify" and "scan" (flags None)
+#: only group the commands under them.
+COMMANDS = {
+    ("ss",): (f"supersingular locus (cross-validated; "
+              f"p <= {MAX_EISENSTEIN_PRIME})", {"prime": None}),
+    ("hasse",): (f"Deuring lambda-polynomial and its roots "
+                 f"(p <= {MAX_DEURING_PRIME})", {"prime": None}),
+    ("lift",): (f"Teichmuller-lifted supersingular polynomial "
+                f"(p <= {MAX_EISENSTEIN_PRIME}, N <= {MAX_LIFT_PRECISION})",
+                {"prime": None, "precision": DEFAULT_PRECISION}),
+    ("split",): (f"idempotent splitting mod (p^N, S_p-hat) "
+                 f"(p <= {MAX_SPLIT_PRIME}, N <= {MAX_SPLIT_PRECISION})",
+                 {"prime": None, "precision": DEFAULT_PRECISION}),
+    ("formal",): (f"[p]-series and v1/v2 of one curve "
+                  f"(p <= {MAX_FORMAL_PRIME})",
+                  {"prime": None, "a4": None, "a6": None}),
+    ("verify",): ("verification suites", None),
+    ("verify", "deligne"): (f"v1 three ways on every curve (p in "
+                            f"{', '.join(map(str, _VERIFY_PRIMES))})",
+                            {"prime": None}),
+    ("verify", "gross-landweber"): (
+        f"v2 at every supersingular j (p in "
+        f"{', '.join(map(str, _VERIFY_PRIMES))})", {"prime": None}),
+    ("verify", "all"): ("the full verification suite (max >= 5)",
+                        {"max": MAX_EISENSTEIN_PRIME}),
+    ("scan",): ("per-prime scans", None),
+    ("scan", "ogg"): (f"Ogg primes against the Monster primes "
+                      f"(5 <= max <= {MAX_OGG_SCAN})", {"max": None}),
+    ("scan", "sqrt3"): (f"sqrt(3) mod p against the mod-12 rule "
+                        f"(5 <= max <= {MAX_SQRT3_SCAN})", {"max": None}),
+    ("forms",): (f"exact Eisenstein q-expansion (even weight "
+                 f"4..{modforms.MAX_BERNOULLI}, prec 1..{MAX_FORMS_PREC})",
+                 {"weight": None, "prec": 10}),
+}
+
+_HELP_FLAGS = ("-h", "--help")
+#: A token that looks like a negative number is a value, not a flag
+#: ("$" also matches before a final newline, so "-7\n" is a value too).
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    top = _Parser(prog="ellwitt", description=__doc__)
-    sub = top.add_subparsers(dest="command", required=True)
+def _usage(words: tuple) -> str:
+    flags = COMMANDS.get(words, ("", None))[1]
+    if flags is None:
+        tail = "{" + ",".join(w[-1] for w in COMMANDS
+                              if w[:-1] == words) + "} ..."
+    else:
+        tail = "[--json]" + "".join(
+            f" --{n} {n.upper()}" if d is None else f" [--{n} {n.upper()}]"
+            for n, d in flags.items())
+    return f"usage: {' '.join(('ellwitt',) + words)} [-h] {tail}\n"
 
-    def add(name, help_text):
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--json", action="store_true",
-                        help="emit the JSON report instead of a table")
-        return sp
 
-    sp = add("ss", f"supersingular locus (cross-validated; "
-                   f"p <= {MAX_EISENSTEIN_PRIME})")
-    sp.add_argument("--prime", type=int, required=True)
+def _help(words: tuple) -> str:
+    text, flags = COMMANDS.get(words, (__doc__, None))
+    if flags is None:
+        title = "commands:"
+        rows = [(" ".join(w), COMMANDS[w][0]) for w in COMMANDS
+                if w[:len(words)] == words and w != words]
+    else:
+        title = "flags:"
+        rows = [(f"--{n} {n.upper()}",
+                 "required" if d is None else f"default {d}")
+                for n, d in flags.items()]
+        rows.append(("--json", "emit the JSON report instead of a table"))
+    rows.append(("-h, --help", "show this help and exit"))
+    out = [_usage(words), text.strip(), "", title]
+    out += [f"  {n:<24}{h}" for n, h in rows]
+    out += ["", "A flag takes its value as --flag V or --flag=V, and a "
+            "unique prefix\nof its name will do."]
+    return "\n".join(out) + "\n"
 
-    sp = add("hasse", f"Deuring lambda-polynomial and its roots "
-                      f"(p <= {MAX_DEURING_PRIME})")
-    sp.add_argument("--prime", type=int, required=True)
 
-    sp = add("lift", f"Teichmuller-lifted supersingular polynomial "
-                     f"(p <= {MAX_EISENSTEIN_PRIME}, "
-                     f"N <= {MAX_LIFT_PRECISION})")
-    sp.add_argument("--prime", type=int, required=True)
-    sp.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
+def _option(token: str, options: tuple):
+    """Read `token` as argparse did: None for a value, else (the option
+    it names, or None for an unknown one; the value after "=" or None).
+    A unique prefix of a long option names it."""
+    if not token.startswith("-") or token == "-":
+        return None
+    if token in options:
+        return token, None
+    prefix, eq, value = token.partition("=")
+    if eq and prefix in options:
+        return prefix, value
+    if token[1] == "-":
+        hits = [o for o in options if o.startswith(prefix)]
+        explicit = value if eq else None
+    else:   # -hx reads as -h with the value x
+        hits = ["-h"] if token[:2] == "-h" else []
+        explicit = token[2:]
+    if len(hits) > 1:
+        raise UsageError(f"ambiguous option: {token} could match "
+                         f"{', '.join(hits)}")
+    if hits:
+        return hits[0], explicit
+    if _NEGATIVE_NUMBER.match(token) or " " in token:
+        return None
+    return None, None
 
-    sp = add("split", f"idempotent splitting mod (p^N, S_p-hat) "
-                      f"(p <= {MAX_SPLIT_PRIME}, "
-                      f"N <= {MAX_SPLIT_PRECISION})")
-    sp.add_argument("--prime", type=int, required=True)
-    sp.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
 
-    sp = add("formal", f"[p]-series and v1/v2 of one curve "
-                       f"(p <= {MAX_FORMAL_PRIME})")
-    sp.add_argument("--prime", type=int, required=True)
-    sp.add_argument("--a4", type=int, required=True)
-    sp.add_argument("--a6", type=int, required=True)
-
-    ver = sub.add_parser("verify", help="verification suites")
-    vsub = ver.add_subparsers(dest="verify_what", required=True)
-    for name in ("deligne", "gross-landweber"):
-        sp = vsub.add_parser(name)
-        sp.add_argument("--prime", type=int, required=True,
-                        help="one of 5, 7, 11, 13")
-        sp.add_argument("--json", action="store_true")
-    sp = vsub.add_parser("all")
-    sp.add_argument("--max", type=int, default=MAX_EISENSTEIN_PRIME)
-    sp.add_argument("--json", action="store_true")
-
-    scan = sub.add_parser("scan", help="per-prime scans")
-    ssub = scan.add_subparsers(dest="scan_what", required=True)
-    sp = ssub.add_parser("ogg")
-    sp.add_argument("--max", type=int, required=True,
-                    help=f"upper bound (<= {MAX_OGG_SCAN})")
-    sp.add_argument("--json", action="store_true")
-    sp = ssub.add_parser("sqrt3")
-    sp.add_argument("--max", type=int, required=True,
-                    help=f"upper bound (<= {MAX_SQRT3_SCAN})")
-    sp.add_argument("--json", action="store_true")
-
-    sp = add("forms", "exact Eisenstein q-expansion")
-    sp.add_argument("--weight", type=int, required=True)
-    sp.add_argument("--prec", type=int, default=10,
-                    help=f"q-precision (1 <= prec <= {MAX_FORMS_PREC})")
-    return top
+def parse_args(argv=None):
+    """The namespace `_dispatch` reads from a command line, or None once
+    help is printed on stdout.  Raises UsageError, carrying the usage
+    line, for a command line that does not parse."""
+    rest = list(sys.argv[1:] if argv is None else argv)
+    words, values, extras = (), {}, []
+    try:
+        while True:     # once per command word, then for the flags
+            flags = COMMANDS.get(words, ("", None))[1]
+            options = _HELP_FLAGS
+            if flags is not None:
+                options += ("--json",) + tuple("--" + n for n in flags)
+                values.update(flags, json=False)
+            end = rest.index("--") if "--" in rest else len(rest)
+            kinds = [_option(token, options) for token in rest[:end]]
+            j = 0
+            # a command word ends the options of the level above it
+            while j < end and (flags is not None or kinds[j] is not None):
+                token, opt = rest[j], kinds[j]
+                j += 1
+                if opt is None or opt[0] is None:
+                    extras.append(token)
+                    continue
+                name, explicit = opt
+                # -hh and -h=hh are -h twice; any other value after -h
+                # or --help is an error
+                if name in _HELP_FLAGS and (explicit is None or (
+                        name == "-h" and explicit
+                        and not explicit.strip("h"))):
+                    sys.stdout.write(_help(words))
+                    return None
+                if name in _HELP_FLAGS or name == "--json":
+                    if explicit is not None:
+                        raise UsageError(f"argument {name}: ignored "
+                                         f"explicit argument {explicit!r}")
+                    values["json"] = True
+                    continue
+                if explicit is None:
+                    if j == end or kinds[j] is not None:
+                        raise UsageError(f"argument {name}: expected one "
+                                         f"argument")
+                    explicit = rest[j]
+                    j += 1
+                try:
+                    values[name[2:]] = int(explicit)
+                except ValueError:
+                    raise UsageError(f"argument {name}: invalid int value: "
+                                     f"{explicit!r}") from None
+            if flags is not None:
+                break
+            dest = f"{words[0]}_what" if words else "command"
+            if j == len(rest):
+                raise UsageError(
+                    f"the following arguments are required: {dest}")
+            if words + (rest[j],) not in COMMANDS:
+                raise UsageError(f"argument {dest}: invalid choice: "
+                                 f"{rest[j]!r}")
+            values[dest] = rest[j]
+            words += (rest[j],)
+            rest = rest[j + 1:]
+        extras += rest[end:]
+        missing = [f"--{n}" for n in flags if values[n] is None]
+        if missing:
+            raise UsageError(f"the following arguments are required: "
+                             f"{', '.join(missing)}")
+        if extras:
+            raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    except UsageError as exc:
+        raise UsageError(str(exc), _usage(words)) from None
+    return SimpleNamespace(**values)
 
 
 def _dispatch(args):
@@ -568,7 +676,7 @@ def _dispatch(args):
                              f"{MAX_FORMS_PREC}, got {args.prec}")
         report.sections["forms"] = forms_section(args.weight, args.prec)
         printer = _print_forms
-    else:  # pragma: no cover - argparse prevents this
+    else:  # pragma: no cover - parse_args prevents this
         raise UsageError(f"unknown command {args.command}")
     section_name = next(iter(report.sections))
     report.timings[section_name] = round(
@@ -584,11 +692,13 @@ def main(argv=None) -> int:
     start-up objects the OS reclaims anyway.
     """
     gc.freeze()
-    args = build_parser().parse_args(argv)
     try:
+        args = parse_args(argv)
+        if args is None:    # help was printed
+            return 0
         report, printer = _dispatch(args)
     except UsageError as exc:
-        print(f"ellwitt: error: {exc}", file=sys.stderr)
+        print(f"{exc.usage}ellwitt: error: {exc}", file=sys.stderr)
         return 1
     except ValidationError as exc:
         print(f"VALIDATION FAILURE: {exc}", file=sys.stderr)
@@ -597,7 +707,7 @@ def main(argv=None) -> int:
         # arguments are checked above as UsageError; this is a bug
         print(f"ellwitt: internal error: {exc}", file=sys.stderr)
         return 2
-    if getattr(args, "json", False):
+    if args.json:
         sys.stdout.write(report.to_json())
     else:
         printer(next(iter(report.sections.values())))

@@ -1,7 +1,9 @@
 """CLI surface: output shapes, exit codes, JSON schema stability,
-determinism, the cache round-trip, what a request imports, and a
-property test over arbitrary argument vectors."""
+determinism, the cache round-trip, what a request imports, a property
+test over arbitrary argument vectors, and the command table against the
+argparse tree it replaced."""
 
+import argparse
 import io
 import json
 import os
@@ -15,7 +17,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import ellwitt.cli
+from ellwitt.cli import DEFAULT_PRECISION, MAX_FORMS_PREC, MAX_SQRT3_SCAN
+from ellwitt.formalgroup import MAX_FORMAL_PRIME
+from ellwitt.modforms import MAX_EISENSTEIN_PRIME
+from ellwitt.padicwitt import (
+    MAX_LIFT_PRECISION, MAX_SPLIT_PRECISION, MAX_SPLIT_PRIME)
 from ellwitt.report import canonical_json, padic_digits
+from ellwitt.sslocus import MAX_DEURING_PRIME, MAX_OGG_SCAN
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -450,7 +459,7 @@ def test_import_loads_only_what_a_request_needs():
     assert proc.returncode == 0, proc.stderr
     added = set(json.loads(proc.stdout))
     heavy = {"dataclasses", "inspect", "ast", "dis", "hashlib", "typing",
-             "numpy"}
+             "numpy", "argparse", "gettext"}
     assert not added & heavy
     # the bench tracer resolves every span owner right after this import
     traced = set(re.findall(r'"(ellwitt\.\w+)"', TRACER.read_text()))
@@ -584,11 +593,21 @@ def _near_bounds() -> list:
     return sorted(out)
 
 
+#: Tokens that the flag syntax reads in more than one way: help, its
+#: prefixes and repeats, values glued to flags, the end-of-options
+#: marker, prefixes that are unique in one command and ambiguous in
+#: another, and strays.
+_STRAYS = ["-h", "--h", "--he", "-hh", "-h=h", "-hx", "-h=", "--help=",
+           "--json=1", "--js", "--", "--=5", "---", "-x", "-", "x", "7",
+           "-7", "--p", "--pr", "--pre", "--m", "--a", "--w", "- 7",
+           "--prime 7", "ss", "all"]
+
 _VALUES = st.one_of(
     st.sampled_from(_near_bounds()).map(str),
     st.integers(-20, 120).map(str),
     st.sampled_from(["", "1.5", "1e3", "0x1f", "five", "-", "--prime",
-                     " 7", "7 ", "٧", "9" * 40]),
+                     " 7", "7 ", "٧", "9" * 40, "-1.5", "-.5", "-1e3",
+                     "-7\n", "+5", "1_000", "-٧", "--", "-h"]),
     st.text(max_size=4),
 )
 
@@ -605,17 +624,34 @@ def _argvs(draw):
                                      + [[f, "7"] for f in _FLAGS]))
     if draw(st.booleans()):
         argv.append("--json")
+    # the corners of the flag syntax: a flag cut to a prefix, glued to
+    # its value with "=" or given twice, and stray tokens anywhere
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(["prefix", "glue", "repeat", "stray"]))
+        flag = i < len(argv) and argv[i].startswith("--")
+        if edit == "prefix" and flag:
+            argv[i] = argv[i][:draw(st.integers(2, len(argv[i])))]
+        elif edit == "glue" and flag and i + 1 < len(argv):
+            argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+        elif edit == "repeat" and flag:
+            argv += [argv[i], draw(_VALUES)]
+        elif edit == "stray":
+            argv.insert(i, draw(st.one_of(st.sampled_from(_STRAYS),
+                                          _VALUES)))
     return argv
 
 
 def _too_slow(argv) -> bool:
     # valid requests whose work the other tests cover: every verify
     # suite, and the scans and lifts near their upper bounds
-    from ellwitt.cli import build_parser
+    from ellwitt.cli import UsageError, parse_args
     try:
-        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-            args = build_parser().parse_args(argv)
-    except SystemExit:
+        with redirect_stdout(io.StringIO()):
+            args = parse_args(argv)
+    except UsageError:
+        return False
+    if args is None:
         return False
     if args.command == "verify":
         return True
@@ -648,3 +684,228 @@ def test_any_argument_vector_exits_cleanly(tmp_path_factory, argv):
             os.environ["ELLWITT_CACHE_DIR"] = old
     assert code in (0, 1, 2), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+# --- the command table against the argparse tree it replaced ---
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        sys.exit(1)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    top = _Parser(prog="ellwitt", description=ellwitt.cli.__doc__)
+    sub = top.add_subparsers(dest="command", required=True)
+
+    def add(name, help_text):
+        sp = sub.add_parser(name, help=help_text)
+        sp.add_argument("--json", action="store_true",
+                        help="emit the JSON report instead of a table")
+        return sp
+
+    sp = add("ss", f"supersingular locus (cross-validated; "
+                   f"p <= {MAX_EISENSTEIN_PRIME})")
+    sp.add_argument("--prime", type=int, required=True)
+
+    sp = add("hasse", f"Deuring lambda-polynomial and its roots "
+                      f"(p <= {MAX_DEURING_PRIME})")
+    sp.add_argument("--prime", type=int, required=True)
+
+    sp = add("lift", f"Teichmuller-lifted supersingular polynomial "
+                     f"(p <= {MAX_EISENSTEIN_PRIME}, "
+                     f"N <= {MAX_LIFT_PRECISION})")
+    sp.add_argument("--prime", type=int, required=True)
+    sp.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
+
+    sp = add("split", f"idempotent splitting mod (p^N, S_p-hat) "
+                      f"(p <= {MAX_SPLIT_PRIME}, "
+                      f"N <= {MAX_SPLIT_PRECISION})")
+    sp.add_argument("--prime", type=int, required=True)
+    sp.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
+
+    sp = add("formal", f"[p]-series and v1/v2 of one curve "
+                       f"(p <= {MAX_FORMAL_PRIME})")
+    sp.add_argument("--prime", type=int, required=True)
+    sp.add_argument("--a4", type=int, required=True)
+    sp.add_argument("--a6", type=int, required=True)
+
+    ver = sub.add_parser("verify", help="verification suites")
+    vsub = ver.add_subparsers(dest="verify_what", required=True)
+    for name in ("deligne", "gross-landweber"):
+        sp = vsub.add_parser(name)
+        sp.add_argument("--prime", type=int, required=True,
+                        help="one of 5, 7, 11, 13")
+        sp.add_argument("--json", action="store_true")
+    sp = vsub.add_parser("all")
+    sp.add_argument("--max", type=int, default=MAX_EISENSTEIN_PRIME)
+    sp.add_argument("--json", action="store_true")
+
+    scan = sub.add_parser("scan", help="per-prime scans")
+    ssub = scan.add_subparsers(dest="scan_what", required=True)
+    sp = ssub.add_parser("ogg")
+    sp.add_argument("--max", type=int, required=True,
+                    help=f"upper bound (<= {MAX_OGG_SCAN})")
+    sp.add_argument("--json", action="store_true")
+    sp = ssub.add_parser("sqrt3")
+    sp.add_argument("--max", type=int, required=True,
+                    help=f"upper bound (<= {MAX_SQRT3_SCAN})")
+    sp.add_argument("--json", action="store_true")
+
+    sp = add("forms", "exact Eisenstein q-expansion")
+    sp.add_argument("--weight", type=int, required=True)
+    sp.add_argument("--prec", type=int, default=10,
+                    help=f"q-precision (1 <= prec <= {MAX_FORMS_PREC})")
+    return top
+
+
+_INT_FLAGS = ("prime", "precision", "a4", "a6", "max", "weight", "prec")
+
+
+def _oracle(argv):
+    """'help', 'error' or the parsed attributes, as argparse read argv.
+
+    argparse drops "--" from the value of --prime=--, stores [] and let
+    _dispatch raise TypeError; parse_args refuses that value where it
+    stands, as argparse refuses any other non-integer, so the oracle
+    reads it as one."""
+    argv = [t[:-2] + "x" if t.partition("=")[2] == "--" else t
+            for t in argv]
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return "help" if exc.code == 0 else "error"
+    assert all(isinstance(getattr(args, f, 0), int) for f in _INT_FLAGS)
+    return vars(args)
+
+
+def _parsed(argv):
+    """'help', 'error' or the parsed attributes, as parse_args reads argv."""
+    from ellwitt.cli import UsageError, parse_args
+    out = io.StringIO()
+    try:
+        with redirect_stdout(out):
+            args = parse_args(argv)
+    except UsageError as exc:
+        assert out.getvalue() == ""
+        assert exc.usage.startswith("usage: ellwitt")
+        return "error"
+    if args is None:
+        assert out.getvalue().startswith("usage: ellwitt")
+        return "help"
+    assert out.getvalue() == ""
+    return vars(args)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_argvs())
+def test_parse_args_agrees_with_argparse(argv):
+    from ellwitt.cli import main
+    # the table reads -hx, -h=h and "-h 5" as argparse did up to Python
+    # 3.12; 3.13's argparse reads them otherwise
+    assume(sys.version_info < (3, 13)
+           or not any(t[:2] == "-h" and len(t) > 2 for t in argv))
+    want = _oracle(argv)
+    assert _parsed(argv) == want, argv
+    if want not in ("help", "error"):
+        return
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    if want == "help":
+        assert (code, err.getvalue()) == (0, ""), argv
+        assert out.getvalue().startswith("usage: ellwitt")
+    else:
+        usage, _, error = err.getvalue().partition("\n")
+        assert code == 1 and out.getvalue() == "", argv
+        assert usage.startswith("usage: ellwitt")
+        assert error.startswith("ellwitt: error: ") and error.endswith("\n")
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["lift", "--prime", "5", "--prec", "3"],
+     {"command": "lift", "prime": 5, "precision": 3, "json": False}),
+    (["lift", "--pr", "5"], "error"),
+    (["ss", "--prime=5"], {"command": "ss", "prime": 5, "json": False}),
+    (["scan", "ogg", "--max", "-7"],
+     {"command": "scan", "scan_what": "ogg", "max": -7, "json": False}),
+    (["forms", "--weight", "4", "--prec", "2", "--prec", "3", "--json"],
+     {"command": "forms", "weight": 4, "prec": 3, "json": True}),
+    (["verify", "all", "--json"],
+     {"command": "verify", "verify_what": "all", "max": 97, "json": True}),
+    (["lift", "-h", "--prime", "x"], "help"),
+    (["lift", "--prime", "x", "-h"], "error"),
+    (["--json", "ss", "--prime", "5"], "error"),
+])
+def test_parse_args_fixed_cases(argv, want):
+    assert _parsed(argv) == want
+    assert _oracle(argv) == want
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["ss", "-hh"], "help"),
+    (["ss", "-h=h"], "help"),
+    (["ss", "-hx"], "error"),
+    (["ss", "-h="], "error"),
+    (["ss", "-h 5"], "error"),
+    (["-hx"], "error"),
+])
+def test_help_clusters_read_as_up_to_python_3_12(argv, want):
+    # -hh is -h twice and -hx is -h with a stray value; 3.13's argparse
+    # reads these otherwise, the table keeps one reading
+    assert _parsed(argv) == want
+    if sys.version_info < (3, 13):
+        assert _oracle(argv) == want
+
+
+def test_value_that_is_the_end_marker_is_a_usage_error(capsys):
+    # argparse stored --prime=-- as [] and main died in _dispatch
+    from ellwitt.cli import main
+    assert vars(build_parser().parse_args(["ss", "--prime=--"]))["prime"] \
+        == []
+    assert main(["ss", "--prime=--"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        "usage: ellwitt ss [-h] [--json] --prime PRIME\n"
+        "ellwitt: error: argument --prime: invalid int value: '--'\n")
+
+
+def test_every_command_has_help(capsys):
+    from ellwitt.cli import COMMANDS, main
+    assert main(["--help"]) == 0
+    top, err = capsys.readouterr()
+    assert err == ""
+    [sub] = [a for a in build_parser()._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    for choice in sub._choices_actions:   # the old top-level help lines
+        assert f"  {choice.dest} " in top and choice.help in top
+    for words, (text, flags) in COMMANDS.items():
+        assert f"  {' '.join(words):<24}{text}\n" in top
+        assert main([*words, "--help"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.startswith(f"usage: ellwitt {' '.join(words)} [-h] ")
+        for flag in flags or ():
+            assert f"  --{flag} {flag.upper()} " in out
+
+
+def test_help_exits_0_from_a_fresh_process(tmp_path):
+    proc = run_cli(["--help"], tmp_path)
+    assert proc.stdout.startswith("usage: ellwitt [-h] {ss,")
+    assert proc.stderr == ""
+
+
+def test_readme_cli_lines_parse():
+    import shlex
+    from ellwitt.cli import parse_args
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    lines = [line.split("#")[0] for line in block.splitlines()
+             if line.startswith("    ellwitt ")]
+    assert len(lines) >= 11
+    for line in lines:
+        with redirect_stdout(io.StringIO()) as out:
+            args = parse_args(shlex.split(line)[1:])
+        assert args is not None and out.getvalue() == "", line

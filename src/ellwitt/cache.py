@@ -8,7 +8,8 @@ code computed is never served.  Corrupt entries (bad JSON, not an
 object, checksum or key mismatch) are discarded with a warning and
 recomputed.  Writes are atomic (write-temp-then-rename).  Neither load
 nor store raises: a cache the file system refuses costs a warning, not
-the result.
+the result.  Paths are plain strings through os and os.path: pathlib
+and tempfile would add their imports to every command.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-import tempfile
-from pathlib import Path
 
 from .report import SCHEMA_VERSION, canonical_json
 
@@ -29,20 +28,20 @@ ENV_CACHE_DIR = "ELLWITT_CACHE_DIR"
 ALGORITHM_VERSIONS = {"ss": 2, "lift": 2}
 
 
-def cache_dir() -> Path:
+def cache_dir() -> str:
     override = os.environ.get(ENV_CACHE_DIR)
     if override:
-        return Path(override)
-    return Path.home() / ".cache" / "ellwitt"
+        return override
+    return os.path.join(os.path.expanduser("~"), ".cache", "ellwitt")
 
 
 def _versioned(kind: str, key: dict) -> dict:
     return {**key, "algo": ALGORITHM_VERSIONS[kind]}
 
 
-def _entry_path(kind: str, key: dict) -> Path:
+def _entry_path(kind: str, key: dict) -> str:
     parts = [kind] + [f"{k}{key[k]}" for k in sorted(key)]
-    return cache_dir() / ("_".join(parts) + ".json")
+    return os.path.join(cache_dir(), "_".join(parts) + ".json")
 
 
 def _checksum(payload: dict) -> str:
@@ -69,7 +68,8 @@ def load(kind: str, key: dict):
     key = _versioned(kind, key)
     path = _entry_path(kind, key)
     try:
-        text = path.read_text()
+        with open(path) as fh:
+            text = fh.read()
     except OSError:
         return None
     try:
@@ -84,7 +84,7 @@ def load(kind: str, key: dict):
         print(f"warning: discarding corrupt cache entry {path}",
               file=sys.stderr)
         try:
-            path.unlink()
+            os.unlink(path)
         except OSError:
             pass
         return None
@@ -104,8 +104,11 @@ def store(kind: str, key: dict, payload: dict) -> None:
     }
     tmp = None
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        # a name no other writer picks; O_EXCL refuses an existing file
+        name = f"{path}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
+        fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+        tmp = name
         with os.fdopen(fd, "w") as fh:
             fh.write(canonical_json(entry))
         os.replace(tmp, path)

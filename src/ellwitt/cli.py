@@ -13,12 +13,13 @@ import gc
 import re
 import sys
 import time
+from collections import namedtuple
 from types import SimpleNamespace
 
 from . import cache, formalgroup, modforms, padicwitt, sslocus
 from .arith import PrimeField, has_sqrt3, is_prime
 from .errors import ValidationError
-from .formalgroup import _VERIFY_PRIMES, MAX_FORMAL_PRIME, WCurve
+from .formalgroup import MAX_FORMAL_PRIME, WCurve
 from .modforms import MAX_EISENSTEIN_PRIME
 from .padicwitt import (
     MAX_LIFT_PRECISION,
@@ -47,14 +48,6 @@ class UsageError(Exception):
     def __init__(self, message: str, usage: str = ""):
         super().__init__(message)
         self.usage = usage
-
-
-def _require_prime(p: int, bound: int, what: str) -> None:
-    # the bound first: Miller-Rabin on a huge p takes seconds
-    if p > bound:
-        raise UsageError(f"{what}: enforced bound is p <= {bound}, got {p}")
-    if not is_prime(p) or p <= 3:
-        raise UsageError(f"{what}: --prime must be a prime > 3, got {p}")
 
 
 # --- section builders (all deterministic) ---
@@ -131,8 +124,9 @@ def split_section(p: int, N: int) -> dict:
 
 
 def formal_section(p: int, a4: int, a6: int) -> dict:
-    field = PrimeField(p)
-    E = WCurve.short(field, a4, a6)
+    if formalgroup.has_bad_reduction(WCurve.short(QQ, a4, a6), p):
+        raise UsageError(f"formal: curve has bad reduction at {p}")
+    E = WCurve.short(PrimeField(p), a4, a6)
     lift = WCurve.short(QQ, E.a4.value, E.a6.value)
     ps = formalgroup.mult_by_p_series(lift, p)
     v1, v2 = formalgroup.heights_from_series(E, p, ps.series_mod_p)
@@ -166,13 +160,11 @@ def gl_section(p: int) -> dict:
         "prime": p,
         "sign": r.sign,
         "exponent": (p * p - 1) // 12,
+        # verify_gross_landweber raises on a mismatch
         "curves": [{"j": e.j, "a4": e.a4, "a6": e.a6, "v2": e.v2,
-                    "predicted": e.predicted, "match": e.match,
-                    "ratio": e.ratio,
-                    "ratio_pow_of_12": e.ratio_pow_of_12}
+                    "predicted": e.predicted, "match": True}
                    for e in r.entries],
-        "all_match": r.all_match,
-        "common_power_of_12": r.common_power_of_12,
+        "all_match": True,
     }
 
 
@@ -202,6 +194,8 @@ def sqrt3_section(p_max: int) -> dict:
 
 
 def forms_section(k: int, prec: int) -> dict:
+    if k % 2:
+        raise UsageError(f"forms: --weight must be even, got {k}")
     e = modforms.eisenstein_q(k, prec)
     return {
         "weight": k,
@@ -261,15 +255,9 @@ def verify_all_section(p_max: int) -> dict:
         if got != want:
             raise ValidationError(f"spot locus at p={p}: {got} != {want}")
     out["spot_values"] = {"ok": True}
-    formal_primes = [p for p in _VERIFY_PRIMES if p <= p_max]
+    formal_primes = sslocus._primes_in(5, min(p_max, MAX_FORMAL_PRIME))
     out["deligne"] = {str(p): deligne_section(p) for p in formal_primes}
-    gl = {str(p): gl_section(p) for p in formal_primes}
-    powers = {s["common_power_of_12"] for s in gl.values()}
-    if len(powers) != 1 or None in powers:
-        raise ValidationError(
-            f"Gross-Landweber normalization inconsistent: powers {powers}")
-    out["gross_landweber"] = gl
-    out["gross_landweber_power_of_12"] = powers.pop()
+    out["gross_landweber"] = {str(p): gl_section(p) for p in formal_primes}
     witt = {"primes": primes, "precisions": [1, 5, 10], "ok": True}
     for p in primes:
         for N in (1, 5, 10):
@@ -363,11 +351,8 @@ def _print_gl(s: dict) -> None:
     print(f"p = {s['prime']}   sign (-1)^((p-1)/2) = {s['sign']:+d}   "
           f"exponent (p^2-1)/12 = {s['exponent']}")
     for c in s["curves"]:
-        mark = "OK " if c["match"] else "OFF"
-        print(f"  {mark} j={c['j']}: v2={c['v2']} predicted={c['predicted']}"
-              f" ratio={c['ratio']} (12^{c['ratio_pow_of_12']})")
-    print(f"all match: {'yes' if s['all_match'] else 'no'}   "
-          f"common power of 12: {s['common_power_of_12']}")
+        print(f"  OK  j={c['j']}: v2={c['v2']} predicted={c['predicted']}")
+    print("all match: yes")
 
 
 def _print_ogg(s: dict) -> None:
@@ -397,8 +382,8 @@ def _print_verify_all(s: dict) -> None:
     print("spot loci 7/11/13     OK")
     for p, d in s["deligne"].items():
         print(f"deligne p={p:<3}         OK  {d['curves_checked']} curves")
-    print(f"gross-landweber       OK  power-of-12 offset "
-          f"{s['gross_landweber_power_of_12']}")
+    print("gross-landweber       OK  p =",
+          ", ".join(s["gross_landweber"]))
     print("witt layer            OK  N in {1,5,10}")
     sp = s["splitting"]["primes"]
     print(f"splitting             OK  primes 5..{sp[-1] if sp else '-'}, "
@@ -411,41 +396,75 @@ def _print_verify_all(s: dict) -> None:
 # --- argument parsing and dispatch ---
 
 
-#: Every command by its words: its one-line help and its flags, each
-#: mapped to its default (None: the flag is required).  Every command
-#: also takes --json and -h/--help; "verify" and "scan" (flags None)
-#: only group the commands under them.
+#: One integer flag: its default (None: the flag is required) and its
+#: least and greatest values (None: no bound on that side).
+Flag = namedtuple("Flag", "default lo hi")
+
+#: One command: its one-line help, which may show its flags' bounds
+#: ("{prime.hi}"); its flags by name; the report section it fills, the
+#: builder called with the flag values in order and the section's
+#: printer.  A group ("verify", "scan") has only its help.
+Command = namedtuple("Command", "help flags section build show",
+                     defaults=(None,) * 4)
+
+#: Every command by its words.  Every command also takes --json and
+#: -h/--help.
 COMMANDS = {
-    ("ss",): (f"supersingular locus (cross-validated; "
-              f"p <= {MAX_EISENSTEIN_PRIME})", {"prime": None}),
-    ("hasse",): (f"Deuring lambda-polynomial and its roots "
-                 f"(p <= {MAX_DEURING_PRIME})", {"prime": None}),
-    ("lift",): (f"Teichmuller-lifted supersingular polynomial "
-                f"(p <= {MAX_EISENSTEIN_PRIME}, N <= {MAX_LIFT_PRECISION})",
-                {"prime": None, "precision": DEFAULT_PRECISION}),
-    ("split",): (f"idempotent splitting mod (p^N, S_p-hat) "
-                 f"(p <= {MAX_SPLIT_PRIME}, N <= {MAX_SPLIT_PRECISION})",
-                 {"prime": None, "precision": DEFAULT_PRECISION}),
-    ("formal",): (f"[p]-series and v1/v2 of one curve "
-                  f"(p <= {MAX_FORMAL_PRIME})",
-                  {"prime": None, "a4": None, "a6": None}),
-    ("verify",): ("verification suites", None),
-    ("verify", "deligne"): (f"v1 three ways on every curve (p in "
-                            f"{', '.join(map(str, _VERIFY_PRIMES))})",
-                            {"prime": None}),
-    ("verify", "gross-landweber"): (
-        f"v2 at every supersingular j (p in "
-        f"{', '.join(map(str, _VERIFY_PRIMES))})", {"prime": None}),
-    ("verify", "all"): ("the full verification suite (max >= 5)",
-                        {"max": MAX_EISENSTEIN_PRIME}),
-    ("scan",): ("per-prime scans", None),
-    ("scan", "ogg"): (f"Ogg primes against the Monster primes "
-                      f"(5 <= max <= {MAX_OGG_SCAN})", {"max": None}),
-    ("scan", "sqrt3"): (f"sqrt(3) mod p against the mod-12 rule "
-                        f"(5 <= max <= {MAX_SQRT3_SCAN})", {"max": None}),
-    ("forms",): (f"exact Eisenstein q-expansion (even weight "
-                 f"4..{modforms.MAX_BERNOULLI}, prec 1..{MAX_FORMS_PREC})",
-                 {"weight": None, "prec": 10}),
+    ("ss",): Command(
+        "supersingular locus (cross-validated; p <= {prime.hi})",
+        {"prime": Flag(None, 5, MAX_EISENSTEIN_PRIME)},
+        "ss_locus", ss_section, _print_ss),
+    ("hasse",): Command(
+        "Deuring lambda-polynomial and its roots (p <= {prime.hi})",
+        {"prime": Flag(None, 5, MAX_DEURING_PRIME)},
+        "hasse", hasse_section, _print_hasse),
+    ("lift",): Command(
+        "Teichmuller-lifted supersingular polynomial "
+        "(p <= {prime.hi}, N <= {precision.hi})",
+        {"prime": Flag(None, 5, MAX_EISENSTEIN_PRIME),
+         "precision": Flag(DEFAULT_PRECISION, 1, MAX_LIFT_PRECISION)},
+        "lift", lift_section, _print_lift),
+    ("split",): Command(
+        "idempotent splitting mod (p^N, S_p-hat) "
+        "(p <= {prime.hi}, N <= {precision.hi})",
+        {"prime": Flag(None, 5, MAX_SPLIT_PRIME),
+         "precision": Flag(DEFAULT_PRECISION, 1, MAX_SPLIT_PRECISION)},
+        "split", split_section, _print_split),
+    ("formal",): Command(
+        "[p]-series and v1/v2 of one curve (p <= {prime.hi})",
+        {"prime": Flag(None, 5, MAX_FORMAL_PRIME),
+         "a4": Flag(None, None, None), "a6": Flag(None, None, None)},
+        "formal", formal_section, _print_formal),
+    ("verify",): Command("verification suites"),
+    ("verify", "deligne"): Command(
+        "v1 three ways on every curve (p <= {prime.hi})",
+        {"prime": Flag(None, 5, MAX_FORMAL_PRIME)},
+        "deligne", deligne_section, _print_deligne),
+    ("verify", "gross-landweber"): Command(
+        "v2 at every supersingular j (p <= {prime.hi})",
+        {"prime": Flag(None, 5, MAX_FORMAL_PRIME)},
+        "gross_landweber", gl_section, _print_gl),
+    ("verify", "all"): Command(
+        "the full verification suite (max >= {max.lo})",
+        {"max": Flag(MAX_EISENSTEIN_PRIME, 5, None)},
+        "verify_all", verify_all_section, _print_verify_all),
+    ("scan",): Command("per-prime scans"),
+    ("scan", "ogg"): Command(
+        "Ogg primes against the Monster primes "
+        "({max.lo} <= max <= {max.hi})",
+        {"max": Flag(None, 5, MAX_OGG_SCAN)},
+        "ogg", ogg_section, _print_ogg),
+    ("scan", "sqrt3"): Command(
+        "sqrt(3) mod p against the mod-12 rule "
+        "({max.lo} <= max <= {max.hi})",
+        {"max": Flag(None, 5, MAX_SQRT3_SCAN)},
+        "sqrt3", sqrt3_section, _print_sqrt3),
+    ("forms",): Command(
+        "exact Eisenstein q-expansion (even weight "
+        "{weight.lo}..{weight.hi}, prec {prec.lo}..{prec.hi})",
+        {"weight": Flag(None, 4, modforms.MAX_BERNOULLI),
+         "prec": Flag(10, 1, MAX_FORMS_PREC)},
+        "forms", forms_section, _print_forms),
 }
 
 _HELP_FLAGS = ("-h", "--help")
@@ -454,32 +473,41 @@ _HELP_FLAGS = ("-h", "--help")
 _NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
+def _summary(row: Command) -> str:
+    """The row's one-line help with its flags' bounds filled in."""
+    return row.help if row.flags is None else row.help.format_map(row.flags)
+
+
 def _usage(words: tuple) -> str:
-    flags = COMMANDS.get(words, ("", None))[1]
+    flags = COMMANDS.get(words, Command("")).flags
     if flags is None:
         tail = "{" + ",".join(w[-1] for w in COMMANDS
                               if w[:-1] == words) + "} ..."
     else:
         tail = "[--json]" + "".join(
-            f" --{n} {n.upper()}" if d is None else f" [--{n} {n.upper()}]"
-            for n, d in flags.items())
+            f" --{n} {n.upper()}" if f.default is None
+            else f" [--{n} {n.upper()}]" for n, f in flags.items())
     return f"usage: {' '.join(('ellwitt',) + words)} [-h] {tail}\n"
 
 
 def _help(words: tuple) -> str:
-    text, flags = COMMANDS.get(words, (__doc__, None))
-    if flags is None:
+    row = COMMANDS.get(words, Command(__doc__))
+    if row.flags is None:
         title = "commands:"
-        rows = [(" ".join(w), COMMANDS[w][0]) for w in COMMANDS
+        rows = [(" ".join(w), _summary(c)) for w, c in COMMANDS.items()
                 if w[:len(words)] == words and w != words]
     else:
-        title = "flags:"
-        rows = [(f"--{n} {n.upper()}",
-                 "required" if d is None else f"default {d}")
-                for n, d in flags.items()]
+        title, rows = "flags:", []
+        for n, f in row.flags.items():
+            text = "required" if f.default is None else f"default {f.default}"
+            if f.lo is not None or f.hi is not None:
+                lo = "" if f.lo is None else f"{f.lo} <= "
+                hi = "" if f.hi is None else f" <= {f.hi}"
+                text += f", {lo}{n.upper()}{hi}"
+            rows.append((f"--{n} {n.upper()}", text))
         rows.append(("--json", "emit the JSON report instead of a table"))
     rows.append(("-h, --help", "show this help and exit"))
-    out = [_usage(words), text.strip(), "", title]
+    out = [_usage(words), _summary(row).strip(), "", title]
     out += [f"  {n:<24}{h}" for n, h in rows]
     out += ["", "A flag takes its value as --flag V or --flag=V, and a "
             "unique prefix\nof its name will do."]
@@ -521,11 +549,12 @@ def parse_args(argv=None):
     words, values, extras = (), {}, []
     try:
         while True:     # once per command word, then for the flags
-            flags = COMMANDS.get(words, ("", None))[1]
+            flags = COMMANDS.get(words, Command("")).flags
             options = _HELP_FLAGS
             if flags is not None:
                 options += ("--json",) + tuple("--" + n for n in flags)
-                values.update(flags, json=False)
+                values.update({n: f.default for n, f in flags.items()},
+                              json=False)
             end = rest.index("--") if "--" in rest else len(rest)
             kinds = [_option(token, options) for token in rest[:end]]
             j = 0
@@ -585,103 +614,36 @@ def parse_args(argv=None):
     return SimpleNamespace(**values)
 
 
+def _require(what: str, name: str, value: int, flag: Flag) -> None:
+    """Raise UsageError unless `value` is within the flag's bounds and,
+    for --prime, a prime.  The bounds come first: Miller-Rabin on a huge
+    p takes seconds."""
+    shown = "p" if name == "prime" else name
+    if flag.lo is not None and value < flag.lo:
+        raise UsageError(
+            f"{what}: enforced bound is {shown} >= {flag.lo}, got {value}")
+    if flag.hi is not None and value > flag.hi:
+        raise UsageError(
+            f"{what}: enforced bound is {shown} <= {flag.hi}, got {value}")
+    if name == "prime" and not is_prime(value):
+        raise UsageError(f"{what}: --prime must be a prime, got {value}")
+
+
 def _dispatch(args):
+    sub = getattr(args, f"{args.command}_what", None)
+    words = (args.command,) if sub is None else (args.command, sub)
+    row = COMMANDS[words]
+    values = [getattr(args, n) for n in row.flags]
+    for (name, flag), value in zip(row.flags.items(), values):
+        _require(" ".join(words), name, value, flag)
     report = Report()
+    report.prime = getattr(args, "prime", None)
+    report.precision = getattr(args, "precision", None)
     t0 = time.perf_counter()
-    if args.command == "ss":
-        _require_prime(args.prime, MAX_EISENSTEIN_PRIME, "ss")
-        report.prime = args.prime
-        report.sections["ss_locus"] = ss_section(args.prime)
-        printer = _print_ss
-    elif args.command == "hasse":
-        _require_prime(args.prime, MAX_DEURING_PRIME, "hasse")
-        report.prime = args.prime
-        report.sections["hasse"] = hasse_section(args.prime)
-        printer = _print_hasse
-    elif args.command == "lift":
-        _require_prime(args.prime, MAX_EISENSTEIN_PRIME, "lift")
-        if not 1 <= args.precision <= MAX_LIFT_PRECISION:
-            raise UsageError(
-                f"lift: enforced bound is 1 <= N <= {MAX_LIFT_PRECISION}")
-        report.prime, report.precision = args.prime, args.precision
-        report.sections["lift"] = lift_section(args.prime, args.precision)
-        printer = _print_lift
-    elif args.command == "split":
-        _require_prime(args.prime, MAX_SPLIT_PRIME, "split")
-        if not 1 <= args.precision <= MAX_SPLIT_PRECISION:
-            raise UsageError(
-                f"split: enforced bound is 1 <= N <= {MAX_SPLIT_PRECISION}")
-        report.prime, report.precision = args.prime, args.precision
-        report.sections["split"] = split_section(args.prime, args.precision)
-        printer = _print_split
-    elif args.command == "formal":
-        _require_prime(args.prime, MAX_FORMAL_PRIME, "formal")
-        if formalgroup.has_bad_reduction(
-                WCurve.short(QQ, args.a4, args.a6), args.prime):
-            raise UsageError(
-                f"formal: curve has bad reduction at {args.prime}")
-        report.prime = args.prime
-        report.sections["formal"] = formal_section(
-            args.prime, args.a4, args.a6)
-        printer = _print_formal
-    elif args.command == "verify" and args.verify_what == "deligne":
-        if args.prime not in _VERIFY_PRIMES:
-            raise UsageError(
-                f"verify deligne: enforced range is p in {_VERIFY_PRIMES}")
-        report.prime = args.prime
-        report.sections["deligne"] = deligne_section(args.prime)
-        printer = _print_deligne
-    elif args.command == "verify" and args.verify_what == "gross-landweber":
-        if args.prime not in _VERIFY_PRIMES:
-            raise UsageError(f"verify gross-landweber: enforced range is "
-                             f"p in {_VERIFY_PRIMES}")
-        report.prime = args.prime
-        report.sections["gross_landweber"] = gl_section(args.prime)
-        printer = _print_gl
-    elif args.command == "verify" and args.verify_what == "all":
-        if args.max < 5:
-            raise UsageError(
-                f"verify all: enforced bound is max >= 5, got {args.max}")
-        report.sections["verify_all"] = verify_all_section(args.max)
-        printer = _print_verify_all
-    elif args.command == "scan" and args.scan_what == "ogg":
-        if args.max < 5:
-            raise UsageError(
-                f"scan ogg: enforced bound is max >= 5, got {args.max}")
-        if args.max > MAX_OGG_SCAN:
-            raise UsageError(f"scan ogg: enforced bound is max <= "
-                             f"{MAX_OGG_SCAN}, got {args.max}")
-        report.sections["ogg"] = ogg_section(args.max)
-        printer = _print_ogg
-    elif args.command == "scan" and args.scan_what == "sqrt3":
-        if args.max < 5:
-            raise UsageError(
-                f"scan sqrt3: enforced bound is max >= 5, got {args.max}")
-        if args.max > MAX_SQRT3_SCAN:
-            raise UsageError(f"scan sqrt3: enforced bound is max <= "
-                             f"{MAX_SQRT3_SCAN}, got {args.max}")
-        report.sections["sqrt3"] = sqrt3_section(args.max)
-        printer = _print_sqrt3
-    elif args.command == "forms":
-        if args.weight < 4 or args.weight % 2:
-            raise UsageError("forms: --weight must be even and >= 4")
-        if args.weight > modforms.MAX_BERNOULLI:
-            raise UsageError(f"forms: enforced bound is weight <= "
-                             f"{modforms.MAX_BERNOULLI}")
-        if args.prec < 1:
-            raise UsageError(
-                f"forms: enforced bound is prec >= 1, got {args.prec}")
-        if args.prec > MAX_FORMS_PREC:
-            raise UsageError(f"forms: enforced bound is prec <= "
-                             f"{MAX_FORMS_PREC}, got {args.prec}")
-        report.sections["forms"] = forms_section(args.weight, args.prec)
-        printer = _print_forms
-    else:  # pragma: no cover - parse_args prevents this
-        raise UsageError(f"unknown command {args.command}")
-    section_name = next(iter(report.sections))
-    report.timings[section_name] = round(
+    report.sections[row.section] = row.build(*values)
+    report.timings[row.section] = round(
         (time.perf_counter() - t0) * 1000, 3)
-    return report, printer
+    return report, row.show
 
 
 def main(argv=None) -> int:

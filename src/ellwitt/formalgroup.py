@@ -41,7 +41,6 @@ __all__ = [
 
 MAX_FORMAL_PRIME = 13
 MAX_EXPANSION_PREC = 200
-_VERIFY_PRIMES = (5, 7, 11, 13)
 
 
 def _c4_c6_disc(a1, a2, a3, a4, a6) -> tuple:
@@ -458,8 +457,7 @@ def verify_deligne(p: int) -> DeligneReport:
     over F_p: formal-group v1 = classical x^(p-1) coefficient =
     hasse_form at (c4, -c6).  Any disagreement raises ValidationError
     naming the curve and all three values."""
-    if p not in _VERIFY_PRIMES:
-        raise ValueError(f"verify_deligne runs at p in {_VERIFY_PRIMES}")
+    require_prime(p, "verify_deligne", MAX_FORMAL_PRIME)
     field = PrimeField(p)
     hf = modforms.hasse_form(p)
     checked = 0
@@ -485,42 +483,20 @@ def verify_deligne(p: int) -> DeligneReport:
                          supersingular_curves=ss_count)
 
 
-#: One supersingular curve's v2 against the prediction; ratio_pow_of_12
-#: is None when the ratio is not a power of 12.
-GLCurveResult = namedtuple(
-    "GLCurveResult", "j a4 a6 v2 predicted match ratio ratio_pow_of_12")
+#: One supersingular curve's v2 and the prediction it equals.
+GLCurveResult = namedtuple("GLCurveResult", "j a4 a6 v2 predicted")
 
-#: entries is a tuple of GLCurveResult; common_power_of_12 is None unless
-#: every entry has the same one.
-GLReport = namedtuple(
-    "GLReport", "prime sign entries all_match common_power_of_12")
-
-
-def _pow12_index(r: FpElem) -> int | None:
-    """Smallest k >= 0 with 12^k = r mod p, if one exists."""
-    field = r.ring
-    twelve = field.from_int(12)
-    acc = field.one()
-    for k in range(field.p):
-        if acc == r:
-            return k
-        acc = acc * twelve
-    return None
+#: entries is a tuple of GLCurveResult.
+GLReport = namedtuple("GLReport", "prime sign entries")
 
 
 def verify_gross_landweber(p: int) -> GLReport:
     """For every supersingular j over F_p (all of them are F_p-rational
-    for p <= 13): v2 of the standard model against
-    (-1)^((p-1)/2) * Delta^((p^2-1)/12).
-
-    Mismatches are reported, not raised; any discrepancy ratio is
-    decomposed as a power of 12 when possible, and a common power across
-    curves is reported (0 = on-the-nose match).
-    """
+    for p <= 13): v2 of the standard model must equal
+    (-1)^((p-1)/2) * Delta^((p^2-1)/12) exactly.  A mismatch raises
+    ValidationError naming p, j, v2 and the prediction."""
     from . import sslocus
-    if p not in _VERIFY_PRIMES:
-        raise ValueError(
-            f"verify_gross_landweber runs at p in {_VERIFY_PRIMES}")
+    require_prime(p, "verify_gross_landweber", MAX_FORMAL_PRIME)
     field = PrimeField(p)
     locus = sslocus.cross_validate(p)
     sign = (-1) ** ((p - 1) // 2)
@@ -534,13 +510,11 @@ def verify_gross_landweber(p: int) -> GLReport:
         assert not v1 and v2 is not None
         _, _, disc, _ = E.invariants()
         pred = field.from_int(sign) * disc ** exponent
-        ratio = v2 / pred
-        entries.append(GLCurveResult(
-            j=jval.a, a4=E.a4.value, a6=E.a6.value, v2=v2.value,
-            predicted=pred.value, match=v2 == pred, ratio=ratio.value,
-            ratio_pow_of_12=_pow12_index(ratio)))
-    powers = {e.ratio_pow_of_12 for e in entries}
-    common = powers.pop() if len(powers) == 1 else None
-    return GLReport(prime=p, sign=sign, entries=tuple(entries),
-                    all_match=all(e.match for e in entries),
-                    common_power_of_12=common)
+        if v2 != pred:
+            raise ValidationError(
+                f"Gross-Landweber fails at p={p}, j={jval.a}: "
+                f"v2={v2.value}, predicted {pred.value}")
+        entries.append(GLCurveResult(j=jval.a, a4=E.a4.value,
+                                     a6=E.a6.value, v2=v2.value,
+                                     predicted=pred.value))
+    return GLReport(prime=p, sign=sign, entries=tuple(entries))

@@ -8,6 +8,7 @@ import io
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -173,6 +174,7 @@ def test_cache_roundtrip_and_poisoning(tmp_path):
 def test_validation_failure_exits_2(tmp_path, monkeypatch, capsys):
     # a method disagreement surfaces as exit code 2 with a counterexample
     import ellwitt.cli as climod
+    import ellwitt.formalgroup as formalgroup
     from ellwitt.errors import ValidationError
 
     def boom(p):
@@ -180,7 +182,7 @@ def test_validation_failure_exits_2(tmp_path, monkeypatch, capsys):
             f"Deligne disagreement at p={p}, (A,B)=(1,2): formal v1=3, "
             f"classical=4, eisenstein=5")
 
-    monkeypatch.setattr(climod, "deligne_section", boom)
+    monkeypatch.setattr(formalgroup, "verify_deligne", boom)
     rc = climod.main(["verify", "deligne", "--prime", "5"])
     assert rc == 2
     err = capsys.readouterr().err
@@ -285,6 +287,58 @@ def test_scan_ogg_above_its_bound_is_usage_error(tmp_path):
     assert proc.stdout == ""
 
 
+def _bound_cases() -> list:
+    """(words, flag, value, message) just outside every bound of every
+    COMMANDS row; for --prime also 3, 9 and the next prime above it."""
+    from ellwitt.arith import is_prime
+    cases = []
+    for words, row in ellwitt.cli.COMMANDS.items():
+        for name, flag in (row.flags or {}).items():
+            shown = "p" if name == "prime" else name
+            low = f"enforced bound is {shown} >= {flag.lo}"
+            high = f"enforced bound is {shown} <= {flag.hi}"
+            bad = []
+            if flag.lo is not None:
+                bad.append((flag.lo - 1, low))
+            if flag.hi is not None:
+                bad.append((flag.hi + 1, high))
+            if name == "prime":
+                above = next(n for n in range(flag.hi + 1, 2 * flag.hi + 3)
+                             if is_prime(n))
+                bad += [(3, low), (9, "--prime must be a prime"),
+                        (above, high)]
+            cases += [pytest.param(words, name, value, message,
+                                   id=f"{'-'.join(words)}-{name}={value}")
+                      for value, message in bad]
+    return cases
+
+
+def _in_bounds(flag) -> int:
+    if flag.default is not None:
+        return flag.default
+    return 1 if flag.lo is None else flag.lo
+
+
+@pytest.mark.parametrize("words, name, value, message", _bound_cases())
+def test_every_bound_in_the_table_is_enforced(monkeypatch, capsys, words,
+                                              name, value, message):
+    import ellwitt.cli as climod
+    row = climod.COMMANDS[words]
+
+    def never(*args):
+        raise AssertionError(f"{words} built with {name} = {value}")
+
+    monkeypatch.setitem(climod.COMMANDS, words, row._replace(build=never))
+    argv = list(words)
+    for n, flag in row.flags.items():
+        argv += [f"--{n}", str(value if n == name else _in_bounds(flag))]
+    assert climod.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"ellwitt: error: {' '.join(words)}: {message}, "
+                   f"got {value}\n")
+
+
 def test_formal_bad_reduction_is_usage_error(capsys):
     from ellwitt.cli import main
     # 4*3^3 + 27*4^2 = 540 = 0 mod 5, and a4 = a6 = 0 is singular over Q
@@ -294,14 +348,24 @@ def test_formal_bad_reduction_is_usage_error(capsys):
         assert "bad reduction at 5" in capsys.readouterr().err
 
 
+def test_forms_odd_weight_is_usage_error(capsys):
+    from ellwitt.cli import main
+    for weight in ("5", "199"):
+        assert main(["forms", "--weight", weight]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == (f"ellwitt: error: forms: --weight "
+                                     f"must be even, got {weight}\n")
+
+
 def test_internal_value_error_exits_2(monkeypatch, capsys):
     # a ValueError escaping a section builder is a bug, not a usage error
     import ellwitt.cli as climod
+    import ellwitt.sslocus as sslocus
 
     def broken(p):
         raise ValueError("an internal invariant broke")
 
-    monkeypatch.setattr(climod, "hasse_section", broken)
+    monkeypatch.setattr(sslocus, "hasse_polynomial", broken)
     assert climod.main(["hasse", "--prime", "7", "--json"]) == 2
     captured = capsys.readouterr()
     assert "an internal invariant broke" in captured.err
@@ -321,6 +385,28 @@ def test_hasse_root_shortfall_exits_2(monkeypatch, capsys):
     # one dropped root w of the half-degree polynomial loses the pair
     # {lambda, 1/lambda}; lambda = -1 (m = 5 is odd) remains
     assert "VALIDATION FAILURE" in err and "only 3 of 5" in err
+
+
+def test_gross_landweber_mismatch_exits_2(monkeypatch, capsys):
+    # v2 off from the prediction by the same power of 12 at every curve
+    # is a failure, not a normalization to report
+    import ellwitt.cli as climod
+    import ellwitt.formalgroup as formalgroup
+    real = formalgroup.v_invariants
+
+    def scaled(E, p):
+        v1, v2 = real(E, p)
+        return v1, None if v2 is None else v2 * 12
+
+    monkeypatch.setattr(formalgroup, "v_invariants", scaled)
+    for argv, p in ((["verify", "gross-landweber", "--prime", "13"], 13),
+                    (["verify", "all", "--max", "5"], 5)):
+        assert climod.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"VALIDATION FAILURE: Gross-Landweber fails "
+                              f"at p={p}, j=")
+        assert "v2=" in err and "predicted" in err
 
 
 def test_verify_all_checks_the_scan_count_against_deuring(monkeypatch):
@@ -382,7 +468,8 @@ def test_unversioned_cache_entry_is_a_miss(tmp_path, monkeypatch):
              "sha256": cachemod._checksum(payload), "payload": payload}
     (cache_dir / "ss_p13.json").write_text(json.dumps(entry))
     assert cachemod.load("ss", {"p": 13}) is None
-    current = cachemod._entry_path("ss", cachemod._versioned("ss", {"p": 13}))
+    current = Path(cachemod._entry_path(
+        "ss", cachemod._versioned("ss", {"p": 13})))
     assert current.name != "ss_p13.json"
     current.write_text(json.dumps(entry))
     assert cachemod.load("ss", {"p": 13}) is None
@@ -459,7 +546,8 @@ def test_import_loads_only_what_a_request_needs():
     assert proc.returncode == 0, proc.stderr
     added = set(json.loads(proc.stdout))
     heavy = {"dataclasses", "inspect", "ast", "dis", "hashlib", "typing",
-             "numpy", "argparse", "gettext"}
+             "numpy", "argparse", "gettext", "pathlib", "tempfile",
+             "shutil"}
     assert not added & heavy
     # the bench tracer resolves every span owner right after this import
     traced = set(re.findall(r'"(ellwitt\.\w+)"', TRACER.read_text()))
@@ -540,7 +628,7 @@ def test_entry_checksummed_by_hashlib_is_served_warm(tmp_path):
     key = cachemod._versioned("ss", {"p": 11})
     entry = {"schema_version": SCHEMA_VERSION, "key": key,
              "sha256": _hashlib_sha256(payload), "payload": payload}
-    path = tmp_path / cachemod._entry_path("ss", key).name
+    path = tmp_path / Path(cachemod._entry_path("ss", key)).name
     path.write_text(canonical_json(entry))
     inode = path.stat().st_ino
     proc = run_cli(["ss", "--prime", "11", "--json"], tmp_path)
@@ -549,6 +637,34 @@ def test_entry_checksummed_by_hashlib_is_served_warm(tmp_path):
     assert canonical_json(got) == want
     assert "discarding" not in proc.stderr
     assert path.stat().st_ino == inode
+
+
+def test_entry_keeps_its_name_bytes_and_mode_and_is_read_untouched(
+        tmp_path):
+    # the entry format of earlier releases: the same file name, canonical
+    # bytes and mode 0600; a warm run reads it and writes nothing
+    import ellwitt.cache as cachemod
+    from ellwitt.report import SCHEMA_VERSION
+    algo = cachemod.ALGORITHM_VERSIONS["ss"]
+    payload = json.loads((GOLDEN / "ss_p13.json").read_text()
+                         )["sections"]["ss_locus"]
+    entry = {"schema_version": SCHEMA_VERSION,
+             "key": {"algo": algo, "p": 13},
+             "sha256": _hashlib_sha256(payload), "payload": payload}
+    run_cli(["ss", "--prime", "13"], tmp_path)
+    path = tmp_path / f"ss_algo{algo}_p13.json"
+    assert os.listdir(tmp_path) == [path.name]
+    assert path.read_text() == canonical_json(entry)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
+    os.utime(path, ns=(10 ** 18, 10 ** 18))
+    before = path.stat()
+    proc = run_cli(["ss", "--prime", "13", "--json"], tmp_path)
+    _ss13_against_golden(proc)
+    assert proc.stderr == ""
+    after = path.stat()
+    assert (after.st_ino, after.st_mtime_ns) == \
+        (before.st_ino, before.st_mtime_ns)
+    assert os.listdir(tmp_path) == [path.name]
 
 
 # --- property: no argument vector gives a traceback ---
@@ -881,14 +997,21 @@ def test_every_command_has_help(capsys):
              if isinstance(a, argparse._SubParsersAction)]
     for choice in sub._choices_actions:   # the old top-level help lines
         assert f"  {choice.dest} " in top and choice.help in top
-    for words, (text, flags) in COMMANDS.items():
+    for words, row in COMMANDS.items():
+        text = row.help.format_map(row.flags or {})
         assert f"  {' '.join(words):<24}{text}\n" in top
         assert main([*words, "--help"]) == 0
         out, err = capsys.readouterr()
         assert err == ""
         assert out.startswith(f"usage: ellwitt {' '.join(words)} [-h] ")
-        for flag in flags or ():
-            assert f"  --{flag} {flag.upper()} " in out
+        for name, flag in (row.flags or {}).items():
+            [line] = [ln for ln in out.splitlines()
+                      if ln.startswith(f"  --{name} {name.upper()} ")]
+            # the bounds the table enforces, shown next to the flag
+            if flag.lo is not None:
+                assert f"{flag.lo} <= {name.upper()}" in line
+            if flag.hi is not None:
+                assert f"{name.upper()} <= {flag.hi}" in line
 
 
 def test_help_exits_0_from_a_fresh_process(tmp_path):
@@ -909,3 +1032,36 @@ def test_readme_cli_lines_parse():
         with redirect_stdout(io.StringIO()) as out:
             args = parse_args(shlex.split(line)[1:])
         assert args is not None and out.getvalue() == "", line
+
+
+def _readme_bounds() -> dict:
+    """{(command words, flag): (least, greatest)} from the rows of the
+    README's "Enforced bounds" table that name a CLI flag."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("\n## Enforced bounds\n", 1)[1].split("\n## ")[0]
+    out = {}
+    for line in block.splitlines():
+        cells = line.split("|")
+        command = re.match(r"\s*`([a-z][a-z0-9 -]*?) --", cells[1]) \
+            if len(cells) > 2 else None
+        if command is None:
+            continue
+        lo = (re.search(r"(-?\d+) <= [a-zA-Z]", cells[2])
+              or re.search(r"[a-zA-Z] >= (-?\d+)", cells[2]))
+        hi = re.search(r"[a-zA-Z] <= (-?\d+)", cells[2])
+        for flag in re.findall(r"--([a-z0-9]+)", cells[1]):
+            out[tuple(command[1].split()), flag] = tuple(
+                m and int(m[1]) for m in (lo, hi))
+    return out
+
+
+def test_readme_bounds_match_the_table():
+    from ellwitt.cli import COMMANDS
+    documented = _readme_bounds()
+    for (words, name), bounds in documented.items():
+        flag = COMMANDS[words].flags[name]
+        assert (flag.lo, flag.hi) == bounds, (words, name)
+    bounded = {(words, name) for words, row in COMMANDS.items()
+               for name, flag in (row.flags or {}).items()
+               if (flag.lo, flag.hi) != (None, None)}
+    assert bounded <= documented.keys()

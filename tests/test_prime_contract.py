@@ -7,7 +7,12 @@ import re
 import pytest
 
 from ellwitt.arith import Zmod, fq2_context, has_sqrt3
-from ellwitt.formalgroup import WCurve, mult_by_p_series
+from ellwitt.formalgroup import (
+    WCurve,
+    mult_by_p_series,
+    verify_deligne,
+    verify_gross_landweber,
+)
 from ellwitt.modforms import (
     hasse_decomposition,
     hasse_form,
@@ -32,6 +37,8 @@ ENTRY_POINTS = (
     ("has_sqrt3", has_sqrt3, None),
     ("fq2_context", fq2_context, None),
     ("mult_by_p_series", lambda p: mult_by_p_series(_CURVE, p), (13, 17)),
+    ("verify_deligne", verify_deligne, (13, 17)),
+    ("verify_gross_landweber", verify_gross_landweber, (13, 17)),
     ("hasse_decomposition", hasse_decomposition, None),
     ("hasse_form", hasse_form, (97, 101)),
     ("ss_poly_eisenstein", ss_poly_eisenstein, (97, 101)),

@@ -1,11 +1,14 @@
 """Exact q-expansions of level-1 modular forms and the supersingular
-polynomial extracted from the weight-(p-1) Eisenstein series.
+polynomial read off the weight-(p-1) Eisenstein series.
 
 Conventions (standard, not the paper-facsimile ones): Delta = eta^24 =
 (E4^3 - E6^2)/1728 and j = E4^3/Delta = q^-1 + 744 + ...  Everything is
 exact: rational q-expansions use Fraction coefficients, reductions mod p
 happen only after p-integrality has been certified, and series with
 integer coefficients (E4, E6) may be built mod p directly.
+
+Locus route 2 is E_{p-1} mod p in the E4/E6 basis (hasse_form), then
+j = E4^3/Delta (ss_poly_eisenstein).
 """
 
 from __future__ import annotations
@@ -70,18 +73,22 @@ def eisenstein_q(k: int, prec: int) -> QSeries:
     return QSeries(QQ, 0, coeffs)
 
 
-def _level_one_forms(ring, prec: int) -> tuple:
-    """E4, E6, Delta and j over ring (QQ, or F_p with p > 3) through
-    absolute precision prec.  E4 = 1 + 240 sum sigma_3(n) q^n and
-    E6 = 1 - 504 sum sigma_5(n) q^n come from integer divisor sums, then
+def _e4_e6(ring, prec: int) -> tuple:
+    """E4 = 1 + 240 sum sigma_3(n) q^n and E6 = 1 - 504 sum sigma_5(n) q^n
+    over ring (QQ, or F_p with p > 3) through absolute precision prec,
+    from integer divisor sums."""
+    return tuple(QSeries(ring, 0, [1] + [c * _sigma(n, k - 1)
+                                         for n in range(1, prec)])
+                 for k, c in ((4, 240), (6, -504)))
+
+
+def _level_one_forms(prec: int) -> tuple:
+    """E4, E6, Delta and j over QQ through absolute precision prec:
     Delta = (E4^3 - E6^2)/1728 and j = E4^3/Delta.  Everything is built
     3 terms further and truncated, which j's inversion of Delta needs."""
-    pad = prec + 3
-    e4, e6 = (QSeries(ring, 0, [1] + [c * _sigma(n, k - 1)
-                                      for n in range(1, pad)])
-              for k, c in ((4, 240), (6, -504)))
+    e4, e6 = _e4_e6(QQ, prec + 3)
     e4_3 = e4 ** 3
-    dlt = (e4_3 - e6 ** 2).scale(ring.inv(ring.from_int(1728)))
+    dlt = (e4_3 - e6 ** 2).scale(Fraction(1, 1728))
     j = (e4_3 * dlt.inverse()).truncate(prec)
     return e4.truncate(prec), e6.truncate(prec), dlt.truncate(prec), j
 
@@ -90,7 +97,7 @@ def delta_q(prec: int) -> QSeries:
     """Delta = (E4^3 - E6^2)/1728 = q - 24q^2 + 252q^3 - ..."""
     if prec < 2:
         raise ValueError("prec must be >= 2")
-    return _level_one_forms(QQ, prec)[2]
+    return _level_one_forms(prec)[2]
 
 
 def eta24_q(prec: int) -> QSeries:
@@ -112,7 +119,7 @@ def eta24_q(prec: int) -> QSeries:
 
 def j_q(prec: int) -> QSeries:
     """j = E4^3 / Delta = q^-1 + 744 + 196884q + ..., abs precision prec."""
-    return _level_one_forms(QQ, prec)[3]
+    return _level_one_forms(prec)[3]
 
 
 #: Monomials E4^a E6^b spanning M_k, listed with b ascending.
@@ -138,26 +145,24 @@ def weight_basis(k: int) -> WeightBasis:
     return WeightBasis(k, tuple(mons))
 
 
-def _solve_exact(rows, rhs):
-    """Gaussian elimination over Fraction; a singular or inconsistent
-    system raises ValidationError."""
+def _solve_exact(rows, rhs, ring=QQ):
+    """Gaussian elimination over a field ring (QQ or F_p); a singular or
+    inconsistent system raises ValidationError."""
     n = len(rows[0])
     m = len(rows)
     aug = [list(rows[i]) + [rhs[i]] for i in range(m)]
-    piv_rows = []
     r = 0
     for col in range(n):
         piv = next((i for i in range(r, m) if aug[i][col] != 0), None)
         if piv is None:
             raise ValidationError("singular linear system (precision bug?)")
         aug[r], aug[piv] = aug[piv], aug[r]
-        inv = Fraction(1) / aug[r][col]
+        inv = ring.inv(aug[r][col])
         aug[r] = [x * inv for x in aug[r]]
         for i in range(m):
             if i != r and aug[i][col] != 0:
                 f = aug[i][col]
                 aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        piv_rows.append(r)
         r += 1
     # remaining rows must have zero rhs (consistency)
     for i in range(r, m):
@@ -171,8 +176,8 @@ _GUARD = 4
 
 def express_in_e4e6(s: QSeries, k: int) -> dict:
     """Coefficients c_ab with sum c_ab E4^a E6^b = s, for s a modular
-    form of weight k, solved from the first dim M_k q-coefficients and
-    verified on 4 guard coefficients.
+    form of weight k over s.ring (QQ or F_p), solved from the first
+    dim M_k q-coefficients and verified on 4 guard coefficients.
 
     s must have abs precision >= dim M_k + 4.
     """
@@ -185,20 +190,19 @@ def express_in_e4e6(s: QSeries, k: int) -> dict:
         raise ValueError(
             f"need abs precision >= {need} for weight {k}, "
             f"got {s.abs_prec}")
-    e4 = eisenstein_q(4, need)
-    e6 = eisenstein_q(6, need)
-    one = QSeries(QQ, 0, [1] + [0] * (need - 1))
-    cols = []
-    for a, b in basis.monomials:
-        mono = e4 ** a if a else one
-        if b:
-            mono = mono * e6 ** b
+    ring = s.ring
+    e4, e6 = _e4_e6(ring, need)
+    a, b = basis.monomials[0]
+    mono = e4 ** a * e6 ** b
+    step = e6 ** 2 * (e4 ** 3).inverse()  # b ascends by 2, a falls by 3
+    cols = [mono.coeff_list(0, need)]
+    for _ in range(d - 1):
+        mono = mono * step
         cols.append(mono.coeff_list(0, need))
-    rows = [[cols[j][i] for j in range(d)] for i in range(d)]
-    rhs = [s.coeff(i) for i in range(d)]
-    sol = _solve_exact(rows, rhs)
+    rows = list(zip(*cols))  # rows[i][j]: q^i coefficient of monomial j
+    sol = _solve_exact(rows[:d], [s.coeff(i) for i in range(d)], ring)
     for i in range(d, need):
-        got = sum(sol[j] * cols[j][i] for j in range(d))
+        got = sum(c * x for c, x in zip(sol, rows[i]))
         if got != s.coeff(i):
             raise ValidationError(
                 f"guard coefficient q^{i} mismatch: input is not a "
@@ -220,36 +224,18 @@ def hasse_decomposition(p: int) -> HasseDecomposition:
 
 @lru_cache(maxsize=None)
 def hasse_form(p: int) -> dict:
-    """E_{p-1} written in the E4^a E6^b basis, reduced mod p.
+    """E_{p-1} reduced mod p, written in the E4^a E6^b basis over F_p.
 
-    The exact rational solve must be p-integral (it is, by von Staudt-
-    Clausen), and the reduced combination is the Hasse invariant: its
-    q-expansion is 1 mod p, which is asserted at solve precision.
+    E_{p-1} is p-integral and 1 mod p (von Staudt-Clausen), which is
+    asserted at solve precision, so the combination is the Hasse
+    invariant and its coefficients sum to 1.
     """
     require_prime(p, "hasse_form", MAX_EISENSTEIN_PRIME)
-    d = _dim_mk(p - 1)
-    need = d + _GUARD
-    exact = express_in_e4e6(eisenstein_q(p - 1, need), p - 1)
-    field = PrimeField(p)
-    out = {}
-    for mon, c in exact.items():
-        if c.denominator % p == 0:
-            raise ValidationError(
-                f"hasse_form coefficient {c} for {mon} is not {p}-integral")
-        out[mon] = field.elem(c.numerator * pow(c.denominator, -1, p))
-    # The combination reduces to the constant series 1 mod p.
-    e4 = eisenstein_q(4, need).reduce_mod(field)
-    e6 = eisenstein_q(6, need).reduce_mod(field)
-    one = QSeries(field, 0, [1] + [0] * (need - 1))
-    acc = QSeries(field, need, [])
-    for (a, b), c in out.items():
-        mono = e4 ** a if a else one
-        if b:
-            mono = mono * e6 ** b
-        acc = acc + mono.scale(c)
-    if acc.coeff_list(0, acc.abs_prec) != \
-            [field.one()] + [field.zero()] * (acc.abs_prec - 1):
-        raise ValidationError(f"hasse_form({p}) does not reduce to 1 mod p")
+    need = _dim_mk(p - 1) + _GUARD
+    ep1 = eisenstein_q(p - 1, need).reduce_mod(PrimeField(p))
+    if ep1.coeff_list(0, need) != [1] + [0] * (need - 1):
+        raise ValidationError(f"E_{p-1} mod {p} is not the constant 1")
+    out = express_in_e4e6(ep1, p - 1)
     if sum(v.value for v in out.values()) % p != 1:
         raise ValidationError(f"hasse_form({p}) constant term is not 1")
     return out
@@ -257,63 +243,38 @@ def hasse_form(p: int) -> dict:
 
 @lru_cache(maxsize=None)
 def ss_poly_eisenstein(p: int) -> Poly:
-    """The supersingular polynomial over F_p, by Laurent-peeling the
-    weight-0 series Ebar_{p-1} * E4^-delta * E6^-eps * Delta^-m into a
-    polynomial in j.
+    """The supersingular polynomial over F_p, read off hasse_form(p).
 
-    Returns X^delta (X - 1728)^eps phi(X): monic, degree m + delta + eps,
-    squarefree, with 1728 reduced mod p.  E_{p-1} is reduced from its
-    exact rational series; E4, E6, Delta and j are built over F_p.
+    With p - 1 = 12m + 4 delta + 6 eps, a = delta + 3i, b = eps + 2k and
+    i + k = m, E4^3 = j Delta and E6^2 = (j - 1728) Delta give
+    E4^a E6^b = E4^delta E6^eps Delta^m j^i (j - 1728)^k (Kaneko and
+    Zagier, 1998, section 2).  So phi(X) = sum c_ab X^i (X - 1728)^k,
+    built by Horner in X - 1728, and ss_p = X^delta (X - 1728)^eps phi:
+    monic, degree m + delta + eps, squarefree, phi(0), phi(1728) != 0.
     """
     require_prime(p, "ss_poly_eisenstein", MAX_EISENSTEIN_PRIME)
-    dec = hasse_decomposition(p)
-    m, delta, eps = dec.m, dec.delta, dec.eps
+    _, m, delta, eps = hasse_decomposition(p)
     field = PrimeField(p)
-    prec0 = m + 8
-    ep1 = eisenstein_q(p - 1, prec0).reduce_mod(field)
-    if not (ep1 - QSeries(field, 0, [1] + [0] * (prec0 - 1))).is_zero():
-        raise ValidationError(f"E_{p-1} mod {p} is not the constant 1")
-    e4, e6, dlt, jbar = _level_one_forms(field, prec0)
-    F = ep1
-    if delta:
-        F = F * e4.inverse()
-    if eps:
-        F = F * e6.inverse()
-    if m:
-        F = F * dlt.inverse() ** m
-    span = max(1, F.prec)
-    jpow = [QSeries(field, 0, [1] + [0] * (span - 1))]
-    for _ in range(m):
-        jpow.append(jpow[-1] * jbar)
-    phi = [field.zero()] * (m + 1)
-    resid = F
-    for i in range(m, -1, -1):
-        ci = resid.coeff(-i)
-        phi[i] = ci
-        if ci:
-            resid = resid - jpow[i].scale(ci)
-    # the zero check must cover real guard coefficients beyond q^0
-    if resid.abs_prec < 4:
-        raise ValidationError(
-            f"ss_poly_eisenstein({p}): residual precision "
-            f"{resid.abs_prec} leaves no guard coefficients")
-    if not resid.is_zero():
-        raise ValidationError(
-            f"ss_poly_eisenstein({p}): residual {resid!r} does not vanish "
-            f"(normalization or precision bug)")
-    if phi[m] != field.one():
-        raise ValidationError(f"ss_poly_eisenstein({p}): phi is not monic")
+    hf = hasse_form(p)
+    c = [hf[delta + 3 * (m - k), eps + 2 * k].value for k in range(m + 1)]
+
+    def times_x_minus_1728(s):
+        return [(lo - 1728 * hi) % p for lo, hi in zip([0] + s, s + [0])]
+
+    phi = [c[m]]
+    for k in range(m - 1, -1, -1):  # phi has degree m - k after this step
+        phi = times_x_minus_1728(phi)
+        phi[m - k] = (phi[m - k] + c[k]) % p
     phi_poly = Poly(field, phi)
     if not phi_poly.evaluate(field.zero()):
         raise ValidationError(f"phi(0) = 0 at p={p}: contradicts simple roots")
     if not phi_poly.evaluate(field.from_int(1728)):
         raise ValidationError(
             f"phi(1728) = 0 at p={p}: contradicts simple roots")
-    ss = phi_poly
-    if delta:
-        ss = ss * Poly(field, [0, 1])
+    s = [0] * delta + phi
     if eps:
-        ss = ss * Poly(field, [-1728, 1])
+        s = times_x_minus_1728(s)
+    ss = Poly(field, s)
     if ss.degree != m + delta + eps or ss.leading() != field.one():
         raise ValidationError(f"ss polynomial degree/monicity broke at p={p}")
     if ss.gcd(ss.derivative()).degree != 0:

@@ -505,11 +505,6 @@ class QSeries:
         """Exponent at which knowledge stops."""
         return self.offset + len(self.coeffs)
 
-    @property
-    def prec(self) -> int:
-        """Number of stored coefficients (truncation length)."""
-        return len(self.coeffs)
-
     def valuation(self):
         """Exponent of the lowest nonzero term; None when the series is
         zero to its precision."""

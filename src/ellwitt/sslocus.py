@@ -7,7 +7,8 @@ come in pairs {lambda, 1/lambda}, and z = (1 + lambda)/(1 - lambda)
 turns it into the parity-symmetric Legendre polynomial P_m of z, so the
 roots are found on a polynomial of degree floor(m/2) in w = z^2 and
 recovered by one square root in F_{p^2} per pair.
-Route 2 (modforms): Laurent peeling of the reduced E_{p-1}.
+Route 2 (modforms): E_{p-1} mod p in the E4/E6 basis, then
+j = E4^3/Delta.
 Route 3 (here, p <= 31): character-sum point counts over F_{p^2},
 marking a curve supersingular exactly when its trace vanishes mod p;
 one big-int correlation counts a twist family y^2 = x^3 + cx + c for
@@ -127,17 +128,23 @@ def hasse_roots(p: int) -> frozenset:
     (_legendre_half).  Each root w of Q in F_{p^2} gives z = sqrt(w) and
     the pair lambda = (z - 1)/(z + 1), 1/lambda (from -z); when m is odd,
     z = 0 adds lambda = -1.  A w whose square root escapes F_{p^2} loses
-    its pair, which the count check reports."""
+    its pair, which the count check reports.
+
+    The squarefree check runs on Q: H is squarefree iff Q is and
+    Q(0) != 0.  lambda -> z keeps multiplicities and loses no root, as
+    H(1) = C(2m, m) and P_m(-1) = (-1)^m are nonzero; +-sqrt(w) are
+    distinct for w != 0 in characteristic != 2, and a root w = 0 would
+    make z = 0 a double root of P_m."""
     require_prime(p, "hasse_roots", MAX_DEURING_PRIME)
-    H = hasse_polynomial(p)
-    if H.gcd(H.derivative()).degree != 0:
+    Q = _legendre_half(p)
+    if not Q.coeff(0) or Q.gcd(Q.derivative()).degree != 0:
         raise ValidationError(
             f"Hasse polynomial at p={p} is not squarefree")
     m = (p - 1) // 2
     ctx = fq2_context(p)
     one = ctx.one()
     lams = {-one} if m % 2 else set()
-    for w in roots_in_field(_legendre_half(p), ctx):
+    for w in roots_in_field(Q, ctx):
         if w == 0 or w == 1:
             raise ValidationError(
                 f"p={p}: w={w!r} is a root of the Legendre half "
@@ -267,8 +274,7 @@ def ss_poly_closed(p: int) -> Poly:
     int work mod p, and no denominator vanishes since k <= m < p.  The
     degree must be sigma(p)."""
     require_prime(p, "ss_poly_closed")
-    m, r = divmod(p - 1, 12)
-    delta, eps = int(r % 6 == 4), int(r >= 6)
+    _, m, delta, eps = modforms.hasse_decomposition(p)
     i12 = pow(12, -1, p)
     a, b = (7 * i12, 11 * i12) if eps else (i12, 5 * i12)
     s = [1] * (m + 1)  # s[m - k] multiplies X^(m-k)

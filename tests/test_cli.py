@@ -15,7 +15,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import ellwitt.cli
@@ -780,6 +780,7 @@ def _too_slow(argv) -> bool:
 
 @settings(max_examples=300, deadline=None)
 @given(_argvs())
+@example(["forms", "--weight", "5"])  # an odd weight the library rejects
 def test_any_argument_vector_exits_cleanly(tmp_path_factory, argv):
     assume(not _too_slow(argv))
     from ellwitt.cli import main
@@ -798,8 +799,12 @@ def test_any_argument_vector_exits_cleanly(tmp_path_factory, argv):
             del os.environ["ELLWITT_CACHE_DIR"]
         else:
             os.environ["ELLWITT_CACHE_DIR"] = old
-    assert code in (0, 1, 2), (argv, code, err.getvalue())
-    assert "Traceback" not in err.getvalue()
+    text = err.getvalue()
+    assert code in (0, 1, 2), (argv, code, text)
+    assert "Traceback" not in text
+    # exit 2 is a failed invariant, never a usage error the library met
+    assert "ellwitt: internal error" not in text, (argv, text)
+    assert code != 2 or "VALIDATION FAILURE" in text, (argv, text)
 
 
 # --- the command table against the argparse tree it replaced ---

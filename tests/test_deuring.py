@@ -6,7 +6,8 @@ hasse_roots solves Q(w), the parity form of the Legendre polynomial P_m
 root in F_{p^2}.  The replaced route solves the degree-m Hasse
 polynomial H directly, ``roots_in_field(H, fq2_context(p))``; it is kept
 below as the oracle, and both routes must give the same lambda-set and
-the same j-set.  The polynomial identity behind the reduction,
+the same j-set.  So is the replaced squarefree check gcd(H, H') = 1,
+which hasse_roots now makes on Q.  The polynomial identity behind the reduction,
 
     sum_k q_k (1 + lambda)^(m-2k) (1 - lambda)^(2k) = 2^m H(lambda),
     q_k = (-1)^k C(m,k) C(2m-2k,m),
@@ -27,7 +28,7 @@ import pytest
 from ellwitt import sslocus
 from ellwitt.arith import fq2_context, is_prime
 from ellwitt.errors import ValidationError
-from ellwitt.polyseries import roots_in_field
+from ellwitt.polyseries import Poly, roots_in_field
 from ellwitt.sslocus import (
     MAX_DEURING_PRIME,
     _legendre_half,
@@ -78,7 +79,9 @@ def check_prime(p: int) -> None:
     assert q == [c % p for c in exact_q(m)]
     assert parity_side(q, m, p) == \
         [2 ** m * c.value % p for c in hasse_polynomial(p).coeffs]
-    # both routes
+    # both routes, and both squarefree checks
+    H = hasse_polynomial(p)
+    assert H.gcd(H.derivative()).degree == 0
     old = oracle_lambdas(p)
     assert hasse_roots(p) == old
     assert ss_j_deuring(p) == frozenset(legendre_to_j(lam) for lam in old)
@@ -119,6 +122,16 @@ def test_a_root_w_of_one_raises(monkeypatch, fresh_cache):
     monkeypatch.setattr(sslocus, "roots_in_field",
                         lambda f, field: real(f, field) | {field.one()})
     with pytest.raises(ValidationError, match="w=1 .* no simple lambda"):
+        hasse_roots(13)
+
+
+@pytest.mark.parametrize("factor", [[9, -6, 1], [0, 1]])  # (X - 3)^2, X
+def test_a_repeated_or_zero_root_of_q_is_not_squarefree(
+        factor, monkeypatch, fresh_cache):
+    q = _legendre_half(13)
+    bad = q * Poly(q.ring, factor)
+    monkeypatch.setattr(sslocus, "_legendre_half", lambda p: bad)
+    with pytest.raises(ValidationError, match="not squarefree"):
         hasse_roots(13)
 
 

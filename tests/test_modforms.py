@@ -25,7 +25,7 @@ from ellwitt.modforms import (
     ss_poly_eisenstein,
     weight_basis,
 )
-from ellwitt.polyseries import QQ, QSeries
+from ellwitt.polyseries import QQ, Poly, QSeries
 from ellwitt.sslocus import sigma
 
 
@@ -220,21 +220,73 @@ def same_series(got, want):
 @pytest.mark.parametrize("prec", [2, 3, 5, 20, 52])
 def test_delta_and_j_match_the_fraction_route(prec):
     want = fraction_forms(prec)
-    same_series(_level_one_forms(QQ, prec), want)
+    same_series(_level_one_forms(prec), want)
     same_series((delta_q(prec), j_q(prec)), want[2:])
     assert all(type(c) is Fraction for c in delta_q(prec).coeffs)
 
 
-@pytest.mark.parametrize("p", [p for p in range(5, 98) if is_prime(p)])
-def test_ss_poly_over_fp_matches_the_fraction_route(p, monkeypatch):
+def laurent_peeling(p):
+    """The replaced route to ss_p: F = E_{p-1} E4^-delta E6^-eps Delta^-m
+    mod p is a polynomial phi in j, peeled from its q^-m term down, with
+    E4, E6, Delta and j reduced from their Fraction series."""
+    _, m, delta, eps = hasse_decomposition(p)
     field = PrimeField(p)
-    prec = hasse_decomposition(p).m + 8
-    same_series(_level_one_forms(field, prec),
-                fraction_series_mod_p(field, prec))
-    new = ss_poly_eisenstein.__wrapped__(p)
-    monkeypatch.setattr(modforms, "_level_one_forms",
-                        fraction_series_mod_p)
-    assert ss_poly_eisenstein.__wrapped__(p) == new
+    prec = m + 8
+    e4, e6, dlt, j = fraction_series_mod_p(field, prec)
+    F = eisenstein_q(p - 1, prec).reduce_mod(field)
+    if delta:
+        F = F * e4.inverse()
+    if eps:
+        F = F * e6.inverse()
+    if m:
+        F = F * dlt.inverse() ** m
+    jpow = [QSeries(field, 0, [1] + [0] * (max(1, len(F.coeffs)) - 1))]
+    for _ in range(m):
+        jpow.append(jpow[-1] * j)
+    phi = [field.zero()] * (m + 1)
+    for i in range(m, -1, -1):
+        phi[i] = F.coeff(-i)
+        F = F - jpow[i].scale(phi[i])
+    assert F.abs_prec >= 4 and F.is_zero()  # guard coefficients vanish
+    ss = Poly(field, phi)
+    if delta:
+        ss = ss * Poly(field, [0, 1])
+    if eps:
+        ss = ss * Poly(field, [-1728, 1])
+    return ss
+
+
+@pytest.mark.parametrize("p", [p for p in range(5, 98) if is_prime(p)])
+def test_ss_poly_over_fp_matches_the_fraction_route(p):
+    assert ss_poly_eisenstein.__wrapped__(p).coeffs == \
+        laurent_peeling(p).coeffs
+
+
+@pytest.mark.parametrize("p", [p for p in range(5, 98) if is_prime(p)])
+def test_hasse_form_matches_the_rational_solve(p):
+    # the replaced route: the exact solve over QQ, reduced mod p
+    need = modforms._dim_mk(p - 1) + modforms._GUARD
+    exact = express_in_e4e6(eisenstein_q(p - 1, need), p - 1)
+    assert all(type(c) is Fraction for c in exact.values())
+    want = {mon: c.numerator * pow(c.denominator, -1, p) % p
+            for mon, c in exact.items()}
+    got = hasse_form.__wrapped__(p)
+    assert list(got) == list(want)
+    assert {mon: c.value for mon, c in got.items()} == want
+
+
+@pytest.mark.parametrize("change, match", [
+    ({(0, 6): 0}, r"phi\(0\) = 0"),        # c_ab at k = m
+    ({(9, 0): 0}, r"phi\(1728\) = 0"),     # c_ab at k = 0
+    ({(9, 0): 3}, "degree/monicity"),       # sum c_ab = 2
+])
+def test_ss_poly_checks_see_a_wrong_hasse_form(change, match, monkeypatch):
+    hf = dict(hasse_form(37))                  # m = 3, delta = eps = 0
+    field = PrimeField(37)
+    hf.update((mon, field.elem(v)) for mon, v in change.items())
+    monkeypatch.setattr(modforms, "hasse_form", lambda p: hf)
+    with pytest.raises(ValidationError, match=match):
+        ss_poly_eisenstein.__wrapped__(37)
 
 
 def test_ss_poly_bounds():

@@ -124,10 +124,10 @@ def split_section(p: int, N: int) -> dict:
 
 
 def formal_section(p: int, a4: int, a6: int) -> dict:
-    if formalgroup.has_bad_reduction(WCurve.short(QQ, a4, a6), p):
+    if formalgroup.has_bad_reduction(WCurve(QQ, a4, a6), p):
         raise UsageError(f"formal: curve has bad reduction at {p}")
-    E = WCurve.short(PrimeField(p), a4, a6)
-    lift = WCurve.short(QQ, E.a4.value, E.a6.value)
+    E = WCurve(PrimeField(p), a4, a6)
+    lift = WCurve(QQ, E.a4.value, E.a6.value)
     ps = formalgroup.mult_by_p_series(lift, p)
     v1, v2 = formalgroup.heights_from_series(E, p, ps.series_mod_p)
     return {

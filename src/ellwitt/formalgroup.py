@@ -1,21 +1,24 @@
-"""Formal group of a Weierstrass curve in the parameter t = -x/y: the
-multiplication-by-p series, extraction of the height invariants v1/v2,
-and the exhaustive Deligne and Gross-Landweber verifications.
+"""Formal group of a short Weierstrass curve y^2 = x^3 + a4 x + a6 in
+the parameter t = -x/y: the multiplication-by-p series, extraction of
+the height invariants v1/v2, and the exhaustive Deligne and
+Gross-Landweber verifications.  Curves are short because p > 3: 6 is
+then a unit, and every curve has such a model (Silverman, AEC III.1).
 
 The formal group law of an integral model has integral coefficients, so
 [p](t) is computed in Z[[t]] on plain int lists: the point (t, w(t)) is
 multiplied by p with tangent doublings and chord additions, and every
 series division must be exact, which certifies integrality.  The
-formal group is weighted-homogeneous (a_i of weight i, t of weight -1:
-Silverman, AEC IV.1), so when only the a_i with i in S are nonzero,
-z(t) lies in t*Z[[t^g]] and w(t) in t^3*Z[[t^g]] for g = gcd(S): 2 for
-a general short curve, 4 at j = 1728, 6 at j = 0.  The int-list kernels
-read each operand's support class from the list and multiply and
-divide on that class alone.  The formal log/exp route, [p](t) =
-exp(p * log(t)) over exact rationals (``_mult_by_m``), computes the
-same series and is kept as the test oracle.  v1 needs only precision
-p+1; the full p^2+1 window is expanded only when v1 = 0 (the
-supersingular case, where the height-2 assertions and v2 live).
+formal group is weighted-homogeneous (a4 of weight 4, a6 of weight 6,
+t of weight -1: Silverman, AEC IV.1), so z(t) lies in t*Z[[t^g]] and
+w(t) in t^3*Z[[t^g]] for g the gcd of the weights of the nonzero
+coefficients: 2 when a4 a6 != 0, 4 at j = 1728 (a6 = 0), 6 at j = 0
+(a4 = 0).  The int-list kernels read each operand's support class from
+the list and multiply and divide on that class alone.  The formal
+log/exp route, [p](t) = exp(p * log(t)) over exact rationals
+(``_mult_by_m``), computes the same series and is kept as the test
+oracle.  v1 needs only precision p+1; the full p^2+1 window is expanded
+only when v1 = 0 (the supersingular case, where the height-2 assertions
+and v2 live).
 """
 
 from __future__ import annotations
@@ -43,77 +46,53 @@ MAX_FORMAL_PRIME = 13
 MAX_EXPANSION_PREC = 200
 
 
-def _c4_c6_disc(a1, a2, a3, a4, a6) -> tuple:
-    """Tate's c4, c6 and discriminant of [a1, a2, a3, a4, a6], for
+def _c4_c6_disc(a4, a6) -> tuple:
+    """c4, c6 and the discriminant of y^2 = x^3 + a4 x + a6, for
     coefficients of any ring whose elements multiply with ints, plain
     ints included."""
-    b2 = a1 * a1 + 4 * a2
-    b4 = 2 * a4 + a1 * a3
-    b6 = a3 * a3 + 4 * a6
-    b8 = (a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3
-          - a4 * a4)
-    c4 = b2 * b2 - 24 * b4
-    c6 = -(b2 * b2 * b2) + 36 * b2 * b4 - 216 * b6
-    disc = (-(b2 * b2) * b8 - 8 * (b4 ** 3) - 27 * (b6 * b6)
-            + 9 * b2 * b4 * b6)
-    return c4, c6, disc
+    return -48 * a4, -864 * a6, -16 * (4 * a4 * a4 * a4 + 27 * a6 * a6)
 
 
 class WCurve:
-    """Weierstrass curve [a1, a2, a3, a4, a6] over a coefficient ring."""
+    """Short Weierstrass curve y^2 = x^3 + a4 x + a6 over a coefficient
+    ring."""
 
-    __slots__ = ("ring", "a1", "a2", "a3", "a4", "a6")
+    __slots__ = ("ring", "a4", "a6")
 
-    def __init__(self, ring, a1, a2, a3, a4, a6):
+    def __init__(self, ring, a4, a6):
         self.ring = ring
-        self.a1 = ring.coerce(a1)
-        self.a2 = ring.coerce(a2)
-        self.a3 = ring.coerce(a3)
         self.a4 = ring.coerce(a4)
         self.a6 = ring.coerce(a6)
-
-    @classmethod
-    def short(cls, ring, a4, a6) -> "WCurve":
-        """y^2 = x^3 + a4 x + a6 (valid away from characteristic 2, 3)."""
-        z = ring.zero()
-        return cls(ring, z, z, z, a4, a6)
-
-    @property
-    def is_short(self) -> bool:
-        return not (self.a1 or self.a2 or self.a3)
 
     def invariants(self):
         """(c4, c6, discriminant, j); raises on singular curves."""
         r = self.ring
-        c4, c6, disc = _c4_c6_disc(
-            self.a1, self.a2, self.a3, self.a4, self.a6)
+        c4, c6, disc = _c4_c6_disc(self.a4, self.a6)
         if not r.is_unit(disc):
             raise ValueError("singular curve: discriminant is not a unit")
         j = c4 * c4 * c4 * r.inv(disc)
         return c4, c6, disc, j
 
     def __repr__(self):
-        if self.is_short:
-            return f"y^2 = x^3 + {self.a4!r}*x + {self.a6!r}"
-        return (f"WCurve({self.a1!r},{self.a2!r},{self.a3!r},"
-                f"{self.a4!r},{self.a6!r})")
+        return f"y^2 = x^3 + {self.a4!r}*x + {self.a6!r}"
 
 
 def _w_coeffs(coeffs, P: int, zero, one) -> list:
     """The first P coefficients of w(t) = t^3 + ..., the solution of
-    w = t^3 + a1 t w + a2 t^2 w + a3 w^2 + a4 t w^2 + a6 w^3 by its
-    fixed-point recurrence.  Works over any coefficient ring whose
-    zero and one are given, plain ints included.
+    w = t^3 + a4 t w^2 + a6 w^3 by its fixed-point recurrence, for
+    coeffs = (a4, a6).  Works over any coefficient ring whose zero and
+    one are given, plain ints included.
 
-    The t^n coefficient of w is a polynomial of weight n - 3 in the a_i
-    (a_i of weight i), so it vanishes unless g = gcd{i : a_i != 0}
-    divides n - 3; those of w^2 and w^3 sit at 6 and 9 mod g.  Only
+    The t^n coefficient of w is a polynomial of weight n - 3 in a4 and
+    a6 (of weights 4 and 6), so it vanishes unless g divides n - 3,
+    where g is 2, 4 or 6, the gcd of the weights of the nonzero
+    coefficients; those of w^2 and w^3 sit at 6 and 9 mod g.  Only
     those classes are computed."""
-    a1, a2, a3, a4, a6 = coeffs
+    a4, a6 = coeffs
     w = [zero] * P
     w2 = [zero] * P
     w3 = [zero] * P
-    g = gcd(*compress((1, 2, 3, 4, 6), coeffs)) or P
+    g = gcd(*compress((4, 6), coeffs)) or P
     if P > 3:
         w[3] = one
     for n in range(3 + g, P, g):
@@ -123,12 +102,6 @@ def _w_coeffs(coeffs, P: int, zero, one) -> list:
         if a6:
             w3[n] = sum(map(mul, w[3:n - 5:g], w2[n - 3:5:-g]), zero)
         acc = zero
-        if a1:
-            acc = acc + a1 * w[n - 1]
-        if a2:
-            acc = acc + a2 * w[n - 2]
-        if a3:
-            acc = acc + a3 * w2[n]
         if a4:
             acc = acc + a4 * w2[n - 1]
         if a6:
@@ -141,30 +114,26 @@ def formal_expansion(E: WCurve, prec: int):
     """(x(t), y(t), omega(t)) as Laurent/power series in t = -x/y.
 
     w(t) = t^3 + ... solves the defining fixed-point equation; then
-    x = t/w, y = -1/w and omega = x'/(2y + a1 x + a3), normalized to
-    1 + O(t).  omega carries abs precision prec; x and y slightly less.
+    x = t/w, y = -1/w and omega = x'/(2y), normalized to 1 + O(t).
+    omega carries abs precision prec; x and y slightly less.
     """
     if prec > MAX_EXPANSION_PREC:
         raise ValueError(f"expansion precision capped at "
                          f"{MAX_EXPANSION_PREC}, got {prec}")
     ring = E.ring
-    zero = ring.zero()
     P = prec + 3
-    w = _w_coeffs((E.a1, E.a2, E.a3, E.a4, E.a6), P, zero, ring.one())
-    w_series = QSeries(ring, 3, w[3:])
-    winv = w_series.inverse()
+    w = _w_coeffs((E.a4, E.a6), P, ring.zero(), ring.one())
+    winv = QSeries(ring, 3, w[3:]).inverse()
     x = winv.shift(1)
     y = -winv
-    denom = ring.from_int(2) * y + x.scale(E.a1) + \
-        QSeries(ring, 0, [E.a3] + [zero] * (P - 1))
-    omega = x.derivative() * denom.inverse()
+    omega = x.derivative() * (ring.from_int(2) * y).inverse()
     return x, y, omega
 
 
 def _require_integral(E: WCurve, what: str):
     if E.ring != QQ:
         raise ValueError(f"{what} wants a curve over the rationals")
-    for a in (E.a1, E.a2, E.a3, E.a4, E.a6):
+    for a in (E.a4, E.a6):
         if a.denominator != 1:
             raise ValueError(f"{what} wants integral curve coefficients")
 
@@ -269,40 +238,30 @@ def _third_point(a, z1, w1, z2, lam):
     """P1 + P2 for points P1 = (z1, w1), P2 = (z2, .) on the line
     w = lam*z + nu: the line meets the curve again at P3, and
     P1 + P2 = -P3.  All series carry len(lam) coefficients."""
-    a1, a2, a3, a4, a6 = a
+    a4, a6 = a
     n = len(lam)
     nu = _lin(n, (1, w1), (-1, _mul(lam, z1, n)))
     l2 = _mul(lam, lam, n)
-    # num = a1 lam + a3 lam^2 + nu (a2 + 2 a4 lam + 3 a6 lam^2) and
-    # den = 1 + lam (a2 + a4 lam + a6 lam^2): the z^2 and z^3
-    # coefficients of the curve's equation restricted to the line
-    u = _lin(n, (2 * a4, lam), (3 * a6, l2))
-    v = _lin(n, (a4, lam), (a6, l2))
-    u[0] += a2
-    v[0] += a2
-    num = _lin(n, (a1, lam), (a3, l2), (1, _mul(nu, u, n)))
-    den = _mul(lam, v, n)
+    # num = nu (2 a4 lam + 3 a6 lam^2) and den = 1 + lam (a4 lam + a6
+    # lam^2): the z^2 and z^3 coefficients of the curve's equation
+    # w = z^3 + a4 z w^2 + a6 w^3 restricted to the line
+    num = _mul(nu, _lin(n, (2 * a4, lam), (3 * a6, l2)), n)
+    den = _mul(lam, _lin(n, (a4, lam), (a6, l2)), n)
     den[0] += 1
     z3 = _lin(n, (-1, z1), (-1, z2), (-1, _div(num, den)))
     w3 = _lin(n, (1, nu), (1, _mul(lam, z3, n)))
-    # -(z, w) = (-z, -w) / (1 - a1 z - a3 w)
-    zn, wn = [-c for c in z3], [-c for c in w3]
-    if a1 or a3:
-        d = _lin(n, (-a1, z3), (-a3, w3))
-        d[0] += 1
-        zn, wn = _div(zn, d), _div(wn, d)
-    return zn, wn
+    # on a short curve, -(z, w) = (-z, -w)
+    return [-c for c in z3], [-c for c in w3]
 
 
 def _double(a, z, w):
     """2P by the tangent at P = (z, w); the slope's denominator has
     constant term 1."""
-    a1, a2, a3, a4, a6 = a
+    a4, a6 = a
     n = len(z)
     zz, zw, ww = _mul(z, z, n), _mul(z, w, n), _mul(w, w, n)
-    num = _lin(n, (3, zz), (a1, w), (2 * a2, zw), (a4, ww))
-    den = _lin(n, (-a1, z), (-a2, zz), (-2 * a3, w), (-2 * a4, zw),
-               (-3 * a6, ww))
+    num = _lin(n, (3, zz), (a4, ww))
+    den = _lin(n, (-2 * a4, zw), (-3 * a6, ww))
     den[0] += 1
     return _third_point(a, z, w, z, _div(num, den))
 
@@ -319,7 +278,7 @@ def _add(a, z1, w1, z2, w2):
 
 def _mult_by_p_integral(a, p: int, prec: int) -> list:
     """Coefficients of t^0 .. t^prec of [p](t) in Z[[t]] for the
-    integral Weierstrass coefficients a = (a1, a2, a3, a4, a6): an
+    integral coefficients a = (a4, a6) of y^2 = x^3 + a4 x + a6: an
     addition chain on the bits of p applied to the point (t, w(t))."""
     bits = bin(p)[3:]
     P = prec + 1 + bits.count("1")
@@ -342,7 +301,7 @@ def has_bad_reduction(E: WCurve, p: int) -> bool:
     coefficients enter as ints, so an integral model's discriminant is
     computed on ints."""
     disc = _c4_c6_disc(*(c.numerator if c.denominator == 1 else c
-                         for c in (E.a1, E.a2, E.a3, E.a4, E.a6)))[2]
+                         for c in (E.a4, E.a6)))[2]
     return disc.denominator != 1 or disc.numerator % p == 0
 
 
@@ -366,7 +325,7 @@ def mult_by_p_series(E: WCurve, p: int, prec: int | None = None) -> PSeries:
     _require_integral(E, "mult_by_p_series")
     if has_bad_reduction(E, p):
         raise ValueError(f"curve has bad reduction at {p}")
-    a = tuple(c.numerator for c in (E.a1, E.a2, E.a3, E.a4, E.a6))
+    a = (E.a4.numerator, E.a6.numerator)
     coeffs = _mult_by_p_integral(a, p, prec)[1:]
     if coeffs[0] != p:
         raise ValidationError("[p]-series does not start with p*t")
@@ -374,14 +333,9 @@ def mult_by_p_series(E: WCurve, p: int, prec: int | None = None) -> PSeries:
                    series_mod_p=QSeries(PrimeField(p), 1, coeffs))
 
 
-def _lift_short_curve(E: WCurve) -> WCurve:
-    """Deterministic integral lift: coefficients to [0, p)."""
-    return WCurve.short(QQ, E.a4.value, E.a6.value)
-
-
 def v_invariants(E: WCurve, p: int):
-    """(v1, v2) of a short curve over F_p, from the [p]-series of its
-    [0,p) integral lift.
+    """(v1, v2) of a curve over F_p, from the [p]-series of its
+    integral lift, the coefficients taken in [0, p).
 
     v1 is read from the series at precision p+1; only when v1 = 0 (the
     supersingular case) is the full p^2+1 window computed for v2.  See
@@ -389,9 +343,7 @@ def v_invariants(E: WCurve, p: int):
     """
     if E.ring != PrimeField(p):
         raise ValueError("v_invariants wants a curve over F_p")
-    if not E.is_short:
-        raise ValueError("v_invariants wants a short Weierstrass curve")
-    lift = _lift_short_curve(E)
+    lift = WCurve(QQ, E.a4.value, E.a6.value)
     head = mult_by_p_series(lift, p, prec=p + 1).series_mod_p
     if not head.coeff(p):
         head = mult_by_p_series(lift, p).series_mod_p
@@ -432,8 +384,6 @@ def classical_hasse(E: WCurve, p: int) -> FpElem:
     Hasse-invariant criterion, independent of the formal group."""
     if E.ring != PrimeField(p):
         raise ValueError("classical_hasse wants a curve over F_p")
-    if not E.is_short:
-        raise ValueError("classical_hasse wants a short curve")
     field = E.ring
     f = Poly(field, [E.a6, E.a4, field.zero(), field.one()])
     return (f ** ((p - 1) // 2)).coeff(p - 1)
@@ -466,7 +416,7 @@ def verify_deligne(p: int) -> DeligneReport:
         for B in range(p):
             if (4 * A ** 3 + 27 * B ** 2) % p == 0:
                 continue
-            E = WCurve.short(field, A, B)
+            E = WCurve(field, A, B)
             v1, _ = v_invariants(E, p)
             ch = classical_hasse(E, p)
             c4, c6, _, _ = E.invariants()

@@ -241,6 +241,12 @@ def hasse_form(p: int) -> dict:
     return out
 
 
+def _times_x_minus_1728(s: list, p: int) -> list:
+    """(X - 1728) s mod p, for s an int coefficient list (s[i] is the
+    coefficient of X^i)."""
+    return [(lo - 1728 * hi) % p for lo, hi in zip([0] + s, s + [0])]
+
+
 @lru_cache(maxsize=None)
 def ss_poly_eisenstein(p: int) -> Poly:
     """The supersingular polynomial over F_p, read off hasse_form(p).
@@ -257,13 +263,9 @@ def ss_poly_eisenstein(p: int) -> Poly:
     field = PrimeField(p)
     hf = hasse_form(p)
     c = [hf[delta + 3 * (m - k), eps + 2 * k].value for k in range(m + 1)]
-
-    def times_x_minus_1728(s):
-        return [(lo - 1728 * hi) % p for lo, hi in zip([0] + s, s + [0])]
-
     phi = [c[m]]
     for k in range(m - 1, -1, -1):  # phi has degree m - k after this step
-        phi = times_x_minus_1728(phi)
+        phi = _times_x_minus_1728(phi, p)
         phi[m - k] = (phi[m - k] + c[k]) % p
     phi_poly = Poly(field, phi)
     if not phi_poly.evaluate(field.zero()):
@@ -273,7 +275,7 @@ def ss_poly_eisenstein(p: int) -> Poly:
             f"phi(1728) = 0 at p={p}: contradicts simple roots")
     s = [0] * delta + phi
     if eps:
-        s = times_x_minus_1728(s)
+        s = _times_x_minus_1728(s, p)
     ss = Poly(field, s)
     if ss.degree != m + delta + eps or ss.leading() != field.one():
         raise ValidationError(f"ss polynomial degree/monicity broke at p={p}")

@@ -35,11 +35,6 @@ __all__ = [
     "roots_in_field", "count_roots_in_fp",
 ]
 
-# Horner composition is fine for short series; block (Brent-Kung)
-# composition wins once the term count justifies the g^k table.
-_BK_THRESHOLD = 48
-
-
 class RationalField:
     """Exact rationals as a coefficient ring; elements are Fraction."""
 
@@ -635,7 +630,7 @@ class QSeries:
             n = g.offset + i
             if 0 <= n < P:
                 gl[n] = c
-        out = _compose_lists(self.ring, fl, gl, P)
+        out = _compose_bk(self.ring, fl, gl, P)
         return QSeries(self.ring, 0, out)
 
     def revert(self) -> "QSeries":
@@ -657,9 +652,9 @@ class QSeries:
         prec = 2
         while prec < P:
             prec = min(2 * prec, P)
-            fg = _compose_lists(ring, fl[:prec], g[:prec], prec)
+            fg = _compose_bk(ring, fl[:prec], g[:prec], prec)
             fg[1] = fg[1] - one
-            fpg = _compose_lists(ring, fp[:prec], g[:prec], prec)
+            fpg = _compose_bk(ring, fp[:prec], g[:prec], prec)
             corr = _mul_lists(ring, fg, _inv_list(ring, fpg, prec), prec)
             g = [g[i] - corr[i] for i in range(prec)] + \
                 [zero] * (P - prec)
@@ -735,17 +730,9 @@ def _inv_list(ring, u, P):
     return out
 
 
-def _compose_horner(ring, fl, gl, P):
-    zero = ring.zero()
-    acc = [zero] * P
-    for c in reversed(fl):
-        acc = _mul_lists(ring, acc, gl, P)
-        acc[0] = acc[0] + c
-    return acc
-
-
 def _compose_bk(ring, fl, gl, P):
-    # f(g) by blocks: f = sum_i (sum_{k<r} f[ir+k] g^k) (g^r)^i
+    # f(g) to P coefficients by Brent-Kung blocks:
+    # f = sum_i (sum_{k<r} f[ir+k] g^k) (g^r)^i with r ~ sqrt(len(f))
     zero = ring.zero()
     r = max(2, math.isqrt(len(fl)) + 1)
     pows = [[ring.one()] + [zero] * (P - 1), list(gl) + [zero] * (P - len(gl))]
@@ -765,9 +752,3 @@ def _compose_bk(ring, fl, gl, P):
                     if pk[m]:
                         acc[m] = acc[m] + c * pk[m]
     return acc
-
-
-def _compose_lists(ring, fl, gl, P):
-    if len(fl) <= _BK_THRESHOLD:
-        return _compose_horner(ring, fl, gl, P)
-    return _compose_bk(ring, fl, gl, P)

@@ -178,11 +178,11 @@ def curve_from_j(j):
     {0, 1728}; y^2 = x^3 + 1 at j = 0 and y^2 = x^3 + x at j = 1728."""
     ring = j.ring
     if j == ring.zero():
-        return WCurve.short(ring, ring.zero(), ring.one())
+        return WCurve(ring, ring.zero(), ring.one())
     if j == ring.from_int(1728):
-        return WCurve.short(ring, ring.one(), ring.zero())
+        return WCurve(ring, ring.one(), ring.zero())
     k = j * (ring.from_int(1728) - j).inverse()
-    return WCurve.short(ring, ring.from_int(3) * k, ring.from_int(2) * k)
+    return WCurve(ring, ring.from_int(3) * k, ring.from_int(2) * k)
 
 
 @lru_cache(maxsize=None)
@@ -283,7 +283,7 @@ def ss_poly_closed(p: int) -> Poly:
                     * pow(k * k, -1, p) % p)
     s = [0] * delta + s
     if eps:
-        s = [(lo - 1728 * hi) % p for lo, hi in zip([0] + s, s + [0])]
+        s = modforms._times_x_minus_1728(s, p)
     if len(s) - 1 != sigma(p):
         raise ValidationError(
             f"p={p}: closed form has degree {len(s) - 1}, "

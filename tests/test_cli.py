@@ -728,23 +728,47 @@ _VALUES = st.one_of(
 )
 
 
+def _values_in_bounds(command, flag):
+    """Values of the flag inside its own Flag(lo, hi) in cli.COMMANDS,
+    primes for --prime: the 201 values from lo up, where requests are
+    quick, and the greatest value.  A missing bound is taken as -99 or
+    99."""
+    from ellwitt.arith import is_prime
+    from ellwitt.cli import COMMANDS
+    bound = COMMANDS[command].flags[flag[2:]]
+    lo = -99 if bound.lo is None else bound.lo
+    hi = 99 if bound.hi is None else bound.hi
+    values = [*range(lo, min(hi, lo + 200) + 1), hi]
+    if flag == "--prime":
+        values = [n for n in values if is_prime(n)]
+    return st.sampled_from(values).map(str)
+
+
 @st.composite
 def _argvs(draw):
     command = draw(st.sampled_from(sorted(_COMMANDS)))
     argv = list(command)
+    # half the argvs take every flag value within the flag's bounds, no
+    # stray flag or token and only the edits that keep their meaning,
+    # so that the library sees accepted requests
+    in_bounds = draw(st.booleans())
     for flag in _COMMANDS[command]:
         if draw(st.integers(0, 9)):
-            argv += [flag, draw(_VALUES)]
-    for _ in range(draw(st.integers(0, 2))):
+            argv += [flag, draw(_values_in_bounds(command, flag)
+                                if in_bounds else _VALUES)]
+    for _ in range(0 if in_bounds else draw(st.integers(0, 2))):
         argv += draw(st.sampled_from([[f] for f in _FLAGS]
                                      + [[f, "7"] for f in _FLAGS]))
     if draw(st.booleans()):
         argv.append("--json")
     # the corners of the flag syntax: a flag cut to a prefix, glued to
     # its value with "=" or given twice, and stray tokens anywhere
+    edits = ["prefix", "glue"]
+    if not in_bounds:
+        edits += ["repeat", "stray"]
     for _ in range(draw(st.integers(0, 3))):
         i = draw(st.integers(0, len(argv)))
-        edit = draw(st.sampled_from(["prefix", "glue", "repeat", "stray"]))
+        edit = draw(st.sampled_from(edits))
         flag = i < len(argv) and argv[i].startswith("--")
         if edit == "prefix" and flag:
             argv[i] = argv[i][:draw(st.integers(2, len(argv[i])))]

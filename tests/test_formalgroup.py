@@ -17,25 +17,58 @@ from ellwitt.formalgroup import (
     verify_deligne,
     verify_gross_landweber,
 )
-from ellwitt.formalgroup import _mult_by_m
+from ellwitt.formalgroup import _c4_c6_disc, _mult_by_m
 from ellwitt.polyseries import QQ, QSeries
 from ellwitt.sslocus import ss_j_point_count
 
 
 def test_curve_invariants_examples():
     F5 = PrimeField(5)
-    c4, c6, disc, j = WCurve.short(F5, 0, 1).invariants()
+    c4, c6, disc, j = WCurve(F5, 0, 1).invariants()
     assert (c4.value, c6.value, disc.value, j.value) == (0, 1, 3, 0)
-    _, _, _, j = WCurve.short(QQ, 1, 0).invariants()
+    _, _, _, j = WCurve(QQ, 1, 0).invariants()
     assert j == 1728
     with pytest.raises(ValueError):
-        WCurve.short(QQ, 0, 0).invariants()
+        WCurve(QQ, 0, 0).invariants()
+
+
+def _tate_c4_c6_disc(a1, a2, a3, a4, a6) -> tuple:
+    """Tate's c4, c6 and discriminant of [a1, a2, a3, a4, a6], for
+    coefficients of any ring whose elements multiply with ints, plain
+    ints included."""
+    b2 = a1 * a1 + 4 * a2
+    b4 = 2 * a4 + a1 * a3
+    b6 = a3 * a3 + 4 * a6
+    b8 = (a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3
+          - a4 * a4)
+    c4 = b2 * b2 - 24 * b4
+    c6 = -(b2 * b2 * b2) + 36 * b2 * b4 - 216 * b6
+    disc = (-(b2 * b2) * b8 - 8 * (b4 ** 3) - 27 * (b6 * b6)
+            + 9 * b2 * b4 * b6)
+    return c4, c6, disc
+
+
+def test_short_invariants_match_tate_formulas():
+    # Tate's formulas, the replaced code, fed (0, 0, 0, a4, a6) on ints,
+    # Fractions and F_7 elements
+    rng = random.Random(23)
+    ints = [(a4, a6) for a4 in range(-7, 8) for a6 in range(-7, 8)]
+    ints += [(rng.randrange(-10 ** 9, 10 ** 9),
+              rng.randrange(-10 ** 9, 10 ** 9)) for _ in range(50)]
+    fracs = [(Fraction(a4, rng.randrange(1, 50)),
+              Fraction(a6, rng.randrange(1, 50))) for a4, a6 in ints]
+    F7 = PrimeField(7)
+    fp = [(F7.elem(a4), F7.elem(a6)) for a4 in range(7) for a6 in range(7)]
+    for a4, a6 in ints + fracs + fp:
+        got = _c4_c6_disc(a4, a6)
+        assert got == _tate_c4_c6_disc(0, 0, 0, a4, a6), (a4, a6)
+        assert all(type(x) is type(a4) for x in got)
 
 
 def test_curve_relations_random():
     rng = random.Random(20)
     for _ in range(20):
-        E = WCurve.short(QQ, rng.randrange(-9, 10), rng.randrange(-9, 10))
+        E = WCurve(QQ, rng.randrange(-9, 10), rng.randrange(-9, 10))
         try:
             c4, c6, disc, _ = E.invariants()
         except ValueError:
@@ -47,7 +80,7 @@ def test_curve_relations_random():
 
 
 def test_formal_expansion_leading_terms():
-    E = WCurve.short(QQ, 3, 5)
+    E = WCurve(QQ, 3, 5)
     x, y, omega = formal_expansion(E, 14)
     assert x.offset == -2 and x.coeff(-2) == 1
     assert omega.coeff(0) == 1
@@ -60,19 +93,8 @@ def test_formal_expansion_leading_terms():
     assert resid.is_zero()
 
 
-def test_formal_expansion_general_curve_equation():
-    # non-short coefficients exercise every term of the fixed point
-    E = WCurve(QQ, 1, 2, 3, 4, 6)
-    x, y, omega = formal_expansion(E, 12)
-    lhs = y * y + (x * y).scale(E.a1) + y.scale(E.a3)
-    rhs = x ** 3 + (x * x).scale(E.a2) + x.scale(E.a4) + \
-        QSeries(QQ, 0, [6] + [0] * 11)
-    assert (lhs - rhs).is_zero()
-    assert omega.coeff(0) == 1
-
-
 def test_formal_log_properties():
-    E = WCurve.short(QQ, 0, 1)
+    E = WCurve(QQ, 0, 1)
     log = _mult_by_m(E, 1, 20)[3]
     assert log.coeff(1) == 1
     assert log.coeff(2) == 0  # no t^2 term for y^2 = x^3 + 1
@@ -83,13 +105,13 @@ def test_formal_log_properties():
 
 
 def test_mult_by_one_is_identity():
-    E = WCurve.short(QQ, 2, 3)
+    E = WCurve(QQ, 2, 3)
     *_, m1 = _mult_by_m(E, 1, 12)
     assert m1.coeff_list(1, 12) == [Fraction(1)] + [Fraction(0)] * 10
 
 
 def test_mult_by_p_series_examples():
-    E = WCurve.short(QQ, 1, 0)
+    E = WCurve(QQ, 1, 0)
     ps = mult_by_p_series(E, 5)
     assert ps.series.coeff(1) == 5
     assert ps.series_mod_p.coeff(5).value == 2  # v1 = -48 = 2 mod 5
@@ -99,7 +121,7 @@ def test_mult_by_p_series_examples():
     with pytest.raises(ValueError):
         mult_by_p_series(E, 17)
     with pytest.raises(ValueError):
-        mult_by_p_series(WCurve.short(QQ, 0, 5), 5)  # bad reduction
+        mult_by_p_series(WCurve(QQ, 0, 5), 5)  # bad reduction
 
 
 @pytest.mark.parametrize("a4, a6, p, bad", [
@@ -111,7 +133,7 @@ def test_mult_by_p_series_examples():
     (Fraction(1, 2), 1, 5, True),  # not integral
 ])
 def test_has_bad_reduction(a4, a6, p, bad):
-    assert has_bad_reduction(WCurve.short(QQ, a4, a6), p) is bad
+    assert has_bad_reduction(WCurve(QQ, a4, a6), p) is bad
 
 
 def bad_reduction_by_fractions(E, p):
@@ -124,15 +146,13 @@ def bad_reduction_by_fractions(E, p):
 
 
 def test_has_bad_reduction_int_route_matches_fractions():
-    # every short curve at 5 and 7 (singular ones included), the two
-    # non-short curves of the [p]-series tests, and non-integral models
-    cases = [(WCurve.short(QQ, a4, a6), p)
+    # every short curve at 5 and 7 (singular ones included) and
+    # non-integral models
+    cases = [(WCurve(QQ, a4, a6), p)
              for p in (5, 7) for a4 in range(p) for a6 in range(p)]
-    cases += [(WCurve(QQ, 1, -1, 0, 5, 2), p) for p in (5, 7, 11)]
-    cases += [(WCurve(QQ, 0, 1, 1, 0, 0), p) for p in (5, 11)]
-    cases += [(WCurve.short(QQ, Fraction(1, 3), 1), 5),
-              (WCurve.short(QQ, Fraction(3, 4), Fraction(1, 4)), 7),
-              (WCurve.short(QQ, Fraction(-3, 4), Fraction(1, 4)), 5)]
+    cases += [(WCurve(QQ, Fraction(1, 3), 1), 5),
+              (WCurve(QQ, Fraction(3, 4), Fraction(1, 4)), 7),
+              (WCurve(QQ, Fraction(-3, 4), Fraction(1, 4)), 5)]
     assert {bad_reduction_by_fractions(E, p) for E, p in cases} == \
         {True, False}
     for E, p in cases:
@@ -141,9 +161,9 @@ def test_has_bad_reduction_int_route_matches_fractions():
 
 def test_v_invariants_examples():
     F5 = PrimeField(5)
-    v1, v2 = v_invariants(WCurve.short(F5, 0, 1), 5)
+    v1, v2 = v_invariants(WCurve(F5, 0, 1), 5)
     assert v1.value == 0 and v2.value == 4
-    v1, v2 = v_invariants(WCurve.short(F5, 1, 0), 5)
+    v1, v2 = v_invariants(WCurve(F5, 1, 0), 5)
     assert v1.value == 2 and v2 is None
 
 
@@ -158,7 +178,7 @@ def test_height_dichotomy_vs_point_count():
             for B in range(p):
                 if (4 * A ** 3 + 27 * B ** 2) % p == 0:
                     continue
-                E = WCurve.short(field, A, B)
+                E = WCurve(field, A, B)
                 v1, v2 = v_invariants(E, p)
                 j = E.invariants()[3]
                 is_ss = ctx.embed(j) in ss_js
@@ -177,9 +197,9 @@ def test_height_dichotomy_vs_point_count_11_13():
             for B in range(p):
                 if (4 * A ** 3 + 27 * B ** 2) % p == 0:
                     continue
-                lift = WCurve.short(QQ, A, B)
+                lift = WCurve(QQ, A, B)
                 head = mult_by_p_series(lift, p, prec=p + 1).series_mod_p
-                j = WCurve.short(field, A, B).invariants()[3]
+                j = WCurve(field, A, B).invariants()[3]
                 is_ss = ctx.embed(j) in ss_js
                 assert (head.coeff(p).value == 0) == is_ss
 
@@ -189,16 +209,16 @@ def test_classical_hasse_formulas():
     F5, F11 = PrimeField(5), PrimeField(11)
     for A in range(5):
         for B in range(5):
-            E = WCurve.short(F5, A, B)
+            E = WCurve(F5, A, B)
             assert classical_hasse(E, 5).value == (2 * A) % 5
     rng = random.Random(21)
     for _ in range(20):
         A, B = rng.randrange(11), rng.randrange(11)
-        E = WCurve.short(F11, A, B)
+        E = WCurve(F11, A, B)
         assert classical_hasse(E, 11).value == (9 * A * B) % 11
     # j = 0 is ordinary at p = 7 (7 = 1 mod 3): nonzero coefficient 3B
     F7 = PrimeField(7)
-    assert classical_hasse(WCurve.short(F7, 0, 1), 7).value == 3
+    assert classical_hasse(WCurve(F7, 0, 1), 7).value == 3
 
 
 def test_weight_scaling_of_v1_v2():
@@ -206,13 +226,13 @@ def test_weight_scaling_of_v1_v2():
     rng = random.Random(22)
     for p, A, B in ((5, 1, 1), (7, 2, 3)):
         field = PrimeField(p)
-        E = WCurve.short(field, A, B)
+        E = WCurve(field, A, B)
         if not field.is_unit((E.invariants()[2])):
             continue
         v1, v2 = v_invariants(E, p)
         for _ in range(3):
             u = field.elem(rng.randrange(1, p))
-            Eu = WCurve.short(field, u ** 4 * E.a4, u ** 6 * E.a6)
+            Eu = WCurve(field, u ** 4 * E.a4, u ** 6 * E.a6)
             w1, w2 = v_invariants(Eu, p)
             assert w1 == v1 * u ** (p - 1)
             if v2 is not None:

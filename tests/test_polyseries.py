@@ -13,6 +13,8 @@ from ellwitt.polyseries import (
     QQ,
     Poly,
     QSeries,
+    _compose_bk,
+    _mul_lists,
     roots_in_field,
 )
 
@@ -235,6 +237,32 @@ def test_series_compose_examples():
 
     with pytest.raises(ValueError):
         f.compose(qs([1, 1, 1]))            # constant term
+
+
+def _compose_horner(ring, fl, gl, P):
+    zero = ring.zero()
+    acc = [zero] * P
+    for c in reversed(fl):
+        acc = _mul_lists(ring, acc, gl, P)
+        acc[0] = acc[0] + c
+    return acc
+
+
+@pytest.mark.parametrize("ring", [QQ, PrimeField(13)], ids=["QQ", "F13"])
+def test_compose_blocks_match_horner_at_every_length(ring):
+    # Brent-Kung composition against the Horner composition it replaced,
+    # at every length of f from 1 to 64 (so every block size and every
+    # short last block), for g of valuation 1 and 2 with up to three terms
+    rng = random.Random(14)
+    for n in range(1, 65):
+        for v in (1, 2):
+            P = n + v
+            fl = [ring.coerce(rng.randrange(-3, 4)) for _ in range(n)]
+            gl = [ring.zero()] * P
+            for k in [v] + [rng.randrange(v, P) for _ in range(2)]:
+                gl[k] = ring.coerce(rng.choice((-1, 1)))
+            assert _compose_bk(ring, fl, gl, P) == \
+                _compose_horner(ring, fl, gl, P), (n, v)
 
 
 def test_series_revert_examples():

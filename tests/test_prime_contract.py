@@ -29,7 +29,7 @@ from ellwitt.sslocus import (
     ss_poly_closed,
 )
 
-_CURVE = WCurve.short(QQ, 1, 1)
+_CURVE = WCurve(QQ, 1, 1)
 
 #: (entry point, call with p, (bound, next prime above it) or None)
 ENTRY_POINTS = (

@@ -34,7 +34,7 @@ def _assert_agrees(E, p):
 @pytest.mark.parametrize("p", [5, 7])
 def test_agrees_with_log_exp_every_short_curve(p):
     for a, b in _short_curves(p):
-        _assert_agrees(WCurve.short(QQ, a, b), p)
+        _assert_agrees(WCurve(QQ, a, b), p)
 
 
 def test_agrees_with_log_exp_seeded_sample_p11():
@@ -44,32 +44,25 @@ def test_agrees_with_log_exp_seeded_sample_p11():
     curves = _short_curves(p)
     field = PrimeField(p)
     ss = [c for c in curves
-          if v_invariants(WCurve.short(field, *c), p)[1] is not None]
+          if v_invariants(WCurve(field, *c), p)[1] is not None]
     general = [(a, b) for a, b in curves if a * b]
     for a, b in rng.sample(ss, 1) + rng.sample(general, 1):
-        ps = _assert_agrees(WCurve.short(QQ, a, b), p)
-        v1, v2 = heights_from_series(WCurve.short(field, a, b), p,
+        ps = _assert_agrees(WCurve(QQ, a, b), p)
+        v1, v2 = heights_from_series(WCurve(field, a, b), p,
                                      ps.series_mod_p)
         assert (v2 is not None) == ((a, b) in ss)
 
 
 def test_agrees_with_log_exp_supersingular_p13():
-    ps = _assert_agrees(WCurve.short(QQ, 1, 4), 13)
+    ps = _assert_agrees(WCurve(QQ, 1, 4), 13)
     assert not ps.series_mod_p.coeff(13)
     assert ps.series_mod_p.coeff(169)
 
 
-@pytest.mark.parametrize("coeffs, p", [((1, -1, 0, 5, 2), 7),
-                                       ((0, 1, 1, 0, 0), 11)])
-def test_agrees_with_log_exp_non_short_curves(coeffs, p):
-    _assert_agrees(WCurve(QQ, *coeffs), p)
-
-
 def test_head_is_truncation_of_full_series():
-    cases = [(WCurve.short(QQ, a, b), p)
+    cases = [(WCurve(QQ, a, b), p)
              for p in (5, 7) for a, b in _short_curves(p)]
-    cases += [(WCurve(QQ, 1, -1, 0, 5, 2), 7), (WCurve(QQ, 0, 1, 1, 0, 0), 11),
-              (WCurve.short(QQ, 1, 4), 13)]
+    cases += [(WCurve(QQ, 1, 4), 13)]
     for E, p in cases:
         full = mult_by_p_series(E, p)
         head = mult_by_p_series(E, p, prec=p + 1)
@@ -81,8 +74,8 @@ def test_heights_from_full_series_match_v_invariants():
     for p in (5, 7):
         field = PrimeField(p)
         for a, b in _short_curves(p):
-            E = WCurve.short(field, a, b)
-            full = mult_by_p_series(WCurve.short(QQ, a, b), p)
+            E = WCurve(field, a, b)
+            full = mult_by_p_series(WCurve(QQ, a, b), p)
             assert heights_from_series(E, p, full.series_mod_p) == \
                 v_invariants(E, p)
 

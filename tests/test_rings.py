@@ -112,7 +112,7 @@ def test_fp_kernels_never_serve_precision_two(monkeypatch):
         sqrt_mod(Z25.elem(4))
     with pytest.raises(ValueError):
         is_quadratic_residue(Z25.elem(5))
-    E = WCurve.short(Z25, 1, 1)
+    E = WCurve(Z25, 1, 1)
     with pytest.raises(ValueError):
         v_invariants(E, 5)
     with pytest.raises(ValueError):

@@ -41,6 +41,7 @@ __all__ = [
     "fq2_context",
     "frobenius_fq2",
     "sqrt_fq2",
+    "cbrt_fq2",
 ]
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -588,3 +589,56 @@ def sqrt_fq2(z: QuadElem) -> QuadElem:
         t = field.elem((A - n) * inv2)
     a = sqrt_mod(t).value
     return ring.elem(a, B * pow(2 * a, -1, p))
+
+
+@lru_cache(maxsize=None)
+def _cube_sylow(ring: Quad) -> tuple:
+    """(e, t, c) with p^2 - 1 = 3^e t, 3 not dividing t, and c = g^t a
+    generator of the 3-Sylow subgroup of F_{p^2}^*, for the first
+    non-cube g = a + b*xbar with b != 0 (b = 1, 2, ..., a = 0..p-1).
+    The search skips F_p: when p = 2 mod 3 every element of F_p is a
+    cube."""
+    p, order = ring.p, ring.size - 1
+    e, t = 0, order
+    while t % 3 == 0:
+        t //= 3
+        e += 1
+    n = p
+    while ring.elem(n % p, n // p) ** (order // 3) == 1:
+        n += 1
+    return e, t, ring.elem(n % p, n // p) ** t
+
+
+def cbrt_fq2(z: QuadElem) -> QuadElem:
+    """A cube root of z in F_{p^2}, by Tonelli-Shanks for cubes.
+
+    With p^2 - 1 = 3^e t and 3u = 1 mod t, r = z^u has r^3 = z b for
+    b = z^(3u - 1) in the 3-Sylow subgroup, generated by c
+    (_cube_sylow).  z is a cube exactly when b is, that is when b has
+    order below 3^e.  While b != 1, of order 3^i, c_i = c^(3^(e-i-1))
+    has c_i^3 of order 3^i with (c_i^3)^(3^(i-1)) = zeta = c^(3^(e-1)),
+    so one of c_i and c_i^2 takes r to r c_i^s and b to b c_i^(3s) of
+    lower order.  When 9 does not divide p^2 - 1 (e = 1), a cube has
+    b = 1 at once and r is the root.  A non-cube raises ValueError, as
+    does W(F_{p^2})/p^N."""
+    ring = z.ring
+    if ring.N != 1:
+        raise ValueError(f"cbrt_fq2 wants F_p^2, not {ring}")
+    if not z:
+        return z
+    e, t, c = _cube_sylow(ring)
+    r = z ** pow(3, -1, t)
+    b = r * r * r * z.inverse()
+    zeta = c ** (3 ** (e - 1))
+    while b != 1:
+        i, root = 1, b  # root = b^(3^(i-1)), a cube root of 1 at exit
+        while root ** 3 != 1:
+            root = root ** 3
+            i += 1
+        if i == e:  # b, and so z, is not a cube
+            raise ValueError(f"{z!r} is not a cube in {ring}")
+        ci = c ** (3 ** (e - i - 1))
+        if root == zeta:
+            ci = ci * ci
+        r, b = r * ci, b * ci ** 3
+    return r

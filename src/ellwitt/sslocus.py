@@ -3,10 +3,13 @@ cross-validation, and the Ogg scan.
 
 Route 1 (sslocus): Deuring's criterion — roots of the degree-(p-1)/2
 Legendre polynomial in F_{p^2}, pushed through lambda -> j.  Its roots
-come in pairs {lambda, 1/lambda}, and z = (1 + lambda)/(1 - lambda)
-turns it into the parity-symmetric Legendre polynomial P_m of z, so the
-roots are found on a polynomial of degree floor(m/2) in w = z^2 and
-recovered by one square root in F_{p^2} per pair.
+come in S3 orbits of six, one per supersingular j.  z = (1 + lambda)/
+(1 - lambda) turns it into the parity-symmetric Legendre polynomial P_m
+of z, a polynomial Q of degree floor(m/2) in w = z^2, and in w the
+Legendre map is j = 64(w + 3)^3/(w - 1)^2.  So Q is a form in R(j) of
+degree about p/12, peeled off exactly; the roots of R are found, and
+each j gives one w by Cardano, lambda by one square root, and its
+orbit.
 Route 2 (modforms): E_{p-1} mod p in the E4/E6 basis, then
 j = E4^3/Delta.
 Route 3 (here, p <= 31): character-sum point counts over F_{p^2},
@@ -14,8 +17,8 @@ marking a curve supersingular exactly when its trace vanishes mod p;
 one big-int correlation counts a twist family y^2 = x^3 + cx + c for
 every c at once.
 Route 4 (here): Kaneko and Zagier's closed form of ss_p, a
-hypergeometric sum in O(p) int work; it must equal route 2 coefficient
-by coefficient.
+hypergeometric sum in O(p) int work; it must equal route 2, and route
+1's R times X^delta (X - 1728)^eps, coefficient by coefficient.
 
 Any disagreement raises ValidationError naming the two methods and the
 symmetric difference; agreement is consolidated into an SSLocus.
@@ -31,11 +34,12 @@ from __future__ import annotations
 import struct
 from collections import namedtuple
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, gcd, isqrt
 
 from .arith import (
-    PrimeField, fq2_context, frobenius_fq2, is_prime, require_prime,
-    sqrt_fq2)
+    PrimeField, cbrt_fq2, fq2_context, frobenius_fq2, is_prime,
+    require_prime, sqrt_fq2)
 from .errors import ValidationError
 from .formalgroup import WCurve
 from .polyseries import Poly, count_roots_in_fp, roots_in_field
@@ -113,28 +117,113 @@ def _legendre_half(p: int) -> Poly:
     return Poly(PrimeField(p), q[::-1])
 
 
+def _divide_linear(f: list, c: int, p: int) -> list:
+    """f / (w - c) for an ascending int list f, by Horner.  A remainder
+    f(c) != 0 mod p means Q is not S3-symmetric (ValidationError).  At
+    c = 1 Horner is a running sum, left unreduced."""
+    step = None if c == 1 else (lambda q, x: (q * c + x) % p)
+    acc = list(accumulate(reversed(f), step))
+    if acc[-1] % p:
+        raise ValidationError(f"Q is not S3-symmetric at p={p}")
+    return acc[-2::-1]
+
+
+def _s3_quotient(Q: Poly, p: int) -> Poly:
+    """R(j) = sum_a r_a j^a over F_p with
+
+        Q(w) = (w + 3)^delta (w - 9)^eps sum_{a<=s} r_a A^a B^(s-a),
+
+    A = 64(w + 3)^3, B = (w - 1)^2, delta = [p = 2 mod 3],
+    eps = [p = 3 mod 4] and s = sigma(p) - delta - eps.
+    Under w = z^2, z = (1 + lambda)/(1 - lambda), the Legendre map reads
+    j = A/B, so the roots of R are the supersingular j other than 0 and
+    1728 (w = -3 and w = 9).  The two factors are divided out exactly;
+    then, from the top, r_a is the coefficient of w^(3a) over 64^a,
+    r_a A^a is subtracted and B divided out exactly.  A remainder, or a
+    degree other than 3s, raises ValidationError: Q is not
+    S3-symmetric."""
+    _, s, delta, eps = modforms.hasse_decomposition(p)
+    f = [c.value for c in Q.coeffs]
+    for root in [-3] * delta + [9] * eps:
+        f = _divide_linear(f, root, p)
+    if len(f) != 3 * s + 1:
+        raise ValidationError(f"Q is not S3-symmetric at p={p}")
+    cubes = [[1]]  # (w + 3)^(3a) = A^a / 64^a
+    for _ in range(s):
+        g = cubes[-1] + [0, 0, 0]
+        cubes.append([(27 * (a + b) + 9 * c + d) % p for a, b, c, d in
+                      zip(g, g[-1:] + g[:-1], g[-2:] + g[:-2],
+                          g[-3:] + g[:-3])])
+    i64 = pow(64, -1, p)
+    r = [0] * (s + 1)
+    for a in range(s, -1, -1):
+        top = f[3 * a] % p
+        r[a] = top * pow(i64, a, p) % p
+        f = [(x - top * y) % p for x, y in zip(f[:3 * a], cubes[a])]
+        if a:
+            f = _divide_linear(_divide_linear(f, 1, p), 1, p)
+    return Poly(PrimeField(p), r)
+
+
+def _w_root(j):
+    """One root w in F_{p^2} of 64(w + 3)^3 = j (w - 1)^2, by Cardano.
+
+    w = 1 + 4/(y - 1) turns the equation into y^3 - k y + k = 0 with
+    k = j/256, whose root is y = C + k/(3C) for a cube root C of
+    -k/2 +- sqrt(k^2/4 - k^3/27), the sign taken so that C != 0 (y = 0
+    when both vanish, at j = 0).  y = 1 never solves it.  A square or
+    cube root outside F_{p^2} raises ValueError."""
+    ring = j.ring
+    p = ring.p
+    k = j * pow(256, -1, p)
+    half = k * pow(2, -1, p)
+    root = sqrt_fq2(half * half - k * k * k * pow(27, -1, p))
+    c3 = (root - half) or (-root - half)
+    y = ring.zero()
+    if c3:
+        C = cbrt_fq2(c3)
+        y = C + k * pow(3, -1, p) * C.inverse()
+    return ring.one() + ring.from_int(4) * (y - ring.one()).inverse()
+
+
+def _s3_orbit(lam) -> set:
+    """{lambda, 1/lambda, 1 - lambda, 1/(1 - lambda), lambda/(lambda - 1),
+    (lambda - 1)/lambda}: the Legendre parameters of one j."""
+    inv, rest = lam.inverse(), 1 - lam
+    inv_rest = rest.inverse()
+    return {lam, inv, rest, inv_rest, 1 - inv_rest, 1 - inv}
+
+
 @lru_cache(maxsize=None)
 def hasse_roots(p: int) -> frozenset:
     """The lambda-roots in F_{p^2} of the Hasse polynomial at p.
 
     Deuring's criterion needs the polynomial squarefree with all (p-1)/2
     roots in F_{p^2}; a shortfall falsifies the rationality claim and
-    raises.
+    raises, and so does a surplus.
 
-    The roots are found at half the degree.  With m = (p-1)/2,
-    H_p(lambda) = (1 - lambda)^m P_m(z), z = (1 + lambda)/(1 - lambda),
-    for the Legendre polynomial P_m (Igusa 1958), and P_m has parity:
-    2^m P_m(z) = z^(m mod 2) Q(z^2) with Q of degree floor(m/2)
-    (_legendre_half).  Each root w of Q in F_{p^2} gives z = sqrt(w) and
-    the pair lambda = (z - 1)/(z + 1), 1/lambda (from -z); when m is odd,
-    z = 0 adds lambda = -1.  A w whose square root escapes F_{p^2} loses
-    its pair, which the count check reports.
+    The roots are found on the supersingular j, one S3 orbit of six
+    lambda each.  With m = (p-1)/2, H_p(lambda) = (1 - lambda)^m P_m(z),
+    z = (1 + lambda)/(1 - lambda), for the Legendre polynomial P_m
+    (Igusa 1958), and P_m has parity: 2^m P_m(z) = z^(m mod 2) Q(z^2)
+    with Q of degree floor(m/2) (_legendre_half).  In w = z^2 the
+    Legendre map is j = 64(w + 3)^3/(w - 1)^2, so Q is R(j), of degree
+    about p/12, written in w (_s3_quotient), and the roots of R come
+    from roots_in_field.  j = 0 (when p = 2 mod 3) sits at w = -3, and
+    j = 1728 (when p = 3 mod 4) at w = 9, which carries lambda = -1,
+    the root z = 0 of odd m.  For every other j, Cardano gives one w
+    (_w_root), checked by substitution; then z = sqrt(w),
+    lambda = (z - 1)/(z + 1), legendre_to_j(lambda) = j is checked, and
+    lambda brings its orbit.  A j whose w or z escapes F_{p^2} loses
+    its orbit, which the count check reports.
 
     The squarefree check runs on Q: H is squarefree iff Q is and
     Q(0) != 0.  lambda -> z keeps multiplicities and loses no root, as
     H(1) = C(2m, m) and P_m(-1) = (-1)^m are nonzero; +-sqrt(w) are
     distinct for w != 0 in characteristic != 2, and a root w = 0 would
-    make z = 0 a double root of P_m."""
+    make z = 0 a double root of P_m.  It also keeps 0 and 1728 off R:
+    R(0) = 0 would put (w + 3)^3 into Q, and R(1728) = 0 (w - 9)^2, as
+    A - 1728 B = 64 w (w - 9)^2."""
     require_prime(p, "hasse_roots", MAX_DEURING_PRIME)
     Q = _legendre_half(p)
     if not Q.coeff(0) or Q.gcd(Q.derivative()).degree != 0:
@@ -143,12 +232,27 @@ def hasse_roots(p: int) -> frozenset:
     m = (p - 1) // 2
     ctx = fq2_context(p)
     one = ctx.one()
-    lams = {-one} if m % 2 else set()
-    for w in roots_in_field(Q, ctx):
+    R = _s3_quotient(Q, p)
+    _, _, delta, eps = modforms.hasse_decomposition(p)
+    fixed = {}
+    if delta:
+        fixed[ctx.zero()] = ctx.from_int(-3)
+    if eps:
+        fixed[ctx.from_int(1728)] = ctx.from_int(9)
+    lams = set()
+    for j in [*fixed, *roots_in_field(R, ctx)]:
+        try:
+            w = fixed[j] if j in fixed else _w_root(j)
+        except ValueError:
+            continue
         if w == 0 or w == 1:
             raise ValidationError(
-                f"p={p}: w={w!r} is a root of the Legendre half "
-                f"polynomial, so z = sqrt(w) gives no simple lambda")
+                f"p={p}: w={w!r} lies over j={j!r}, so z = sqrt(w) "
+                f"gives no simple lambda")
+        if 64 * (w + 3) ** 3 != j * (w - 1) ** 2:
+            raise ValidationError(
+                f"p={p}: w={w!r} does not solve 64(w+3)^3 = j(w-1)^2 "
+                f"at j={j!r}")
         try:
             z = sqrt_fq2(w)
         except ValueError:
@@ -157,19 +261,42 @@ def hasse_roots(p: int) -> frozenset:
             raise ValidationError(f"p={p}: sqrt_fq2({w!r}) = {z!r} "
                                   f"does not square back")
         lam = (z - one) * (z + one).inverse()
-        lams.update((lam, lam.inverse()))
-    if len(lams) != m:
+        if legendre_to_j(lam) != j:
+            raise ValidationError(f"p={p}: lambda={lam!r} from w={w!r} "
+                                  f"does not map to j={j!r}")
+        lams |= _s3_orbit(lam)
+    if len(lams) < m:
         raise ValidationError(
             f"only {len(lams)} of {m} lambda-roots lie in "
             f"F_{p}^2 at p={p}: a root escapes the quadratic extension")
+    if len(lams) > m:
+        raise ValidationError(
+            f"{len(lams)} lambda-roots of a degree-{m} Hasse polynomial "
+            f"at p={p}: a j-root is spurious")
     return frozenset(lams)
+
+
+def _deuring_ss_poly(p: int) -> list:
+    """ss_p from the Deuring route, as ascending ints mod p: the S3
+    quotient R of the Legendre half polynomial made monic, times
+    X^delta (X - 1728)^eps."""
+    _, _, delta, eps = modforms.hasse_decomposition(p)
+    R = _s3_quotient(_legendre_half(p), p).monic()
+    s = [0] * delta + [c.value for c in R.coeffs]
+    return modforms._times_x_minus_1728(s, p) if eps else s
 
 
 @lru_cache(maxsize=None)
 def ss_j_deuring(p: int) -> frozenset:
-    """Supersingular j-invariants in F_{p^2} via Deuring's criterion: the
-    images of hasse_roots(p) under lambda -> j."""
-    return frozenset(legendre_to_j(lam) for lam in hasse_roots(p))
+    """Supersingular j-invariants in F_{p^2} via Deuring's criterion:
+    legendre_to_j of one lambda from each S3 orbit of hasse_roots(p)."""
+    rest = set(hasse_roots(p))
+    js = set()
+    while rest:
+        lam = rest.pop()
+        js.add(legendre_to_j(lam))
+        rest -= _s3_orbit(lam)
+    return frozenset(js)
 
 
 def curve_from_j(j):
@@ -344,20 +471,22 @@ def _diff_msg(name_a: str, set_a, name_b: str, set_b) -> str:
 @lru_cache(maxsize=None)
 def cross_validate(p: int) -> SSLocus:
     """Assert the Eisenstein, Deuring and (p <= 31) point-count j-sets
-    coincide and that the closed form equals the Eisenstein ss_p, check
+    coincide and that the closed form equals the Eisenstein ss_p and the
+    Deuring S3 quotient times X^delta (X - 1728)^eps, check
     Galois stability, squarefreeness, degree = sigma(p) and the
     classical 0/1728 membership criteria, and consolidate."""
     require_prime(p, "cross_validate", MAX_CROSS_VALIDATE_PRIME)
     ctx = fq2_context(p)
     sp = modforms.ss_poly_eisenstein(p)
     kz = [c.value for c in ss_poly_closed(p).coeffs]
-    ec = [c.value for c in sp.coeffs]
-    if kz != ec:
-        k, u, v = next((k, u, v) for k, (u, v) in enumerate(zip(
-            kz + [0] * len(ec), ec + [0] * len(kz))) if u != v)
-        raise ValidationError(
-            f"p={p}: closed form vs eisenstein disagree at the "
-            f"coefficient of X^{k}: {u} != {v}")
+    for name, other in (("eisenstein", [c.value for c in sp.coeffs]),
+                        ("deuring quotient", _deuring_ss_poly(p))):
+        if kz != other:
+            k, u, v = next((k, u, v) for k, (u, v) in enumerate(zip(
+                kz + [0] * len(other), other + [0] * len(kz))) if u != v)
+            raise ValidationError(
+                f"p={p}: closed form vs {name} disagree at the "
+                f"coefficient of X^{k}: {u} != {v}")
     eis = frozenset(roots_in_field(sp, ctx))
     deu = ss_j_deuring(p)
     if eis != deu:

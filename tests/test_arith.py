@@ -1,4 +1,5 @@
-"""Field layer: quadratic residues, square roots, F_{p^2} contexts."""
+"""Field layer: quadratic residues, square and cube roots, F_{p^2}
+contexts."""
 
 import random
 
@@ -8,6 +9,7 @@ from ellwitt.arith import (
     Fq2Ctx,
     PrimeField,
     Zmod,
+    cbrt_fq2,
     fq2_context,
     frobenius_fq2,
     has_sqrt3,
@@ -218,3 +220,36 @@ def test_sqrt_fq2_every_square_round_trips(p):
 def test_sqrt_fq2_rejects_other_rings():
     with pytest.raises(ValueError, match="wants F_p\\^2"):
         sqrt_fq2(Fq2Ctx(7, 1, 2).one())  # W(F_49)/49
+
+
+def check_cube_roots(ctx):
+    """Every cube of ctx has a cube root that cubes back, and every
+    non-cube raises."""
+    p = ctx.p
+    cubes = {z * z * z for z in ctx.elements()}
+    assert len(cubes) == (p * p - 1) // 3 + 1
+    for w in cubes:
+        r = cbrt_fq2(w)
+        assert r.ring == ctx and r * r * r == w
+    for w in set(ctx.elements()) - cubes:
+        with pytest.raises(ValueError, match="not a cube"):
+            cbrt_fq2(w)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_cbrt_fq2_every_cube_round_trips(p):
+    for ctx in sqrt_fq2_models(p):
+        check_cube_roots(ctx)
+
+
+@pytest.mark.parametrize("p", [17, 19, 37, 53, 5, 7, 11, 23])
+def test_cbrt_fq2_both_tonelli_branches(p):
+    # 9 | p^2 - 1 for 17, 19, 37, 53: the 3-Sylow subgroup has order at
+    # least 9 and the Tonelli loop runs; otherwise z^u is the root
+    assert ((p * p - 1) % 9 == 0) == (p in (17, 19, 37, 53))
+    check_cube_roots(fq2_context(p))
+
+
+def test_cbrt_fq2_rejects_other_rings():
+    with pytest.raises(ValueError, match="wants F_p\\^2"):
+        cbrt_fq2(Fq2Ctx(7, 1, 2).one())  # W(F_49)/49

@@ -379,12 +379,12 @@ def test_hasse_root_shortfall_exits_2(monkeypatch, capsys):
     real = sslocus.roots_in_field
     monkeypatch.setattr(sslocus, "roots_in_field",
                         lambda f, field: set(list(real(f, field))[1:]))
-    sslocus.hasse_roots.cache_clear()  # an earlier test may have cached 11
-    assert climod.main(["hasse", "--prime", "11"]) == 2
+    sslocus.hasse_roots.cache_clear()  # an earlier test may have cached 23
+    assert climod.main(["hasse", "--prime", "23"]) == 2
     err = capsys.readouterr().err
-    # one dropped root w of the half-degree polynomial loses the pair
-    # {lambda, 1/lambda}; lambda = -1 (m = 5 is odd) remains
-    assert "VALIDATION FAILURE" in err and "only 3 of 5" in err
+    # the one root j of the S3 quotient, dropped, loses its orbit of six
+    # lambda; the orbits of j = 0 and 1728 (2 + 3 lambda) remain
+    assert "VALIDATION FAILURE" in err and "only 5 of 11" in err
 
 
 def test_gross_landweber_mismatch_exits_2(monkeypatch, capsys):
@@ -783,8 +783,9 @@ def _argvs(draw):
 
 
 def _too_slow(argv) -> bool:
-    # valid requests whose work the other tests cover: every verify
-    # suite, and the scans and lifts near their upper bounds
+    # valid requests whose work the other tests cover: verify all,
+    # verify deligne and gross-landweber above p = 7, and the scans and
+    # lifts near their upper bounds
     from ellwitt.cli import UsageError, parse_args
     try:
         with redirect_stdout(io.StringIO()):
@@ -794,11 +795,13 @@ def _too_slow(argv) -> bool:
     if args is None:
         return False
     if args.command == "verify":
-        return True
+        return args.verify_what == "all" or args.prime > 7
     if args.command == "scan":
         return args.max > (200 if args.scan_what == "ogg" else 10 ** 5)
-    if args.command in ("hasse", "lift", "split"):
-        return args.prime > 200 or getattr(args, "precision", 0) > 16
+    if args.command == "hasse":
+        return args.prime > 400
+    if args.command in ("lift", "split"):
+        return args.prime > 200 or args.precision > 16
     return False
 
 

@@ -1,24 +1,28 @@
-"""The Deuring route on the half-degree Legendre polynomial against the
-route it replaced.
+"""The Deuring route through the S3 quotient against the routes it
+replaced.
 
-hasse_roots solves Q(w), the parity form of the Legendre polynomial P_m
-(m = (p-1)/2), and recovers each pair {lambda, 1/lambda} from a square
-root in F_{p^2}.  The replaced route solves the degree-m Hasse
-polynomial H directly, ``roots_in_field(H, fq2_context(p))``; it is kept
-below as the oracle, and both routes must give the same lambda-set and
-the same j-set.  So is the replaced squarefree check gcd(H, H') = 1,
-which hasse_roots now makes on Q.  The polynomial identity behind the reduction,
+hasse_roots finds the supersingular j as the roots of R, the S3
+quotient of Q(w), the parity form of the Legendre polynomial P_m
+(m = (p-1)/2), and takes one S3 orbit of six lambda per j from a
+Cardano root w.  Two replaced routes are kept below as oracles: the
+half-degree route, every root w of Q and one square root in F_{p^2} per
+pair {lambda, 1/lambda} (``oracle_half``), and the full route, every
+root of the degree-m Hasse polynomial H, ``roots_in_field(H,
+fq2_context(p))``.  All three must give the same lambda-set and the same
+j-set.  So is the squarefree check gcd(H, H') = 1, which hasse_roots
+makes on Q.  The polynomial identity behind the half-degree form,
 
     sum_k q_k (1 + lambda)^(m-2k) (1 - lambda)^(2k) = 2^m H(lambda),
     q_k = (-1)^k C(m,k) C(2m-2k,m),
 
 is checked coefficient by coefficient over Z and, with the coefficients
-hasse_roots uses, mod p.
+hasse_roots uses, mod p.  R made monic must equal the Kaneko-Zagier
+closed form over X^delta (X - 1728)^eps at every prime up to 1000.
 
     PYTHONPATH=src python tests/test_deuring.py
 
-runs both checks at every prime up to 1000, which the test suite samples
-up to 199.
+runs the route comparison at every prime up to 1000, which the test
+suite samples up to 199.
 """
 
 from math import comb
@@ -26,24 +30,43 @@ from math import comb
 import pytest
 
 from ellwitt import sslocus
-from ellwitt.arith import fq2_context, is_prime
+from ellwitt.arith import fq2_context, is_prime, sqrt_fq2
 from ellwitt.errors import ValidationError
 from ellwitt.polyseries import Poly, roots_in_field
 from ellwitt.sslocus import (
     MAX_DEURING_PRIME,
+    _deuring_ss_poly,
     _legendre_half,
     hasse_polynomial,
     hasse_roots,
     legendre_to_j,
     ss_j_deuring,
+    ss_poly_closed,
 )
 
 PRIMES = [p for p in range(5, 200) if is_prime(p)]
+ALL_PRIMES = [p for p in range(5, MAX_DEURING_PRIME + 1) if is_prime(p)]
 
 
 def oracle_lambdas(p: int) -> frozenset:
-    """The replaced route: every root of H in F_{p^2}."""
+    """The full route: every root of H in F_{p^2}."""
     return frozenset(roots_in_field(hasse_polynomial(p), fq2_context(p)))
+
+
+def oracle_half(p: int) -> frozenset:
+    """The half-degree route: each root w of Q in F_{p^2} gives
+    z = sqrt(w) and the pair lambda = (z - 1)/(z + 1), 1/lambda; odd m
+    adds lambda = -1 (z = 0)."""
+    ctx = fq2_context(p)
+    one = ctx.one()
+    lams = {-one} if (p - 1) // 2 % 2 else set()
+    for w in roots_in_field(_legendre_half(p), ctx):
+        assert w != 0 and w != 1
+        z = sqrt_fq2(w)
+        assert z * z == w
+        lam = (z - one) * (z + one).inverse()
+        lams.update((lam, lam.inverse()))
+    return frozenset(lams)
 
 
 def parity_side(q: list, m: int, mod: int = 0) -> list:
@@ -79,17 +102,33 @@ def check_prime(p: int) -> None:
     assert q == [c % p for c in exact_q(m)]
     assert parity_side(q, m, p) == \
         [2 ** m * c.value % p for c in hasse_polynomial(p).coeffs]
-    # both routes, and both squarefree checks
+    # the half-degree and full routes, and both squarefree checks
     H = hasse_polynomial(p)
     assert H.gcd(H.derivative()).degree == 0
-    old = oracle_lambdas(p)
-    assert hasse_roots(p) == old
-    assert ss_j_deuring(p) == frozenset(legendre_to_j(lam) for lam in old)
+    assert oracle_half(p) == oracle_lambdas(p)
+
+
+def check_s3_route(p: int) -> None:
+    half = oracle_half(p)
+    assert hasse_roots(p) == half
+    assert ss_j_deuring(p) == frozenset(legendre_to_j(lam) for lam in half)
 
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_half_degree_route_matches_the_full_hasse_route(p):
     check_prime(p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_s3_route_matches_the_half_degree_route(p):
+    check_s3_route(p)
+
+
+@pytest.mark.parametrize("p", ALL_PRIMES)
+def test_s3_quotient_is_the_closed_form(p):
+    # R monic, times X^delta (X - 1728)^eps, is ss_p coefficient by
+    # coefficient: the roots of R are the supersingular j off 0 and 1728
+    assert _deuring_ss_poly(p) == [c.value for c in ss_poly_closed(p).coeffs]
 
 
 def test_parity_side_sees_a_wrong_coefficient():
@@ -102,11 +141,12 @@ def test_parity_side_sees_a_wrong_coefficient():
 
 
 def test_lambda_pairs_and_minus_one():
-    # lambda -> 1/lambda preserves the set; -1 is a root exactly when m
-    # is odd (p = 3 mod 4)
+    # lambda -> 1/lambda and lambda -> 1 - lambda preserve the set; -1
+    # is a root exactly when m is odd (p = 3 mod 4)
     for p in (11, 13, 97, 101):
         lams = hasse_roots(p)
         assert {lam.inverse() for lam in lams} == lams
+        assert {1 - lam for lam in lams} == lams
         assert (-fq2_context(p).one() in lams) == (p % 4 == 3)
 
 
@@ -118,10 +158,16 @@ def fresh_cache():
 
 
 def test_a_root_w_of_one_raises(monkeypatch, fresh_cache):
-    real = sslocus.roots_in_field
-    monkeypatch.setattr(sslocus, "roots_in_field",
-                        lambda f, field: real(f, field) | {field.one()})
+    monkeypatch.setattr(sslocus, "_w_root", lambda j: j.ring.one())
     with pytest.raises(ValidationError, match="w=1 .* no simple lambda"):
+        hasse_roots(13)
+
+
+def test_a_cardano_root_that_does_not_solve_raises(monkeypatch,
+                                                   fresh_cache):
+    real = sslocus._w_root
+    monkeypatch.setattr(sslocus, "_w_root", lambda j: real(j) + 2)
+    with pytest.raises(ValidationError, match="does not solve"):
         hasse_roots(13)
 
 
@@ -135,10 +181,25 @@ def test_a_repeated_or_zero_root_of_q_is_not_squarefree(
         hasse_roots(13)
 
 
+@pytest.mark.parametrize("change", ["factor", "coefficient"])
+def test_a_squarefree_q_that_is_not_s3_symmetric_raises(
+        change, monkeypatch, fresh_cache):
+    q = _legendre_half(97)
+    if change == "factor":  # degree 3s + 1
+        bad = q * Poly(q.ring, [-5, 1])
+    else:  # degree kept, w^7 coefficient moved
+        bad = q + Poly(q.ring, [0] * 7 + [1])
+    assert bad.coeff(0) and bad.gcd(bad.derivative()).degree == 0
+    monkeypatch.setattr(sslocus, "_legendre_half", lambda p: bad)
+    with pytest.raises(ValidationError, match="Q is not S3-symmetric"):
+        hasse_roots(97)
+
+
 def test_a_wrong_square_root_raises(monkeypatch, fresh_cache):
+    # p = 11 has only the orbits of j = 0 and 1728, at w = -3 and 9
     monkeypatch.setattr(sslocus, "sqrt_fq2", lambda w: w)
     with pytest.raises(ValidationError, match="does not square back"):
-        hasse_roots(13)
+        hasse_roots(11)
 
 
 def test_a_square_root_outside_the_field_is_a_shortfall(
@@ -147,15 +208,47 @@ def test_a_square_root_outside_the_field_is_a_shortfall(
         raise ValueError("not a square")
 
     monkeypatch.setattr(sslocus, "sqrt_fq2", no_root)
-    with pytest.raises(ValidationError, match="only 1 of 5"):
-        hasse_roots(11)  # lambda = -1 alone survives
+    with pytest.raises(ValidationError, match="only 0 of 5"):
+        hasse_roots(11)
+
+
+def test_a_cube_root_outside_the_field_is_a_shortfall(
+        monkeypatch, fresh_cache):
+    def no_root(w):
+        raise ValueError("not a cube")
+
+    monkeypatch.setattr(sslocus, "cbrt_fq2", no_root)
+    # p = 23: the orbits of 0 and 1728 (2 + 3 lambda) need no Cardano;
+    # the third j loses its six
+    with pytest.raises(ValidationError, match="only 5 of 11"):
+        hasse_roots(23)
+
+
+def test_a_spurious_j_is_a_surplus(monkeypatch, fresh_cache):
+    # lambda = 3 lies over j = 11, not supersingular at 13; its orbit of
+    # six lies in F_13
+    ctx = fq2_context(13)
+    spurious = legendre_to_j(ctx.from_int(3))
+    assert spurious not in ss_j_deuring(13)
+    real = sslocus.roots_in_field
+    monkeypatch.setattr(sslocus, "roots_in_field",
+                        lambda f, field: real(f, field) | {spurious})
+    with pytest.raises(ValidationError, match="12 lambda-roots .* spurious"):
+        hasse_roots(13)
+
+
+def test_a_lambda_off_its_j_raises(monkeypatch, fresh_cache):
+    real = sslocus.legendre_to_j
+    monkeypatch.setattr(sslocus, "legendre_to_j", lambda lam: real(lam) + 1)
+    with pytest.raises(ValidationError, match="does not map to j"):
+        hasse_roots(13)
 
 
 def sweep() -> int:
-    primes = [p for p in range(5, MAX_DEURING_PRIME + 1) if is_prime(p)]
-    for p in primes:
+    for p in ALL_PRIMES:
         check_prime(p)
-    return len(primes)
+        check_s3_route(p)
+    return len(ALL_PRIMES)
 
 
 if __name__ == "__main__":

@@ -31,7 +31,6 @@ from .report import Report, padic_digits
 from .sslocus import (
     MAX_DEURING_PRIME,
     MAX_OGG_SCAN,
-    MAX_POINT_COUNT_PRIME,
     MONSTER_PRIMES,
     _sorted_j,
 )
@@ -39,6 +38,7 @@ from .sslocus import (
 DEFAULT_PRECISION = 10
 MAX_FORMS_PREC = 1000
 MAX_SQRT3_SCAN = 10 ** 6
+_SPOT_LOCI = {7: [[6, 0]], 11: [[0, 0], [1, 0]], 13: [[5, 0]]}
 
 
 class UsageError(Exception):
@@ -66,7 +66,7 @@ def ss_section(p: int) -> dict:
         "j_values": [[z.a, z.b] for z in _sorted_j(locus.j_values)],
         "ss_poly": [c.value for c in locus.ss_poly.coeffs],
         "ss_poly_str": locus.ss_poly.pretty(),
-        "point_count_checked": p <= MAX_POINT_COUNT_PRIME,
+        "point_count_checked": "point-count" in locus.routes,
     }
     cache.store("ss", key, payload)
     return payload
@@ -229,10 +229,11 @@ def verify_all_section(p_max: int) -> dict:
     out = {}
     eis_max = min(p_max, MAX_EISENSTEIN_PRIME)
     primes = sslocus._primes_in(5, eis_max)
+    point_count_primes = []
     for p in primes:
         locus = sslocus.cross_validate(p)   # raises on any disagreement
-        if locus.ss_poly.degree != sslocus.sigma(p):
-            raise ValidationError(f"degree formula fails at p={p}")
+        if "point-count" in locus.routes:
+            point_count_primes.append(p)
         deu = sum(z.in_prime_field for z in locus.j_values)
         scan = sslocus.rational_ss_count(p)
         if deu != scan:
@@ -242,12 +243,10 @@ def verify_all_section(p_max: int) -> dict:
     out["degree_formula"] = {"primes": primes, "ok": True}
     out["three_method_agreement"] = {
         "primes": primes,
-        "point_count_primes": [p for p in primes
-                               if p <= MAX_POINT_COUNT_PRIME],
+        "point_count_primes": point_count_primes,
         "ok": True,
     }
-    spot = {7: [[6, 0]], 11: [[0, 0], [1, 0]], 13: [[5, 0]]}
-    for p, want in spot.items():
+    for p, want in _SPOT_LOCI.items():
         if p > eis_max:
             continue
         got = [[z.a, z.b]
@@ -378,8 +377,10 @@ def _print_forms(s: dict) -> None:
 def _print_verify_all(s: dict) -> None:
     print("degree formula        OK  primes",
           f"5..{s['degree_formula']['primes'][-1]}")
-    print("three-method j-sets   OK  (point count through p <= 31)")
-    print("spot loci 7/11/13     OK")
+    pc = s["three_method_agreement"]["point_count_primes"]
+    print(f"three-method j-sets   OK  (point count through p <= {pc[-1]})")
+    spots = [str(p) for p in _SPOT_LOCI if p in s["degree_formula"]["primes"]]
+    print(f"{'spot loci ' + ('/'.join(spots) or '-'):<22}OK")
     for p, d in s["deligne"].items():
         print(f"deligne p={p:<3}         OK  {d['curves_checked']} curves")
     print("gross-landweber       OK  p =",

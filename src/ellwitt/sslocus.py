@@ -1,27 +1,27 @@
 """The supersingular locus mod p by four independent routes, their
 cross-validation, and the Ogg scan.
 
-Route 1 (sslocus): Deuring's criterion — roots of the degree-(p-1)/2
-Legendre polynomial in F_{p^2}, pushed through lambda -> j.  Its roots
-come in S3 orbits of six, one per supersingular j.  z = (1 + lambda)/
-(1 - lambda) turns it into the parity-symmetric Legendre polynomial P_m
-of z, a polynomial Q of degree floor(m/2) in w = z^2, and in w the
-Legendre map is j = 64(w + 3)^3/(w - 1)^2.  So Q is a form in R(j) of
-degree about p/12, peeled off exactly; the roots of R are found, and
-each j gives one w by Cardano, lambda by one square root, and its
-orbit.
-Route 2 (modforms): E_{p-1} mod p in the E4/E6 basis, then
-j = E4^3/Delta.
-Route 3 (here, p <= 31): character-sum point counts over F_{p^2},
-marking a curve supersingular exactly when its trace vanishes mod p;
-one big-int correlation counts a twist family y^2 = x^3 + cx + c for
-every c at once.
-Route 4 (here): Kaneko and Zagier's closed form of ss_p, a
-hypergeometric sum in O(p) int work; it must equal route 2, and route
-1's R times X^delta (X - 1728)^eps, coefficient by coefficient.
+ROUTES holds one row per route, named as below:
+- "deuring": Deuring's criterion.  The roots in F_{p^2} of the degree-
+  (p-1)/2 Legendre polynomial come in S3 orbits of six, one per
+  supersingular j.  z = (1 + lambda)/(1 - lambda) turns it into the
+  parity-symmetric Legendre polynomial P_m, a polynomial Q of degree
+  floor(m/2) in w = z^2, where the Legendre map is j = 64(w + 3)^3/
+  (w - 1)^2.  So Q is a form in R(j) of degree about p/12, peeled off
+  exactly ("deuring quotient" is R times X^delta (X - 1728)^eps); the
+  roots of R are found, and each j gives one w by Cardano, lambda by
+  one square root, and its orbit.
+- "eisenstein" (modforms): E_{p-1} mod p in the E4/E6 basis.
+- "point-count": character-sum point counts over F_{p^2}, one big-int
+  correlation for a twist family y^2 = x^3 + cx + c at every c at once;
+  a curve is supersingular exactly when its trace vanishes mod p.
+- "closed form": Kaneko and Zagier's hypergeometric sum, O(p) int work.
 
-Any disagreement raises ValidationError naming the two methods and the
-symmetric difference; agreement is consolidated into an SSLocus.
+cross_validate requires every row that admits p to yield the closed
+form's ss_p over F_p, a j-set through prod (X - j).  A disagreement
+raises ValidationError naming the two routes and the first differing
+coefficient, or the j-sets' symmetric difference; agreement is
+consolidated into an SSLocus.
 
 The Ogg scan finds no roots: it counts the F_p-rational roots of the
 closed form as deg gcd(ss_p, X^p - X) and checks that count against
@@ -38,7 +38,7 @@ from itertools import accumulate
 from math import comb, gcd, isqrt
 
 from .arith import (
-    PrimeField, cbrt_fq2, fq2_context, frobenius_fq2, is_prime,
+    PrimeField, cbrt_fq2, fq2_context, is_prime,
     require_prime, sqrt_fq2)
 from .errors import ValidationError
 from .formalgroup import WCurve
@@ -49,7 +49,7 @@ __all__ = [
     "sigma", "hasse_polynomial", "hasse_roots", "legendre_to_j",
     "ss_j_deuring", "curve_from_j", "ss_j_point_count", "ss_poly_closed",
     "class_number", "rational_ss_count", "cross_validate", "ogg_scan",
-    "SSLocus", "MONSTER_PRIMES", "MAX_DEURING_PRIME",
+    "SSLocus", "ROUTES", "MONSTER_PRIMES", "MAX_DEURING_PRIME",
     "MAX_POINT_COUNT_PRIME", "MAX_OGG_SCAN",
 ]
 
@@ -90,7 +90,7 @@ def legendre_to_j(lam):
     """j = 256 (lambda^2 - lambda + 1)^3 / (lambda^2 (lambda - 1)^2).
 
     (Cubed numerator: the exponent that sends the harmonic lambda = 2
-    to 1728; cross_validate confirms against the other two methods.)
+    to 1728; hasse_roots checks that each lambda it finds maps to its j.)
     """
     ring = lam.ring
     one = ring.one()
@@ -451,10 +451,26 @@ def rational_ss_count(p: int) -> int:
     return count
 
 
+#: One row per route: its name, the greatest p it admits (None: every
+#: p), whether it yields a j-set (else ss_p) and how it runs.  A row
+#: calls its function by its module-level name, so rebinding it reaches
+#: the row.  cross_validate compares every row with the first's ss_p.
+Route = namedtuple("Route", "name max_p jset run")
+ROUTES = (
+    Route("closed form", None, False, lambda p: ss_poly_closed(p)),
+    Route("eisenstein", modforms.MAX_EISENSTEIN_PRIME, False,
+          lambda p: modforms.ss_poly_eisenstein(p)),
+    Route("deuring quotient", MAX_DEURING_PRIME, False,
+          lambda p: Poly(PrimeField(p), _deuring_ss_poly(p))),
+    Route("deuring", MAX_DEURING_PRIME, True, lambda p: ss_j_deuring(p)),
+    Route("point-count", MAX_POINT_COUNT_PRIME, True,
+          lambda p: ss_j_point_count(p)),
+)
+
 #: Consolidated supersingular locus at p, validated across methods:
 #: j_values (frozenset of F_{p^2} elements), ss_poly (Poly over F_p),
-#: sigma (its degree) and all_rational (every j in F_p).
-SSLocus = namedtuple("SSLocus", "p j_values ss_poly sigma all_rational")
+#: sigma (its degree), all_rational and routes (the rows that ran).
+SSLocus = namedtuple("SSLocus", "p j_values ss_poly sigma all_rational routes")
 
 
 def _sorted_j(js) -> list:
@@ -468,51 +484,50 @@ def _diff_msg(name_a: str, set_a, name_b: str, set_b) -> str:
             f"only-{name_b}={extra_b}")
 
 
+def _j_set_poly(js, ctx, name: str) -> list:
+    """prod (X - j), built over F_{p^2}, as ascending ints mod p."""
+    c = [ctx.one()]
+    for j in js:
+        c = [b - j * a for a, b in zip(c + [ctx.zero()], [ctx.zero()] + c)]
+    if not all(z.in_prime_field for z in c):
+        raise ValidationError(f"p={ctx.p}: {name} j-set is not Galois stable")
+    return [z.a for z in c]
+
+
 @lru_cache(maxsize=None)
 def cross_validate(p: int) -> SSLocus:
-    """Assert the Eisenstein, Deuring and (p <= 31) point-count j-sets
-    coincide and that the closed form equals the Eisenstein ss_p and the
-    Deuring S3 quotient times X^delta (X - 1728)^eps, check
-    Galois stability, squarefreeness, degree = sigma(p) and the
-    classical 0/1728 membership criteria, and consolidate."""
+    """Require every row of ROUTES that admits p to yield the first
+    row's ss_p, a j-set through prod (X - j).  Equal to ss_p, a j-set is
+    exactly its root set: squarefree, split and sigma(p) in number.
+    Then check the classical 0/1728 membership criteria; consolidate."""
     require_prime(p, "cross_validate", MAX_CROSS_VALIDATE_PRIME)
     ctx = fq2_context(p)
-    sp = modforms.ss_poly_eisenstein(p)
-    kz = [c.value for c in ss_poly_closed(p).coeffs]
-    for name, other in (("eisenstein", [c.value for c in sp.coeffs]),
-                        ("deuring quotient", _deuring_ss_poly(p))):
-        if kz != other:
+    ran = [r for r in ROUTES if r.max_p is None or p <= r.max_p]
+    first, ss = ran[0].name, ran[0].run(p)
+    want = [c.value for c in ss.coeffs]
+    for route in ran[1:]:
+        out = route.run(p)
+        if route.jset:
+            js, got = out, _j_set_poly(out, ctx, route.name)
+        else:
+            got = [c.value for c in out.coeffs]
+        if got != want and route.jset:
+            raise ValidationError(f"p={p}: " + _diff_msg(
+                first, frozenset(roots_in_field(ss, ctx)), route.name, out))
+        if got != want:
             k, u, v = next((k, u, v) for k, (u, v) in enumerate(zip(
-                kz + [0] * len(other), other + [0] * len(kz))) if u != v)
+                want + [0] * len(got), got + [0] * len(want))) if u != v)
             raise ValidationError(
-                f"p={p}: closed form vs {name} disagree at the "
+                f"p={p}: {first} vs {route.name} disagree at the "
                 f"coefficient of X^{k}: {u} != {v}")
-    eis = frozenset(roots_in_field(sp, ctx))
-    deu = ss_j_deuring(p)
-    if eis != deu:
-        raise ValidationError(
-            f"p={p}: " + _diff_msg("eisenstein", eis, "deuring", deu))
-    if p <= MAX_POINT_COUNT_PRIME:
-        pc = ss_j_point_count(p)
-        if deu != pc:
-            raise ValidationError(
-                f"p={p}: " + _diff_msg("deuring", deu, "point-count", pc))
-    sig = sigma(p)
-    if not (len(deu) == sig == sp.degree):
-        raise ValidationError(
-            f"p={p}: |j-set|={len(deu)}, deg={sp.degree}, sigma={sig}")
-    if sp.gcd(sp.derivative()).degree != 0:
-        raise ValidationError(f"p={p}: supersingular polynomial not "
-                              f"squarefree")
-    if {frobenius_fq2(z) for z in deu} != set(deu):
-        raise ValidationError(f"p={p}: j-set is not Galois stable")
-    if (ctx.zero() in deu) != (p % 3 == 2):
+    if (ctx.zero() in js) != (p % 3 == 2):
         raise ValidationError(f"p={p}: j=0 membership contradicts p mod 3")
-    if (ctx.from_int(1728) in deu) != (p % 4 == 3):
+    if (ctx.from_int(1728) in js) != (p % 4 == 3):
         raise ValidationError(f"p={p}: j=1728 membership contradicts "
                               f"p mod 4")
-    return SSLocus(p=p, j_values=deu, ss_poly=sp, sigma=sig,
-                   all_rational=all(z.in_prime_field for z in deu))
+    return SSLocus(p=p, j_values=js, ss_poly=ss, sigma=ss.degree,
+                   all_rational=all(z.in_prime_field for z in js),
+                   routes=tuple(r.name for r in ran))
 
 
 def _primes_in(lo: int, hi: int) -> list:

@@ -419,6 +419,22 @@ def test_verify_all_checks_the_scan_count_against_deuring(monkeypatch):
         climod.verify_all_section(5)
 
 
+@pytest.mark.parametrize("argv, counted, spots", [
+    (["--max", "5"], "5", "-      "),
+    (["--max", "11"], "11", "7/11   "),
+    (["--max", "20"], "19", "7/11/13"),
+    ([], "31", "7/11/13"),
+])
+def test_verify_all_text_names_only_the_checks_that_ran(
+        monkeypatch, capsys, tmp_path, argv, counted, spots):
+    import ellwitt.cli as climod
+    monkeypatch.setenv("ELLWITT_CACHE_DIR", str(tmp_path))
+    assert climod.main(["verify", "all", *argv]) == 0
+    assert capsys.readouterr().out.splitlines()[1:3] == [
+        f"three-method j-sets   OK  (point count through p <= {counted})",
+        f"spot loci {spots}     OK"]
+
+
 def _run_reporting(argv, cache_dir, *modules):
     # main(argv) in a fresh interpreter; stderr ends with whether each
     # module (numpy if none is named) was imported
@@ -731,14 +747,19 @@ _VALUES = st.one_of(
 def _values_in_bounds(command, flag):
     """Values of the flag inside its own Flag(lo, hi) in cli.COMMANDS,
     primes for --prime: the 201 values from lo up, where requests are
-    quick, and the greatest value.  A missing bound is taken as -99 or
-    99."""
+    quick, seven values spread across the whole range, and the greatest
+    value.  A spread --prime is the least prime from its point up.  A
+    missing bound is taken as -99 or 99."""
     from ellwitt.arith import is_prime
     from ellwitt.cli import COMMANDS
     bound = COMMANDS[command].flags[flag[2:]]
     lo = -99 if bound.lo is None else bound.lo
     hi = 99 if bound.hi is None else bound.hi
-    values = [*range(lo, min(hi, lo + 200) + 1), hi]
+    spread = [lo + (hi - lo) * k // 8 for k in range(1, 8)]
+    if flag == "--prime":
+        spread = [next(n for n in range(s, hi + 1) if is_prime(n))
+                  for s in spread]
+    values = [*range(lo, min(hi, lo + 200) + 1), *spread, hi]
     if flag == "--prime":
         values = [n for n in values if is_prime(n)]
     return st.sampled_from(values).map(str)
@@ -1066,30 +1087,39 @@ def test_readme_cli_lines_parse():
         assert args is not None and out.getvalue() == "", line
 
 
-def _readme_bounds() -> dict:
+def _readme_bounds() -> tuple:
     """{(command words, flag): (least, greatest)} from the rows of the
-    README's "Enforced bounds" table that name a CLI flag."""
+    README's "Enforced bounds" tables that name a CLI flag, and
+    {route name: greatest p, None for every p} from those that name a
+    row of sslocus.ROUTES."""
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     block = readme.split("\n## Enforced bounds\n", 1)[1].split("\n## ")[0]
-    out = {}
+    flags, routes = {}, {}
     for line in block.splitlines():
         cells = line.split("|")
-        command = re.match(r"\s*`([a-z][a-z0-9 -]*?) --", cells[1]) \
-            if len(cells) > 2 else None
+        if len(cells) <= 2:
+            continue
+        route = re.match(r"\s*route `([a-z -]+)`", cells[1])
+        if route is not None:
+            hi = re.search(r"p <= (\d+)", cells[2])
+            routes[route[1]] = hi and int(hi[1])
+        command = re.match(r"\s*`([a-z][a-z0-9 -]*?) --", cells[1])
         if command is None:
             continue
         lo = (re.search(r"(-?\d+) <= [a-zA-Z]", cells[2])
               or re.search(r"[a-zA-Z] >= (-?\d+)", cells[2]))
         hi = re.search(r"[a-zA-Z] <= (-?\d+)", cells[2])
         for flag in re.findall(r"--([a-z0-9]+)", cells[1]):
-            out[tuple(command[1].split()), flag] = tuple(
+            flags[tuple(command[1].split()), flag] = tuple(
                 m and int(m[1]) for m in (lo, hi))
-    return out
+    return flags, routes
 
 
 def test_readme_bounds_match_the_table():
     from ellwitt.cli import COMMANDS
-    documented = _readme_bounds()
+    from ellwitt.sslocus import ROUTES
+    documented, routes = _readme_bounds()
+    assert routes == {r.name: r.max_p for r in ROUTES}
     for (words, name), bounds in documented.items():
         flag = COMMANDS[words].flags[name]
         assert (flag.lo, flag.hi) == bounds, (words, name)

@@ -1,11 +1,13 @@
 """Supersingular locus: Deuring criterion, point-count oracle, the
-Kaneko-Zagier closed form, the cross-validation, and the Ogg scan with
-its class-number check."""
+Kaneko-Zagier closed form, the cross-validation over the route table,
+and the Ogg scan with its class-number check."""
 
+import re
 from math import comb
 
 import pytest
 
+import ellwitt.modforms as modforms
 import ellwitt.sslocus as sslocus
 from ellwitt.arith import PrimeField, fq2_context, frobenius_fq2, is_prime
 from ellwitt.errors import ValidationError
@@ -270,3 +272,82 @@ def test_class_number_disagreement_names_both_counts(monkeypatch):
     with pytest.raises(ValidationError,
                        match=r"p=11: 2 F_p-rational .* 4 by class numbers"):
         rational_ss_count(11)
+
+
+# --- the route table ---
+
+
+#: The function each row of sslocus.ROUTES calls, by its module name.
+_ROUTE_FUNCTIONS = {
+    "closed form": (sslocus, "ss_poly_closed"),
+    "eisenstein": (modforms, "ss_poly_eisenstein"),
+    "deuring quotient": (sslocus, "_deuring_ss_poly"),
+    "deuring": (sslocus, "ss_j_deuring"),
+    "point-count": (sslocus, "ss_j_point_count"),
+}
+
+
+def _mutant(real, edit):
+    """real with one coefficient of ss_p moved, or one j of its j-set
+    (at p = 23: 0, 3 = 1728 and 19) dropped or swapped for the
+    non-root 1."""
+    def wrong(p):
+        out = real(p)
+        if edit == "coefficient":
+            coeffs = out if isinstance(out, list) else \
+                [c.value for c in out.coeffs]
+            coeffs = [(coeffs[0] + 1) % p] + coeffs[1:]
+            return coeffs if isinstance(out, list) else \
+                Poly(PrimeField(p), coeffs)
+        j = fq2_context(p).from_int(19)
+        rest = out - {j}
+        return rest if edit == "drop" else rest | {j - 18}
+    return wrong
+
+
+@pytest.mark.parametrize("name, edit", [
+    (r.name, edit) for r in sslocus.ROUTES
+    for edit in (("drop", "swap") if r.jset else ("coefficient",))])
+def test_every_route_mutant_is_named(monkeypatch, name, edit):
+    owner, attr = _ROUTE_FUNCTIONS[name]
+    monkeypatch.setattr(owner, attr, _mutant(getattr(owner, attr), edit))
+    with pytest.raises(ValidationError, match=rf"p=23: (.+ vs )?"
+                       rf"{re.escape(name)}( vs .+)? disagree"):
+        cross_validate.__wrapped__(23)
+
+
+def test_galois_unstable_j_set_is_refused(monkeypatch):
+    real = ss_j_deuring(37)
+    j = next(z for z in real if z.b)
+    assert frobenius_fq2(j) in real and len(real) == 3
+    monkeypatch.setattr(sslocus, "ss_j_deuring", lambda p: real - {j})
+    with pytest.raises(ValidationError, match=r"p=37: deuring j-set is "
+                       r"not Galois stable"):
+        cross_validate.__wrapped__(37)
+
+
+def test_non_squarefree_ss_poly_is_refused(monkeypatch):
+    # X^2 (X - 1728) at p = 23 in place of X (X - 1728) (X - 19): degree
+    # sigma(23) = 3, and every polynomial route agrees on it
+    bad = [0, 0, -1728 % 23, 1]
+    assert len(bad) - 1 == sigma(23)
+    F = PrimeField(23)
+    monkeypatch.setattr(sslocus, "ss_poly_closed", lambda p: Poly(F, bad))
+    monkeypatch.setattr(modforms, "ss_poly_eisenstein",
+                        lambda p: Poly(F, bad))
+    monkeypatch.setattr(sslocus, "_deuring_ss_poly", lambda p: bad)
+    with pytest.raises(ValidationError,
+                       match=r"p=23: .* vs deuring disagree"):
+        cross_validate.__wrapped__(23)
+
+
+def test_every_admitted_prime_runs_two_routes_and_a_j_set():
+    assert set(_ROUTE_FUNCTIONS) == {r.name for r in sslocus.ROUTES}
+    for p in range(5, sslocus.MAX_CROSS_VALIDATE_PRIME + 1):
+        if not is_prime(p):
+            continue
+        ran = [r for r in sslocus.ROUTES if r.max_p is None or p <= r.max_p]
+        # the first row is the polynomial the others are compared with
+        assert len(ran) >= 2 and not ran[0].jset, p
+        assert any(r.jset for r in ran), p
+        assert cross_validate(p).routes == tuple(r.name for r in ran), p

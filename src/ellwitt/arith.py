@@ -8,7 +8,7 @@ Teichmuller lift omega(n) that padicwitt.lift_context builds.  Every
 F_{p^2} model here is x^2 = n for a non-residue n, so the Frobenius
 z -> z^p (and its lift to W) is a + b*xbar -> a - b*xbar.
 PrimeField/FpElem and Fq2Ctx/Fq2Elem are the same classes under their
-field names (padicwitt adds PadicRing/PadicInt and WittCtx/WittQuad).
+field names; at N > 1 the classes go by Zmod and Quad alone.
 
 Elements carry their ring and never coerce across moduli: an operation
 mixing two different rings raises ValueError instead of guessing.  The

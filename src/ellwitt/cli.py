@@ -20,19 +20,18 @@ from . import cache, formalgroup, modforms, padicwitt, sslocus
 from .arith import PrimeField, has_sqrt3, is_prime
 from .errors import ValidationError
 from .formalgroup import MAX_FORMAL_PRIME, WCurve
-from .modforms import MAX_EISENSTEIN_PRIME
 from .padicwitt import (
     MAX_LIFT_PRECISION,
     MAX_SPLIT_PRECISION,
     MAX_SPLIT_PRIME,
 )
-from .polyseries import QQ
+from .polyseries import QQ, Poly
 from .report import Report, padic_digits
 from .sslocus import (
+    MAX_CROSS_VALIDATE_PRIME,
     MAX_DEURING_PRIME,
     MAX_OGG_SCAN,
     MONSTER_PRIMES,
-    _sorted_j,
 )
 
 DEFAULT_PRECISION = 10
@@ -63,7 +62,7 @@ def ss_section(p: int) -> dict:
         "prime": p,
         "sigma": locus.sigma,
         "all_rational": locus.all_rational,
-        "j_values": [[z.a, z.b] for z in _sorted_j(locus.j_values)],
+        "j_values": [[z.a, z.b] for z in locus.j_values],
         "ss_poly": [c.value for c in locus.ss_poly.coeffs],
         "ss_poly_str": locus.ss_poly.pretty(),
         "point_count_checked": "point-count" in locus.routes,
@@ -79,9 +78,9 @@ def hasse_section(p: int) -> dict:
         "degree": H.degree,
         "hasse_poly": [c.value for c in H.coeffs],
         "lambda_roots": [[z.a, z.b]
-                         for z in _sorted_j(sslocus.hasse_roots(p))],
+                         for z in sslocus.sorted_j(sslocus.hasse_roots(p))],
         "j_images": [[z.a, z.b]
-                     for z in _sorted_j(sslocus.ss_j_deuring(p))],
+                     for z in sslocus.sorted_j(sslocus.ss_j_deuring(p))],
     }
 
 
@@ -227,8 +226,8 @@ def _q_identities_section() -> dict:
 
 def verify_all_section(p_max: int) -> dict:
     out = {}
-    eis_max = min(p_max, MAX_EISENSTEIN_PRIME)
-    primes = sslocus._primes_in(5, eis_max)
+    cv_max = min(p_max, MAX_CROSS_VALIDATE_PRIME)
+    primes = sslocus._primes_in(5, cv_max)
     point_count_primes = []
     for p in primes:
         locus = sslocus.cross_validate(p)   # raises on any disagreement
@@ -247,10 +246,9 @@ def verify_all_section(p_max: int) -> dict:
         "ok": True,
     }
     for p, want in _SPOT_LOCI.items():
-        if p > eis_max:
+        if p > cv_max:
             continue
-        got = [[z.a, z.b]
-               for z in _sorted_j(sslocus.cross_validate(p).j_values)]
+        got = [[z.a, z.b] for z in sslocus.cross_validate(p).j_values]
         if got != want:
             raise ValidationError(f"spot locus at p={p}: {got} != {want}")
     out["spot_values"] = {"ok": True}
@@ -295,7 +293,6 @@ def _print_ss(s: dict) -> None:
 
 
 def _print_hasse(s: dict) -> None:
-    from .polyseries import Poly
     print(f"p = {s['prime']}   degree {s['degree']}")
     field = PrimeField(s["prime"])
     print("hasse polynomial:",
@@ -413,7 +410,7 @@ Command = namedtuple("Command", "help flags section build show",
 COMMANDS = {
     ("ss",): Command(
         "supersingular locus (cross-validated; p <= {prime.hi})",
-        {"prime": Flag(None, 5, MAX_EISENSTEIN_PRIME)},
+        {"prime": Flag(None, 5, MAX_CROSS_VALIDATE_PRIME)},
         "ss_locus", ss_section, _print_ss),
     ("hasse",): Command(
         "Deuring lambda-polynomial and its roots (p <= {prime.hi})",
@@ -422,7 +419,7 @@ COMMANDS = {
     ("lift",): Command(
         "Teichmuller-lifted supersingular polynomial "
         "(p <= {prime.hi}, N <= {precision.hi})",
-        {"prime": Flag(None, 5, MAX_EISENSTEIN_PRIME),
+        {"prime": Flag(None, 5, MAX_CROSS_VALIDATE_PRIME),
          "precision": Flag(DEFAULT_PRECISION, 1, MAX_LIFT_PRECISION)},
         "lift", lift_section, _print_lift),
     ("split",): Command(
@@ -447,7 +444,7 @@ COMMANDS = {
         "gross_landweber", gl_section, _print_gl),
     ("verify", "all"): Command(
         "the full verification suite (max >= {max.lo})",
-        {"max": Flag(MAX_EISENSTEIN_PRIME, 5, None)},
+        {"max": Flag(MAX_CROSS_VALIDATE_PRIME, 5, None)},
         "verify_all", verify_all_section, _print_verify_all),
     ("scan",): Command("per-prime scans"),
     ("scan", "ogg"): Command(

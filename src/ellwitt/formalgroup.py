@@ -32,10 +32,10 @@ from operator import mul, sub
 from .arith import FpElem, PrimeField, require_prime
 from .errors import ValidationError
 from .polyseries import QQ, Poly, QSeries
-from . import modforms
+from . import modforms, sslocus
 
 __all__ = [
-    "WCurve", "PSeries", "formal_expansion",
+    "WCurve", "curve_from_j", "PSeries", "formal_expansion",
     "mult_by_p_series", "v_invariants", "heights_from_series",
     "classical_hasse", "has_bad_reduction",
     "verify_deligne", "verify_gross_landweber",
@@ -75,6 +75,19 @@ class WCurve:
 
     def __repr__(self):
         return f"y^2 = x^3 + {self.a4!r}*x + {self.a6!r}"
+
+
+def curve_from_j(j) -> WCurve:
+    """A short Weierstrass model with the given j-invariant:
+    y^2 = x^3 + 3k x + 2k with k = j/(1728 - j) away from j in
+    {0, 1728}; y^2 = x^3 + 1 at j = 0 and y^2 = x^3 + x at j = 1728."""
+    ring = j.ring
+    if j == ring.zero():
+        return WCurve(ring, ring.zero(), ring.one())
+    if j == ring.from_int(1728):
+        return WCurve(ring, ring.one(), ring.zero())
+    k = j * (ring.from_int(1728) - j).inverse()
+    return WCurve(ring, ring.from_int(3) * k, ring.from_int(2) * k)
 
 
 def _w_coeffs(coeffs, P: int, zero, one) -> list:
@@ -445,19 +458,22 @@ def verify_gross_landweber(p: int) -> GLReport:
     for p <= 13): v2 of the standard model must equal
     (-1)^((p-1)/2) * Delta^((p^2-1)/12) exactly.  A mismatch raises
     ValidationError naming p, j, v2 and the prediction."""
-    from . import sslocus
     require_prime(p, "verify_gross_landweber", MAX_FORMAL_PRIME)
     field = PrimeField(p)
     locus = sslocus.cross_validate(p)
     sign = (-1) ** ((p - 1) // 2)
     exponent = (p * p - 1) // 12
     entries = []
-    for jval in sslocus._sorted_j(locus.j_values):
+    for jval in locus.j_values:
         if not jval.in_prime_field:
             continue
-        E = sslocus.curve_from_j(jval.to_fp())
+        E = curve_from_j(jval.to_fp())
         v1, v2 = v_invariants(E, p)
-        assert not v1 and v2 is not None
+        if v1 or v2 is None:
+            raise ValidationError(
+                f"Gross-Landweber at p={p}, j={jval.a}: the supersingular "
+                f"curve {E!r} reads v1={v1.value}, "
+                f"v2={None if v2 is None else v2.value}")
         _, _, disc, _ = E.invariants()
         pred = field.from_int(sign) * disc ** exponent
         if v2 != pred:

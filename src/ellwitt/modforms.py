@@ -207,7 +207,10 @@ def express_in_e4e6(s: QSeries, k: int) -> dict:
             raise ValidationError(
                 f"guard coefficient q^{i} mismatch: input is not a "
                 f"modular form of weight {k}")
-    assert sum(sol) == s.coeff(0)
+    if sum(sol) != s.coeff(0):
+        raise ValidationError(
+            f"weight {k}: the E4^a E6^b coefficients sum to {sum(sol)}, "
+            f"the constant term is {s.coeff(0)}")
     return {mon: c for mon, c in zip(basis.monomials, sol)}
 
 

@@ -7,25 +7,24 @@ model x^2 = n, with omega(n) the Teichmuller lift of n in Z/p^N.  As
 the lift is multiplicative, the roots +-sqrt(omega(n)) of that modulus
 are the Teichmuller lifts of the roots +-sqrt(n) of x^2 - n.  Ring
 operations are plain quadratic arithmetic, Frobenius is root
-conjugation, and no Witt addition polynomials are ever needed.
-Contexts are constructed once per (p, N) and shared; all values are
-immutable.
+conjugation (QuadElem.conj), and no Witt addition polynomials are ever
+needed.  The j-set, its bound and prod (X - r) come from sslocus.
+Contexts and Teichmuller roots are built once per (p, N) and shared;
+all values are immutable.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 
-from .arith import (
-    Quad, QuadElem, Zmod, ZmodElem, fq2_context, require_prime)
+from .arith import Quad, Zmod, fq2_context, require_prime
 from .errors import ValidationError
-from .modforms import MAX_EISENSTEIN_PRIME
 from .polyseries import Poly
 from . import sslocus
 
 __all__ = [
-    "PadicRing", "PadicInt", "WittCtx", "WittQuad",
-    "lift_context", "teichmuller", "witt_frobenius", "hensel_root",
+    "lift_context", "teichmuller", "hensel_root",
     "lift_ss_poly", "splitting_idempotents",
     "MAX_LIFT_PRECISION", "MAX_SPLIT_PRIME", "MAX_SPLIT_PRECISION",
 ]
@@ -33,9 +32,6 @@ __all__ = [
 MAX_LIFT_PRECISION = 64
 MAX_SPLIT_PRIME = 47
 MAX_SPLIT_PRECISION = 32
-
-PadicRing, PadicInt = Zmod, ZmodElem
-WittCtx, WittQuad = Quad, QuadElem
 
 
 def _fixed_point(t, q: int, N: int):
@@ -85,11 +81,6 @@ def teichmuller(x, N: int):
     return _fixed_point(ring.lift(x), field.size, N)
 
 
-#: The unique lift of x -> x^p: root conjugation.  A ring involution
-#: reducing to frobenius_fq2 and fixing exactly the scalars.
-witt_frobenius = QuadElem.conj
-
-
 def hensel_root(f: Poly, r0):
     """Newton-lift a simple root: f(r0) = 0 mod p with f'(r0) a unit.
 
@@ -120,13 +111,13 @@ def hensel_root(f: Poly, r0):
     return r
 
 
-def _teich_roots(p: int, N: int):
-    """Teichmuller lifts of the supersingular j-values, sorted by their
-    canonical (a, b) representation."""
+@lru_cache(maxsize=None)
+def _teich_roots(p: int, N: int) -> tuple:
+    """(locus, wctx, roots): the cross-validated locus, W(F_{p^2})/p^N
+    and the Teichmuller lifts of its j-values, in their order."""
     locus = sslocus.cross_validate(p)
     wctx = lift_context(fq2_context(p), N)
-    js = sslocus._sorted_j(locus.j_values)
-    return locus, wctx, [teichmuller(j, N) for j in js]
+    return locus, wctx, tuple(teichmuller(j, N) for j in locus.j_values)
 
 
 @lru_cache(maxsize=None)
@@ -135,38 +126,30 @@ def lift_ss_poly(p: int, N: int) -> Poly:
     the Teichmuller lifts of the supersingular j-invariants.
 
     Validates that (i) the coefficients are Frobenius-fixed, so the
-    polynomial descends to Z/p^N, (ii) the reduction mod p is the
-    supersingular polynomial, (iii) the discriminant is a unit, and
-    (iv) Hensel lifting of each mod-p root lands on the Teichmuller lift.
+    polynomial descends to Z/p^N (sslocus.frobenius_descent), (ii) the
+    reduction mod p is the supersingular polynomial, (iii) the
+    discriminant is a unit, and (iv) Hensel lifting of each mod-p root
+    lands on the Teichmuller lift.
     """
-    require_prime(p, "lift_ss_poly", MAX_EISENSTEIN_PRIME)
+    require_prime(p, "lift_ss_poly", sslocus.MAX_CROSS_VALIDATE_PRIME)
     if not 1 <= N <= MAX_LIFT_PRECISION:
         raise ValueError(f"precision must satisfy 1 <= N <= "
                          f"{MAX_LIFT_PRECISION}")
     locus, wctx, roots = _teich_roots(p, N)
-    shat = Poly(wctx, [wctx.one()])
-    for r in roots:
-        shat = shat * Poly(wctx, [-r, wctx.one()])
-    for i, c in enumerate(shat.coeffs):
-        if witt_frobenius(c) != c:
-            raise ValidationError(
-                f"lift_ss_poly({p},{N}): coefficient of X^{i} is not "
-                f"Frobenius-fixed")
-    red = shat.map_coeffs(lambda c: c.reduce_mod_p().to_fp(), Zmod(p))
-    if red != locus.ss_poly:
+    coeffs = sslocus.frobenius_descent(
+        roots, wctx, f"lift_ss_poly({p},{N}): S_p-hat is not "
+        f"Frobenius-fixed")
+    if [c % p for c in coeffs] != [c.value for c in locus.ss_poly.coeffs]:
         raise ValidationError(
             f"lift_ss_poly({p},{N}): reduction mod p differs from the "
             f"supersingular polynomial")
-    disc = wctx.one()
-    for i in range(len(roots)):
-        for k in range(i + 1, len(roots)):
-            d = roots[i] - roots[k]
-            disc = disc * d * d
-    if roots and not wctx.is_unit(disc):
+    shat = Poly(wctx, coeffs)
+    # the discriminant is a unit iff every root difference is one
+    if not all(wctx.is_unit(a - b) for a, b in combinations(roots, 2)):
         raise ValidationError(
             f"lift_ss_poly({p},{N}): discriminant is not a unit — roots "
             f"are not simple")
-    for jbar, r in zip(sslocus._sorted_j(locus.j_values), roots):
+    for jbar, r in zip(locus.j_values, roots):
         if hensel_root(shat, jbar) != r:
             raise ValidationError(
                 f"lift_ss_poly({p},{N}): Hensel lift of {jbar!r} is not "

@@ -21,7 +21,9 @@ cross_validate requires every row that admits p to yield the closed
 form's ss_p over F_p, a j-set through prod (X - j).  A disagreement
 raises ValidationError naming the two routes and the first differing
 coefficient, or the j-sets' symmetric difference; agreement is
-consolidated into an SSLocus.
+consolidated into an SSLocus, which every other layer reads the locus
+from: its j-set comes in sorted_j order.  frobenius_descent builds
+prod (X - r) for the j-set rows and for the lift alike.
 
 The Ogg scan finds no roots: it counts the F_p-rational roots of the
 closed form as deg gcd(ss_p, X^p - X) and checks that count against
@@ -41,15 +43,15 @@ from .arith import (
     PrimeField, cbrt_fq2, fq2_context, is_prime,
     require_prime, sqrt_fq2)
 from .errors import ValidationError
-from .formalgroup import WCurve
 from .polyseries import Poly, count_roots_in_fp, roots_in_field
 from . import modforms
 
 __all__ = [
     "sigma", "hasse_polynomial", "hasse_roots", "legendre_to_j",
-    "ss_j_deuring", "curve_from_j", "ss_j_point_count", "ss_poly_closed",
-    "class_number", "rational_ss_count", "cross_validate", "ogg_scan",
-    "SSLocus", "ROUTES", "MONSTER_PRIMES", "MAX_DEURING_PRIME",
+    "ss_j_deuring", "ss_j_point_count", "ss_poly_closed",
+    "class_number", "rational_ss_count", "sorted_j", "frobenius_descent",
+    "cross_validate", "ogg_scan", "SSLocus", "ROUTES", "MONSTER_PRIMES",
+    "MAX_CROSS_VALIDATE_PRIME", "MAX_DEURING_PRIME",
     "MAX_POINT_COUNT_PRIME", "MAX_OGG_SCAN",
 ]
 
@@ -60,7 +62,8 @@ MAX_DEURING_PRIME = 1000
 #: two points.
 MAX_OGG_SCAN = 3000
 MAX_POINT_COUNT_PRIME = 31
-MAX_CROSS_VALIDATE_PRIME = modforms.MAX_EISENSTEIN_PRIME
+#: The greatest p that cross_validate, and so the lift, admits.
+MAX_CROSS_VALIDATE_PRIME = 97
 
 #: Primes dividing the order of the Monster (Ogg's observation); 2 and 3
 #: sit outside this artifact's p > 3 scope.
@@ -299,19 +302,6 @@ def ss_j_deuring(p: int) -> frozenset:
     return frozenset(js)
 
 
-def curve_from_j(j):
-    """A Weierstrass model with the given j-invariant (char != 2, 3):
-    y^2 = x^3 + 3k x + 2k with k = j/(1728 - j) away from j in
-    {0, 1728}; y^2 = x^3 + 1 at j = 0 and y^2 = x^3 + x at j = 1728."""
-    ring = j.ring
-    if j == ring.zero():
-        return WCurve(ring, ring.zero(), ring.one())
-    if j == ring.from_int(1728):
-        return WCurve(ring, ring.one(), ring.zero())
-    k = j * (ring.from_int(1728) - j).inverse()
-    return WCurve(ring, ring.from_int(3) * k, ring.from_int(2) * k)
-
-
 @lru_cache(maxsize=None)
 def ss_j_point_count(p: int) -> frozenset:
     """Point-count oracle: j in F_q, q = p^2, is supersingular iff the
@@ -319,7 +309,7 @@ def ss_j_point_count(p: int) -> frozenset:
 
     For j not in {0, 1728} the curve is y^2 = x^3 + cx + c with
     c = 27j / (4(1728 - j)), a quadratic twist over F_q of
-    curve_from_j(j) (a twist keeps "trace = 0 mod p"), and
+    formalgroup.curve_from_j(j) (a twist keeps "trace = 0 mod p"), and
     j = 6912c / (4c + 27).  Since chi(-1) = 1 in F_q and
     x^3 + c(x + 1) = (x + 1)(g(x) + c) with g(x) = x^3 / (x + 1),
     its character sum is S(c) = 1 + sum_v H(v) chi(v + c), where
@@ -468,29 +458,33 @@ ROUTES = (
 )
 
 #: Consolidated supersingular locus at p, validated across methods:
-#: j_values (frozenset of F_{p^2} elements), ss_poly (Poly over F_p),
-#: sigma (its degree), all_rational and routes (the rows that ran).
+#: j_values (tuple of F_{p^2} elements in sorted_j order), ss_poly (Poly
+#: over F_p), sigma (its degree), all_rational and routes (the rows that
+#: ran).
 SSLocus = namedtuple("SSLocus", "p j_values ss_poly sigma all_rational routes")
 
 
-def _sorted_j(js) -> list:
+def sorted_j(js) -> list:
+    """F_{p^2} elements a + b*xbar in (a, b) order, as reported."""
     return sorted(js, key=lambda z: (z.a, z.b))
 
 
 def _diff_msg(name_a: str, set_a, name_b: str, set_b) -> str:
-    extra_a = _sorted_j(set_a - set_b)
-    extra_b = _sorted_j(set_b - set_a)
+    extra_a = sorted_j(set_a - set_b)
+    extra_b = sorted_j(set_b - set_a)
     return (f"{name_a} vs {name_b} disagree: only-{name_a}={extra_a}, "
             f"only-{name_b}={extra_b}")
 
 
-def _j_set_poly(js, ctx, name: str) -> list:
-    """prod (X - j), built over F_{p^2}, as ascending ints mod p."""
-    c = [ctx.one()]
-    for j in js:
-        c = [b - j * a for a, b in zip(c + [ctx.zero()], [ctx.zero()] + c)]
+def frobenius_descent(roots, ring, failure: str) -> list:
+    """prod (X - r) over a Quad ring (F_{p^2} or W(F_{p^2})/p^N), as
+    ascending ints mod p^N.  A coefficient that Frobenius (conjugation)
+    moves raises ValidationError(failure): the product does not descend."""
+    c = [ring.one()]
+    for r in roots:
+        c = [b - r * a for a, b in zip(c + [ring.zero()], [ring.zero()] + c)]
     if not all(z.in_prime_field for z in c):
-        raise ValidationError(f"p={ctx.p}: {name} j-set is not Galois stable")
+        raise ValidationError(failure)
     return [z.a for z in c]
 
 
@@ -508,7 +502,8 @@ def cross_validate(p: int) -> SSLocus:
     for route in ran[1:]:
         out = route.run(p)
         if route.jset:
-            js, got = out, _j_set_poly(out, ctx, route.name)
+            js, got = out, frobenius_descent(
+                out, ctx, f"p={p}: {route.name} j-set is not Galois stable")
         else:
             got = [c.value for c in out.coeffs]
         if got != want and route.jset:
@@ -525,9 +520,9 @@ def cross_validate(p: int) -> SSLocus:
     if (ctx.from_int(1728) in js) != (p % 4 == 3):
         raise ValidationError(f"p={p}: j=1728 membership contradicts "
                               f"p mod 4")
-    return SSLocus(p=p, j_values=js, ss_poly=ss, sigma=ss.degree,
-                   all_rational=all(z.in_prime_field for z in js),
-                   routes=tuple(r.name for r in ran))
+    return SSLocus(p=p, j_values=tuple(sorted_j(js)), ss_poly=ss,
+                   sigma=ss.degree, routes=tuple(r.name for r in ran),
+                   all_rational=all(z.in_prime_field for z in js))
 
 
 def _primes_in(lo: int, hi: int) -> list:

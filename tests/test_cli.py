@@ -409,6 +409,21 @@ def test_gross_landweber_mismatch_exits_2(monkeypatch, capsys):
         assert "v2=" in err and "predicted" in err
 
 
+def test_gross_landweber_ordinary_reading_exits_2(monkeypatch, capsys):
+    # an ordinary (v1, v2) at a supersingular j is an invariant failure,
+    # exit 2, even where assert statements are stripped (python -O)
+    import ellwitt.cli as climod
+    import ellwitt.formalgroup as formalgroup
+    monkeypatch.setattr(formalgroup, "v_invariants",
+                        lambda E, p: (E.ring.one(), None))
+    assert climod.main(["verify", "gross-landweber", "--prime", "7"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("VALIDATION FAILURE: Gross-Landweber at p=7, "
+                          "j=6: ")
+    assert "v1=1, v2=None" in err
+
+
 def test_verify_all_checks_the_scan_count_against_deuring(monkeypatch):
     import ellwitt.cli as climod
     import ellwitt.sslocus as sslocus

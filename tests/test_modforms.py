@@ -136,6 +136,23 @@ def test_express_rejects_non_modular_input():
             express_in_e4e6(eisenstein_q(4, 8), k)
 
 
+def test_express_refuses_coefficients_that_miss_the_constant_term(
+        monkeypatch):
+    # with E4's constant term moved to 2, the input 2 + 240q + ... solves
+    # and passes every guard coefficient, but as E4^1 with coefficient 1
+    real = modforms._e4_e6
+
+    def shifted(ring, prec):
+        e4, e6 = real(ring, prec)
+        return e4 + QSeries(ring, 0, [1] + [0] * (prec - 1)), e6
+
+    monkeypatch.setattr(modforms, "_e4_e6", shifted)
+    s = shifted(QQ, 8)[0]
+    with pytest.raises(ValidationError, match=r"weight 4: the E4\^a E6\^b "
+                       r"coefficients sum to 1, the constant term is 2"):
+        express_in_e4e6(s, 4)
+
+
 def test_hasse_form_frozen_values():
     assert {k: v.value for k, v in hasse_form(5).items()} == {(1, 0): 1}
     assert {k: v.value for k, v in hasse_form(11).items()} == {(1, 1): 1}

@@ -5,31 +5,30 @@ import random
 
 import pytest
 
-from ellwitt import padicwitt
-from ellwitt.arith import Fq2Ctx, PrimeField, fq2_context, is_prime
+from ellwitt import padicwitt, sslocus
+from ellwitt.arith import Fq2Ctx, PrimeField, Zmod, fq2_context, is_prime
 from ellwitt.errors import ValidationError
 from ellwitt.padicwitt import (
-    PadicRing,
     hensel_root,
     lift_context,
     lift_ss_poly,
     splitting_idempotents,
     teichmuller,
-    witt_frobenius,
 )
 from ellwitt.polyseries import Poly
+from ellwitt.sslocus import sigma
 
 
 def test_padic_ring_basics():
-    R = PadicRing(5, 3)
+    R = Zmod(5, 3)
     a = R.elem(7)
     assert a + R.elem(120) == R.elem(2)   # 127 mod 125
     assert a * a.inverse() == R.one()
     assert not R.is_unit(R.elem(10))
     with pytest.raises(ValueError):
-        R.elem(1) + PadicRing(5, 4).elem(1)
+        R.elem(1) + Zmod(5, 4).elem(1)
     with pytest.raises(ValueError):
-        R.elem(1) + PadicRing(7, 3).elem(1)
+        R.elem(1) + Zmod(7, 3).elem(1)
 
 
 def test_lift_context_n1_is_base():
@@ -88,7 +87,7 @@ def test_teichmuller_examples():
     assert teichmuller(F5.elem(1), 4).value == 1
     assert teichmuller(F5.elem(2), 2).value == 7
     # defining property at N = 20
-    R = PadicRing(5, 20)
+    R = Zmod(5, 20)
     for v in range(1, 5):
         t = teichmuller(F5.elem(v), 20)
         assert t ** (5 - 1) == R.one()
@@ -133,33 +132,29 @@ def test_witt_frobenius_properties():
         for _ in range(25):
             z = w.elem(rng.randrange(w.modulus), rng.randrange(w.modulus))
             zz = w.elem(rng.randrange(w.modulus), rng.randrange(w.modulus))
-            assert witt_frobenius(witt_frobenius(z)) == z
-            assert witt_frobenius(z + zz) == \
-                witt_frobenius(z) + witt_frobenius(zz)
-            assert witt_frobenius(z * zz) == \
-                witt_frobenius(z) * witt_frobenius(zz)
-            assert witt_frobenius(z).reduce_mod_p() == \
-                z.reduce_mod_p().conj()
+            assert z.conj().conj() == z
+            assert (z + zz).conj() == z.conj() + zz.conj()
+            assert (z * zz).conj() == z.conj() * zz.conj()
+            assert z.conj().reduce_mod_p() == z.reduce_mod_p().conj()
         s = w.elem(rng.randrange(w.modulus), 0)
-        assert witt_frobenius(s) == s
+        assert s.conj() == s
         # frobenius commutes with the Teichmuller lift
         x = ctx.elem(rng.randrange(p), rng.randrange(p))
-        assert witt_frobenius(teichmuller(x, 10)) == \
-            teichmuller(x.conj(), 10)
+        assert teichmuller(x, 10).conj() == teichmuller(x.conj(), 10)
 
 
 def test_hensel_examples():
-    R49 = PadicRing(7, 2)
+    R49 = Zmod(7, 2)
     r = hensel_root(Poly(R49, [-2, 0, 1]), PrimeField(7).elem(3))
     assert r.value == 10
-    R = PadicRing(11, 9)
+    R = Zmod(11, 9)
     assert hensel_root(Poly(R, [0, -1, 1]), PrimeField(11).elem(1)) == R.one()
     with pytest.raises(ValidationError):
         hensel_root(Poly(R, [0, 0, 1]), PrimeField(11).elem(0))
 
 
 def test_hensel_non_root_is_validation_error():
-    R = PadicRing(7, 4)
+    R = Zmod(7, 4)
     with pytest.raises(ValidationError, match="not a root"):
         hensel_root(Poly(R, [-2, 0, 1]), PrimeField(7).elem(2))
     w = lift_context(fq2_context(7), 3)
@@ -168,11 +163,11 @@ def test_hensel_non_root_is_validation_error():
 
 
 def test_hensel_rejects_a_residue_of_another_ring():
-    R = PadicRing(7, 4)
+    R = Zmod(7, 4)
     with pytest.raises(ValueError):
         hensel_root(Poly(R, [-2, 0, 1]), PrimeField(11).elem(3))
     with pytest.raises(ValueError):
-        hensel_root(Poly(R, [-2, 0, 1]), PadicRing(7, 2).elem(3))
+        hensel_root(Poly(R, [-2, 0, 1]), Zmod(7, 2).elem(3))
     # the same F_49, but another model of it: x is not the model's x
     w = lift_context(fq2_context(7), 3)
     with pytest.raises(ValueError):
@@ -182,7 +177,7 @@ def test_hensel_rejects_a_residue_of_another_ring():
 
 
 def test_hensel_independent_of_starting_lift():
-    R = PadicRing(7, 8)
+    R = Zmod(7, 8)
     f = Poly(R, [-2, 0, 1])
     a = hensel_root(f, R.elem(3))
     b = hensel_root(f, R.elem(3 + 7 * 123))
@@ -209,7 +204,7 @@ def test_lift_ss_poly_frobenius_fixed_and_compatible():
     for p in (5, 7, 11, 13, 37, 53):
         s10 = lift_ss_poly(p, 10)
         for c in s10.coeffs:
-            assert witt_frobenius(c) == c
+            assert c.conj() == c
         red = s10.map_coeffs(lambda c: c.reduce_mod_p().to_fp(),
                              PrimeField(p))
         from ellwitt.modforms import ss_poly_eisenstein
@@ -218,6 +213,67 @@ def test_lift_ss_poly_frobenius_fixed_and_compatible():
             sM = lift_ss_poly(p, M)
             assert [c.reduce_precision(M) for c in s10.coeffs] == \
                 list(sM.coeffs)
+
+
+def test_lift_ss_poly_refuses_roots_that_do_not_descend(monkeypatch):
+    # p = 37: j-set {8} and one conjugate pair; moving one root of the
+    # pair keeps the trace a scalar but not the product
+    locus, wctx, roots = padicwitt._teich_roots(37, 10)
+    i = next(i for i, r in enumerate(roots) if r.b)
+    moved = list(roots)
+    moved[i] = roots[i] + 1
+    monkeypatch.setattr(padicwitt, "_teich_roots",
+                        lambda p, N: (locus, wctx, moved))
+    with pytest.raises(ValidationError,
+                       match=r"lift_ss_poly\(37,10\): .*Frobenius-fixed"):
+        lift_ss_poly.__wrapped__(37, 10)
+
+
+def test_lift_ss_poly_refuses_a_wrong_reduction(monkeypatch):
+    # p = 23: j-set {0, 1728 = 3, 19}; the lift of 19 swapped for that
+    # of 1, which is not supersingular, still descends to Z/p^N
+    locus, wctx, roots = padicwitt._teich_roots(23, 10)
+    ctx = fq2_context(23)
+    one = teichmuller(ctx.one(), 10)
+    swapped = [one if r.reduce_mod_p() == ctx.from_int(19) else r
+               for r in roots]
+    assert swapped != list(roots) and all(not r.b for r in swapped)
+    monkeypatch.setattr(padicwitt, "_teich_roots",
+                        lambda p, N: (locus, wctx, swapped))
+    with pytest.raises(ValidationError, match=r"lift_ss_poly\(23,10\): "
+                       r"reduction mod p differs"):
+        lift_ss_poly.__wrapped__(23, 10)
+
+
+def test_split_reuses_the_roots_the_lift_lifted(monkeypatch):
+    calls = []
+    real = padicwitt.teichmuller
+    monkeypatch.setattr(padicwitt, "teichmuller",
+                        lambda x, N: calls.append(x) or real(x, N))
+    for cached in (padicwitt._teich_roots, lift_ss_poly,
+                   splitting_idempotents):
+        cached.cache_clear()
+    lift_ss_poly(47, 32)
+    splitting_idempotents(47, 32)
+    assert len(calls) == sigma(47) == 5
+
+
+def test_one_descent_serves_the_locus_and_the_lift(monkeypatch):
+    sslocus.cross_validate(23)
+    padicwitt._teich_roots(23, 5)
+    real = sslocus.frobenius_descent
+
+    def shifted(roots, ring, failure):
+        c = real(roots, ring, failure)
+        return [(c[0] + 1) % ring.modulus] + c[1:]
+
+    monkeypatch.setattr(sslocus, "frobenius_descent", shifted)
+    with pytest.raises(ValidationError, match=r"p=23: closed form vs "
+                       r"deuring disagree"):
+        sslocus.cross_validate.__wrapped__(23)
+    with pytest.raises(ValidationError, match=r"lift_ss_poly\(23,5\): "
+                       r"reduction mod p differs"):
+        lift_ss_poly.__wrapped__(23, 5)
 
 
 def test_splitting_idempotents_spot():

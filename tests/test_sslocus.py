@@ -11,13 +11,13 @@ import ellwitt.modforms as modforms
 import ellwitt.sslocus as sslocus
 from ellwitt.arith import PrimeField, fq2_context, frobenius_fq2, is_prime
 from ellwitt.errors import ValidationError
+from ellwitt.formalgroup import curve_from_j
 from ellwitt.modforms import MAX_EISENSTEIN_PRIME, ss_poly_eisenstein
 from ellwitt.polyseries import Poly, count_roots_in_fp
 from ellwitt.sslocus import (
     MONSTER_PRIMES,
     class_number,
     cross_validate,
-    curve_from_j,
     hasse_polynomial,
     legendre_to_j,
     ogg_scan,
@@ -174,6 +174,15 @@ def test_cross_validate_spot_loci():
     L13 = cross_validate(13)
     assert (L13.sigma, L13.all_rational) == (1, True)
     assert {(z.a, z.b) for z in L13.j_values} == {(5, 0)}
+
+
+def test_cross_validate_j_values_are_a_tuple_in_ab_order():
+    for p in range(5, sslocus.MAX_CROSS_VALIDATE_PRIME + 1):
+        if is_prime(p):
+            js = cross_validate(p).j_values
+            assert isinstance(js, tuple), p
+            assert [(z.a, z.b) for z in js] == \
+                sorted((z.a, z.b) for z in js), p
 
 
 def test_cross_validate_full_range_invariants():

@@ -16,12 +16,16 @@ F_{p^2} model is selected deterministically per prime by fq2_context()
 so that serialized data is reproducible: x^2 + 1 when p = 3 mod 4,
 otherwise x^2 - n with n the smallest quadratic non-residue.
 
+Square roots in F_p (sqrt_mod, on which sqrt_fq2 builds) and cube
+roots in F_{p^2} come from one r-th-root routine, rth_root.
+
 All values are immutable; rings can be shared freely across workers.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import count
 
 __all__ = [
     "is_prime",
@@ -41,7 +45,7 @@ __all__ = [
     "fq2_context",
     "frobenius_fq2",
     "sqrt_fq2",
-    "cbrt_fq2",
+    "rth_root",
 ]
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -281,7 +285,7 @@ def sqrt_mod(a: ZmodElem) -> ZmodElem:
     min(r, p-r).
 
     a = 0 returns 0; non-residues raise ValueError, as does an element
-    of Z/p^N with N > 1.  Tonelli-Shanks, with the p = 3 mod 4 shortcut.
+    of Z/p^N with N > 1.  rth_root at r = 2: Tonelli-Shanks.
     """
     p = a.ring.p
     if a.ring.N != 1:
@@ -290,27 +294,7 @@ def sqrt_mod(a: ZmodElem) -> ZmodElem:
         return a.ring.zero()
     if not is_quadratic_residue(a):
         raise ValueError(f"{a.value} is not a quadratic residue mod {p}")
-    if p % 4 == 3:
-        r = pow(a.value, (p + 1) // 4, p)
-    else:
-        # Tonelli-Shanks: write p-1 = q*2^s with q odd
-        q, s = p - 1, 0
-        while q % 2 == 0:
-            q //= 2
-            s += 1
-        z = 2
-        while pow(z, (p - 1) // 2, p) != p - 1:
-            z += 1
-        m, c = s, pow(z, q, p)
-        t, r = pow(a.value, q, p), pow(a.value, (q + 1) // 2, p)
-        while t != 1:
-            t2, i = t * t % p, 1
-            while t2 != 1:
-                t2 = t2 * t2 % p
-                i += 1
-            b = pow(c, 1 << (m - i - 1), p)
-            m, c = i, b * b % p
-            t, r = t * c % p, r * b % p
+    r = rth_root(a, 2).value
     return a.ring.elem(min(r, p - r))
 
 
@@ -592,53 +576,56 @@ def sqrt_fq2(z: QuadElem) -> QuadElem:
 
 
 @lru_cache(maxsize=None)
-def _cube_sylow(ring: Quad) -> tuple:
-    """(e, t, c) with p^2 - 1 = 3^e t, 3 not dividing t, and c = g^t a
-    generator of the 3-Sylow subgroup of F_{p^2}^*, for the first
-    non-cube g = a + b*xbar with b != 0 (b = 1, 2, ..., a = 0..p-1).
-    The search skips F_p: when p = 2 mod 3 every element of F_p is a
-    cube."""
+def _sylow(ring, r: int) -> tuple:
+    """(e, t, c) with |ring^*| = r^e t, r not dividing t, and c = g^t a
+    generator of the r-Sylow subgroup, for the first g that is not an
+    r-th power: g = 2, 3, ... in F_p, and g = a + b*xbar with b != 0
+    (b = 1, 2, ..., a = 0..p-1) in F_{p^2}.  The F_{p^2} search skips
+    F_p: when p = 2 mod 3 every element of F_p is a cube."""
     p, order = ring.p, ring.size - 1
     e, t = 0, order
-    while t % 3 == 0:
-        t //= 3
+    while t % r == 0:
+        t //= r
         e += 1
-    n = p
-    while ring.elem(n % p, n // p) ** (order // 3) == 1:
-        n += 1
-    return e, t, ring.elem(n % p, n // p) ** t
+    if isinstance(ring, Quad):
+        gs = (ring.elem(a, b) for b in count(1) for a in range(p))
+    else:
+        gs = map(ring.elem, count(2))
+    g = next(g for g in gs if g ** (order // r) != 1)
+    return e, t, g ** t
 
 
-def cbrt_fq2(z: QuadElem) -> QuadElem:
-    """A cube root of z in F_{p^2}, by Tonelli-Shanks for cubes.
+def rth_root(x, r: int):
+    """An r-th root of x in F_p or F_{p^2}, for a prime r, by the method
+    of Adleman, Manders and Miller (1977): Tonelli-Shanks at r = 2.
 
-    With p^2 - 1 = 3^e t and 3u = 1 mod t, r = z^u has r^3 = z b for
-    b = z^(3u - 1) in the 3-Sylow subgroup, generated by c
-    (_cube_sylow).  z is a cube exactly when b is, that is when b has
-    order below 3^e.  While b != 1, of order 3^i, c_i = c^(3^(e-i-1))
-    has c_i^3 of order 3^i with (c_i^3)^(3^(i-1)) = zeta = c^(3^(e-1)),
-    so one of c_i and c_i^2 takes r to r c_i^s and b to b c_i^(3s) of
-    lower order.  When 9 does not divide p^2 - 1 (e = 1), a cube has
-    b = 1 at once and r is the root.  A non-cube raises ValueError, as
-    does W(F_{p^2})/p^N."""
-    ring = z.ring
+    With |ring^*| = r^e t and r u = 1 mod t, y = x^u has y^r = x b for
+    b = x^(r u - 1) in the r-Sylow subgroup, generated by c (_sylow).
+    x is an r-th power exactly when b is, that is when
+    b^(r^(e-1)) = 1.  Then, for k = e - 1 down to 1, b has order
+    dividing r^k, and top = b^(r^(k-1)) is a power of
+    zeta = c^(r^(e-1)); c_k = c^(r^(e-k-1)) has (c_k^r)^(r^(k-1)) = zeta,
+    so for the one s in 0..r-1 with zeta^s top = 1, y c_k^s and
+    b c_k^(rs) keep y^r = x b and take b into order dividing r^(k-1).
+    At the end b = 1 and y is the root; when e = 1 that is y = x^u at
+    once.  Zero returns zero; an x that is not an r-th power raises
+    ValueError, as does Z/p^N or W(F_{p^2})/p^N."""
+    ring = x.ring
     if ring.N != 1:
-        raise ValueError(f"cbrt_fq2 wants F_p^2, not {ring}")
-    if not z:
-        return z
-    e, t, c = _cube_sylow(ring)
-    r = z ** pow(3, -1, t)
-    b = r * r * r * z.inverse()
-    zeta = c ** (3 ** (e - 1))
-    while b != 1:
-        i, root = 1, b  # root = b^(3^(i-1)), a cube root of 1 at exit
-        while root ** 3 != 1:
-            root = root ** 3
-            i += 1
-        if i == e:  # b, and so z, is not a cube
-            raise ValueError(f"{z!r} is not a cube in {ring}")
-        ci = c ** (3 ** (e - i - 1))
-        if root == zeta:
-            ci = ci * ci
-        r, b = r * ci, b * ci ** 3
-    return r
+        raise ValueError(f"rth_root wants F_p or F_p^2, not {ring}")
+    if not x:
+        return x
+    e, t, c = _sylow(ring, r)
+    y = x ** pow(r, -1, t)
+    b = y ** r * x.inverse()
+    if b ** (r ** (e - 1)) != 1:
+        raise ValueError(f"{x!r} is not an r-th power, r = {r}, in {ring}")
+    zeta = c ** (r ** (e - 1))
+    for k in range(e - 1, 0, -1):
+        top, s = b ** (r ** (k - 1)), 0
+        while top != 1:  # the s with zeta^s top = 1
+            top, s = top * zeta, s + 1
+        if s:
+            ck = c ** (r ** (e - k - 1))
+            y, b = y * ck ** s, b * ck ** (r * s)
+    return y

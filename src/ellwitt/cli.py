@@ -77,8 +77,8 @@ def hasse_section(p: int) -> dict:
         "prime": p,
         "degree": H.degree,
         "hasse_poly": [c.value for c in H.coeffs],
-        "lambda_roots": [[z.a, z.b]
-                         for z in sslocus.sorted_j(sslocus.hasse_roots(p))],
+        "lambda_roots": [[z.a, z.b] for z in
+                         sslocus.sorted_j(sslocus.hasse_roots(p).lambdas)],
         "j_images": [[z.a, z.b]
                      for z in sslocus.sorted_j(sslocus.ss_j_deuring(p))],
     }
@@ -286,9 +286,7 @@ def _print_ss(s: dict) -> None:
                    for a, b in s["j_values"])
     print(f"supersingular j-values: {js}")
     print(f"ss polynomial: {s['ss_poly_str']}")
-    methods = "eisenstein = deuring"
-    if s["point_count_checked"]:
-        methods += " = point-count"
+    methods = " = ".join(r.name for r in sslocus.admitted_routes(s["prime"]))
     print(f"methods agree: {methods}")
 
 

@@ -24,8 +24,8 @@ from .polyseries import QQ, Poly, QSeries
 __all__ = [
     "bernoulli", "eisenstein_q", "delta_q", "eta24_q", "j_q",
     "WeightBasis", "weight_basis", "express_in_e4e6",
-    "HasseDecomposition", "hasse_decomposition", "hasse_form",
-    "ss_poly_eisenstein", "MAX_EISENSTEIN_PRIME",
+    "HasseDecomposition", "hasse_decomposition", "times_fixed_factors",
+    "hasse_form", "ss_poly_eisenstein", "MAX_EISENSTEIN_PRIME",
 ]
 
 MAX_BERNOULLI = 200
@@ -225,6 +225,15 @@ def hasse_decomposition(p: int) -> HasseDecomposition:
     return HasseDecomposition(p, m, delta, eps)
 
 
+def times_fixed_factors(s: list, p: int) -> list:
+    """X^delta (X - 1728)^eps s, for s an ascending int list mod p: the
+    factors X of ss_p, present when p = 2 mod 3, and X - 1728, present
+    when p = 3 mod 4 (hasse_decomposition)."""
+    _, _, delta, eps = hasse_decomposition(p)
+    s = [0] * delta + s
+    return _times_x_minus_1728(s, p) if eps else s
+
+
 @lru_cache(maxsize=None)
 def hasse_form(p: int) -> dict:
     """E_{p-1} reduced mod p, written in the E4^a E6^b basis over F_p.
@@ -276,10 +285,7 @@ def ss_poly_eisenstein(p: int) -> Poly:
     if not phi_poly.evaluate(field.from_int(1728)):
         raise ValidationError(
             f"phi(1728) = 0 at p={p}: contradicts simple roots")
-    s = [0] * delta + phi
-    if eps:
-        s = _times_x_minus_1728(s, p)
-    ss = Poly(field, s)
+    ss = Poly(field, times_fixed_factors(phi, p))
     if ss.degree != m + delta + eps or ss.leading() != field.one():
         raise ValidationError(f"ss polynomial degree/monicity broke at p={p}")
     if ss.gcd(ss.derivative()).degree != 0:

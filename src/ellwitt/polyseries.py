@@ -500,11 +500,6 @@ class QSeries:
         """Exponent at which knowledge stops."""
         return self.offset + len(self.coeffs)
 
-    def valuation(self):
-        """Exponent of the lowest nonzero term; None when the series is
-        zero to its precision."""
-        return self.offset if self.coeffs else None
-
     def is_zero(self) -> bool:
         """Zero up to the known precision."""
         return not self.coeffs

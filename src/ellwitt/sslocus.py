@@ -10,7 +10,8 @@ ROUTES holds one row per route, named as below:
   (w - 1)^2.  So Q is a form in R(j) of degree about p/12, peeled off
   exactly ("deuring quotient" is R times X^delta (X - 1728)^eps); the
   roots of R are found, and each j gives one w by Cardano, lambda by
-  one square root, and its orbit.
+  one square root, and its orbit.  One cached pass, hasse_roots, yields
+  the lambda-set, the j-set and the "deuring quotient" row's ss_p.
 - "eisenstein" (modforms): E_{p-1} mod p in the E4/E6 basis.
 - "point-count": character-sum point counts over F_{p^2}, one big-int
   correlation for a twist family y^2 = x^3 + cx + c at every c at once;
@@ -40,18 +41,17 @@ from itertools import accumulate
 from math import comb, gcd, isqrt
 
 from .arith import (
-    PrimeField, cbrt_fq2, fq2_context, is_prime,
-    require_prime, sqrt_fq2)
+    PrimeField, fq2_context, is_prime, require_prime, rth_root, sqrt_fq2)
 from .errors import ValidationError
 from .polyseries import Poly, count_roots_in_fp, roots_in_field
 from . import modforms
 
 __all__ = [
-    "sigma", "hasse_polynomial", "hasse_roots", "legendre_to_j",
-    "ss_j_deuring", "ss_j_point_count", "ss_poly_closed",
+    "sigma", "hasse_polynomial", "hasse_roots", "DeuringPass",
+    "legendre_to_j", "ss_j_deuring", "ss_j_point_count", "ss_poly_closed",
     "class_number", "rational_ss_count", "sorted_j", "frobenius_descent",
-    "cross_validate", "ogg_scan", "SSLocus", "ROUTES", "MONSTER_PRIMES",
-    "MAX_CROSS_VALIDATE_PRIME", "MAX_DEURING_PRIME",
+    "cross_validate", "ogg_scan", "SSLocus", "ROUTES", "admitted_routes",
+    "MONSTER_PRIMES", "MAX_CROSS_VALIDATE_PRIME", "MAX_DEURING_PRIME",
     "MAX_POINT_COUNT_PRIME", "MAX_OGG_SCAN",
 ]
 
@@ -184,7 +184,7 @@ def _w_root(j):
     c3 = (root - half) or (-root - half)
     y = ring.zero()
     if c3:
-        C = cbrt_fq2(c3)
+        C = rth_root(c3, 3)
         y = C + k * pow(3, -1, p) * C.inverse()
     return ring.one() + ring.from_int(4) * (y - ring.one()).inverse()
 
@@ -197,9 +197,17 @@ def _s3_orbit(lam) -> set:
     return {lam, inv, rest, inv_rest, 1 - inv_rest, 1 - inv}
 
 
+#: The Deuring pass at p: the lambda-roots in F_{p^2} of the Hasse
+#: polynomial (frozenset), the supersingular j they lie over (frozenset)
+#: and the "deuring quotient" row's ss_p (Poly over F_p).
+DeuringPass = namedtuple("DeuringPass", "lambdas j_set ss_poly")
+
+
 @lru_cache(maxsize=None)
-def hasse_roots(p: int) -> frozenset:
-    """The lambda-roots in F_{p^2} of the Hasse polynomial at p.
+def hasse_roots(p: int) -> DeuringPass:
+    """The Deuring pass at p: the lambda-roots in F_{p^2} of the Hasse
+    polynomial, their j-set, and R made monic times
+    X^delta (X - 1728)^eps, the "deuring quotient" row's ss_p.
 
     Deuring's criterion needs the polynomial squarefree with all (p-1)/2
     roots in F_{p^2}; a shortfall falsifies the rationality claim and
@@ -217,8 +225,8 @@ def hasse_roots(p: int) -> frozenset:
     the root z = 0 of odd m.  For every other j, Cardano gives one w
     (_w_root), checked by substitution; then z = sqrt(w),
     lambda = (z - 1)/(z + 1), legendre_to_j(lambda) = j is checked, and
-    lambda brings its orbit.  A j whose w or z escapes F_{p^2} loses
-    its orbit, which the count check reports.
+    lambda brings its orbit, and j joins the j-set.  A j whose w or z
+    escapes F_{p^2} loses its orbit, which the count check reports.
 
     The squarefree check runs on Q: H is squarefree iff Q is and
     Q(0) != 0.  lambda -> z keeps multiplicities and loses no root, as
@@ -242,7 +250,7 @@ def hasse_roots(p: int) -> frozenset:
         fixed[ctx.zero()] = ctx.from_int(-3)
     if eps:
         fixed[ctx.from_int(1728)] = ctx.from_int(9)
-    lams = set()
+    lams, js = set(), set()
     for j in [*fixed, *roots_in_field(R, ctx)]:
         try:
             w = fixed[j] if j in fixed else _w_root(j)
@@ -268,6 +276,7 @@ def hasse_roots(p: int) -> frozenset:
             raise ValidationError(f"p={p}: lambda={lam!r} from w={w!r} "
                                   f"does not map to j={j!r}")
         lams |= _s3_orbit(lam)
+        js.add(j)
     if len(lams) < m:
         raise ValidationError(
             f"only {len(lams)} of {m} lambda-roots lie in "
@@ -276,30 +285,15 @@ def hasse_roots(p: int) -> frozenset:
         raise ValidationError(
             f"{len(lams)} lambda-roots of a degree-{m} Hasse polynomial "
             f"at p={p}: a j-root is spurious")
-    return frozenset(lams)
+    ss = Poly(R.ring, modforms.times_fixed_factors(
+        [c.value for c in R.monic().coeffs], p))
+    return DeuringPass(frozenset(lams), frozenset(js), ss)
 
 
-def _deuring_ss_poly(p: int) -> list:
-    """ss_p from the Deuring route, as ascending ints mod p: the S3
-    quotient R of the Legendre half polynomial made monic, times
-    X^delta (X - 1728)^eps."""
-    _, _, delta, eps = modforms.hasse_decomposition(p)
-    R = _s3_quotient(_legendre_half(p), p).monic()
-    s = [0] * delta + [c.value for c in R.coeffs]
-    return modforms._times_x_minus_1728(s, p) if eps else s
-
-
-@lru_cache(maxsize=None)
 def ss_j_deuring(p: int) -> frozenset:
     """Supersingular j-invariants in F_{p^2} via Deuring's criterion:
-    legendre_to_j of one lambda from each S3 orbit of hasse_roots(p)."""
-    rest = set(hasse_roots(p))
-    js = set()
-    while rest:
-        lam = rest.pop()
-        js.add(legendre_to_j(lam))
-        rest -= _s3_orbit(lam)
-    return frozenset(js)
+    the j-set of the pass hasse_roots(p)."""
+    return hasse_roots(p).j_set
 
 
 @lru_cache(maxsize=None)
@@ -391,16 +385,14 @@ def ss_poly_closed(p: int) -> Poly:
     int work mod p, and no denominator vanishes since k <= m < p.  The
     degree must be sigma(p)."""
     require_prime(p, "ss_poly_closed")
-    _, m, delta, eps = modforms.hasse_decomposition(p)
+    _, m, _, eps = modforms.hasse_decomposition(p)
     i12 = pow(12, -1, p)
     a, b = (7 * i12, 11 * i12) if eps else (i12, 5 * i12)
     s = [1] * (m + 1)  # s[m - k] multiplies X^(m-k)
     for k in range(1, m + 1):
         s[m - k] = (s[m - k + 1] * (a + k - 1) * (b + k - 1) * 1728
                     * pow(k * k, -1, p) % p)
-    s = [0] * delta + s
-    if eps:
-        s = modforms._times_x_minus_1728(s, p)
+    s = modforms.times_fixed_factors(s, p)
     if len(s) - 1 != sigma(p):
         raise ValidationError(
             f"p={p}: closed form has degree {len(s) - 1}, "
@@ -451,11 +443,17 @@ ROUTES = (
     Route("eisenstein", modforms.MAX_EISENSTEIN_PRIME, False,
           lambda p: modforms.ss_poly_eisenstein(p)),
     Route("deuring quotient", MAX_DEURING_PRIME, False,
-          lambda p: Poly(PrimeField(p), _deuring_ss_poly(p))),
+          lambda p: hasse_roots(p).ss_poly),
     Route("deuring", MAX_DEURING_PRIME, True, lambda p: ss_j_deuring(p)),
     Route("point-count", MAX_POINT_COUNT_PRIME, True,
           lambda p: ss_j_point_count(p)),
 )
+
+
+def admitted_routes(p: int) -> list:
+    """The rows of ROUTES that admit p, in table order."""
+    return [r for r in ROUTES if r.max_p is None or p <= r.max_p]
+
 
 #: Consolidated supersingular locus at p, validated across methods:
 #: j_values (tuple of F_{p^2} elements in sorted_j order), ss_poly (Poly
@@ -496,7 +494,7 @@ def cross_validate(p: int) -> SSLocus:
     Then check the classical 0/1728 membership criteria; consolidate."""
     require_prime(p, "cross_validate", MAX_CROSS_VALIDATE_PRIME)
     ctx = fq2_context(p)
-    ran = [r for r in ROUTES if r.max_p is None or p <= r.max_p]
+    ran = admitted_routes(p)
     first, ss = ran[0].name, ran[0].run(p)
     want = [c.value for c in ss.coeffs]
     for route in ran[1:]:

@@ -1,5 +1,11 @@
 """Field layer: quadratic residues, square and cube roots, F_{p^2}
-contexts."""
+contexts.
+
+rth_root replaced two copies of one algorithm: sqrt_mod's Tonelli-Shanks
+on ints and a Tonelli-Shanks for cube roots in F_{p^2}.  Both are kept
+below as oracles (``oracle_sqrt_mod``, ``oracle_cbrt_fq2``), and the new
+routine must return their element at every input of a field whose
+Sylow subgroup makes the loop run, and refuse what they refuse."""
 
 import random
 
@@ -9,12 +15,12 @@ from ellwitt.arith import (
     Fq2Ctx,
     PrimeField,
     Zmod,
-    cbrt_fq2,
     fq2_context,
     frobenius_fq2,
     has_sqrt3,
     is_prime,
     is_quadratic_residue,
+    rth_root,
     sqrt_fq2,
     sqrt_mod,
 )
@@ -229,11 +235,11 @@ def check_cube_roots(ctx):
     cubes = {z * z * z for z in ctx.elements()}
     assert len(cubes) == (p * p - 1) // 3 + 1
     for w in cubes:
-        r = cbrt_fq2(w)
+        r = rth_root(w, 3)
         assert r.ring == ctx and r * r * r == w
     for w in set(ctx.elements()) - cubes:
-        with pytest.raises(ValueError, match="not a cube"):
-            cbrt_fq2(w)
+        with pytest.raises(ValueError, match="not an r-th power, r = 3"):
+            rth_root(w, 3)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
@@ -251,5 +257,124 @@ def test_cbrt_fq2_both_tonelli_branches(p):
 
 
 def test_cbrt_fq2_rejects_other_rings():
-    with pytest.raises(ValueError, match="wants F_p\\^2"):
-        cbrt_fq2(Fq2Ctx(7, 1, 2).one())  # W(F_49)/49
+    for ring in (Fq2Ctx(7, 1, 2), Zmod(7, 2)):  # W(F_49)/49 and Z/49
+        with pytest.raises(ValueError, match="wants F_p or F_p\\^2"):
+            rth_root(ring.one(), 3)
+
+
+# --- rth_root against the two routines it replaced ---
+
+
+def oracle_sqrt_mod(a):
+    """The replaced square root: Tonelli-Shanks on ints, with the
+    p = 3 mod 4 shortcut, canonical root min(r, p - r)."""
+    p = a.ring.p
+    if a.value == 0:
+        return a.ring.zero()
+    if not is_quadratic_residue(a):
+        raise ValueError(f"{a.value} is not a quadratic residue mod {p}")
+    if p % 4 == 3:
+        r = pow(a.value, (p + 1) // 4, p)
+    else:
+        q, s = p - 1, 0
+        while q % 2 == 0:
+            q //= 2
+            s += 1
+        z = 2
+        while pow(z, (p - 1) // 2, p) != p - 1:
+            z += 1
+        m, c = s, pow(z, q, p)
+        t, r = pow(a.value, q, p), pow(a.value, (q + 1) // 2, p)
+        while t != 1:
+            t2, i = t * t % p, 1
+            while t2 != 1:
+                t2 = t2 * t2 % p
+                i += 1
+            b = pow(c, 1 << (m - i - 1), p)
+            m, c = i, b * b % p
+            t, r = t * c % p, r * b % p
+    return a.ring.elem(min(r, p - r))
+
+
+def oracle_cube_sylow(ring):
+    """(e, t, c): p^2 - 1 = 3^e t and c = g^t for the first non-cube g
+    with b != 0 (b = 1, 2, ..., a = 0..p-1)."""
+    p, order = ring.p, ring.size - 1
+    e, t = 0, order
+    while t % 3 == 0:
+        t //= 3
+        e += 1
+    n = p
+    while ring.elem(n % p, n // p) ** (order // 3) == 1:
+        n += 1
+    return e, t, ring.elem(n % p, n // p) ** t
+
+
+def oracle_cbrt_fq2(z):
+    """The replaced cube root: Tonelli-Shanks for cubes in F_{p^2}."""
+    ring = z.ring
+    if not z:
+        return z
+    e, t, c = oracle_cube_sylow(ring)
+    r = z ** pow(3, -1, t)
+    b = r * r * r * z.inverse()
+    zeta = c ** (3 ** (e - 1))
+    while b != 1:
+        i, root = 1, b
+        while root ** 3 != 1:
+            root = root ** 3
+            i += 1
+        if i == e:
+            raise ValueError(f"{z!r} is not a cube in {ring}")
+        ci = c ** (3 ** (e - i - 1))
+        if root == zeta:
+            ci = ci * ci
+        r, b = r * ci, b * ci ** 3
+    return r
+
+
+def two_adic_valuation(n):
+    return (n & -n).bit_length() - 1
+
+
+@pytest.mark.parametrize("p", [7, 13, 41, 17, 97, 193, 641, 257])
+def test_sqrt_mod_is_the_replaced_tonelli_shanks(p):
+    # p - 1 has 2-adic valuation 1, 2, ..., 8 in the order listed, so
+    # the 2-Sylow loop runs up to seven rounds; 17 and 257 have t = 1
+    assert two_adic_valuation(p - 1) == \
+        [7, 13, 41, 17, 97, 193, 641, 257].index(p) + 1
+    F = PrimeField(p)
+    for v in range(p):
+        a = F.elem(v)
+        try:
+            want = oracle_sqrt_mod(a)
+        except ValueError:
+            with pytest.raises(ValueError, match="not a quadratic residue"):
+                sqrt_mod(a)
+            with pytest.raises(ValueError, match="not an r-th power, r = 2"):
+                rth_root(a, 2)
+            continue
+        assert sqrt_mod(a) == want
+        assert rth_root(a, 2) in (want, -want)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 37, 53])
+def test_cube_root_is_the_replaced_tonelli_shanks(p):
+    # from 17 on 9 divides p^2 - 1, and at 53 27 does: the 3-Sylow loop
+    # runs, once or twice, and must pick the oracle's power of c_i
+    e, n = 0, p * p - 1
+    while n % 3 == 0:
+        n //= 3
+        e += 1
+    assert (e >= 2) == (p >= 17) and (e == 3) == (p == 53)
+    cubes = 0
+    for z in fq2_context(p).elements():
+        try:
+            want = oracle_cbrt_fq2(z)
+        except ValueError:
+            with pytest.raises(ValueError, match="not an r-th power, r = 3"):
+                rth_root(z, 3)
+            continue
+        cubes += 1
+        assert rth_root(z, 3) == want
+    assert cubes == (p * p - 1) // 3 + 1

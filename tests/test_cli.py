@@ -450,6 +450,21 @@ def test_verify_all_text_names_only_the_checks_that_ran(
         f"spot loci {spots}     OK"]
 
 
+@pytest.mark.parametrize("p, methods", [
+    (13, "closed form = eisenstein = deuring quotient = deuring = "
+         "point-count"),
+    (37, "closed form = eisenstein = deuring quotient = deuring"),
+])
+def test_ss_text_names_every_route_that_ran(monkeypatch, capsys, tmp_path,
+                                            p, methods):
+    import ellwitt.cli as climod
+    monkeypatch.setenv("ELLWITT_CACHE_DIR", str(tmp_path))
+    for _ in range(2):  # computed, then served from the cache
+        assert climod.main(["ss", "--prime", str(p)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == f"methods agree: {methods}"
+
+
 def _run_reporting(argv, cache_dir, *modules):
     # main(argv) in a fresh interpreter; stderr ends with whether each
     # module (numpy if none is named) was imported

@@ -16,8 +16,11 @@ makes on Q.  The polynomial identity behind the half-degree form,
     q_k = (-1)^k C(m,k) C(2m-2k,m),
 
 is checked coefficient by coefficient over Z and, with the coefficients
-hasse_roots uses, mod p.  R made monic must equal the Kaneko-Zagier
-closed form over X^delta (X - 1728)^eps at every prime up to 1000.
+hasse_roots uses, mod p.  R made monic, the ss_p of the pass's
+"deuring quotient" row, must equal the Kaneko-Zagier closed form over
+X^delta (X - 1728)^eps at every prime up to 1000.  The pass runs once
+per prime: cross_validate builds the S3 quotient once, and hasse calls
+legendre_to_j once per supersingular j.
 
     PYTHONPATH=src python tests/test_deuring.py
 
@@ -31,15 +34,17 @@ import pytest
 
 from ellwitt import sslocus
 from ellwitt.arith import fq2_context, is_prime, sqrt_fq2
+from ellwitt.cli import hasse_section
 from ellwitt.errors import ValidationError
 from ellwitt.polyseries import Poly, roots_in_field
 from ellwitt.sslocus import (
     MAX_DEURING_PRIME,
-    _deuring_ss_poly,
     _legendre_half,
+    cross_validate,
     hasse_polynomial,
     hasse_roots,
     legendre_to_j,
+    sigma,
     ss_j_deuring,
     ss_poly_closed,
 )
@@ -110,7 +115,7 @@ def check_prime(p: int) -> None:
 
 def check_s3_route(p: int) -> None:
     half = oracle_half(p)
-    assert hasse_roots(p) == half
+    assert hasse_roots(p).lambdas == half
     assert ss_j_deuring(p) == frozenset(legendre_to_j(lam) for lam in half)
 
 
@@ -128,7 +133,7 @@ def test_s3_route_matches_the_half_degree_route(p):
 def test_s3_quotient_is_the_closed_form(p):
     # R monic, times X^delta (X - 1728)^eps, is ss_p coefficient by
     # coefficient: the roots of R are the supersingular j off 0 and 1728
-    assert _deuring_ss_poly(p) == [c.value for c in ss_poly_closed(p).coeffs]
+    assert hasse_roots(p).ss_poly.coeffs == ss_poly_closed(p).coeffs
 
 
 def test_parity_side_sees_a_wrong_coefficient():
@@ -144,7 +149,7 @@ def test_lambda_pairs_and_minus_one():
     # lambda -> 1/lambda and lambda -> 1 - lambda preserve the set; -1
     # is a root exactly when m is odd (p = 3 mod 4)
     for p in (11, 13, 97, 101):
-        lams = hasse_roots(p)
+        lams = hasse_roots(p).lambdas
         assert {lam.inverse() for lam in lams} == lams
         assert {1 - lam for lam in lams} == lams
         assert (-fq2_context(p).one() in lams) == (p % 4 == 3)
@@ -214,10 +219,10 @@ def test_a_square_root_outside_the_field_is_a_shortfall(
 
 def test_a_cube_root_outside_the_field_is_a_shortfall(
         monkeypatch, fresh_cache):
-    def no_root(w):
+    def no_root(w, r):
         raise ValueError("not a cube")
 
-    monkeypatch.setattr(sslocus, "cbrt_fq2", no_root)
+    monkeypatch.setattr(sslocus, "rth_root", no_root)
     # p = 23: the orbits of 0 and 1728 (2 + 3 lambda) need no Cardano;
     # the third j loses its six
     with pytest.raises(ValidationError, match="only 5 of 11"):
@@ -230,6 +235,7 @@ def test_a_spurious_j_is_a_surplus(monkeypatch, fresh_cache):
     ctx = fq2_context(13)
     spurious = legendre_to_j(ctx.from_int(3))
     assert spurious not in ss_j_deuring(13)
+    hasse_roots.cache_clear()  # ss_j_deuring ran the pass
     real = sslocus.roots_in_field
     monkeypatch.setattr(sslocus, "roots_in_field",
                         lambda f, field: real(f, field) | {spurious})
@@ -242,6 +248,44 @@ def test_a_lambda_off_its_j_raises(monkeypatch, fresh_cache):
     monkeypatch.setattr(sslocus, "legendre_to_j", lambda lam: real(lam) + 1)
     with pytest.raises(ValidationError, match="does not map to j"):
         hasse_roots(13)
+
+
+# --- one pass per prime ---
+
+
+def clear_sslocus_caches():
+    for f in vars(sslocus).values():
+        if hasattr(f, "cache_clear"):
+            f.cache_clear()
+
+
+def counted(monkeypatch, name) -> list:
+    """Wrap sslocus.<name> so each call appends to the returned list."""
+    calls, real = [], getattr(sslocus, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(sslocus, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 23, 37, 97])
+def test_cross_validate_builds_the_s3_quotient_once(monkeypatch, p):
+    # the "deuring quotient" and "deuring" rows read one pass
+    clear_sslocus_caches()
+    calls = counted(monkeypatch, "_s3_quotient")
+    cross_validate(p)
+    assert len(calls) == 1
+
+
+def test_hasse_maps_one_lambda_per_supersingular_j(monkeypatch):
+    # legendre_to_j checks one lambda per j, and the j-set is the pass's
+    clear_sslocus_caches()
+    calls = counted(monkeypatch, "legendre_to_j")
+    section = hasse_section(397)
+    assert len(calls) == sigma(397) == len(section["j_images"]) == 33
 
 
 def sweep() -> int:

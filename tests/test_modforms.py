@@ -23,6 +23,7 @@ from ellwitt.modforms import (
     hasse_form,
     j_q,
     ss_poly_eisenstein,
+    times_fixed_factors,
     weight_basis,
 )
 from ellwitt.polyseries import QQ, Poly, QSeries
@@ -195,6 +196,19 @@ def test_hasse_decomposition():
             assert p - 1 == 12 * d.m + 4 * d.delta + 6 * d.eps
             assert d.delta in (0, 1) and d.eps in (0, 1)
             assert d.m + d.delta + d.eps == sigma(p)
+
+
+@pytest.mark.parametrize("p, fixed", [
+    (13, [1]),                    # p = 1 mod 12: neither factor
+    (5, [0, 1]),                  # p = 2 mod 3: X
+    (7, [-1728 % 7, 1]),          # p = 3 mod 4: X - 1728
+    (11, [0, -1728 % 11, 1]),     # both: X (X - 1728)
+])
+def test_times_fixed_factors(p, fixed):
+    assert times_fixed_factors([1], p) == fixed
+    # s = 2 + X: the product with the fixed factors, mod p
+    want = Poly(PrimeField(p), fixed) * Poly(PrimeField(p), [2, 1])
+    assert times_fixed_factors([2, 1], p) == [c.value for c in want.coeffs]
 
 
 def test_ss_poly_spot_values():

@@ -287,10 +287,12 @@ def test_class_number_disagreement_names_both_counts(monkeypatch):
 
 
 #: The function each row of sslocus.ROUTES calls, by its module name.
+#: The "deuring quotient" row reads the ss_p of the Deuring pass,
+#: hasse_roots, whose j-set the "deuring" row reads through ss_j_deuring.
 _ROUTE_FUNCTIONS = {
     "closed form": (sslocus, "ss_poly_closed"),
     "eisenstein": (modforms, "ss_poly_eisenstein"),
-    "deuring quotient": (sslocus, "_deuring_ss_poly"),
+    "deuring quotient": (sslocus, "hasse_roots"),
     "deuring": (sslocus, "ss_j_deuring"),
     "point-count": (sslocus, "ss_j_point_count"),
 }
@@ -299,15 +301,15 @@ _ROUTE_FUNCTIONS = {
 def _mutant(real, edit):
     """real with one coefficient of ss_p moved, or one j of its j-set
     (at p = 23: 0, 3 = 1728 and 19) dropped or swapped for the
-    non-root 1."""
+    non-root 1.  Of a Deuring pass only ss_p moves."""
     def wrong(p):
         out = real(p)
+        if isinstance(out, sslocus.DeuringPass):
+            return out._replace(
+                ss_poly=_mutant(lambda p: out.ss_poly, edit)(p))
         if edit == "coefficient":
-            coeffs = out if isinstance(out, list) else \
-                [c.value for c in out.coeffs]
-            coeffs = [(coeffs[0] + 1) % p] + coeffs[1:]
-            return coeffs if isinstance(out, list) else \
-                Poly(PrimeField(p), coeffs)
+            coeffs = [c.value for c in out.coeffs]
+            return Poly(PrimeField(p), [(coeffs[0] + 1) % p] + coeffs[1:])
         j = fq2_context(p).from_int(19)
         rest = out - {j}
         return rest if edit == "drop" else rest | {j - 18}
@@ -341,10 +343,12 @@ def test_non_squarefree_ss_poly_is_refused(monkeypatch):
     bad = [0, 0, -1728 % 23, 1]
     assert len(bad) - 1 == sigma(23)
     F = PrimeField(23)
+    real = sslocus.hasse_roots
     monkeypatch.setattr(sslocus, "ss_poly_closed", lambda p: Poly(F, bad))
     monkeypatch.setattr(modforms, "ss_poly_eisenstein",
                         lambda p: Poly(F, bad))
-    monkeypatch.setattr(sslocus, "_deuring_ss_poly", lambda p: bad)
+    monkeypatch.setattr(sslocus, "hasse_roots",
+                        lambda p: real(p)._replace(ss_poly=Poly(F, bad)))
     with pytest.raises(ValidationError,
                        match=r"p=23: .* vs deuring disagree"):
         cross_validate.__wrapped__(23)

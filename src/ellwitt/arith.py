@@ -16,8 +16,8 @@ F_{p^2} model is selected deterministically per prime by fq2_context()
 so that serialized data is reproducible: x^2 + 1 when p = 3 mod 4,
 otherwise x^2 - n with n the smallest quadratic non-residue.
 
-Square roots in F_p (sqrt_mod, on which sqrt_fq2 builds) and cube
-roots in F_{p^2} come from one r-th-root routine, rth_root.
+rth_root gives every square root (sqrt_mod, sqrt_fq2) and cube root, and
+is_quadratic_residue every residue test: no fact is decided twice.
 
 All values are immutable; rings can be shared freely across workers.
 """
@@ -282,19 +282,18 @@ def is_quadratic_residue(a: ZmodElem) -> bool:
 
 def sqrt_mod(a: ZmodElem) -> ZmodElem:
     """Square root of a residue in F_p, canonical representative
-    min(r, p-r).
-
-    a = 0 returns 0; non-residues raise ValueError, as does an element
-    of Z/p^N with N > 1.  rth_root at r = 2: Tonelli-Shanks.
-    """
+    min(r, p-r), by rth_root at r = 2 (Tonelli-Shanks), which alone
+    decides whether a is a residue.  a = 0 returns 0; non-residues raise
+    ValueError, as does an element of Z/p^N with N > 1."""
     p = a.ring.p
     if a.ring.N != 1:
         raise ValueError(f"sqrt_mod wants an element of F_{p}, not {a.ring}")
     if a.value == 0:
         return a.ring.zero()
-    if not is_quadratic_residue(a):
+    try:
+        r = rth_root(a, 2).value
+    except ValueError:
         raise ValueError(f"{a.value} is not a quadratic residue mod {p}")
-    r = rth_root(a, 2).value
     return a.ring.elem(min(r, p - r))
 
 
@@ -322,7 +321,7 @@ class Quad:
         self.N = N
         self.modulus = self.field.modulus
         self.g0 = g0 % self.modulus
-        if pow(-g0 % p, (p - 1) // 2, p) != p - 1:
+        if g0 % p == 0 or is_quadratic_residue(self.field.elem(-g0)):
             raise ValueError(f"x^2 + {self.g0} is reducible over F_{p}")
 
     @property
@@ -534,10 +533,9 @@ def fq2_context(p: int) -> Quad:
     require_prime(p, "fq2_context")
     if p % 4 == 3:
         return Quad(p, 1)
-    n = 2
-    while pow(n, (p - 1) // 2, p) != p - 1:
-        n += 1
-    return Quad(p, -n)
+    F = Zmod(p)
+    return Quad(p, -next(n for n in count(2)
+                         if not is_quadratic_residue(F.elem(n))))
 
 
 #: z -> z^p on F_{p^2}: the conjugate a - b*xbar.
@@ -552,8 +550,8 @@ def sqrt_fq2(z: QuadElem) -> QuadElem:
     A^2 + g0*B^2 is the square of n = +-(a^2 + g0*b^2).  So z is a square
     exactly when its norm is one in F_p, and then a^2 = (A +- n)/2: for
     B != 0 the two candidates multiply to -g0*B^2/4, a non-residue, so
-    exactly one is a square.  Two sqrt_mod calls in all; a scalar z needs
-    one.  A non-square raises ValueError, as does W(F_{p^2})/p^N."""
+    exactly one is a square (one Euler test); sqrt_mod on the norm finds
+    whether z is one.  Non-squares raise ValueError, as does W(F_{p^2})/p^N."""
     ring = z.ring
     if ring.N != 1:
         raise ValueError(f"sqrt_fq2 wants F_p^2, not {ring}")
@@ -563,10 +561,10 @@ def sqrt_fq2(z: QuadElem) -> QuadElem:
         if A == 0 or is_quadratic_residue(field.elem(A)):
             return ring.embed(sqrt_mod(field.elem(A)))
         return ring.elem(0, sqrt_mod(field.elem(-A * pow(g0, -1, p))).value)
-    norm = field.elem(A * A + g0 * B * B)
-    if not is_quadratic_residue(norm):
+    try:
+        n = sqrt_mod(field.elem(A * A + g0 * B * B)).value
+    except ValueError:
         raise ValueError(f"{z!r} is not a square in {ring}")
-    n = sqrt_mod(norm).value
     inv2 = (p + 1) // 2  # 1/2 mod p
     t = field.elem((A + n) * inv2)
     if not is_quadratic_residue(t):
@@ -577,11 +575,11 @@ def sqrt_fq2(z: QuadElem) -> QuadElem:
 
 @lru_cache(maxsize=None)
 def _sylow(ring, r: int) -> tuple:
-    """(e, t, c) with |ring^*| = r^e t, r not dividing t, and c = g^t a
-    generator of the r-Sylow subgroup, for the first g that is not an
-    r-th power: g = 2, 3, ... in F_p, and g = a + b*xbar with b != 0
-    (b = 1, 2, ..., a = 0..p-1) in F_{p^2}.  The F_{p^2} search skips
-    F_p: when p = 2 mod 3 every element of F_p is a cube."""
+    """(e, t, c, zeta): |ring^*| = r^e t with r not dividing t, c = g^t
+    generates the r-Sylow subgroup and zeta = c^(r^(e-1)), for the first
+    g that is not an r-th power: g = 2, 3, ... in F_p, and g = a + b*xbar
+    with b != 0 (b = 1, 2, ..., a = 0..p-1) in F_{p^2}, skipping F_p:
+    when p = 2 mod 3 every element of F_p is a cube."""
     p, order = ring.p, ring.size - 1
     e, t = 0, order
     while t % r == 0:
@@ -591,8 +589,8 @@ def _sylow(ring, r: int) -> tuple:
         gs = (ring.elem(a, b) for b in count(1) for a in range(p))
     else:
         gs = map(ring.elem, count(2))
-    g = next(g for g in gs if g ** (order // r) != 1)
-    return e, t, g ** t
+    c = next(g for g in gs if g ** (order // r) != 1) ** t
+    return e, t, c, c ** (r ** (e - 1))
 
 
 def rth_root(x, r: int):
@@ -615,12 +613,11 @@ def rth_root(x, r: int):
         raise ValueError(f"rth_root wants F_p or F_p^2, not {ring}")
     if not x:
         return x
-    e, t, c = _sylow(ring, r)
+    e, t, c, zeta = _sylow(ring, r)
     y = x ** pow(r, -1, t)
     b = y ** r * x.inverse()
     if b ** (r ** (e - 1)) != 1:
         raise ValueError(f"{x!r} is not an r-th power, r = {r}, in {ring}")
-    zeta = c ** (r ** (e - 1))
     for k in range(e - 1, 0, -1):
         top, s = b ** (r ** (k - 1)), 0
         while top != 1:  # the s with zeta^s top = 1

@@ -4,12 +4,12 @@ Entries are keyed by (schema_version, kind, algorithm version,
 parameters) and carry a sha256 of their canonical payload; a hit is
 byte-identical to recomputation by construction.  The algorithm version
 is part of the file name and of the stored key, so an entry that older
-code computed is never served.  Corrupt entries (bad JSON, not an
-object, checksum or key mismatch) are discarded with a warning and
-recomputed.  Writes are atomic (write-temp-then-rename).  Neither load
-nor store raises: a cache the file system refuses costs a warning, not
-the result.  Paths are plain strings through os and os.path: pathlib
-and tempfile would add their imports to every command.
+code computed is never served.  A corrupt entry (bad UTF-8 or JSON, too
+deep to parse, not an object, checksum or key mismatch) is discarded
+with a warning and recomputed.  Writes are atomic (temp then rename).
+Neither load nor store raises: a cache the file system refuses costs a
+warning, not the result.  Paths are plain strings through os and
+os.path: pathlib and tempfile would add their imports to every command.
 """
 
 from __future__ import annotations
@@ -68,17 +68,17 @@ def load(kind: str, key: dict):
     key = _versioned(kind, key)
     path = _entry_path(kind, key)
     try:
-        with open(path) as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError:
         return None
-    try:
-        entry = json.loads(text)
+    try:  # invalid UTF-8 is a ValueError; JSON nested too deep recurses
+        entry = json.loads(data.decode())
         ok = (isinstance(entry, dict)
               and entry.get("schema_version") == SCHEMA_VERSION
               and entry.get("key") == key
               and entry.get("sha256") == _checksum(entry["payload"]))
-    except (ValueError, KeyError, TypeError):
+    except (ValueError, KeyError, TypeError, RecursionError):
         ok = False
     if not ok:
         print(f"warning: discarding corrupt cache entry {path}",

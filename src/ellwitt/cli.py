@@ -3,13 +3,14 @@ claim, JSON reports, and the one-shot verification suite.
 
 Exit codes: 0 success, 1 usage error (including out-of-range arguments),
 2 validation failure (two methods disagree — the printed counterexample
-names the prime, the curve and the methods involved) or an internal
-error.
+names the prime, the curve and the methods involved), an internal error
+or a report that cannot be written (a closed pipe, a full disk).
 """
 
 from __future__ import annotations
 
 import gc
+import os
 import re
 import sys
 import time
@@ -279,12 +280,14 @@ def verify_all_section(p_max: int) -> dict:
 # --- human-readable rendering ---
 
 
+def _fq2_list(pairs) -> str:
+    return ", ".join(f"{a}" if b == 0 else f"{a}+{b}x" for a, b in pairs)
+
+
 def _print_ss(s: dict) -> None:
     print(f"p = {s['prime']}   sigma = {s['sigma']}   "
           f"all j in F_p: {'yes' if s['all_rational'] else 'no'}")
-    js = ", ".join(f"{a}" if b == 0 else f"{a}+{b}x"
-                   for a, b in s["j_values"])
-    print(f"supersingular j-values: {js}")
+    print(f"supersingular j-values: {_fq2_list(s['j_values'])}")
     print(f"ss polynomial: {s['ss_poly_str']}")
     methods = " = ".join(r.name for r in sslocus.admitted_routes(s["prime"]))
     print(f"methods agree: {methods}")
@@ -295,12 +298,8 @@ def _print_hasse(s: dict) -> None:
     field = PrimeField(s["prime"])
     print("hasse polynomial:",
           Poly(field, s["hasse_poly"]).pretty("L"))
-    lams = ", ".join(f"{a}" if b == 0 else f"{a}+{b}x"
-                     for a, b in s["lambda_roots"])
-    js = ", ".join(f"{a}" if b == 0 else f"{a}+{b}x"
-                   for a, b in s["j_images"])
-    print(f"lambda roots in F_p^2: {lams}")
-    print(f"j images: {js}")
+    print(f"lambda roots in F_p^2: {_fq2_list(s['lambda_roots'])}")
+    print(f"j images: {_fq2_list(s['j_images'])}")
 
 
 def _print_lift(s: dict) -> None:
@@ -665,10 +664,18 @@ def main(argv=None) -> int:
         # arguments are checked above as UsageError; this is a bug
         print(f"ellwitt: internal error: {exc}", file=sys.stderr)
         return 2
-    if args.json:
-        sys.stdout.write(report.to_json())
-    else:
-        printer(next(iter(report.sections.values())))
+    try:
+        if args.json:
+            sys.stdout.write(report.to_json())
+        else:
+            printer(next(iter(report.sections.values())))
+        sys.stdout.flush()
+    except OSError as exc:  # stdout to devnull: the flush at exit succeeds
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print(f"ellwitt: cannot write the report: {exc.strerror}",
+                  file=sys.stderr)
+        return 2
     return 0
 
 

@@ -236,12 +236,8 @@ class Poly:
 
 
 def c_str(c) -> str:
-    if isinstance(c, Fraction):
-        return str(c)
-    v = getattr(c, "value", None)
-    if v is not None:
-        return str(v)
-    return str(c)
+    """A coefficient as printed: a residue's value, anything else str."""
+    return str(getattr(c, "value", c))
 
 
 def _is_fp(ring) -> bool:

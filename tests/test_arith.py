@@ -5,7 +5,13 @@ rth_root replaced two copies of one algorithm: sqrt_mod's Tonelli-Shanks
 on ints and a Tonelli-Shanks for cube roots in F_{p^2}.  Both are kept
 below as oracles (``oracle_sqrt_mod``, ``oracle_cbrt_fq2``), and the new
 routine must return their element at every input of a field whose
-Sylow subgroup makes the loop run, and refuse what they refuse."""
+Sylow subgroup makes the loop run, and refuse what they refuse.
+
+Every quadratic-residue test now goes through is_quadratic_residue, and
+sqrt_mod leaves the decision to rth_root.  The code that ran its own
+Euler criterion, or ran it again before each root, is kept as oracles
+too: sqrt_fq2 (``oracle_sqrt_fq2``), Quad's irreducibility check and
+fq2_context's scan for the least non-residue."""
 
 import random
 
@@ -378,3 +384,76 @@ def test_cube_root_is_the_replaced_tonelli_shanks(p):
         cubes += 1
         assert rth_root(z, 3) == want
     assert cubes == (p * p - 1) // 3 + 1
+
+
+# --- one Euler criterion, against the code that repeated it ---
+
+
+def oracle_quad_is_field(p, g0):
+    """The replaced irreducibility check of Quad: its own Euler
+    criterion on -g0."""
+    return pow(-g0 % p, (p - 1) // 2, p) == p - 1
+
+
+def oracle_fq2_g0(p):
+    """The replaced model scan of fq2_context: x^2 + 1 when p = 3 mod 4,
+    else x^2 - n for the least n with n^((p-1)/2) = -1."""
+    if p % 4 == 3:
+        return 1
+    n = 2
+    while pow(n, (p - 1) // 2, p) != p - 1:
+        n += 1
+    return -n % p
+
+
+def oracle_sqrt_fq2(z):
+    """The replaced square root in F_{p^2}: an Euler test on the norm or
+    the scalar, and on the half-trace, each repeated by sqrt_mod."""
+    ring = z.ring
+    p, g0, field = ring.p, ring.g0, ring.field
+    A, B = z.a, z.b
+    if B == 0:
+        if A == 0 or is_quadratic_residue(field.elem(A)):
+            return ring.embed(oracle_sqrt_mod(field.elem(A)))
+        return ring.elem(
+            0, oracle_sqrt_mod(field.elem(-A * pow(g0, -1, p))).value)
+    norm = field.elem(A * A + g0 * B * B)
+    if not is_quadratic_residue(norm):
+        raise ValueError(f"{z!r} is not a square in {ring}")
+    n = oracle_sqrt_mod(norm).value
+    inv2 = (p + 1) // 2
+    t = field.elem((A + n) * inv2)
+    if not is_quadratic_residue(t):
+        t = field.elem((A - n) * inv2)
+    a = oracle_sqrt_mod(t).value
+    return ring.elem(a, B * pow(2 * a, -1, p))
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 37, 41, 97])
+def test_sqrt_fq2_is_the_replaced_square_root(p):
+    for ctx in sqrt_fq2_models(p):
+        for z in ctx.elements():
+            try:
+                want = oracle_sqrt_fq2(z)
+            except ValueError:
+                with pytest.raises(ValueError, match="not a square"):
+                    sqrt_fq2(z)
+                continue
+            assert sqrt_fq2(z) == want
+
+
+def test_fq2_context_is_the_replaced_scan():
+    for p in primes_up_to(1000)[2:]:
+        assert fq2_context(p).g0 == oracle_fq2_g0(p)
+
+
+def test_quad_is_a_field_exactly_where_the_replaced_check_says():
+    for p in primes_up_to(50)[2:]:
+        for g0 in range(p):
+            # N = 2 reads -g0 mod p^2, as lift_context's moduli do
+            for N in (1, 2):
+                if oracle_quad_is_field(p, g0):
+                    assert Fq2Ctx(p, g0 + p, N).g0 == (g0 + p) % p ** N
+                else:
+                    with pytest.raises(ValueError, match="is reducible"):
+                        Fq2Ctx(p, g0 + p, N)

@@ -30,10 +30,10 @@ from ellwitt.sslocus import MAX_DEURING_PRIME, MAX_OGG_SCAN
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def run_cli(args, cache_dir, check=True):
+def run_cli(args, cache_dir, check=True, stdout=subprocess.PIPE):
     proc = subprocess.run(
         [sys.executable, "-m", "ellwitt.cli", *args],
-        capture_output=True, text=True,
+        stdout=stdout, stderr=subprocess.PIPE, text=True,
         env={"PATH": "/usr/bin:/bin", "ELLWITT_CACHE_DIR": str(cache_dir),
              "PYTHONPATH": ":".join(sys.path)},
     )
@@ -534,11 +534,18 @@ def _ss13_against_golden(proc) -> None:
     assert canonical_json(got) == (GOLDEN / "ss_p13.json").read_text()
 
 
-@pytest.mark.parametrize("text", ["[]", "null", '"x"'])
+@pytest.mark.parametrize("text", [
+    "[]", "null", '"x"',
+    pytest.param(b"\xff\xfe{", id="not-utf8"),
+    pytest.param("[" * 200_000 + "]" * 200_000, id="too-deep-for-json"),
+])
 def test_cache_entry_of_another_json_shape_is_discarded(tmp_path, text):
     run_cli(["ss", "--prime", "13"], tmp_path)
     [entry] = tmp_path.glob("ss_*.json")
-    entry.write_text(text)
+    if isinstance(text, bytes):
+        entry.write_bytes(text)
+    else:
+        entry.write_text(text)
     proc = run_cli(["ss", "--prime", "13", "--json"], tmp_path, check=False)
     _ss13_against_golden(proc)
     assert proc.stderr == \
@@ -546,6 +553,40 @@ def test_cache_entry_of_another_json_shape_is_discarded(tmp_path, text):
     payload = json.loads(entry.read_text())["payload"]  # rewritten
     assert payload == json.loads((GOLDEN / "ss_p13.json").read_text()
                                  )["sections"]["ss_locus"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["hasse", "--prime", "997"],
+    ["hasse", "--prime", "997", "--json"],
+    ["forms", "--weight", "4", "--prec", "3"],
+])
+def test_report_into_a_closed_pipe_exits_2_quietly(tmp_path, argv):
+    # `ellwitt hasse --prime 997 | head -c 10`, with the reader gone
+    # before the first write
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_cli(argv, tmp_path, check=False, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["forms", "--weight", "4", "--prec", "3"],
+    ["forms", "--weight", "4", "--prec", "3", "--json"],
+    ["ss", "--prime", "13", "--json"],
+])
+def test_report_onto_a_full_device_exits_2_with_one_line(tmp_path, argv):
+    with open("/dev/full", "w") as full:
+        proc = run_cli(argv, tmp_path, check=False, stdout=full)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("ellwitt: cannot write the report: ")
 
 
 def test_cache_dir_that_is_a_file_costs_one_warning(tmp_path):

@@ -32,7 +32,7 @@ from math import comb
 
 import pytest
 
-from ellwitt import sslocus
+from ellwitt import arith, sslocus
 from ellwitt.arith import fq2_context, is_prime, sqrt_fq2
 from ellwitt.cli import hasse_section
 from ellwitt.errors import ValidationError
@@ -227,6 +227,33 @@ def test_a_cube_root_outside_the_field_is_a_shortfall(
     # the third j loses its six
     with pytest.raises(ValidationError, match="only 5 of 11"):
         hasse_roots(23)
+
+
+@pytest.mark.parametrize("p", [379, 397])
+def test_each_square_root_decides_residuosity_once(monkeypatch, fresh_cache,
+                                                   p):
+    # with fq2_context's model built afresh, the pass makes one Euler
+    # test per sqrt_fq2 call, one per step of the least-non-residue scan
+    # and one for Quad's irreducibility check: 64 at 379, 68 at 397.
+    # Testing the norm, then again in sqrt_mod, made 253 and 279.
+    calls = {"euler": 0, "sqrt_fq2": 0}
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(arith, "is_quadratic_residue",
+                        counted("euler", arith.is_quadratic_residue))
+    monkeypatch.setattr(sslocus, "sqrt_fq2",
+                        counted("sqrt_fq2", sslocus.sqrt_fq2))
+    fq2_context.cache_clear()
+    hasse_roots(p)
+    scan = 0 if p % 4 == 3 else next(
+        n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1) - 1
+    assert calls["sqrt_fq2"] > 0
+    assert calls["euler"] <= calls["sqrt_fq2"] + scan + 1
 
 
 def test_a_spurious_j_is_a_surplus(monkeypatch, fresh_cache):

@@ -26,7 +26,7 @@ from .padicwitt import (
     MAX_SPLIT_PRECISION,
     MAX_SPLIT_PRIME,
 )
-from .polyseries import QQ, Poly
+from .polyseries import Poly
 from .report import Report, padic_digits
 from .sslocus import (
     MAX_CROSS_VALIDATE_PRIME,
@@ -124,11 +124,10 @@ def split_section(p: int, N: int) -> dict:
 
 
 def formal_section(p: int, a4: int, a6: int) -> dict:
-    if formalgroup.has_bad_reduction(WCurve(QQ, a4, a6), p):
+    if formalgroup.has_bad_reduction((a4, a6), p):
         raise UsageError(f"formal: curve has bad reduction at {p}")
     E = WCurve(PrimeField(p), a4, a6)
-    lift = WCurve(QQ, E.a4.value, E.a6.value)
-    ps = formalgroup.mult_by_p_series(lift, p)
+    ps = formalgroup.mult_by_p_series((E.a4.value, E.a6.value), p)
     v1, v2 = formalgroup.heights_from_series(E, p, ps.series_mod_p)
     return {
         "prime": p,
@@ -139,8 +138,7 @@ def formal_section(p: int, a4: int, a6: int) -> dict:
         "supersingular": v2 is not None,
         "series_mod_p": [ps.series_mod_p.coeff(k).value
                          for k in range(p * p + 1)],
-        "series_rational": [str(ps.series.coeff(k))
-                            for k in range(p * p + 1)],
+        "series_rational": ["0"] + [str(c) for c in ps.series[:p * p]],
     }
 
 
@@ -537,9 +535,9 @@ def _option(token: str, options: tuple):
 
 
 def parse_args(argv=None):
-    """The namespace `_dispatch` reads from a command line, or None once
-    help is printed on stdout.  Raises UsageError, carrying the usage
-    line, for a command line that does not parse."""
+    """The namespace `_dispatch` reads from a command line, or the help
+    text for -h or --help.  Raises UsageError, carrying the usage line,
+    for a command line that does not parse."""
     rest = list(sys.argv[1:] if argv is None else argv)
     words, values, extras = (), {}, []
     try:
@@ -566,8 +564,7 @@ def parse_args(argv=None):
                 if name in _HELP_FLAGS and (explicit is None or (
                         name == "-h" and explicit
                         and not explicit.strip("h"))):
-                    sys.stdout.write(_help(words))
-                    return None
+                    return _help(words)
                 if name in _HELP_FLAGS or name == "--json":
                     if explicit is not None:
                         raise UsageError(f"argument {name}: ignored "
@@ -651,9 +648,8 @@ def main(argv=None) -> int:
     gc.freeze()
     try:
         args = parse_args(argv)
-        if args is None:    # help was printed
-            return 0
-        report, printer = _dispatch(args)
+        if not isinstance(args, str):   # a str is the help text
+            report, printer = _dispatch(args)
     except UsageError as exc:
         print(f"{exc.usage}ellwitt: error: {exc}", file=sys.stderr)
         return 1
@@ -665,7 +661,9 @@ def main(argv=None) -> int:
         print(f"ellwitt: internal error: {exc}", file=sys.stderr)
         return 2
     try:
-        if args.json:
+        if isinstance(args, str):
+            sys.stdout.write(args)
+        elif args.json:
             sys.stdout.write(report.to_json())
         else:
             printer(next(iter(report.sections.values())))

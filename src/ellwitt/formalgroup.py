@@ -5,8 +5,9 @@ Gross-Landweber verifications.  Curves are short because p > 3: 6 is
 then a unit, and every curve has such a model (Silverman, AEC III.1).
 
 The formal group law of an integral model has integral coefficients, so
-[p](t) is computed in Z[[t]] on plain int lists: the point (t, w(t)) is
-multiplied by p with tangent doublings and chord additions, and every
+[p](t) is computed in Z[[t]] on plain int lists, from the model as the
+int pair (a4, a6) to the series as a tuple of ints: the point (t, w(t))
+is multiplied by p with tangent doublings and chord additions, and every
 series division must be exact, which certifies integrality.  The
 formal group is weighted-homogeneous (a4 of weight 4, a6 of weight 6,
 t of weight -1: Silverman, AEC IV.1), so z(t) lies in t*Z[[t^g]] and
@@ -24,14 +25,13 @@ and v2 live).
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from itertools import compress
 from math import gcd
 from operator import mul, sub
 
 from .arith import FpElem, PrimeField, require_prime
 from .errors import ValidationError
-from .polyseries import QQ, Poly, QSeries
+from .polyseries import Poly, QSeries
 from . import modforms, sslocus
 
 __all__ = [
@@ -143,16 +143,8 @@ def formal_expansion(E: WCurve, prec: int):
     return x, y, omega
 
 
-def _require_integral(E: WCurve, what: str):
-    if E.ring != QQ:
-        raise ValueError(f"{what} wants a curve over the rationals")
-    for a in (E.a4, E.a6):
-        if a.denominator != 1:
-            raise ValueError(f"{what} wants integral curve coefficients")
-
-
-#: [p]-series of an integral curve: p, curve (WCurve), series ([p](t),
-#: integral, as exact rationals), series_mod_p (its reduction mod p).
+#: [p]-series of an integral curve: p, curve (the ints (a4, a6)), series
+#: (the ints at t^1 .. t^prec) and series_mod_p (a QSeries over F_p).
 PSeries = namedtuple("PSeries", "p curve series series_mod_p")
 
 
@@ -170,7 +162,7 @@ def _mult_by_m(E: WCurve, m: int, prec: int):
             raise ValidationError(
                 f"log coefficient at t^{n} has denominator not dividing {n}")
     exp = log.revert()
-    return x, y, omega, log, exp.compose(log.scale(Fraction(m)))
+    return x, y, omega, log, exp.compose(log.scale(m))
 
 
 # Series in Z[[t]] below are plain int lists holding the coefficients of
@@ -308,18 +300,15 @@ def _mult_by_p_integral(a, p: int, prec: int) -> list:
     return z[:prec + 1]
 
 
-def has_bad_reduction(E: WCurve, p: int) -> bool:
-    """Whether the curve E over Q fails to have good reduction at p: its
-    discriminant is 0, not integral, or divisible by p.  Integral
-    coefficients enter as ints, so an integral model's discriminant is
-    computed on ints."""
-    disc = _c4_c6_disc(*(c.numerator if c.denominator == 1 else c
-                         for c in (E.a4, E.a6)))[2]
-    return disc.denominator != 1 or disc.numerator % p == 0
+def has_bad_reduction(a, p: int) -> bool:
+    """Whether y^2 = x^3 + a4 x + a6, for ints a = (a4, a6), fails to
+    have good reduction at p: its discriminant is 0 mod p (0 included)."""
+    return _c4_c6_disc(*a)[2] % p == 0
 
 
-def mult_by_p_series(E: WCurve, p: int, prec: int | None = None) -> PSeries:
-    """[p](t) through t^prec, computed in Z[[t]].
+def mult_by_p_series(a, p: int, prec: int | None = None) -> PSeries:
+    """[p](t) through t^prec, computed in Z[[t]], of y^2 = x^3 + a4 x + a6
+    for any ints a = (a4, a6).
 
     The formal group law of an integral model has integral coefficients,
     so [p](t) is built from the point (t, w(t)) by tangent doublings and
@@ -335,20 +324,18 @@ def mult_by_p_series(E: WCurve, p: int, prec: int | None = None) -> PSeries:
         prec = full
     if not 2 <= prec <= full:
         raise ValueError(f"prec must be in [2, p^2+1] = [2, {full}]")
-    _require_integral(E, "mult_by_p_series")
-    if has_bad_reduction(E, p):
+    if has_bad_reduction(a, p):
         raise ValueError(f"curve has bad reduction at {p}")
-    a = (E.a4.numerator, E.a6.numerator)
     coeffs = _mult_by_p_integral(a, p, prec)[1:]
     if coeffs[0] != p:
         raise ValidationError("[p]-series does not start with p*t")
-    return PSeries(p=p, curve=E, series=QSeries(QQ, 1, coeffs),
+    return PSeries(p=p, curve=a, series=tuple(coeffs),
                    series_mod_p=QSeries(PrimeField(p), 1, coeffs))
 
 
 def v_invariants(E: WCurve, p: int):
     """(v1, v2) of a curve over F_p, from the [p]-series of its
-    integral lift, the coefficients taken in [0, p).
+    integral lift, the coefficients taken in [0, p) as ints.
 
     v1 is read from the series at precision p+1; only when v1 = 0 (the
     supersingular case) is the full p^2+1 window computed for v2.  See
@@ -356,7 +343,7 @@ def v_invariants(E: WCurve, p: int):
     """
     if E.ring != PrimeField(p):
         raise ValueError("v_invariants wants a curve over F_p")
-    lift = WCurve(QQ, E.a4.value, E.a6.value)
+    lift = (E.a4.value, E.a6.value)
     head = mult_by_p_series(lift, p, prec=p + 1).series_mod_p
     if not head.coeff(p):
         head = mult_by_p_series(lift, p).series_mod_p

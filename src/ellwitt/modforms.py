@@ -3,7 +3,7 @@ polynomial read off the weight-(p-1) Eisenstein series.
 
 Conventions (standard, not the paper-facsimile ones): Delta = eta^24 =
 (E4^3 - E6^2)/1728 and j = E4^3/Delta = q^-1 + 744 + ...  Everything is
-exact: rational q-expansions use Fraction coefficients, reductions mod p
+exact: rational q-expansions have coefficients in QQ, reductions mod p
 happen only after p-integrality has been certified, and series with
 integer coefficients (E4, E6) may be built mod p directly.
 
@@ -14,7 +14,6 @@ j = E4^3/Delta (ss_poly_eisenstein).
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 
 from .arith import PrimeField, require_prime
@@ -45,14 +44,15 @@ def _bernoulli_list(top: int) -> tuple:
     for k in range(2, n + 1):
         for i in range(k, n + 1):
             t[i] = (i - k) * t[i - 1] + (i - k + 2) * t[i]
-    bs = [Fraction(1), Fraction(-1, 2)] + [Fraction(0)] * (top - 1)
+    one = QQ.one()
+    bs = [one, -one / 2] + [QQ.zero()] * (top - 1)
     for k in range(1, n + 1):
-        bs[2 * k] = Fraction((-1) ** (k - 1) * 2 * k * t[k],
-                             4 ** k * (4 ** k - 1))
+        bs[2 * k] = (QQ.from_int((-1) ** (k - 1) * 2 * k * t[k])
+                     / (4 ** k * (4 ** k - 1)))
     return tuple(bs[:top + 1])
 
 
-def bernoulli(k: int) -> Fraction:
+def bernoulli(k: int):
     """B_k for even 2 <= k <= 200, from the tangent numbers to T_(k/2)."""
     if k < 2 or k % 2 or k > MAX_BERNOULLI:
         raise ValueError(f"bernoulli wants even 2 <= k <= {MAX_BERNOULLI}")
@@ -67,8 +67,8 @@ def eisenstein_q(k: int, prec: int) -> QSeries:
     """E_k = 1 - (2k/B_k) sum sigma_{k-1}(n) q^n, exact."""
     if k < 4 or k % 2:
         raise ValueError("Eisenstein weight must be even and >= 4")
-    factor = -Fraction(2 * k) / bernoulli(k)
-    coeffs = [Fraction(1)]
+    factor = QQ.from_int(-2 * k) / bernoulli(k)
+    coeffs = [QQ.one()]
     coeffs += [factor * _sigma(n, k - 1) for n in range(1, prec)]
     return QSeries(QQ, 0, coeffs)
 
@@ -88,7 +88,7 @@ def _level_one_forms(prec: int) -> tuple:
     3 terms further and truncated, which j's inversion of Delta needs."""
     e4, e6 = _e4_e6(QQ, prec + 3)
     e4_3 = e4 ** 3
-    dlt = (e4_3 - e6 ** 2).scale(Fraction(1, 1728))
+    dlt = (e4_3 - e6 ** 2).scale(QQ.inv(QQ.from_int(1728)))
     j = (e4_3 * dlt.inverse()).truncate(prec)
     return e4.truncate(prec), e6.truncate(prec), dlt.truncate(prec), j
 

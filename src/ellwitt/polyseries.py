@@ -4,11 +4,13 @@ pluggable coefficient rings.
 A coefficient ring is any context object providing zero(), one(),
 from_int(n), coerce(c), is_unit(a) and inv(a); element arithmetic goes
 through the usual operators.  The residue rings Zmod (F_p and Z/p^N)
-and Quad (F_{p^2} and W(F_{p^2})/p^N) from arith qualify; exact
-rationals are covered by the RationalField singleton QQ below (elements
-are fractions.Fraction).  The int-list kernels (_FpX) work over F_p
-only, never a ring with N > 1: roots_in_field takes a polynomial over
-F_p and finds its roots in F_p or F_{p^2}.
+and Quad (F_{p^2} and W(F_{p^2})/p^N) from arith qualify; so do the
+exact rationals, the RationalField singleton QQ below.  QQ is the one
+door to fractions.Fraction, which (with decimal and numbers) loads on
+QQ's first use: code that stays in Z and F_p never loads it.  The
+int-list kernels (_FpX) work over F_p only, never a ring with N > 1:
+roots_in_field takes a polynomial over F_p and finds its roots in F_p
+or F_{p^2}.
 
 Poly: coeffs[i] is the degree-i coefficient; the leading stored
 coefficient is nonzero ([] is the zero polynomial).
@@ -25,7 +27,6 @@ from __future__ import annotations
 import math
 import random
 import struct
-from fractions import Fraction
 
 from .arith import Fq2Ctx, PrimeField, power, sqrt_mod
 from .errors import PrecisionError, ValidationError
@@ -35,32 +36,44 @@ __all__ = [
     "roots_in_field", "count_roots_in_fp",
 ]
 
+
+#: fractions.Fraction, bound by _rationals on QQ's first use.
+_Fraction = None
+
+
+def _rationals():
+    global _Fraction
+    from fractions import Fraction as _Fraction
+    return _Fraction
+
+
 class RationalField:
     """Exact rationals as a coefficient ring; elements are Fraction."""
 
     __slots__ = ()
 
-    def zero(self) -> Fraction:
-        return Fraction(0)
+    def zero(self):
+        return self.from_int(0)
 
-    def one(self) -> Fraction:
-        return Fraction(1)
+    def one(self):
+        return self.from_int(1)
 
-    def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
+    def from_int(self, n: int):
+        return (_Fraction or _rationals())(n)
 
-    def coerce(self, c) -> Fraction:
-        if isinstance(c, Fraction):
+    def coerce(self, c):
+        fraction = _Fraction or _rationals()
+        if isinstance(c, fraction):
             return c
         if isinstance(c, int):
-            return Fraction(c)
+            return fraction(c)
         raise TypeError(f"cannot coerce {type(c).__name__} into QQ")
 
-    def is_unit(self, a: Fraction) -> bool:
+    def is_unit(self, a) -> bool:
         return a != 0
 
-    def inv(self, a: Fraction) -> Fraction:
-        return Fraction(1) / a
+    def inv(self, a):
+        return self.one() / a
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -654,7 +667,7 @@ class QSeries:
     def reduce_mod(self, field) -> "QSeries":
         """Reduce a rational series mod p; raises ValidationError when
         any denominator is divisible by p."""
-        def red(c: Fraction):
+        def red(c):
             if c.denominator % field.p == 0:
                 raise ValidationError(
                     f"denominator {c.denominator} divisible by {field.p}")

@@ -111,17 +111,18 @@ def test_mult_by_one_is_identity():
 
 
 def test_mult_by_p_series_examples():
-    E = WCurve(QQ, 1, 0)
-    ps = mult_by_p_series(E, 5)
-    assert ps.series.coeff(1) == 5
+    ps = mult_by_p_series((1, 0), 5)
+    assert ps.series[0] == 5
     assert ps.series_mod_p.coeff(5).value == 2  # v1 = -48 = 2 mod 5
-    # p-integrality of every coefficient
-    for c in ps.series.coeffs:
-        assert c.denominator % 5 != 0
+    # integrality of every coefficient
+    assert len(ps.series) == 26
+    assert all(type(c) is int for c in ps.series)
     with pytest.raises(ValueError):
-        mult_by_p_series(E, 17)
-    with pytest.raises(ValueError):
-        mult_by_p_series(WCurve(QQ, 0, 5), 5)  # bad reduction
+        mult_by_p_series((1, 0), 17)
+    with pytest.raises(ValueError, match="bad reduction at 5"):
+        mult_by_p_series((0, 5), 5)
+    with pytest.raises(ValueError, match="bad reduction at 7"):
+        mult_by_p_series((-3, 9), 7)  # a model outside [0, 7)
 
 
 @pytest.mark.parametrize("a4, a6, p, bad", [
@@ -130,10 +131,9 @@ def test_mult_by_p_series_examples():
     (-3, 2, 7, True),   # discriminant 0 over Q
     (1, 1, 31, True),   # 4 a4^3 + 27 a6^2 = 31
     (1, 1, 29, False),
-    (Fraction(1, 2), 1, 5, True),  # not integral
 ])
 def test_has_bad_reduction(a4, a6, p, bad):
-    assert has_bad_reduction(WCurve(QQ, a4, a6), p) is bad
+    assert has_bad_reduction((a4, a6), p) is bad
 
 
 def bad_reduction_by_fractions(E, p):
@@ -146,17 +146,15 @@ def bad_reduction_by_fractions(E, p):
 
 
 def test_has_bad_reduction_int_route_matches_fractions():
-    # every short curve at 5 and 7 (singular ones included) and
-    # non-integral models
-    cases = [(WCurve(QQ, a4, a6), p)
-             for p in (5, 7) for a4 in range(p) for a6 in range(p)]
-    cases += [(WCurve(QQ, Fraction(1, 3), 1), 5),
-              (WCurve(QQ, Fraction(3, 4), Fraction(1, 4)), 7),
-              (WCurve(QQ, Fraction(-3, 4), Fraction(1, 4)), 5)]
-    assert {bad_reduction_by_fractions(E, p) for E, p in cases} == \
-        {True, False}
-    for E, p in cases:
-        assert has_bad_reduction(E, p) is bad_reduction_by_fractions(E, p)
+    # every short curve at 5 and 7 (singular ones included), on models
+    # in [-p, 2p)
+    cases = [((a4, a6), p) for p in (5, 7)
+             for a4 in range(-p, 2 * p) for a6 in range(-p, 2 * p)]
+    assert {bad_reduction_by_fractions(WCurve(QQ, *a), p)
+            for a, p in cases} == {True, False}
+    for a, p in cases:
+        assert has_bad_reduction(a, p) is \
+            bad_reduction_by_fractions(WCurve(QQ, *a), p)
 
 
 def test_v_invariants_examples():
@@ -197,8 +195,7 @@ def test_height_dichotomy_vs_point_count_11_13():
             for B in range(p):
                 if (4 * A ** 3 + 27 * B ** 2) % p == 0:
                     continue
-                lift = WCurve(QQ, A, B)
-                head = mult_by_p_series(lift, p, prec=p + 1).series_mod_p
+                head = mult_by_p_series((A, B), p, prec=p + 1).series_mod_p
                 j = WCurve(field, A, B).invariants()[3]
                 is_ss = ctx.embed(j) in ss_js
                 assert (head.coeff(p).value == 0) == is_ss

@@ -1,6 +1,6 @@
 """The package's import graph: every module imports the others at its
-top, and the supersingular locus loads without the formal-group layer
-that reads it."""
+top, the supersingular locus loads without the formal-group layer that
+reads it, and `fractions` loads only with the first use of QQ."""
 
 import ast
 import json
@@ -44,15 +44,58 @@ def test_the_finder_sees_a_local_import():
     assert [line for line, _ in _imports_in_functions(tree)] == [2, 4]
 
 
+def _fresh(code: str, **env):
+    """What `code` prints as JSON, run in a fresh interpreter under -S."""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": ":".join(sys.path),
+             **env})
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 def test_sslocus_loads_without_formalgroup():
     code = ("import json, sys\n"
             "import ellwitt.sslocus\n"
             "print(json.dumps(sorted(m for m in sys.modules "
             "if m.startswith('ellwitt'))))\n")
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", code], capture_output=True, text=True,
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": ":".join(sys.path)})
-    assert proc.returncode == 0, proc.stderr
-    loaded = set(json.loads(proc.stdout))
+    loaded = set(_fresh(code))
     assert "ellwitt.sslocus" in loaded
     assert "ellwitt.formalgroup" not in loaded
+
+
+def test_rationals_load_only_with_qq(tmp_path):
+    # fractions (with decimal and numbers) is QQ's alone: the commands
+    # that stay in Z and F_p, and cache hits, never load it; the first
+    # rational does
+    run = ("import contextlib, io, json, sys\n"
+           "from ellwitt import cli\n"
+           "RATIONALS = ('fractions', 'decimal', '_decimal', 'numbers')\n"
+           "def loaded():\n"
+           "    return sorted(m for m in RATIONALS if m in sys.modules)\n"
+           "def run(line):\n"
+           "    with contextlib.redirect_stdout(io.StringIO()):\n"
+           "        assert cli.main(line.split()) == 0, line\n"
+           "    return loaded()\n")
+    hits = ["ss --prime 13 --json", "lift --prime 13 --precision 5"]
+    _fresh(run + f"print(json.dumps([run(a) for a in {hits}]))\n",
+           ELLWITT_CACHE_DIR=str(tmp_path))
+    integral = ["hasse --prime 263 --json", "scan ogg --max 147 --json",
+                "formal --prime 13 --a4 0 --a6 3 --json"] + hits
+    out = _fresh(run + f"out = [loaded()] + [run(a) for a in {integral}]\n"
+                 "out.append(run('forms --weight 12 --prec 10 --json'))\n"
+                 "print(json.dumps(out))\n",
+                 ELLWITT_CACHE_DIR=str(tmp_path))
+    assert out[:-1] == [[]] * (1 + len(integral))
+    assert "fractions" in out[-1]
+    assert len(list(tmp_path.glob("*.json"))) == 2
+
+
+def test_qq_takes_a_fraction_made_before_its_first_use():
+    code = ("import json\n"
+            "from fractions import Fraction\n"
+            "from ellwitt.polyseries import QQ\n"
+            "x = Fraction(1, 3)\n"
+            "print(json.dumps([QQ.coerce(x) is x, str(QQ.inv(x)), "
+            "str(QQ.coerce(2) / 6)]))\n")
+    assert _fresh(code) == [True, "3", "1/3"]

@@ -8,7 +8,6 @@ import pytest
 
 from ellwitt.arith import Zmod, fq2_context, has_sqrt3
 from ellwitt.formalgroup import (
-    WCurve,
     mult_by_p_series,
     verify_deligne,
     verify_gross_landweber,
@@ -19,7 +18,6 @@ from ellwitt.modforms import (
     ss_poly_eisenstein,
 )
 from ellwitt.padicwitt import lift_ss_poly, splitting_idempotents
-from ellwitt.polyseries import QQ
 from ellwitt.sslocus import (
     cross_validate,
     hasse_polynomial,
@@ -29,7 +27,7 @@ from ellwitt.sslocus import (
     ss_poly_closed,
 )
 
-_CURVE = WCurve(QQ, 1, 1)
+_CURVE = (1, 1)
 
 #: (entry point, call with p, (bound, next prime above it) or None)
 ENTRY_POINTS = (

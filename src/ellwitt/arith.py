@@ -7,8 +7,6 @@ the field F_{p^2} at N = 1, and W(F_{p^2})/p^N when -g0 is the
 Teichmuller lift omega(n) that padicwitt.lift_context builds.  Every
 F_{p^2} model here is x^2 = n for a non-residue n, so the Frobenius
 z -> z^p (and its lift to W) is a + b*xbar -> a - b*xbar.
-PrimeField/FpElem and Fq2Ctx/Fq2Elem are the same classes under their
-field names; at N > 1 the classes go by Zmod and Quad alone.
 
 Elements carry their ring and never coerce across moduli: an operation
 mixing two different rings raises ValueError instead of guessing.  The
@@ -19,7 +17,7 @@ otherwise x^2 - n with n the smallest quadratic non-residue.
 rth_root gives every square root (sqrt_mod, sqrt_fq2) and cube root, and
 is_quadratic_residue every residue test: no fact is decided twice.
 
-All values are immutable; rings can be shared freely across workers.
+All values are immutable.
 """
 
 from __future__ import annotations
@@ -35,15 +33,10 @@ __all__ = [
     "ZmodElem",
     "Quad",
     "QuadElem",
-    "PrimeField",
-    "FpElem",
-    "Fq2Ctx",
-    "Fq2Elem",
     "is_quadratic_residue",
     "sqrt_mod",
     "has_sqrt3",
     "fq2_context",
-    "frobenius_fq2",
     "sqrt_fq2",
     "rth_root",
 ]
@@ -242,9 +235,6 @@ class ZmodElem:
     def reduce_precision(self, M: int) -> "ZmodElem":
         return ZmodElem(self.value, self.ring.at(M))
 
-    def reduce_mod_p(self) -> "ZmodElem":
-        return self.reduce_precision(1)
-
     def __bool__(self):
         return self.value != 0
 
@@ -260,9 +250,6 @@ class ZmodElem:
         # int, as does the scalar QuadElem it equals.  A non-canonical int
         # (8 == F_5(3)) compares equal but hashes apart.
         return hash(self.value)
-
-    def __int__(self):
-        return self.value
 
     def __repr__(self):
         r = self.ring
@@ -331,14 +318,6 @@ class Quad:
     def elem(self, a: int, b: int = 0) -> "QuadElem":
         return QuadElem(a, b, self)
 
-    def embed(self, x) -> "QuadElem":
-        """Image of a scalar (an element of self.field, or an int)."""
-        if isinstance(x, ZmodElem):
-            if x.ring != self.field:
-                raise ValueError(f"cannot embed {x.ring} into {self}")
-            return QuadElem(x.value, 0, self)
-        return QuadElem(x, 0, self)
-
     # ring protocol
     def zero(self) -> "QuadElem":
         return QuadElem(0, 0, self)
@@ -354,8 +333,12 @@ class Quad:
             if c.ring != self:
                 raise ValueError(f"element of {c.ring} used in {self}")
             return c
-        if isinstance(c, (ZmodElem, int)):
-            return self.embed(c)
+        if isinstance(c, ZmodElem):
+            if c.ring != self.field:
+                raise ValueError(f"cannot embed {c.ring} into {self}")
+            return QuadElem(c.value, 0, self)
+        if isinstance(c, int):
+            return QuadElem(c, 0, self)
         raise TypeError(f"cannot coerce {type(c).__name__} into {self}")
 
     def is_unit(self, z: "QuadElem") -> bool:
@@ -490,9 +473,6 @@ class QuadElem:
     def reduce_precision(self, M: int) -> "QuadElem":
         return QuadElem(self.a, self.b, self.ring.at(M))
 
-    def reduce_mod_p(self) -> "QuadElem":
-        return self.reduce_precision(1)
-
     def __bool__(self):
         return self.a != 0 or self.b != 0
 
@@ -522,8 +502,10 @@ class QuadElem:
         return f"{self.a}+{self.b}{x} (in {where})"
 
 
-PrimeField, FpElem = Zmod, ZmodElem
-Fq2Ctx, Fq2Elem = Quad, QuadElem
+# bench/tracer.py counts products by wrapping FpElem.__mul__ and
+# Fq2Elem.__mul__ under these names; ROADMAP item 1 retires them.
+FpElem = ZmodElem
+Fq2Elem = QuadElem
 
 
 @lru_cache(maxsize=None)
@@ -536,10 +518,6 @@ def fq2_context(p: int) -> Quad:
     F = Zmod(p)
     return Quad(p, -next(n for n in count(2)
                          if not is_quadratic_residue(F.elem(n))))
-
-
-#: z -> z^p on F_{p^2}: the conjugate a - b*xbar.
-frobenius_fq2 = QuadElem.conj
 
 
 def sqrt_fq2(z: QuadElem) -> QuadElem:
@@ -559,7 +537,7 @@ def sqrt_fq2(z: QuadElem) -> QuadElem:
     A, B = z.a, z.b
     if B == 0:
         if A == 0 or is_quadratic_residue(field.elem(A)):
-            return ring.embed(sqrt_mod(field.elem(A)))
+            return ring.coerce(sqrt_mod(field.elem(A)))
         return ring.elem(0, sqrt_mod(field.elem(-A * pow(g0, -1, p))).value)
     try:
         n = sqrt_mod(field.elem(A * A + g0 * B * B)).value

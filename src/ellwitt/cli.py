@@ -18,7 +18,7 @@ from collections import namedtuple
 from types import SimpleNamespace
 
 from . import cache, formalgroup, modforms, padicwitt, sslocus
-from .arith import PrimeField, has_sqrt3, is_prime
+from .arith import Zmod, has_sqrt3, is_prime
 from .errors import ValidationError
 from .formalgroup import MAX_FORMAL_PRIME, WCurve
 from .padicwitt import (
@@ -126,7 +126,7 @@ def split_section(p: int, N: int) -> dict:
 def formal_section(p: int, a4: int, a6: int) -> dict:
     if formalgroup.has_bad_reduction((a4, a6), p):
         raise UsageError(f"formal: curve has bad reduction at {p}")
-    E = WCurve(PrimeField(p), a4, a6)
+    E = WCurve(Zmod(p), a4, a6)
     ps = formalgroup.mult_by_p_series((E.a4.value, E.a6.value), p)
     v1, v2 = formalgroup.heights_from_series(E, p, ps.series_mod_p)
     return {
@@ -293,7 +293,7 @@ def _print_ss(s: dict) -> None:
 
 def _print_hasse(s: dict) -> None:
     print(f"p = {s['prime']}   degree {s['degree']}")
-    field = PrimeField(s["prime"])
+    field = Zmod(s["prime"])
     print("hasse polynomial:",
           Poly(field, s["hasse_poly"]).pretty("L"))
     print(f"lambda roots in F_p^2: {_fq2_list(s['lambda_roots'])}")

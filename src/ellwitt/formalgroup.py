@@ -15,9 +15,9 @@ w(t) in t^3*Z[[t^g]] for g the gcd of the weights of the nonzero
 coefficients: 2 when a4 a6 != 0, 4 at j = 1728 (a6 = 0), 6 at j = 0
 (a4 = 0).  The int-list kernels read each operand's support class from
 the list and multiply and divide on that class alone.  The formal
-log/exp route, [p](t) = exp(p * log(t)) over exact rationals
-(``_mult_by_m``), computes the same series and is kept as the test
-oracle.  v1 needs only precision p+1; the full p^2+1 window is expanded
+log/exp route, [p](t) = exp(p * log(t)) over exact rationals, computes
+the same series and is kept as the test oracle in tests/oracles.py.
+v1 needs only precision p+1; the full p^2+1 window is expanded
 only when v1 = 0 (the supersingular case, where the height-2 assertions
 and v2 live).
 """
@@ -29,7 +29,7 @@ from itertools import compress
 from math import gcd
 from operator import mul, sub
 
-from .arith import FpElem, PrimeField, require_prime
+from .arith import Zmod, ZmodElem, require_prime
 from .errors import ValidationError
 from .polyseries import Poly, QSeries
 from . import modforms, sslocus
@@ -123,6 +123,8 @@ def _w_coeffs(coeffs, P: int, zero, one) -> list:
     return w
 
 
+# Only the log/exp oracle in tests/oracles.py calls formal_expansion; it
+# stays here while bench/tracer.py spans it by name (ROADMAP item 1).
 def formal_expansion(E: WCurve, prec: int):
     """(x(t), y(t), omega(t)) as Laurent/power series in t = -x/y.
 
@@ -146,23 +148,6 @@ def formal_expansion(E: WCurve, prec: int):
 #: [p]-series of an integral curve: p, curve (the ints (a4, a6)), series
 #: (the ints at t^1 .. t^prec) and series_mod_p (a QSeries over F_p).
 PSeries = namedtuple("PSeries", "p curve series series_mod_p")
-
-
-def _mult_by_m(E: WCurve, m: int, prec: int):
-    """exp(m * log(t)) and its intermediates; the multiplication-by-m
-    series of the formal group.  log(t) = integral of omega must be
-    t + O(t^2) with each denominator dividing its index."""
-    x, y, omega = formal_expansion(E, prec)
-    log = omega.integrate()
-    if log.coeff(1) != 1:
-        raise ValidationError("formal log is not t + O(t^2)")
-    for i, c in enumerate(log.coeffs):
-        n = log.offset + i
-        if (c * n).denominator != 1:
-            raise ValidationError(
-                f"log coefficient at t^{n} has denominator not dividing {n}")
-    exp = log.revert()
-    return x, y, omega, log, exp.compose(log.scale(m))
 
 
 # Series in Z[[t]] below are plain int lists holding the coefficients of
@@ -313,10 +298,10 @@ def mult_by_p_series(a, p: int, prec: int | None = None) -> PSeries:
     The formal group law of an integral model has integral coefficients,
     so [p](t) is built from the point (t, w(t)) by tangent doublings and
     chord additions on plain int series, every division exact (a
-    remainder raises ValidationError).  The log/exp route of
-    ``_mult_by_m`` over exact rationals computes the same series and is
-    kept as the test oracle.  Default (and maximum) precision is
-    p^2 + 1; p is capped at 13.
+    remainder raises ValidationError).  The log/exp route over exact
+    rationals in tests/oracles.py computes the same series and is the
+    test oracle.  Default (and maximum) precision is p^2 + 1; p is
+    capped at 13.
     """
     require_prime(p, "mult_by_p_series", MAX_FORMAL_PRIME)
     full = p * p + 1
@@ -330,7 +315,7 @@ def mult_by_p_series(a, p: int, prec: int | None = None) -> PSeries:
     if coeffs[0] != p:
         raise ValidationError("[p]-series does not start with p*t")
     return PSeries(p=p, curve=a, series=tuple(coeffs),
-                   series_mod_p=QSeries(PrimeField(p), 1, coeffs))
+                   series_mod_p=QSeries(Zmod(p), 1, coeffs))
 
 
 def v_invariants(E: WCurve, p: int):
@@ -341,7 +326,7 @@ def v_invariants(E: WCurve, p: int):
     supersingular case) is the full p^2+1 window computed for v2.  See
     ``heights_from_series`` for the assertions.
     """
-    if E.ring != PrimeField(p):
+    if E.ring != Zmod(p):
         raise ValueError("v_invariants wants a curve over F_p")
     lift = (E.a4.value, E.a6.value)
     head = mult_by_p_series(lift, p, prec=p + 1).series_mod_p
@@ -379,17 +364,17 @@ def heights_from_series(E: WCurve, p: int, series_mod_p: QSeries):
     return field.zero(), v2
 
 
-def classical_hasse(E: WCurve, p: int) -> FpElem:
+def classical_hasse(E: WCurve, p: int) -> ZmodElem:
     """Coefficient of x^(p-1) in (x^3 + Ax + B)^((p-1)/2): the classical
     Hasse-invariant criterion, independent of the formal group."""
-    if E.ring != PrimeField(p):
+    if E.ring != Zmod(p):
         raise ValueError("classical_hasse wants a curve over F_p")
     field = E.ring
     f = Poly(field, [E.a6, E.a4, field.zero(), field.one()])
     return (f ** ((p - 1) // 2)).coeff(p - 1)
 
 
-def _hasse_form_value(hf: dict, c4: FpElem, c6: FpElem) -> FpElem:
+def _hasse_form_value(hf: dict, c4: ZmodElem, c6: ZmodElem) -> ZmodElem:
     """hasse_form evaluated at (E4, E6) = (c4, -c6)."""
     field = c4.ring
     acc = field.zero()
@@ -408,13 +393,13 @@ def verify_deligne(p: int) -> DeligneReport:
     hasse_form at (c4, -c6).  Any disagreement raises ValidationError
     naming the curve and all three values."""
     require_prime(p, "verify_deligne", MAX_FORMAL_PRIME)
-    field = PrimeField(p)
+    field = Zmod(p)
     hf = modforms.hasse_form(p)
     checked = 0
     ss_count = 0
     for A in range(p):
         for B in range(p):
-            if (4 * A ** 3 + 27 * B ** 2) % p == 0:
+            if has_bad_reduction((A, B), p):
                 continue
             E = WCurve(field, A, B)
             v1, _ = v_invariants(E, p)
@@ -446,7 +431,7 @@ def verify_gross_landweber(p: int) -> GLReport:
     (-1)^((p-1)/2) * Delta^((p^2-1)/12) exactly.  A mismatch raises
     ValidationError naming p, j, v2 and the prediction."""
     require_prime(p, "verify_gross_landweber", MAX_FORMAL_PRIME)
-    field = PrimeField(p)
+    field = Zmod(p)
     locus = sslocus.cross_validate(p)
     sign = (-1) ** ((p - 1) // 2)
     exponent = (p * p - 1) // 12

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .arith import PrimeField, require_prime
+from .arith import Zmod, require_prime
 from .errors import ValidationError
 from .polyseries import QQ, Poly, QSeries
 
@@ -244,7 +244,7 @@ def hasse_form(p: int) -> dict:
     """
     require_prime(p, "hasse_form", MAX_EISENSTEIN_PRIME)
     need = _dim_mk(p - 1) + _GUARD
-    ep1 = eisenstein_q(p - 1, need).reduce_mod(PrimeField(p))
+    ep1 = eisenstein_q(p - 1, need).reduce_mod(Zmod(p))
     if ep1.coeff_list(0, need) != [1] + [0] * (need - 1):
         raise ValidationError(f"E_{p-1} mod {p} is not the constant 1")
     out = express_in_e4e6(ep1, p - 1)
@@ -259,7 +259,6 @@ def _times_x_minus_1728(s: list, p: int) -> list:
     return [(lo - 1728 * hi) % p for lo, hi in zip([0] + s, s + [0])]
 
 
-@lru_cache(maxsize=None)
 def ss_poly_eisenstein(p: int) -> Poly:
     """The supersingular polynomial over F_p, read off hasse_form(p).
 
@@ -272,7 +271,7 @@ def ss_poly_eisenstein(p: int) -> Poly:
     """
     require_prime(p, "ss_poly_eisenstein", MAX_EISENSTEIN_PRIME)
     _, m, delta, eps = hasse_decomposition(p)
-    field = PrimeField(p)
+    field = Zmod(p)
     hf = hasse_form(p)
     c = [hf[delta + 3 * (m - k), eps + 2 * k].value for k in range(m + 1)]
     phi = [c[m]]

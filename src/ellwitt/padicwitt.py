@@ -157,7 +157,6 @@ def lift_ss_poly(p: int, N: int) -> Poly:
     return shat
 
 
-@lru_cache(maxsize=None)
 def splitting_idempotents(p: int, N: int) -> tuple:
     """The sigma(p) complete orthogonal Lagrange idempotents of
     W(F_{p^2})/p^N [X] / (S_p-hat): the finite-level shadow of the

@@ -28,7 +28,7 @@ import math
 import random
 import struct
 
-from .arith import Fq2Ctx, PrimeField, power, sqrt_mod
+from .arith import Quad, Zmod, power, sqrt_mod
 from .errors import PrecisionError, ValidationError
 
 __all__ = [
@@ -184,12 +184,6 @@ class Poly:
                 rem[i - dg + j] = rem[i - dg + j] - q * b
         return Poly(self.ring, quot), Poly(self.ring, rem)
 
-    def __floordiv__(self, g):
-        return self.divrem(g)[0]
-
-    def __mod__(self, g):
-        return self.divrem(g)[1]
-
     def gcd(self, g: "Poly") -> "Poly":
         """Monic gcd over F_p, by Euclid on int lists (_FpX); gcd(0, 0)
         = 0 by convention.  Any other ring raises ValueError."""
@@ -255,7 +249,7 @@ def c_str(c) -> str:
 
 def _is_fp(ring) -> bool:
     """Whether ring is a prime field F_p itself, not Z/p^N with N > 1."""
-    return isinstance(ring, PrimeField) and ring.N == 1
+    return isinstance(ring, Zmod) and ring.N == 1
 
 
 def _trim(a: list) -> list:
@@ -410,7 +404,7 @@ class _FpX:
             t = len(Y) - 1
             s = Y2[t] * pow(Y[t], -1, p) % p
             P = s * Y[0] - Y2[0]
-            r = sqrt_mod(PrimeField(p).elem(s * s - 4 * P)).value
+            r = sqrt_mod(Zmod(p).elem(s * s - 4 * P)).value
             h = self.gcd(g, self.add(Y, [(s + r) * pow(2, -1, p)], -1))
         else:
             while True:
@@ -443,7 +437,7 @@ def roots_in_field(f: Poly, field) -> set:
         raise ValueError("roots_in_field of the zero polynomial")
     if getattr(field, "N", None) != 1:
         raise ValueError(f"roots_in_field wants F_p or F_p^2, not {field}")
-    ext = isinstance(field, Fq2Ctx)
+    ext = isinstance(field, Quad)
     if f.ring != (field.field if ext else field):
         raise ValueError(f"roots_in_field wants a polynomial over "
                          f"F_{field.p}, not over {f.ring}")
@@ -604,18 +598,9 @@ class QSeries:
             out.append(c * self.ring.from_int(n))
         return QSeries(self.ring, self.offset - 1, out)
 
-    def integrate(self) -> "QSeries":
-        """Termwise antiderivative with zero constant; every exponent+1
-        must be invertible in the ring."""
-        out = []
-        for i, c in enumerate(self.coeffs):
-            n = self.offset + i + 1
-            nf = self.ring.from_int(n)
-            if not self.ring.is_unit(nf):
-                raise ValueError(f"cannot divide by {n} in {self.ring}")
-            out.append(c * self.ring.inv(nf))
-        return QSeries(self.ring, self.offset + 1, out)
-
+    # compose, revert and _compose_bk serve only the log/exp oracle in
+    # tests/oracles.py; they stay while bench/tracer.py spans compose and
+    # revert by name (ROADMAP item 1).
     def compose(self, g: "QSeries") -> "QSeries":
         """self(g); g must have no constant term, self no negative powers."""
         g = self._same(g)
@@ -637,6 +622,7 @@ class QSeries:
         out = _compose_bk(self.ring, fl, gl, P)
         return QSeries(self.ring, 0, out)
 
+    # Test-oracle only, kept for the tracer: see compose.
     def revert(self) -> "QSeries":
         """Compositional inverse of a series t*(unit) + ..., offset exactly 1.
 
@@ -734,6 +720,7 @@ def _inv_list(ring, u, P):
     return out
 
 
+# Test-oracle only, kept for the tracer: see QSeries.compose.
 def _compose_bk(ring, fl, gl, P):
     # f(g) to P coefficients by Brent-Kung blocks:
     # f = sum_i (sum_{k<r} f[ir+k] g^k) (g^r)^i with r ~ sqrt(len(f))

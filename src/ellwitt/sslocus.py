@@ -41,7 +41,7 @@ from itertools import accumulate
 from math import comb, gcd, isqrt
 
 from .arith import (
-    PrimeField, fq2_context, is_prime, require_prime, rth_root, sqrt_fq2)
+    Zmod, fq2_context, is_prime, require_prime, rth_root, sqrt_fq2)
 from .errors import ValidationError
 from .polyseries import Poly, count_roots_in_fp, roots_in_field
 from . import modforms
@@ -86,7 +86,7 @@ def hasse_polynomial(p: int) -> Poly:
     c = [1]
     for k in range(m):
         c.append(c[-1] * (m - k) * pow(k + 1, -1, p) % p)
-    return Poly(PrimeField(p), [x * x % p for x in c])
+    return Poly(Zmod(p), [x * x % p for x in c])
 
 
 def legendre_to_j(lam):
@@ -117,7 +117,7 @@ def _legendre_half(p: int) -> Poly:
         num = -(m - k) * (m - 2 * k) * (m - 2 * k - 1)
         den = (k + 1) * (2 * m - 2 * k) * (2 * m - 2 * k - 1)
         q.append(q[-1] * num * pow(den, -1, p) % p)
-    return Poly(PrimeField(p), q[::-1])
+    return Poly(Zmod(p), q[::-1])
 
 
 def _divide_linear(f: list, c: int, p: int) -> list:
@@ -165,7 +165,7 @@ def _s3_quotient(Q: Poly, p: int) -> Poly:
         f = [(x - top * y) % p for x, y in zip(f[:3 * a], cubes[a])]
         if a:
             f = _divide_linear(_divide_linear(f, 1, p), 1, p)
-    return Poly(PrimeField(p), r)
+    return Poly(Zmod(p), r)
 
 
 def _w_root(j):
@@ -296,7 +296,6 @@ def ss_j_deuring(p: int) -> frozenset:
     return hasse_roots(p).j_set
 
 
-@lru_cache(maxsize=None)
 def ss_j_point_count(p: int) -> frozenset:
     """Point-count oracle: j in F_q, q = p^2, is supersingular iff the
     trace of a curve with that j-invariant over F_q vanishes mod p.
@@ -397,7 +396,7 @@ def ss_poly_closed(p: int) -> Poly:
         raise ValidationError(
             f"p={p}: closed form has degree {len(s) - 1}, "
             f"sigma={sigma(p)}")
-    return Poly(PrimeField(p), s)
+    return Poly(Zmod(p), s)
 
 
 def class_number(D: int) -> int:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from ellwitt.arith import PrimeField
+from ellwitt.arith import Zmod
 from ellwitt.formalgroup import (
     WCurve,
     classical_hasse,
@@ -17,13 +17,14 @@ from ellwitt.formalgroup import (
     verify_deligne,
     verify_gross_landweber,
 )
-from ellwitt.formalgroup import _c4_c6_disc, _mult_by_m
+from ellwitt.formalgroup import _c4_c6_disc
 from ellwitt.polyseries import QQ, QSeries
 from ellwitt.sslocus import ss_j_point_count
+from oracles import mult_by_m
 
 
 def test_curve_invariants_examples():
-    F5 = PrimeField(5)
+    F5 = Zmod(5)
     c4, c6, disc, j = WCurve(F5, 0, 1).invariants()
     assert (c4.value, c6.value, disc.value, j.value) == (0, 1, 3, 0)
     _, _, _, j = WCurve(QQ, 1, 0).invariants()
@@ -57,7 +58,7 @@ def test_short_invariants_match_tate_formulas():
               rng.randrange(-10 ** 9, 10 ** 9)) for _ in range(50)]
     fracs = [(Fraction(a4, rng.randrange(1, 50)),
               Fraction(a6, rng.randrange(1, 50))) for a4, a6 in ints]
-    F7 = PrimeField(7)
+    F7 = Zmod(7)
     fp = [(F7.elem(a4), F7.elem(a6)) for a4 in range(7) for a6 in range(7)]
     for a4, a6 in ints + fracs + fp:
         got = _c4_c6_disc(a4, a6)
@@ -95,7 +96,7 @@ def test_formal_expansion_leading_terms():
 
 def test_formal_log_properties():
     E = WCurve(QQ, 0, 1)
-    log = _mult_by_m(E, 1, 20)[3]
+    log = mult_by_m(E, 1, 20)[3]
     assert log.coeff(1) == 1
     assert log.coeff(2) == 0  # no t^2 term for y^2 = x^3 + 1
     _, _, omega = formal_expansion(E, 20)
@@ -106,7 +107,7 @@ def test_formal_log_properties():
 
 def test_mult_by_one_is_identity():
     E = WCurve(QQ, 2, 3)
-    *_, m1 = _mult_by_m(E, 1, 12)
+    *_, m1 = mult_by_m(E, 1, 12)
     assert m1.coeff_list(1, 12) == [Fraction(1)] + [Fraction(0)] * 10
 
 
@@ -158,7 +159,7 @@ def test_has_bad_reduction_int_route_matches_fractions():
 
 
 def test_v_invariants_examples():
-    F5 = PrimeField(5)
+    F5 = Zmod(5)
     v1, v2 = v_invariants(WCurve(F5, 0, 1), 5)
     assert v1.value == 0 and v2.value == 4
     v1, v2 = v_invariants(WCurve(F5, 1, 0), 5)
@@ -169,7 +170,7 @@ def test_height_dichotomy_vs_point_count():
     # v1 = 0 exactly on the supersingular locus (exhaustive, p = 5, 7,
     # with the full v2 extraction exercised)
     for p in (5, 7):
-        field = PrimeField(p)
+        field = Zmod(p)
         ss_js = ss_j_point_count(p)
         ctx = next(iter(ss_js)).ring
         for A in range(p):
@@ -179,7 +180,7 @@ def test_height_dichotomy_vs_point_count():
                 E = WCurve(field, A, B)
                 v1, v2 = v_invariants(E, p)
                 j = E.invariants()[3]
-                is_ss = ctx.embed(j) in ss_js
+                is_ss = ctx.coerce(j) in ss_js
                 assert (v1.value == 0) == is_ss
                 assert (v2 is not None) == is_ss
 
@@ -188,7 +189,7 @@ def test_height_dichotomy_vs_point_count_11_13():
     # same dichotomy at p = 11, 13, reading v1 from the cheap head of the
     # [p]-series so the sweep stays fast
     for p in (11, 13):
-        field = PrimeField(p)
+        field = Zmod(p)
         ss_js = ss_j_point_count(p)
         ctx = next(iter(ss_js)).ring
         for A in range(p):
@@ -197,13 +198,13 @@ def test_height_dichotomy_vs_point_count_11_13():
                     continue
                 head = mult_by_p_series((A, B), p, prec=p + 1).series_mod_p
                 j = WCurve(field, A, B).invariants()[3]
-                is_ss = ctx.embed(j) in ss_js
+                is_ss = ctx.coerce(j) in ss_js
                 assert (head.coeff(p).value == 0) == is_ss
 
 
 def test_classical_hasse_formulas():
     # p=5: coefficient is 2A; p=11: 20AB = 9AB
-    F5, F11 = PrimeField(5), PrimeField(11)
+    F5, F11 = Zmod(5), Zmod(11)
     for A in range(5):
         for B in range(5):
             E = WCurve(F5, A, B)
@@ -214,7 +215,7 @@ def test_classical_hasse_formulas():
         E = WCurve(F11, A, B)
         assert classical_hasse(E, 11).value == (9 * A * B) % 11
     # j = 0 is ordinary at p = 7 (7 = 1 mod 3): nonzero coefficient 3B
-    F7 = PrimeField(7)
+    F7 = Zmod(7)
     assert classical_hasse(WCurve(F7, 0, 1), 7).value == 3
 
 
@@ -222,7 +223,7 @@ def test_weight_scaling_of_v1_v2():
     # (A, B) -> (u^4 A, u^6 B) scales v1 by u^(p-1) and v2 by u^(p^2-1)
     rng = random.Random(22)
     for p, A, B in ((5, 1, 1), (7, 2, 3)):
-        field = PrimeField(p)
+        field = Zmod(p)
         E = WCurve(field, A, B)
         if not field.is_unit((E.invariants()[2])):
             continue

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellwitt.arith import PrimeField, is_prime
+from ellwitt.arith import Zmod, is_prime
 from ellwitt.polyseries import Poly
 from ellwitt.sslocus import hasse_polynomial
 
@@ -44,7 +44,7 @@ def test_hasse_with_derivative_matches_euclid(p):
 
 def polys(p: int, max_degree: int):
     return st.lists(st.integers(0, p - 1), max_size=max_degree + 1).map(
-        lambda cs: Poly(PrimeField(p), cs))
+        lambda cs: Poly(Zmod(p), cs))
 
 
 @settings(max_examples=60, deadline=None)
@@ -56,9 +56,9 @@ def test_planted_common_factor_matches_euclid(draw):
     got = agree(f, g)
     if not got.is_zero():
         assert got.leading() == got.ring.one()
-        assert (f % got).is_zero() and (g % got).is_zero()
+        assert f.divrem(got)[1].is_zero() and g.divrem(got)[1].is_zero()
     if not c.is_zero():
-        assert (got % c).is_zero()
+        assert got.divrem(c)[1].is_zero()
 
 
 @st.composite
@@ -66,12 +66,12 @@ def long_over_short(draw):
     """(a, b) with deg a - deg b >= 3 for nonzero b, which may be a
     constant or zero: several quotient coefficients per Euclid step."""
     p = draw(st.sampled_from(DRAW_PRIMES))
-    F = PrimeField(p)
+    F = Zmod(p)
     b = draw(polys(p, 4))
     u = Poly(F, draw(st.lists(st.integers(0, p - 1), min_size=3,
                               max_size=9)) + [draw(st.integers(1, p - 1))])
     r = draw(polys(p, 3))
-    a = b * u + (r % b if not b.is_zero() else r)
+    a = b * u + (r.divrem(b)[1] if not b.is_zero() else r)
     assert b.is_zero() or a.degree - b.degree >= 3
     return a, b
 
@@ -88,7 +88,7 @@ def test_long_quotients_match_euclid(draw):
 
 
 def test_edge_cases():
-    F = PrimeField(13)
+    F = Zmod(13)
     zero = Poly(F, [])
     f = Poly(F, [3, 0, 5])            # 5X^2 + 3, not monic
     assert agree(zero, zero).is_zero()
@@ -97,6 +97,6 @@ def test_edge_cases():
     assert agree(Poly(F, [7]), f) == Poly(F, [1])
     short = Poly(F, [2, 4])           # shorter first argument
     assert agree(short, short * f) == short.monic()
-    big = PrimeField(2 ** 61 - 1)
+    big = Zmod(2 ** 61 - 1)
     x1, x2 = Poly(big, [-1, 1]), Poly(big, [-2, 1])
     assert agree(x1 * x2 * 3, x1 * x1 * 5) == x1

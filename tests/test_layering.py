@@ -1,12 +1,17 @@
 """The package's import graph: every module imports the others at its
 top, the supersingular locus loads without the formal-group layer that
-reads it, and `fractions` loads only with the first use of QQ."""
+reads it, `fractions` loads only with the first use of QQ, and each
+class and function is bound under its own name alone."""
 
 import ast
+import importlib
 import json
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import ellwitt
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ellwitt"
 
@@ -35,7 +40,7 @@ def test_no_module_imports_the_package_inside_a_function():
         hits = _imports_in_functions(ast.parse(path.read_text()))
         if hits:
             found[path.name] = hits
-    assert not found
+    assert not found, "\n".join(found)
 
 
 def test_the_finder_sees_a_local_import():
@@ -99,3 +104,29 @@ def test_qq_takes_a_fraction_made_before_its_first_use():
             "print(json.dumps([QQ.coerce(x) is x, str(QQ.inv(x)), "
             "str(QQ.coerce(2) / 6)]))\n")
     assert _fresh(code) == [True, "3", "1/3"]
+
+
+#: The second names that bench/tracer.py still wraps (ROADMAP item 1).
+ALIASES = {"ellwitt.arith.FpElem", "ellwitt.arith.Fq2Elem"}
+
+
+def test_every_class_and_function_has_one_name():
+    # a class or function of the package bound under another name is an
+    # alias or a forwarder; a reflected operator bound to its operator
+    # (__radd__ = __add__) is protocol, not a second name
+    modules = [importlib.import_module(f"ellwitt.{m.name}")
+               for m in pkgutil.iter_modules(ellwitt.__path__)]
+    classes = {c for m in modules for c in vars(m).values()
+               if isinstance(c, type) and c.__module__.startswith("ellwitt")}
+    found = []
+    for ns in modules + sorted(classes, key=repr):
+        where = (ns.__name__ if ns in modules
+                 else f"{ns.__module__}.{ns.__qualname__}")
+        for key, obj in vars(ns).items():
+            name = getattr(obj, "__name__", None)
+            if (str(getattr(obj, "__module__", "")).startswith("ellwitt")
+                    and isinstance(name, str) and name != key
+                    and f"{where}.{key}" not in ALIASES
+                    and key != "__r" + name[2:]):
+                found.append(f"{where}.{key} is {name}")
+    assert not found, "\n".join(found)

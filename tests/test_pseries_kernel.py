@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellwitt.arith import PrimeField
+from ellwitt.arith import Zmod
 from ellwitt.errors import ValidationError
 from ellwitt.formalgroup import (
     _div,
@@ -318,7 +318,7 @@ def test_w_coeffs_on_its_class(g, coeffs):
                    QQ.zero(), QQ.one())
     assert wq == w and all(isinstance(c, Fraction) for c in wq)
     for p in (5, 7, 13):
-        field = PrimeField(p)
+        field = Zmod(p)
         wp = _w_coeffs(tuple(field.coerce(c) for c in coeffs), P,
                        field.zero(), field.one())
         assert [c.value for c in wp] == [c % p for c in w]

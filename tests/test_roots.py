@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellwitt.arith import Fq2Ctx, PrimeField, fq2_context, is_prime
+from ellwitt.arith import Quad, Zmod, fq2_context, is_prime
 from ellwitt.modforms import ss_poly_eisenstein
 from ellwitt.polyseries import Poly, count_roots_in_fp, roots_in_field
 from ellwitt.sslocus import hasse_polynomial
@@ -23,7 +23,7 @@ MODELS = ("fp", "fq2", "fq2-twisted")
 def scan_roots(f: Poly, field) -> set:
     """Every element of field at which f vanishes, by exhaustive scan."""
     p = field.p
-    if isinstance(field, PrimeField):
+    if isinstance(field, Zmod):
         cs = [c.value for c in reversed(f.coeffs)]
         out = set()
         for x in range(p):
@@ -47,18 +47,18 @@ def scan_roots(f: Poly, field) -> set:
     return out
 
 
-def twisted_context(p: int) -> Fq2Ctx:
+def twisted_context(p: int) -> Quad:
     """F_{p^2} as F_p[x]/(x^2 - n') for the largest non-residue n' that
     fq2_context(p) does not use: a second model of the same field."""
     n = next(n for n in range(p - 1, 1, -1)
              if pow(n, (p - 1) // 2, p) == p - 1
-             and Fq2Ctx(p, -n) != fq2_context(p))
-    return Fq2Ctx(p, -n)
+             and Quad(p, -n) != fq2_context(p))
+    return Quad(p, -n)
 
 
 def field_of(p: int, model: str):
     if model == "fp":
-        return PrimeField(p)
+        return Zmod(p)
     return fq2_context(p) if model == "fq2" else twisted_context(p)
 
 
@@ -88,7 +88,7 @@ models = st.sampled_from(MODELS)
 @st.composite
 def elements(draw, field):
     a = draw(st.integers(0, field.p - 1))
-    if isinstance(field, PrimeField):
+    if isinstance(field, Zmod):
         return field.elem(a)
     return field.elem(a, draw(st.integers(0, field.p - 1)))
 
@@ -97,7 +97,7 @@ def conjugate_closed(g: Poly) -> Poly:
     """g * g^sigma for g over F_{p^2}, as a polynomial over F_p: its roots
     are those of g and their conjugates."""
     ring = g.ring
-    if isinstance(ring, PrimeField):
+    if isinstance(ring, Zmod):
         return g
     gs = g * g.map_coeffs(lambda c: c.conj(), ring)
     return gs.map_coeffs(lambda c: c.to_fp(), ring.field)
@@ -130,7 +130,7 @@ def test_deuring_and_eisenstein_polynomials_match_scan(p):
 
 @pytest.mark.parametrize("p", [p for p in range(5, 98) if is_prime(p)])
 def test_rational_root_count_of_locus_polynomials_matches_scan(p):
-    F = PrimeField(p)
+    F = Zmod(p)
     for f in (hasse_polynomial(p), ss_poly_eisenstein(p)):
         assert count_roots_in_fp(f) == len(scan_roots(f, F))
 
@@ -142,7 +142,7 @@ def test_rational_root_count_of_locus_polynomials_matches_scan(p):
 @given(st.data(), primes, models)
 def test_repeated_roots(data, p, model):
     field = field_of(p, model)
-    F = PrimeField(p)
+    F = Zmod(p)
     f = product(F, data.draw(linear_factors(field)))
     assert roots_in_field(f, field) == scan_roots(f, field)
 
@@ -152,7 +152,7 @@ def test_repeated_roots(data, p, model):
 def test_irreducible_cubic_and_quartic_factors(data, p, model, degree):
     # an F_p polynomial whose roots all lie in F_p: linear factors times
     # an irreducible cubic or quartic, which has no root in F_{p^2}
-    F = PrimeField(p)
+    F = Zmod(p)
     field = field_of(p, model)
     coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=degree,
                                 max_size=degree))
@@ -161,7 +161,7 @@ def test_irreducible_cubic_and_quartic_factors(data, p, model, degree):
     got = roots_in_field(f, field)
     assert got == scan_roots(f, field)
     assert len(got) <= f.degree - degree
-    if not isinstance(field, PrimeField):
+    if not isinstance(field, Zmod):
         assert all(z.in_prime_field for z in got)
 
 
@@ -178,7 +178,7 @@ def test_arbitrary_coefficients(data, p, model):
             roots_in_field(f, field)
         return
     assert roots_in_field(f, field) == scan_roots(f, field)
-    if not isinstance(field, PrimeField):
+    if not isinstance(field, Zmod):
         fp = Poly(field.field, [c.a for c in cs])
         if not fp.is_zero():
             assert roots_in_field(fp, field) == scan_roots(fp, field)
@@ -189,7 +189,7 @@ def test_arbitrary_coefficients(data, p, model):
 def test_count_roots_in_fp_matches_scan(data, p):
     # repeated linear factors times arbitrary coefficients, degree 0 and
     # 1 included: the count is of distinct roots
-    F = PrimeField(p)
+    F = Zmod(p)
     cs = data.draw(st.lists(elements(F), min_size=1, max_size=6))
     f = product(F, data.draw(linear_factors(F)) + [Poly(F, cs)])
     if f.is_zero():
@@ -200,7 +200,7 @@ def test_count_roots_in_fp_matches_scan(data, p):
 
 
 def test_count_roots_in_fp_degree_zero_and_one():
-    F = PrimeField(13)
+    F = Zmod(13)
     assert count_roots_in_fp(Poly(F, [5])) == 0
     assert count_roots_in_fp(Poly(F, [0, 1])) == 1
     assert count_roots_in_fp(Poly(F, [8, 3])) == 1
@@ -221,6 +221,6 @@ def test_large_primes(p):
     assert roots_in_field(f, F) == set(rational)
     s = next(z for z in roots_in_field(f, ctx) if not z.in_prime_field)
     assert s * s == ctx.from_int(n)
-    assert roots_in_field(f, ctx) == {ctx.embed(r) for r in rational} \
+    assert roots_in_field(f, ctx) == {ctx.coerce(r) for r in rational} \
         | {s, -s}
     assert count_roots_in_fp(f) == len(rational)

@@ -128,7 +128,7 @@ def formal_section(p: int, a4: int, a6: int) -> dict:
         raise UsageError(f"formal: curve has bad reduction at {p}")
     E = WCurve(Zmod(p), a4, a6)
     ps = formalgroup.mult_by_p_series((E.a4.value, E.a6.value), p)
-    v1, v2 = formalgroup.heights_from_series(E, p, ps.series_mod_p)
+    v1, v2 = formalgroup.heights_from_series(E, p, ps.series)
     return {
         "prime": p,
         "a4": E.a4.value,
@@ -136,8 +136,7 @@ def formal_section(p: int, a4: int, a6: int) -> dict:
         "v1": v1.value,
         "v2": None if v2 is None else v2.value,
         "supersingular": v2 is not None,
-        "series_mod_p": [ps.series_mod_p.coeff(k).value
-                         for k in range(p * p + 1)],
+        "series_mod_p": [0] + [c % p for c in ps.series[:p * p]],
         "series_rational": ["0"] + [str(c) for c in ps.series[:p * p]],
     }
 

@@ -30,7 +30,7 @@ from math import gcd
 from operator import mul, sub
 
 from .arith import Zmod, ZmodElem, require_prime
-from .errors import ValidationError
+from .errors import PrecisionError, ValidationError
 from .polyseries import Poly, QSeries
 from . import modforms, sslocus
 
@@ -145,9 +145,9 @@ def formal_expansion(E: WCurve, prec: int):
     return x, y, omega
 
 
-#: [p]-series of an integral curve: p, curve (the ints (a4, a6)), series
-#: (the ints at t^1 .. t^prec) and series_mod_p (a QSeries over F_p).
-PSeries = namedtuple("PSeries", "p curve series series_mod_p")
+#: [p]-series of an integral curve: p, curve (the ints (a4, a6)) and
+#: series (the ints at t^1 .. t^prec).
+PSeries = namedtuple("PSeries", "p curve series")
 
 
 # Series in Z[[t]] below are plain int lists holding the coefficients of
@@ -314,8 +314,7 @@ def mult_by_p_series(a, p: int, prec: int | None = None) -> PSeries:
     coeffs = _mult_by_p_integral(a, p, prec)[1:]
     if coeffs[0] != p:
         raise ValidationError("[p]-series does not start with p*t")
-    return PSeries(p=p, curve=a, series=tuple(coeffs),
-                   series_mod_p=QSeries(Zmod(p), 1, coeffs))
+    return PSeries(p=p, curve=a, series=tuple(coeffs))
 
 
 def v_invariants(E: WCurve, p: int):
@@ -329,39 +328,48 @@ def v_invariants(E: WCurve, p: int):
     if E.ring != Zmod(p):
         raise ValueError("v_invariants wants a curve over F_p")
     lift = (E.a4.value, E.a6.value)
-    head = mult_by_p_series(lift, p, prec=p + 1).series_mod_p
-    if not head.coeff(p):
-        head = mult_by_p_series(lift, p).series_mod_p
+    head = mult_by_p_series(lift, p, prec=p + 1).series
+    if not head[p - 1] % p:
+        head = mult_by_p_series(lift, p).series
     return heights_from_series(E, p, head)
 
 
-def heights_from_series(E: WCurve, p: int, series_mod_p: QSeries):
-    """(v1, v2) of E over F_p read off [p](t) mod p.
+def heights_from_series(E: WCurve, p: int, series):
+    """(v1, v2) of E over F_p read off [p](t) mod p, for series the ints
+    at t^1, t^2, ... (PSeries.series).
 
     v1 is the t^p coefficient.  When v1 != 0 the coefficients below t^p
     are asserted to vanish and v2 is absent (None).  When v1 = 0 the
     series must reach t^(p^2): every coefficient below it is asserted
-    to vanish mod p, and the unit v2 is returned.
+    to vanish mod p, and the unit v2 is returned.  Reading past the end
+    of series raises PrecisionError.
     """
     field = E.ring
-    v1 = series_mod_p.coeff(p)
+
+    def coeff(k):
+        if k > len(series):
+            raise PrecisionError(f"coefficient of t^{k} beyond precision "
+                                 f"O(t^{len(series) + 1})")
+        return series[k - 1] % p
+
+    v1 = coeff(p)
     if v1:
         for k in range(2, p):
-            if series_mod_p.coeff(k):
+            if coeff(k):
                 raise ValidationError(
                     f"ordinary curve {E!r}: t^{k} coefficient nonzero mod "
                     f"{p} — [p] does not factor through Frobenius")
-        return v1, None
+        return field.elem(v1), None
     for k in range(1, p * p):
-        if series_mod_p.coeff(k):
+        if coeff(k):
             raise ValidationError(
                 f"supersingular curve {E!r}: t^{k} coefficient nonzero "
                 f"mod {p} — [p] does not factor through Frobenius^2")
-    v2 = series_mod_p.coeff(p * p)
+    v2 = coeff(p * p)
     if not v2:
         raise ValidationError(
             f"supersingular curve {E!r}: v2 is not a unit")
-    return field.zero(), v2
+    return field.zero(), field.elem(v2)
 
 
 def classical_hasse(E: WCurve, p: int) -> ZmodElem:

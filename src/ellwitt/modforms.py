@@ -3,18 +3,20 @@ polynomial read off the weight-(p-1) Eisenstein series.
 
 Conventions (standard, not the paper-facsimile ones): Delta = eta^24 =
 (E4^3 - E6^2)/1728 and j = E4^3/Delta = q^-1 + 744 + ...  Everything is
-exact: rational q-expansions have coefficients in QQ, reductions mod p
-happen only after p-integrality has been certified, and series with
-integer coefficients (E4, E6) may be built mod p directly.
+exact: rational q-expansions have coefficients in QQ and are never
+reduced mod p, series with integer coefficients (E4, E6) are built mod p
+directly, and E_{p-1} = 1 mod p is certified on the integer tangent
+numbers, which also give the Bernoulli numbers.
 
 Locus route 2 is E_{p-1} mod p in the E4/E6 basis (hasse_form), then
-j = E4^3/Delta (ss_poly_eisenstein).
+j = E4^3/Delta (ss_poly_eisenstein); it stays in Z and F_p.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from math import gcd
 
 from .arith import Zmod, require_prime
 from .errors import ValidationError
@@ -32,31 +34,26 @@ MAX_EISENSTEIN_PRIME = 97
 
 
 @lru_cache(maxsize=None)
-def _bernoulli_list(top: int) -> tuple:
-    """B_0 .. B_top from the integer tangent numbers T_1, T_2, ... =
-    1, 2, 16, 272, ... (Brent and Harvey's in-place recurrence, O(top^2)
-    small-int steps): B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), and
-    B_1 = -1/2 is the only nonzero odd one."""
-    n = top // 2
+def _tangent_numbers(n: int) -> tuple:
+    """The tangent numbers T_0 .. T_n = 0, 1, 2, 16, 272, ..., by Brent
+    and Harvey's in-place recurrence (O(n^2) small-int steps)."""
     t = [0, 1] + [0] * (n - 1)
     for k in range(2, n + 1):
         t[k] = (k - 1) * t[k - 1]
     for k in range(2, n + 1):
         for i in range(k, n + 1):
             t[i] = (i - k) * t[i - 1] + (i - k + 2) * t[i]
-    one = QQ.one()
-    bs = [one, -one / 2] + [QQ.zero()] * (top - 1)
-    for k in range(1, n + 1):
-        bs[2 * k] = (QQ.from_int((-1) ** (k - 1) * 2 * k * t[k])
-                     / (4 ** k * (4 ** k - 1)))
-    return tuple(bs[:top + 1])
+    return tuple(t[:n + 1])
 
 
 def bernoulli(k: int):
-    """B_k for even 2 <= k <= 200, from the tangent numbers to T_(k/2)."""
+    """B_k for even 2 <= k <= 200: with h = k/2,
+    B_k = (-1)^(h-1) k T_h / (4^h (4^h - 1))."""
     if k < 2 or k % 2 or k > MAX_BERNOULLI:
         raise ValueError(f"bernoulli wants even 2 <= k <= {MAX_BERNOULLI}")
-    return _bernoulli_list(k)[k]
+    h = k // 2
+    return (QQ.from_int((-1) ** (h - 1) * k * _tangent_numbers(h)[h])
+            / (4 ** h * (4 ** h - 1)))
 
 
 def _sigma(n: int, e: int) -> int:
@@ -238,16 +235,21 @@ def times_fixed_factors(s: list, p: int) -> list:
 def hasse_form(p: int) -> dict:
     """E_{p-1} reduced mod p, written in the E4^a E6^b basis over F_p.
 
-    E_{p-1} is p-integral and 1 mod p (von Staudt-Clausen), which is
-    asserted at solve precision, so the combination is the Hasse
-    invariant and its coefficients sum to 1.
+    E_{p-1} - 1 = c sum sigma_{p-2}(n) q^n, with c = -2(p-1)/B_{p-1} =
+    (-1)^h 2 4^h (4^h - 1)/T_h for h = (p-1)/2, is 0 mod p at every
+    precision exactly when p divides the numerator of c (von
+    Staudt-Clausen), which is certified on the integers.  The constant
+    1 over F_p is then solved: the combination is the Hasse invariant
+    and its coefficients sum to 1.
     """
     require_prime(p, "hasse_form", MAX_EISENSTEIN_PRIME)
-    need = _dim_mk(p - 1) + _GUARD
-    ep1 = eisenstein_q(p - 1, need).reduce_mod(Zmod(p))
-    if ep1.coeff_list(0, need) != [1] + [0] * (need - 1):
+    h = (p - 1) // 2
+    num = 2 * 4 ** h * (4 ** h - 1)
+    if num // gcd(num, _tangent_numbers(h)[h]) % p:
         raise ValidationError(f"E_{p-1} mod {p} is not the constant 1")
-    out = express_in_e4e6(ep1, p - 1)
+    need = _dim_mk(p - 1) + _GUARD
+    one = QSeries(Zmod(p), 0, [1] + [0] * (need - 1))
+    out = express_in_e4e6(one, p - 1)
     if sum(v.value for v in out.values()) % p != 1:
         raise ValidationError(f"hasse_form({p}) constant term is not 1")
     return out

@@ -29,7 +29,7 @@ import random
 import struct
 
 from .arith import Quad, Zmod, power, sqrt_mod
-from .errors import PrecisionError, ValidationError
+from .errors import PrecisionError
 
 __all__ = [
     "RationalField", "QQ", "Poly", "QSeries",
@@ -365,7 +365,7 @@ class _FpX:
         return self.monic(a) if a else a
 
     def linear_part(self, h, hinv) -> tuple:
-        """(X^p mod h, gcd(h, X^p - X)) for monic h of degree >= 1; the
+        """(X^p mod h, gcd(h, X^p - X)) for monic h of any degree; the
         gcd is the product of the distinct linear factors of h, so its
         degree counts the roots of h in F_p."""
         xp = self.powmod([0, 1], self.p, h, hinv)
@@ -470,12 +470,10 @@ def roots_in_field(f: Poly, field) -> set:
 def count_roots_in_fp(f: Poly) -> int:
     """The number of distinct roots in F_p of a nonzero f over F_p,
     deg gcd(f, X^p - X): one Frobenius powmod and one gcd, no root
-    finding.  Degree <= 1 is read off (X + c has the root -c)."""
+    finding."""
     if not _is_fp(f.ring) or f.is_zero():
         raise ValueError("count_roots_in_fp wants a nonzero f over F_p")
     h = [c.value for c in f.monic().coeffs]
-    if len(h) <= 2:
-        return len(h) - 1
     fx = _FpX(f.ring.p, len(h))
     return len(fx.linear_part(h, fx.inv_rev(h, len(h) - 1))[1]) - 1
 
@@ -649,16 +647,6 @@ class QSeries:
             g = [g[i] - corr[i] for i in range(prec)] + \
                 [zero] * (P - prec)
         return QSeries(ring, 1, g[1:P])
-
-    def reduce_mod(self, field) -> "QSeries":
-        """Reduce a rational series mod p; raises ValidationError when
-        any denominator is divisible by p."""
-        def red(c):
-            if c.denominator % field.p == 0:
-                raise ValidationError(
-                    f"denominator {c.denominator} divisible by {field.p}")
-            return field.elem(c.numerator * pow(c.denominator, -1, field.p))
-        return QSeries(field, self.offset, [red(c) for c in self.coeffs])
 
     def __eq__(self, other):
         if not isinstance(other, QSeries):

@@ -5,6 +5,10 @@ mult_by_m is the formal log/exp route over exact rationals: log(t) is
 the integral of the invariant differential of formal_expansion, and
 [m](t) = exp(m * log(t)).  The integral [p]-series of
 formalgroup.mult_by_p_series must equal it coefficient by coefficient.
+
+reduce_mod reduces a rational series mod p.  The q-expansions over QQ
+reduced by it are the reference for the series ellwitt builds over F_p
+and for hasse_form's integer certificate that E_{p-1} = 1 mod p.
 """
 
 from ellwitt.errors import ValidationError
@@ -41,3 +45,14 @@ def mult_by_m(E: WCurve, m: int, prec: int):
                 f"log coefficient at t^{n} has denominator not dividing {n}")
     exp = log.revert()
     return x, y, omega, log, exp.compose(log.scale(m))
+
+
+def reduce_mod(series: QSeries, field) -> QSeries:
+    """A rational series reduced mod p; raises ValidationError when any
+    denominator is divisible by p."""
+    def red(c):
+        if c.denominator % field.p == 0:
+            raise ValidationError(
+                f"denominator {c.denominator} divisible by {field.p}")
+        return field.elem(c.numerator * pow(c.denominator, -1, field.p))
+    return QSeries(field, series.offset, [red(c) for c in series.coeffs])

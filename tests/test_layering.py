@@ -71,8 +71,8 @@ def test_sslocus_loads_without_formalgroup():
 
 def test_rationals_load_only_with_qq(tmp_path):
     # fractions (with decimal and numbers) is QQ's alone: the commands
-    # that stay in Z and F_p, and cache hits, never load it; the first
-    # rational does
+    # that stay in Z and F_p, cold or served from the cache, never load
+    # it; the first rational does
     run = ("import contextlib, io, json, sys\n"
            "from ellwitt import cli\n"
            "RATIONALS = ('fractions', 'decimal', '_decimal', 'numbers')\n"
@@ -94,6 +94,13 @@ def test_rationals_load_only_with_qq(tmp_path):
     assert out[:-1] == [[]] * (1 + len(integral))
     assert "fractions" in out[-1]
     assert len(list(tmp_path.glob("*.json"))) == 2
+    cold = ["ss --prime 61", "lift --prime 23 --precision 5",
+            "split --prime 43 --precision 5", "verify deligne --prime 7",
+            "verify gross-landweber --prime 13"]
+    for i, line in enumerate(cold):
+        got = _fresh(run + f"print(json.dumps(run({line!r})))\n",
+                     ELLWITT_CACHE_DIR=str(tmp_path / f"cold{i}"))
+        assert got == [], line
 
 
 def test_qq_takes_a_fraction_made_before_its_first_use():

@@ -11,9 +11,9 @@ from ellwitt.errors import ValidationError
 from ellwitt import modforms
 from ellwitt.modforms import (
     MAX_BERNOULLI,
-    _bernoulli_list,
     _level_one_forms,
     _solve_exact,
+    _tangent_numbers,
     bernoulli,
     delta_q,
     eisenstein_q,
@@ -28,6 +28,9 @@ from ellwitt.modforms import (
 )
 from ellwitt.polyseries import QQ, Poly, QSeries
 from ellwitt.sslocus import sigma
+from oracles import reduce_mod
+
+PRIMES = [p for p in range(5, 98) if is_prime(p)]
 
 
 def test_bernoulli_values():
@@ -53,23 +56,55 @@ def _bernoulli_recurrence(top):
 
 def test_bernoulli_tangent_numbers_match_recurrence():
     want = _bernoulli_recurrence(MAX_BERNOULLI)
-    got = _bernoulli_list(MAX_BERNOULLI)
-    assert len(got) == len(want) == MAX_BERNOULLI + 1
-    for k, (g, w) in enumerate(zip(got, want)):
-        assert type(g) is Fraction and g == w, k
-    for top in range(12):
-        assert _bernoulli_list(top) == want[:top + 1]
     for k in range(2, MAX_BERNOULLI + 1, 2):
-        assert bernoulli(k) == got[k], k
+        got = bernoulli(k)
+        assert type(got) is Fraction and got == want[k], k
+    top = _tangent_numbers(MAX_BERNOULLI // 2)
+    assert top[:5] == (0, 1, 2, 16, 272)
+    assert all(type(t) is int for t in top)
+    for n in range(12):
+        assert _tangent_numbers(n) == top[:n + 1]
 
 
 def test_eisenstein_builds_bernoulli_numbers_only_up_to_its_weight():
-    _bernoulli_list.cache_clear()
+    _tangent_numbers.cache_clear()
     eisenstein_q(16, 10)
-    info = _bernoulli_list.cache_info()
+    info = _tangent_numbers.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
-    _bernoulli_list(16)
-    assert _bernoulli_list.cache_info().hits == info.hits + 1
+    _tangent_numbers(8)
+    assert _tangent_numbers.cache_info().hits == info.hits + 1
+
+
+@pytest.mark.parametrize("p", [p for p in range(5, 200) if is_prime(p)])
+def test_the_eisenstein_factor_from_the_tangent_numbers(p):
+    # c = -2k/B_k at k = p - 1, the factor hasse_form certifies, read off
+    # T_h; the von Staudt-Clausen congruence is v_p(c) = 1
+    h = (p - 1) // 2
+    c = Fraction((-1) ** h * 2 * 4 ** h * (4 ** h - 1),
+                 _tangent_numbers(h)[h])
+    assert c == -2 * (p - 1) / bernoulli(p - 1)
+    assert c.numerator % p == 0 and c.numerator % (p * p)
+    assert c.denominator % p
+
+
+def test_hasse_form_raises_when_the_certificate_fails(monkeypatch):
+    # T_h times p leaves c a p-adic unit: E_{p-1} would not be 1 mod p
+    for p in PRIMES:
+        true = _tangent_numbers(p // 2)
+        monkeypatch.setattr(modforms, "_tangent_numbers",
+                            lambda n: tuple(t * p for t in true[:n + 1]))
+        with pytest.raises(ValidationError,
+                           match=rf"E_{p - 1} mod {p} is not the constant 1"):
+            hasse_form.__wrapped__(p)
+
+
+def test_hasse_form_reads_no_rational_series(monkeypatch):
+    def rational(*args):
+        raise AssertionError("hasse_form reached a rational route")
+    monkeypatch.setattr(modforms, "eisenstein_q", rational)
+    monkeypatch.setattr(modforms, "bernoulli", rational)
+    for p in PRIMES:
+        assert hasse_form.__wrapped__(p) == hasse_form(p)
 
 
 def test_solve_exact_invariant_failures_are_validation_errors():
@@ -162,15 +197,15 @@ def test_hasse_form_frozen_values():
 
 
 def test_hasse_form_reduces_to_one_mod_p():
-    # hasse_form itself asserts the q-expansion is 1 mod p at solve
-    # precision; recheck every prime in range out to precision 30.
+    # hasse_form solves the constant 1 at solve precision; recheck the
+    # combination against E4 and E6 reduced mod p out to precision 30.
     for p in range(5, 98):
         if not is_prime(p):
             continue
         hf = hasse_form(p)
         field = Zmod(p)
-        e4 = eisenstein_q(4, 30).reduce_mod(field)
-        e6 = eisenstein_q(6, 30).reduce_mod(field)
+        e4 = reduce_mod(eisenstein_q(4, 30), field)
+        e6 = reduce_mod(eisenstein_q(6, 30), field)
         acc = QSeries(field, 30, [])
         one = QSeries(field, 0, [1] + [0] * 29)
         for (a, b), c in hf.items():
@@ -240,7 +275,7 @@ def fraction_forms(prec):
 
 
 def fraction_series_mod_p(field, prec):
-    return tuple(s.reduce_mod(field) for s in fraction_forms(prec))
+    return tuple(reduce_mod(s, field) for s in fraction_forms(prec))
 
 
 def same_series(got, want):
@@ -264,7 +299,7 @@ def laurent_peeling(p):
     field = Zmod(p)
     prec = m + 8
     e4, e6, dlt, j = fraction_series_mod_p(field, prec)
-    F = eisenstein_q(p - 1, prec).reduce_mod(field)
+    F = reduce_mod(eisenstein_q(p - 1, prec), field)
     if delta:
         F = F * e4.inverse()
     if eps:

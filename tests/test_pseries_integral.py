@@ -6,7 +6,7 @@ import random
 import pytest
 
 from ellwitt.arith import Zmod
-from ellwitt.errors import ValidationError
+from ellwitt.errors import PrecisionError, ValidationError
 from ellwitt.formalgroup import (
     WCurve,
     heights_from_series,
@@ -15,7 +15,7 @@ from ellwitt.formalgroup import (
 )
 from ellwitt.formalgroup import _div
 from ellwitt.polyseries import QQ
-from oracles import mult_by_m
+from oracles import mult_by_m, reduce_mod
 
 
 def _short_curves(p):
@@ -32,7 +32,9 @@ def _assert_agrees(a, p):
     assert len(ps.series) == p * p + 1
     assert (oracle.offset, oracle.abs_prec) == (1, p * p + 2)
     assert list(ps.series) == oracle.coeffs, (a, p)
-    assert ps.series_mod_p == oracle.reduce_mod(Zmod(p)), (a, p)
+    assert [c % p for c in ps.series] == [
+        c.value for c in reduce_mod(oracle, Zmod(p)).coeff_list(
+            1, p * p + 2)], (a, p)
     return ps
 
 
@@ -56,10 +58,11 @@ def test_agrees_with_log_exp_models_outside_the_residues(p):
     for a4, a6 in models:
         ps = _assert_agrees((a4, a6), p)
         reduced = mult_by_p_series((a4 % p, a6 % p), p)
-        assert ps.series_mod_p == reduced.series_mod_p
+        assert [c % p for c in ps.series] == \
+            [c % p for c in reduced.series]
         assert ps.p == p and ps.curve == (a4, a6)
         E = WCurve(field, a4, a6)
-        assert heights_from_series(E, p, ps.series_mod_p) == \
+        assert heights_from_series(E, p, ps.series) == \
             v_invariants(E, p)
 
 
@@ -74,15 +77,14 @@ def test_agrees_with_log_exp_seeded_sample_p11():
     general = [(a, b) for a, b in curves if a * b]
     for a, b in rng.sample(ss, 1) + rng.sample(general, 1):
         ps = _assert_agrees((a, b), p)
-        v1, v2 = heights_from_series(WCurve(field, a, b), p,
-                                     ps.series_mod_p)
+        v1, v2 = heights_from_series(WCurve(field, a, b), p, ps.series)
         assert (v2 is not None) == ((a, b) in ss)
 
 
 def test_agrees_with_log_exp_supersingular_p13():
     ps = _assert_agrees((1, 4), 13)
-    assert not ps.series_mod_p.coeff(13)
-    assert ps.series_mod_p.coeff(169)
+    assert not ps.series[12] % 13
+    assert ps.series[168] % 13
 
 
 def test_head_is_truncation_of_full_series():
@@ -92,7 +94,6 @@ def test_head_is_truncation_of_full_series():
         full = mult_by_p_series(a, p)
         head = mult_by_p_series(a, p, prec=p + 1)
         assert head.series == full.series[:p + 1]
-        assert head.series_mod_p == full.series_mod_p.truncate(p + 2)
 
 
 def test_heights_from_full_series_match_v_invariants():
@@ -101,8 +102,21 @@ def test_heights_from_full_series_match_v_invariants():
         for a, b in _short_curves(p):
             E = WCurve(field, a, b)
             full = mult_by_p_series((a, b), p)
-            assert heights_from_series(E, p, full.series_mod_p) == \
+            assert heights_from_series(E, p, full.series) == \
                 v_invariants(E, p)
+
+
+def test_heights_from_a_short_series_raise_precision_error():
+    # (1, 0) is ordinary and (1, 4) supersingular at 13: v1 needs t^p,
+    # v2 needs t^(p^2)
+    field = Zmod(13)
+    ordinary = mult_by_p_series((1, 0), 13, prec=14).series
+    assert heights_from_series(WCurve(field, 1, 0), 13, ordinary)[1] is None
+    with pytest.raises(PrecisionError, match="t\\^13"):
+        heights_from_series(WCurve(field, 1, 0), 13, ordinary[:12])
+    head = mult_by_p_series((1, 4), 13, prec=14).series
+    with pytest.raises(PrecisionError, match="t\\^15 "):
+        heights_from_series(WCurve(field, 1, 4), 13, head)
 
 
 def test_series_division_is_exact_or_raises():

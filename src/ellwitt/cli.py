@@ -15,6 +15,7 @@ import re
 import sys
 import time
 from collections import namedtuple
+from math import gcd
 from types import SimpleNamespace
 
 from . import cache, formalgroup, modforms, padicwitt, sslocus
@@ -26,7 +27,7 @@ from .padicwitt import (
     MAX_SPLIT_PRECISION,
     MAX_SPLIT_PRIME,
 )
-from .polyseries import Poly
+from .polyseries import Poly, _mul
 from .report import Report, padic_digits
 from .sslocus import (
     MAX_CROSS_VALIDATE_PRIME,
@@ -193,30 +194,32 @@ def sqrt3_section(p_max: int) -> dict:
 def forms_section(k: int, prec: int) -> dict:
     if k % 2:
         raise UsageError(f"forms: --weight must be even, got {k}")
-    e = modforms.eisenstein_q(k, prec)
+    den, nums = modforms.eisenstein_q(k, prec)
     return {
         "weight": k,
         "prec": prec,
-        "eisenstein_q": [str(e.coeff(n)) for n in range(prec)],
+        "eisenstein_q": [_ratio(a, den) for a in nums],
     }
+
+
+def _ratio(a: int, b: int) -> str:
+    """a/b, b > 0, in lowest terms: "a" when b divides a, else "a/b"."""
+    g = gcd(a, b)
+    return str(a // g) if g == b else f"{a // g}/{b // g}"
 
 
 def _q_identities_section() -> dict:
     prec = 200
-    e4, e6 = (modforms.eisenstein_q(k, prec).coeff_list(0, prec)
-              for k in (4, 6))
-    if any(c.denominator != 1 for c in e4 + e6):
+    (d4, e4), (d6, e6) = (modforms.eisenstein_q(k, prec) for k in (4, 6))
+    if (d4, d6) != (1, 1):
         raise ValidationError("E4 or E6 has a non-integral q-coefficient")
-    e4, e6 = [int(c) for c in e4], [int(c) for c in e6]
-    mul = formalgroup._mul
-    lhs = [a - b for a, b in zip(mul(mul(e4, e4, prec), e4, prec),
-                                 mul(e6, e6, prec))]
-    rhs = [1728 * c for c in modforms.eta24_q(prec).coeff_list(0, prec)]
+    lhs = [a - b for a, b in zip(_mul(_mul(e4, e4, prec), e4, prec),
+                                 _mul(e6, e6, prec))]
+    rhs = [1728 * c for c in modforms.eta24_q(prec)]
     if lhs != rhs:
         raise ValidationError(
             "E4^3 - E6^2 != 1728 * eta^24 at q-precision 200")
-    j = modforms.j_q(4)
-    if (j.coeff(-1), j.coeff(0), j.coeff(1)) != (1, 744, 196884):
+    if modforms.j_q(4)[:3] != [1, 744, 196884]:
         raise ValidationError("j-expansion leading terms are wrong")
     return {"eta24_prec": prec, "delta_identity": True,
             "j_leading_terms": [1, 744, 196884]}
@@ -454,7 +457,7 @@ COMMANDS = {
     ("forms",): Command(
         "exact Eisenstein q-expansion (even weight "
         "{weight.lo}..{weight.hi}, prec {prec.lo}..{prec.hi})",
-        {"weight": Flag(None, 4, modforms.MAX_BERNOULLI),
+        {"weight": Flag(None, 4, modforms.MAX_EISENSTEIN_WEIGHT),
          "prec": Flag(10, 1, MAX_FORMS_PREC)},
         "forms", forms_section, _print_forms),
 }

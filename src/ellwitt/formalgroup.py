@@ -13,10 +13,11 @@ formal group is weighted-homogeneous (a4 of weight 4, a6 of weight 6,
 t of weight -1: Silverman, AEC IV.1), so z(t) lies in t*Z[[t^g]] and
 w(t) in t^3*Z[[t^g]] for g the gcd of the weights of the nonzero
 coefficients: 2 when a4 a6 != 0, 4 at j = 1728 (a6 = 0), 6 at j = 0
-(a4 = 0).  The int-list kernels read each operand's support class from
-the list and multiply and divide on that class alone.  The formal
-log/exp route, [p](t) = exp(p * log(t)) over exact rationals, computes
-the same series and is kept as the test oracle in tests/oracles.py.
+(a4 = 0).  The int-list kernels of polyseries read each operand's
+support class from the list and multiply and divide on that class
+alone.  The formal log/exp route, [p](t) = exp(p * log(t)) over exact
+rationals, computes the same series and is kept as the test oracle in
+tests/oracles.py.
 v1 needs only precision p+1; the full p^2+1 window is expanded
 only when v1 = 0 (the supersingular case, where the height-2 assertions
 and v2 live).
@@ -27,11 +28,11 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import compress
 from math import gcd
-from operator import mul, sub
+from operator import mul
 
 from .arith import Zmod, ZmodElem, require_prime
 from .errors import PrecisionError, ValidationError
-from .polyseries import Poly, QSeries
+from .polyseries import Poly, QSeries, _div, _mul
 from . import modforms, sslocus
 
 __all__ = [
@@ -151,38 +152,9 @@ PSeries = namedtuple("PSeries", "p curve series")
 
 
 # Series in Z[[t]] below are plain int lists holding the coefficients of
-# t^0 .. t^(n-1); a list's length is its absolute precision.  The
+# t^0 .. t^(n-1), multiplied and divided by polyseries._mul and _div; the
 # nonzero coefficients of each sit on one class r mod g (see the module
-# docstring), which _support reads off the list.
-
-def _support(a: list, n: int):
-    """(r, g) such that every nonzero a[i], i < n, has i = r + g*k: r
-    is the first nonzero index and g the gcd of the gaps (0 for a single
-    term).  None when a[:n] is zero."""
-    idx = list(compress(range(n), a))
-    if not idx:
-        return None
-    return idx[0], gcd(*map(sub, idx[1:], idx))
-
-
-def _mul(a: list, b: list, n: int) -> list:
-    """The first n coefficients of a*b, which both must carry: the
-    classes of a's and b's supports convolve into one class of out."""
-    if n > min(len(a), len(b)):
-        raise ValueError(f"product to {n} coefficients of series with "
-                         f"{len(a)} and {len(b)}")
-    out = [0] * n
-    sa, sb = _support(a, n), _support(b, n)
-    if sa is None or sb is None:
-        return out
-    (ra, ga), (rb, gb) = sa, sb
-    g = gcd(ga, gb) or n
-    m = len(range(ra + rb, n, g))
-    x = a[ra:ra + g * m:g]
-    y = b[rb:rb + g * m:g][::-1]
-    out[ra + rb::g] = [sum(map(mul, x, y[m - 1 - k:])) for k in range(m)]
-    return out
-
+# docstring), which those kernels read off the list.
 
 def _lin(n: int, *terms) -> list:
     """sum(c * s) over the (c, s) terms, to n coefficients."""
@@ -192,36 +164,6 @@ def _lin(n: int, *terms) -> list:
             for i in range(n):
                 out[i] += c * s[i]
     return out
-
-
-def _div(a: list, b: list) -> list:
-    """The quotient a/b in Z[[t]], b[0] != 0.  Every coefficient must
-    divide exactly by b[0]: a remainder means the quotient is not
-    integral, which the formal group law rules out.  The quotient lives
-    on the class of a's support modulo the step of b's, where the
-    division runs; off that class every remainder is zero."""
-    n = min(len(a), len(b))
-    q = [0] * n
-    sa = _support(a, n)
-    if sa is None:
-        return q
-    r, g = sa
-    g = gcd(g, *compress(range(n), b)) or n
-    b0 = b[0]
-    x = a[r:n:g]
-    m = len(x)
-    y = b[:g * m:g][::-1]
-    c = []
-    for k in range(m):
-        ck, rem = divmod(x[k] - sum(map(mul, c, y[m - 1 - k:])), b0)
-        if rem:
-            raise ValidationError(
-                f"series division by {b0} + ... leaves a remainder at "
-                f"t^{r + g * k}: the quotient is not integral (precision "
-                f"or algebra bug)")
-        c.append(ck)
-    q[r::g] = c
-    return q
 
 
 def _third_point(a, z1, w1, z2, lam):

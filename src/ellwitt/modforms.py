@@ -3,10 +3,12 @@ polynomial read off the weight-(p-1) Eisenstein series.
 
 Conventions (standard, not the paper-facsimile ones): Delta = eta^24 =
 (E4^3 - E6^2)/1728 and j = E4^3/Delta = q^-1 + 744 + ...  Everything is
-exact: rational q-expansions have coefficients in QQ and are never
-reduced mod p, series with integer coefficients (E4, E6) are built mod p
-directly, and E_{p-1} = 1 mod p is certified on the integer tangent
-numbers, which also give the Bernoulli numbers.
+exact and stays in Z and F_p: a q-expansion is an int list (E_k is
+integer numerators over one denominator), multiplied and divided
+exactly by the Z[[q]] kernels of polyseries; series over F_p are built
+from the same integers, never reduced from rationals; and the
+Eisenstein factor -2k/B_k is read off the integer tangent numbers,
+which also certify E_{p-1} = 1 mod p.
 
 Locus route 2 is E_{p-1} mod p in the E4/E6 basis (hasse_form), then
 j = E4^3/Delta (ss_poly_eisenstein); it stays in Z and F_p.
@@ -20,16 +22,17 @@ from math import gcd
 
 from .arith import Zmod, require_prime
 from .errors import ValidationError
-from .polyseries import QQ, Poly, QSeries
+from .polyseries import Poly, QSeries, _div, _mul
 
 __all__ = [
-    "bernoulli", "eisenstein_q", "delta_q", "eta24_q", "j_q",
+    "eisenstein_q", "eta24_q", "j_q",
     "WeightBasis", "weight_basis", "express_in_e4e6",
     "HasseDecomposition", "hasse_decomposition", "times_fixed_factors",
-    "hasse_form", "ss_poly_eisenstein", "MAX_EISENSTEIN_PRIME",
+    "hasse_form", "ss_poly_eisenstein",
+    "MAX_EISENSTEIN_WEIGHT", "MAX_EISENSTEIN_PRIME",
 ]
 
-MAX_BERNOULLI = 200
+MAX_EISENSTEIN_WEIGHT = 200
 MAX_EISENSTEIN_PRIME = 97
 
 
@@ -46,76 +49,71 @@ def _tangent_numbers(n: int) -> tuple:
     return tuple(t[:n + 1])
 
 
-def bernoulli(k: int):
-    """B_k for even 2 <= k <= 200: with h = k/2,
-    B_k = (-1)^(h-1) k T_h / (4^h (4^h - 1))."""
-    if k < 2 or k % 2 or k > MAX_BERNOULLI:
-        raise ValueError(f"bernoulli wants even 2 <= k <= {MAX_BERNOULLI}")
-    h = k // 2
-    return (QQ.from_int((-1) ** (h - 1) * k * _tangent_numbers(h)[h])
-            / (4 ** h * (4 ** h - 1)))
+def _eisenstein_factor(h: int) -> tuple:
+    """c = -2k/B_k for k = 2h, the factor of E_k - 1, as (num, den) in
+    lowest terms with den > 0: c = (-1)^h 2 4^h (4^h - 1)/T_h."""
+    num = (-1) ** h * 2 * 4 ** h * (4 ** h - 1)
+    t = _tangent_numbers(h)[h]
+    g = gcd(num, t)
+    return num // g, t // g
 
 
 def _sigma(n: int, e: int) -> int:
     return sum(d ** e for d in range(1, n + 1) if n % d == 0)
 
 
-def eisenstein_q(k: int, prec: int) -> QSeries:
-    """E_k = 1 - (2k/B_k) sum sigma_{k-1}(n) q^n, exact."""
-    if k < 4 or k % 2:
-        raise ValueError("Eisenstein weight must be even and >= 4")
-    factor = QQ.from_int(-2 * k) / bernoulli(k)
-    coeffs = [QQ.one()]
-    coeffs += [factor * _sigma(n, k - 1) for n in range(1, prec)]
-    return QSeries(QQ, 0, coeffs)
+def eisenstein_q(k: int, prec: int) -> tuple:
+    """E_k through q^(prec-1) as the int pair (den, nums), E_k =
+    sum nums[n] q^n / den: E_k = 1 + c sum sigma_{k-1}(n) q^n, and c in
+    lowest terms gives den and nums[n] = num(c) sigma_{k-1}(n)."""
+    if k < 4 or k % 2 or k > MAX_EISENSTEIN_WEIGHT or prec < 1:
+        raise ValueError(
+            f"eisenstein_q wants even 4 <= k <= MAX_EISENSTEIN_WEIGHT = "
+            f"{MAX_EISENSTEIN_WEIGHT} and prec >= 1, got k={k}, "
+            f"prec={prec}")
+    num, den = _eisenstein_factor(k // 2)
+    return den, [den] + [num * _sigma(n, k - 1) for n in range(1, prec)]
 
 
-def _e4_e6(ring, prec: int) -> tuple:
+def _e4_e6(prec: int) -> tuple:
     """E4 = 1 + 240 sum sigma_3(n) q^n and E6 = 1 - 504 sum sigma_5(n) q^n
-    over ring (QQ, or F_p with p > 3) through absolute precision prec,
-    from integer divisor sums."""
-    return tuple(QSeries(ring, 0, [1] + [c * _sigma(n, k - 1)
-                                         for n in range(1, prec)])
+    as int lists through q^(prec-1)."""
+    return tuple([1] + [c * _sigma(n, k - 1) for n in range(1, prec)]
                  for k, c in ((4, 240), (6, -504)))
 
 
 def _level_one_forms(prec: int) -> tuple:
-    """E4, E6, Delta and j over QQ through absolute precision prec:
-    Delta = (E4^3 - E6^2)/1728 and j = E4^3/Delta.  Everything is built
-    3 terms further and truncated, which j's inversion of Delta needs."""
-    e4, e6 = _e4_e6(QQ, prec + 3)
-    e4_3 = e4 ** 3
-    dlt = (e4_3 - e6 ** 2).scale(QQ.inv(QQ.from_int(1728)))
-    j = (e4_3 * dlt.inverse()).truncate(prec)
-    return e4.truncate(prec), e6.truncate(prec), dlt.truncate(prec), j
+    """E4, E6, Delta and j as int lists through q^(prec-1), j from q^-1
+    (j[i] is the coefficient of q^(i-1)): Delta = (E4^3 - E6^2)/1728
+    and j = E4^3/Delta, both divisions exact in Z.  E4 and E6 are built
+    2 terms further, which the quotient by Delta/q needs."""
+    n = prec + 2
+    e4, e6 = _e4_e6(n)
+    e4_3 = _mul(_mul(e4, e4, n), e4, n)
+    dlt = _div([a - b for a, b in zip(e4_3, _mul(e6, e6, n))],
+               [1728] + [0] * (n - 1))
+    return e4[:prec], e6[:prec], dlt[:prec], _div(e4_3, dlt[1:])
 
 
-def delta_q(prec: int) -> QSeries:
-    """Delta = (E4^3 - E6^2)/1728 = q - 24q^2 + 252q^3 - ..."""
-    if prec < 2:
-        raise ValueError("prec must be >= 2")
-    return _level_one_forms(prec)[2]
-
-
-def eta24_q(prec: int) -> QSeries:
-    """q * prod_{n>=1} (1 - q^n)^24, expanded directly from the product.
+def eta24_q(prec: int) -> list:
+    """q * prod_{n>=1} (1 - q^n)^24 as an int list through q^(prec-1),
+    expanded directly from the product.
 
     Serves as the second engine for the Delta identity.
     """
     if prec < 2:
         raise ValueError("prec must be >= 2")
-    L = prec - 1  # product coefficients needed through q^(L-1)
-    c = [0] * L
-    c[0] = 1
-    for n in range(1, L):
+    c = [0, 1] + [0] * (prec - 2)
+    for n in range(1, prec - 1):
         for _ in range(24):
-            for i in range(L - 1, n - 1, -1):
+            for i in range(prec - 1, n, -1):
                 c[i] -= c[i - n]
-    return QSeries(QQ, 1, c)
+    return c
 
 
-def j_q(prec: int) -> QSeries:
-    """j = E4^3 / Delta = q^-1 + 744 + 196884q + ..., abs precision prec."""
+def j_q(prec: int) -> list:
+    """j = E4^3 / Delta = q^-1 + 744 + 196884q + ... through q^(prec-1),
+    as an int list from q^-1."""
     return _level_one_forms(prec)[3]
 
 
@@ -142,9 +140,9 @@ def weight_basis(k: int) -> WeightBasis:
     return WeightBasis(k, tuple(mons))
 
 
-def _solve_exact(rows, rhs, ring=QQ):
-    """Gaussian elimination over a field ring (QQ or F_p); a singular or
-    inconsistent system raises ValidationError."""
+def _solve_exact(rows, rhs, ring):
+    """Gaussian elimination over the field ring (F_p in hasse_form); a
+    singular or inconsistent system raises ValidationError."""
     n = len(rows[0])
     m = len(rows)
     aug = [list(rows[i]) + [rhs[i]] for i in range(m)]
@@ -173,7 +171,7 @@ _GUARD = 4
 
 def express_in_e4e6(s: QSeries, k: int) -> dict:
     """Coefficients c_ab with sum c_ab E4^a E6^b = s, for s a modular
-    form of weight k over s.ring (QQ or F_p), solved from the first
+    form of weight k over the field s.ring, solved from the first
     dim M_k q-coefficients and verified on 4 guard coefficients.
 
     s must have abs precision >= dim M_k + 4.
@@ -188,7 +186,7 @@ def express_in_e4e6(s: QSeries, k: int) -> dict:
             f"need abs precision >= {need} for weight {k}, "
             f"got {s.abs_prec}")
     ring = s.ring
-    e4, e6 = _e4_e6(ring, need)
+    e4, e6 = (QSeries(ring, 0, e) for e in _e4_e6(need))
     a, b = basis.monomials[0]
     mono = e4 ** a * e6 ** b
     step = e6 ** 2 * (e4 ** 3).inverse()  # b ascends by 2, a falls by 3
@@ -235,17 +233,15 @@ def times_fixed_factors(s: list, p: int) -> list:
 def hasse_form(p: int) -> dict:
     """E_{p-1} reduced mod p, written in the E4^a E6^b basis over F_p.
 
-    E_{p-1} - 1 = c sum sigma_{p-2}(n) q^n, with c = -2(p-1)/B_{p-1} =
-    (-1)^h 2 4^h (4^h - 1)/T_h for h = (p-1)/2, is 0 mod p at every
-    precision exactly when p divides the numerator of c (von
+    E_{p-1} - 1 = c sum sigma_{p-2}(n) q^n, with c = -2(p-1)/B_{p-1}
+    read off T_h for h = (p-1)/2 (_eisenstein_factor), is 0 mod p at
+    every precision exactly when p divides the numerator of c (von
     Staudt-Clausen), which is certified on the integers.  The constant
     1 over F_p is then solved: the combination is the Hasse invariant
     and its coefficients sum to 1.
     """
     require_prime(p, "hasse_form", MAX_EISENSTEIN_PRIME)
-    h = (p - 1) // 2
-    num = 2 * 4 ** h * (4 ** h - 1)
-    if num // gcd(num, _tangent_numbers(h)[h]) % p:
+    if _eisenstein_factor((p - 1) // 2)[0] % p:
         raise ValidationError(f"E_{p-1} mod {p} is not the constant 1")
     need = _dim_mk(p - 1) + _GUARD
     one = QSeries(Zmod(p), 0, [1] + [0] * (need - 1))

@@ -1,13 +1,10 @@
-"""Dense univariate polynomials and truncated power/Laurent series over
-pluggable coefficient rings.
+"""Dense univariate polynomials and truncated power/Laurent series
+over pluggable coefficient rings, and the int-list kernels of Z[[t]].
 
 A coefficient ring is any context object providing zero(), one(),
 from_int(n), coerce(c), is_unit(a) and inv(a); element arithmetic goes
 through the usual operators.  The residue rings Zmod (F_p and Z/p^N)
-and Quad (F_{p^2} and W(F_{p^2})/p^N) from arith qualify; so do the
-exact rationals, the RationalField singleton QQ below.  QQ is the one
-door to fractions.Fraction, which (with decimal and numbers) loads on
-QQ's first use: code that stays in Z and F_p never loads it.  The
+and Quad (F_{p^2} and W(F_{p^2})/p^N) from arith qualify.  The
 int-list kernels (_FpX) work over F_p only, never a ring with N > 1:
 roots_in_field takes a polynomial over F_p and finds its roots in F_p
 or F_{p^2}.
@@ -20,6 +17,11 @@ unknown at offset+len(coeffs) =: abs_prec and beyond.  Every operation
 propagates the honest precision of its result — nothing is ever
 extrapolated, and reading a coefficient at or past abs_prec raises
 PrecisionError.
+
+Series in Z[[t]] are plain int lists holding the coefficients of
+t^0 .. t^(n-1); a list's length is its absolute precision.  _mul and
+_div multiply and divide them exactly (the [p]-series in formalgroup,
+the integer q-expansions in modforms).
 """
 
 from __future__ import annotations
@@ -27,65 +29,15 @@ from __future__ import annotations
 import math
 import random
 import struct
+from itertools import compress
+from operator import mul, sub
 
 from .arith import Quad, Zmod, power, sqrt_mod
-from .errors import PrecisionError
+from .errors import PrecisionError, ValidationError
 
 __all__ = [
-    "RationalField", "QQ", "Poly", "QSeries",
-    "roots_in_field", "count_roots_in_fp",
+    "Poly", "QSeries", "roots_in_field", "count_roots_in_fp",
 ]
-
-
-#: fractions.Fraction, bound by _rationals on QQ's first use.
-_Fraction = None
-
-
-def _rationals():
-    global _Fraction
-    from fractions import Fraction as _Fraction
-    return _Fraction
-
-
-class RationalField:
-    """Exact rationals as a coefficient ring; elements are Fraction."""
-
-    __slots__ = ()
-
-    def zero(self):
-        return self.from_int(0)
-
-    def one(self):
-        return self.from_int(1)
-
-    def from_int(self, n: int):
-        return (_Fraction or _rationals())(n)
-
-    def coerce(self, c):
-        fraction = _Fraction or _rationals()
-        if isinstance(c, fraction):
-            return c
-        if isinstance(c, int):
-            return fraction(c)
-        raise TypeError(f"cannot coerce {type(c).__name__} into QQ")
-
-    def is_unit(self, a) -> bool:
-        return a != 0
-
-    def inv(self, a):
-        return self.one() / a
-
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("QQ")
-
-    def __repr__(self):
-        return "QQ"
-
-
-QQ = RationalField()
 
 
 class Poly:
@@ -731,3 +683,69 @@ def _compose_bk(ring, fl, gl, P):
                     if pk[m]:
                         acc[m] = acc[m] + c * pk[m]
     return acc
+
+
+# --- Z[[t]] kernels on int lists (see the module docstring) ---
+# The nonzero coefficients of a series often sit on one class r mod g
+# (the formal-group series of formalgroup, for one), which _support
+# reads off the list; _mul and _div work on that class alone.
+
+
+def _support(a: list, n: int):
+    """(r, g) such that every nonzero a[i], i < n, has i = r + g*k: r
+    is the first nonzero index and g the gcd of the gaps (0 for a single
+    term).  None when a[:n] is zero."""
+    idx = list(compress(range(n), a))
+    if not idx:
+        return None
+    return idx[0], math.gcd(*map(sub, idx[1:], idx))
+
+
+def _mul(a: list, b: list, n: int) -> list:
+    """The first n coefficients of a*b, which both must carry: the
+    classes of a's and b's supports convolve into one class of out."""
+    if n > min(len(a), len(b)):
+        raise ValueError(f"product to {n} coefficients of series with "
+                         f"{len(a)} and {len(b)}")
+    out = [0] * n
+    sa, sb = _support(a, n), _support(b, n)
+    if sa is None or sb is None:
+        return out
+    (ra, ga), (rb, gb) = sa, sb
+    g = math.gcd(ga, gb) or n
+    m = len(range(ra + rb, n, g))
+    x = a[ra:ra + g * m:g]
+    y = b[rb:rb + g * m:g][::-1]
+    out[ra + rb::g] = [sum(map(mul, x, y[m - 1 - k:])) for k in range(m)]
+    return out
+
+
+def _div(a: list, b: list) -> list:
+    """The quotient a/b in Z[[t]], b[0] != 0, to min(len(a), len(b))
+    coefficients.  Every coefficient must divide exactly by b[0]: a
+    remainder means the quotient is not integral, which the caller's
+    algebra rules out.  The quotient lives on the class of a's support
+    modulo the step of b's, where the division runs; off that class
+    every remainder is zero."""
+    n = min(len(a), len(b))
+    q = [0] * n
+    sa = _support(a, n)
+    if sa is None:
+        return q
+    r, g = sa
+    g = math.gcd(g, *compress(range(n), b)) or n
+    b0 = b[0]
+    x = a[r:n:g]
+    m = len(x)
+    y = b[:g * m:g][::-1]
+    c = []
+    for k in range(m):
+        ck, rem = divmod(x[k] - sum(map(mul, c, y[m - 1 - k:])), b0)
+        if rem:
+            raise ValidationError(
+                f"series division by {b0} + ... leaves a remainder at "
+                f"t^{r + g * k}: the quotient is not integral (precision "
+                f"or algebra bug)")
+        c.append(ck)
+    q[r::g] = c
+    return q

@@ -6,14 +6,77 @@ the integral of the invariant differential of formal_expansion, and
 [m](t) = exp(m * log(t)).  The integral [p]-series of
 formalgroup.mult_by_p_series must equal it coefficient by coefficient.
 
-reduce_mod reduces a rational series mod p.  The q-expansions over QQ
-reduced by it are the reference for the series ellwitt builds over F_p
-and for hasse_form's integer certificate that E_{p-1} = 1 mod p.
+QQ is the exact rationals as a coefficient ring, which the program no
+longer has: every series it builds stays in Z or a residue ring.
+eisenstein_series is E_k over QQ from the Bernoulli number B_k, the
+route that modforms.eisenstein_q's integer numerators over one
+denominator replaced.  reduce_mod reduces a rational series mod p.  The
+q-expansions over QQ reduced by it are the reference for the series
+ellwitt builds over F_p and for hasse_form's integer certificate that
+E_{p-1} = 1 mod p.
 """
+
+from fractions import Fraction
 
 from ellwitt.errors import ValidationError
 from ellwitt.formalgroup import WCurve, formal_expansion
+from ellwitt.modforms import MAX_EISENSTEIN_WEIGHT, _sigma, _tangent_numbers
 from ellwitt.polyseries import QSeries
+
+
+class RationalField:
+    """Exact rationals as a coefficient ring; elements are Fraction."""
+
+    __slots__ = ()
+
+    def zero(self):
+        return Fraction(0)
+
+    def one(self):
+        return Fraction(1)
+
+    def from_int(self, n: int):
+        return Fraction(n)
+
+    def coerce(self, c):
+        if isinstance(c, Fraction):
+            return c
+        if isinstance(c, int):
+            return Fraction(c)
+        raise TypeError(f"cannot coerce {type(c).__name__} into QQ")
+
+    def is_unit(self, a) -> bool:
+        return a != 0
+
+    def inv(self, a):
+        return 1 / a
+
+    def __repr__(self):
+        return "QQ"
+
+
+QQ = RationalField()
+
+
+def bernoulli(k: int) -> Fraction:
+    """B_k for even 2 <= k <= 200: with h = k/2,
+    B_k = (-1)^(h-1) k T_h / (4^h (4^h - 1))."""
+    if k < 2 or k % 2 or k > MAX_EISENSTEIN_WEIGHT:
+        raise ValueError(
+            f"bernoulli wants even 2 <= k <= {MAX_EISENSTEIN_WEIGHT}")
+    h = k // 2
+    return Fraction((-1) ** (h - 1) * k * _tangent_numbers(h)[h],
+                    4 ** h * (4 ** h - 1))
+
+
+def eisenstein_series(k: int, prec: int) -> QSeries:
+    """E_k = 1 - (2k/B_k) sum sigma_{k-1}(n) q^n over QQ, through
+    q^(prec-1)."""
+    if k < 4 or k % 2:
+        raise ValueError("Eisenstein weight must be even and >= 4")
+    factor = Fraction(-2 * k) / bernoulli(k)
+    return QSeries(QQ, 0, [1] + [factor * _sigma(n, k - 1)
+                                 for n in range(1, prec)])
 
 
 def integrate(s: QSeries) -> QSeries:

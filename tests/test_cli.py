@@ -786,14 +786,14 @@ def _near_bounds() -> list:
     from ellwitt.arith import is_prime
     from ellwitt.cli import MAX_FORMS_PREC, MAX_SQRT3_SCAN
     from ellwitt.formalgroup import MAX_FORMAL_PRIME
-    from ellwitt.modforms import MAX_BERNOULLI, MAX_EISENSTEIN_PRIME
+    from ellwitt.modforms import MAX_EISENSTEIN_PRIME, MAX_EISENSTEIN_WEIGHT
     from ellwitt.padicwitt import (
         MAX_LIFT_PRECISION, MAX_SPLIT_PRECISION, MAX_SPLIT_PRIME)
     from ellwitt.sslocus import (
         MAX_DEURING_PRIME, MAX_OGG_SCAN, MAX_POINT_COUNT_PRIME)
     bounds = (0, 1, 3, 4, 5, MAX_FORMAL_PRIME, MAX_POINT_COUNT_PRIME,
               MAX_SPLIT_PRIME, MAX_SPLIT_PRECISION, MAX_LIFT_PRECISION,
-              MAX_EISENSTEIN_PRIME, MAX_BERNOULLI, MAX_DEURING_PRIME,
+              MAX_EISENSTEIN_PRIME, MAX_EISENSTEIN_WEIGHT, MAX_DEURING_PRIME,
               MAX_OGG_SCAN, MAX_FORMS_PREC, MAX_SQRT3_SCAN)
     out = set()
     for b in bounds:

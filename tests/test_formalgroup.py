@@ -18,9 +18,9 @@ from ellwitt.formalgroup import (
     verify_gross_landweber,
 )
 from ellwitt.formalgroup import _c4_c6_disc
-from ellwitt.polyseries import QQ, QSeries
+from ellwitt.polyseries import QSeries
 from ellwitt.sslocus import ss_j_point_count
-from oracles import mult_by_m
+from oracles import QQ, mult_by_m
 
 
 def test_curve_invariants_examples():

@@ -1,7 +1,8 @@
 """The package's import graph: every module imports the others at its
 top, the supersingular locus loads without the formal-group layer that
-reads it, `fractions` loads only with the first use of QQ, and each
-class and function is bound under its own name alone."""
+reads it, no module imports or loads a rational module (`fractions`,
+`decimal`, `numbers`), and each class and function is bound under its
+own name alone."""
 
 import ast
 import importlib
@@ -69,10 +70,45 @@ def test_sslocus_loads_without_formalgroup():
     assert "ellwitt.formalgroup" not in loaded
 
 
-def test_rationals_load_only_with_qq(tmp_path):
-    # fractions (with decimal and numbers) is QQ's alone: the commands
-    # that stay in Z and F_p, cold or served from the cache, never load
-    # it; the first rational does
+RATIONALS = ("fractions", "decimal", "numbers")
+
+
+def _rational_imports(tree) -> list:
+    """(line, text) of every import of a rational module."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] if not node.level else []
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        if any(n.split(".")[0] in RATIONALS for n in names):
+            out.append((node.lineno, ast.unparse(node)))
+    return out
+
+
+def test_no_module_imports_a_rational_module():
+    found = {}
+    paths = sorted(SRC.glob("*.py"))
+    assert len(paths) > 1, SRC
+    for path in paths:
+        hits = _rational_imports(ast.parse(path.read_text()))
+        if hits:
+            found[path.name] = hits
+    assert not found, "\n".join(f"{k}: {v}" for k, v in found.items())
+
+
+def test_the_rational_finder_sees_every_import_form():
+    tree = ast.parse("import fractions\nfrom decimal import Decimal\n"
+                     "def f():\n    import numbers as n, json\n"
+                     "from . import fractions_of\nimport fractional\n")
+    assert [line for line, _ in _rational_imports(tree)] == [1, 2, 4]
+
+
+def test_no_command_loads_a_rational_module(tmp_path):
+    # every command stays in Z and the residue rings, cold or served
+    # from the cache, so fractions, decimal and numbers never load
     run = ("import contextlib, io, json, sys\n"
            "from ellwitt import cli\n"
            "RATIONALS = ('fractions', 'decimal', '_decimal', 'numbers')\n"
@@ -85,32 +121,21 @@ def test_rationals_load_only_with_qq(tmp_path):
     hits = ["ss --prime 13 --json", "lift --prime 13 --precision 5"]
     _fresh(run + f"print(json.dumps([run(a) for a in {hits}]))\n",
            ELLWITT_CACHE_DIR=str(tmp_path))
-    integral = ["hasse --prime 263 --json", "scan ogg --max 147 --json",
-                "formal --prime 13 --a4 0 --a6 3 --json"] + hits
-    out = _fresh(run + f"out = [loaded()] + [run(a) for a in {integral}]\n"
-                 "out.append(run('forms --weight 12 --prec 10 --json'))\n"
+    lines = ["hasse --prime 263 --json", "scan ogg --max 147 --json",
+             "formal --prime 13 --a4 0 --a6 3 --json"] + hits
+    out = _fresh(run + f"out = [loaded()] + [run(a) for a in {lines}]\n"
                  "print(json.dumps(out))\n",
                  ELLWITT_CACHE_DIR=str(tmp_path))
-    assert out[:-1] == [[]] * (1 + len(integral))
-    assert "fractions" in out[-1]
+    assert out == [[]] * (1 + len(lines))
     assert len(list(tmp_path.glob("*.json"))) == 2
     cold = ["ss --prime 61", "lift --prime 23 --precision 5",
             "split --prime 43 --precision 5", "verify deligne --prime 7",
-            "verify gross-landweber --prime 13"]
+            "verify gross-landweber --prime 13",
+            "forms --weight 12 --prec 10", "verify all --max 13"]
     for i, line in enumerate(cold):
         got = _fresh(run + f"print(json.dumps(run({line!r})))\n",
                      ELLWITT_CACHE_DIR=str(tmp_path / f"cold{i}"))
         assert got == [], line
-
-
-def test_qq_takes_a_fraction_made_before_its_first_use():
-    code = ("import json\n"
-            "from fractions import Fraction\n"
-            "from ellwitt.polyseries import QQ\n"
-            "x = Fraction(1, 3)\n"
-            "print(json.dumps([QQ.coerce(x) is x, str(QQ.inv(x)), "
-            "str(QQ.coerce(2) / 6)]))\n")
-    assert _fresh(code) == [True, "3", "1/3"]
 
 
 #: The second names that bench/tracer.py still wraps (ROADMAP item 1).

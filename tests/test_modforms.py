@@ -2,20 +2,20 @@
 supersingular polynomial."""
 
 from fractions import Fraction
-from math import comb
+from functools import cache
+from math import comb, gcd
 
 import pytest
 
 from ellwitt.arith import Zmod, is_prime
+from ellwitt.cli import forms_section
 from ellwitt.errors import ValidationError
 from ellwitt import modforms
 from ellwitt.modforms import (
-    MAX_BERNOULLI,
+    MAX_EISENSTEIN_WEIGHT,
     _level_one_forms,
     _solve_exact,
     _tangent_numbers,
-    bernoulli,
-    delta_q,
     eisenstein_q,
     eta24_q,
     express_in_e4e6,
@@ -26,9 +26,9 @@ from ellwitt.modforms import (
     times_fixed_factors,
     weight_basis,
 )
-from ellwitt.polyseries import QQ, Poly, QSeries
+from ellwitt.polyseries import Poly, QSeries, _mul
 from ellwitt.sslocus import sigma
-from oracles import reduce_mod
+from oracles import QQ, bernoulli, eisenstein_series, reduce_mod
 
 PRIMES = [p for p in range(5, 98) if is_prime(p)]
 
@@ -42,6 +42,7 @@ def test_bernoulli_values():
         bernoulli(3)
 
 
+@cache
 def _bernoulli_recurrence(top):
     # the replaced kernel, kept as the oracle:
     # sum_{i=0}^{m} C(m+1, i) B_i = 0 over Fraction
@@ -55,11 +56,11 @@ def _bernoulli_recurrence(top):
 
 
 def test_bernoulli_tangent_numbers_match_recurrence():
-    want = _bernoulli_recurrence(MAX_BERNOULLI)
-    for k in range(2, MAX_BERNOULLI + 1, 2):
+    want = _bernoulli_recurrence(MAX_EISENSTEIN_WEIGHT)
+    for k in range(2, MAX_EISENSTEIN_WEIGHT + 1, 2):
         got = bernoulli(k)
         assert type(got) is Fraction and got == want[k], k
-    top = _tangent_numbers(MAX_BERNOULLI // 2)
+    top = _tangent_numbers(MAX_EISENSTEIN_WEIGHT // 2)
     assert top[:5] == (0, 1, 2, 16, 272)
     assert all(type(t) is int for t in top)
     for n in range(12):
@@ -83,6 +84,7 @@ def test_the_eisenstein_factor_from_the_tangent_numbers(p):
     c = Fraction((-1) ** h * 2 * 4 ** h * (4 ** h - 1),
                  _tangent_numbers(h)[h])
     assert c == -2 * (p - 1) / bernoulli(p - 1)
+    assert modforms._eisenstein_factor(h) == (c.numerator, c.denominator)
     assert c.numerator % p == 0 and c.numerator % (p * p)
     assert c.denominator % p
 
@@ -102,47 +104,65 @@ def test_hasse_form_reads_no_rational_series(monkeypatch):
     def rational(*args):
         raise AssertionError("hasse_form reached a rational route")
     monkeypatch.setattr(modforms, "eisenstein_q", rational)
-    monkeypatch.setattr(modforms, "bernoulli", rational)
     for p in PRIMES:
         assert hasse_form.__wrapped__(p) == hasse_form(p)
 
 
 def test_solve_exact_invariant_failures_are_validation_errors():
-    assert _solve_exact([[2, 0], [0, 3]], [4, 9]) == [2, 3]
+    assert _solve_exact([[2, 0], [0, 3]], [4, 9], QQ) == [2, 3]
     with pytest.raises(ValidationError, match="singular"):
-        _solve_exact([[1, 2], [2, 4]], [1, 2])
+        _solve_exact([[1, 2], [2, 4]], [1, 2], QQ)
     with pytest.raises(ValidationError, match="inconsistent"):
-        _solve_exact([[1], [2]], [1, 3])
+        _solve_exact([[1], [2]], [1, 3], QQ)
 
 
 def test_eisenstein_expansions():
-    e4 = eisenstein_q(4, 3)
-    assert e4.coeff_list(0, 3) == [1, 240, 2160]
-    e6 = eisenstein_q(6, 3)
-    assert e6.coeff_list(0, 3) == [1, -504, -16632]
+    assert eisenstein_q(4, 3) == (1, [1, 240, 2160])
+    assert eisenstein_q(6, 3) == (1, [1, -504, -16632])
+    assert eisenstein_q(12, 2) == (691, [691, 65520])
     # one-dimensional weight-10 space
-    assert (eisenstein_q(10, 20)
-            - eisenstein_q(4, 20) * eisenstein_q(6, 20)).is_zero()
+    (_, e4), (_, e6) = eisenstein_q(4, 20), eisenstein_q(6, 20)
+    assert eisenstein_q(10, 20) == (1, _mul(e4, e6, 20))
+
+
+@pytest.mark.parametrize("k, prec", [(5, 10), (2, 10), (0, 10), (-4, 10),
+                                     (202, 10), (4, 0), (4, -1)])
+def test_eisenstein_q_bounds(k, prec):
+    with pytest.raises(ValueError, match="MAX_EISENSTEIN_WEIGHT = 200"):
+        eisenstein_q(k, prec)
+
+
+def test_eisenstein_numerators_match_the_bernoulli_route():
+    # the replaced route: E_k = 1 - (2k/B_k) sum sigma_{k-1}(n) q^n over
+    # Fraction, with B_k from the recurrence; forms printed str() of each
+    bs = _bernoulli_recurrence(MAX_EISENSTEIN_WEIGHT)
+    for k in range(4, MAX_EISENSTEIN_WEIGHT + 1, 2):
+        want = [Fraction(1)] + [
+            -2 * k / bs[k] * sum(d ** (k - 1) for d in range(1, n + 1)
+                                 if n % d == 0)
+            for n in range(1, 30)]
+        den, nums = eisenstein_q(k, 30)
+        assert all(type(c) is int for c in [den] + nums), k
+        assert den > 0 and gcd(den, nums[1]) == 1, k
+        assert [Fraction(a, den) for a in nums] == want, k
+        assert forms_section(k, 30)["eisenstein_q"] == \
+            [str(c) for c in want], k
 
 
 def test_delta_and_eta24():
-    d = delta_q(5)
-    assert d.coeff_list(1, 5) == [1, -24, 252, -1472]
-    eta = eta24_q(5)
-    assert eta.coeff(1) == 1
-    assert (delta_q(50) - eta24_q(50)).is_zero()
+    d = _level_one_forms(5)[2]
+    assert d == [0, 1, -24, 252, -1472]
+    assert eta24_q(5) == d
+    assert _level_one_forms(50)[2] == eta24_q(50)
 
 
 def test_j_expansion():
     j = j_q(3)
-    assert j.offset == -1
-    assert j.coeff(-1) == 1
-    assert j.coeff(0) == 744
-    assert j.coeff(1) == 196884
-    # j * Delta = E4^3 to precision 50
-    lhs = j_q(52) * delta_q(52)
-    rhs = eisenstein_q(4, 52) ** 3
-    assert (lhs - rhs).is_zero()
+    assert j == [1, 744, 196884, 21493760]   # from q^-1
+    # j * Delta = (q j)(Delta / q) = E4^3 to precision 51
+    j, dlt = j_q(52), _level_one_forms(52)[2]
+    e4 = eisenstein_q(4, 51)[1]
+    assert _mul(j, dlt[1:], 51) == _mul(_mul(e4, e4, 51), e4, 51)
 
 
 def test_weight_basis_dimensions():
@@ -152,11 +172,13 @@ def test_weight_basis_dimensions():
 
 
 def test_express_examples():
-    assert express_in_e4e6(eisenstein_q(10, 8), 10) == {(1, 1): Fraction(1)}
-    assert express_in_e4e6(delta_q(8), 12) == {
+    assert express_in_e4e6(eisenstein_series(10, 8), 10) == {
+        (1, 1): Fraction(1)}
+    dlt = QSeries(QQ, 0, _level_one_forms(8)[2])
+    assert express_in_e4e6(dlt, 12) == {
         (3, 0): Fraction(1, 1728), (0, 2): Fraction(-1, 1728)}
     # E12 exactly, then reduced mod 13
-    sol = express_in_e4e6(eisenstein_q(12, 8), 12)
+    sol = express_in_e4e6(eisenstein_series(12, 8), 12)
     red = {mon: (c.numerator * pow(c.denominator, -1, 13)) % 13
            for mon, c in sol.items()}
     assert red == {(3, 0): 6, (0, 2): 8}
@@ -169,7 +191,7 @@ def test_express_rejects_non_modular_input():
         express_in_e4e6(fake, 12)
     for k in (-4, 2, 5):  # M_k = 0
         with pytest.raises(ValueError, match=f"M_{k} = 0"):
-            express_in_e4e6(eisenstein_q(4, 8), k)
+            express_in_e4e6(eisenstein_series(4, 8), k)
 
 
 def test_express_refuses_coefficients_that_miss_the_constant_term(
@@ -178,12 +200,12 @@ def test_express_refuses_coefficients_that_miss_the_constant_term(
     # and passes every guard coefficient, but as E4^1 with coefficient 1
     real = modforms._e4_e6
 
-    def shifted(ring, prec):
-        e4, e6 = real(ring, prec)
-        return e4 + QSeries(ring, 0, [1] + [0] * (prec - 1)), e6
+    def shifted(prec):
+        e4, e6 = real(prec)
+        return [e4[0] + 1] + e4[1:], e6
 
     monkeypatch.setattr(modforms, "_e4_e6", shifted)
-    s = shifted(QQ, 8)[0]
+    s = QSeries(QQ, 0, shifted(8)[0])
     with pytest.raises(ValidationError, match=r"weight 4: the E4\^a E6\^b "
                        r"coefficients sum to 1, the constant term is 2"):
         express_in_e4e6(s, 4)
@@ -204,8 +226,8 @@ def test_hasse_form_reduces_to_one_mod_p():
             continue
         hf = hasse_form(p)
         field = Zmod(p)
-        e4 = reduce_mod(eisenstein_q(4, 30), field)
-        e6 = reduce_mod(eisenstein_q(6, 30), field)
+        e4 = reduce_mod(eisenstein_series(4, 30), field)
+        e6 = reduce_mod(eisenstein_series(6, 30), field)
         acc = QSeries(field, 30, [])
         one = QSeries(field, 0, [1] + [0] * 29)
         for (a, b), c in hf.items():
@@ -267,8 +289,8 @@ def test_ss_poly_degree_and_squarefree_range():
 
 def fraction_forms(prec):
     """The replaced route: E4, E6, Delta and j as Fraction series from
-    eisenstein_q, with Delta at prec and j built at prec + 3."""
-    e4, e6 = eisenstein_q(4, prec + 3), eisenstein_q(6, prec + 3)
+    eisenstein_series, with Delta at prec and j built at prec + 3."""
+    e4, e6 = eisenstein_series(4, prec + 3), eisenstein_series(6, prec + 3)
     dlt = (e4 ** 3 - e6 ** 2).scale(Fraction(1, 1728))
     j = (e4 ** 3 * dlt.inverse()).truncate(prec)
     return e4.truncate(prec), e6.truncate(prec), dlt.truncate(prec), j
@@ -278,17 +300,15 @@ def fraction_series_mod_p(field, prec):
     return tuple(reduce_mod(s, field) for s in fraction_forms(prec))
 
 
-def same_series(got, want):
-    for g, w in zip(got, want, strict=True):
-        assert (g, g.abs_prec) == (w, w.abs_prec)
-
-
 @pytest.mark.parametrize("prec", [2, 3, 5, 20, 52])
 def test_delta_and_j_match_the_fraction_route(prec):
     want = fraction_forms(prec)
-    same_series(_level_one_forms(prec), want)
-    same_series((delta_q(prec), j_q(prec)), want[2:])
-    assert all(type(c) is Fraction for c in delta_q(prec).coeffs)
+    assert [w.abs_prec for w in want] == [prec] * 4
+    got = _level_one_forms(prec)
+    assert list(got[:3]) == [w.coeff_list(0, prec) for w in want[:3]]
+    assert got[3] == want[3].coeff_list(-1, prec)
+    assert j_q(prec) == got[3]
+    assert all(type(c) is int for s in got for c in s)
 
 
 def laurent_peeling(p):
@@ -299,7 +319,7 @@ def laurent_peeling(p):
     field = Zmod(p)
     prec = m + 8
     e4, e6, dlt, j = fraction_series_mod_p(field, prec)
-    F = reduce_mod(eisenstein_q(p - 1, prec), field)
+    F = reduce_mod(eisenstein_series(p - 1, prec), field)
     if delta:
         F = F * e4.inverse()
     if eps:
@@ -331,7 +351,7 @@ def test_ss_poly_over_fp_matches_the_fraction_route(p):
 def test_hasse_form_matches_the_rational_solve(p):
     # the replaced route: the exact solve over QQ, reduced mod p
     need = modforms._dim_mk(p - 1) + modforms._GUARD
-    exact = express_in_e4e6(eisenstein_q(p - 1, need), p - 1)
+    exact = express_in_e4e6(eisenstein_series(p - 1, need), p - 1)
     assert all(type(c) is Fraction for c in exact.values())
     want = {mon: c.numerator * pow(c.denominator, -1, p) % p
             for mon, c in exact.items()}

@@ -10,14 +10,13 @@ from ellwitt.arith import Zmod, fq2_context
 from ellwitt.errors import PrecisionError, ValidationError
 from ellwitt.padicwitt import lift_context
 from ellwitt.polyseries import (
-    QQ,
     Poly,
     QSeries,
     _compose_bk,
     _mul_lists,
     roots_in_field,
 )
-from oracles import integrate, reduce_mod
+from oracles import QQ, integrate, reduce_mod
 
 F7 = Zmod(7)
 F11 = Zmod(11)

@@ -13,9 +13,8 @@ from ellwitt.formalgroup import (
     mult_by_p_series,
     v_invariants,
 )
-from ellwitt.formalgroup import _div
-from ellwitt.polyseries import QQ
-from oracles import mult_by_m, reduce_mod
+from ellwitt.polyseries import _div
+from oracles import QQ, mult_by_m, reduce_mod
 
 
 def _short_curves(p):

@@ -14,8 +14,10 @@ F_{p^2} model is selected deterministically per prime by fq2_context()
 so that serialized data is reproducible: x^2 + 1 when p = 3 mod 4,
 otherwise x^2 - n with n the smallest quadratic non-residue.
 
-rth_root gives every square root (sqrt_mod, sqrt_fq2) and cube root, and
-is_quadratic_residue every residue test: no fact is decided twice.
+rth_root is the one root routine, square and cube roots in F_p and
+F_{p^2} alike, and is_quadratic_residue the one residue test: no fact
+is decided twice.  rth_root returns some root, not a canonical one, so
+its callers use +-r alike.
 
 All values are immutable.
 """
@@ -34,10 +36,8 @@ __all__ = [
     "Quad",
     "QuadElem",
     "is_quadratic_residue",
-    "sqrt_mod",
     "has_sqrt3",
     "fq2_context",
-    "sqrt_fq2",
     "rth_root",
 ]
 
@@ -265,23 +265,6 @@ def is_quadratic_residue(a: ZmodElem) -> bool:
     if a.value % p == 0:
         raise ValueError(f"is_quadratic_residue({a.value}) is undefined")
     return pow(a.value, (p - 1) // 2, p) == 1
-
-
-def sqrt_mod(a: ZmodElem) -> ZmodElem:
-    """Square root of a residue in F_p, canonical representative
-    min(r, p-r), by rth_root at r = 2 (Tonelli-Shanks), which alone
-    decides whether a is a residue.  a = 0 returns 0; non-residues raise
-    ValueError, as does an element of Z/p^N with N > 1."""
-    p = a.ring.p
-    if a.ring.N != 1:
-        raise ValueError(f"sqrt_mod wants an element of F_{p}, not {a.ring}")
-    if a.value == 0:
-        return a.ring.zero()
-    try:
-        r = rth_root(a, 2).value
-    except ValueError:
-        raise ValueError(f"{a.value} is not a quadratic residue mod {p}")
-    return a.ring.elem(min(r, p - r))
 
 
 def has_sqrt3(p: int) -> bool:
@@ -520,37 +503,6 @@ def fq2_context(p: int) -> Quad:
                          if not is_quadratic_residue(F.elem(n))))
 
 
-def sqrt_fq2(z: QuadElem) -> QuadElem:
-    """A square root of z = A + B*xbar in F_{p^2}, where xbar^2 = -g0 is
-    a non-residue.
-
-    (a + b*xbar)^2 = (a^2 - g0*b^2) + 2ab*xbar, and the norm
-    A^2 + g0*B^2 is the square of n = +-(a^2 + g0*b^2).  So z is a square
-    exactly when its norm is one in F_p, and then a^2 = (A +- n)/2: for
-    B != 0 the two candidates multiply to -g0*B^2/4, a non-residue, so
-    exactly one is a square (one Euler test); sqrt_mod on the norm finds
-    whether z is one.  Non-squares raise ValueError, as does W(F_{p^2})/p^N."""
-    ring = z.ring
-    if ring.N != 1:
-        raise ValueError(f"sqrt_fq2 wants F_p^2, not {ring}")
-    p, g0, field = ring.p, ring.g0, ring.field
-    A, B = z.a, z.b
-    if B == 0:
-        if A == 0 or is_quadratic_residue(field.elem(A)):
-            return ring.coerce(sqrt_mod(field.elem(A)))
-        return ring.elem(0, sqrt_mod(field.elem(-A * pow(g0, -1, p))).value)
-    try:
-        n = sqrt_mod(field.elem(A * A + g0 * B * B)).value
-    except ValueError:
-        raise ValueError(f"{z!r} is not a square in {ring}")
-    inv2 = (p + 1) // 2  # 1/2 mod p
-    t = field.elem((A + n) * inv2)
-    if not is_quadratic_residue(t):
-        t = field.elem((A - n) * inv2)
-    a = sqrt_mod(t).value
-    return ring.elem(a, B * pow(2 * a, -1, p))
-
-
 @lru_cache(maxsize=None)
 def _sylow(ring, r: int) -> tuple:
     """(e, t, c, zeta): |ring^*| = r^e t with r not dividing t, c = g^t
@@ -573,7 +525,10 @@ def _sylow(ring, r: int) -> tuple:
 
 def rth_root(x, r: int):
     """An r-th root of x in F_p or F_{p^2}, for a prime r, by the method
-    of Adleman, Manders and Miller (1977): Tonelli-Shanks at r = 2.
+    of Adleman, Manders and Miller (1977): Tonelli-Shanks at r = 2.  The
+    package's one square and cube root.  Which root comes back is the
+    one the loop below reaches, not a canonical representative such as
+    the least one in [0, p).
 
     With |ring^*| = r^e t and r u = 1 mod t, y = x^u has y^r = x b for
     b = x^(r u - 1) in the r-Sylow subgroup, generated by c (_sylow).

@@ -32,7 +32,7 @@ import struct
 from itertools import compress
 from operator import mul, sub
 
-from .arith import Quad, Zmod, power, sqrt_mod
+from .arith import Quad, Zmod, power, rth_root
 from .errors import PrecisionError, ValidationError
 
 __all__ = [
@@ -356,7 +356,7 @@ class _FpX:
             t = len(Y) - 1
             s = Y2[t] * pow(Y[t], -1, p) % p
             P = s * Y[0] - Y2[0]
-            r = sqrt_mod(Zmod(p).elem(s * s - 4 * P)).value
+            r = rth_root(Zmod(p).elem(s * s - 4 * P), 2).value
             h = self.gcd(g, self.add(Y, [(s + r) * pow(2, -1, p)], -1))
         else:
             while True:
@@ -413,7 +413,7 @@ def roots_in_field(f: Poly, field) -> set:
     for c0, c1, _ in fx.split(rest, 2, rng, xp):
         # X^2 + c1 X + c0 has the roots -c1/2 +- s*xbar, where
         # c1^2 - 4 c0 = (2 s xbar)^2 = -4 g0 s^2
-        s = sqrt_mod(field.field.elem((c1 * c1 - 4 * c0) * dinv)).value
+        s = rth_root(field.field.elem((c1 * c1 - 4 * c0) * dinv), 2).value
         out.add(field.elem(-c1 * inv2, s))
         out.add(field.elem(-c1 * inv2, -s))
     return out

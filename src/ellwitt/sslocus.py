@@ -8,10 +8,12 @@ ROUTES holds one row per route, named as below:
   parity-symmetric Legendre polynomial P_m, a polynomial Q of degree
   floor(m/2) in w = z^2, where the Legendre map is j = 64(w + 3)^3/
   (w - 1)^2.  So Q is a form in R(j) of degree about p/12, peeled off
-  exactly ("deuring quotient" is R times X^delta (X - 1728)^eps); the
-  roots of R are found, and each j gives one w by Cardano, lambda by
-  one square root, and its orbit.  One cached pass, hasse_roots, yields
-  the lambda-set, the j-set and the "deuring quotient" row's ss_p.
+  exactly ("deuring quotient" is R times X^delta (X - 1728)^eps) and
+  certified squarefree, off 0 and 1728.  The roots of R are found, and
+  one j of each Frobenius pair gives one w by Cardano, lambda by one
+  square root, and its orbit and the conjugate one.  One cached pass,
+  hasse_roots, yields the lambda-set, the j-set and the "deuring
+  quotient" row's ss_p.
 - "eisenstein" (modforms): E_{p-1} mod p in the E4/E6 basis.
 - "point-count": character-sum point counts over F_{p^2}, one big-int
   correlation for a twist family y^2 = x^3 + cx + c at every c at once;
@@ -41,7 +43,7 @@ from itertools import accumulate
 from math import comb, gcd, isqrt
 
 from .arith import (
-    Zmod, fq2_context, is_prime, require_prime, rth_root, sqrt_fq2)
+    Zmod, fq2_context, is_prime, require_prime, rth_root)
 from .errors import ValidationError
 from .polyseries import Poly, count_roots_in_fp, roots_in_field
 from . import modforms
@@ -180,7 +182,7 @@ def _w_root(j):
     p = ring.p
     k = j * pow(256, -1, p)
     half = k * pow(2, -1, p)
-    root = sqrt_fq2(half * half - k * k * k * pow(27, -1, p))
+    root = rth_root(half * half - k * k * k * pow(27, -1, p), 2)
     c3 = (root - half) or (-root - half)
     y = ring.zero()
     if c3:
@@ -218,32 +220,43 @@ def hasse_roots(p: int) -> DeuringPass:
     z = (1 + lambda)/(1 - lambda), for the Legendre polynomial P_m
     (Igusa 1958), and P_m has parity: 2^m P_m(z) = z^(m mod 2) Q(z^2)
     with Q of degree floor(m/2) (_legendre_half).  In w = z^2 the
-    Legendre map is j = 64(w + 3)^3/(w - 1)^2, so Q is R(j), of degree
-    about p/12, written in w (_s3_quotient), and the roots of R come
-    from roots_in_field.  j = 0 (when p = 2 mod 3) sits at w = -3, and
-    j = 1728 (when p = 3 mod 4) at w = 9, which carries lambda = -1,
-    the root z = 0 of odd m.  For every other j, Cardano gives one w
-    (_w_root), checked by substitution; then z = sqrt(w),
+    Legendre map is j = A/B, A = 64(w + 3)^3, B = (w - 1)^2, so Q is
+    R(j), of degree about p/12, written in w (_s3_quotient), and the
+    roots of R come from roots_in_field.  j = 0 (when p = 2 mod 3) sits
+    at w = -3, and j = 1728 (when p = 3 mod 4) at w = 9, which carries
+    lambda = -1, the root z = 0 of odd m.  For every other j, Cardano
+    gives one w (_w_root), checked by substitution; then z = sqrt(w),
     lambda = (z - 1)/(z + 1), legendre_to_j(lambda) = j is checked, and
-    lambda brings its orbit, and j joins the j-set.  A j whose w or z
-    escapes F_{p^2} loses its orbit, which the count check reports.
+    lambda brings its orbit, and j joins the j-set.  That runs once per
+    Frobenius orbit of j: R and the Legendre map have coefficients in
+    F_p, so conj(j) is a root of R too, with the conjugate lambdas, and
+    joins the sets with j.  A j whose w or z escapes F_{p^2} loses its
+    orbit, and its conjugate's, which the count check reports.
 
-    The squarefree check runs on Q: H is squarefree iff Q is and
-    Q(0) != 0.  lambda -> z keeps multiplicities and loses no root, as
+    The squarefree check runs on R.  H is squarefree iff Q is and
+    Q(0) != 0: lambda -> z keeps multiplicities and loses no root, as
     H(1) = C(2m, m) and P_m(-1) = (-1)^m are nonzero; +-sqrt(w) are
     distinct for w != 0 in characteristic != 2, and a root w = 0 would
-    make z = 0 a double root of P_m.  It also keeps 0 and 1728 off R:
-    R(0) = 0 would put (w + 3)^3 into Q, and R(1728) = 0 (w - 9)^2, as
-    A - 1728 B = 64 w (w - 9)^2."""
+    make z = 0 a double root of P_m.  That holds iff R is squarefree and
+    R(0) R(1728) != 0.  Write Q = (w + 3)^delta (w - 9)^eps F, where
+    F = sum_a r_a A^a B^(s-a) is r_s prod (A - rho B) over the s roots
+    rho of R.  As A'B - AB' = 64(w + 3)^2 (w - 1)(w - 9), w -> A/B branches
+    only over j = 0 (w = -3), 1728 (w = 9) and infinity (w = 1): for rho
+    off 0 and 1728, A - rho B has three simple roots, shared with no
+    other rho.  So F is squarefree iff R is and R(0) R(1728) != 0, since
+    A = 64(w + 3)^3 and A - 1728 B = 64 w (w - 9)^2.  And from A(-3) = 0,
+    B(-3) = 16, A(9) = 64 * 1728, B(9) = 64, A(0) = 1728, B(0) = 1:
+    F(-3) = 16^s R(0), F(9) = 64^s R(1728) and F(0) = R(1728), so the
+    linear factors of Q are simple and prime to F, and Q(0) != 0."""
     require_prime(p, "hasse_roots", MAX_DEURING_PRIME)
-    Q = _legendre_half(p)
-    if not Q.coeff(0) or Q.gcd(Q.derivative()).degree != 0:
+    R = _s3_quotient(_legendre_half(p), p)
+    if (not R.coeff(0) or not R.evaluate(1728)
+            or R.gcd(R.derivative()).degree != 0):
         raise ValidationError(
             f"Hasse polynomial at p={p} is not squarefree")
     m = (p - 1) // 2
     ctx = fq2_context(p)
     one = ctx.one()
-    R = _s3_quotient(Q, p)
     _, _, delta, eps = modforms.hasse_decomposition(p)
     fixed = {}
     if delta:
@@ -252,6 +265,8 @@ def hasse_roots(p: int) -> DeuringPass:
         fixed[ctx.from_int(1728)] = ctx.from_int(9)
     lams, js = set(), set()
     for j in [*fixed, *roots_in_field(R, ctx)]:
+        if j in js:  # the conjugate of a j already solved
+            continue
         try:
             w = fixed[j] if j in fixed else _w_root(j)
         except ValueError:
@@ -265,18 +280,19 @@ def hasse_roots(p: int) -> DeuringPass:
                 f"p={p}: w={w!r} does not solve 64(w+3)^3 = j(w-1)^2 "
                 f"at j={j!r}")
         try:
-            z = sqrt_fq2(w)
+            z = rth_root(w, 2)
         except ValueError:
             continue
         if z * z != w:
-            raise ValidationError(f"p={p}: sqrt_fq2({w!r}) = {z!r} "
+            raise ValidationError(f"p={p}: rth_root({w!r}, 2) = {z!r} "
                                   f"does not square back")
         lam = (z - one) * (z + one).inverse()
         if legendre_to_j(lam) != j:
             raise ValidationError(f"p={p}: lambda={lam!r} from w={w!r} "
                                   f"does not map to j={j!r}")
-        lams |= _s3_orbit(lam)
-        js.add(j)
+        orbit = _s3_orbit(lam)
+        lams.update(orbit, (x.conj() for x in orbit))
+        js.update((j, j.conj()))
     if len(lams) < m:
         raise ValidationError(
             f"only {len(lams)} of {m} lambda-roots lie in "

@@ -1,17 +1,19 @@
 """Field layer: quadratic residues, square and cube roots, F_{p^2}
 contexts.
 
-rth_root replaced two copies of one algorithm: sqrt_mod's Tonelli-Shanks
-on ints and a Tonelli-Shanks for cube roots in F_{p^2}.  Both are kept
-below as oracles (``oracle_sqrt_mod``, ``oracle_cbrt_fq2``), and the new
-routine must return their element at every input of a field whose
-Sylow subgroup makes the loop run, and refuse what they refuse.
+rth_root is the one root routine.  It replaced a Tonelli-Shanks on ints
+for square roots in F_p and one for cube roots in F_{p^2}, kept below as
+oracles (``oracle_sqrt_mod``, ``oracle_cbrt_fq2``): it must return the
+oracle's cube root, and its square root up to sign, at every input of a
+field whose Sylow subgroup makes the loop run, and refuse what they
+refuse.  It also replaced the square root in F_{p^2} through the norm
+(``oracle_sqrt_fq2``), which it must match up to sign.  No caller needs
+a canonical root, and rth_root returns none.
 
-Every quadratic-residue test now goes through is_quadratic_residue, and
-sqrt_mod leaves the decision to rth_root.  The code that ran its own
-Euler criterion, or ran it again before each root, is kept as oracles
-too: sqrt_fq2 (``oracle_sqrt_fq2``), Quad's irreducibility check and
-fq2_context's scan for the least non-residue."""
+Every quadratic-residue test now goes through is_quadratic_residue.  The
+code that ran its own Euler criterion, or ran it again before each root,
+is kept as oracles too: the square roots above, Quad's irreducibility
+check and fq2_context's scan for the least non-residue."""
 
 import random
 
@@ -25,8 +27,6 @@ from ellwitt.arith import (
     is_prime,
     is_quadratic_residue,
     rth_root,
-    sqrt_fq2,
-    sqrt_mod,
 )
 
 
@@ -110,12 +110,13 @@ def test_residue_xor_nonresidue_shift():
 
 
 def test_sqrt_mod_examples():
-    assert sqrt_mod(Zmod(7).elem(4)).value == 2
-    assert sqrt_mod(Zmod(11).elem(3)).value == 5
-    assert sqrt_mod(Zmod(7).elem(2)).value == 3
-    assert sqrt_mod(Zmod(13).elem(0)).value == 0
-    with pytest.raises(ValueError):
-        sqrt_mod(Zmod(5).elem(3))
+    # square roots in F_p by rth_root at r = 2, either sign
+    assert rth_root(Zmod(7).elem(4), 2).value in (2, 5)
+    assert rth_root(Zmod(11).elem(3), 2).value in (5, 6)
+    assert rth_root(Zmod(7).elem(2), 2).value in (3, 4)
+    assert rth_root(Zmod(13).elem(0), 2).value == 0
+    with pytest.raises(ValueError, match="not an r-th power, r = 2"):
+        rth_root(Zmod(5).elem(3), 2)
 
 
 def test_sqrt_mod_randomized_all_residues():
@@ -124,9 +125,11 @@ def test_sqrt_mod_randomized_all_residues():
         for v in range(1, p):
             a = F.elem(v)
             if is_quadratic_residue(a):
-                r = sqrt_mod(a)
-                assert r * r == a
-                assert r.value <= p - r.value
+                r = rth_root(a, 2)
+                assert r.ring == F and r * r == a
+            else:
+                with pytest.raises(ValueError, match="r = 2"):
+                    rth_root(a, 2)
 
 
 def test_has_sqrt3_examples():
@@ -203,7 +206,7 @@ def test_fq2_inverse_and_norm():
                 assert z.norm() == (z * z.conj()).to_fp()
 
 
-def sqrt_fq2_models(p):
+def fq2_models(p):
     """x^2 + 1 (g0 = 1, a field model when p = 3 mod 4) and x^2 - n for
     the smallest non-residue n."""
     n = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
@@ -215,21 +218,23 @@ def sqrt_fq2_models(p):
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_sqrt_fq2_every_square_round_trips(p):
-    for ctx in sqrt_fq2_models(p):
+    # square roots in F_{p^2} by rth_root at r = 2, on both models
+    for ctx in fq2_models(p):
         squares = {z * z for z in ctx.elements()}
         assert len(squares) == (p * p + 1) // 2
         for w in squares:
-            r = sqrt_fq2(w)
+            r = rth_root(w, 2)
             assert r.ring == ctx and r * r == w
-        assert sqrt_fq2(ctx.zero()) == ctx.zero()
+        assert rth_root(ctx.zero(), 2) == ctx.zero()
         for w in set(ctx.elements()) - squares:
-            with pytest.raises(ValueError, match="not a square"):
-                sqrt_fq2(w)
+            with pytest.raises(ValueError, match="not an r-th power, r = 2"):
+                rth_root(w, 2)
 
 
 def test_sqrt_fq2_rejects_other_rings():
-    with pytest.raises(ValueError, match="wants F_p\\^2"):
-        sqrt_fq2(Quad(7, 1, 2).one())  # W(F_49)/49
+    for ring in (Quad(7, 1, 2), Zmod(7, 2)):  # W(F_49)/49 and Z/49
+        with pytest.raises(ValueError, match="wants F_p or F_p\\^2"):
+            rth_root(ring.from_int(4), 2)
 
 
 def check_cube_roots(ctx):
@@ -248,7 +253,7 @@ def check_cube_roots(ctx):
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_cbrt_fq2_every_cube_round_trips(p):
-    for ctx in sqrt_fq2_models(p):
+    for ctx in fq2_models(p):
         check_cube_roots(ctx)
 
 
@@ -353,12 +358,9 @@ def test_sqrt_mod_is_the_replaced_tonelli_shanks(p):
         try:
             want = oracle_sqrt_mod(a)
         except ValueError:
-            with pytest.raises(ValueError, match="not a quadratic residue"):
-                sqrt_mod(a)
             with pytest.raises(ValueError, match="not an r-th power, r = 2"):
                 rth_root(a, 2)
             continue
-        assert sqrt_mod(a) == want
         assert rth_root(a, 2) in (want, -want)
 
 
@@ -406,7 +408,7 @@ def oracle_fq2_g0(p):
 
 def oracle_sqrt_fq2(z):
     """The replaced square root in F_{p^2}: an Euler test on the norm or
-    the scalar, and on the half-trace, each repeated by sqrt_mod."""
+    the scalar, and on the half-trace, each repeated by oracle_sqrt_mod."""
     ring = z.ring
     p, g0, field = ring.p, ring.g0, ring.field
     A, B = z.a, z.b
@@ -429,15 +431,15 @@ def oracle_sqrt_fq2(z):
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 37, 41, 97])
 def test_sqrt_fq2_is_the_replaced_square_root(p):
-    for ctx in sqrt_fq2_models(p):
+    for ctx in fq2_models(p):
         for z in ctx.elements():
             try:
                 want = oracle_sqrt_fq2(z)
             except ValueError:
-                with pytest.raises(ValueError, match="not a square"):
-                    sqrt_fq2(z)
+                with pytest.raises(ValueError, match="r = 2"):
+                    rth_root(z, 2)
                 continue
-            assert sqrt_fq2(z) == want
+            assert rth_root(z, 2) in (want, -want)
 
 
 def test_fq2_context_is_the_replaced_scan():

@@ -3,14 +3,18 @@ replaced.
 
 hasse_roots finds the supersingular j as the roots of R, the S3
 quotient of Q(w), the parity form of the Legendre polynomial P_m
-(m = (p-1)/2), and takes one S3 orbit of six lambda per j from a
-Cardano root w.  Two replaced routes are kept below as oracles: the
-half-degree route, every root w of Q and one square root in F_{p^2} per
-pair {lambda, 1/lambda} (``oracle_half``), and the full route, every
-root of the degree-m Hasse polynomial H, ``roots_in_field(H,
-fq2_context(p))``.  All three must give the same lambda-set and the same
-j-set.  So is the squarefree check gcd(H, H') = 1, which hasse_roots
-makes on Q.  The polynomial identity behind the half-degree form,
+(m = (p-1)/2), and takes one S3 orbit of six lambda from a Cardano root
+w for one j of each Frobenius pair, and the conjugate orbit for the
+other.  Three replaced routes are kept below as oracles: the per-j
+pass, which solved every j and certified Q squarefree
+(``oracle_per_j``, ``q_is_squarefree``); the half-degree route, every
+root w of Q and one square root in F_{p^2} per pair {lambda, 1/lambda}
+(``oracle_half``); and the full route, every root of the degree-m Hasse
+polynomial H, ``roots_in_field(H, fq2_context(p))``.  All must give the
+same lambda-set and the same j-set.  So is the squarefree check
+gcd(H, H') = 1, which hasse_roots makes on R, and the replaced one on Q
+must reject every mutant that it rejects.  The polynomial identity
+behind the half-degree form,
 
     sum_k q_k (1 + lambda)^(m-2k) (1 - lambda)^(2k) = 2^m H(lambda),
     q_k = (-1)^k C(m,k) C(2m-2k,m),
@@ -20,7 +24,7 @@ hasse_roots uses, mod p.  R made monic, the ss_p of the pass's
 "deuring quotient" row, must equal the Kaneko-Zagier closed form over
 X^delta (X - 1728)^eps at every prime up to 1000.  The pass runs once
 per prime: cross_validate builds the S3 quotient once, and hasse calls
-legendre_to_j once per supersingular j.
+legendre_to_j once per Frobenius orbit of supersingular j.
 
     PYTHONPATH=src python tests/test_deuring.py
 
@@ -32,18 +36,22 @@ from math import comb
 
 import pytest
 
-from ellwitt import arith, sslocus
-from ellwitt.arith import fq2_context, is_prime, sqrt_fq2
+from ellwitt import arith, modforms, sslocus
+from ellwitt.arith import fq2_context, is_prime, rth_root
 from ellwitt.cli import hasse_section
 from ellwitt.errors import ValidationError
 from ellwitt.polyseries import Poly, roots_in_field
 from ellwitt.sslocus import (
     MAX_DEURING_PRIME,
     _legendre_half,
+    _s3_orbit,
+    _s3_quotient,
+    _w_root,
     cross_validate,
     hasse_polynomial,
     hasse_roots,
     legendre_to_j,
+    rational_ss_count,
     sigma,
     ss_j_deuring,
     ss_poly_closed,
@@ -67,11 +75,42 @@ def oracle_half(p: int) -> frozenset:
     lams = {-one} if (p - 1) // 2 % 2 else set()
     for w in roots_in_field(_legendre_half(p), ctx):
         assert w != 0 and w != 1
-        z = sqrt_fq2(w)
+        z = rth_root(w, 2)
         assert z * z == w
         lam = (z - one) * (z + one).inverse()
         lams.update((lam, lam.inverse()))
     return frozenset(lams)
+
+
+def q_is_squarefree(Q: Poly) -> bool:
+    """The replaced certificate: Q(0) != 0 and gcd(Q, Q') = 1."""
+    return bool(Q.coeff(0)) and Q.gcd(Q.derivative()).degree == 0
+
+
+def oracle_per_j(p: int) -> tuple:
+    """The replaced pass: Q certified squarefree, then for every root j
+    of R, conjugates included, Cardano's w, z = sqrt(w), the three
+    checks and the S3 orbit.  (lambda-set, j-set)."""
+    Q = _legendre_half(p)
+    assert q_is_squarefree(Q)
+    ctx = fq2_context(p)
+    one = ctx.one()
+    fixed = {}
+    if p % 3 == 2:
+        fixed[ctx.zero()] = ctx.from_int(-3)
+    if p % 4 == 3:
+        fixed[ctx.from_int(1728)] = ctx.from_int(9)
+    lams, js = set(), set()
+    for j in [*fixed, *roots_in_field(_s3_quotient(Q, p), ctx)]:
+        w = fixed[j] if j in fixed else _w_root(j)
+        assert 64 * (w + 3) ** 3 == j * (w - 1) ** 2
+        z = rth_root(w, 2)
+        assert z * z == w
+        lam = (z - one) * (z + one).inverse()
+        assert legendre_to_j(lam) == j
+        lams |= _s3_orbit(lam)
+        js.add(j)
+    return frozenset(lams), frozenset(js)
 
 
 def parity_side(q: list, m: int, mod: int = 0) -> list:
@@ -129,6 +168,14 @@ def test_s3_route_matches_the_half_degree_route(p):
     check_s3_route(p)
 
 
+def test_the_orbit_pass_is_the_per_j_pass():
+    # one solve per Frobenius orbit of j gives every lambda and j that
+    # solving each j gave, and the R certificate passes where Q's did
+    for p in [p for p in ALL_PRIMES if p <= 400] + [997]:
+        got = hasse_roots(p)
+        assert (got.lambdas, got.j_set) == oracle_per_j(p), p
+
+
 @pytest.mark.parametrize("p", ALL_PRIMES)
 def test_s3_quotient_is_the_closed_form(p):
     # R monic, times X^delta (X - 1728)^eps, is ss_p coefficient by
@@ -176,14 +223,28 @@ def test_a_cardano_root_that_does_not_solve_raises(monkeypatch,
         hasse_roots(13)
 
 
-@pytest.mark.parametrize("factor", [[9, -6, 1], [0, 1]])  # (X - 3)^2, X
+# (c, k): Q (A - cB)^k puts (X - c)^k into R; a double root off 0 and
+# 1728, then R(0) = 0 and R(1728) = 0
+@pytest.mark.parametrize("factor", [(1, 2), (0, 1), (1728, 1)])
 def test_a_repeated_or_zero_root_of_q_is_not_squarefree(
         factor, monkeypatch, fresh_cache):
-    q = _legendre_half(13)
-    bad = q * Poly(q.ring, factor)
+    # S3-symmetric mutants at p = 97 (delta = eps = 0), of S3 degree
+    # s + k: the pass is told to expect that degree, so the mutant passes
+    # the S3 quotient and only the squarefree certificate can refuse it
+    p, (c, k) = 97, factor
+    q = _legendre_half(p)
+    A = Poly(q.ring, [64 * 27, 64 * 27, 64 * 9, 64])  # 64 (w + 3)^3
+    B = Poly(q.ring, [1, -2, 1])  # (w - 1)^2
+    bad = q * (A - B * c) ** k
+    assert not q_is_squarefree(bad)
+    R = _s3_quotient(q, p)
+    real = modforms.hasse_decomposition(p)
+    monkeypatch.setattr(modforms, "hasse_decomposition",
+                        lambda p: real._replace(m=real.m + k))
+    assert _s3_quotient(bad, p) == R * Poly(q.ring, [-c, 1]) ** k
     monkeypatch.setattr(sslocus, "_legendre_half", lambda p: bad)
     with pytest.raises(ValidationError, match="not squarefree"):
-        hasse_roots(13)
+        hasse_roots(p)
 
 
 @pytest.mark.parametrize("change", ["factor", "coefficient"])
@@ -194,15 +255,23 @@ def test_a_squarefree_q_that_is_not_s3_symmetric_raises(
         bad = q * Poly(q.ring, [-5, 1])
     else:  # degree kept, w^7 coefficient moved
         bad = q + Poly(q.ring, [0] * 7 + [1])
-    assert bad.coeff(0) and bad.gcd(bad.derivative()).degree == 0
+    assert q_is_squarefree(bad)
     monkeypatch.setattr(sslocus, "_legendre_half", lambda p: bad)
     with pytest.raises(ValidationError, match="Q is not S3-symmetric"):
         hasse_roots(97)
 
 
+def patch_root(monkeypatch, r, root):
+    """Replace sslocus.rth_root at this r by root(x); roots of the other
+    degree are left to the real routine."""
+    real = sslocus.rth_root
+    monkeypatch.setattr(sslocus, "rth_root", lambda x, d: (
+        root(x) if d == r else real(x, d)))
+
+
 def test_a_wrong_square_root_raises(monkeypatch, fresh_cache):
     # p = 11 has only the orbits of j = 0 and 1728, at w = -3 and 9
-    monkeypatch.setattr(sslocus, "sqrt_fq2", lambda w: w)
+    patch_root(monkeypatch, 2, lambda w: w)
     with pytest.raises(ValidationError, match="does not square back"):
         hasse_roots(11)
 
@@ -212,17 +281,17 @@ def test_a_square_root_outside_the_field_is_a_shortfall(
     def no_root(w):
         raise ValueError("not a square")
 
-    monkeypatch.setattr(sslocus, "sqrt_fq2", no_root)
+    patch_root(monkeypatch, 2, no_root)
     with pytest.raises(ValidationError, match="only 0 of 5"):
         hasse_roots(11)
 
 
 def test_a_cube_root_outside_the_field_is_a_shortfall(
         monkeypatch, fresh_cache):
-    def no_root(w, r):
+    def no_root(w):
         raise ValueError("not a cube")
 
-    monkeypatch.setattr(sslocus, "rth_root", no_root)
+    patch_root(monkeypatch, 3, no_root)
     # p = 23: the orbits of 0 and 1728 (2 + 3 lambda) need no Cardano;
     # the third j loses its six
     with pytest.raises(ValidationError, match="only 5 of 11"):
@@ -232,28 +301,30 @@ def test_a_cube_root_outside_the_field_is_a_shortfall(
 @pytest.mark.parametrize("p", [379, 397])
 def test_each_square_root_decides_residuosity_once(monkeypatch, fresh_cache,
                                                    p):
-    # with fq2_context's model built afresh, the pass makes one Euler
-    # test per sqrt_fq2 call, one per step of the least-non-residue scan
-    # and one for Quad's irreducibility check: 64 at 379, 68 at 397.
-    # Testing the norm, then again in sqrt_mod, made 253 and 279.
-    calls = {"euler": 0, "sqrt_fq2": 0}
+    # with fq2_context's model built afresh, each square root decides
+    # residuosity once, inside rth_root (b^(2^(e-1)) = 1), and makes no
+    # Euler test: the pass makes one per step of the least-non-residue
+    # scan and one for Quad's irreducibility check, 1 at 379, 2 at 397.
+    # A square root that ran its own Euler test would add one per call.
+    calls = {"euler": 0, "sqrt": 0}
+    real = arith.is_quadratic_residue
 
-    def counted(name, f):
-        def wrapper(*args):
-            calls[name] += 1
-            return f(*args)
-        return wrapper
+    def euler(a):
+        calls["euler"] += 1
+        return real(a)
 
-    monkeypatch.setattr(arith, "is_quadratic_residue",
-                        counted("euler", arith.is_quadratic_residue))
-    monkeypatch.setattr(sslocus, "sqrt_fq2",
-                        counted("sqrt_fq2", sslocus.sqrt_fq2))
+    def square_root(w):
+        calls["sqrt"] += 1
+        return rth_root(w, 2)
+
+    monkeypatch.setattr(arith, "is_quadratic_residue", euler)
+    patch_root(monkeypatch, 2, square_root)
     fq2_context.cache_clear()
     hasse_roots(p)
     scan = 0 if p % 4 == 3 else next(
         n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1) - 1
-    assert calls["sqrt_fq2"] > 0
-    assert calls["euler"] <= calls["sqrt_fq2"] + scan + 1
+    assert calls["sqrt"] > 0
+    assert calls["euler"] == scan + 1
 
 
 def test_a_spurious_j_is_a_surplus(monkeypatch, fresh_cache):
@@ -308,11 +379,14 @@ def test_cross_validate_builds_the_s3_quotient_once(monkeypatch, p):
 
 
 def test_hasse_maps_one_lambda_per_supersingular_j(monkeypatch):
-    # legendre_to_j checks one lambda per j, and the j-set is the pass's
+    # legendre_to_j checks one lambda per Frobenius orbit of j: each j in
+    # F_p, and one of each conjugate pair; the j-set is the pass's
     clear_sslocus_caches()
+    rational = rational_ss_count(397)
     calls = counted(monkeypatch, "legendre_to_j")
     section = hasse_section(397)
-    assert len(calls) == sigma(397) == len(section["j_images"]) == 33
+    assert sigma(397) == len(section["j_images"]) == 33
+    assert len(calls) == rational + (33 - rational) // 2 < 33
 
 
 def sweep() -> int:

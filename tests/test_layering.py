@@ -1,8 +1,8 @@
 """The package's import graph: every module imports the others at its
 top, the supersingular locus loads without the formal-group layer that
 reads it, no module imports or loads a rational module (`fractions`,
-`decimal`, `numbers`), and each class and function is bound under its
-own name alone."""
+`decimal`, `numbers`), each class and function is bound under its own
+name alone, and every name a module exports in `__all__` is bound."""
 
 import ast
 import importlib
@@ -37,7 +37,9 @@ def _imports_in_functions(tree) -> list:
 
 def test_no_module_imports_the_package_inside_a_function():
     found = {}
-    for path in sorted(SRC.glob("*.py")):
+    paths = sorted(SRC.glob("*.py"))
+    assert len(paths) > 1, SRC
+    for path in paths:
         hits = _imports_in_functions(ast.parse(path.read_text()))
         if hits:
             found[path.name] = hits
@@ -138,6 +140,21 @@ def test_no_command_loads_a_rational_module(tmp_path):
         assert got == [], line
 
 
+def _modules() -> list:
+    return [importlib.import_module(f"ellwitt.{m.name}")
+            for m in pkgutil.iter_modules(ellwitt.__path__)]
+
+
+def test_every_name_in_all_is_bound():
+    # a name deleted from a module but left in its __all__ breaks
+    # `from ellwitt.<module> import *`
+    exporting = [m for m in _modules() if hasattr(m, "__all__")]
+    assert len(exporting) > 1, exporting
+    stale = [f"{m.__name__}.{key}" for m in exporting
+             for key in m.__all__ if not hasattr(m, key)]
+    assert not stale, stale
+
+
 #: The second names that bench/tracer.py still wraps (ROADMAP item 1).
 ALIASES = {"ellwitt.arith.FpElem", "ellwitt.arith.Fq2Elem"}
 
@@ -146,8 +163,7 @@ def test_every_class_and_function_has_one_name():
     # a class or function of the package bound under another name is an
     # alias or a forwarder; a reflected operator bound to its operator
     # (__radd__ = __add__) is protocol, not a second name
-    modules = [importlib.import_module(f"ellwitt.{m.name}")
-               for m in pkgutil.iter_modules(ellwitt.__path__)]
+    modules = _modules()
     classes = {c for m in modules for c in vars(m).values()
                if isinstance(c, type) and c.__module__.startswith("ellwitt")}
     found = []

@@ -12,7 +12,7 @@ from ellwitt.arith import (
     Zmod,
     fq2_context,
     is_quadratic_residue,
-    sqrt_mod,
+    rth_root,
 )
 from ellwitt.formalgroup import WCurve, classical_hasse, v_invariants
 from ellwitt.padicwitt import lift_context
@@ -105,7 +105,7 @@ def test_fp_kernels_never_serve_precision_two(monkeypatch):
     with pytest.raises(ValueError):
         count_roots_in_fp(f)
     with pytest.raises(ValueError):
-        sqrt_mod(Z25.elem(4))
+        rth_root(Z25.elem(4), 2)
     with pytest.raises(ValueError):
         is_quadratic_residue(Z25.elem(5))
     E = WCurve(Z25, 1, 1)

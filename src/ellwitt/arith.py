@@ -93,8 +93,8 @@ def require_prime(p: int, what: str, bound: int | None = None) -> None:
 class Zmod:
     """Z/p^N for a prime p > 3; the field F_p at N = 1.
 
-    Also serves as the coefficient-ring context consumed by Poly and
-    QSeries: zero/one/from_int/coerce/is_unit/inv.
+    Also serves as the coefficient-ring context of Poly, and of QSeries
+    in the test oracles: zero/one/from_int/coerce/is_unit/inv.
     """
 
     __slots__ = ("p", "N", "modulus")
@@ -220,13 +220,6 @@ class ZmodElem:
 
     def __pow__(self, e: int):
         return ZmodElem(pow(self.value, e, self.ring.modulus), self.ring)
-
-    def __truediv__(self, other):
-        o = self._same(other)
-        if o is NotImplemented:
-            return o
-        m = self.ring.modulus
-        return ZmodElem(self.value * pow(o.value, -1, m), self.ring)
 
     def inverse(self) -> "ZmodElem":
         """Raises ValueError when self is not a unit."""
@@ -418,12 +411,6 @@ class QuadElem:
         if e < 0:
             return self.inverse() ** (-e)
         return power(self, e) if e else self.ring.one()
-
-    def __truediv__(self, other):
-        o = self._same(other)
-        if o is NotImplemented:
-            return o
-        return self * o.inverse()
 
     def norm(self) -> ZmodElem:
         """z * conj(z), a scalar."""

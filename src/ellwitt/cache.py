@@ -5,7 +5,8 @@ parameters) and carry a sha256 of their canonical payload; a hit is
 byte-identical to recomputation by construction.  The algorithm version
 is part of the file name and of the stored key, so an entry that older
 code computed is never served.  A corrupt entry (bad UTF-8 or JSON, too
-deep to parse, not an object, checksum or key mismatch) is discarded
+deep to parse, not an object, checksum or key mismatch, a payload that
+is not an object with exactly its kind's PAYLOAD_KEYS) is discarded
 with a warning and recomputed.  Writes are atomic (temp then rename).
 Neither load nor store raises: a cache the file system refuses costs a
 warning, not the result.  Paths are plain strings through os and
@@ -26,6 +27,15 @@ ENV_CACHE_DIR = "ELLWITT_CACHE_DIR"
 #: entry whenever the way its payload is computed changes.  Version 2:
 #: the supersingular j-set comes from the Cantor-Zassenhaus root finder.
 ALGORITHM_VERSIONS = {"ss": 2, "lift": 2}
+
+#: The keys of each kind's payload, as a cold run writes it.
+PAYLOAD_KEYS = {
+    "ss": {"prime", "sigma", "all_rational", "j_values", "ss_poly",
+           "ss_poly_str", "point_count_checked"},
+    "lift": {"prime", "precision", "digit_order", "modulus_g1",
+             "modulus_g0", "coeffs", "frobenius_fixed",
+             "reduces_to_ss_poly"},
+}
 
 
 def cache_dir() -> str:
@@ -77,7 +87,9 @@ def load(kind: str, key: dict):
         ok = (isinstance(entry, dict)
               and entry.get("schema_version") == SCHEMA_VERSION
               and entry.get("key") == key
-              and entry.get("sha256") == _checksum(entry["payload"]))
+              and entry.get("sha256") == _checksum(entry["payload"])
+              and isinstance(entry["payload"], dict)
+              and entry["payload"].keys() == PAYLOAD_KEYS[kind])
     except (ValueError, KeyError, TypeError, RecursionError):
         ok = False
     if not ok:

@@ -325,12 +325,10 @@ def classical_hasse(E: WCurve, p: int) -> ZmodElem:
 
 
 def _hasse_form_value(hf: dict, c4: ZmodElem, c6: ZmodElem) -> ZmodElem:
-    """hasse_form evaluated at (E4, E6) = (c4, -c6)."""
-    field = c4.ring
-    acc = field.zero()
-    for (a, b), c in hf.items():
-        acc = acc + c * c4 ** a * (-c6) ** b
-    return acc
+    """hasse_form's int coefficients evaluated at (E4, E6) = (c4, -c6)."""
+    p = c4.ring.p
+    return c4.ring.elem(sum(c * pow(c4.value, a, p) * pow(-c6.value, b, p)
+                            for (a, b), c in hf.items()))
 
 
 DeligneReport = namedtuple(

@@ -5,24 +5,26 @@ Conventions (standard, not the paper-facsimile ones): Delta = eta^24 =
 (E4^3 - E6^2)/1728 and j = E4^3/Delta = q^-1 + 744 + ...  Everything is
 exact and stays in Z and F_p: a q-expansion is an int list (E_k is
 integer numerators over one denominator), multiplied and divided
-exactly by the Z[[q]] kernels of polyseries; series over F_p are built
-from the same integers, never reduced from rationals; and the
+exactly by the Z[[q]] kernels of polyseries; a series over F_p is the
+same int list reduced mod p, never reduced from rationals; and the
 Eisenstein factor -2k/B_k is read off the integer tangent numbers,
 which also certify E_{p-1} = 1 mod p.
 
-Locus route 2 is E_{p-1} mod p in the E4/E6 basis (hasse_form), then
-j = E4^3/Delta (ss_poly_eisenstein); it stays in Z and F_p.
+The Eisenstein locus route solves E_{p-1} mod p in the E4/E6 basis on
+int lists mod p (hasse_form), then reads ss_p off it through
+j = E4^3/Delta (ss_poly_eisenstein); only ss_p itself is a Poly.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd
+from operator import mul
 
 from .arith import Zmod, require_prime
 from .errors import ValidationError
-from .polyseries import Poly, QSeries, _div, _mul
+from .polyseries import Poly, _div, _mul
 
 __all__ = [
     "eisenstein_q", "eta24_q", "j_q",
@@ -140,28 +142,28 @@ def weight_basis(k: int) -> WeightBasis:
     return WeightBasis(k, tuple(mons))
 
 
-def _solve_exact(rows, rhs, ring):
-    """Gaussian elimination over the field ring (F_p in hasse_form); a
-    singular or inconsistent system raises ValidationError."""
+def _solve_exact(rows, rhs, p: int) -> list:
+    """Gaussian elimination mod the prime p on int rows; a singular or
+    inconsistent system raises ValidationError."""
     n = len(rows[0])
     m = len(rows)
-    aug = [list(rows[i]) + [rhs[i]] for i in range(m)]
+    aug = [[x % p for x in rows[i]] + [rhs[i] % p] for i in range(m)]
     r = 0
     for col in range(n):
-        piv = next((i for i in range(r, m) if aug[i][col] != 0), None)
+        piv = next((i for i in range(r, m) if aug[i][col]), None)
         if piv is None:
             raise ValidationError("singular linear system (precision bug?)")
         aug[r], aug[piv] = aug[piv], aug[r]
-        inv = ring.inv(aug[r][col])
-        aug[r] = [x * inv for x in aug[r]]
+        inv = pow(aug[r][col], -1, p)
+        aug[r] = [x * inv % p for x in aug[r]]
         for i in range(m):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+            f = aug[i][col]
+            if i != r and f:
+                aug[i] = [(x - f * y) % p for x, y in zip(aug[i], aug[r])]
         r += 1
     # remaining rows must have zero rhs (consistency)
     for i in range(r, m):
-        if aug[i][n] != 0:
+        if aug[i][n]:
             raise ValidationError("inconsistent linear system")
     return [aug[i][n] for i in range(n)]
 
@@ -169,44 +171,46 @@ def _solve_exact(rows, rhs, ring):
 _GUARD = 4
 
 
-def express_in_e4e6(s: QSeries, k: int) -> dict:
-    """Coefficients c_ab with sum c_ab E4^a E6^b = s, for s a modular
-    form of weight k over the field s.ring, solved from the first
-    dim M_k q-coefficients and verified on 4 guard coefficients.
-
-    s must have abs precision >= dim M_k + 4.
-    """
+def express_in_e4e6(s: list, k: int, p: int) -> dict:
+    """Coefficients c_ab in [0, p) with sum c_ab E4^a E6^b = s mod p,
+    for s the int list of q-coefficients of a modular form of weight k,
+    solved from its first dim M_k coefficients and verified on 4 guard
+    coefficients, so s must carry dim M_k + 4.  The monomials are int
+    lists mod p; E6^2/E4^3, the step between them, is exact in Z because
+    E4^3 has constant term 1."""
+    require_prime(p, "express_in_e4e6")
     basis = weight_basis(k)
     d = len(basis.monomials)
     if not d:
         raise ValueError(f"M_{k} = 0: no nonzero modular form of weight {k}")
     need = d + _GUARD
-    if s.abs_prec < need:
+    if len(s) < need:
         raise ValueError(
-            f"need abs precision >= {need} for weight {k}, "
-            f"got {s.abs_prec}")
-    ring = s.ring
-    e4, e6 = (QSeries(ring, 0, e) for e in _e4_e6(need))
+            f"need abs precision >= {need} for weight {k}, got {len(s)}")
+    s = [c % p for c in s[:need]]
+
+    def times(x, y):
+        return [c % p for c in _mul(x, y, need)]
+
+    e4, e6 = ([c % p for c in f] for f in _e4_e6(need))
     a, b = basis.monomials[0]
-    mono = e4 ** a * e6 ** b
-    step = e6 ** 2 * (e4 ** 3).inverse()  # b ascends by 2, a falls by 3
-    cols = [mono.coeff_list(0, need)]
-    for _ in range(d - 1):
-        mono = mono * step
-        cols.append(mono.coeff_list(0, need))
+    cols = [reduce(times, [e4] * a + [e6] * b)]
+    if d > 1:  # E6^2/E4^3: b ascends by 2, a falls by 3
+        step = [c % p for c in _div(times(e6, e6), times(times(e4, e4), e4))]
+        for _ in range(d - 1):
+            cols.append(times(cols[-1], step))
     rows = list(zip(*cols))  # rows[i][j]: q^i coefficient of monomial j
-    sol = _solve_exact(rows[:d], [s.coeff(i) for i in range(d)], ring)
+    sol = _solve_exact(rows[:d], s[:d], p)
     for i in range(d, need):
-        got = sum(c * x for c, x in zip(sol, rows[i]))
-        if got != s.coeff(i):
+        if sum(map(mul, sol, rows[i])) % p != s[i]:
             raise ValidationError(
                 f"guard coefficient q^{i} mismatch: input is not a "
                 f"modular form of weight {k}")
-    if sum(sol) != s.coeff(0):
+    if sum(sol) % p != s[0]:
         raise ValidationError(
-            f"weight {k}: the E4^a E6^b coefficients sum to {sum(sol)}, "
-            f"the constant term is {s.coeff(0)}")
-    return {mon: c for mon, c in zip(basis.monomials, sol)}
+            f"weight {k}: the E4^a E6^b coefficients sum to "
+            f"{sum(sol) % p}, the constant term is {s[0]}")
+    return dict(zip(basis.monomials, sol))
 
 
 #: p - 1 = 12m + 4*delta + 6*eps with delta, eps in {0, 1}.
@@ -231,7 +235,8 @@ def times_fixed_factors(s: list, p: int) -> list:
 
 @lru_cache(maxsize=None)
 def hasse_form(p: int) -> dict:
-    """E_{p-1} reduced mod p, written in the E4^a E6^b basis over F_p.
+    """E_{p-1} reduced mod p, written in the E4^a E6^b basis over F_p,
+    as {(a, b): c_ab} with each c_ab an int in [0, p).
 
     E_{p-1} - 1 = c sum sigma_{p-2}(n) q^n, with c = -2(p-1)/B_{p-1}
     read off T_h for h = (p-1)/2 (_eisenstein_factor), is 0 mod p at
@@ -244,9 +249,8 @@ def hasse_form(p: int) -> dict:
     if _eisenstein_factor((p - 1) // 2)[0] % p:
         raise ValidationError(f"E_{p-1} mod {p} is not the constant 1")
     need = _dim_mk(p - 1) + _GUARD
-    one = QSeries(Zmod(p), 0, [1] + [0] * (need - 1))
-    out = express_in_e4e6(one, p - 1)
-    if sum(v.value for v in out.values()) % p != 1:
+    out = express_in_e4e6([1] + [0] * (need - 1), p - 1, p)
+    if sum(out.values()) % p != 1:
         raise ValidationError(f"hasse_form({p}) constant term is not 1")
     return out
 
@@ -271,15 +275,14 @@ def ss_poly_eisenstein(p: int) -> Poly:
     _, m, delta, eps = hasse_decomposition(p)
     field = Zmod(p)
     hf = hasse_form(p)
-    c = [hf[delta + 3 * (m - k), eps + 2 * k].value for k in range(m + 1)]
+    c = [hf[delta + 3 * (m - k), eps + 2 * k] for k in range(m + 1)]
     phi = [c[m]]
     for k in range(m - 1, -1, -1):  # phi has degree m - k after this step
         phi = _times_x_minus_1728(phi, p)
         phi[m - k] = (phi[m - k] + c[k]) % p
-    phi_poly = Poly(field, phi)
-    if not phi_poly.evaluate(field.zero()):
+    if not phi[0]:
         raise ValidationError(f"phi(0) = 0 at p={p}: contradicts simple roots")
-    if not phi_poly.evaluate(field.from_int(1728)):
+    if not sum(x * pow(1728, i, p) for i, x in enumerate(phi)) % p:
         raise ValidationError(
             f"phi(1728) = 0 at p={p}: contradicts simple roots")
     ss = Poly(field, times_fixed_factors(phi, p))

@@ -14,13 +14,25 @@ denominator replaced.  reduce_mod reduces a rational series mod p.  The
 q-expansions over QQ reduced by it are the reference for the series
 ellwitt builds over F_p and for hasse_form's integer certificate that
 E_{p-1} = 1 mod p.
+
+express_in_e4e6 and solve_exact are the E4^a E6^b solve over any field
+ring, on QSeries and ring elements: run over QQ and reduced mod p, they
+are the reference for modforms.express_in_e4e6, which solves on int
+lists mod p.
 """
 
 from fractions import Fraction
 
 from ellwitt.errors import ValidationError
 from ellwitt.formalgroup import WCurve, formal_expansion
-from ellwitt.modforms import MAX_EISENSTEIN_WEIGHT, _sigma, _tangent_numbers
+from ellwitt.modforms import (
+    _GUARD,
+    MAX_EISENSTEIN_WEIGHT,
+    _e4_e6,
+    _sigma,
+    _tangent_numbers,
+    weight_basis,
+)
 from ellwitt.polyseries import QSeries
 
 
@@ -119,3 +131,65 @@ def reduce_mod(series: QSeries, field) -> QSeries:
                 f"denominator {c.denominator} divisible by {field.p}")
         return field.elem(c.numerator * pow(c.denominator, -1, field.p))
     return QSeries(field, series.offset, [red(c) for c in series.coeffs])
+
+
+def solve_exact(rows, rhs, ring):
+    """Gaussian elimination over the field ring; a singular or
+    inconsistent system raises ValidationError."""
+    n = len(rows[0])
+    m = len(rows)
+    aug = [list(rows[i]) + [rhs[i]] for i in range(m)]
+    r = 0
+    for col in range(n):
+        piv = next((i for i in range(r, m) if aug[i][col] != 0), None)
+        if piv is None:
+            raise ValidationError("singular linear system (precision bug?)")
+        aug[r], aug[piv] = aug[piv], aug[r]
+        inv = ring.inv(aug[r][col])
+        aug[r] = [x * inv for x in aug[r]]
+        for i in range(m):
+            if i != r and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        r += 1
+    for i in range(r, m):
+        if aug[i][n] != 0:
+            raise ValidationError("inconsistent linear system")
+    return [aug[i][n] for i in range(n)]
+
+
+def express_in_e4e6(s: QSeries, k: int) -> dict:
+    """Coefficients c_ab with sum c_ab E4^a E6^b = s, for s a modular
+    form of weight k over the field s.ring, solved from the first
+    dim M_k q-coefficients and verified on 4 guard coefficients."""
+    basis = weight_basis(k)
+    d = len(basis.monomials)
+    if not d:
+        raise ValueError(f"M_{k} = 0: no nonzero modular form of weight {k}")
+    need = d + _GUARD
+    if s.abs_prec < need:
+        raise ValueError(
+            f"need abs precision >= {need} for weight {k}, "
+            f"got {s.abs_prec}")
+    ring = s.ring
+    e4, e6 = (QSeries(ring, 0, e) for e in _e4_e6(need))
+    a, b = basis.monomials[0]
+    mono = e4 ** a * e6 ** b
+    step = e6 ** 2 * (e4 ** 3).inverse()  # b ascends by 2, a falls by 3
+    cols = [mono.coeff_list(0, need)]
+    for _ in range(d - 1):
+        mono = mono * step
+        cols.append(mono.coeff_list(0, need))
+    rows = list(zip(*cols))  # rows[i][j]: q^i coefficient of monomial j
+    sol = solve_exact(rows[:d], [s.coeff(i) for i in range(d)], ring)
+    for i in range(d, need):
+        got = sum(c * x for c, x in zip(sol, rows[i]))
+        if got != s.coeff(i):
+            raise ValidationError(
+                f"guard coefficient q^{i} mismatch: input is not a "
+                f"modular form of weight {k}")
+    if sum(sol) != s.coeff(0):
+        raise ValidationError(
+            f"weight {k}: the E4^a E6^b coefficients sum to {sum(sol)}, "
+            f"the constant term is {s.coeff(0)}")
+    return {mon: c for mon, c in zip(basis.monomials, sol)}

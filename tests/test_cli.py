@@ -534,10 +534,32 @@ def _ss13_against_golden(proc) -> None:
     assert canonical_json(got) == (GOLDEN / "ss_p13.json").read_text()
 
 
+def _ss13_entry(payload) -> str:
+    """An ss entry at p = 13 whose key and checksum match, around any
+    payload."""
+    import ellwitt.cache as cachemod
+    from ellwitt.report import SCHEMA_VERSION
+    return canonical_json({
+        "schema_version": SCHEMA_VERSION,
+        "key": cachemod._versioned("ss", {"p": 13}),
+        "sha256": cachemod._checksum(payload), "payload": payload})
+
+
+_SS13 = json.loads((GOLDEN / "ss_p13.json").read_text())["sections"][
+    "ss_locus"]
+#: Entries that pass the checksum but hold no payload a cold run writes.
+_WRONG_PAYLOADS = [
+    pytest.param(_ss13_entry([]), id="payload-list"),
+    pytest.param(_ss13_entry({"prime": 13}), id="payload-missing-keys"),
+    pytest.param(_ss13_entry({**_SS13, "extra": 1}), id="payload-extra-key"),
+]
+
+
 @pytest.mark.parametrize("text", [
     "[]", "null", '"x"',
     pytest.param(b"\xff\xfe{", id="not-utf8"),
     pytest.param("[" * 200_000 + "]" * 200_000, id="too-deep-for-json"),
+    *_WRONG_PAYLOADS,
 ])
 def test_cache_entry_of_another_json_shape_is_discarded(tmp_path, text):
     run_cli(["ss", "--prime", "13"], tmp_path)
@@ -553,6 +575,29 @@ def test_cache_entry_of_another_json_shape_is_discarded(tmp_path, text):
     payload = json.loads(entry.read_text())["payload"]  # rewritten
     assert payload == json.loads((GOLDEN / "ss_p13.json").read_text()
                                  )["sections"]["ss_locus"]
+
+
+@pytest.mark.parametrize("text", _WRONG_PAYLOADS)
+def test_cache_payload_of_another_shape_is_discarded_in_text_mode(
+        tmp_path, text):
+    cold = run_cli(["ss", "--prime", "13"], tmp_path)
+    [entry] = tmp_path.glob("ss_*.json")
+    entry.write_text(text)
+    proc = run_cli(["ss", "--prime", "13"], tmp_path, check=False)
+    assert proc.returncode == 0
+    assert proc.stdout == cold.stdout
+    assert proc.stderr == \
+        f"warning: discarding corrupt cache entry {entry}\n"
+    assert json.loads(entry.read_text())["payload"] == _SS13
+
+
+def test_cold_payloads_hold_exactly_their_kinds_keys(tmp_path, monkeypatch):
+    import ellwitt.cache as cachemod
+    import ellwitt.cli as climod
+    monkeypatch.setenv("ELLWITT_CACHE_DIR", str(tmp_path))
+    assert climod.ss_section(13).keys() == cachemod.PAYLOAD_KEYS["ss"]
+    assert climod.lift_section(13, 2).keys() == cachemod.PAYLOAD_KEYS["lift"]
+    assert cachemod.PAYLOAD_KEYS.keys() == cachemod.ALGORITHM_VERSIONS.keys()
 
 
 @pytest.mark.parametrize("argv", [
@@ -1190,6 +1235,25 @@ def _readme_bounds() -> tuple:
             flags[tuple(command[1].split()), flag] = tuple(
                 m and int(m[1]) for m in (lo, hi))
     return flags, routes
+
+
+def test_formal_coefficients_stop_at_pythons_int_digit_limit(tmp_path):
+    # the README's formal --a4/--a6 row: 4,300 digits parse, 4,301 are a
+    # usage error from int() with one usage line and no traceback
+    ok = run_cli(["formal", "--prime", "5", "--a4", "1" + "0" * 4299,
+                  "--a6", "1"], tmp_path)
+    assert ok.stderr == ""
+    proc = run_cli(["formal", "--prime", "5", "--a4", "1" + "0" * 4300,
+                    "--a6", "1"], tmp_path, check=False)
+    assert proc.returncode == 1 and proc.stdout == ""
+    usage, error = proc.stderr.splitlines()
+    assert usage == "usage: ellwitt formal [-h] [--json] --prime PRIME " \
+        "--a4 A4 --a6 A6"
+    assert error.startswith(
+        "ellwitt: error: argument --a4: invalid int value: '1000")
+    assert "4,300 digits" in [
+        line for line in (Path(__file__).parent.parent / "README.md")
+        .read_text().splitlines() if line.startswith("| `formal --a4`")][0]
 
 
 def test_readme_bounds_match_the_table():

@@ -7,6 +7,7 @@ from math import comb, gcd
 
 import pytest
 
+from ellwitt import arith, polyseries
 from ellwitt.arith import Zmod, is_prime
 from ellwitt.cli import forms_section
 from ellwitt.errors import ValidationError
@@ -29,6 +30,7 @@ from ellwitt.modforms import (
 from ellwitt.polyseries import Poly, QSeries, _mul
 from ellwitt.sslocus import sigma
 from oracles import QQ, bernoulli, eisenstein_series, reduce_mod
+from oracles import express_in_e4e6 as rational_express
 
 PRIMES = [p for p in range(5, 98) if is_prime(p)]
 
@@ -108,12 +110,23 @@ def test_hasse_form_reads_no_rational_series(monkeypatch):
         assert hasse_form.__wrapped__(p) == hasse_form(p)
 
 
+def test_hasse_form_builds_no_ring_element_or_series(monkeypatch):
+    # the solve runs on int lists mod p: no Zmod, ZmodElem or QSeries
+    def built(self, *args):
+        raise AssertionError(f"hasse_form built a {type(self).__name__}")
+    for cls in (arith.Zmod, arith.ZmodElem, polyseries.QSeries):
+        monkeypatch.setattr(cls, "__init__", built)
+    for p in PRIMES:
+        got = hasse_form.__wrapped__(p)
+        assert all(type(c) is int and 0 <= c < p for c in got.values())
+
+
 def test_solve_exact_invariant_failures_are_validation_errors():
-    assert _solve_exact([[2, 0], [0, 3]], [4, 9], QQ) == [2, 3]
+    assert _solve_exact([[2, 0], [0, 3]], [4, 9], 7) == [2, 3]
     with pytest.raises(ValidationError, match="singular"):
-        _solve_exact([[1, 2], [2, 4]], [1, 2], QQ)
+        _solve_exact([[1, 2], [2, 4]], [1, 2], 7)
     with pytest.raises(ValidationError, match="inconsistent"):
-        _solve_exact([[1], [2]], [1, 3], QQ)
+        _solve_exact([[1], [2]], [1, 3], 7)
 
 
 def test_eisenstein_expansions():
@@ -171,27 +184,42 @@ def test_weight_basis_dimensions():
         assert len(weight_basis(k).monomials) == dim
 
 
+def _mod_p(exact: dict, p: int) -> dict:
+    """A solve over QQ reduced mod p."""
+    return {mon: c.numerator * pow(c.denominator, -1, p) % p
+            for mon, c in exact.items()}
+
+
 def test_express_examples():
-    assert express_in_e4e6(eisenstein_series(10, 8), 10) == {
-        (1, 1): Fraction(1)}
-    dlt = QSeries(QQ, 0, _level_one_forms(8)[2])
-    assert express_in_e4e6(dlt, 12) == {
+    dlt = _level_one_forms(8)[2]
+    exact = {"E10": rational_express(eisenstein_series(10, 8), 10),
+             "E12": rational_express(eisenstein_series(12, 8), 12),
+             "Delta": rational_express(QSeries(QQ, 0, dlt), 12)}
+    assert exact["E10"] == {(1, 1): Fraction(1)}
+    assert exact["Delta"] == {
         (3, 0): Fraction(1, 1728), (0, 2): Fraction(-1, 1728)}
-    # E12 exactly, then reduced mod 13
-    sol = express_in_e4e6(eisenstein_series(12, 8), 12)
-    red = {mon: (c.numerator * pow(c.denominator, -1, 13)) % 13
-           for mon, c in sol.items()}
-    assert red == {(3, 0): 6, (0, 2): 8}
+    # the int solve mod p is the exact solve, reduced mod p
+    for p in (11, 13, 97):
+        for form, k, (den, nums) in (("E10", 10, eisenstein_q(10, 8)),
+                                     ("E12", 12, eisenstein_q(12, 8)),
+                                     ("Delta", 12, (1, dlt))):
+            ints = [c * pow(den, -1, p) % p for c in nums]
+            got = express_in_e4e6(ints, k, p)
+            assert got == _mod_p(exact[form], p), (form, p)
+            assert all(type(c) is int and 0 <= c < p for c in got.values())
+    assert express_in_e4e6([c * pow(691, -1, 13) for c in
+                            eisenstein_q(12, 8)[1]], 12, 13) == \
+        {(3, 0): 6, (0, 2): 8}
     assert (6 + 8) % 13 == 1
 
 
 def test_express_rejects_non_modular_input():
-    fake = QSeries(QQ, 0, [1, 1, 1, 1, 1, 1, 1, 1])
+    fake = [1, 1, 1, 1, 1, 1, 1, 1]
     with pytest.raises((ValidationError, ValueError)):
-        express_in_e4e6(fake, 12)
+        express_in_e4e6(fake, 12, 97)
     for k in (-4, 2, 5):  # M_k = 0
         with pytest.raises(ValueError, match=f"M_{k} = 0"):
-            express_in_e4e6(eisenstein_series(4, 8), k)
+            express_in_e4e6(eisenstein_q(4, 8)[1], k, 97)
 
 
 def test_express_refuses_coefficients_that_miss_the_constant_term(
@@ -205,17 +233,15 @@ def test_express_refuses_coefficients_that_miss_the_constant_term(
         return [e4[0] + 1] + e4[1:], e6
 
     monkeypatch.setattr(modforms, "_e4_e6", shifted)
-    s = QSeries(QQ, 0, shifted(8)[0])
     with pytest.raises(ValidationError, match=r"weight 4: the E4\^a E6\^b "
                        r"coefficients sum to 1, the constant term is 2"):
-        express_in_e4e6(s, 4)
+        express_in_e4e6(shifted(8)[0], 4, 97)
 
 
 def test_hasse_form_frozen_values():
-    assert {k: v.value for k, v in hasse_form(5).items()} == {(1, 0): 1}
-    assert {k: v.value for k, v in hasse_form(11).items()} == {(1, 1): 1}
-    assert {k: v.value for k, v in hasse_form(13).items()} == \
-        {(3, 0): 6, (0, 2): 8}
+    assert hasse_form(5) == {(1, 0): 1}
+    assert hasse_form(11) == {(1, 1): 1}
+    assert hasse_form(13) == {(3, 0): 6, (0, 2): 8}
 
 
 def test_hasse_form_reduces_to_one_mod_p():
@@ -237,7 +263,7 @@ def test_hasse_form_reduces_to_one_mod_p():
             acc = acc + mono.scale(c)
         want = [field.one()] + [field.zero()] * (acc.abs_prec - 1)
         assert acc.coeff_list(0, acc.abs_prec) == want
-        assert sum(v.value for v in hf.values()) % p == 1
+        assert sum(hf.values()) % p == 1
 
 
 def test_hasse_decomposition():
@@ -351,13 +377,13 @@ def test_ss_poly_over_fp_matches_the_fraction_route(p):
 def test_hasse_form_matches_the_rational_solve(p):
     # the replaced route: the exact solve over QQ, reduced mod p
     need = modforms._dim_mk(p - 1) + modforms._GUARD
-    exact = express_in_e4e6(eisenstein_series(p - 1, need), p - 1)
+    exact = rational_express(eisenstein_series(p - 1, need), p - 1)
     assert all(type(c) is Fraction for c in exact.values())
-    want = {mon: c.numerator * pow(c.denominator, -1, p) % p
-            for mon, c in exact.items()}
+    want = _mod_p(exact, p)
     got = hasse_form.__wrapped__(p)
     assert list(got) == list(want)
-    assert {mon: c.value for mon, c in got.items()} == want
+    assert got == want
+    assert all(type(c) is int for c in got.values())
 
 
 @pytest.mark.parametrize("change, match", [
@@ -367,8 +393,7 @@ def test_hasse_form_matches_the_rational_solve(p):
 ])
 def test_ss_poly_checks_see_a_wrong_hasse_form(change, match, monkeypatch):
     hf = dict(hasse_form(37))                  # m = 3, delta = eps = 0
-    field = Zmod(37)
-    hf.update((mon, field.elem(v)) for mon, v in change.items())
+    hf.update(change)
     monkeypatch.setattr(modforms, "hasse_form", lambda p: hf)
     with pytest.raises(ValidationError, match=match):
         ss_poly_eisenstein(37)

@@ -13,6 +13,7 @@ from ellwitt.formalgroup import (
     verify_gross_landweber,
 )
 from ellwitt.modforms import (
+    express_in_e4e6,
     hasse_decomposition,
     hasse_form,
     ss_poly_eisenstein,
@@ -38,6 +39,7 @@ ENTRY_POINTS = (
     ("verify_deligne", verify_deligne, (13, 17)),
     ("verify_gross_landweber", verify_gross_landweber, (13, 17)),
     ("hasse_decomposition", hasse_decomposition, None),
+    ("express_in_e4e6", lambda p: express_in_e4e6([1] * 5, 4, p), None),
     ("hasse_form", hasse_form, (97, 101)),
     ("ss_poly_eisenstein", ss_poly_eisenstein, (97, 101)),
     ("lift_ss_poly", lambda p: lift_ss_poly(p, 1), (97, 101)),

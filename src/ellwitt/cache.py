@@ -5,9 +5,9 @@ parameters) and carry a sha256 of their canonical payload; a hit is
 byte-identical to recomputation by construction.  The algorithm version
 is part of the file name and of the stored key, so an entry that older
 code computed is never served.  A corrupt entry (bad UTF-8 or JSON, too
-deep to parse, not an object, checksum or key mismatch, a payload that
-is not an object with exactly its kind's PAYLOAD_KEYS) is discarded
-with a warning and recomputed.  Writes are atomic (temp then rename).
+deep to parse, not an object, checksum or key mismatch, a payload not
+of its kind's PAYLOAD_SHAPES) is discarded with a warning and
+recomputed.  Writes are atomic (temp then rename).
 Neither load nor store raises: a cache the file system refuses costs a
 warning, not the result.  Paths are plain strings through os and
 os.path: pathlib and tempfile would add their imports to every command.
@@ -28,14 +28,29 @@ ENV_CACHE_DIR = "ELLWITT_CACHE_DIR"
 #: the supersingular j-set comes from the Cantor-Zassenhaus root finder.
 ALGORITHM_VERSIONS = {"ss": 2, "lift": 2}
 
-#: The keys of each kind's payload, as a cold run writes it.
-PAYLOAD_KEYS = {
-    "ss": {"prime", "sigma", "all_rational", "j_values", "ss_poly",
-           "ss_poly_str", "point_count_checked"},
-    "lift": {"prime", "precision", "digit_order", "modulus_g1",
-             "modulus_g0", "coeffs", "frobenius_fixed",
-             "reduces_to_ss_poly"},
+#: Each kind's payload as a cold run writes it: an object is {key: shape}
+#: with exactly those keys, a list [the shape of each element], anything
+#: else the JSON value's exact type (so a bool is not an int).
+PAYLOAD_SHAPES = {
+    "ss": {"prime": int, "sigma": int, "all_rational": bool,
+           "j_values": [[int]], "ss_poly": [int], "ss_poly_str": str,
+           "point_count_checked": bool},
+    "lift": {"prime": int, "precision": int, "digit_order": str,
+             "modulus_g1": str, "modulus_g0": str,
+             "coeffs": [{"a": str, "b": str}], "frobenius_fixed": bool,
+             "reduces_to_ss_poly": bool},
 }
+
+
+def _fits(value, shape) -> bool:
+    """Whether a JSON value has the shape (see PAYLOAD_SHAPES)."""
+    if isinstance(shape, dict):
+        return (isinstance(value, dict) and value.keys() == shape.keys()
+                and all(_fits(value[k], v) for k, v in shape.items()))
+    if isinstance(shape, list):
+        return (isinstance(value, list)
+                and all(_fits(v, shape[0]) for v in value))
+    return type(value) is shape
 
 
 def cache_dir() -> str:
@@ -88,8 +103,7 @@ def load(kind: str, key: dict):
               and entry.get("schema_version") == SCHEMA_VERSION
               and entry.get("key") == key
               and entry.get("sha256") == _checksum(entry["payload"])
-              and isinstance(entry["payload"], dict)
-              and entry["payload"].keys() == PAYLOAD_KEYS[kind])
+              and _fits(entry["payload"], PAYLOAD_SHAPES[kind]))
     except (ValueError, KeyError, TypeError, RecursionError):
         ok = False
     if not ok:

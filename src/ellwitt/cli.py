@@ -27,7 +27,7 @@ from .padicwitt import (
     MAX_SPLIT_PRECISION,
     MAX_SPLIT_PRIME,
 )
-from .polyseries import Poly, _mul
+from .polyseries import _mul
 from .report import Report, padic_digits
 from .sslocus import (
     MAX_CROSS_VALIDATE_PRIME,
@@ -65,8 +65,8 @@ def ss_section(p: int) -> dict:
         "sigma": locus.sigma,
         "all_rational": locus.all_rational,
         "j_values": [[z.a, z.b] for z in locus.j_values],
-        "ss_poly": [c.value for c in locus.ss_poly.coeffs],
-        "ss_poly_str": locus.ss_poly.pretty(),
+        "ss_poly": locus.ss_poly,
+        "ss_poly_str": _poly_str(locus.ss_poly),
         "point_count_checked": "point-count" in locus.routes,
     }
     cache.store("ss", key, payload)
@@ -77,8 +77,8 @@ def hasse_section(p: int) -> dict:
     H = sslocus.hasse_polynomial(p)
     return {
         "prime": p,
-        "degree": H.degree,
-        "hasse_poly": [c.value for c in H.coeffs],
+        "degree": len(H) - 1,
+        "hasse_poly": H,
         "lambda_roots": [[z.a, z.b] for z in
                          sslocus.sorted_j(sslocus.hasse_roots(p).lambdas)],
         "j_images": [[z.a, z.b]
@@ -280,6 +280,15 @@ def verify_all_section(p_max: int) -> dict:
 # --- human-readable rendering ---
 
 
+def _poly_str(f: list, var: str = "X") -> str:
+    """An ascending int list as a polynomial in var, highest degree
+    first, zero terms left out and a coefficient 1 not written."""
+    terms = [(c, "" if i == 0 else var if i == 1 else f"{var}^{i}")
+             for i, c in enumerate(f) if c]
+    return " + ".join(f"{c}" if not x else x if c == 1 else f"{c}*{x}"
+                      for c, x in reversed(terms)) or "0"
+
+
 def _fq2_list(pairs) -> str:
     return ", ".join(f"{a}" if b == 0 else f"{a}+{b}x" for a, b in pairs)
 
@@ -295,9 +304,7 @@ def _print_ss(s: dict) -> None:
 
 def _print_hasse(s: dict) -> None:
     print(f"p = {s['prime']}   degree {s['degree']}")
-    field = Zmod(s["prime"])
-    print("hasse polynomial:",
-          Poly(field, s["hasse_poly"]).pretty("L"))
+    print("hasse polynomial:", _poly_str(s["hasse_poly"], "L"))
     print(f"lambda roots in F_p^2: {_fq2_list(s['lambda_roots'])}")
     print(f"j images: {_fq2_list(s['j_images'])}")
 

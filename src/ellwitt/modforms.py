@@ -12,7 +12,7 @@ which also certify E_{p-1} = 1 mod p.
 
 The Eisenstein locus route solves E_{p-1} mod p in the E4/E6 basis on
 int lists mod p (hasse_form), then reads ss_p off it through
-j = E4^3/Delta (ss_poly_eisenstein); only ss_p itself is a Poly.
+j = E4^3/Delta (ss_poly_eisenstein), an int list mod p as well.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from functools import lru_cache, reduce
 from math import gcd
 from operator import mul
 
-from .arith import Zmod, require_prime
+from .arith import require_prime
 from .errors import ValidationError
-from .polyseries import Poly, _div, _mul
+from .polyseries import _div, _mul, is_squarefree
 
 __all__ = [
     "eisenstein_q", "eta24_q", "j_q",
@@ -261,7 +261,7 @@ def _times_x_minus_1728(s: list, p: int) -> list:
     return [(lo - 1728 * hi) % p for lo, hi in zip([0] + s, s + [0])]
 
 
-def ss_poly_eisenstein(p: int) -> Poly:
+def ss_poly_eisenstein(p: int) -> list:
     """The supersingular polynomial over F_p, read off hasse_form(p).
 
     With p - 1 = 12m + 4 delta + 6 eps, a = delta + 3i, b = eps + 2k and
@@ -273,7 +273,6 @@ def ss_poly_eisenstein(p: int) -> Poly:
     """
     require_prime(p, "ss_poly_eisenstein", MAX_EISENSTEIN_PRIME)
     _, m, delta, eps = hasse_decomposition(p)
-    field = Zmod(p)
     hf = hasse_form(p)
     c = [hf[delta + 3 * (m - k), eps + 2 * k] for k in range(m + 1)]
     phi = [c[m]]
@@ -285,9 +284,9 @@ def ss_poly_eisenstein(p: int) -> Poly:
     if not sum(x * pow(1728, i, p) for i, x in enumerate(phi)) % p:
         raise ValidationError(
             f"phi(1728) = 0 at p={p}: contradicts simple roots")
-    ss = Poly(field, times_fixed_factors(phi, p))
-    if ss.degree != m + delta + eps or ss.leading() != field.one():
+    ss = times_fixed_factors(phi, p)
+    if len(ss) - 1 != m + delta + eps or ss[-1] != 1:
         raise ValidationError(f"ss polynomial degree/monicity broke at p={p}")
-    if ss.gcd(ss.derivative()).degree != 0:
+    if not is_squarefree(ss, p):
         raise ValidationError(f"ss polynomial at p={p} is not squarefree")
     return ss

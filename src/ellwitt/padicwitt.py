@@ -139,7 +139,7 @@ def lift_ss_poly(p: int, N: int) -> Poly:
     coeffs = sslocus.frobenius_descent(
         roots, wctx, f"lift_ss_poly({p},{N}): S_p-hat is not "
         f"Frobenius-fixed")
-    if [c % p for c in coeffs] != [c.value for c in locus.ss_poly.coeffs]:
+    if [c % p for c in coeffs] != locus.ss_poly:
         raise ValidationError(
             f"lift_ss_poly({p},{N}): reduction mod p differs from the "
             f"supersingular polynomial")

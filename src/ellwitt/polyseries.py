@@ -4,13 +4,14 @@ over pluggable coefficient rings, and the int-list kernels of Z[[t]].
 A coefficient ring is any context object providing zero(), one(),
 from_int(n), coerce(c), is_unit(a) and inv(a); element arithmetic goes
 through the usual operators.  The residue rings Zmod (F_p and Z/p^N)
-and Quad (F_{p^2} and W(F_{p^2})/p^N) from arith qualify.  The
-int-list kernels (_FpX) work over F_p only, never a ring with N > 1:
-roots_in_field takes a polynomial over F_p and finds its roots in F_p
-or F_{p^2}.
+and Quad (F_{p^2} and W(F_{p^2})/p^N) from arith qualify.  A
+polynomial over F_p is an ascending int list read mod p, which the
+int-list kernels (_FpX) take, over F_p only, never a ring with N > 1:
+roots_in_field, count_roots_in_fp and is_squarefree run on them.
 
 Poly: coeffs[i] is the degree-i coefficient; the leading stored
-coefficient is nonzero ([] is the zero polynomial).
+coefficient is nonzero ([] is the zero polynomial).  Only the object
+arithmetic over W(F_{p^2})/p^N and the classical Hasse route use it.
 
 QSeries: sum of coeffs[i] * q^(offset+i); exactly zero below offset and
 unknown at offset+len(coeffs) =: abs_prec and beyond.  Every operation
@@ -37,6 +38,7 @@ from .errors import PrecisionError, ValidationError
 
 __all__ = [
     "Poly", "QSeries", "roots_in_field", "count_roots_in_fp",
+    "is_squarefree",
 ]
 
 
@@ -136,10 +138,11 @@ class Poly:
                 rem[i - dg + j] = rem[i - dg + j] - q * b
         return Poly(self.ring, quot), Poly(self.ring, rem)
 
+    # No src/ caller; kept for the tracer, which spans it (ROADMAP item 1).
     def gcd(self, g: "Poly") -> "Poly":
         """Monic gcd over F_p, by Euclid on int lists (_FpX); gcd(0, 0)
         = 0 by convention.  Any other ring raises ValueError."""
-        if not _is_fp(self.ring):
+        if not (isinstance(self.ring, Zmod) and self.ring.N == 1):
             raise ValueError(f"Poly.gcd wants polynomials over F_p, "
                              f"not {self.ring}")
         a = [c.value for c in self.coeffs]
@@ -152,11 +155,6 @@ class Poly:
                     [self.coeffs[i] * self.ring.from_int(i)
                      for i in range(1, len(self.coeffs))])
 
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        return self * self.ring.inv(self.leading())
-
     def evaluate(self, x):
         """Horner evaluation at an element of the coefficient ring."""
         x = self.ring.coerce(x)
@@ -164,9 +162,6 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def map_coeffs(self, fn, new_ring) -> "Poly":
-        return Poly(new_ring, [fn(c) for c in self.coeffs])
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
@@ -176,32 +171,10 @@ class Poly:
     def __repr__(self):
         return f"Poly({self.coeffs!r})"
 
-    def pretty(self, var: str = "X") -> str:
-        """Human form with coefficients as stored, highest degree first."""
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if not c:
-                continue
-            if i == 0:
-                parts.append(f"{c_str(c)}")
-            else:
-                xi = var if i == 1 else f"{var}^{i}"
-                parts.append(xi if c == self.ring.one()
-                             else f"{c_str(c)}*{xi}")
-        return " + ".join(parts)
-
 
 def c_str(c) -> str:
     """A coefficient as printed: a residue's value, anything else str."""
     return str(getattr(c, "value", c))
-
-
-def _is_fp(ring) -> bool:
-    """Whether ring is a prime field F_p itself, not Z/p^N with N > 1."""
-    return isinstance(ring, Zmod) and ring.N == 1
 
 
 def _trim(a: list) -> list:
@@ -371,9 +344,14 @@ class _FpX:
         return self.split(h, d, rng, frob) + self.split(rest, d, rng, frob)
 
 
-def roots_in_field(f: Poly, field) -> set:
-    """All roots of a nonzero f over F_p in the given field (F_p or
-    F_{p^2}), each once.
+def _fp_list(f, p: int) -> list:
+    """The int list f reduced mod p, without trailing zeros."""
+    return _trim([c % p for c in f])
+
+
+def roots_in_field(f: list, field) -> set:
+    """All roots in the given field (F_p or F_{p^2}) of a nonzero f over
+    F_p, an ascending int list read mod p, each once.
 
     Distinct-degree then equal-degree factorization over F_p:
     gcd(f, X^p - X) collects the F_p-rational roots, g = gcd(f, X^q - X)
@@ -382,27 +360,23 @@ def roots_in_field(f: Poly, field) -> set:
     root each.  _FpX.split separates the factors by traces (X^p mod f
     serves the quadratics) with exponent (p-1)/2, and finishes each
     two-factor node from one square root; the gcds are schoolbook
-    Euclid.  Multiplicity is not reported.  A polynomial over any other
-    ring, F_{p^2} included, raises ValueError.
+    Euclid.  Multiplicity is not reported.
     """
-    if f.is_zero():
-        raise ValueError("roots_in_field of the zero polynomial")
     if getattr(field, "N", None) != 1:
         raise ValueError(f"roots_in_field wants F_p or F_p^2, not {field}")
-    ext = isinstance(field, Quad)
-    if f.ring != (field.field if ext else field):
-        raise ValueError(f"roots_in_field wants a polynomial over "
-                         f"F_{field.p}, not over {f.ring}")
     p = field.p
-    h = [c.value for c in f.monic().coeffs]
+    h = _fp_list(f, p)
+    if not h:
+        raise ValueError("roots_in_field of the zero polynomial")
+    fx = _FpX(p, len(h))
+    h = fx.monic(h)
     if len(h) < 2:
         return set()
-    fx = _FpX(p, len(h))
     hinv = fx.inv_rev(h, len(h) - 1)
     xp, lin = fx.linear_part(h, hinv)
     rng = random.Random(0)
     out = {field.elem(-r[0]) for r in fx.split(lin, 1, rng, None)}
-    if not ext:
+    if not isinstance(field, Quad):
         return out
     # X^q mod h, q = field.size: X^(p^2) = (X^p)^p; lin divides g
     xq = fx.powmod(xp, p, h, hinv)
@@ -419,15 +393,24 @@ def roots_in_field(f: Poly, field) -> set:
     return out
 
 
-def count_roots_in_fp(f: Poly) -> int:
-    """The number of distinct roots in F_p of a nonzero f over F_p,
-    deg gcd(f, X^p - X): one Frobenius powmod and one gcd, no root
-    finding."""
-    if not _is_fp(f.ring) or f.is_zero():
+def count_roots_in_fp(f: list, p: int) -> int:
+    """The number of distinct roots in F_p of a nonzero f over F_p (an
+    int list read mod p), deg gcd(f, X^p - X): one Frobenius powmod and
+    one gcd, no root finding."""
+    h = _fp_list(f, p)
+    if not h:
         raise ValueError("count_roots_in_fp wants a nonzero f over F_p")
-    h = [c.value for c in f.monic().coeffs]
-    fx = _FpX(f.ring.p, len(h))
+    fx = _FpX(p, len(h))
+    h = fx.monic(h)
     return len(fx.linear_part(h, fx.inv_rev(h, len(h) - 1))[1]) - 1
+
+
+def is_squarefree(f: list, p: int) -> bool:
+    """Whether f over F_p (an int list read mod p) is squarefree:
+    gcd(f, f') = 1.  The zero polynomial is not."""
+    h = _fp_list(f, p)
+    dh = _fp_list([i * c for i, c in enumerate(h)][1:], p)
+    return _FpX(p, len(h)).gcd(h, dh) == [1]
 
 
 # ---------------------------------------------------------------------------

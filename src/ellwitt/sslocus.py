@@ -26,7 +26,8 @@ raises ValidationError naming the two routes and the first differing
 coefficient, or the j-sets' symmetric difference; agreement is
 consolidated into an SSLocus, which every other layer reads the locus
 from: its j-set comes in sorted_j order.  frobenius_descent builds
-prod (X - r) for the j-set rows and for the lift alike.
+prod (X - r) for the j-set rows and for the lift alike.  A polynomial
+over F_p is an ascending int list mod p, from every route to the report.
 
 The Ogg scan finds no roots: it counts the F_p-rational roots of the
 closed form as deg gcd(ss_p, X^p - X) and checks that count against
@@ -42,10 +43,10 @@ from functools import lru_cache
 from itertools import accumulate
 from math import comb, gcd, isqrt
 
-from .arith import (
-    Zmod, fq2_context, is_prime, require_prime, rth_root)
+from .arith import fq2_context, is_prime, require_prime, rth_root
 from .errors import ValidationError
-from .polyseries import Poly, count_roots_in_fp, roots_in_field
+from .polyseries import (
+    _FpX, count_roots_in_fp, is_squarefree, roots_in_field)
 from . import modforms
 
 __all__ = [
@@ -80,7 +81,7 @@ def sigma(p: int) -> int:
     return 1 - eps + p // 12
 
 
-def hasse_polynomial(p: int) -> Poly:
+def hasse_polynomial(p: int) -> list:
     """sum C((p-1)/2, k)^2 lambda^k mod p, degree (p-1)/2.  C(m, k) comes
     mod p from C(m, k+1) = C(m, k)(m-k)/(k+1), every factor in (0, p)."""
     require_prime(p, "hasse_polynomial")
@@ -88,7 +89,7 @@ def hasse_polynomial(p: int) -> Poly:
     c = [1]
     for k in range(m):
         c.append(c[-1] * (m - k) * pow(k + 1, -1, p) % p)
-    return Poly(Zmod(p), [x * x % p for x in c])
+    return [x * x % p for x in c]
 
 
 def legendre_to_j(lam):
@@ -106,7 +107,7 @@ def legendre_to_j(lam):
     return num * den.inverse()
 
 
-def _legendre_half(p: int) -> Poly:
+def _legendre_half(p: int) -> list:
     """Q(w) = sum_k (-1)^k C(m,k) C(2m-2k,m) w^(h-k) over F_p, with
     m = (p-1)/2 and h = floor(m/2): 2^m P_m(z) = z^(m mod 2) Q(z^2) for
     the Legendre polynomial P_m.  The coefficients come from the ratio
@@ -119,7 +120,7 @@ def _legendre_half(p: int) -> Poly:
         num = -(m - k) * (m - 2 * k) * (m - 2 * k - 1)
         den = (k + 1) * (2 * m - 2 * k) * (2 * m - 2 * k - 1)
         q.append(q[-1] * num * pow(den, -1, p) % p)
-    return Poly(Zmod(p), q[::-1])
+    return q[::-1]
 
 
 def _divide_linear(f: list, c: int, p: int) -> list:
@@ -133,7 +134,7 @@ def _divide_linear(f: list, c: int, p: int) -> list:
     return acc[-2::-1]
 
 
-def _s3_quotient(Q: Poly, p: int) -> Poly:
+def _s3_quotient(Q: list, p: int) -> list:
     """R(j) = sum_a r_a j^a over F_p with
 
         Q(w) = (w + 3)^delta (w - 9)^eps sum_{a<=s} r_a A^a B^(s-a),
@@ -148,7 +149,7 @@ def _s3_quotient(Q: Poly, p: int) -> Poly:
     degree other than 3s, raises ValidationError: Q is not
     S3-symmetric."""
     _, s, delta, eps = modforms.hasse_decomposition(p)
-    f = [c.value for c in Q.coeffs]
+    f = Q
     for root in [-3] * delta + [9] * eps:
         f = _divide_linear(f, root, p)
     if len(f) != 3 * s + 1:
@@ -167,7 +168,7 @@ def _s3_quotient(Q: Poly, p: int) -> Poly:
         f = [(x - top * y) % p for x, y in zip(f[:3 * a], cubes[a])]
         if a:
             f = _divide_linear(_divide_linear(f, 1, p), 1, p)
-    return Poly(Zmod(p), r)
+    return r
 
 
 def _w_root(j):
@@ -201,7 +202,7 @@ def _s3_orbit(lam) -> set:
 
 #: The Deuring pass at p: the lambda-roots in F_{p^2} of the Hasse
 #: polynomial (frozenset), the supersingular j they lie over (frozenset)
-#: and the "deuring quotient" row's ss_p (Poly over F_p).
+#: and the "deuring quotient" row's ss_p (ascending int list mod p).
 DeuringPass = namedtuple("DeuringPass", "lambdas j_set ss_poly")
 
 
@@ -250,8 +251,8 @@ def hasse_roots(p: int) -> DeuringPass:
     linear factors of Q are simple and prime to F, and Q(0) != 0."""
     require_prime(p, "hasse_roots", MAX_DEURING_PRIME)
     R = _s3_quotient(_legendre_half(p), p)
-    if (not R.coeff(0) or not R.evaluate(1728)
-            or R.gcd(R.derivative()).degree != 0):
+    if (not R[0] or not sum(c * pow(1728, i, p) for i, c in enumerate(R)) % p
+            or not is_squarefree(R, p)):
         raise ValidationError(
             f"Hasse polynomial at p={p} is not squarefree")
     m = (p - 1) // 2
@@ -301,8 +302,7 @@ def hasse_roots(p: int) -> DeuringPass:
         raise ValidationError(
             f"{len(lams)} lambda-roots of a degree-{m} Hasse polynomial "
             f"at p={p}: a j-root is spurious")
-    ss = Poly(R.ring, modforms.times_fixed_factors(
-        [c.value for c in R.monic().coeffs], p))
+    ss = modforms.times_fixed_factors(_FpX(p, len(R)).monic(R), p)
     return DeuringPass(frozenset(lams), frozenset(js), ss)
 
 
@@ -389,7 +389,7 @@ def ss_j_point_count(p: int) -> frozenset:
     return frozenset(out)
 
 
-def ss_poly_closed(p: int) -> Poly:
+def ss_poly_closed(p: int) -> list:
     """ss_p over F_p from Kaneko and Zagier's closed form: with
     p - 1 = 12m + 4 delta + 6 eps,
 
@@ -412,7 +412,7 @@ def ss_poly_closed(p: int) -> Poly:
         raise ValidationError(
             f"p={p}: closed form has degree {len(s) - 1}, "
             f"sigma={sigma(p)}")
-    return Poly(Zmod(p), s)
+    return s
 
 
 def class_number(D: int) -> int:
@@ -436,7 +436,7 @@ def rational_ss_count(p: int) -> int:
     supersingular curves from class numbers (Delfs and Galbraith, 2016):
     h(-4p)/2 for p = 1 mod 4, h(-p) for p = 7 mod 8, 2h(-p) for
     p = 3 mod 8."""
-    count = count_roots_in_fp(ss_poly_closed(p))
+    count = count_roots_in_fp(ss_poly_closed(p), p)
     if p % 4 == 1:
         by_h = class_number(-4 * p) // 2
     else:
@@ -471,9 +471,9 @@ def admitted_routes(p: int) -> list:
 
 
 #: Consolidated supersingular locus at p, validated across methods:
-#: j_values (tuple of F_{p^2} elements in sorted_j order), ss_poly (Poly
-#: over F_p), sigma (its degree), all_rational and routes (the rows that
-#: ran).
+#: j_values (tuple of F_{p^2} elements in sorted_j order), ss_poly
+#: (ascending int list mod p), sigma (its degree), all_rational and
+#: routes (the rows that ran).
 SSLocus = namedtuple("SSLocus", "p j_values ss_poly sigma all_rational routes")
 
 
@@ -511,20 +511,17 @@ def cross_validate(p: int) -> SSLocus:
     ctx = fq2_context(p)
     ran = admitted_routes(p)
     first, ss = ran[0].name, ran[0].run(p)
-    want = [c.value for c in ss.coeffs]
     for route in ran[1:]:
-        out = route.run(p)
+        got = out = route.run(p)
         if route.jset:
             js, got = out, frobenius_descent(
                 out, ctx, f"p={p}: {route.name} j-set is not Galois stable")
-        else:
-            got = [c.value for c in out.coeffs]
-        if got != want and route.jset:
+        if got != ss and route.jset:
             raise ValidationError(f"p={p}: " + _diff_msg(
                 first, frozenset(roots_in_field(ss, ctx)), route.name, out))
-        if got != want:
+        if got != ss:
             k, u, v = next((k, u, v) for k, (u, v) in enumerate(zip(
-                want + [0] * len(got), got + [0] * len(want))) if u != v)
+                ss + [0] * len(got), got + [0] * len(ss))) if u != v)
             raise ValidationError(
                 f"p={p}: {first} vs {route.name} disagree at the "
                 f"coefficient of X^{k}: {u} != {v}")
@@ -534,7 +531,7 @@ def cross_validate(p: int) -> SSLocus:
         raise ValidationError(f"p={p}: j=1728 membership contradicts "
                               f"p mod 4")
     return SSLocus(p=p, j_values=tuple(sorted_j(js)), ss_poly=ss,
-                   sigma=ss.degree, routes=tuple(r.name for r in ran),
+                   sigma=len(ss) - 1, routes=tuple(r.name for r in ran),
                    all_rational=all(z.in_prime_field for z in js))
 
 

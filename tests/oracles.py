@@ -19,6 +19,9 @@ express_in_e4e6 and solve_exact are the E4^a E6^b solve over any field
 ring, on QSeries and ring elements: run over QQ and reduced mod p, they
 are the reference for modforms.express_in_e4e6, which solves on int
 lists mod p.
+
+pretty is the printer of a Poly that the reports used before F_p
+polynomials became int lists: the reference for cli._poly_str.
 """
 
 from fractions import Fraction
@@ -33,7 +36,7 @@ from ellwitt.modforms import (
     _tangent_numbers,
     weight_basis,
 )
-from ellwitt.polyseries import QSeries
+from ellwitt.polyseries import Poly, QSeries, c_str
 
 
 class RationalField:
@@ -193,3 +196,21 @@ def express_in_e4e6(s: QSeries, k: int) -> dict:
             f"weight {k}: the E4^a E6^b coefficients sum to {sum(sol)}, "
             f"the constant term is {s.coeff(0)}")
     return {mon: c for mon, c in zip(basis.monomials, sol)}
+
+
+def pretty(f: Poly, var: str = "X") -> str:
+    """Human form with coefficients as stored, highest degree first."""
+    if f.is_zero():
+        return "0"
+    parts = []
+    for i in range(len(f.coeffs) - 1, -1, -1):
+        c = f.coeffs[i]
+        if not c:
+            continue
+        if i == 0:
+            parts.append(f"{c_str(c)}")
+        else:
+            xi = var if i == 1 else f"{var}^{i}"
+            parts.append(xi if c == f.ring.one()
+                         else f"{c_str(c)}*{xi}")
+    return " + ".join(parts)

@@ -19,13 +19,18 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import ellwitt.cli
-from ellwitt.cli import DEFAULT_PRECISION, MAX_FORMS_PREC, MAX_SQRT3_SCAN
+from ellwitt.arith import Zmod, is_prime
+from ellwitt.cli import (
+    DEFAULT_PRECISION, MAX_FORMS_PREC, MAX_SQRT3_SCAN, _poly_str)
 from ellwitt.formalgroup import MAX_FORMAL_PRIME
 from ellwitt.modforms import MAX_EISENSTEIN_PRIME
 from ellwitt.padicwitt import (
     MAX_LIFT_PRECISION, MAX_SPLIT_PRECISION, MAX_SPLIT_PRIME)
+from ellwitt.polyseries import Poly
 from ellwitt.report import canonical_json, padic_digits
-from ellwitt.sslocus import MAX_DEURING_PRIME, MAX_OGG_SCAN
+from ellwitt.sslocus import (
+    MAX_DEURING_PRIME, MAX_OGG_SCAN, cross_validate, hasse_polynomial)
+from oracles import pretty
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -50,6 +55,23 @@ def test_padic_digit_strings():
         digits = padic_digits(v, 13, 3).split(",")
         assert sum(int(d) * 13 ** i for i, d in enumerate(digits)) == \
             v % 13 ** 3
+
+
+def test_poly_str_examples():
+    assert _poly_str([]) == "0"
+    assert _poly_str([7]) == "7"
+    assert _poly_str([1]) == "1"
+    assert _poly_str([8, 1]) == "X + 8"
+    assert _poly_str([0, 10, 1]) == "X^2 + 10*X"
+    assert _poly_str([3, 0, 5]) == "5*X^2 + 3"
+    assert _poly_str([1, 4, 1], "L") == "L^2 + 4*L + 1"
+
+
+@pytest.mark.parametrize("p", [p for p in range(5, 98) if is_prime(p)])
+def test_poly_str_is_the_old_poly_printer(p):
+    for f in (cross_validate(p).ss_poly, hasse_polynomial(p)):
+        for var in ("X", "L"):
+            assert _poly_str(f, var) == pretty(Poly(Zmod(p), f), var)
 
 
 def test_ss_table_output(tmp_path):
@@ -547,11 +569,17 @@ def _ss13_entry(payload) -> str:
 
 _SS13 = json.loads((GOLDEN / "ss_p13.json").read_text())["sections"][
     "ss_locus"]
-#: Entries that pass the checksum but hold no payload a cold run writes.
+#: Entries that pass the checksum but hold no payload a cold run writes:
+#: the wrong keys, or a value of the wrong type at a right key.
 _WRONG_PAYLOADS = [
     pytest.param(_ss13_entry([]), id="payload-list"),
     pytest.param(_ss13_entry({"prime": 13}), id="payload-missing-keys"),
     pytest.param(_ss13_entry({**_SS13, "extra": 1}), id="payload-extra-key"),
+    pytest.param(_ss13_entry({**_SS13, "j_values": 5}), id="j-values-int"),
+    pytest.param(_ss13_entry({**_SS13, "prime": "13"}), id="prime-str"),
+    pytest.param(_ss13_entry({**_SS13, "ss_poly": ["1"]}),
+                 id="ss-poly-str-coefficient"),
+    pytest.param(_ss13_entry({**_SS13, "sigma": True}), id="sigma-bool"),
 ]
 
 
@@ -591,13 +619,45 @@ def test_cache_payload_of_another_shape_is_discarded_in_text_mode(
     assert json.loads(entry.read_text())["payload"] == _SS13
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_lift_cache_coefficient_of_the_wrong_type_is_discarded(
+        tmp_path, json_flag):
+    # a checksummed lift entry whose first digit string is an int
+    import ellwitt.cache as cachemod
+    argv = ["lift", "--prime", "13", "--precision", "3"] + json_flag
+    cold = run_cli(argv, tmp_path)
+    [entry] = tmp_path.glob("lift_*.json")
+    data = json.loads(entry.read_text())
+    good = data["payload"]
+    bad = {**good, "coeffs": [{**good["coeffs"][0], "a": 5},
+                              *good["coeffs"][1:]]}
+    entry.write_text(canonical_json(
+        {**data, "sha256": cachemod._checksum(bad), "payload": bad}))
+    proc = run_cli(argv, tmp_path, check=False)
+    assert proc.returncode == 0
+    if json_flag:
+        got, want = json.loads(proc.stdout), json.loads(cold.stdout)
+        got["timings"] = want["timings"] = {}
+        assert got == want
+    else:
+        assert proc.stdout == cold.stdout
+    assert proc.stderr == \
+        f"warning: discarding corrupt cache entry {entry}\n"
+    assert json.loads(entry.read_text())["payload"] == good
+
+
 def test_cold_payloads_hold_exactly_their_kinds_keys(tmp_path, monkeypatch):
+    # keys, and the type of every value down to the list elements
     import ellwitt.cache as cachemod
     import ellwitt.cli as climod
     monkeypatch.setenv("ELLWITT_CACHE_DIR", str(tmp_path))
-    assert climod.ss_section(13).keys() == cachemod.PAYLOAD_KEYS["ss"]
-    assert climod.lift_section(13, 2).keys() == cachemod.PAYLOAD_KEYS["lift"]
-    assert cachemod.PAYLOAD_KEYS.keys() == cachemod.ALGORITHM_VERSIONS.keys()
+    shapes = cachemod.PAYLOAD_SHAPES
+    assert cachemod._fits(climod.ss_section(13), shapes["ss"])
+    assert cachemod._fits(climod.ss_section(37), shapes["ss"])
+    assert cachemod._fits(climod.lift_section(13, 2), shapes["lift"])
+    assert shapes.keys() == cachemod.ALGORITHM_VERSIONS.keys()
+    # bool is not an int, nor an int a bool
+    assert not cachemod._fits(True, int) and not cachemod._fits(1, bool)
 
 
 @pytest.mark.parametrize("argv", [

@@ -37,10 +37,10 @@ from math import comb
 import pytest
 
 from ellwitt import arith, modforms, sslocus
-from ellwitt.arith import fq2_context, is_prime, rth_root
+from ellwitt.arith import Zmod, fq2_context, is_prime, rth_root
 from ellwitt.cli import hasse_section
 from ellwitt.errors import ValidationError
-from ellwitt.polyseries import Poly, roots_in_field
+from ellwitt.polyseries import Poly, is_squarefree, roots_in_field
 from ellwitt.sslocus import (
     MAX_DEURING_PRIME,
     _legendre_half,
@@ -82,9 +82,14 @@ def oracle_half(p: int) -> frozenset:
     return frozenset(lams)
 
 
-def q_is_squarefree(Q: Poly) -> bool:
+def q_is_squarefree(Q: list, p: int) -> bool:
     """The replaced certificate: Q(0) != 0 and gcd(Q, Q') = 1."""
-    return bool(Q.coeff(0)) and Q.gcd(Q.derivative()).degree == 0
+    return bool(Q[0] % p) and is_squarefree(Q, p)
+
+
+def ints(f: Poly) -> list:
+    """A Poly over F_p as the ascending int list the routes hold."""
+    return [c.value for c in f.coeffs]
 
 
 def oracle_per_j(p: int) -> tuple:
@@ -92,7 +97,7 @@ def oracle_per_j(p: int) -> tuple:
     of R, conjugates included, Cardano's w, z = sqrt(w), the three
     checks and the S3 orbit.  (lambda-set, j-set)."""
     Q = _legendre_half(p)
-    assert q_is_squarefree(Q)
+    assert q_is_squarefree(Q, p)
     ctx = fq2_context(p)
     one = ctx.one()
     fixed = {}
@@ -142,13 +147,12 @@ def check_prime(p: int) -> None:
         [2 ** m * comb(m, k) ** 2 for k in range(m + 1)]
     # mod p, with the coefficients hasse_roots solves (Q's list is
     # ascending in w, q_k multiplies w^(h-k))
-    q = [c.value for c in _legendre_half(p).coeffs][::-1]
+    q = _legendre_half(p)[::-1]
     assert q == [c % p for c in exact_q(m)]
     assert parity_side(q, m, p) == \
-        [2 ** m * c.value % p for c in hasse_polynomial(p).coeffs]
+        [2 ** m * c % p for c in hasse_polynomial(p)]
     # the half-degree and full routes, and both squarefree checks
-    H = hasse_polynomial(p)
-    assert H.gcd(H.derivative()).degree == 0
+    assert is_squarefree(hasse_polynomial(p), p)
     assert oracle_half(p) == oracle_lambdas(p)
 
 
@@ -180,7 +184,7 @@ def test_the_orbit_pass_is_the_per_j_pass():
 def test_s3_quotient_is_the_closed_form(p):
     # R monic, times X^delta (X - 1728)^eps, is ss_p coefficient by
     # coefficient: the roots of R are the supersingular j off 0 and 1728
-    assert hasse_roots(p).ss_poly.coeffs == ss_poly_closed(p).coeffs
+    assert hasse_roots(p).ss_poly == ss_poly_closed(p)
 
 
 def test_parity_side_sees_a_wrong_coefficient():
@@ -232,16 +236,17 @@ def test_a_repeated_or_zero_root_of_q_is_not_squarefree(
     # s + k: the pass is told to expect that degree, so the mutant passes
     # the S3 quotient and only the squarefree certificate can refuse it
     p, (c, k) = 97, factor
-    q = _legendre_half(p)
-    A = Poly(q.ring, [64 * 27, 64 * 27, 64 * 9, 64])  # 64 (w + 3)^3
-    B = Poly(q.ring, [1, -2, 1])  # (w - 1)^2
-    bad = q * (A - B * c) ** k
-    assert not q_is_squarefree(bad)
-    R = _s3_quotient(q, p)
+    F = Zmod(p)
+    q = Poly(F, _legendre_half(p))
+    A = Poly(F, [64 * 27, 64 * 27, 64 * 9, 64])  # 64 (w + 3)^3
+    B = Poly(F, [1, -2, 1])  # (w - 1)^2
+    bad = ints(q * (A - B * c) ** k)
+    assert not q_is_squarefree(bad, p)
+    R = Poly(F, _s3_quotient(ints(q), p))
     real = modforms.hasse_decomposition(p)
     monkeypatch.setattr(modforms, "hasse_decomposition",
                         lambda p: real._replace(m=real.m + k))
-    assert _s3_quotient(bad, p) == R * Poly(q.ring, [-c, 1]) ** k
+    assert _s3_quotient(bad, p) == ints(R * Poly(F, [-c, 1]) ** k)
     monkeypatch.setattr(sslocus, "_legendre_half", lambda p: bad)
     with pytest.raises(ValidationError, match="not squarefree"):
         hasse_roots(p)
@@ -250,12 +255,13 @@ def test_a_repeated_or_zero_root_of_q_is_not_squarefree(
 @pytest.mark.parametrize("change", ["factor", "coefficient"])
 def test_a_squarefree_q_that_is_not_s3_symmetric_raises(
         change, monkeypatch, fresh_cache):
-    q = _legendre_half(97)
+    F = Zmod(97)
+    q = Poly(F, _legendre_half(97))
     if change == "factor":  # degree 3s + 1
-        bad = q * Poly(q.ring, [-5, 1])
+        bad = ints(q * Poly(F, [-5, 1]))
     else:  # degree kept, w^7 coefficient moved
-        bad = q + Poly(q.ring, [0] * 7 + [1])
-    assert q_is_squarefree(bad)
+        bad = ints(q + Poly(F, [0] * 7 + [1]))
+    assert q_is_squarefree(bad, 97)
     monkeypatch.setattr(sslocus, "_legendre_half", lambda p: bad)
     with pytest.raises(ValidationError, match="Q is not S3-symmetric"):
         hasse_roots(97)

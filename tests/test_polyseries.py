@@ -14,6 +14,8 @@ from ellwitt.polyseries import (
     QSeries,
     _compose_bk,
     _mul_lists,
+    count_roots_in_fp,
+    is_squarefree,
     roots_in_field,
 )
 from oracles import QQ, integrate, reduce_mod
@@ -70,24 +72,46 @@ def test_gcd_examples():
 
 def test_roots_in_field_examples():
     F5 = Zmod(5)
-    assert roots_in_field(Poly(F5, [1, 4, 1]), F5) == set()
+    assert roots_in_field([1, 4, 1], F5) == set()
     c25 = fq2_context(5)
-    assert len(roots_in_field(Poly(F5, [1, 4, 1]), c25)) == 2
+    assert len(roots_in_field([1, 4, 1], c25)) == 2
 
-    roots = roots_in_field(Poly(F7, [1, 2, 2, 1]), F7)
+    roots = roots_in_field([1, 2, 2, 1], F7)
     assert {r.value for r in roots} == {2, 4, 6}
 
-    roots = roots_in_field(Poly(F11, [0, -1, 1]), F11)
+    roots = roots_in_field([0, -1, 1], F11)
     assert {r.value for r in roots} == {0, 1}
 
 
-def with_roots(ctx, pts) -> Poly:
+def test_fp_polynomials_are_int_lists_read_mod_p():
+    # negative, unreduced and trailing multiples of p are read mod p
+    assert roots_in_field([-6, 1, 0, 11], F11) == {F11.elem(6)}
+    assert count_roots_in_fp([-6, 12, 22], 11) == 1
+    for zero in ([], [0], [11, -22]):
+        with pytest.raises(ValueError, match="zero polynomial"):
+            roots_in_field(zero, F11)
+        with pytest.raises(ValueError, match="nonzero f over F_p"):
+            count_roots_in_fp(zero, 11)
+    with pytest.raises(ValueError, match="wants F_p or F_p\\^2"):
+        roots_in_field([-1, 1], Zmod(11, 2))
+
+
+def test_is_squarefree_examples():
+    assert is_squarefree([0, -1, 1], 11)           # x(x - 1)
+    assert is_squarefree([5], 11)                  # a unit
+    assert not is_squarefree([1, 2, 1], 11)        # (x + 1)^2
+    assert not is_squarefree([0, 0, 1, 11], 11)    # x^2, read mod 11
+    assert not is_squarefree([-1] + [0] * 6 + [1], 7)  # x^7 - 1, f' = 0
+    assert not is_squarefree([], 7) and not is_squarefree([7], 7)
+
+
+def with_roots(ctx, pts) -> list:
     """The monic polynomial over F_p with the given roots in F_{p^2}, a
-    set closed under conjugation."""
+    set closed under conjugation, as an ascending int list."""
     f = Poly(ctx, [ctx.one()])
     for r in pts:
         f = f * Poly(ctx, [-r, ctx.one()])
-    return f.map_coeffs(lambda c: c.to_fp(), ctx.field)
+    return [c.to_fp().value for c in f.coeffs]
 
 
 def test_roots_in_field_known_conjugate_and_rational_roots():
@@ -110,19 +134,9 @@ def test_roots_in_field_beyond_a_million_elements():
     pairs = {ctx.elem(5, 7), ctx.elem(123, 456), ctx.elem(1000, 1)}
     pts = {ctx.elem(0, 0), ctx.elem(1008, 0)} | pairs \
         | {z.conj() for z in pairs}
-    f = with_roots(ctx, pts)
-    assert roots_in_field(f, ctx) == pts
-    assert roots_in_field(f * f, ctx) == pts
-    assert roots_in_field(Poly(ctx.field, [1, 1]), ctx) == {ctx.elem(1008)}
-
-
-def test_roots_in_field_rejects_fq2_coefficients():
-    ctx = fq2_context(13)
-    for f in (Poly(ctx, [ctx.elem(1, 1), 1]), Poly(ctx, [-1, 0, 1])):
-        with pytest.raises(ValueError, match="over F_13"):
-            roots_in_field(f, ctx)
-    with pytest.raises(ValueError, match="over F_13"):
-        roots_in_field(Poly(ctx.field, [-1, 1]), Zmod(11))
+    assert roots_in_field(with_roots(ctx, pts), ctx) == pts
+    assert roots_in_field(with_roots(ctx, [*pts, *pts]), ctx) == pts
+    assert roots_in_field([1, 1], ctx) == {ctx.elem(1008)}
 
 
 # --- series ---

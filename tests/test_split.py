@@ -75,7 +75,7 @@ def product(fx, factors) -> list:
 def hasse_parts(fx, p):
     """(X^p mod h, linear part, quadratic part) of the monic Hasse
     polynomial h at p, the way roots_in_field splits it."""
-    h = [c.value for c in hasse_polynomial(p).monic().coeffs]
+    h = fx.monic(hasse_polynomial(p))
     hinv = fx.inv_rev(h, len(h) - 1)
     xp, lin = fx.linear_part(h, hinv)
     xq = fx.powmod(xp, p, h, hinv)

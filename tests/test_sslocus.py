@@ -7,18 +7,21 @@ from math import comb
 
 import pytest
 
+import ellwitt.cli as cli
 import ellwitt.modforms as modforms
+import ellwitt.polyseries as polyseries
 import ellwitt.sslocus as sslocus
 from ellwitt.arith import Zmod, fq2_context, is_prime
 from ellwitt.errors import ValidationError
 from ellwitt.formalgroup import curve_from_j
 from ellwitt.modforms import MAX_EISENSTEIN_PRIME, ss_poly_eisenstein
-from ellwitt.polyseries import Poly, count_roots_in_fp
+from ellwitt.polyseries import count_roots_in_fp
 from ellwitt.sslocus import (
     MONSTER_PRIMES,
     class_number,
     cross_validate,
     hasse_polynomial,
+    hasse_roots,
     legendre_to_j,
     ogg_scan,
     rational_ss_count,
@@ -39,15 +42,15 @@ def test_sigma_values():
 
 
 def test_hasse_polynomial_values():
-    assert [c.value for c in hasse_polynomial(5).coeffs] == [1, 4, 1]
-    assert [c.value for c in hasse_polynomial(7).coeffs] == [1, 2, 2, 1]
+    assert hasse_polynomial(5) == [1, 4, 1]
+    assert hasse_polynomial(7) == [1, 2, 2, 1]
     h11 = hasse_polynomial(11)
-    assert h11.degree == 5 and h11.coeff(0).value == 1
+    assert len(h11) - 1 == 5 and h11[0] == 1
     # the ratio recurrence mod p against the squared big-int binomials
     for p in range(5, 1001):
         if is_prime(p):
             m = (p - 1) // 2
-            assert [c.value for c in hasse_polynomial(p).coeffs] == \
+            assert hasse_polynomial(p) == \
                 [comb(m, k) ** 2 % p for k in range(m + 1)], p
 
 
@@ -190,7 +193,8 @@ def test_cross_validate_full_range_invariants():
         if not is_prime(p):
             continue
         L = cross_validate(p)
-        assert len(L.j_values) == L.sigma == sigma(p) == L.ss_poly.degree
+        assert len(L.j_values) == L.sigma == sigma(p) == \
+            len(L.ss_poly) - 1
         ctx = fq2_context(p)
         assert {z.conj() for z in L.j_values} == set(L.j_values)
         assert (ctx.zero() in L.j_values) == (p % 3 == 2)
@@ -213,9 +217,8 @@ def test_ogg_scan():
     "p", [p for p in range(5, MAX_EISENSTEIN_PRIME + 1) if is_prime(p)])
 def test_closed_form_equals_eisenstein(p):
     got = ss_poly_closed(p)
-    assert [c.value for c in got.coeffs] == \
-        [c.value for c in ss_poly_eisenstein(p).coeffs]
-    assert got.degree == sigma(p)
+    assert got == ss_poly_eisenstein(p)
+    assert len(got) - 1 == sigma(p)
 
 
 def test_class_number_examples():
@@ -241,7 +244,7 @@ def _deuring_rational_count(p):
 
 @pytest.mark.parametrize("p", [p for p in range(5, 301) if is_prime(p)])
 def test_rational_counts_agree(p):
-    gcd_count = count_roots_in_fp(ss_poly_closed(p))
+    gcd_count = count_roots_in_fp(ss_poly_closed(p), p)
     assert gcd_count == _class_number_count(p) == \
         _deuring_rational_count(p) == rational_ss_count(p)
 
@@ -255,7 +258,7 @@ def test_ogg_scan_equals_deuring_oracle():
 @pytest.mark.parametrize("p, root", [(5, 0), (7, 6), (13, 5)])
 def test_degree_one_primes(p, root):
     # ss_p = X - root: the count is read off, not taken from a powmod
-    assert [c.value for c in ss_poly_closed(p).coeffs] == [-root % p, 1]
+    assert ss_poly_closed(p) == [-root % p, 1]
     assert rational_ss_count(p) == 1 == sigma(p)
     assert {(z.a, z.b) for z in ss_j_deuring(p)} == {(root, 0)}
     assert p in ogg_scan(p)
@@ -268,7 +271,7 @@ def test_ogg_scan_bound():
 
 def test_closed_form_disagreement_names_the_coefficient(monkeypatch):
     real = ss_poly_closed(13)
-    bad = Poly(real.ring, [real.coeffs[0] + real.ring.one(), 1])
+    bad = [real[0] + 1, 1]
     monkeypatch.setattr(sslocus, "ss_poly_closed", lambda p: bad)
     with pytest.raises(ValidationError, match=r"p=13: closed form vs "
                        r"eisenstein disagree at the coefficient of X\^0: "
@@ -308,8 +311,7 @@ def _mutant(real, edit):
             return out._replace(
                 ss_poly=_mutant(lambda p: out.ss_poly, edit)(p))
         if edit == "coefficient":
-            coeffs = [c.value for c in out.coeffs]
-            return Poly(Zmod(p), [(coeffs[0] + 1) % p] + coeffs[1:])
+            return [(out[0] + 1) % p] + out[1:]
         j = fq2_context(p).from_int(19)
         rest = out - {j}
         return rest if edit == "drop" else rest | {j - 18}
@@ -342,13 +344,11 @@ def test_non_squarefree_ss_poly_is_refused(monkeypatch):
     # sigma(23) = 3, and every polynomial route agrees on it
     bad = [0, 0, -1728 % 23, 1]
     assert len(bad) - 1 == sigma(23)
-    F = Zmod(23)
     real = sslocus.hasse_roots
-    monkeypatch.setattr(sslocus, "ss_poly_closed", lambda p: Poly(F, bad))
-    monkeypatch.setattr(modforms, "ss_poly_eisenstein",
-                        lambda p: Poly(F, bad))
+    monkeypatch.setattr(sslocus, "ss_poly_closed", lambda p: bad)
+    monkeypatch.setattr(modforms, "ss_poly_eisenstein", lambda p: bad)
     monkeypatch.setattr(sslocus, "hasse_roots",
-                        lambda p: real(p)._replace(ss_poly=Poly(F, bad)))
+                        lambda p: real(p)._replace(ss_poly=bad))
     with pytest.raises(ValidationError,
                        match=r"p=23: .* vs deuring disagree"):
         cross_validate.__wrapped__(23)
@@ -364,3 +364,33 @@ def test_every_admitted_prime_runs_two_routes_and_a_j_set():
         assert len(ran) >= 2 and not ran[0].jset, p
         assert any(r.jset for r in ran), p
         assert cross_validate(p).routes == tuple(r.name for r in ran), p
+
+
+# --- F_p polynomials are int lists ---
+
+
+def test_the_locus_builds_no_poly(monkeypatch, tmp_path, capsys):
+    # every route, the cross-validation, the Ogg count, the Deuring pass
+    # and the ss and hasse reports hold F_p polynomials as int lists
+    def no_poly(self, ring, coeffs):
+        raise AssertionError(f"a Poly over {ring} was built")
+
+    cross_validate.cache_clear()
+    hasse_roots.cache_clear()
+    monkeypatch.setattr(polyseries.Poly, "__init__", no_poly)
+    monkeypatch.setenv("ELLWITT_CACHE_DIR", str(tmp_path))
+    primes = [p for p in range(5, 98) if is_prime(p)]
+    for p in primes:
+        cross_validate.__wrapped__(p)
+        rational_ss_count(p)
+    for p in primes + [397, 601, 997]:
+        hasse_roots.__wrapped__(p)
+    for argv in (["ss", "--prime", "97"], ["ss", "--prime", "37", "--json"],
+                 ["hasse", "--prime", "997"],
+                 ["hasse", "--prime", "13", "--json"]):
+        cross_validate.cache_clear()
+        hasse_roots.cache_clear()
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    cross_validate.cache_clear()
+    hasse_roots.cache_clear()

@@ -71,7 +71,7 @@ def is_prime(n: int) -> bool:
 def power(x, e: int):
     """x^e for e >= 1 by squaring, right to left: e.bit_length() - 1
     squarings and one product per set bit after the lowest.  The one
-    power loop of QuadElem, Poly and QSeries."""
+    power loop of QuadElem and QSeries."""
     result = None
     while e:
         if e & 1:
@@ -93,8 +93,9 @@ def require_prime(p: int, what: str, bound: int | None = None) -> None:
 class Zmod:
     """Z/p^N for a prime p > 3; the field F_p at N = 1.
 
-    Also serves as the coefficient-ring context of Poly, and of QSeries
-    in the test oracles: zero/one/from_int/coerce/is_unit/inv.
+    Its ring protocol, zero/one/from_int/coerce/is_unit/inv, serves
+    Poly and QSeries over Z/p^N in the tests alone: the program builds
+    Poly only over Quad.
     """
 
     __slots__ = ("p", "N", "modulus")
@@ -138,24 +139,6 @@ class Zmod:
 
     def inv(self, a: "ZmodElem") -> "ZmodElem":
         return self.coerce(a).inverse()
-
-    def at(self, M: int) -> "Zmod":
-        """This ring at the lower precision M <= N."""
-        if M > self.N:
-            raise ValueError("cannot raise precision by reduction")
-        return Zmod(self.p, M)
-
-    def lift(self, x) -> "ZmodElem":
-        """x as an element of this ring: an element of it, an int, or a
-        residue in self.at(1) lifted to its [0, p) representative.  An
-        element of any other ring raises ValueError."""
-        if isinstance(x, ZmodElem) and x.ring == self.at(1):
-            return ZmodElem(x.value, self)
-        return self.coerce(x)
-
-    def elements(self):
-        for v in range(self.modulus):
-            yield ZmodElem(v, self)
 
     def __eq__(self, other):
         return (isinstance(other, Zmod) and other.p == self.p
@@ -224,9 +207,6 @@ class ZmodElem:
     def inverse(self) -> "ZmodElem":
         """Raises ValueError when self is not a unit."""
         return ZmodElem(pow(self.value, -1, self.ring.modulus), self.ring)
-
-    def reduce_precision(self, M: int) -> "ZmodElem":
-        return ZmodElem(self.value, self.ring.at(M))
 
     def __bool__(self):
         return self.value != 0
@@ -331,16 +311,13 @@ class Quad:
         return Quad(self.p, self.g0, M)
 
     def lift(self, x) -> "QuadElem":
-        """x as an element of this ring: as Zmod.lift, a residue in
-        self.at(1) is lifted coordinatewise."""
+        """x as an element of this ring: an element of it, a scalar of
+        its field or an int, or a residue in self.at(1) lifted
+        coordinatewise.  An element of any other ring raises
+        ValueError."""
         if isinstance(x, QuadElem) and x.ring == self.at(1):
             return QuadElem(x.a, x.b, self)
         return self.coerce(x)
-
-    def elements(self):
-        for a in range(self.modulus):
-            for b in range(self.modulus):
-                yield QuadElem(a, b, self)
 
     def __eq__(self, other):
         return (isinstance(other, Quad) and other.p == self.p

@@ -19,9 +19,9 @@ from math import gcd
 from types import SimpleNamespace
 
 from . import cache, formalgroup, modforms, padicwitt, sslocus
-from .arith import Zmod, has_sqrt3, is_prime
+from .arith import has_sqrt3, is_prime
 from .errors import ValidationError
-from .formalgroup import MAX_FORMAL_PRIME, WCurve
+from .formalgroup import MAX_FORMAL_PRIME
 from .padicwitt import (
     MAX_LIFT_PRECISION,
     MAX_SPLIT_PRECISION,
@@ -127,15 +127,15 @@ def split_section(p: int, N: int) -> dict:
 def formal_section(p: int, a4: int, a6: int) -> dict:
     if formalgroup.has_bad_reduction((a4, a6), p):
         raise UsageError(f"formal: curve has bad reduction at {p}")
-    E = WCurve(Zmod(p), a4, a6)
-    ps = formalgroup.mult_by_p_series((E.a4.value, E.a6.value), p)
-    v1, v2 = formalgroup.heights_from_series(E, p, ps.series)
+    a = (a4 % p, a6 % p)
+    ps = formalgroup.mult_by_p_series(a, p)
+    v1, v2 = formalgroup.heights_from_series(a, p, ps.series)
     return {
         "prime": p,
-        "a4": E.a4.value,
-        "a6": E.a6.value,
-        "v1": v1.value,
-        "v2": None if v2 is None else v2.value,
+        "a4": a[0],
+        "a6": a[1],
+        "v1": v1,
+        "v2": v2,
         "supersingular": v2 is not None,
         "series_mod_p": [0] + [c % p for c in ps.series[:p * p]],
         "series_rational": ["0"] + [str(c) for c in ps.series[:p * p]],

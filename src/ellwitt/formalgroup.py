@@ -17,26 +17,30 @@ coefficients: 2 when a4 a6 != 0, 4 at j = 1728 (a6 = 0), 6 at j = 0
 support class from the list and multiply and divide on that class
 alone.  The formal log/exp route, [p](t) = exp(p * log(t)) over exact
 rationals, computes the same series and is kept as the test oracle in
-tests/oracles.py.
+tests/oracles.py; formal_expansion is its first step.
 v1 needs only precision p+1; the full p^2+1 window is expanded
 only when v1 = 0 (the supersingular case, where the height-2 assertions
 and v2 live).
+
+A curve over F_p is an int pair (a4, a6) as well, read mod p: v1 and
+v2, the classical Hasse coefficient and the Deligne and Gross-Landweber
+checks all run on ints mod p and build no ring object.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from itertools import compress
-from math import gcd
+from math import comb, gcd
 from operator import mul
 
-from .arith import Zmod, ZmodElem, require_prime
+from .arith import require_prime
 from .errors import PrecisionError, ValidationError
-from .polyseries import Poly, QSeries, _div, _mul
+from .polyseries import QSeries, _div, _mul
 from . import modforms, sslocus
 
 __all__ = [
-    "WCurve", "curve_from_j", "PSeries", "formal_expansion",
+    "curve_from_j", "PSeries", "formal_expansion",
     "mult_by_p_series", "v_invariants", "heights_from_series",
     "classical_hasse", "has_bad_reduction",
     "verify_deligne", "verify_gross_landweber",
@@ -54,41 +58,25 @@ def _c4_c6_disc(a4, a6) -> tuple:
     return -48 * a4, -864 * a6, -16 * (4 * a4 * a4 * a4 + 27 * a6 * a6)
 
 
-class WCurve:
-    """Short Weierstrass curve y^2 = x^3 + a4 x + a6 over a coefficient
-    ring."""
-
-    __slots__ = ("ring", "a4", "a6")
-
-    def __init__(self, ring, a4, a6):
-        self.ring = ring
-        self.a4 = ring.coerce(a4)
-        self.a6 = ring.coerce(a6)
-
-    def invariants(self):
-        """(c4, c6, discriminant, j); raises on singular curves."""
-        r = self.ring
-        c4, c6, disc = _c4_c6_disc(self.a4, self.a6)
-        if not r.is_unit(disc):
-            raise ValueError("singular curve: discriminant is not a unit")
-        j = c4 * c4 * c4 * r.inv(disc)
-        return c4, c6, disc, j
-
-    def __repr__(self):
-        return f"y^2 = x^3 + {self.a4!r}*x + {self.a6!r}"
+def _curve_str(a, p: int) -> str:
+    """The curve y^2 = x^3 + a4 x + a6 over F_p, for ints a = (a4, a6),
+    as the error messages print it."""
+    a4, a6 = (c % p for c in a)
+    return f"y^2 = x^3 + {a4} (mod {p})*x + {a6} (mod {p})"
 
 
-def curve_from_j(j) -> WCurve:
-    """A short Weierstrass model with the given j-invariant:
-    y^2 = x^3 + 3k x + 2k with k = j/(1728 - j) away from j in
-    {0, 1728}; y^2 = x^3 + 1 at j = 0 and y^2 = x^3 + x at j = 1728."""
-    ring = j.ring
-    if j == ring.zero():
-        return WCurve(ring, ring.zero(), ring.one())
-    if j == ring.from_int(1728):
-        return WCurve(ring, ring.one(), ring.zero())
-    k = j * (ring.from_int(1728) - j).inverse()
-    return WCurve(ring, ring.from_int(3) * k, ring.from_int(2) * k)
+def curve_from_j(j: int, p: int) -> tuple:
+    """(a4, a6) in [0, p) of a short Weierstrass model over F_p with
+    j-invariant j mod p: y^2 = x^3 + 3k x + 2k with k = j/(1728 - j)
+    away from j in {0, 1728}; y^2 = x^3 + 1 at j = 0 and y^2 = x^3 + x
+    at j = 1728."""
+    j %= p
+    if j == 0:
+        return 0, 1
+    if j == 1728 % p:
+        return 1, 0
+    k = j * pow(1728 - j, -1, p)
+    return 3 * k % p, 2 * k % p
 
 
 def _w_coeffs(coeffs, P: int, zero, one) -> list:
@@ -124,10 +112,9 @@ def _w_coeffs(coeffs, P: int, zero, one) -> list:
     return w
 
 
-# Only the log/exp oracle in tests/oracles.py calls formal_expansion; it
-# stays here while bench/tracer.py spans it by name (ROADMAP item 1).
-def formal_expansion(E: WCurve, prec: int):
-    """(x(t), y(t), omega(t)) as Laurent/power series in t = -x/y.
+def formal_expansion(E, prec: int):
+    """(x(t), y(t), omega(t)) as Laurent/power series in t = -x/y, for
+    a curve E with coefficients E.a4, E.a6 in the ring E.ring.
 
     w(t) = t^3 + ... solves the defining fixed-point equation; then
     x = t/w, y = -1/w and omega = x'/(2y), normalized to 1 + O(t).
@@ -259,26 +246,24 @@ def mult_by_p_series(a, p: int, prec: int | None = None) -> PSeries:
     return PSeries(p=p, curve=a, series=tuple(coeffs))
 
 
-def v_invariants(E: WCurve, p: int):
-    """(v1, v2) of a curve over F_p, from the [p]-series of its
-    integral lift, the coefficients taken in [0, p) as ints.
+def v_invariants(a, p: int) -> tuple:
+    """(v1, v2) in [0, p) of y^2 = x^3 + a4 x + a6 over F_p, for ints
+    a = (a4, a6), from the [p]-series of that integral model.
 
     v1 is read from the series at precision p+1; only when v1 = 0 (the
     supersingular case) is the full p^2+1 window computed for v2.  See
     ``heights_from_series`` for the assertions.
     """
-    if E.ring != Zmod(p):
-        raise ValueError("v_invariants wants a curve over F_p")
-    lift = (E.a4.value, E.a6.value)
-    head = mult_by_p_series(lift, p, prec=p + 1).series
+    head = mult_by_p_series(a, p, prec=p + 1).series
     if not head[p - 1] % p:
-        head = mult_by_p_series(lift, p).series
-    return heights_from_series(E, p, head)
+        head = mult_by_p_series(a, p).series
+    return heights_from_series(a, p, head)
 
 
-def heights_from_series(E: WCurve, p: int, series):
-    """(v1, v2) of E over F_p read off [p](t) mod p, for series the ints
-    at t^1, t^2, ... (PSeries.series).
+def heights_from_series(a, p: int, series) -> tuple:
+    """(v1, v2) in [0, p) of y^2 = x^3 + a4 x + a6 over F_p, for ints
+    a = (a4, a6), read off [p](t) mod p, for series the ints at t^1,
+    t^2, ... (PSeries.series).
 
     v1 is the t^p coefficient.  When v1 != 0 the coefficients below t^p
     are asserted to vanish and v2 is absent (None).  When v1 = 0 the
@@ -286,8 +271,6 @@ def heights_from_series(E: WCurve, p: int, series):
     to vanish mod p, and the unit v2 is returned.  Reading past the end
     of series raises PrecisionError.
     """
-    field = E.ring
-
     def coeff(k):
         if k > len(series):
             raise PrecisionError(f"coefficient of t^{k} beyond precision "
@@ -299,36 +282,41 @@ def heights_from_series(E: WCurve, p: int, series):
         for k in range(2, p):
             if coeff(k):
                 raise ValidationError(
-                    f"ordinary curve {E!r}: t^{k} coefficient nonzero mod "
-                    f"{p} — [p] does not factor through Frobenius")
-        return field.elem(v1), None
+                    f"ordinary curve {_curve_str(a, p)}: t^{k} coefficient "
+                    f"nonzero mod {p} — [p] does not factor through "
+                    f"Frobenius")
+        return v1, None
     for k in range(1, p * p):
         if coeff(k):
             raise ValidationError(
-                f"supersingular curve {E!r}: t^{k} coefficient nonzero "
-                f"mod {p} — [p] does not factor through Frobenius^2")
+                f"supersingular curve {_curve_str(a, p)}: t^{k} "
+                f"coefficient nonzero mod {p} — [p] does not factor "
+                f"through Frobenius^2")
     v2 = coeff(p * p)
     if not v2:
         raise ValidationError(
-            f"supersingular curve {E!r}: v2 is not a unit")
-    return field.zero(), field.elem(v2)
+            f"supersingular curve {_curve_str(a, p)}: v2 is not a unit")
+    return 0, v2
 
 
-def classical_hasse(E: WCurve, p: int) -> ZmodElem:
-    """Coefficient of x^(p-1) in (x^3 + Ax + B)^((p-1)/2): the classical
-    Hasse-invariant criterion, independent of the formal group."""
-    if E.ring != Zmod(p):
-        raise ValueError("classical_hasse wants a curve over F_p")
-    field = E.ring
-    f = Poly(field, [E.a6, E.a4, field.zero(), field.one()])
-    return (f ** ((p - 1) // 2)).coeff(p - 1)
+def classical_hasse(a, p: int) -> int:
+    """Coefficient of x^(p-1) in (x^3 + a4 x + a6)^((p-1)/2) mod p, for
+    ints a = (a4, a6): the classical Hasse-invariant criterion,
+    independent of the formal group.  With m = (p-1)/2, the multinomial
+    term x^(3i) (a4 x)^j a6^k (i + j + k = m) lands on x^(2m) exactly
+    when j = 2m - 3i, and then k = 2i - m."""
+    a4, a6 = a
+    m = (p - 1) // 2
+    return sum(comb(m, i) * comb(m - i, 2 * i - m)
+               * pow(a4, 2 * m - 3 * i, p) * pow(a6, 2 * i - m, p)
+               for i in range((m + 1) // 2, 2 * m // 3 + 1)) % p
 
 
-def _hasse_form_value(hf: dict, c4: ZmodElem, c6: ZmodElem) -> ZmodElem:
-    """hasse_form's int coefficients evaluated at (E4, E6) = (c4, -c6)."""
-    p = c4.ring.p
-    return c4.ring.elem(sum(c * pow(c4.value, a, p) * pow(-c6.value, b, p)
-                            for (a, b), c in hf.items()))
+def _hasse_form_value(hf: dict, c4: int, c6: int, p: int) -> int:
+    """hasse_form's int coefficients evaluated at (E4, E6) = (c4, -c6),
+    mod p."""
+    return sum(c * pow(c4, a, p) * pow(-c6, b, p)
+               for (a, b), c in hf.items()) % p
 
 
 DeligneReport = namedtuple(
@@ -341,7 +329,6 @@ def verify_deligne(p: int) -> DeligneReport:
     hasse_form at (c4, -c6).  Any disagreement raises ValidationError
     naming the curve and all three values."""
     require_prime(p, "verify_deligne", MAX_FORMAL_PRIME)
-    field = Zmod(p)
     hf = modforms.hasse_form(p)
     checked = 0
     ss_count = 0
@@ -349,16 +336,14 @@ def verify_deligne(p: int) -> DeligneReport:
         for B in range(p):
             if has_bad_reduction((A, B), p):
                 continue
-            E = WCurve(field, A, B)
-            v1, _ = v_invariants(E, p)
-            ch = classical_hasse(E, p)
-            c4, c6, _, _ = E.invariants()
-            ev = _hasse_form_value(hf, c4, c6)
+            v1, _ = v_invariants((A, B), p)
+            ch = classical_hasse((A, B), p)
+            c4, c6, _ = _c4_c6_disc(A, B)
+            ev = _hasse_form_value(hf, c4, c6, p)
             if not (v1 == ch == ev):
                 raise ValidationError(
                     f"Deligne disagreement at p={p}, (A,B)=({A},{B}): "
-                    f"formal v1={v1.value}, classical={ch.value}, "
-                    f"eisenstein={ev.value}")
+                    f"formal v1={v1}, classical={ch}, eisenstein={ev}")
             checked += 1
             if not v1:
                 ss_count += 1
@@ -379,7 +364,6 @@ def verify_gross_landweber(p: int) -> GLReport:
     (-1)^((p-1)/2) * Delta^((p^2-1)/12) exactly.  A mismatch raises
     ValidationError naming p, j, v2 and the prediction."""
     require_prime(p, "verify_gross_landweber", MAX_FORMAL_PRIME)
-    field = Zmod(p)
     locus = sslocus.cross_validate(p)
     sign = (-1) ** ((p - 1) // 2)
     exponent = (p * p - 1) // 12
@@ -387,20 +371,17 @@ def verify_gross_landweber(p: int) -> GLReport:
     for jval in locus.j_values:
         if not jval.in_prime_field:
             continue
-        E = curve_from_j(jval.to_fp())
-        v1, v2 = v_invariants(E, p)
+        a = curve_from_j(jval.a, p)
+        v1, v2 = v_invariants(a, p)
         if v1 or v2 is None:
             raise ValidationError(
                 f"Gross-Landweber at p={p}, j={jval.a}: the supersingular "
-                f"curve {E!r} reads v1={v1.value}, "
-                f"v2={None if v2 is None else v2.value}")
-        _, _, disc, _ = E.invariants()
-        pred = field.from_int(sign) * disc ** exponent
+                f"curve {_curve_str(a, p)} reads v1={v1}, v2={v2}")
+        pred = sign * pow(_c4_c6_disc(*a)[2], exponent, p) % p
         if v2 != pred:
             raise ValidationError(
                 f"Gross-Landweber fails at p={p}, j={jval.a}: "
-                f"v2={v2.value}, predicted {pred.value}")
-        entries.append(GLCurveResult(j=jval.a, a4=E.a4.value,
-                                     a6=E.a6.value, v2=v2.value,
-                                     predicted=pred.value))
+                f"v2={v2}, predicted {pred}")
+        entries.append(GLCurveResult(j=jval.a, a4=a[0], a6=a[1], v2=v2,
+                                     predicted=pred))
     return GLReport(prime=p, sign=sign, entries=tuple(entries))

@@ -1,12 +1,13 @@
-"""Teichmuller and Hensel lifts into Z/p^N and W(F_{p^2})/p^N, the lifted
+"""Teichmuller and Hensel lifts into W(F_{p^2})/p^N, the lifted
 supersingular polynomial, and its finite-level idempotent splitting.
 
-Both rings come from arith: Z/p^N is Zmod(p, N), and W(F_{p^2})/p^N is
-Quad(p, -omega(n), N) = (Z/p^N)[X]/(X^2 - omega(n)) over the F_{p^2}
-model x^2 = n, with omega(n) the Teichmuller lift of n in Z/p^N.  As
-the lift is multiplicative, the roots +-sqrt(omega(n)) of that modulus
-are the Teichmuller lifts of the roots +-sqrt(n) of x^2 - n.  Ring
-operations are plain quadratic arithmetic, Frobenius is root
+The ring comes from arith: W(F_{p^2})/p^N is Quad(p, -omega(n), N) =
+(Z/p^N)[X]/(X^2 - omega(n)) over the F_{p^2} model x^2 = n, with
+omega(n) the Teichmuller lift of n in Z/p^N = Zmod(p, N), the one lift
+computed on Z/p^N; an element of F_p is lifted as a scalar of F_{p^2}.
+As the lift is multiplicative, the roots +-sqrt(omega(n)) of that
+modulus are the Teichmuller lifts of the roots +-sqrt(n) of x^2 - n.
+Ring operations are plain quadratic arithmetic, Frobenius is root
 conjugation (QuadElem.conj), and no Witt addition polynomials are ever
 needed.  The j-set, its bound and prod (X - r) come from sslocus.
 Contexts and Teichmuller roots are built once per (p, N) and shared;
@@ -70,30 +71,29 @@ def lift_context(ctx: Quad, N: int) -> Quad:
 
 
 def teichmuller(x, N: int):
-    """The unique root-of-unity (or zero) lift of x in F_p or F_{p^2} to
-    precision N: t^q = t with q the size of the field of x, reducing to
-    x mod p."""
+    """The unique root-of-unity (or zero) lift of x in F_{p^2} to
+    W(F_{p^2})/p^N (lift_context): t^(p^2) = t, reducing to x mod p.
+    An element of F_p is passed as a scalar of F_{p^2}; a Zmod element,
+    of F_p or of Z/p^N, or any other argument raises TypeError."""
     field = getattr(x, "ring", None)
-    if not isinstance(field, (Zmod, Quad)) or field.N != 1:
-        raise TypeError("teichmuller wants an element of F_p or F_{p^2}")
-    ring = (lift_context(field, N) if isinstance(field, Quad)
-            else Zmod(field.p, N))
-    return _fixed_point(ring.lift(x), field.size, N)
+    if not isinstance(field, Quad) or field.N != 1:
+        raise TypeError("teichmuller wants an element of F_{p^2}")
+    return _fixed_point(lift_context(field, N).lift(x), field.size, N)
 
 
 def hensel_root(f: Poly, r0):
     """Newton-lift a simple root: f(r0) = 0 mod p with f'(r0) a unit.
 
-    f lives over Z/p^N or W/p^N; r0 is an element of that ring, or a
-    residue of that ring mod p (an F_p / F_{p^2} element of the same
-    model), which is lifted naively.  A residue of any other ring raises
-    ValueError.  Quadratic convergence; at most ceil(log2 N) + 1 steps.
-    A root that is not simple, or not a root mod p, raises
-    ValidationError.
+    f lives over W(F_{p^2})/p^N; r0 is an element of that ring, or an
+    element of F_{p^2} in the same model, which is lifted naively.  A
+    polynomial over any other ring, Z/p^N included, raises TypeError,
+    and a residue of another ring ValueError.  Quadratic convergence; at
+    most ceil(log2 N) + 1 steps.  A root that is not simple, or not a
+    root mod p, raises ValidationError.
     """
     ring = f.ring
-    if not isinstance(ring, (Zmod, Quad)):
-        raise TypeError("hensel_root wants a polynomial over Z/p^N or W/p^N")
+    if not isinstance(ring, Quad):
+        raise TypeError("hensel_root wants a polynomial over W/p^N")
     r = ring.lift(r0)
     fp = f.derivative()
     if not ring.is_unit(fp.evaluate(r)):

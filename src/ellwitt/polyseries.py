@@ -10,8 +10,10 @@ int-list kernels (_FpX) take, over F_p only, never a ring with N > 1:
 roots_in_field, count_roots_in_fp and is_squarefree run on them.
 
 Poly: coeffs[i] is the degree-i coefficient; the leading stored
-coefficient is nonzero ([] is the zero polynomial).  Only the object
-arithmetic over W(F_{p^2})/p^N and the classical Hasse route use it.
+coefficient is nonzero ([] is the zero polynomial).  The program builds
+it only over W(F_{p^2})/p^N, for the lifted supersingular polynomial
+and its idempotents, which need sums, products, division, the
+derivative and evaluation alone.
 
 QSeries: sum of coeffs[i] * q^(offset+i); exactly zero below offset and
 unknown at offset+len(coeffs) =: abs_prec and beyond.  Every operation
@@ -87,18 +89,6 @@ class Poly:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = self._same(other)
-        n = max(len(self.coeffs), len(o.coeffs))
-        return Poly(self.ring,
-                    [self.coeff(i) - o.coeff(i) for i in range(n)])
-
-    def __rsub__(self, other):
-        return self._same(other) - self
-
-    def __neg__(self):
-        return Poly(self.ring, [-c for c in self.coeffs])
-
     def __mul__(self, other):
         if not isinstance(other, Poly):
             c = self.ring.coerce(other)
@@ -108,11 +98,6 @@ class Poly:
                     _mul_lists(self.ring, a, b, len(a) + len(b) - 1))
 
     __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative polynomial power")
-        return power(self, e) if e else Poly(self.ring, [self.ring.one()])
 
     def divrem(self, g: "Poly") -> tuple["Poly", "Poly"]:
         """f = q*g + r with deg r < deg g; needs an invertible leading
@@ -138,7 +123,6 @@ class Poly:
                 rem[i - dg + j] = rem[i - dg + j] - q * b
         return Poly(self.ring, quot), Poly(self.ring, rem)
 
-    # No src/ caller; kept for the tracer, which spans it (ROADMAP item 1).
     def gcd(self, g: "Poly") -> "Poly":
         """Monic gcd over F_p, by Euclid on int lists (_FpX); gcd(0, 0)
         = 0 by convention.  Any other ring raises ValueError."""
@@ -531,9 +515,6 @@ class QSeries:
             out.append(c * self.ring.from_int(n))
         return QSeries(self.ring, self.offset - 1, out)
 
-    # compose, revert and _compose_bk serve only the log/exp oracle in
-    # tests/oracles.py; they stay while bench/tracer.py spans compose and
-    # revert by name (ROADMAP item 1).
     def compose(self, g: "QSeries") -> "QSeries":
         """self(g); g must have no constant term, self no negative powers."""
         g = self._same(g)
@@ -555,7 +536,6 @@ class QSeries:
         out = _compose_bk(self.ring, fl, gl, P)
         return QSeries(self.ring, 0, out)
 
-    # Test-oracle only, kept for the tracer: see compose.
     def revert(self) -> "QSeries":
         """Compositional inverse of a series t*(unit) + ..., offset exactly 1.
 
@@ -643,7 +623,6 @@ def _inv_list(ring, u, P):
     return out
 
 
-# Test-oracle only, kept for the tracer: see QSeries.compose.
 def _compose_bk(ring, fl, gl, P):
     # f(g) to P coefficients by Brent-Kung blocks:
     # f = sum_i (sum_{k<r} f[ir+k] g^k) (g^r)^i with r ~ sqrt(len(f))

@@ -1,6 +1,13 @@
 """Exact routes that faster code in ellwitt replaced, kept as test
 oracles.
 
+WCurve is a short Weierstrass curve over a coefficient ring, as the
+formal layer held one before it moved to int pairs mod p; curve_from_j
+and classical_hasse are its routes over a field ring, the references
+for formalgroup.curve_from_j and formalgroup.classical_hasse, and the
+latter is the power of a Poly over Zmod(p).  elements lists a finite
+ring, Zmod or Quad, in a fixed order.
+
 mult_by_m is the formal log/exp route over exact rationals: log(t) is
 the integral of the invariant differential of formal_expansion, and
 [m](t) = exp(m * log(t)).  The integral [p]-series of
@@ -26,8 +33,9 @@ polynomials became int lists: the reference for cli._poly_str.
 
 from fractions import Fraction
 
+from ellwitt.arith import Quad, QuadElem, ZmodElem, power
 from ellwitt.errors import ValidationError
-from ellwitt.formalgroup import WCurve, formal_expansion
+from ellwitt.formalgroup import _c4_c6_disc, formal_expansion
 from ellwitt.modforms import (
     _GUARD,
     MAX_EISENSTEIN_WEIGHT,
@@ -71,6 +79,61 @@ class RationalField:
 
 
 QQ = RationalField()
+
+
+def elements(ring) -> list:
+    """Every element of a finite ring: Zmod by value, Quad as a + b*xbar
+    with a outer and b inner."""
+    m = ring.modulus
+    if isinstance(ring, Quad):
+        return [QuadElem(a, b, ring) for a in range(m) for b in range(m)]
+    return [ZmodElem(v, ring) for v in range(m)]
+
+
+class WCurve:
+    """Short Weierstrass curve y^2 = x^3 + a4 x + a6 over a coefficient
+    ring."""
+
+    __slots__ = ("ring", "a4", "a6")
+
+    def __init__(self, ring, a4, a6):
+        self.ring = ring
+        self.a4 = ring.coerce(a4)
+        self.a6 = ring.coerce(a6)
+
+    def invariants(self):
+        """(c4, c6, discriminant, j); raises on singular curves."""
+        r = self.ring
+        c4, c6, disc = _c4_c6_disc(self.a4, self.a6)
+        if not r.is_unit(disc):
+            raise ValueError("singular curve: discriminant is not a unit")
+        j = c4 * c4 * c4 * r.inv(disc)
+        return c4, c6, disc, j
+
+    def __repr__(self):
+        return f"y^2 = x^3 + {self.a4!r}*x + {self.a6!r}"
+
+
+def curve_from_j(j) -> WCurve:
+    """A short Weierstrass model with the given j-invariant, an element
+    of a field ring: y^2 = x^3 + 3k x + 2k with k = j/(1728 - j) away
+    from j in {0, 1728}; y^2 = x^3 + 1 at j = 0 and y^2 = x^3 + x at
+    j = 1728."""
+    ring = j.ring
+    if j == ring.zero():
+        return WCurve(ring, ring.zero(), ring.one())
+    if j == ring.from_int(1728):
+        return WCurve(ring, ring.one(), ring.zero())
+    k = j * (ring.from_int(1728) - j).inverse()
+    return WCurve(ring, ring.from_int(3) * k, ring.from_int(2) * k)
+
+
+def classical_hasse(E: WCurve, p: int):
+    """Coefficient of x^(p-1) in (x^3 + Ax + B)^((p-1)/2), for E over
+    Zmod(p), by powering the Poly."""
+    field = E.ring
+    f = Poly(field, [E.a6, E.a4, field.zero(), field.one()])
+    return power(f, (p - 1) // 2).coeff(p - 1)
 
 
 def bernoulli(k: int) -> Fraction:

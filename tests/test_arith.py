@@ -28,6 +28,7 @@ from ellwitt.arith import (
     is_quadratic_residue,
     rth_root,
 )
+from oracles import elements
 
 
 def primes_up_to(n):
@@ -181,7 +182,7 @@ def test_frobenius_is_ring_hom_and_fixes_exactly_fp():
             y = ctx.elem(rng.randrange(p), rng.randrange(p))
             assert (x + y).conj() == x.conj() + y.conj()
             assert (x * y).conj() == x.conj() * y.conj()
-        fixed = {z for z in ctx.elements() if z.conj() == z}
+        fixed = {z for z in elements(ctx) if z.conj() == z}
         assert fixed == {ctx.coerce(v) for v in range(p)}
 
 
@@ -200,7 +201,7 @@ def test_fq2_multiplicative_group_order():
 def test_fq2_inverse_and_norm():
     for p in (5, 7, 13):
         ctx = fq2_context(p)
-        for z in ctx.elements():
+        for z in elements(ctx):
             if z:
                 assert z * z.inverse() == ctx.one()
                 assert z.norm() == (z * z.conj()).to_fp()
@@ -220,13 +221,13 @@ def fq2_models(p):
 def test_sqrt_fq2_every_square_round_trips(p):
     # square roots in F_{p^2} by rth_root at r = 2, on both models
     for ctx in fq2_models(p):
-        squares = {z * z for z in ctx.elements()}
+        squares = {z * z for z in elements(ctx)}
         assert len(squares) == (p * p + 1) // 2
         for w in squares:
             r = rth_root(w, 2)
             assert r.ring == ctx and r * r == w
         assert rth_root(ctx.zero(), 2) == ctx.zero()
-        for w in set(ctx.elements()) - squares:
+        for w in set(elements(ctx)) - squares:
             with pytest.raises(ValueError, match="not an r-th power, r = 2"):
                 rth_root(w, 2)
 
@@ -241,12 +242,12 @@ def check_cube_roots(ctx):
     """Every cube of ctx has a cube root that cubes back, and every
     non-cube raises."""
     p = ctx.p
-    cubes = {z * z * z for z in ctx.elements()}
+    cubes = {z * z * z for z in elements(ctx)}
     assert len(cubes) == (p * p - 1) // 3 + 1
     for w in cubes:
         r = rth_root(w, 3)
         assert r.ring == ctx and r * r * r == w
-    for w in set(ctx.elements()) - cubes:
+    for w in set(elements(ctx)) - cubes:
         with pytest.raises(ValueError, match="not an r-th power, r = 3"):
             rth_root(w, 3)
 
@@ -374,7 +375,7 @@ def test_cube_root_is_the_replaced_tonelli_shanks(p):
         e += 1
     assert (e >= 2) == (p >= 17) and (e == 3) == (p == 53)
     cubes = 0
-    for z in fq2_context(p).elements():
+    for z in elements(fq2_context(p)):
         try:
             want = oracle_cbrt_fq2(z)
         except ValueError:
@@ -432,7 +433,7 @@ def oracle_sqrt_fq2(z):
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 37, 41, 97])
 def test_sqrt_fq2_is_the_replaced_square_root(p):
     for ctx in fq2_models(p):
-        for z in ctx.elements():
+        for z in elements(ctx):
             try:
                 want = oracle_sqrt_fq2(z)
             except ValueError:

@@ -416,9 +416,9 @@ def test_gross_landweber_mismatch_exits_2(monkeypatch, capsys):
     import ellwitt.formalgroup as formalgroup
     real = formalgroup.v_invariants
 
-    def scaled(E, p):
-        v1, v2 = real(E, p)
-        return v1, None if v2 is None else v2 * 12
+    def scaled(a, p):
+        v1, v2 = real(a, p)
+        return v1, None if v2 is None else v2 * 12 % p
 
     monkeypatch.setattr(formalgroup, "v_invariants", scaled)
     for argv, p in ((["verify", "gross-landweber", "--prime", "13"], 13),
@@ -437,7 +437,7 @@ def test_gross_landweber_ordinary_reading_exits_2(monkeypatch, capsys):
     import ellwitt.cli as climod
     import ellwitt.formalgroup as formalgroup
     monkeypatch.setattr(formalgroup, "v_invariants",
-                        lambda E, p: (E.ring.one(), None))
+                        lambda a, p: (1, None))
     assert climod.main(["verify", "gross-landweber", "--prime", "7"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "Traceback" not in err

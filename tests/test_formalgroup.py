@@ -1,26 +1,34 @@
 """Formal group layer: invariants, expansions, the [p]-series, and the
-Deligne / Gross-Landweber verifications."""
+Deligne / Gross-Landweber verifications.
+
+Curves of the formal layer are int pairs (a4, a6) mod p.  The object
+routes they replaced, curve_from_j and the Poly power behind
+classical_hasse over Zmod(p), are kept in tests/oracles.py as the
+reference."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from ellwitt.arith import Zmod
+import oracles
+from ellwitt import formalgroup, polyseries
+from ellwitt.arith import Quad, QuadElem, Zmod, ZmodElem, is_prime
 from ellwitt.formalgroup import (
-    WCurve,
     classical_hasse,
+    curve_from_j,
     formal_expansion,
     has_bad_reduction,
+    heights_from_series,
     mult_by_p_series,
     v_invariants,
     verify_deligne,
     verify_gross_landweber,
 )
 from ellwitt.formalgroup import _c4_c6_disc
-from ellwitt.polyseries import QSeries
+from ellwitt.polyseries import Poly, QSeries
 from ellwitt.sslocus import ss_j_point_count
-from oracles import QQ, mult_by_m
+from oracles import QQ, WCurve, mult_by_m
 
 
 def test_curve_invariants_examples():
@@ -159,11 +167,8 @@ def test_has_bad_reduction_int_route_matches_fractions():
 
 
 def test_v_invariants_examples():
-    F5 = Zmod(5)
-    v1, v2 = v_invariants(WCurve(F5, 0, 1), 5)
-    assert v1.value == 0 and v2.value == 4
-    v1, v2 = v_invariants(WCurve(F5, 1, 0), 5)
-    assert v1.value == 2 and v2 is None
+    assert v_invariants((0, 1), 5) == (0, 4)
+    assert v_invariants((1, 0), 5) == (2, None)
 
 
 def test_height_dichotomy_vs_point_count():
@@ -177,11 +182,10 @@ def test_height_dichotomy_vs_point_count():
             for B in range(p):
                 if (4 * A ** 3 + 27 * B ** 2) % p == 0:
                     continue
-                E = WCurve(field, A, B)
-                v1, v2 = v_invariants(E, p)
-                j = E.invariants()[3]
+                v1, v2 = v_invariants((A, B), p)
+                j = WCurve(field, A, B).invariants()[3]
                 is_ss = ctx.coerce(j) in ss_js
-                assert (v1.value == 0) == is_ss
+                assert (v1 == 0) == is_ss
                 assert (v2 is not None) == is_ss
 
 
@@ -204,37 +208,82 @@ def test_height_dichotomy_vs_point_count_11_13():
 
 def test_classical_hasse_formulas():
     # p=5: coefficient is 2A; p=11: 20AB = 9AB
-    F5, F11 = Zmod(5), Zmod(11)
     for A in range(5):
         for B in range(5):
-            E = WCurve(F5, A, B)
-            assert classical_hasse(E, 5).value == (2 * A) % 5
+            assert classical_hasse((A, B), 5) == (2 * A) % 5
     rng = random.Random(21)
     for _ in range(20):
         A, B = rng.randrange(11), rng.randrange(11)
-        E = WCurve(F11, A, B)
-        assert classical_hasse(E, 11).value == (9 * A * B) % 11
+        assert classical_hasse((A, B), 11) == (9 * A * B) % 11
     # j = 0 is ordinary at p = 7 (7 = 1 mod 3): nonzero coefficient 3B
-    F7 = Zmod(7)
-    assert classical_hasse(WCurve(F7, 0, 1), 7).value == 3
+    assert classical_hasse((0, 1), 7) == 3
+
+
+@pytest.mark.parametrize("p", [p for p in range(5, 32) if is_prime(p)])
+def test_classical_hasse_matches_the_poly_power(p):
+    # the replaced route: (x^3 + a4 x + a6)^((p-1)/2) as a Poly over
+    # Zmod(p), at every nonsingular curve
+    F = Zmod(p)
+    for a4 in range(p):
+        for a6 in range(p):
+            if has_bad_reduction((a4, a6), p):
+                continue
+            got = classical_hasse((a4, a6), p)
+            assert type(got) is int and 0 <= got < p
+            assert got == oracles.classical_hasse(
+                WCurve(F, a4, a6), p).value, (p, a4, a6)
+
+
+def test_curve_from_j_matches_the_object_route():
+    for p in [p for p in range(5, 98) if is_prime(p)]:
+        F = Zmod(p)
+        for j in range(p):
+            E = oracles.curve_from_j(F.elem(j))
+            assert curve_from_j(j, p) == (E.a4.value, E.a6.value), (p, j)
+
+
+def test_the_formal_layer_builds_no_ring_object(monkeypatch):
+    # curves are int pairs mod p from v_invariants to verify_deligne
+    def built(self, *args):
+        raise AssertionError(f"the formal layer built a "
+                             f"{type(self).__name__}")
+    for cls in (Zmod, ZmodElem, Quad, QuadElem, Poly):
+        monkeypatch.setattr(cls, "__init__", built)
+    for p in (5, 7, 11, 13):
+        for j in range(p):
+            a = curve_from_j(j, p)
+            assert all(type(c) is int and 0 <= c < p for c in a)
+            v = v_invariants(a, p)
+            assert all(type(c) is int for c in v if c is not None)
+            full = mult_by_p_series(a, p).series
+            assert heights_from_series(a, p, full) == v
+        assert verify_deligne(p).curves_checked == p * (p - 1)
+    # the classical route is independent: no kernel of the [p]-series
+
+    def shared(*args):
+        raise AssertionError("classical_hasse ran a [p]-series kernel")
+    for module, name in ((polyseries, "_FpX"), (formalgroup, "_mul"),
+                         (formalgroup, "_div")):
+        monkeypatch.setattr(module, name, shared)
+    for p in (5, 7, 11, 13):
+        for A in range(p):
+            for B in range(p):
+                assert 0 <= classical_hasse((A, B), p) < p
 
 
 def test_weight_scaling_of_v1_v2():
     # (A, B) -> (u^4 A, u^6 B) scales v1 by u^(p-1) and v2 by u^(p^2-1)
     rng = random.Random(22)
     for p, A, B in ((5, 1, 1), (7, 2, 3)):
-        field = Zmod(p)
-        E = WCurve(field, A, B)
-        if not field.is_unit((E.invariants()[2])):
+        if has_bad_reduction((A, B), p):
             continue
-        v1, v2 = v_invariants(E, p)
+        v1, v2 = v_invariants((A, B), p)
         for _ in range(3):
-            u = field.elem(rng.randrange(1, p))
-            Eu = WCurve(field, u ** 4 * E.a4, u ** 6 * E.a6)
-            w1, w2 = v_invariants(Eu, p)
-            assert w1 == v1 * u ** (p - 1)
+            u = rng.randrange(1, p)
+            w1, w2 = v_invariants((u ** 4 * A % p, u ** 6 * B % p), p)
+            assert w1 == v1 * u ** (p - 1) % p
             if v2 is not None:
-                assert w2 == v2 * u ** (p * p - 1)
+                assert w2 == v2 * u ** (p * p - 1) % p
 
 
 def test_verify_deligne_small():

@@ -1,5 +1,10 @@
 """Z/p^N and W(F_{p^2})/p^N: Teichmuller lifts, Hensel lifting, the
-lifted supersingular polynomial and its idempotent splitting."""
+lifted supersingular polynomial and its idempotent splitting.
+
+teichmuller and hensel_root take F_{p^2} and W(F_{p^2})/p^N alone; an
+element of F_p is lifted as a scalar of F_{p^2}.  The Z/p^N route they
+also served, _fixed_point on Zmod(p, N), is the reference for those
+scalars."""
 
 import random
 
@@ -82,17 +87,40 @@ def test_lift_context_discriminant_is_unit():
 
 
 def test_teichmuller_examples():
-    F5 = Zmod(5)
-    assert teichmuller(F5.elem(0), 4).value == 0
-    assert teichmuller(F5.elem(1), 4).value == 1
-    assert teichmuller(F5.elem(2), 2).value == 7
+    # scalars of F_25: their lifts are scalars of W(F_25)/5^N
+    F25 = fq2_context(5)
+    assert teichmuller(F25.from_int(0), 4) == 0
+    assert teichmuller(F25.from_int(1), 4) == 1
+    t = teichmuller(F25.from_int(2), 2)
+    assert (t.a, t.b) == (7, 0)
     # defining property at N = 20
-    R = Zmod(5, 20)
+    W = lift_context(F25, 20)
     for v in range(1, 5):
-        t = teichmuller(F5.elem(v), 20)
-        assert t ** (5 - 1) == R.one()
+        t = teichmuller(F25.from_int(v), 20)
+        assert t ** (5 - 1) == W.one()
         assert t ** 5 == t
-        assert t.value % 5 == v
+        assert t.b == 0 and t.a % 5 == v
+
+
+@pytest.mark.parametrize("p", [p for p in range(5, 98) if is_prime(p)])
+def test_teichmuller_of_fp_is_the_replaced_zmod_route(p):
+    # the lift of v in F_p as a scalar of F_{p^2} is the fixed point of
+    # t -> t^p on Zmod(p, N), the route teichmuller took on F_p input
+    ctx = fq2_context(p)
+    for N in (1, 2, 5, 20):
+        for v in range(p):
+            want = padicwitt._fixed_point(Zmod(p, N).elem(v), p, N)
+            t = teichmuller(ctx.from_int(v), N)
+            assert (t.a, t.b) == (want.value, 0), (p, N, v)
+
+
+def test_teichmuller_and_hensel_refuse_zmod():
+    for x in (Zmod(5).elem(2), Zmod(5, 3).elem(2), 2):
+        with pytest.raises(TypeError):
+            teichmuller(x, 3)
+    for N in (1, 2):
+        with pytest.raises(TypeError):
+            hensel_root(Poly(Zmod(7, N), [-2, 0, 1]), Zmod(7).elem(3))
 
 
 def test_teichmuller_fq2_defining_property():
@@ -113,13 +141,13 @@ def test_teichmuller_multiplicative():
     rng = random.Random(8)
     for p in (5, 11):
         ctx = fq2_context(p)
-        F = Zmod(p)
         for _ in range(15):
             x = ctx.elem(rng.randrange(p), rng.randrange(p))
             y = ctx.elem(rng.randrange(p), rng.randrange(p))
             assert teichmuller(x * y, 20) == \
                 teichmuller(x, 20) * teichmuller(y, 20)
-            u, v = F.elem(rng.randrange(p)), F.elem(rng.randrange(p))
+            u = ctx.from_int(rng.randrange(p))
+            v = ctx.from_int(rng.randrange(p))
             assert teichmuller(u * v, 20) == \
                 teichmuller(u, 20) * teichmuller(v, 20)
 
@@ -144,30 +172,35 @@ def test_witt_frobenius_properties():
 
 
 def test_hensel_examples():
-    R49 = Zmod(7, 2)
-    r = hensel_root(Poly(R49, [-2, 0, 1]), Zmod(7).elem(3))
-    assert r.value == 10
-    R = Zmod(11, 9)
-    assert hensel_root(Poly(R, [0, -1, 1]), Zmod(11).elem(1)) == R.one()
+    # on scalars of F_{p^2} and W(F_{p^2})/p^N
+    F49, F121 = fq2_context(7), fq2_context(11)
+    W49 = lift_context(F49, 2)
+    r = hensel_root(Poly(W49, [-2, 0, 1]), F49.from_int(3))
+    assert (r.a, r.b) == (10, 0)
+    R = lift_context(F121, 9)
+    assert hensel_root(Poly(R, [0, -1, 1]), F121.from_int(1)) == R.one()
     with pytest.raises(ValidationError):
-        hensel_root(Poly(R, [0, 0, 1]), Zmod(11).elem(0))
+        hensel_root(Poly(R, [0, 0, 1]), F121.from_int(0))
 
 
 def test_hensel_non_root_is_validation_error():
-    R = Zmod(7, 4)
+    R = lift_context(fq2_context(7), 4)
     with pytest.raises(ValidationError, match="not a root"):
-        hensel_root(Poly(R, [-2, 0, 1]), Zmod(7).elem(2))
+        hensel_root(Poly(R, [-2, 0, 1]), fq2_context(7).from_int(2))
     w = lift_context(fq2_context(7), 3)
     with pytest.raises(ValidationError, match="not simple"):
         hensel_root(Poly(w, [0, 0, 1]), fq2_context(7).zero())
 
 
 def test_hensel_rejects_a_residue_of_another_ring():
-    R = Zmod(7, 4)
+    R = lift_context(fq2_context(7), 4)
     with pytest.raises(ValueError):
-        hensel_root(Poly(R, [-2, 0, 1]), Zmod(11).elem(3))
+        hensel_root(Poly(R, [-2, 0, 1]), fq2_context(11).from_int(3))
     with pytest.raises(ValueError):
-        hensel_root(Poly(R, [-2, 0, 1]), Zmod(7, 2).elem(3))
+        hensel_root(Poly(R, [-2, 0, 1]),
+                    lift_context(fq2_context(7), 2).from_int(3))
+    with pytest.raises(ValueError):   # F_p is not the model's scalars
+        hensel_root(Poly(R, [-2, 0, 1]), Zmod(7).elem(3))
     # the same F_49, but another model of it: x is not the model's x
     w = lift_context(fq2_context(7), 3)
     with pytest.raises(ValueError):
@@ -177,12 +210,12 @@ def test_hensel_rejects_a_residue_of_another_ring():
 
 
 def test_hensel_independent_of_starting_lift():
-    R = Zmod(7, 8)
+    R = lift_context(fq2_context(7), 8)
     f = Poly(R, [-2, 0, 1])
-    a = hensel_root(f, R.elem(3))
-    b = hensel_root(f, R.elem(3 + 7 * 123))
+    a = hensel_root(f, R.from_int(3))
+    b = hensel_root(f, R.from_int(3 + 7 * 123))
     assert a == b
-    assert (a * a).value == 2
+    assert a * a == R.from_int(2)
 
 
 def test_lift_ss_poly_spot_values():

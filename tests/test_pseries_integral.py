@@ -2,19 +2,19 @@
 log/exp oracle over exact rationals, at full precision p^2 + 1."""
 
 import random
+import re
 
 import pytest
 
 from ellwitt.arith import Zmod
 from ellwitt.errors import PrecisionError, ValidationError
 from ellwitt.formalgroup import (
-    WCurve,
     heights_from_series,
     mult_by_p_series,
     v_invariants,
 )
 from ellwitt.polyseries import _div
-from oracles import QQ, mult_by_m, reduce_mod
+from oracles import QQ, WCurve, mult_by_m, reduce_mod
 
 
 def _short_curves(p):
@@ -48,7 +48,6 @@ def test_agrees_with_log_exp_models_outside_the_residues(p):
     # any integral model, not only the one with a4, a6 in [0, p); its
     # reduction mod p is the series of the reduced model
     rng = random.Random(p)
-    field = Zmod(p)
     models = [(a4, a6) for a4, a6 in sorted(
         {(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(12)})
         if (4 * a4 ** 3 + 27 * a6 ** 2) % p]
@@ -60,9 +59,8 @@ def test_agrees_with_log_exp_models_outside_the_residues(p):
         assert [c % p for c in ps.series] == \
             [c % p for c in reduced.series]
         assert ps.p == p and ps.curve == (a4, a6)
-        E = WCurve(field, a4, a6)
-        assert heights_from_series(E, p, ps.series) == \
-            v_invariants(E, p)
+        assert heights_from_series((a4, a6), p, ps.series) == \
+            v_invariants((a4, a6), p) == v_invariants((a4 % p, a6 % p), p)
 
 
 def test_agrees_with_log_exp_seeded_sample_p11():
@@ -70,13 +68,11 @@ def test_agrees_with_log_exp_seeded_sample_p11():
     p = 11
     rng = random.Random(11)
     curves = _short_curves(p)
-    field = Zmod(p)
-    ss = [c for c in curves
-          if v_invariants(WCurve(field, *c), p)[1] is not None]
+    ss = [c for c in curves if v_invariants(c, p)[1] is not None]
     general = [(a, b) for a, b in curves if a * b]
     for a, b in rng.sample(ss, 1) + rng.sample(general, 1):
         ps = _assert_agrees((a, b), p)
-        v1, v2 = heights_from_series(WCurve(field, a, b), p, ps.series)
+        v1, v2 = heights_from_series((a, b), p, ps.series)
         assert (v2 is not None) == ((a, b) in ss)
 
 
@@ -97,25 +93,45 @@ def test_head_is_truncation_of_full_series():
 
 def test_heights_from_full_series_match_v_invariants():
     for p in (5, 7):
-        field = Zmod(p)
         for a, b in _short_curves(p):
-            E = WCurve(field, a, b)
             full = mult_by_p_series((a, b), p)
-            assert heights_from_series(E, p, full.series) == \
-                v_invariants(E, p)
+            assert heights_from_series((a, b), p, full.series) == \
+                v_invariants((a, b), p)
 
 
 def test_heights_from_a_short_series_raise_precision_error():
     # (1, 0) is ordinary and (1, 4) supersingular at 13: v1 needs t^p,
     # v2 needs t^(p^2)
-    field = Zmod(13)
     ordinary = mult_by_p_series((1, 0), 13, prec=14).series
-    assert heights_from_series(WCurve(field, 1, 0), 13, ordinary)[1] is None
+    assert heights_from_series((1, 0), 13, ordinary)[1] is None
     with pytest.raises(PrecisionError, match="t\\^13"):
-        heights_from_series(WCurve(field, 1, 0), 13, ordinary[:12])
+        heights_from_series((1, 0), 13, ordinary[:12])
     head = mult_by_p_series((1, 4), 13, prec=14).series
     with pytest.raises(PrecisionError, match="t\\^15 "):
-        heights_from_series(WCurve(field, 1, 4), 13, head)
+        heights_from_series((1, 4), 13, head)
+
+
+def test_a_series_that_does_not_factor_names_the_curve():
+    # the curve is printed reduced mod p, each coefficient as "c (mod p)"
+    ordinary = list(mult_by_p_series((1, 0), 13, prec=14).series)
+    ordinary[2] += 1   # t^3
+    with pytest.raises(ValidationError, match=re.escape(
+            "ordinary curve y^2 = x^3 + 1 (mod 13)*x + 0 (mod 13): t^3 "
+            "coefficient nonzero mod 13 — [p] does not factor through "
+            "Frobenius")):
+        heights_from_series((14, -13), 13, ordinary)
+    full = list(mult_by_p_series((1, 4), 13).series)
+    bad = full[:20] + [full[20] + 1] + full[21:]   # t^21
+    with pytest.raises(ValidationError, match=re.escape(
+            "supersingular curve y^2 = x^3 + 1 (mod 13)*x + 4 (mod 13): "
+            "t^21 coefficient nonzero mod 13 — [p] does not factor "
+            "through Frobenius^2")):
+        heights_from_series((1, 4), 13, bad)
+    full[168] -= full[168] % 13   # v2 = 0 mod 13
+    with pytest.raises(ValidationError, match=re.escape(
+            "supersingular curve y^2 = x^3 + 1 (mod 13)*x + 4 (mod 13): "
+            "v2 is not a unit")):
+        heights_from_series((1, 4), 13, full)
 
 
 def test_series_division_is_exact_or_raises():

@@ -11,11 +11,13 @@ recomputed.  Writes are atomic (temp then rename).
 Neither load nor store raises: a cache the file system refuses costs a
 warning, not the result.  Paths are plain strings through os and
 os.path: pathlib and tempfile would add their imports to every command.
+`json` loads only once an entry file has been read, so a miss and every
+uncached command run without it; entries are written by
+`report.canonical_json`.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 
@@ -97,6 +99,7 @@ def load(kind: str, key: dict):
             data = fh.read()
     except OSError:
         return None
+    import json  # on use: a miss, and every uncached command, skips it
     try:  # invalid UTF-8 is a ValueError; JSON nested too deep recurses
         entry = json.loads(data.decode())
         ok = (isinstance(entry, dict)

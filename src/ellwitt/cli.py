@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import gc
 import os
-import re
 import sys
 import time
 from collections import namedtuple
@@ -470,9 +469,6 @@ COMMANDS = {
 }
 
 _HELP_FLAGS = ("-h", "--help")
-#: A token that looks like a negative number is a value, not a flag
-#: ("$" also matches before a final newline, so "-7\n" is a value too).
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
 def _summary(row: Command) -> str:
@@ -516,11 +512,21 @@ def _help(words: tuple) -> str:
     return "\n".join(out) + "\n"
 
 
+def _negative_number(token: str) -> bool:
+    r"""Whether argparse's ^-\d+$|^-\d*\.\d+$ matches `token`: a token
+    that looks like a negative number is a value, not a flag."""
+    # "$" also matches before a final newline, so "-7\n" is a value too;
+    # \d is a Unicode decimal digit, which is what str.isdecimal tests
+    number = token.removesuffix("\n")
+    return (number[:1] == "-" and not number.endswith(".")
+            and number[1:].replace(".", "0", 1).isdecimal())
+
+
 def _option(token: str, options: tuple):
     """Read `token` as argparse did: None for a value, else (the option
     it names, or None for an unknown one; the value after "=" or None).
     A unique prefix of a long option names it."""
-    if not token.startswith("-") or token == "-":
+    if not token.startswith("-") or token == "-" or _negative_number(token):
         return None
     if token in options:
         return token, None
@@ -538,7 +544,7 @@ def _option(token: str, options: tuple):
                          f"{', '.join(hits)}")
     if hits:
         return hits[0], explicit
-    if _NEGATIVE_NUMBER.match(token) or " " in token:
+    if " " in token:
         return None
     return None, None
 

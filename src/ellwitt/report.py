@@ -5,11 +5,15 @@ hits and golden files can be compared byte for byte; the timings section
 is the only part allowed to vary between runs.  Every number that
 represents a p-adic value is rendered as a little-endian base-p digit
 string ("d0,d1,...") next to an explicit (p, N) header.
+`canonical_json` writes it all without loading `json` and must equal
+`json.dumps(data, sort_keys=True, indent=2, separators=(",", ": "))`
+plus a newline, byte for byte, as tests/test_stdlib_stand_ins.py::
+test_canonical_json_equals_json_dumps checks.
 """
 
 from __future__ import annotations
 
-import json
+from math import isfinite
 
 SCHEMA_VERSION = "1"
 
@@ -24,9 +28,41 @@ def padic_digits(value: int, p: int, N: int) -> str:
     return ",".join(digits)
 
 
+def _dumps(value, indent: str) -> str:
+    """`value` as JSON nested at `indent`, a newline and two spaces a
+    level.  A string that needs escaping, NaN, an infinity or another
+    type goes to `json.dumps`, which no report reaches."""
+    if isinstance(value, str):
+        if (value.isascii() and value.isprintable() and '"' not in value
+                and "\\" not in value):
+            return f'"{value}"'
+    elif value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    elif isinstance(value, int):
+        return int.__repr__(value)
+    elif isinstance(value, float):
+        if isfinite(value):
+            return float.__repr__(value)
+    elif isinstance(value, (list, tuple, dict)):
+        inner = indent + "  "
+        if isinstance(value, dict):
+            if not all(isinstance(key, str) for key in value):
+                raise TypeError("keys must be str")
+            items = [f"{_dumps(key, inner)}: {_dumps(value[key], inner)}"
+                     for key in sorted(value)]
+            ends = "{}"
+        else:
+            items = [_dumps(item, inner) for item in value]
+            ends = "[]"
+        if not items:
+            return ends
+        return ends[0] + inner + ("," + inner).join(items) + indent + ends[1]
+    import json
+    return json.dumps(value)
+
+
 def canonical_json(data) -> str:
-    return json.dumps(data, sort_keys=True, indent=2,
-                      separators=(",", ": ")) + "\n"
+    return _dumps(data, "\n") + "\n"
 
 
 class Report:

@@ -1,8 +1,9 @@
 """The package's import graph: every module imports the others at its
 top, the supersingular locus loads without the formal-group layer that
 reads it, no module imports or loads a rational module (`fractions`,
-`decimal`, `numbers`), each class and function is bound under its own
-name alone, and every name a module exports in `__all__` is bound."""
+`decimal`, `numbers`), only a cache hit loads `json` or `re`, each class
+and function is bound under its own name alone, and every name a module
+exports in `__all__` is bound."""
 
 import ast
 import importlib
@@ -13,6 +14,7 @@ import sys
 from pathlib import Path
 
 import ellwitt
+from test_command_sweep import SWEEP
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ellwitt"
 
@@ -138,6 +140,35 @@ def test_no_command_loads_a_rational_module(tmp_path):
         got = _fresh(run + f"print(json.dumps(run({line!r})))\n",
                      ELLWITT_CACHE_DIR=str(tmp_path / f"cold{i}"))
         assert got == [], line
+
+
+#: Modules that only a cache hit loads (`re` comes with `json.decoder`).
+_JSON_AND_RE = ("json", "json.decoder", "json.encoder", "_json", "re")
+
+
+def test_start_up_loads_neither_json_nor_re(tmp_path):
+    # report writes the canonical JSON itself and cli reads negative
+    # numbers without a regex, so only a cache hit loads json
+    leaves = [f"{' '.join(w)} {flags} --json" for w, flags in SWEEP.items()]
+    code = ("import contextlib, io, sys\n"
+            "import ellwitt.cli\n"
+            f"NAMES = {_JSON_AND_RE!r}\n"
+            "def loaded():\n"
+            "    return [m for m in NAMES if m in sys.modules]\n"
+            "def run(line):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert ellwitt.cli.main(line.split()) == 0, line\n"
+            "    return loaded()\n"
+            f"out = [loaded()] + [run(a) for a in {leaves!r}]\n"
+            "out += [run('ss --prime 13 --json') for _ in range(2)]\n"
+            "import json\n"
+            "print(json.dumps(out))\n")
+    out = _fresh(code, ELLWITT_CACHE_DIR=str(tmp_path))
+    # ss and lift ran cold, then ss --prime 13 once cold and once warm
+    assert sorted(p.name.split("_")[0] for p in tmp_path.glob("*.json")) \
+        == ["lift", "ss", "ss"]
+    assert out[:-1] == [[]] * (2 + len(leaves))
+    assert out[-1] == list(_JSON_AND_RE)    # json.decoder brings re
 
 
 def _modules() -> list:

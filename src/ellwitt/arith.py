@@ -24,10 +24,13 @@ All values are immutable.
 
 from __future__ import annotations
 
+import sys
 from functools import lru_cache
 from itertools import count
+from operator import itemgetter
 
 __all__ = [
+    "record",
     "is_prime",
     "require_prime",
     "power",
@@ -40,6 +43,45 @@ __all__ = [
     "fq2_context",
     "rth_root",
 ]
+
+
+def record(name: str, fields: str, defaults=()) -> type:
+    """A tuple type named `name`, of the calling module, with one
+    read-only property per field of the space-separated `fields`, as
+    collections.namedtuple builds but without compiling a constructor
+    by eval: it takes its values by position or keyword, the last
+    len(defaults) of them optional, and _replace(**changes) copies a
+    record with some fields changed.  A record equals and hashes as the
+    plain tuple of its values and has the namedtuple's repr; it has no
+    _fields, _asdict or _make, and copy.copy and unpickling raise
+    TypeError, since nothing uses them."""
+    names, missing = tuple(fields.split()), object()
+    slots = (missing,) * (len(names) - len(defaults)) + tuple(defaults)
+
+    def __new__(cls, *args, **kwargs):
+        k = len(args)
+        values = args + tuple(map(kwargs.pop, names[k:], slots[k:]))
+        if kwargs or len(values) != len(names) or any(
+                v is missing for v in values):
+            raise TypeError(f"{name} takes the fields {fields!r}")
+        return tuple.__new__(cls, values)
+
+    def _replace(self, **changes):
+        new = tuple.__new__(type(self), map(changes.pop, names, self))
+        if changes:
+            raise ValueError(f"{name} has no fields {sorted(changes)}")
+        return new
+
+    def __repr__(self):
+        return f"{name}({', '.join(map('{}={!r}'.format, names, self))})"
+
+    namespace = {"__slots__": (), "__new__": __new__, "_replace": _replace,
+                 "__repr__": __repr__,
+                 "__module__": sys._getframe(1).f_globals["__name__"]}
+    for i, field in enumerate(names):
+        namespace[field] = property(itemgetter(i))
+    return type(name, (tuple,), namespace)
+
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -70,8 +112,8 @@ def is_prime(n: int) -> bool:
 
 def power(x, e: int):
     """x^e for e >= 1 by squaring, right to left: e.bit_length() - 1
-    squarings and one product per set bit after the lowest.  The one
-    power loop of QuadElem and QSeries."""
+    squarings and one product per set bit after the lowest.  The power
+    loop of QSeries; QuadElem runs the same loop on int pairs."""
     result = None
     while e:
         if e & 1:
@@ -385,9 +427,20 @@ class QuadElem:
         return QuadElem(-self.a, -self.b, self.ring)
 
     def __pow__(self, e: int):
+        """Square-and-multiply on the int pair (a, b) mod p^N, right to
+        left; one element is built, at the end."""
         if e < 0:
             return self.inverse() ** (-e)
-        return power(self, e) if e else self.ring.one()
+        r = self.ring
+        m, g0 = r.modulus, r.g0
+        a, b, ra, rb = self.a, self.b, 1, 0
+        while e:
+            if e & 1:
+                ra, rb = (ra * a - g0 * rb * b) % m, (ra * b + rb * a) % m
+            e >>= 1
+            if e:
+                a, b = (a * a - g0 * b * b) % m, 2 * a * b % m
+        return QuadElem(ra, rb, r)
 
     def norm(self) -> ZmodElem:
         """z * conj(z), a scalar."""

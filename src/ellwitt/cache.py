@@ -11,15 +11,17 @@ recomputed.  Writes are atomic (temp then rename).
 Neither load nor store raises: a cache the file system refuses costs a
 warning, not the result.  Paths are plain strings through os and
 os.path: pathlib and tempfile would add their imports to every command.
-`json` loads only once an entry file has been read, so a miss and every
-uncached command run without it; entries are written by
-`report.canonical_json`.
+An entry is written by `report.canonical_json` and read by `_json`'s
+scanner, the C half of `json.loads`: a cache hit loads `_json` but not
+the `json` package, and a miss or an uncached command neither.  Only an
+entry the scanner cannot read whole goes on to `json.loads`.
 """
 
 from __future__ import annotations
 
 import os
 import sys
+from types import SimpleNamespace
 
 from .report import SCHEMA_VERSION, canonical_json
 
@@ -87,6 +89,34 @@ def _checksum(payload: dict) -> str:
     return sha256(canonical_json(payload).encode()).hexdigest()
 
 
+def _parse(text: str):
+    """json.loads(text), read by `_json`'s scanner, the C half of
+    json.loads, set as json.loads sets it (strict strings, float and
+    int, NaN and +-Infinity, no hooks) with JSON whitespace skipped on
+    both sides.  A well-formed entry so loads `_json` but not the `json`
+    package and the `re` its decoder needs.  Anything else, a build
+    without `_json`, a scanner error or trailing data, is read again by
+    json.loads, which raises as it always does: the scanner reports a
+    syntax error through `json.decoder`, and before that is imported,
+    as on CPython 3.11, it raises SystemError instead."""
+    space = " \t\n\r"  # JSON's whitespace
+    try:
+        from _json import make_scanner
+        constants = {"NaN": float("nan"), "Infinity": float("inf"),
+                     "-Infinity": float("-inf")}
+        scan = make_scanner(SimpleNamespace(
+            strict=True, object_hook=None, object_pairs_hook=None,
+            parse_float=float, parse_int=int,
+            parse_constant=constants.__getitem__))
+        value, end = scan(text, len(text) - len(text.lstrip(space)))
+        if not text[end:].lstrip(space):
+            return value
+    except Exception:
+        pass
+    from json import loads
+    return loads(text)
+
+
 def load(kind: str, key: dict):
     """The cached payload for (kind, key), or None on miss/corruption.
 
@@ -99,9 +129,8 @@ def load(kind: str, key: dict):
             data = fh.read()
     except OSError:
         return None
-    import json  # on use: a miss, and every uncached command, skips it
     try:  # invalid UTF-8 is a ValueError; JSON nested too deep recurses
-        entry = json.loads(data.decode())
+        entry = _parse(data.decode())
         ok = (isinstance(entry, dict)
               and entry.get("schema_version") == SCHEMA_VERSION
               and entry.get("key") == key

@@ -13,12 +13,11 @@ import gc
 import os
 import sys
 import time
-from collections import namedtuple
 from math import gcd
 from types import SimpleNamespace
 
 from . import cache, formalgroup, modforms, padicwitt, sslocus
-from .arith import has_sqrt3, is_prime
+from .arith import has_sqrt3, is_prime, record
 from .errors import ValidationError
 from .formalgroup import MAX_FORMAL_PRIME
 from .padicwitt import (
@@ -399,14 +398,14 @@ def _print_verify_all(s: dict) -> None:
 
 #: One integer flag: its default (None: the flag is required) and its
 #: least and greatest values (None: no bound on that side).
-Flag = namedtuple("Flag", "default lo hi")
+Flag = record("Flag", "default lo hi")
 
 #: One command: its one-line help, which may show its flags' bounds
 #: ("{prime.hi}"); its flags by name; the report section it fills, the
 #: builder called with the flag values in order and the section's
 #: printer.  A group ("verify", "scan") has only its help.
-Command = namedtuple("Command", "help flags section build show",
-                     defaults=(None,) * 4)
+Command = record("Command", "help flags section build show",
+                 defaults=(None,) * 4)
 
 #: Every command by its words.  Every command also takes --json and
 #: -h/--help.

@@ -29,12 +29,11 @@ checks all run on ints mod p and build no ring object.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from itertools import compress
 from math import comb, gcd
 from operator import mul
 
-from .arith import require_prime
+from .arith import record, require_prime
 from .errors import PrecisionError, ValidationError
 from .polyseries import QSeries, _div, _mul
 from . import modforms, sslocus
@@ -135,7 +134,7 @@ def formal_expansion(E, prec: int):
 
 #: [p]-series of an integral curve: p, curve (the ints (a4, a6)) and
 #: series (the ints at t^1 .. t^prec).
-PSeries = namedtuple("PSeries", "p curve series")
+PSeries = record("PSeries", "p curve series")
 
 
 # Series in Z[[t]] below are plain int lists holding the coefficients of
@@ -319,7 +318,7 @@ def _hasse_form_value(hf: dict, c4: int, c6: int, p: int) -> int:
                for (a, b), c in hf.items()) % p
 
 
-DeligneReport = namedtuple(
+DeligneReport = record(
     "DeligneReport", "prime curves_checked supersingular_curves")
 
 
@@ -352,10 +351,10 @@ def verify_deligne(p: int) -> DeligneReport:
 
 
 #: One supersingular curve's v2 and the prediction it equals.
-GLCurveResult = namedtuple("GLCurveResult", "j a4 a6 v2 predicted")
+GLCurveResult = record("GLCurveResult", "j a4 a6 v2 predicted")
 
 #: entries is a tuple of GLCurveResult.
-GLReport = namedtuple("GLReport", "prime sign entries")
+GLReport = record("GLReport", "prime sign entries")
 
 
 def verify_gross_landweber(p: int) -> GLReport:

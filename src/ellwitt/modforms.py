@@ -17,12 +17,11 @@ j = E4^3/Delta (ss_poly_eisenstein), an int list mod p as well.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from functools import lru_cache, reduce
 from math import gcd
 from operator import mul
 
-from .arith import require_prime
+from .arith import record, require_prime
 from .errors import ValidationError
 from .polyseries import _div, _mul, is_squarefree
 
@@ -120,7 +119,7 @@ def j_q(prec: int) -> list:
 
 
 #: Monomials E4^a E6^b spanning M_k, listed with b ascending.
-WeightBasis = namedtuple("WeightBasis", "k monomials")
+WeightBasis = record("WeightBasis", "k monomials")
 
 
 def _dim_mk(k: int) -> int:
@@ -214,7 +213,7 @@ def express_in_e4e6(s: list, k: int, p: int) -> dict:
 
 
 #: p - 1 = 12m + 4*delta + 6*eps with delta, eps in {0, 1}.
-HasseDecomposition = namedtuple("HasseDecomposition", "p m delta eps")
+HasseDecomposition = record("HasseDecomposition", "p m delta eps")
 
 
 def hasse_decomposition(p: int) -> HasseDecomposition:

@@ -38,12 +38,11 @@ the class numbers of the orders Z[sqrt(-p)] and Z[(1 + sqrt(-p))/2]
 from __future__ import annotations
 
 import struct
-from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate
 from math import comb, gcd, isqrt
 
-from .arith import fq2_context, is_prime, require_prime, rth_root
+from .arith import fq2_context, is_prime, record, require_prime, rth_root
 from .errors import ValidationError
 from .polyseries import (
     _FpX, count_roots_in_fp, is_squarefree, roots_in_field)
@@ -203,7 +202,7 @@ def _s3_orbit(lam) -> set:
 #: The Deuring pass at p: the lambda-roots in F_{p^2} of the Hasse
 #: polynomial (frozenset), the supersingular j they lie over (frozenset)
 #: and the "deuring quotient" row's ss_p (ascending int list mod p).
-DeuringPass = namedtuple("DeuringPass", "lambdas j_set ss_poly")
+DeuringPass = record("DeuringPass", "lambdas j_set ss_poly")
 
 
 @lru_cache(maxsize=None)
@@ -452,7 +451,7 @@ def rational_ss_count(p: int) -> int:
 #: p), whether it yields a j-set (else ss_p) and how it runs.  A row
 #: calls its function by its module-level name, so rebinding it reaches
 #: the row.  cross_validate compares every row with the first's ss_p.
-Route = namedtuple("Route", "name max_p jset run")
+Route = record("Route", "name max_p jset run")
 ROUTES = (
     Route("closed form", None, False, lambda p: ss_poly_closed(p)),
     Route("eisenstein", modforms.MAX_EISENSTEIN_PRIME, False,
@@ -474,7 +473,7 @@ def admitted_routes(p: int) -> list:
 #: j_values (tuple of F_{p^2} elements in sorted_j order), ss_poly
 #: (ascending int list mod p), sigma (its degree), all_rational and
 #: routes (the rows that ran).
-SSLocus = namedtuple("SSLocus", "p j_values ss_poly sigma all_rational routes")
+SSLocus = record("SSLocus", "p j_values ss_poly sigma all_rational routes")
 
 
 def sorted_j(js) -> list:

@@ -587,6 +587,13 @@ _WRONG_PAYLOADS = [
     "[]", "null", '"x"',
     pytest.param(b"\xff\xfe{", id="not-utf8"),
     pytest.param("[" * 200_000 + "]" * 200_000, id="too-deep-for-json"),
+    # syntax errors, which the C scanner reports through json.decoder,
+    # a module that a fresh process has not imported
+    pytest.param('{"key": {"p": 13', id="truncated"),
+    pytest.param('["\\x"]', id="bad-escape"),
+    pytest.param('["a\x01"]', id="raw-control-character"),
+    pytest.param('{"key" 13}', id="missing-colon"),
+    pytest.param("{} {}", id="trailing-data"),
     *_WRONG_PAYLOADS,
 ])
 def test_cache_entry_of_another_json_shape_is_discarded(tmp_path, text):

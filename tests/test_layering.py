@@ -1,9 +1,9 @@
 """The package's import graph: every module imports the others at its
 top, the supersingular locus loads without the formal-group layer that
 reads it, no module imports or loads a rational module (`fractions`,
-`decimal`, `numbers`), only a cache hit loads `json` or `re`, each class
-and function is bound under its own name alone, and every name a module
-exports in `__all__` is bound."""
+`decimal`, `numbers`), no command loads `json` or `re` and only a cache
+hit loads `_json`, each class and function is bound under its own name
+alone, and every name a module exports in `__all__` is bound."""
 
 import ast
 import importlib
@@ -142,13 +142,15 @@ def test_no_command_loads_a_rational_module(tmp_path):
         assert got == [], line
 
 
-#: Modules that only a cache hit loads (`re` comes with `json.decoder`).
+#: The `json` package, `re` (which `json.decoder` needs) and the C
+#: scanner `_json`, which alone a cache hit loads.
 _JSON_AND_RE = ("json", "json.decoder", "json.encoder", "_json", "re")
 
 
 def test_start_up_loads_neither_json_nor_re(tmp_path):
-    # report writes the canonical JSON itself and cli reads negative
-    # numbers without a regex, so only a cache hit loads json
+    # report writes the canonical JSON itself, cli reads negative
+    # numbers without a regex and cache reads an entry with the C
+    # scanner of json.loads, so only a cache hit loads _json
     leaves = [f"{' '.join(w)} {flags} --json" for w, flags in SWEEP.items()]
     code = ("import contextlib, io, sys\n"
             "import ellwitt.cli\n"
@@ -168,7 +170,7 @@ def test_start_up_loads_neither_json_nor_re(tmp_path):
     assert sorted(p.name.split("_")[0] for p in tmp_path.glob("*.json")) \
         == ["lift", "ss", "ss"]
     assert out[:-1] == [[]] * (2 + len(leaves))
-    assert out[-1] == list(_JSON_AND_RE)    # json.decoder brings re
+    assert out[-1] == ["_json"]
 
 
 def _modules() -> list:

@@ -6,12 +6,13 @@ import random
 
 import pytest
 
-from ellwitt import polyseries
+from ellwitt import arith, polyseries
 from ellwitt.arith import (
     QuadElem,
     Zmod,
     fq2_context,
     is_quadratic_residue,
+    power,
     rth_root,
 )
 from ellwitt.padicwitt import lift_context
@@ -106,27 +107,92 @@ def test_fp_kernels_never_serve_precision_two(monkeypatch):
 
 
 def test_powers_square_only_below_the_top_bit(monkeypatch):
-    # x**2 is one product and x**3 two; every power up to 40 equals
-    # repeated multiplication, at N = 1 and N > 1
+    # arith.power, the object loop that QSeries powers run: x**2 is one
+    # product and x**3 two, and every power up to 40 equals repeated
+    # multiplication, at N = 1 and N > 1.  QuadElem powers run the same
+    # loop on int pairs and multiply no QuadElem at all.
     c13 = fq2_context(13)
-    cases = [(QuadElem, c13.elem(3, 5), c13.one()),
-             (QuadElem, W25.elem(7, 11), W25.one())]
-    for cls, x, one in cases:
+    for x, one in ((c13.elem(3, 5), c13.one()), (W25.elem(7, 11), W25.one())):
         acc = one
         for e in range(41):
             assert x ** e == acc
+            if e:
+                assert power(x, e) == acc
             acc = acc * x
-        real, products = cls.__mul__, []
+        real, products = QuadElem.__mul__, []
 
         def counted(a, b):
             products.append(1)
             return real(a, b)
 
-        monkeypatch.setattr(cls, "__mul__", counted)
+        monkeypatch.setattr(QuadElem, "__mul__", counted)
         for e, want in ((2, 1), (3, 2)):
             products.clear()
-            x ** e
+            power(x, e)
             assert len(products) == want, (x, e)
+        products.clear()
+        for e in range(-3, 41):
+            x ** e
+        assert products == [], x
         monkeypatch.undo()
     z = c13.elem(3, 5)
     assert z ** -3 == z.inverse() ** 3 and z ** 0 == c13.one()
+
+
+#: The first 16 primes from 5: the fields of the r-th-root agreement.
+FIELD_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+
+#: 16 rings: F_{p^2} at six primes, and W/p^2 and W/p^5 at five.
+POWER_RINGS = ([fq2_context(p) for p in FIELD_PRIMES[:6]]
+               + [lift_context(fq2_context(p), N)
+                  for p in FIELD_PRIMES[:5] for N in (2, 5)])
+assert len(POWER_RINGS) == 16
+
+
+def object_power(x, e: int):
+    """x^e by arith.power on QuadElem objects, as QuadElem.__pow__ ran
+    before it squared on int pairs."""
+    if e < 0:
+        return object_power(x.inverse(), -e)
+    return power(x, e) if e else x.ring.one()
+
+
+@pytest.mark.parametrize("ring", POWER_RINGS, ids=repr)
+def test_int_pair_power_is_the_object_loop(ring):
+    # every exponent up to 2p^2 + 2, and down to its negative on units,
+    # at zero, one, a scalar, seeded units and, for N > 1, non-units
+    p, m, rng = ring.p, ring.modulus, random.Random(ring.modulus)
+    xs = [ring.zero(), ring.one(), ring.elem(2)]
+    xs += [ring.elem(rng.randrange(m), rng.randrange(1, m)) for _ in range(3)]
+    if ring.N > 1:
+        xs += [ring.elem(p * rng.randrange(m), p * rng.randrange(m))]
+    top = 2 * p * p + 2
+    for x in xs:
+        low = -top if ring.is_unit(x) else 0
+        for e in range(low, top + 1):
+            assert x ** e == object_power(x, e), (x, e)
+
+
+@pytest.mark.parametrize("p", FIELD_PRIMES)
+def test_rth_root_is_the_object_loop_rth_root(p, monkeypatch):
+    # every element of F_{p^2}, square and cube roots: the same root, or
+    # the same refusal, as rth_root on QuadElem.__pow__ by arith.power
+    ring = fq2_context(p)
+
+    def roots():
+        arith._sylow.cache_clear()
+        out = []
+        for z in elements(ring):
+            for r in (2, 3):
+                try:
+                    out.append(rth_root(z, r))
+                except ValueError:
+                    out.append(None)
+        return out
+    monkeypatch.setattr(QuadElem, "__pow__", object_power)
+    want = roots()
+    monkeypatch.undo()
+    assert roots() == want
+    # half the units are not squares and, as 3 divides p^2 - 1, two
+    # thirds are not cubes
+    assert want.count(None) == (p * p - 1) // 2 + 2 * (p * p - 1) // 3

@@ -1,13 +1,16 @@
-"""The code that keeps `json` and `re` off a fresh process's start-up,
-held to the standard-library call it stands in for: the JSON writer
-`report.canonical_json` against `json.dumps`, and `cli._negative_number`
-against the regex that argparse reads a negative number with."""
+"""The code that keeps `json` and `re` off a fresh process, held to the
+standard-library call it stands in for: the JSON writer
+`report.canonical_json` against `json.dumps`, the cache's reader
+`cache._parse` against `json.loads`, and `cli._negative_number` against
+the regex that argparse reads a negative number with."""
 
 import contextlib
 import io
 import json
 import random
 import re
+import subprocess
+import sys
 from itertools import product
 from pathlib import Path
 
@@ -99,6 +102,102 @@ def test_canonical_json_equals_json_dumps(tmp_path, monkeypatch):
         with pytest.raises(TypeError) as got:
             report.canonical_json({"a": [leaf]})
         assert str(got.value) == str(want.value)
+
+
+def _read(parse, text: str):
+    """repr of what parse reads from text, which tells -0.0 from 0.0
+    and an int from a float and shows NaN, or the class of the error
+    it raises: ValueError for a subclass such as JSONDecodeError."""
+    try:
+        return repr(parse(text))
+    except ValueError:
+        return ValueError
+    except RecursionError:
+        return RecursionError
+
+
+def _sweep_texts(tmp_path, monkeypatch) -> list:
+    """Every report that the sweep's leaves print with --json, cold and
+    then warm, and every cache entry they write."""
+    monkeypatch.setenv(cache.ENV_CACHE_DIR, str(tmp_path))
+    texts = []
+    for words, flags in SWEEP.items():
+        for _ in range(2):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.main([*words, *flags.split(), "--json"]) == 0
+            texts.append(out.getvalue())
+    entries = [path.read_text() for path in sorted(tmp_path.glob("*.json"))]
+    assert len(entries) == 2
+    return texts + entries
+
+
+#: The whitespace that JSON allows between tokens.
+_SPACE = " \t\n\r"
+
+
+def test_cache_reader_equals_json_loads(tmp_path, monkeypatch):
+    rng = random.Random(20261021)
+
+    def pad():
+        return "".join(rng.choice(_SPACE) for _ in range(rng.randrange(4)))
+    for _ in range(20000):
+        value = _value(rng, 3)
+        spaced = pad() + json.dumps(
+            value, indent=rng.choice((None, 0, 2, "\t", " \r\n")),
+            separators=rng.choice(((",", ":"), (" ,\t", "\n: ")))) + pad()
+        for text in (report.canonical_json(value), spaced):
+            want = _read(json.loads, text)
+            assert want not in (ValueError, RecursionError), text
+            assert _read(cache._parse, text) == want, text
+    for text in _sweep_texts(tmp_path, monkeypatch):
+        assert cache._parse(text) == json.loads(text)
+
+
+def test_cache_reader_rejects_what_json_loads_rejects(tmp_path,
+                                                     monkeypatch):
+    # an entry with a BOM, truncated anywhere or followed by more data,
+    # raw control characters, and what json.loads rejects beside
+    entry = _sweep_texts(tmp_path, monkeypatch)[-1].rstrip()
+    rejected = ["", " \n", "\ufeff" + entry, entry + " x", entry + entry,
+                "1 2", '{"a": "\x01"}', '["a\tb"]', "[1,]", "{'a': 1}",
+                "nan", "[01]"] + [entry[:k] for k in range(len(entry))]
+    for text in rejected:
+        want = _read(json.loads, text)
+        assert want is ValueError, text
+        assert _read(cache._parse, text) is ValueError, text
+    deep = "[" * 200000 + "]" * 200000
+    assert _read(json.loads, deep) is _read(cache._parse, deep) \
+        is RecursionError
+
+
+def test_a_warm_hit_reads_through_json_loads_without_the_scanner(tmp_path):
+    # a build without _json: cache._parse falls back to json.loads, and
+    # the warm report equals the _json reader's byte for byte, timings
+    # aside, with no warning and no entry rewritten
+    code = ("import sys\n"
+            "if sys.argv[1] == 'fallback':\n"
+            "    sys.modules['_json'] = None\n"
+            "from ellwitt.cli import main\n"
+            "code = main(['ss', '--prime', '13', '--json'])\n"
+            "assert ('json' in sys.modules) == (sys.argv[1] == 'fallback')\n"
+            "sys.exit(code)\n")
+
+    def run(mode):
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code, mode], capture_output=True,
+            text=True, env={"PATH": "/usr/bin:/bin",
+                            "PYTHONPATH": ":".join(sys.path),
+                            cache.ENV_CACHE_DIR: str(tmp_path)})
+        assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+        return proc.stdout.partition('"timings"')[0]
+
+    cold = run("scanner")
+    [path] = tmp_path.glob("*.json")
+    stat = path.stat()
+    assert run("scanner") == cold == run("fallback")
+    assert (path.stat().st_mtime_ns, path.stat().st_ino) == \
+        (stat.st_mtime_ns, stat.st_ino)
 
 
 #: The regex argparse reads a negative number with, which cli used.

@@ -4,7 +4,7 @@ structure constants.
 
 Subpackage map:
 
-- arith        Z/p^N and (Z/p^N)[x]/(x^2 + g0): F_p, F_{p^2} and
+- arith        F_p and (Z/p^N)[x]/(x^2 + g0): F_{p^2} and
                W(F_{p^2})/p^N
 - polyseries   dense polynomials and truncated power/Laurent series
 - modforms     exact q-expansions, E4/E6 basis, supersingular polynomial

@@ -1,18 +1,20 @@
-"""Residue rings Z/p^N and their unramified quadratic extensions, for odd
+"""The field F_p and the unramified quadratic rings over Z/p^N, for
 primes p > 3.
 
-Zmod(p, N) is Z/p^N; at N = 1, the default, it is the field F_p.
-Quad(p, g0, N) is (Z/p^N)[x]/(x^2 + g0) with -g0 a non-residue mod p:
-the field F_{p^2} at N = 1, and W(F_{p^2})/p^N when -g0 is the
-Teichmuller lift omega(n) that padicwitt.lift_context builds.  Every
-F_{p^2} model here is x^2 = n for a non-residue n, so the Frobenius
-z -> z^p (and its lift to W) is a + b*xbar -> a - b*xbar.
+Zmod(p) is the field F_p.  Quad(p, g0, N) is (Z/p^N)[x]/(x^2 + g0), on
+ints mod p^N, with -g0 a non-residue mod p: the field F_{p^2} at N = 1,
+and W(F_{p^2})/p^N when -g0 is the Teichmuller lift omega(n) that
+padicwitt.lift_context computes.  Every F_{p^2} model here is x^2 = n
+for a non-residue n, so the Frobenius z -> z^p (and its lift to W) is
+a + b*xbar -> a - b*xbar.
 
-Elements carry their ring and never coerce across moduli: an operation
-mixing two different rings raises ValueError instead of guessing.  The
-F_{p^2} model is selected deterministically per prime by fq2_context()
-so that serialized data is reproducible: x^2 + 1 when p = 3 mod 4,
-otherwise x^2 - n with n the smallest quadratic non-residue.
+An operation takes ints and elements of its own ring alone: an element
+of another ring of its class raises ValueError instead of guessing, and
+any other operand, an element of F_p in a Quad included, TypeError (and
+compares unequal).  The F_{p^2} model is selected deterministically per
+prime by fq2_context() so that serialized data is reproducible:
+x^2 + 1 when p = 3 mod 4, otherwise x^2 - n with n the smallest
+quadratic non-residue.
 
 rth_root is the one root routine, square and cube roots in F_p and
 F_{p^2} alike, and is_quadratic_residue the one residue test: no fact
@@ -133,26 +135,24 @@ def require_prime(p: int, what: str, bound: int | None = None) -> None:
 
 
 class Zmod:
-    """Z/p^N for a prime p > 3; the field F_p at N = 1.
+    """The field F_p for a prime p > 3.
 
     Its ring protocol, zero/one/from_int/coerce/is_unit/inv, serves
-    Poly and QSeries over Z/p^N in the tests alone: the program builds
-    Poly only over Quad.
+    Poly and QSeries over F_p in the tests alone: the program builds
+    Poly only over Quad.  N = 1 lets rth_root and roots_in_field check
+    F_p and Quad for a field alike.
     """
 
-    __slots__ = ("p", "N", "modulus")
+    __slots__ = ("p",)
+    N = 1
 
-    def __init__(self, p: int, N: int = 1):
+    def __init__(self, p: int):
         require_prime(p, "Zmod")
-        if N < 1:
-            raise ValueError("precision N must be >= 1")
         self.p = p
-        self.N = N
-        self.modulus = p ** N
 
     @property
     def size(self) -> int:
-        return self.modulus
+        return self.p
 
     def elem(self, value: int) -> "ZmodElem":
         return ZmodElem(value, self)
@@ -177,29 +177,28 @@ class Zmod:
         raise TypeError(f"cannot coerce {type(c).__name__} into {self}")
 
     def is_unit(self, a: "ZmodElem") -> bool:
-        return self.coerce(a).value % self.p != 0
+        return self.coerce(a).value != 0
 
     def inv(self, a: "ZmodElem") -> "ZmodElem":
         return self.coerce(a).inverse()
 
     def __eq__(self, other):
-        return (isinstance(other, Zmod) and other.p == self.p
-                and other.N == self.N)
+        return isinstance(other, Zmod) and other.p == self.p
 
     def __hash__(self):
-        return hash(("Zmod", self.p, self.N))
+        return hash(("Zmod", self.p))
 
     def __repr__(self):
-        return f"F_{self.p}" if self.N == 1 else f"Z/{self.p}^{self.N}"
+        return f"F_{self.p}"
 
 
 class ZmodElem:
-    """A residue mod p^N, pinned to its ring."""
+    """A residue mod p, pinned to its field."""
 
     __slots__ = ("value", "ring")
 
     def __init__(self, value: int, ring: Zmod):
-        self.value = value % ring.modulus
+        self.value = value % ring.p
         self.ring = ring
 
     def _same(self, other) -> "ZmodElem":
@@ -244,11 +243,11 @@ class ZmodElem:
         return ZmodElem(-self.value, self.ring)
 
     def __pow__(self, e: int):
-        return ZmodElem(pow(self.value, e, self.ring.modulus), self.ring)
+        return ZmodElem(pow(self.value, e, self.ring.p), self.ring)
 
     def inverse(self) -> "ZmodElem":
-        """Raises ValueError when self is not a unit."""
-        return ZmodElem(pow(self.value, -1, self.ring.modulus), self.ring)
+        """Raises ValueError when self is zero."""
+        return ZmodElem(pow(self.value, -1, self.ring.p), self.ring)
 
     def __bool__(self):
         return self.value != 0
@@ -257,27 +256,24 @@ class ZmodElem:
         if isinstance(other, ZmodElem):
             return other.ring == self.ring and other.value == self.value
         if isinstance(other, int):
-            return self.value == other % self.ring.modulus
+            return self.value == other % self.ring.p
         return NotImplemented
 
     def __hash__(self):
         # equal objects hash equal: an element hashes as its canonical
-        # int, as does the scalar QuadElem it equals.  A non-canonical int
-        # (8 == F_5(3)) compares equal but hashes apart.
+        # int.  A non-canonical int (8 == F_5(3)) compares equal but
+        # hashes apart.
         return hash(self.value)
 
     def __repr__(self):
-        r = self.ring
-        mod = r.p if r.N == 1 else f"{r.p}^{r.N}"
-        return f"{self.value} (mod {mod})"
+        return f"{self.value} (mod {self.ring.p})"
 
 
 def is_quadratic_residue(a: ZmodElem) -> bool:
-    """Euler criterion a^((p-1)/2) = 1.  Zero, and any non-unit of
-    Z/p^N, is rejected: it is neither a residue nor a non-residue under
-    this contract."""
+    """Euler criterion a^((p-1)/2) = 1 in F_p.  Zero is rejected: it is
+    neither a residue nor a non-residue under this contract."""
     p = a.ring.p
-    if a.value % p == 0:
+    if not a.value:
         raise ValueError(f"is_quadratic_residue({a.value}) is undefined")
     return pow(a.value, (p - 1) // 2, p) == 1
 
@@ -293,20 +289,22 @@ class Quad:
     """(Z/p^N)[x]/(x^2 + g0) with -g0 a non-residue mod p: F_{p^2} at
     N = 1, and W(F_{p^2})/p^N when -g0 is a Teichmuller lift.
 
-    Elements are a + b*xbar over the scalar ring field = Zmod(p, N).
+    Elements are a + b*xbar with a and b ints mod p^N = modulus.
     Irreducibility is certified at construction by -g0 being a
     non-residue mod p.
     """
 
-    __slots__ = ("p", "N", "modulus", "g0", "field")
+    __slots__ = ("p", "N", "modulus", "g0")
 
     def __init__(self, p: int, g0: int, N: int = 1):
-        self.field = Zmod(p, N)
+        fp = Zmod(p)
+        if N < 1:
+            raise ValueError("precision N must be >= 1")
         self.p = p
         self.N = N
-        self.modulus = self.field.modulus
+        self.modulus = p ** N
         self.g0 = g0 % self.modulus
-        if g0 % p == 0 or is_quadratic_residue(self.field.elem(-g0)):
+        if g0 % p == 0 or is_quadratic_residue(fp.elem(-g0)):
             raise ValueError(f"x^2 + {self.g0} is reducible over F_{p}")
 
     @property
@@ -331,10 +329,6 @@ class Quad:
             if c.ring != self:
                 raise ValueError(f"element of {c.ring} used in {self}")
             return c
-        if isinstance(c, ZmodElem):
-            if c.ring != self.field:
-                raise ValueError(f"cannot embed {c.ring} into {self}")
-            return QuadElem(c.value, 0, self)
         if isinstance(c, int):
             return QuadElem(c, 0, self)
         raise TypeError(f"cannot coerce {type(c).__name__} into {self}")
@@ -353,10 +347,9 @@ class Quad:
         return Quad(self.p, self.g0, M)
 
     def lift(self, x) -> "QuadElem":
-        """x as an element of this ring: an element of it, a scalar of
-        its field or an int, or a residue in self.at(1) lifted
-        coordinatewise.  An element of any other ring raises
-        ValueError."""
+        """x as an element of this ring: an element of it or an int, or a
+        residue in self.at(1) lifted coordinatewise.  An element of any
+        other Quad raises ValueError."""
         if isinstance(x, QuadElem) and x.ring == self.at(1):
             return QuadElem(x.a, x.b, self)
         return self.coerce(x)
@@ -390,8 +383,8 @@ class QuadElem:
                 raise ValueError(
                     f"mixed contexts: {self.ring} vs {other.ring}")
             return other
-        if isinstance(other, (ZmodElem, int)):
-            return self.ring.coerce(other)
+        if isinstance(other, int):
+            return QuadElem(other, 0, self.ring)
         return NotImplemented
 
     def __add__(self, other):
@@ -442,10 +435,10 @@ class QuadElem:
                 a, b = (a * a - g0 * b * b) % m, 2 * a * b % m
         return QuadElem(ra, rb, r)
 
-    def norm(self) -> ZmodElem:
-        """z * conj(z), a scalar."""
+    def norm(self) -> int:
+        """z * conj(z), a scalar, as an int mod p^N."""
         r = self.ring
-        return r.field.elem(self.a * self.a + r.g0 * self.b * self.b)
+        return (self.a * self.a + r.g0 * self.b * self.b) % r.modulus
 
     def conj(self) -> "QuadElem":
         """The conjugate a + b*xbar -> a - b*xbar: z^p on F_{p^2}, and the
@@ -453,9 +446,10 @@ class QuadElem:
         return QuadElem(self.a, -self.b, self.ring)
 
     def inverse(self) -> "QuadElem":
-        n = self.norm().value
+        """Raises ValueError when self is not a unit."""
+        n = self.norm()
         if n % self.ring.p == 0:
-            raise ZeroDivisionError(f"{self!r} is not a unit")
+            raise ValueError(f"{self!r} is not a unit")
         ninv = pow(n, -1, self.ring.modulus)
         c = self.conj()
         return QuadElem(c.a * ninv, c.b * ninv, self.ring)
@@ -466,9 +460,10 @@ class QuadElem:
         return self.b == 0
 
     def to_fp(self) -> ZmodElem:
-        if self.b != 0:
+        """A scalar of F_{p^2} as an element of F_p."""
+        if self.ring.N != 1 or self.b != 0:
             raise ValueError(f"{self!r} is not in the prime field")
-        return self.ring.field.elem(self.a)
+        return Zmod(self.ring.p).elem(self.a)
 
     def reduce_precision(self, M: int) -> "QuadElem":
         return QuadElem(self.a, self.b, self.ring.at(M))
@@ -480,15 +475,12 @@ class QuadElem:
         if isinstance(other, QuadElem):
             return (other.ring == self.ring and other.a == self.a
                     and other.b == self.b)
-        if isinstance(other, ZmodElem):  # False for a scalar of another ring
-            return (other.ring == self.ring.field and self.b == 0
-                    and other.value == self.a)
         if isinstance(other, int):
             return self.b == 0 and self.a == other % self.ring.modulus
         return NotImplemented
 
     def __hash__(self):
-        # a scalar (b = 0) hashes as its ZmodElem and its canonical int
+        # a scalar (b = 0) hashes as its canonical int
         if not self.b:
             return hash(self.a)
         return hash((self.ring.p, self.ring.N, self.a, self.b))
@@ -557,7 +549,7 @@ def rth_root(x, r: int):
     b c_k^(rs) keep y^r = x b and take b into order dividing r^(k-1).
     At the end b = 1 and y is the root; when e = 1 that is y = x^u at
     once.  Zero returns zero; an x that is not an r-th power raises
-    ValueError, as does Z/p^N or W(F_{p^2})/p^N."""
+    ValueError, as does W(F_{p^2})/p^N."""
     ring = x.ring
     if ring.N != 1:
         raise ValueError(f"rth_root wants F_p or F_p^2, not {ring}")

@@ -3,8 +3,8 @@ supersingular polynomial, and its finite-level idempotent splitting.
 
 The ring comes from arith: W(F_{p^2})/p^N is Quad(p, -omega(n), N) =
 (Z/p^N)[X]/(X^2 - omega(n)) over the F_{p^2} model x^2 = n, with
-omega(n) the Teichmuller lift of n in Z/p^N = Zmod(p, N), the one lift
-computed on Z/p^N; an element of F_p is lifted as a scalar of F_{p^2}.
+omega(n) = n^(p^(N-1)) mod p^N, an int, the Teichmuller lift of n; an
+element of F_p is lifted as a scalar of F_{p^2}.
 As the lift is multiplicative, the roots +-sqrt(omega(n)) of that
 modulus are the Teichmuller lifts of the roots +-sqrt(n) of x^2 - n.
 Ring operations are plain quadratic arithmetic, Frobenius is root
@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from .arith import Quad, Zmod, fq2_context, require_prime
+from .arith import Quad, fq2_context, require_prime
 from .errors import ValidationError
 from .polyseries import Poly
 from . import sslocus
@@ -51,7 +51,9 @@ def lift_context(ctx: Quad, N: int) -> Quad:
     """The Witt context over the F_{p^2} model ctx, x^2 = n, at
     precision N: the modulus G = X^2 - omega(n) in Z/p^N.
 
-    omega is multiplicative, so omega(sqrt(n))^2 = omega(n) and
+    omega(n) = n^(p^(N-1)) mod p^N: t -> t^p fixes n^(p^k) mod p^(k+1),
+    so this power is the one (p-1)th root of unity mod p^N that reduces
+    to n.  omega is multiplicative, so omega(sqrt(n))^2 = omega(n) and
     omega(-sqrt(n)) = -omega(sqrt(n)): G is the product of X minus the
     Teichmuller lifts of the two roots of x^2 - n.
     """
@@ -60,8 +62,7 @@ def lift_context(ctx: Quad, N: int) -> Quad:
     if N > MAX_LIFT_PRECISION:
         raise ValueError(f"precision capped at N <= {MAX_LIFT_PRECISION}")
     p = ctx.p
-    omega = _fixed_point(Zmod(p, N).elem(-ctx.g0), p, N)
-    wctx = Quad(p, -omega.value, N)
+    wctx = Quad(p, -pow(-ctx.g0, p ** (N - 1), p ** N), N)
     if (wctx.g0 - ctx.g0) % p:
         raise ValidationError("lifted modulus G does not reduce to g")
     if wctx.elem(0, 1) ** (p * p - 1) != wctx.one():
@@ -73,8 +74,8 @@ def lift_context(ctx: Quad, N: int) -> Quad:
 def teichmuller(x, N: int):
     """The unique root-of-unity (or zero) lift of x in F_{p^2} to
     W(F_{p^2})/p^N (lift_context): t^(p^2) = t, reducing to x mod p.
-    An element of F_p is passed as a scalar of F_{p^2}; a Zmod element,
-    of F_p or of Z/p^N, or any other argument raises TypeError."""
+    An element of F_p is passed as a scalar of F_{p^2}; a Zmod element
+    or any other argument raises TypeError."""
     field = getattr(x, "ring", None)
     if not isinstance(field, Quad) or field.N != 1:
         raise TypeError("teichmuller wants an element of F_{p^2}")
@@ -86,10 +87,10 @@ def hensel_root(f: Poly, r0):
 
     f lives over W(F_{p^2})/p^N; r0 is an element of that ring, or an
     element of F_{p^2} in the same model, which is lifted naively.  A
-    polynomial over any other ring, Z/p^N included, raises TypeError,
-    and a residue of another ring ValueError.  Quadratic convergence; at
-    most ceil(log2 N) + 1 steps.  A root that is not simple, or not a
-    root mod p, raises ValidationError.
+    polynomial over any other ring, F_p included, or an r0 of F_p raises
+    TypeError, and a residue of another Quad ValueError.  Quadratic
+    convergence; at most ceil(log2 N) + 1 steps.  A root that is not
+    simple, or not a root mod p, raises ValidationError.
     """
     ring = f.ring
     if not isinstance(ring, Quad):

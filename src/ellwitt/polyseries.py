@@ -3,11 +3,11 @@ over pluggable coefficient rings, and the int-list kernels of Z[[t]].
 
 A coefficient ring is any context object providing zero(), one(),
 from_int(n), coerce(c), is_unit(a) and inv(a); element arithmetic goes
-through the usual operators.  The residue rings Zmod (F_p and Z/p^N)
-and Quad (F_{p^2} and W(F_{p^2})/p^N) from arith qualify.  A
-polynomial over F_p is an ascending int list read mod p, which the
-int-list kernels (_FpX) take, over F_p only, never a ring with N > 1:
-roots_in_field, count_roots_in_fp and is_squarefree run on them.
+through the usual operators.  The rings Zmod (F_p) and Quad (F_{p^2}
+and W(F_{p^2})/p^N) from arith qualify.  A polynomial over F_p is an
+ascending int list read mod p, which the int-list kernels (_FpX) take,
+over F_p only, never a ring with N > 1: roots_in_field,
+count_roots_in_fp and is_squarefree run on them.
 
 Poly: coeffs[i] is the degree-i coefficient; the leading stored
 coefficient is nonzero ([] is the zero polynomial).  The program builds
@@ -101,7 +101,7 @@ class Poly:
 
     def divrem(self, g: "Poly") -> tuple["Poly", "Poly"]:
         """f = q*g + r with deg r < deg g; needs an invertible leading
-        coefficient of g (fails over Z/p^N when it is divisible by p)."""
+        coefficient of g: over W(F_{p^2})/p^N, one not divisible by p."""
         g = self._same(g)
         if g.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
@@ -126,7 +126,7 @@ class Poly:
     def gcd(self, g: "Poly") -> "Poly":
         """Monic gcd over F_p, by Euclid on int lists (_FpX); gcd(0, 0)
         = 0 by convention.  Any other ring raises ValueError."""
-        if not (isinstance(self.ring, Zmod) and self.ring.N == 1):
+        if not isinstance(self.ring, Zmod):
             raise ValueError(f"Poly.gcd wants polynomials over F_p, "
                              f"not {self.ring}")
         a = [c.value for c in self.coeffs]
@@ -368,10 +368,11 @@ def roots_in_field(f: list, field) -> set:
     rest = fx.divrem(g, lin, fx.inv_rev(lin, len(g)))[0]
     inv2 = pow(2, -1, p)
     dinv = pow(-4 * field.g0, -1, p)
+    fp = Zmod(p)
     for c0, c1, _ in fx.split(rest, 2, rng, xp):
         # X^2 + c1 X + c0 has the roots -c1/2 +- s*xbar, where
         # c1^2 - 4 c0 = (2 s xbar)^2 = -4 g0 s^2
-        s = rth_root(field.field.elem((c1 * c1 - 4 * c0) * dinv), 2).value
+        s = rth_root(fp.elem((c1 * c1 - 4 * c0) * dinv), 2).value
         out.add(field.elem(-c1 * inv2, s))
         out.add(field.elem(-c1 * inv2, -s))
     return out

@@ -84,10 +84,10 @@ QQ = RationalField()
 def elements(ring) -> list:
     """Every element of a finite ring: Zmod by value, Quad as a + b*xbar
     with a outer and b inner."""
-    m = ring.modulus
     if isinstance(ring, Quad):
+        m = ring.modulus
         return [QuadElem(a, b, ring) for a in range(m) for b in range(m)]
-    return [ZmodElem(v, ring) for v in range(m)]
+    return [ZmodElem(v, ring) for v in range(ring.p)]
 
 
 class WCurve:

@@ -30,6 +30,7 @@ from ellwitt.polyseries import Poly
 from ellwitt.report import canonical_json, padic_digits
 from ellwitt.sslocus import (
     MAX_DEURING_PRIME, MAX_OGG_SCAN, cross_validate, hasse_polynomial)
+from conftest import fresh_python
 from oracles import pretty
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -290,10 +291,7 @@ def test_main_freezes_the_heap(tmp_path):
             "rc = main(['ss', '--prime', '13', '--json'])\n"
             "sys.stderr.write('%d %d' % (before, gc.get_freeze_count()))\n"
             "sys.exit(rc)\n")
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True,
-        env={"PATH": "/usr/bin:/bin", "ELLWITT_CACHE_DIR": str(tmp_path),
-             "PYTHONPATH": ":".join(sys.path)})
+    proc = fresh_python(code, ELLWITT_CACHE_DIR=str(tmp_path))
     _ss13_against_golden(proc)
     before, after = map(int, proc.stderr.split())
     assert before == 0 and after > 0
@@ -393,6 +391,23 @@ def test_internal_value_error_exits_2(monkeypatch, capsys):
     assert "an internal invariant broke" in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def test_non_unit_inverse_in_fq2_exits_2(monkeypatch, capsys):
+    # inverting zero in F_{p^2} is a bug like any internal ValueError:
+    # one line on stderr, no traceback
+    import ellwitt.cli as climod
+    import ellwitt.sslocus as sslocus
+    monkeypatch.setattr(sslocus, "legendre_to_j",
+                        lambda lam: lam.ring.zero().inverse())
+    sslocus.hasse_roots.cache_clear()  # an earlier test may have cached 13
+    for argv in (["hasse", "--prime", "13"],
+                 ["hasse", "--prime", "13", "--json"]):
+        assert climod.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("ellwitt: internal error: 0 (in F_13^2) is not a "
+                       "unit\n")
 
 
 def test_hasse_root_shortfall_exits_2(monkeypatch, capsys):
@@ -497,10 +512,7 @@ def _run_reporting(argv, cache_dir, *modules):
             "    sys.stderr.write('%s loaded: %s\\n'"
             " % (m, m in sys.modules))\n"
             "sys.exit(rc)\n")
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True,
-        env={"PATH": "/usr/bin:/bin", "ELLWITT_CACHE_DIR": str(cache_dir),
-             "PYTHONPATH": ":".join(sys.path)})
+    proc = fresh_python(code, ELLWITT_CACHE_DIR=str(cache_dir))
     assert proc.returncode == 0, proc.stderr
     return proc
 
@@ -745,9 +757,7 @@ def test_import_loads_only_what_a_request_needs():
             "before = set(sys.modules)\n"
             "import ellwitt.cli\n"
             "print(json.dumps(sorted(set(sys.modules) - before)))\n")
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", code], capture_output=True, text=True,
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": ":".join(sys.path)})
+    proc = fresh_python(code, site=False)
     assert proc.returncode == 0, proc.stderr
     added = set(json.loads(proc.stdout))
     heavy = {"dataclasses", "inspect", "ast", "dis", "hashlib", "typing",

@@ -9,11 +9,10 @@ import ast
 import importlib
 import json
 import pkgutil
-import subprocess
-import sys
 from pathlib import Path
 
 import ellwitt
+from conftest import fresh_python
 from test_command_sweep import SWEEP
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ellwitt"
@@ -56,10 +55,7 @@ def test_the_finder_sees_a_local_import():
 
 def _fresh(code: str, **env):
     """What `code` prints as JSON, run in a fresh interpreter under -S."""
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", code], capture_output=True, text=True,
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": ":".join(sys.path),
-             **env})
+    proc = fresh_python(code, site=False, **env)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 

@@ -54,11 +54,14 @@ def test_divrem_roundtrip_random():
 
 
 def test_divrem_nonunit_leading_coefficient():
-    R = Zmod(5, 3)
+    R = lift_context(fq2_context(5), 3)
     f = Poly(R, [1, 0, 1])
-    g = Poly(R, [1, 5])  # leading coefficient divisible by p
-    with pytest.raises(ValueError):
-        f.divrem(g)
+    # leading coefficients divisible by p: a scalar, and one off F_p
+    for lead in (5, R.elem(5, 10)):
+        with pytest.raises(ValueError, match="is not a unit"):
+            f.divrem(Poly(R, [1, lead]))
+    q, r = f.divrem(Poly(R, [1, R.elem(5, 1)]))
+    assert q * Poly(R, [1, R.elem(5, 1)]) + r == f and r.degree < 1
 
 
 def test_gcd_examples():
@@ -93,7 +96,7 @@ def test_fp_polynomials_are_int_lists_read_mod_p():
         with pytest.raises(ValueError, match="nonzero f over F_p"):
             count_roots_in_fp(zero, 11)
     with pytest.raises(ValueError, match="wants F_p or F_p\\^2"):
-        roots_in_field([-1, 1], Zmod(11, 2))
+        roots_in_field([-1, 1], lift_context(fq2_context(11), 2))
 
 
 def test_is_squarefree_examples():

@@ -7,13 +7,13 @@ assignment, repr and `__module__`.  A record has no `_fields`,
 `_asdict` or `_make`, and cannot be copied or pickled: nothing uses
 them."""
 
-import subprocess
 import sys
 from collections import namedtuple
 
 import pytest
 
 from ellwitt import cli, formalgroup, modforms, sslocus
+from conftest import fresh_python
 from test_command_sweep import SWEEP
 from test_layering import _modules
 
@@ -113,10 +113,7 @@ def test_no_command_builds_a_namedtuple(tmp_path):
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        codes.append(ellwitt.cli.main(line.split()))\n"
             "print(codes)\n")
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", code], capture_output=True, text=True,
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": ":".join(sys.path),
-             "ELLWITT_CACHE_DIR": str(tmp_path)})
+    proc = fresh_python(code, site=False, ELLWITT_CACHE_DIR=str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"{[0] * len(lines)}\n"
     assert sorted(p.name.split("_")[0] for p in tmp_path.glob("*.json")) \

@@ -9,14 +9,13 @@ import io
 import json
 import random
 import re
-import subprocess
-import sys
 from itertools import product
 from pathlib import Path
 
 import pytest
 
 from ellwitt import cache, cli, report
+from conftest import fresh_python
 from test_command_sweep import SWEEP
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -184,11 +183,8 @@ def test_a_warm_hit_reads_through_json_loads_without_the_scanner(tmp_path):
             "sys.exit(code)\n")
 
     def run(mode):
-        proc = subprocess.run(
-            [sys.executable, "-S", "-c", code, mode], capture_output=True,
-            text=True, env={"PATH": "/usr/bin:/bin",
-                            "PYTHONPATH": ":".join(sys.path),
-                            cache.ENV_CACHE_DIR: str(tmp_path)})
+        proc = fresh_python(code, mode, site=False,
+                            **{cache.ENV_CACHE_DIR: str(tmp_path)})
         assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
         return proc.stdout.partition('"timings"')[0]
 

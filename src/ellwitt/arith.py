@@ -1,12 +1,14 @@
 """The field F_p and the unramified quadratic rings over Z/p^N, for
 primes p > 3.
 
-Zmod(p) is the field F_p.  Quad(p, g0, N) is (Z/p^N)[x]/(x^2 + g0), on
-ints mod p^N, with -g0 a non-residue mod p: the field F_{p^2} at N = 1,
-and W(F_{p^2})/p^N when -g0 is the Teichmuller lift omega(n) that
-padicwitt.lift_context computes.  Every F_{p^2} model here is x^2 = n
-for a non-residue n, so the Frobenius z -> z^p (and its lift to W) is
-a + b*xbar -> a - b*xbar.
+Quad(p, g0, N) is (Z/p^N)[x]/(x^2 + g0), on ints mod p^N, with -g0 a
+non-residue mod p: the field F_{p^2} at N = 1, and W(F_{p^2})/p^N when
+-g0 is the Teichmuller lift omega(n) that padicwitt.lift_context
+computes; it is the one coefficient ring of Poly and QSeries.  Every
+F_{p^2} model here is x^2 = n for a non-residue n, so the Frobenius
+z -> z^p (and its lift to W) is a + b*xbar -> a - b*xbar.  Zmod(p) is
+the field F_p for rth_root and the Euler test alone: its elements
+multiply, power and invert, and do not add.
 
 An operation takes ints and elements of its own ring alone: an element
 of another ring of its class raises ValueError instead of guessing, and
@@ -135,12 +137,13 @@ def require_prime(p: int, what: str, bound: int | None = None) -> None:
 
 
 class Zmod:
-    """The field F_p for a prime p > 3.
+    """The field F_p for a prime p > 3, as the ring that rth_root and
+    is_quadratic_residue read their inputs in.
 
-    Its ring protocol, zero/one/from_int/coerce/is_unit/inv, serves
-    Poly and QSeries over F_p in the tests alone: the program builds
-    Poly only over Quad.  N = 1 lets rth_root and roots_in_field check
-    F_p and Quad for a field alike.
+    It is not a coefficient ring: Poly and QSeries run over Quad alone,
+    and F_p polynomials are int lists (or scalars of fq2_context(p) in
+    the tests).  N = 1 lets rth_root check F_p and Quad for a field
+    alike.
     """
 
     __slots__ = ("p",)
@@ -157,31 +160,6 @@ class Zmod:
     def elem(self, value: int) -> "ZmodElem":
         return ZmodElem(value, self)
 
-    # ring protocol
-    def zero(self) -> "ZmodElem":
-        return ZmodElem(0, self)
-
-    def one(self) -> "ZmodElem":
-        return ZmodElem(1, self)
-
-    def from_int(self, n: int) -> "ZmodElem":
-        return ZmodElem(n, self)
-
-    def coerce(self, c) -> "ZmodElem":
-        if isinstance(c, ZmodElem):
-            if c.ring != self:
-                raise ValueError(f"element of {c.ring} used in {self}")
-            return c
-        if isinstance(c, int):
-            return ZmodElem(c, self)
-        raise TypeError(f"cannot coerce {type(c).__name__} into {self}")
-
-    def is_unit(self, a: "ZmodElem") -> bool:
-        return self.coerce(a).value != 0
-
-    def inv(self, a: "ZmodElem") -> "ZmodElem":
-        return self.coerce(a).inverse()
-
     def __eq__(self, other):
         return isinstance(other, Zmod) and other.p == self.p
 
@@ -193,7 +171,8 @@ class Zmod:
 
 
 class ZmodElem:
-    """A residue mod p, pinned to its field."""
+    """A residue mod p, pinned to its field: products, powers and
+    inverses, for rth_root and the Euler test, and no sums."""
 
     __slots__ = ("value", "ring")
 
@@ -211,26 +190,6 @@ class ZmodElem:
             return ZmodElem(other, self.ring)
         return NotImplemented
 
-    def __add__(self, other):
-        o = self._same(other)
-        if o is NotImplemented:
-            return o
-        return ZmodElem(self.value + o.value, self.ring)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._same(other)
-        if o is NotImplemented:
-            return o
-        return ZmodElem(self.value - o.value, self.ring)
-
-    def __rsub__(self, other):
-        o = self._same(other)
-        if o is NotImplemented:
-            return o
-        return ZmodElem(o.value - self.value, self.ring)
-
     def __mul__(self, other):
         o = self._same(other)
         if o is NotImplemented:
@@ -238,9 +197,6 @@ class ZmodElem:
         return ZmodElem(self.value * o.value, self.ring)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return ZmodElem(-self.value, self.ring)
 
     def __pow__(self, e: int):
         return ZmodElem(pow(self.value, e, self.ring.p), self.ring)
@@ -258,12 +214,6 @@ class ZmodElem:
         if isinstance(other, int):
             return self.value == other % self.ring.p
         return NotImplemented
-
-    def __hash__(self):
-        # equal objects hash equal: an element hashes as its canonical
-        # int.  A non-canonical int (8 == F_5(3)) compares equal but
-        # hashes apart.
-        return hash(self.value)
 
     def __repr__(self):
         return f"{self.value} (mod {self.ring.p})"

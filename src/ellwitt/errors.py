@@ -6,5 +6,6 @@ class ValidationError(Exception):
     mathematically guaranteed assertion failed.  Always names the check."""
 
 
-class PrecisionError(Exception):
-    """A series coefficient beyond the known absolute precision was read."""
+class PrecisionError(ValueError):
+    """A series coefficient beyond the known absolute precision was read:
+    a bug in the caller, which the CLI reports as an internal error."""

@@ -87,8 +87,8 @@ def hensel_root(f: Poly, r0):
 
     f lives over W(F_{p^2})/p^N; r0 is an element of that ring, or an
     element of F_{p^2} in the same model, which is lifted naively.  A
-    polynomial over any other ring, F_p included, or an r0 of F_p raises
-    TypeError, and a residue of another Quad ValueError.  Quadratic
+    polynomial over any other ring, or an r0 of F_p, raises TypeError,
+    and a residue of another Quad ValueError.  Quadratic
     convergence; at most ceil(log2 N) + 1 steps.  A root that is not
     simple, or not a root mod p, raises ValidationError.
     """

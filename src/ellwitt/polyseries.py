@@ -3,10 +3,10 @@ over pluggable coefficient rings, and the int-list kernels of Z[[t]].
 
 A coefficient ring is any context object providing zero(), one(),
 from_int(n), coerce(c), is_unit(a) and inv(a); element arithmetic goes
-through the usual operators.  The rings Zmod (F_p) and Quad (F_{p^2}
-and W(F_{p^2})/p^N) from arith qualify.  A polynomial over F_p is an
-ascending int list read mod p, which the int-list kernels (_FpX) take,
-over F_p only, never a ring with N > 1: roots_in_field,
+through the usual operators.  In the program that ring is Quad (F_{p^2}
+and W(F_{p^2})/p^N) from arith; F_p is not one.  A polynomial over F_p
+is an ascending int list read mod p, which the int-list kernels (_FpX)
+take, over F_p only, never a ring with N > 1: roots_in_field,
 count_roots_in_fp and is_squarefree run on them.
 
 Poly: coeffs[i] is the degree-i coefficient; the leading stored
@@ -104,7 +104,7 @@ class Poly:
         coefficient of g: over W(F_{p^2})/p^N, one not divisible by p."""
         g = self._same(g)
         if g.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
+            raise ValueError("polynomial division by zero")
         if not self.ring.is_unit(g.leading()):
             raise ValueError("leading coefficient of divisor is not a unit")
         lead_inv = self.ring.inv(g.leading())
@@ -124,15 +124,17 @@ class Poly:
         return Poly(self.ring, quot), Poly(self.ring, rem)
 
     def gcd(self, g: "Poly") -> "Poly":
-        """Monic gcd over F_p, by Euclid on int lists (_FpX); gcd(0, 0)
-        = 0 by convention.  Any other ring raises ValueError."""
-        if not isinstance(self.ring, Zmod):
-            raise ValueError(f"Poly.gcd wants polynomials over F_p, "
-                             f"not {self.ring}")
-        a = [c.value for c in self.coeffs]
-        b = [c.value for c in self._same(g).coeffs]
-        fx = _FpX(self.ring.p, max(len(a), len(b)))
-        return Poly(self.ring, fx.gcd(a, b))
+        """Monic gcd of polynomials over F_p, held as scalars of an
+        F_{p^2} model, by Euclid on int lists (_FpX); gcd(0, 0) = 0 by
+        convention.  Any other ring, or a coefficient outside F_p,
+        raises ValueError."""
+        ring, g = self.ring, self._same(g)
+        if (not isinstance(ring, Quad) or ring.N != 1
+                or any(c.b for c in self.coeffs + g.coeffs)):
+            raise ValueError(f"Poly.gcd wants polynomials over F_p in an "
+                             f"F_p^2 model, not over {ring}")
+        a, b = [c.a for c in self.coeffs], [c.a for c in g.coeffs]
+        return Poly(ring, _FpX(ring.p, max(len(a), len(b))).gcd(a, b))
 
     def derivative(self) -> "Poly":
         return Poly(self.ring,
@@ -154,11 +156,6 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self.coeffs!r})"
-
-
-def c_str(c) -> str:
-    """A coefficient as printed: a residue's value, anything else str."""
-    return str(getattr(c, "value", c))
 
 
 def _trim(a: list) -> list:
@@ -334,8 +331,9 @@ def _fp_list(f, p: int) -> list:
 
 
 def roots_in_field(f: list, field) -> set:
-    """All roots in the given field (F_p or F_{p^2}) of a nonzero f over
-    F_p, an ascending int list read mod p, each once.
+    """All roots in the F_{p^2} model field of a nonzero f over F_p, an
+    ascending int list read mod p, each once; the roots in F_p are the
+    ones in_prime_field.
 
     Distinct-degree then equal-degree factorization over F_p:
     gcd(f, X^p - X) collects the F_p-rational roots, g = gcd(f, X^q - X)
@@ -346,8 +344,8 @@ def roots_in_field(f: list, field) -> set:
     two-factor node from one square root; the gcds are schoolbook
     Euclid.  Multiplicity is not reported.
     """
-    if getattr(field, "N", None) != 1:
-        raise ValueError(f"roots_in_field wants F_p or F_p^2, not {field}")
+    if not isinstance(field, Quad) or field.N != 1:
+        raise ValueError(f"roots_in_field wants F_p^2, not {field}")
     p = field.p
     h = _fp_list(f, p)
     if not h:
@@ -360,8 +358,6 @@ def roots_in_field(f: list, field) -> set:
     xp, lin = fx.linear_part(h, hinv)
     rng = random.Random(0)
     out = {field.elem(-r[0]) for r in fx.split(lin, 1, rng, None)}
-    if not isinstance(field, Quad):
-        return out
     # X^q mod h, q = field.size: X^(p^2) = (X^p)^p; lin divides g
     xq = fx.powmod(xp, p, h, hinv)
     g = fx.gcd(h, fx.add(xq, [0, 1], -1))
@@ -578,10 +574,10 @@ class QSeries:
                 continue
             n = self.offset + i
             if n == 0:
-                parts.append(c_str(c))
+                parts.append(str(c))
             else:
                 e = "q" if n == 1 else f"q^{n}"
-                parts.append(e if c == self.ring.one() else f"{c_str(c)}*{e}")
+                parts.append(e if c == self.ring.one() else f"{c}*{e}")
             shown += 1
             if shown >= 8:
                 parts.append("...")

@@ -5,8 +5,10 @@ WCurve is a short Weierstrass curve over a coefficient ring, as the
 formal layer held one before it moved to int pairs mod p; curve_from_j
 and classical_hasse are its routes over a field ring, the references
 for formalgroup.curve_from_j and formalgroup.classical_hasse, and the
-latter is the power of a Poly over Zmod(p).  elements lists a finite
-ring, Zmod or Quad, in a fixed order.
+latter is the power of a Poly over F_p.  F_p is not a coefficient ring
+of the program: a polynomial, series or curve over F_p here has
+scalars of fq2_context(p) as its coefficients.  elements lists a Quad
+in a fixed order.
 
 mult_by_m is the formal log/exp route over exact rationals: log(t) is
 the integral of the invariant differential of formal_expansion, and
@@ -33,7 +35,7 @@ polynomials became int lists: the reference for cli._poly_str.
 
 from fractions import Fraction
 
-from ellwitt.arith import Quad, QuadElem, ZmodElem, power
+from ellwitt.arith import QuadElem, power
 from ellwitt.errors import ValidationError
 from ellwitt.formalgroup import _c4_c6_disc, formal_expansion
 from ellwitt.modforms import (
@@ -44,7 +46,7 @@ from ellwitt.modforms import (
     _tangent_numbers,
     weight_basis,
 )
-from ellwitt.polyseries import Poly, QSeries, c_str
+from ellwitt.polyseries import Poly, QSeries
 
 
 class RationalField:
@@ -82,12 +84,9 @@ QQ = RationalField()
 
 
 def elements(ring) -> list:
-    """Every element of a finite ring: Zmod by value, Quad as a + b*xbar
-    with a outer and b inner."""
-    if isinstance(ring, Quad):
-        m = ring.modulus
-        return [QuadElem(a, b, ring) for a in range(m) for b in range(m)]
-    return [ZmodElem(v, ring) for v in range(ring.p)]
+    """Every element of a Quad as a + b*xbar, a outer and b inner."""
+    m = ring.modulus
+    return [QuadElem(a, b, ring) for a in range(m) for b in range(m)]
 
 
 class WCurve:
@@ -130,7 +129,7 @@ def curve_from_j(j) -> WCurve:
 
 def classical_hasse(E: WCurve, p: int):
     """Coefficient of x^(p-1) in (x^3 + Ax + B)^((p-1)/2), for E over
-    Zmod(p), by powering the Poly."""
+    F_p (scalars of fq2_context(p)), by powering the Poly."""
     field = E.ring
     f = Poly(field, [E.a6, E.a4, field.zero(), field.one()])
     return power(f, (p - 1) // 2).coeff(p - 1)
@@ -262,7 +261,8 @@ def express_in_e4e6(s: QSeries, k: int) -> dict:
 
 
 def pretty(f: Poly, var: str = "X") -> str:
-    """Human form with coefficients as stored, highest degree first."""
+    """Human form of a Poly over F_p (scalars of an F_{p^2} model), each
+    coefficient as its residue, highest degree first."""
     if f.is_zero():
         return "0"
     parts = []
@@ -271,9 +271,9 @@ def pretty(f: Poly, var: str = "X") -> str:
         if not c:
             continue
         if i == 0:
-            parts.append(f"{c_str(c)}")
+            parts.append(f"{c.a}")
         else:
             xi = var if i == 1 else f"{var}^{i}"
             parts.append(xi if c == f.ring.one()
-                         else f"{c_str(c)}*{xi}")
+                         else f"{c.a}*{xi}")
     return " + ".join(parts)

@@ -19,7 +19,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import ellwitt.cli
-from ellwitt.arith import Zmod, is_prime
+from ellwitt.arith import fq2_context, is_prime
 from ellwitt.cli import (
     DEFAULT_PRECISION, MAX_FORMS_PREC, MAX_SQRT3_SCAN, _poly_str)
 from ellwitt.formalgroup import MAX_FORMAL_PRIME
@@ -72,7 +72,7 @@ def test_poly_str_examples():
 def test_poly_str_is_the_old_poly_printer(p):
     for f in (cross_validate(p).ss_poly, hasse_polynomial(p)):
         for var in ("X", "L"):
-            assert _poly_str(f, var) == pretty(Poly(Zmod(p), f), var)
+            assert _poly_str(f, var) == pretty(Poly(fq2_context(p), f), var)
 
 
 def test_ss_table_output(tmp_path):
@@ -391,6 +391,41 @@ def test_internal_value_error_exits_2(monkeypatch, capsys):
     assert "an internal invariant broke" in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def _truncated_heights(monkeypatch):
+    import ellwitt.formalgroup as formalgroup
+    real = formalgroup.heights_from_series
+    monkeypatch.setattr(formalgroup, "heights_from_series",
+                        lambda a, p, series: real(a, p, series[:p - 4]))
+
+
+def _zero_divisor(monkeypatch):
+    import ellwitt.padicwitt as padicwitt
+    monkeypatch.setattr(
+        padicwitt, "splitting_idempotents",
+        lambda p, N: Poly(fq2_context(p), [1]).divrem(
+            Poly(fq2_context(p), [])))
+
+
+@pytest.mark.parametrize("argv, fault, message", [
+    ("formal --prime 7 --a4 1 --a6 1", _truncated_heights,
+     "coefficient of t^7 beyond precision O(t^4)"),
+    ("split --prime 13 --precision 4", _zero_divisor,
+     "polynomial division by zero"),
+], ids=["precision", "zero-divisor"])
+def test_series_and_division_bugs_exit_2(argv, fault, message, monkeypatch,
+                                         capsys):
+    # a coefficient read past a series' precision (PrecisionError) and a
+    # polynomial divided by zero are bugs like any internal ValueError:
+    # one line on stderr, no traceback
+    import ellwitt.cli as climod
+    fault(monkeypatch)
+    for tail in ([], ["--json"]):
+        assert climod.main(argv.split() + tail) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"ellwitt: internal error: {message}\n"
 
 
 def test_non_unit_inverse_in_fq2_exits_2(monkeypatch, capsys):

@@ -19,8 +19,7 @@ one of four kinds:
   its message or the report of a failed assertion, and the named test
   shows what it prints;
 - "acceptance: <criterion>": an acceptance test reads it;
-- "test API: <test id>": the ring protocol and operators of F_p that
-  Poly, QSeries and the F_p root sets need in the tests, and the
+- "test API: <test id>": the equality of two F_p objects, and the
   `_replace` and repr of the result records, as the named test uses
   them.
 
@@ -62,15 +61,12 @@ TAIL = (("--help", 0), ("verify --help", 0), ("ss --help", 0),
         ("ss", 1), ("ss --prime 101", 1))
 
 _REPRS = "error path: tests/test_rings.py::test_reprs_follow_the_precision"
-_RING = ("test API: "
-         "tests/test_polyseries.py::test_revert_roundtrip_50_random_prec_40")
 
 #: Functions no command enters, with the reason each stays.
 ALLOWED = {
     "arith.power": "ROADMAP 1c",
     "formalgroup.formal_expansion": "ROADMAP 1c",
     "polyseries.Poly.gcd": "ROADMAP 1c",
-    "polyseries.c_str": "ROADMAP 1c",
     "polyseries._inv_list": "ROADMAP 1c",
     "polyseries._compose_bk": "ROADMAP 1c",
     **{f"polyseries.QSeries.{name}": "ROADMAP 1c" for name in (
@@ -91,18 +87,8 @@ ALLOWED = {
     "arith.QuadElem.to_fp": "acceptance: criterion 6, the Witt layer",
     "arith.QuadElem.reduce_precision":
         "acceptance: criterion 6, the Witt layer",
-    **{f"arith.{name}": _RING for name in (
-        "Zmod.zero", "Zmod.one", "Zmod.from_int", "Zmod.coerce",
-        "Zmod.is_unit", "Zmod.inv", "ZmodElem.__add__", "ZmodElem.__sub__",
-        "ZmodElem.__neg__")},
-    "arith.ZmodElem.__rsub__": "test API: tests/test_formalgroup.py"
-                               "::test_short_invariants_match_tate_formulas",
-    "arith.Zmod.__eq__": "test API: tests/test_roots.py"
-                         "::test_deuring_and_eisenstein_polynomials_match"
-                         "_scan",
-    "arith.ZmodElem.__hash__": "test API: tests/test_arith.py"
-                               "::test_set_membership_agrees_with_list"
-                               "_membership",
+    "arith.Zmod.__eq__": "test API: tests/test_rings.py"
+                         "::test_precision_one_is_the_field",
     "arith.record.<locals>._replace":
         "test API: tests/test_records.py"
         "::test_every_record_behaves_like_its_namedtuple",

@@ -37,7 +37,7 @@ from math import comb
 import pytest
 
 from ellwitt import arith, modforms, sslocus
-from ellwitt.arith import Zmod, fq2_context, is_prime, rth_root
+from ellwitt.arith import fq2_context, is_prime, rth_root
 from ellwitt.cli import hasse_section
 from ellwitt.errors import ValidationError
 from ellwitt.polyseries import Poly, is_squarefree, roots_in_field
@@ -88,8 +88,10 @@ def q_is_squarefree(Q: list, p: int) -> bool:
 
 
 def ints(f: Poly) -> list:
-    """A Poly over F_p as the ascending int list the routes hold."""
-    return [c.value for c in f.coeffs]
+    """A Poly over F_p, the scalars of F_{p^2}, as the ascending int list
+    the routes hold."""
+    assert all(c.in_prime_field for c in f.coeffs), f
+    return [c.a for c in f.coeffs]
 
 
 def oracle_per_j(p: int) -> tuple:
@@ -236,7 +238,7 @@ def test_a_repeated_or_zero_root_of_q_is_not_squarefree(
     # s + k: the pass is told to expect that degree, so the mutant passes
     # the S3 quotient and only the squarefree certificate can refuse it
     p, (c, k) = 97, factor
-    F = Zmod(p)
+    F = fq2_context(p)
     q = Poly(F, _legendre_half(p))
     A = Poly(F, [64 * 27, 64 * 27, 64 * 9, 64])  # 64 (w + 3)^3
     B = Poly(F, [1, -2, 1])  # (w - 1)^2
@@ -256,7 +258,7 @@ def test_a_repeated_or_zero_root_of_q_is_not_squarefree(
 @pytest.mark.parametrize("change", ["factor", "coefficient"])
 def test_a_squarefree_q_that_is_not_s3_symmetric_raises(
         change, monkeypatch, fresh_cache):
-    F = Zmod(97)
+    F = fq2_context(97)
     q = Poly(F, _legendre_half(97))
     if change == "factor":  # degree 3s + 1
         bad = ints(q * Poly(F, [-5, 1]))

@@ -2,15 +2,20 @@
 Euclid loop on field elements that it replaced.
 
 The oracle below is that loop, kept verbatim; both must return the same
-monic gcd, with gcd(0, 0) = 0.
+monic gcd, with gcd(0, 0) = 0.  F_p is not a coefficient ring: the
+polynomials are over the scalars of fq2_context(p), the one input
+Poly.gcd takes.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellwitt.arith import Zmod, is_prime
-from ellwitt.polyseries import Poly
+from ellwitt.arith import fq2_context, is_prime
+from ellwitt.padicwitt import lift_context
+from ellwitt.polyseries import Poly, _FpX, _trim
 from ellwitt.sslocus import hasse_polynomial
 
 DRAW_PRIMES = (5, 7, 11, 13, 101)
@@ -37,7 +42,7 @@ def agree(f: Poly, g: Poly) -> Poly:
 
 @pytest.mark.parametrize("p", [p for p in range(5, 201) if is_prime(p)])
 def test_hasse_with_derivative_matches_euclid(p):
-    H = Poly(Zmod(p), hasse_polynomial(p))
+    H = Poly(fq2_context(p), hasse_polynomial(p))
     dH = H.derivative()
     assert agree(H, dH) == Poly(H.ring, [1])   # H is squarefree
     H2 = H * H
@@ -46,7 +51,7 @@ def test_hasse_with_derivative_matches_euclid(p):
 
 def polys(p: int, max_degree: int):
     return st.lists(st.integers(0, p - 1), max_size=max_degree + 1).map(
-        lambda cs: Poly(Zmod(p), cs))
+        lambda cs: Poly(fq2_context(p), cs))
 
 
 @settings(max_examples=60, deadline=None)
@@ -68,7 +73,7 @@ def long_over_short(draw):
     """(a, b) with deg a - deg b >= 3 for nonzero b, which may be a
     constant or zero: several quotient coefficients per Euclid step."""
     p = draw(st.sampled_from(DRAW_PRIMES))
-    F = Zmod(p)
+    F = fq2_context(p)
     b = draw(polys(p, 4))
     u = Poly(F, draw(st.lists(st.integers(0, p - 1), min_size=3,
                               max_size=9)) + [draw(st.integers(1, p - 1))])
@@ -90,7 +95,7 @@ def test_long_quotients_match_euclid(draw):
 
 
 def test_edge_cases():
-    F = Zmod(13)
+    F = fq2_context(13)
     zero = Poly(F, [])
     f = Poly(F, [3, 0, 5])            # 5X^2 + 3, not monic
     assert agree(zero, zero).is_zero()
@@ -99,6 +104,46 @@ def test_edge_cases():
     assert agree(Poly(F, [7]), f) == Poly(F, [1])
     short = Poly(F, [2, 4])           # shorter first argument
     assert agree(short, short * f) == monic(short)
-    big = Zmod(2 ** 61 - 1)
+    big = fq2_context(2 ** 61 - 1)
     x1, x2 = Poly(big, [-1, 1]), Poly(big, [-2, 1])
     assert agree(x1 * x2 * 3, x1 * x1 * 5) == x1
+
+
+def ints(f: Poly) -> list:
+    """f over F_p, scalars of F_{p^2}, as an ascending int list."""
+    assert all(c.in_prime_field for c in f.coeffs), f
+    return [c.a for c in f.coeffs]
+
+
+@pytest.mark.parametrize("p", [p for p in range(5, 48) if is_prime(p)])
+def test_gcd_of_scalars_is_the_int_list_gcd(p):
+    # Poly.gcd against _FpX.gcd on the int lists of the same
+    # polynomials: the zero, constant and non-monic cases of
+    # test_edge_cases, then seeded pairs with a planted common factor
+    F, rng = fq2_context(p), random.Random(p)
+
+    def rand(n):
+        return [rng.randrange(p) for _ in range(n)]
+    cases = [([], []), ([3, 0, 5], []), ([], [3, 0, 5]), ([7], [3, 0, 5]),
+             ([2, 4], [6, 12, 10, 20])]
+    for _ in range(30):
+        c = Poly(F, rand(rng.randrange(4)))
+        cases += [(ints(c * Poly(F, rand(rng.randrange(7)))),
+                   ints(c * Poly(F, rand(rng.randrange(7)))))]
+    for a, b in cases:
+        got = Poly(F, a).gcd(Poly(F, b))
+        a, b = _trim([x % p for x in a]), _trim([x % p for x in b])
+        assert ints(got) == _FpX(p, max(len(a), len(b))).gcd(a, b), (a, b)
+
+
+def test_gcd_refuses_all_but_scalars_of_f_p2():
+    W = lift_context(fq2_context(5), 2)
+    with pytest.raises(ValueError, match="over W\\(F_5\\^2\\)/5\\^2"):
+        Poly(W, [-1, 0, 1]).gcd(Poly(W, [-1, 1]))
+    F = fq2_context(5)
+    off = Poly(F, [1, F.elem(2, 3)])    # a coefficient with b != 0
+    for f, g in ((off, Poly(F, [-1, 1])), (Poly(F, [-1, 1]), off),
+                 (off, Poly(F, []))):
+        with pytest.raises(ValueError, match="Poly.gcd wants polynomials "
+                                             "over F_p"):
+            f.gcd(g)

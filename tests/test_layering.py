@@ -3,7 +3,8 @@ top, the supersingular locus loads without the formal-group layer that
 reads it, no module imports or loads a rational module (`fractions`,
 `decimal`, `numbers`), no command loads `json` or `re` and only a cache
 hit loads `_json`, each class and function is bound under its own name
-alone, and every name a module exports in `__all__` is bound."""
+alone, every name a module exports in `__all__` is bound, and F_p stays
+out of the coefficient rings."""
 
 import ast
 import importlib
@@ -12,6 +13,7 @@ import pkgutil
 from pathlib import Path
 
 import ellwitt
+from ellwitt.arith import Zmod, ZmodElem
 from conftest import fresh_python
 from test_command_sweep import SWEEP
 
@@ -207,3 +209,25 @@ def test_every_class_and_function_has_one_name():
                     and key != "__r" + name[2:]):
                 found.append(f"{where}.{key} is {name}")
     assert not found, "\n".join(found)
+
+
+def _defines(cls) -> tuple:
+    """(the names cls binds itself other than dunders, the dunders it
+    binds to a callable)."""
+    own = vars(cls)
+    dunders = {n for n in own if n.startswith("__") and n.endswith("__")}
+    return set(own) - dunders, {n for n in dunders if callable(own[n])}
+
+
+def test_f_p_is_no_coefficient_ring():
+    # Zmod is the field that rth_root and the Euler test read: no ring
+    # protocol (zero, one, from_int, coerce, is_unit, inv) and elements
+    # that multiply, power and invert but neither add, subtract, negate
+    # nor hash
+    assert _defines(Zmod) == ({"p", "N", "size", "elem"},
+                              {"__init__", "__eq__", "__hash__", "__repr__"})
+    assert _defines(ZmodElem) == (
+        {"value", "ring", "_same", "inverse"},
+        {"__init__", "__mul__", "__rmul__", "__pow__", "__bool__", "__eq__",
+         "__repr__"})
+    assert ZmodElem.__hash__ is None

@@ -11,7 +11,7 @@ import ellwitt.cli as cli
 import ellwitt.modforms as modforms
 import ellwitt.polyseries as polyseries
 import ellwitt.sslocus as sslocus
-from ellwitt.arith import Zmod, fq2_context, is_prime
+from ellwitt.arith import fq2_context, is_prime
 from ellwitt.errors import ValidationError
 from ellwitt.formalgroup import curve_from_j
 from ellwitt.modforms import MAX_EISENSTEIN_PRIME, ss_poly_eisenstein
@@ -57,18 +57,19 @@ def test_hasse_polynomial_values():
 
 
 def test_legendre_to_j_examples():
-    # harmonic lambda = 2 gives j = 1728 in any characteristic
+    # harmonic lambda = 2 gives j = 1728 in any characteristic; F_p is
+    # the scalars of F_{p^2}
     for p in (7, 13, 1009):
-        F = Zmod(p)
+        F = fq2_context(p)
         assert legendre_to_j(F.elem(2)) == F.from_int(1728)
     # lambda with lambda^2 - lambda + 1 = 0 gives j = 0: such lambda
     # exists mod 13 (discriminant -3 is a square mod 13)
-    F13 = Zmod(13)
+    F13 = fq2_context(13)
     lam = next(F13.elem(v) for v in range(2, 13)
                if (v * v - v + 1) % 13 == 0)
     assert legendre_to_j(lam) == F13.zero()
-    F7 = Zmod(7)
-    assert legendre_to_j(F7.elem(6)).value == 6
+    F7 = fq2_context(7)
+    assert legendre_to_j(F7.elem(6)) == 6
     with pytest.raises(ValueError):
         legendre_to_j(F7.elem(1))
 
@@ -97,7 +98,7 @@ def test_ss_j_deuring_spot_values():
 
 
 def test_curve_from_j_branches_and_roundtrip():
-    F13 = Zmod(13)
+    F13 = fq2_context(13)
     assert curve_from_j(0, 13) == (0, 1)
     assert curve_from_j(1728, 13) == (1, 0)
     for v in range(13):
@@ -113,7 +114,6 @@ def test_curve_from_j_branches_and_roundtrip():
 def test_point_count_hand_check_p5():
     # y^2 = x^3 + 1 over F_5 has the 6 points (0,+-1),(2,+-2),(4,0),inf;
     # t = 0 over F_5 forces t = -10 over F_25, i.e. 36 points.
-    F5 = Zmod(5)
     pts = {(x, y) for x in range(5) for y in range(5)
            if (y * y - x ** 3 - 1) % 5 == 0}
     assert len(pts) + 1 == 6

@@ -13,11 +13,13 @@ formal group is weighted-homogeneous (a4 of weight 4, a6 of weight 6,
 t of weight -1: Silverman, AEC IV.1), so z(t) lies in t*Z[[t^g]] and
 w(t) in t^3*Z[[t^g]] for g the gcd of the weights of the nonzero
 coefficients: 2 when a4 a6 != 0, 4 at j = 1728 (a6 = 0), 6 at j = 0
-(a4 = 0).  The int-list kernels of polyseries read each operand's
-support class from the list and multiply and divide on that class
-alone.  The formal log/exp route, [p](t) = exp(p * log(t)) over exact
-rationals, computes the same series and is kept as the test oracle in
-tests/oracles.py; formal_expansion is its first step.
+(a4 = 0).  The chain carries the class: each of its series is a pair
+(r, c) of a class r and the dense list c of the coefficients on
+r + g*Z, which the int-list kernels of polyseries multiply and divide,
+so no kernel reads a class off a list.  The formal log/exp route,
+[p](t) = exp(p * log(t)) over exact rationals, computes the same series
+and is kept as the test oracle in tests/oracles.py; formal_expansion is
+its first step.
 v1 needs only precision p+1; the full p^2+1 window is expanded
 only when v1 = 0 (the supersingular case, where the height-2 assertions
 and v2 live).
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 from itertools import compress
 from math import comb, gcd
-from operator import mul
+from operator import add, mul
 
 from .arith import record, require_prime
 from .errors import PrecisionError, ValidationError
@@ -88,7 +90,8 @@ def _w_coeffs(coeffs, P: int, zero, one) -> list:
     a6 (of weights 4 and 6), so it vanishes unless g divides n - 3,
     where g is 2, 4 or 6, the gcd of the weights of the nonzero
     coefficients; those of w^2 and w^3 sit at 6 and 9 mod g.  Only
-    those classes are computed."""
+    those classes are computed, and w^2 at half the products, as in
+    polyseries._mul."""
     a4, a6 = coeffs
     w = [zero] * P
     w2 = [zero] * P
@@ -97,9 +100,13 @@ def _w_coeffs(coeffs, P: int, zero, one) -> list:
     if P > 3:
         w[3] = one
     for n in range(3 + g, P, g):
-        # the one index of w^2's class in (n - g, n]
+        # the one index of w^2's class in (n - g, n], the sum over the
+        # terms w[i] w[m - i] of w's class, each pair i < m - i once
         m = n - (-3 % g)
-        w2[m] = sum(map(mul, w[3:m - 2:g], w[m - 3:2:-g]), zero)
+        ws = w[3:m - 2:g]
+        h = len(ws) // 2
+        s = sum(map(mul, ws[:h], ws[::-1]), zero)
+        w2[m] = s + s + ws[h] * ws[h] if len(ws) % 2 else s + s
         if a6:
             w3[n] = sum(map(mul, w[3:n - 5:g], w2[n - 3:5:-g]), zero)
         acc = zero
@@ -137,80 +144,114 @@ def formal_expansion(E, prec: int):
 PSeries = record("PSeries", "p curve series")
 
 
-# Series in Z[[t]] below are plain int lists holding the coefficients of
-# t^0 .. t^(n-1), multiplied and divided by polyseries._mul and _div; the
-# nonzero coefficients of each sit on one class r mod g (see the module
-# docstring), which those kernels read off the list.
+# The chain below runs in Z[[t]] at a precision n that each addition
+# lowers by one, on one stride g, the gcd of the weights (see the module
+# docstring).  A chain series is a pair (r, c) for sum c[k] t^(r + g*k),
+# c holding its terms of t-degree below n as a dense list that
+# polyseries._mul and _div take: products add classes and a combination
+# aligns its terms on the least class.  t = (1, [1]) and the constant
+# _ONE are exact one-term pairs, so a product with one is a scaled copy.
 
-def _lin(n: int, *terms) -> list:
-    """sum(c * s) over the (c, s) terms, to n coefficients."""
-    out = [0] * n
-    for c, s in terms:
+_ONE = (0, [1])
+
+
+def _lin(g: int, n: int, *terms) -> tuple:
+    """sum(c * s) over the (c, s) terms with c != 0, aligned on their
+    least class; classes that differ mod g are an algebra bug."""
+    r0 = min(s[0] for c, s in terms if c)
+    out = [0] * len(range(r0, n, g))
+    for c, (r, s) in terms:
         if c:
-            for i in range(n):
-                out[i] += c * s[i]
-    return out
+            d, off = divmod(r - r0, g)
+            if off:
+                raise ValidationError(
+                    f"chain series of classes {r0} and {r} differ mod {g}")
+            cs = [c * x for x in s[:len(out) - d]]
+            out[d:d + len(cs)] = map(add, out[d:], cs)
+    return r0, out
 
 
-def _third_point(a, z1, w1, z2, lam):
+def _prod(g: int, n: int, x: tuple, y: tuple) -> tuple:
+    """x * y to precision n; a square when y is x."""
+    (rx, a), (ry, b) = x, y
+    r = rx + ry
+    m = len(range(r, n, g))
+    if len(b) == 1:
+        a, b = b, a
+    if len(a) == 1:
+        out = [a[0] * v for v in b[:m]]
+        return r, out + [0] * (m - len(out))
+    return r, _mul(a, b, m)
+
+
+def _over(g: int, x: tuple, d: tuple) -> tuple:
+    """x / d for a divisor d of class 0: the quotient keeps x's class."""
+    r, a = x
+    return r, _div(a, d[1], r, g)
+
+
+def _third_point(a, g, n, z1, w1, z2, lam, with_w=True):
     """P1 + P2 for points P1 = (z1, w1), P2 = (z2, .) on the line
     w = lam*z + nu: the line meets the curve again at P3, and
-    P1 + P2 = -P3.  All series carry len(lam) coefficients."""
+    P1 + P2 = -P3, with w None unless with_w."""
     a4, a6 = a
-    n = len(lam)
-    nu = _lin(n, (1, w1), (-1, _mul(lam, z1, n)))
-    l2 = _mul(lam, lam, n)
+    nu = _lin(g, n, (1, w1), (-1, _prod(g, n, lam, z1)))
+    l2 = _prod(g, n, lam, lam)
     # num = nu (2 a4 lam + 3 a6 lam^2) and den = 1 + lam (a4 lam + a6
     # lam^2): the z^2 and z^3 coefficients of the curve's equation
     # w = z^3 + a4 z w^2 + a6 w^3 restricted to the line
-    num = _mul(nu, _lin(n, (2 * a4, lam), (3 * a6, l2)), n)
-    den = _mul(lam, _lin(n, (a4, lam), (a6, l2)), n)
-    den[0] += 1
-    z3 = _lin(n, (-1, z1), (-1, z2), (-1, _div(num, den)))
-    w3 = _lin(n, (1, nu), (1, _mul(lam, z3, n)))
+    num = _prod(g, n, nu, _lin(g, n, (2 * a4, lam), (3 * a6, l2)))
+    den = _lin(g, n, (1, _ONE),
+               (1, _prod(g, n, lam, _lin(g, n, (a4, lam), (a6, l2)))))
     # on a short curve, -(z, w) = (-z, -w)
-    return [-c for c in z3], [-c for c in w3]
+    z = _lin(g, n, (1, z1), (1, z2), (1, _over(g, num, den)))
+    if not with_w:
+        return z, None
+    return z, _lin(g, n, (-1, nu), (1, _prod(g, n, lam, z)))
 
 
-def _double(a, z, w):
+def _double(a, g, n, z, w):
     """2P by the tangent at P = (z, w); the slope's denominator has
     constant term 1."""
     a4, a6 = a
-    n = len(z)
-    zz, zw, ww = _mul(z, z, n), _mul(z, w, n), _mul(w, w, n)
-    num = _lin(n, (3, zz), (a4, ww))
-    den = _lin(n, (-2 * a4, zw), (-3 * a6, ww))
-    den[0] += 1
-    return _third_point(a, z, w, z, _div(num, den))
+    zz, zw, ww = _prod(g, n, z, z), _prod(g, n, z, w), _prod(g, n, w, w)
+    num = _lin(g, n, (3, zz), (a4, ww))
+    den = _lin(g, n, (1, _ONE), (-2 * a4, zw), (-3 * a6, ww))
+    return _third_point(a, g, n, z, w, z, _over(g, num, den))
 
 
-def _add(a, z1, w1, z2, w2):
-    """P1 + P2 by the chord, for P1 = (t, w(t)) and P2 = [n]P1 with
-    n > 1.  Both slope terms are divided by t first, which costs one
-    coefficient; the denominator then starts with 1 - n."""
-    L = len(z2) - 1
-    dz = [u - v for u, v in zip(z1[1:], z2[1:])]
-    dw = [u - v for u, v in zip(w1[1:], w2[1:])]
-    return _third_point(a, z1[:L], w1[:L], z2[:L], _div(dw, dz))
+def _add(a, g, n, z1, w1, z2, w2, with_w):
+    """P1 + P2 by the chord, for P1 = (t, w(t)) and P2 = [m]P1 with
+    m > 1, from precision n + 1 to n: both slope terms are divided by t
+    first, which shifts their classes 1 -> 0 and 3 -> 2, and the
+    denominator then starts with 1 - m."""
+    (rz, dz), (rw, dw) = (_lin(g, n + 1, (1, u), (-1, v))
+                          for u, v in ((z1, z2), (w1, w2)))
+    lam = _over(g, (rw - 1, dw), (rz - 1, dz))
+    return _third_point(a, g, n, z1, w1, z2, lam, with_w)
 
 
 def _mult_by_p_integral(a, p: int, prec: int) -> list:
     """Coefficients of t^0 .. t^prec of [p](t) in Z[[t]] for the
     integral coefficients a = (a4, a6) of y^2 = x^3 + a4 x + a6: an
-    addition chain on the bits of p applied to the point (t, w(t))."""
+    addition chain on the bits of p applied to the point (t, w(t)).
+    p is odd, so the chain ends in an addition, whose w nothing reads."""
     bits = bin(p)[3:]
-    P = prec + 1 + bits.count("1")
-    w = _w_coeffs(a, P, 0, 1)
-    t = [0, 1] + [0] * (P - 2)
+    n = prec + 1 + bits.count("1")
+    g = gcd(*compress((4, 6), a))
+    t, w = (1, [1]), (3, _w_coeffs(a, n, 0, 1)[3::g])
     z, wz = t, w
-    for bit in bits:
-        z, wz = _double(a, z, wz)
+    for i, bit in enumerate(bits, 1):
+        z, wz = _double(a, g, n, z, wz)
         if bit == "1":
-            z, wz = _add(a, t, w, z, wz)
-    if len(z) < prec + 1:
+            n -= 1
+            z, wz = _add(a, g, n, t, w, z, wz, i < len(bits))
+    if n < prec + 1:
         raise ValidationError(
-            f"[p]-series kept {len(z)} coefficients, {prec + 1} needed")
-    return z[:prec + 1]
+            f"[p]-series kept {n} coefficients, {prec + 1} needed")
+    out = [0] * n
+    out[z[0]::g] = z[1]
+    return out
 
 
 def has_bad_reduction(a, p: int) -> bool:

@@ -91,8 +91,10 @@ def _level_one_forms(prec: int) -> tuple:
     n = prec + 2
     e4, e6 = _e4_e6(n)
     e4_3 = _mul(_mul(e4, e4, n), e4, n)
-    dlt = _div([a - b for a, b in zip(e4_3, _mul(e6, e6, n))],
-               [1728] + [0] * (n - 1))
+    dlt = [a - b for a, b in zip(e4_3, _mul(e6, e6, n))]
+    if any(c % 1728 for c in dlt):
+        raise ValidationError("E4^3 - E6^2 is not divisible by 1728")
+    dlt = [c // 1728 for c in dlt]
     return e4[:prec], e6[:prec], dlt[:prec], _div(e4_3, dlt[1:])
 
 

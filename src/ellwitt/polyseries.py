@@ -23,8 +23,10 @@ PrecisionError.
 
 Series in Z[[t]] are plain int lists holding the coefficients of
 t^0 .. t^(n-1); a list's length is its absolute precision.  _mul and
-_div multiply and divide them exactly (the [p]-series in formalgroup,
-the integer q-expansions in modforms).
+_div multiply and divide them exactly by dense convolution, a square at
+half the products: the integer q-expansions in modforms and cli, and
+the [p]-series in formalgroup, whose chain hands them the coefficients
+of one class r mod g as a dense list of its own.
 """
 
 from __future__ import annotations
@@ -32,8 +34,7 @@ from __future__ import annotations
 import math
 import random
 import struct
-from itertools import compress
-from operator import mul, sub
+from operator import mul
 
 from .arith import Quad, Zmod, power, rth_root
 from .errors import PrecisionError, ValidationError
@@ -644,67 +645,38 @@ def _compose_bk(ring, fl, gl, P):
     return acc
 
 
-# --- Z[[t]] kernels on int lists (see the module docstring) ---
-# The nonzero coefficients of a series often sit on one class r mod g
-# (the formal-group series of formalgroup, for one), which _support
-# reads off the list; _mul and _div work on that class alone.
-
-
-def _support(a: list, n: int):
-    """(r, g) such that every nonzero a[i], i < n, has i = r + g*k: r
-    is the first nonzero index and g the gcd of the gaps (0 for a single
-    term).  None when a[:n] is zero."""
-    idx = list(compress(range(n), a))
-    if not idx:
-        return None
-    return idx[0], math.gcd(*map(sub, idx[1:], idx))
+# --- Z[[t]] kernels on dense int lists (see the module docstring) ---
 
 
 def _mul(a: list, b: list, n: int) -> list:
-    """The first n coefficients of a*b, which both must carry: the
-    classes of a's and b's supports convolve into one class of out."""
+    """The first n coefficients of a*b, which both must carry.  A square
+    (b is a) sums each pair i < j once, doubled, plus the diagonal."""
     if n > min(len(a), len(b)):
         raise ValueError(f"product to {n} coefficients of series with "
                          f"{len(a)} and {len(b)}")
-    out = [0] * n
-    sa, sb = _support(a, n), _support(b, n)
-    if sa is None or sb is None:
-        return out
-    (ra, ga), (rb, gb) = sa, sb
-    g = math.gcd(ga, gb) or n
-    m = len(range(ra + rb, n, g))
-    x = a[ra:ra + g * m:g]
-    y = b[rb:rb + g * m:g][::-1]
-    out[ra + rb::g] = [sum(map(mul, x, y[m - 1 - k:])) for k in range(m)]
+    if a is not b:
+        return [sum(map(mul, a, b[k::-1])) for k in range(n)]
+    out = [2 * sum(map(mul, a[:(k + 1) // 2], a[k:k // 2:-1]))
+           for k in range(n)]
+    out[::2] = [c + x * x for c, x in zip(out[::2], a)]
     return out
 
 
-def _div(a: list, b: list) -> list:
+def _div(a: list, b: list, r: int = 0, g: int = 1) -> list:
     """The quotient a/b in Z[[t]], b[0] != 0, to min(len(a), len(b))
     coefficients.  Every coefficient must divide exactly by b[0]: a
     remainder means the quotient is not integral, which the caller's
-    algebra rules out.  The quotient lives on the class of a's support
-    modulo the step of b's, where the division runs; off that class
-    every remainder is zero."""
-    n = min(len(a), len(b))
-    q = [0] * n
-    sa = _support(a, n)
-    if sa is None:
-        return q
-    r, g = sa
-    g = math.gcd(g, *compress(range(n), b)) or n
+    algebra rules out.  The error names the remainder's term k as
+    t^(r + g*k), its true exponent when a and b hold the terms of
+    series on one class r and 0 mod a stride g."""
     b0 = b[0]
-    x = a[r:n:g]
-    m = len(x)
-    y = b[:g * m:g][::-1]
-    c = []
-    for k in range(m):
-        ck, rem = divmod(x[k] - sum(map(mul, c, y[m - 1 - k:])), b0)
+    q = []
+    for k in range(min(len(a), len(b))):
+        c, rem = divmod(a[k] - sum(map(mul, q, b[k:0:-1])), b0)
         if rem:
             raise ValidationError(
                 f"series division by {b0} + ... leaves a remainder at "
                 f"t^{r + g * k}: the quotient is not integral (precision "
                 f"or algebra bug)")
-        c.append(ck)
-    q[r::g] = c
+        q.append(c)
     return q

@@ -51,6 +51,9 @@ def _dumps(value, indent: str) -> str:
             items = [f"{_dumps(key, inner)}: {_dumps(value[key], inner)}"
                      for key in sorted(value)]
             ends = "{}"
+        elif set(map(type, value)) == {int}:   # exact ints: no bool
+            sep = "," + inner
+            return f"[{inner}{sep.join(map(int.__repr__, value))}{indent}]"
         else:
             items = [_dumps(item, inner) for item in value]
             ends = "[]"

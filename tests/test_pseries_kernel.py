@@ -1,14 +1,17 @@
-"""The support-aware Z[[t]] kernels of the [p]-series (``_mul``, ``_div``,
-``_w_coeffs``) against the dense kernels they replaced.
+"""The [p]-series kernels (``_mul``, ``_div``, ``_w_coeffs`` and the
+class-pair chain of ``formalgroup``) against the dense kernels they
+replaced.
 
 The dense kernels below are the replaced code, kept verbatim as the
-oracle.  The new ones convolve and divide only the coefficient class a
-series' support allows, so on every input both must give the same
-coefficients, the same quotient and the same remainder error (the same
-t^k).  At curve level the chord-tangent chain of the short curve
-(a4, a6) runs on the new kernels, and the replaced chain of the general
-Weierstrass curve [a1, a2, a3, a4, a6] runs on the dense kernels, fed
-(0, 0, 0, a4, a6).
+oracle, with the replaced ``_lin`` they use.  The new ``_mul`` and
+``_div`` are dense as well, with a square path (b is a) at half the
+products; the chain hands them the coefficients of one class r mod g of
+each series, so on every input, strided ones included, both sets must
+give the same coefficients, the same quotient and the same remainder
+error (the same t^k).  At curve level the chord-tangent chain of the
+short curve (a4, a6) runs on the class pairs, and the replaced chain of
+the general Weierstrass curve [a1, a2, a3, a4, a6] runs on the dense
+kernels, fed (0, 0, 0, a4, a6).
 
     python tests/test_pseries_kernel.py
 
@@ -26,7 +29,8 @@ from hypothesis import strategies as st
 
 from ellwitt.arith import fq2_context
 from ellwitt.errors import ValidationError
-from ellwitt.formalgroup import _lin, _mult_by_p_integral, _w_coeffs
+from ellwitt import formalgroup
+from ellwitt.formalgroup import _mult_by_p_integral, _w_coeffs
 from ellwitt.polyseries import _div, _mul
 from oracles import QQ
 
@@ -34,6 +38,16 @@ STRIDES = (1, 2, 3, 4, 6)
 
 
 # -- the dense kernels, verbatim --------------------------------------------
+
+def _lin(n: int, *terms) -> list:
+    """sum(c * s) over the (c, s) terms, to n coefficients."""
+    out = [0] * n
+    for c, s in terms:
+        if c:
+            for i in range(n):
+                out[i] += c * s[i]
+    return out
+
 
 def _mul_dense(a: list, b: list, n: int) -> list:
     """The first n coefficients of a*b."""
@@ -245,6 +259,26 @@ def test_mul_needs_both_operands_to_carry_n_coefficients():
         _mul([1], [0, 1], 2)
 
 
+#: Coefficients for the square path: signed small and big ints, with
+#: runs of zeros.
+_SQUARE_ITEMS = st.lists(
+    st.one_of(st.integers(-10 ** 6, 10 ** 6),
+              st.integers(-2 ** 200, 2 ** 200),
+              st.integers(1, 8).map(lambda k: [0] * k)),
+    max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SQUARE_ITEMS.map(lambda xs: [y for x in xs
+                                     for y in (x if isinstance(x, list)
+                                               else [x])]))
+def test_square_path_matches_dense_and_the_general_path(a):
+    # the dense oracle's coefficient k does not depend on n
+    full = _mul_dense(a, list(a), len(a))
+    for n in range(len(a) + 1):
+        assert _mul(a, a, n) == full[:n] == _mul(a, list(a), n)
+
+
 def _div_outcome(kernel, a, b):
     try:
         return kernel(a, b)
@@ -285,6 +319,40 @@ def test_div_exact_quotients_and_remainders_seeded():
                     got = _div_outcome(_div, a, b)
                     assert isinstance(got, str) and f"t^{k}:" in got
                     assert got == _div_outcome(_div_dense, a, b)
+
+
+# -- the class pairs of the chain ------------------------------------------
+
+def test_a_combination_of_classes_that_differ_mod_g_raises():
+    lin = formalgroup._lin
+    assert lin(2, 8, (1, (1, [1, 2, 3, 4])), (3, (3, [5, 6, 7]))) == \
+        (1, [1, 17, 21, 25])
+    for g, x, y in ((2, (1, [1, 2, 3, 4]), (2, [5, 6, 7])),
+                    (4, (3, [1, 2]), (1, [5, 6])),
+                    (6, (0, [1, 2]), (2, [3, 4]))):
+        lo, hi = sorted((x[0], y[0]))
+        with pytest.raises(ValidationError, match=(
+                f"classes {lo} and {hi} differ mod {g}")):
+            lin(g, 8, (1, x), (-1, y))
+    # a term with coefficient 0 is not read, whatever its class
+    assert lin(6, 8, (1, (1, [1, 2])), (0, (6, [3]))) == (1, [1, 2])
+
+
+@pytest.mark.parametrize("g", [2, 6])
+def test_a_class_pair_remainder_names_its_true_exponent(g):
+    rng = random.Random(g)
+    for r in (1, 3, 5):
+        for b0 in (-4, 6):
+            m = 12
+            q = [rng.randint(-99, 99) for _ in range(m)]
+            b = [b0] + [rng.randint(-99, 99) for _ in range(m - 1)]
+            a = _mul_dense(q, b, m)
+            assert formalgroup._over(g, (r, a), (0, b)) == (r, q)
+            k = rng.randrange(1, m)
+            a[k] += 1
+            with pytest.raises(ValidationError,
+                               match=rf"remainder at t\^{r + g * k}:"):
+                formalgroup._over(g, (r, a), (0, b))
 
 
 # -- w(t) at its stride -----------------------------------------------------

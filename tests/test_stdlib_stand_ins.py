@@ -66,6 +66,13 @@ def test_canonical_json_equals_json_dumps(tmp_path, monkeypatch):
     for _ in range(20000):
         value = _value(rng, 3)
         assert report.canonical_json(value) == _dumps(value), value
+    # int lists, written in one join: negatives, ints past 2^64, a bool
+    # among ints (still true/false), empty, and int pairs
+    for value in ([3, -7, 0], [2 ** 64 + 1, -(2 ** 70), 5], (9, -2 ** 65),
+                  [1, True, 0, False], [], [[1, -2], [-3, 4]], [[], [0]]):
+        assert report.canonical_json(value) == _dumps(value), value
+        assert report.canonical_json({"k": [value]}) == \
+            _dumps({"k": [value]}), value
 
     # every report and cache entry that the sweep's leaves write, cold
     # and then warm, as the objects the commands build

@@ -127,7 +127,7 @@ def formal_section(p: int, a4: int, a6: int) -> dict:
         raise UsageError(f"formal: curve has bad reduction at {p}")
     a = (a4 % p, a6 % p)
     ps = formalgroup.mult_by_p_series(a, p)
-    v1, v2 = formalgroup.heights_from_series(a, p, ps.series)
+    v1, v2 = formalgroup.heights_from_series(a, p, ps)
     return {
         "prime": p,
         "a4": a[0],
@@ -135,8 +135,8 @@ def formal_section(p: int, a4: int, a6: int) -> dict:
         "v1": v1,
         "v2": v2,
         "supersingular": v2 is not None,
-        "series_mod_p": [0] + [c % p for c in ps.series[:p * p]],
-        "series_rational": ["0"] + [str(c) for c in ps.series[:p * p]],
+        "series_mod_p": [0] + [c % p for c in ps[:p * p]],
+        "series_rational": ["0"] + [str(c) for c in ps[:p * p]],
     }
 
 

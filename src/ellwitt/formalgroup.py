@@ -41,7 +41,7 @@ from .polyseries import QSeries, _div, _mul
 from . import modforms, sslocus
 
 __all__ = [
-    "curve_from_j", "PSeries", "formal_expansion",
+    "curve_from_j", "formal_expansion",
     "mult_by_p_series", "v_invariants", "heights_from_series",
     "classical_hasse", "has_bad_reduction",
     "verify_deligne", "verify_gross_landweber",
@@ -139,11 +139,6 @@ def formal_expansion(E, prec: int):
     return x, y, omega
 
 
-#: [p]-series of an integral curve: p, curve (the ints (a4, a6)) and
-#: series (the ints at t^1 .. t^prec).
-PSeries = record("PSeries", "p curve series")
-
-
 # The chain below runs in Z[[t]] at a precision n that each addition
 # lowers by one, on one stride g, the gcd of the weights (see the module
 # docstring).  A chain series is a pair (r, c) for sum c[k] t^(r + g*k),
@@ -157,17 +152,18 @@ _ONE = (0, [1])
 
 def _lin(g: int, n: int, *terms) -> tuple:
     """sum(c * s) over the (c, s) terms with c != 0, aligned on their
-    least class; classes that differ mod g are an algebra bug."""
-    r0 = min(s[0] for c, s in terms if c)
+    least class; a term with c = 0 is not read, so its s may be None.
+    Classes that differ mod g are an algebra bug."""
+    terms = [t for t in terms if t[0]]
+    r0 = min(r for _, (r, _) in terms)
     out = [0] * len(range(r0, n, g))
     for c, (r, s) in terms:
-        if c:
-            d, off = divmod(r - r0, g)
-            if off:
-                raise ValidationError(
-                    f"chain series of classes {r0} and {r} differ mod {g}")
-            cs = [c * x for x in s[:len(out) - d]]
-            out[d:d + len(cs)] = map(add, out[d:], cs)
+        d, off = divmod(r - r0, g)
+        if off:
+            raise ValidationError(
+                f"chain series of classes {r0} and {r} differ mod {g}")
+        cs = [c * x for x in s[:len(out) - d]]
+        out[d:d + len(cs)] = map(add, out[d:], cs)
     return r0, out
 
 
@@ -197,12 +193,12 @@ def _third_point(a, g, n, z1, w1, z2, lam, with_w=True):
     a4, a6 = a
     nu = _lin(g, n, (1, w1), (-1, _prod(g, n, lam, z1)))
     l2 = _prod(g, n, lam, lam)
-    # num = nu (2 a4 lam + 3 a6 lam^2) and den = 1 + lam (a4 lam + a6
-    # lam^2): the z^2 and z^3 coefficients of the curve's equation
+    l3 = _prod(g, n, lam, l2) if a6 else None
+    # num = nu (2 a4 lam + 3 a6 lam^2) and den = 1 + a4 lam^2 + a6
+    # lam^3: the z^2 and z^3 coefficients of the curve's equation
     # w = z^3 + a4 z w^2 + a6 w^3 restricted to the line
     num = _prod(g, n, nu, _lin(g, n, (2 * a4, lam), (3 * a6, l2)))
-    den = _lin(g, n, (1, _ONE),
-               (1, _prod(g, n, lam, _lin(g, n, (a4, lam), (a6, l2)))))
+    den = _lin(g, n, (1, _ONE), (a4, l2), (a6, l3))
     # on a short curve, -(z, w) = (-z, -w)
     z = _lin(g, n, (1, z1), (1, z2), (1, _over(g, num, den)))
     if not with_w:
@@ -214,7 +210,8 @@ def _double(a, g, n, z, w):
     """2P by the tangent at P = (z, w); the slope's denominator has
     constant term 1."""
     a4, a6 = a
-    zz, zw, ww = _prod(g, n, z, z), _prod(g, n, z, w), _prod(g, n, w, w)
+    zz, ww = _prod(g, n, z, z), _prod(g, n, w, w)
+    zw = _prod(g, n, z, w) if a4 else None
     num = _lin(g, n, (3, zz), (a4, ww))
     den = _lin(g, n, (1, _ONE), (-2 * a4, zw), (-3 * a6, ww))
     return _third_point(a, g, n, z, w, z, _over(g, num, den))
@@ -260,9 +257,9 @@ def has_bad_reduction(a, p: int) -> bool:
     return _c4_c6_disc(*a)[2] % p == 0
 
 
-def mult_by_p_series(a, p: int, prec: int | None = None) -> PSeries:
+def mult_by_p_series(a, p: int, prec: int | None = None) -> tuple:
     """[p](t) through t^prec, computed in Z[[t]], of y^2 = x^3 + a4 x + a6
-    for any ints a = (a4, a6).
+    for any ints a = (a4, a6), as the tuple of the ints at t^1 .. t^prec.
 
     The formal group law of an integral model has integral coefficients,
     so [p](t) is built from the point (t, w(t)) by tangent doublings and
@@ -283,7 +280,7 @@ def mult_by_p_series(a, p: int, prec: int | None = None) -> PSeries:
     coeffs = _mult_by_p_integral(a, p, prec)[1:]
     if coeffs[0] != p:
         raise ValidationError("[p]-series does not start with p*t")
-    return PSeries(p=p, curve=a, series=tuple(coeffs))
+    return tuple(coeffs)
 
 
 def v_invariants(a, p: int) -> tuple:
@@ -294,16 +291,16 @@ def v_invariants(a, p: int) -> tuple:
     supersingular case) is the full p^2+1 window computed for v2.  See
     ``heights_from_series`` for the assertions.
     """
-    head = mult_by_p_series(a, p, prec=p + 1).series
+    head = mult_by_p_series(a, p, prec=p + 1)
     if not head[p - 1] % p:
-        head = mult_by_p_series(a, p).series
+        head = mult_by_p_series(a, p)
     return heights_from_series(a, p, head)
 
 
 def heights_from_series(a, p: int, series) -> tuple:
     """(v1, v2) in [0, p) of y^2 = x^3 + a4 x + a6 over F_p, for ints
     a = (a4, a6), read off [p](t) mod p, for series the ints at t^1,
-    t^2, ... (PSeries.series).
+    t^2, ... (mult_by_p_series).
 
     v1 is the t^p coefficient.  When v1 != 0 the coefficients below t^p
     are asserted to vanish and v2 is absent (None).  When v1 = 0 the
@@ -360,7 +357,7 @@ def _hasse_form_value(hf: dict, c4: int, c6: int, p: int) -> int:
 
 
 DeligneReport = record(
-    "DeligneReport", "prime curves_checked supersingular_curves")
+    "DeligneReport", "curves_checked supersingular_curves")
 
 
 def verify_deligne(p: int) -> DeligneReport:
@@ -387,7 +384,7 @@ def verify_deligne(p: int) -> DeligneReport:
             checked += 1
             if not v1:
                 ss_count += 1
-    return DeligneReport(prime=p, curves_checked=checked,
+    return DeligneReport(curves_checked=checked,
                          supersingular_curves=ss_count)
 
 
@@ -395,7 +392,7 @@ def verify_deligne(p: int) -> DeligneReport:
 GLCurveResult = record("GLCurveResult", "j a4 a6 v2 predicted")
 
 #: entries is a tuple of GLCurveResult.
-GLReport = record("GLReport", "prime sign entries")
+GLReport = record("GLReport", "sign entries")
 
 
 def verify_gross_landweber(p: int) -> GLReport:
@@ -424,4 +421,4 @@ def verify_gross_landweber(p: int) -> GLReport:
                 f"v2={v2}, predicted {pred}")
         entries.append(GLCurveResult(j=jval.a, a4=a[0], a6=a[1], v2=v2,
                                      predicted=pred))
-    return GLReport(prime=p, sign=sign, entries=tuple(entries))
+    return GLReport(sign=sign, entries=tuple(entries))

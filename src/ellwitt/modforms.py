@@ -27,7 +27,7 @@ from .polyseries import _div, _mul, is_squarefree
 
 __all__ = [
     "eisenstein_q", "eta24_q", "j_q",
-    "WeightBasis", "weight_basis", "express_in_e4e6",
+    "weight_basis", "express_in_e4e6",
     "HasseDecomposition", "hasse_decomposition", "times_fixed_factors",
     "hasse_form", "ss_poly_eisenstein",
     "MAX_EISENSTEIN_WEIGHT", "MAX_EISENSTEIN_PRIME",
@@ -120,17 +120,15 @@ def j_q(prec: int) -> list:
     return _level_one_forms(prec)[3]
 
 
-#: Monomials E4^a E6^b spanning M_k, listed with b ascending.
-WeightBasis = record("WeightBasis", "k monomials")
-
-
 def _dim_mk(k: int) -> int:
     if k < 0 or k % 2:
         return 0
     return k // 12 + (0 if k % 12 == 2 else 1)
 
 
-def weight_basis(k: int) -> WeightBasis:
+def weight_basis(k: int) -> tuple:
+    """The monomials E4^a E6^b spanning M_k, as (a, b) pairs with b
+    ascending."""
     mons = []
     b = 0
     while 6 * b <= k:
@@ -140,7 +138,7 @@ def weight_basis(k: int) -> WeightBasis:
     if len(mons) != _dim_mk(k):
         raise ValidationError(
             f"monomial count {len(mons)} != dim M_{k} = {_dim_mk(k)}")
-    return WeightBasis(k, tuple(mons))
+    return tuple(mons)
 
 
 def _solve_exact(rows, rhs, p: int) -> list:
@@ -181,7 +179,7 @@ def express_in_e4e6(s: list, k: int, p: int) -> dict:
     E4^3 has constant term 1."""
     require_prime(p, "express_in_e4e6")
     basis = weight_basis(k)
-    d = len(basis.monomials)
+    d = len(basis)
     if not d:
         raise ValueError(f"M_{k} = 0: no nonzero modular form of weight {k}")
     need = d + _GUARD
@@ -194,7 +192,7 @@ def express_in_e4e6(s: list, k: int, p: int) -> dict:
         return [c % p for c in _mul(x, y, need)]
 
     e4, e6 = ([c % p for c in f] for f in _e4_e6(need))
-    a, b = basis.monomials[0]
+    a, b = basis[0]
     cols = [reduce(times, [e4] * a + [e6] * b)]
     if d > 1:  # E6^2/E4^3: b ascends by 2, a falls by 3
         step = [c % p for c in _div(times(e6, e6), times(times(e4, e4), e4))]
@@ -211,25 +209,25 @@ def express_in_e4e6(s: list, k: int, p: int) -> dict:
         raise ValidationError(
             f"weight {k}: the E4^a E6^b coefficients sum to "
             f"{sum(sol) % p}, the constant term is {s[0]}")
-    return dict(zip(basis.monomials, sol))
+    return dict(zip(basis, sol))
 
 
 #: p - 1 = 12m + 4*delta + 6*eps with delta, eps in {0, 1}.
-HasseDecomposition = record("HasseDecomposition", "p m delta eps")
+HasseDecomposition = record("HasseDecomposition", "m delta eps")
 
 
 def hasse_decomposition(p: int) -> HasseDecomposition:
     require_prime(p, "hasse_decomposition")
     delta, eps = {1: (0, 0), 5: (1, 0), 7: (0, 1), 11: (1, 1)}[p % 12]
     m = (p - 1 - 4 * delta - 6 * eps) // 12
-    return HasseDecomposition(p, m, delta, eps)
+    return HasseDecomposition(m, delta, eps)
 
 
 def times_fixed_factors(s: list, p: int) -> list:
     """X^delta (X - 1728)^eps s, for s an ascending int list mod p: the
     factors X of ss_p, present when p = 2 mod 3, and X - 1728, present
     when p = 3 mod 4 (hasse_decomposition)."""
-    _, _, delta, eps = hasse_decomposition(p)
+    _, delta, eps = hasse_decomposition(p)
     s = [0] * delta + s
     return _times_x_minus_1728(s, p) if eps else s
 
@@ -273,7 +271,7 @@ def ss_poly_eisenstein(p: int) -> list:
     monic, degree m + delta + eps, squarefree, phi(0), phi(1728) != 0.
     """
     require_prime(p, "ss_poly_eisenstein", MAX_EISENSTEIN_PRIME)
-    _, m, delta, eps = hasse_decomposition(p)
+    m, delta, eps = hasse_decomposition(p)
     hf = hasse_form(p)
     c = [hf[delta + 3 * (m - k), eps + 2 * k] for k in range(m + 1)]
     phi = [c[m]]

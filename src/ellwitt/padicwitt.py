@@ -164,15 +164,15 @@ def splitting_idempotents(p: int, N: int) -> tuple:
     sigma(p)-fold product splitting of the completed ring.
 
     e_i = (S / (X - r_i)) * S'(r_i)^-1 with S = S_p-hat, already reduced
-    mod S (degree < sigma(p)).  Verifies e_i^2 = e_i, e_i e_j = 0 and
-    sum e_i = 1 modulo (p^N, S_p-hat)."""
+    mod S (degree < sigma(p)); S'(r_i) is S / (X - r_i) at r_i.
+    Verifies e_i^2 = e_i, e_i e_j = 0 and sum e_i = 1 modulo (p^N,
+    S_p-hat)."""
     require_prime(p, "splitting_idempotents", MAX_SPLIT_PRIME)
     if not 1 <= N <= MAX_SPLIT_PRECISION:
         raise ValueError(f"precision must satisfy 1 <= N <= "
                          f"{MAX_SPLIT_PRECISION}")
     shat = lift_ss_poly(p, N)
     _, wctx, roots = _teich_roots(p, N)
-    dshat = shat.derivative()
     idems = []
     for r in roots:
         quot, rem = shat.divrem(Poly(wctx, [-r, wctx.one()]))
@@ -180,7 +180,7 @@ def splitting_idempotents(p: int, N: int) -> tuple:
             raise ValidationError(
                 f"splitting_idempotents({p},{N}): X - {r!r} does not "
                 f"divide S_p-hat")
-        d = dshat.evaluate(r)
+        d = quot.evaluate(r)
         if not wctx.is_unit(d):
             raise ValidationError(
                 f"splitting_idempotents({p},{N}): S_p-hat'({r!r}) = "

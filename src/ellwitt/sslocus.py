@@ -147,7 +147,7 @@ def _s3_quotient(Q: list, p: int) -> list:
     r_a A^a is subtracted and B divided out exactly.  A remainder, or a
     degree other than 3s, raises ValidationError: Q is not
     S3-symmetric."""
-    _, s, delta, eps = modforms.hasse_decomposition(p)
+    s, delta, eps = modforms.hasse_decomposition(p)
     f = Q
     for root in [-3] * delta + [9] * eps:
         f = _divide_linear(f, root, p)
@@ -257,7 +257,7 @@ def hasse_roots(p: int) -> DeuringPass:
     m = (p - 1) // 2
     ctx = fq2_context(p)
     one = ctx.one()
-    _, _, delta, eps = modforms.hasse_decomposition(p)
+    _, delta, eps = modforms.hasse_decomposition(p)
     fixed = {}
     if delta:
         fixed[ctx.zero()] = ctx.from_int(-3)
@@ -399,7 +399,7 @@ def ss_poly_closed(p: int) -> list:
     int work mod p, and no denominator vanishes since k <= m < p.  The
     degree must be sigma(p)."""
     require_prime(p, "ss_poly_closed")
-    _, m, _, eps = modforms.hasse_decomposition(p)
+    m, _, eps = modforms.hasse_decomposition(p)
     i12 = pow(12, -1, p)
     a, b = (7 * i12, 11 * i12) if eps else (i12, 5 * i12)
     s = [1] * (m + 1)  # s[m - k] multiplies X^(m-k)
@@ -473,7 +473,7 @@ def admitted_routes(p: int) -> list:
 #: j_values (tuple of F_{p^2} elements in sorted_j order), ss_poly
 #: (ascending int list mod p), sigma (its degree), all_rational and
 #: routes (the rows that ran).
-SSLocus = record("SSLocus", "p j_values ss_poly sigma all_rational routes")
+SSLocus = record("SSLocus", "j_values ss_poly sigma all_rational routes")
 
 
 def sorted_j(js) -> list:
@@ -529,7 +529,7 @@ def cross_validate(p: int) -> SSLocus:
     if (ctx.from_int(1728) in js) != (p % 4 == 3):
         raise ValidationError(f"p={p}: j=1728 membership contradicts "
                               f"p mod 4")
-    return SSLocus(p=p, j_values=tuple(sorted_j(js)), ss_poly=ss,
+    return SSLocus(j_values=tuple(sorted_j(js)), ss_poly=ss,
                    sigma=len(ss) - 1, routes=tuple(r.name for r in ran),
                    all_rational=all(z.in_prime_field for z in js))
 

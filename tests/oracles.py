@@ -228,7 +228,7 @@ def express_in_e4e6(s: QSeries, k: int) -> dict:
     form of weight k over the field s.ring, solved from the first
     dim M_k q-coefficients and verified on 4 guard coefficients."""
     basis = weight_basis(k)
-    d = len(basis.monomials)
+    d = len(basis)
     if not d:
         raise ValueError(f"M_{k} = 0: no nonzero modular form of weight {k}")
     need = d + _GUARD
@@ -238,7 +238,7 @@ def express_in_e4e6(s: QSeries, k: int) -> dict:
             f"got {s.abs_prec}")
     ring = s.ring
     e4, e6 = (QSeries(ring, 0, e) for e in _e4_e6(need))
-    a, b = basis.monomials[0]
+    a, b = basis[0]
     mono = e4 ** a * e6 ** b
     step = e6 ** 2 * (e4 ** 3).inverse()  # b ascends by 2, a falls by 3
     cols = [mono.coeff_list(0, need)]
@@ -257,7 +257,7 @@ def express_in_e4e6(s: QSeries, k: int) -> dict:
         raise ValidationError(
             f"weight {k}: the E4^a E6^b coefficients sum to {sum(sol)}, "
             f"the constant term is {s.coeff(0)}")
-    return {mon: c for mon, c in zip(basis.monomials, sol)}
+    return {mon: c for mon, c in zip(basis, sol)}
 
 
 def pretty(f: Poly, var: str = "X") -> str:

@@ -338,6 +338,64 @@ def test_a_combination_of_classes_that_differ_mod_g_raises():
     assert lin(6, 8, (1, (1, [1, 2])), (0, (6, [3]))) == (1, [1, 2])
 
 
+class _Unread:
+    """A chain series that fails on any access."""
+
+    def _refuse(self, *args):
+        raise AssertionError("a term with coefficient 0 was read")
+
+    __getitem__ = __iter__ = __len__ = __bool__ = _refuse
+
+
+def test_a_term_with_coefficient_zero_is_never_read():
+    lin = formalgroup._lin
+    for g in (2, 4, 6):
+        for pos in range(3):
+            terms = [(1, (0, [1, 2, 3])), (2, (g, [5, 6]))]
+            terms.insert(pos, (0, _Unread()))
+            assert lin(g, 3 * g, *terms) == (0, [1, 12, 15])
+    assert lin(4, 8, (0, None), (-1, (1, [1, 2]))) == (1, [-1, -2])
+
+
+#: Coefficient products that the chain hands _mul for the full [p]-series
+#: (p, (a4, a6)): the counts it pins, and those of the chain that formed
+#: lam^2 and then lam * (a4 lam + a6 lam^2) for den, and z*w at a4 = 0.
+CHAIN_PRODUCTS = {
+    (13, (1, 0)): (16683, 21241),
+    (7, (6, 0)): (1062, 1387),
+    (11, (0, 1)): (4630, 5071),
+    (13, (0, 3)): (8815, 9627),
+    (11, (2, 1)): (42552, 42854),
+}
+
+
+def _products(a: list, b: list, n: int) -> int:
+    """The coefficient products _mul spends on its first n terms."""
+    if a is b:
+        return sum((k + 1) // 2 + (k % 2 == 0) for k in range(n))
+    return n * (n + 1) // 2
+
+
+@pytest.mark.parametrize("p, a", list(CHAIN_PRODUCTS),
+                         ids=[f"{p}-{a4}-{a6}"
+                              for p, (a4, a6) in CHAIN_PRODUCTS])
+def test_the_chain_forms_only_the_products_its_curve_reads(
+        monkeypatch, p, a):
+    spent = []
+
+    def counting(x, y, n):
+        spent.append(_products(x, y, n))
+        return _mul(x, y, n)
+    monkeypatch.setattr(formalgroup, "_mul", counting)
+    assert _mult_by_p_integral(a, p, p * p + 1)[1] == p
+    pinned, replaced = CHAIN_PRODUCTS[p, a]
+    assert sum(spent) == pinned <= replaced
+    if a[0] and a[1]:
+        # the general curve reads every product; lam^3 = lam * lam^2
+        # carries one term fewer than lam * (a4 lam + a6 lam^2) did
+        assert replaced - pinned < replaced // 100
+
+
 @pytest.mark.parametrize("g", [2, 6])
 def test_a_class_pair_remainder_names_its_true_exponent(g):
     rng = random.Random(g)

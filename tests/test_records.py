@@ -21,16 +21,13 @@ from test_layering import _modules
 RECORDS = (
     (cli.Flag, "default lo hi", ()),
     (cli.Command, "help flags section build show", (None,) * 4),
-    (formalgroup.PSeries, "p curve series", ()),
-    (formalgroup.DeligneReport,
-     "prime curves_checked supersingular_curves", ()),
+    (formalgroup.DeligneReport, "curves_checked supersingular_curves", ()),
     (formalgroup.GLCurveResult, "j a4 a6 v2 predicted", ()),
-    (formalgroup.GLReport, "prime sign entries", ()),
-    (modforms.WeightBasis, "k monomials", ()),
-    (modforms.HasseDecomposition, "p m delta eps", ()),
+    (formalgroup.GLReport, "sign entries", ()),
+    (modforms.HasseDecomposition, "m delta eps", ()),
     (sslocus.DeuringPass, "lambdas j_set ss_poly", ()),
     (sslocus.Route, "name max_p jset run", ()),
-    (sslocus.SSLocus, "p j_values ss_poly sigma all_rational routes", ()),
+    (sslocus.SSLocus, "j_values ss_poly sigma all_rational routes", ()),
 )
 
 

@@ -6,9 +6,9 @@ non-residue mod p: the field F_{p^2} at N = 1, and W(F_{p^2})/p^N when
 -g0 is the Teichmuller lift omega(n) that padicwitt.lift_context
 computes; it is the one coefficient ring of Poly and QSeries.  Every
 F_{p^2} model here is x^2 = n for a non-residue n, so the Frobenius
-z -> z^p (and its lift to W) is a + b*xbar -> a - b*xbar.  Zmod(p) is
-the field F_p for rth_root and the Euler test alone: its elements
-multiply, power and invert, and do not add.
+z -> z^p (and its lift to W) is a + b*xbar -> a - b*xbar.  F_p
+residues are ints: Zmod(p) is F_p only as the type that
+QuadElem.to_fp returns, and its elements carry a value and a product.
 
 An operation takes ints and elements of its own ring alone: an element
 of another ring of its class raises ValueError instead of guessing, and
@@ -18,9 +18,10 @@ prime by fq2_context() so that serialized data is reproducible:
 x^2 + 1 when p = 3 mod 4, otherwise x^2 - n with n the smallest
 quadratic non-residue.
 
-rth_root is the one root routine, square and cube roots in F_p and
-F_{p^2} alike, and is_quadratic_residue the one residue test: no fact
-is decided twice.  rth_root returns some root, not a canonical one, so
+rth_root is the one root routine, square and cube roots in F_{p^2}
+(an F_p square has its two roots in F_p, so it serves F_p too), and
+is_quadratic_residue, on an int, the one residue test: no fact is
+decided twice.  rth_root returns some root, not a canonical one, so
 its callers use +-r alike.
 
 All values are immutable.
@@ -137,25 +138,15 @@ def require_prime(p: int, what: str, bound: int | None = None) -> None:
 
 
 class Zmod:
-    """The field F_p for a prime p > 3, as the ring that rth_root and
-    is_quadratic_residue read their inputs in.
-
-    It is not a coefficient ring: Poly and QSeries run over Quad alone,
-    and F_p polynomials are int lists (or scalars of fq2_context(p) in
-    the tests).  N = 1 lets rth_root check F_p and Quad for a field
-    alike.
-    """
+    """The field F_p for a prime p > 3, as the ring of what
+    QuadElem.to_fp returns.  It is no ring to compute in: F_p residues
+    are ints everywhere else."""
 
     __slots__ = ("p",)
-    N = 1
 
     def __init__(self, p: int):
         require_prime(p, "Zmod")
         self.p = p
-
-    @property
-    def size(self) -> int:
-        return self.p
 
     def elem(self, value: int) -> "ZmodElem":
         return ZmodElem(value, self)
@@ -163,16 +154,12 @@ class Zmod:
     def __eq__(self, other):
         return isinstance(other, Zmod) and other.p == self.p
 
-    def __hash__(self):
-        return hash(("Zmod", self.p))
-
     def __repr__(self):
         return f"F_{self.p}"
 
 
 class ZmodElem:
-    """A residue mod p, pinned to its field: products, powers and
-    inverses, for rth_root and the Euler test, and no sums."""
+    """A residue mod p, pinned to its field, and its products."""
 
     __slots__ = ("value", "ring")
 
@@ -198,41 +185,24 @@ class ZmodElem:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int):
-        return ZmodElem(pow(self.value, e, self.ring.p), self.ring)
-
-    def inverse(self) -> "ZmodElem":
-        """Raises ValueError when self is zero."""
-        return ZmodElem(pow(self.value, -1, self.ring.p), self.ring)
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __eq__(self, other):
-        if isinstance(other, ZmodElem):
-            return other.ring == self.ring and other.value == self.value
-        if isinstance(other, int):
-            return self.value == other % self.ring.p
-        return NotImplemented
-
     def __repr__(self):
         return f"{self.value} (mod {self.ring.p})"
 
 
-def is_quadratic_residue(a: ZmodElem) -> bool:
-    """Euler criterion a^((p-1)/2) = 1 in F_p.  Zero is rejected: it is
-    neither a residue nor a non-residue under this contract."""
-    p = a.ring.p
-    if not a.value:
-        raise ValueError(f"is_quadratic_residue({a.value}) is undefined")
-    return pow(a.value, (p - 1) // 2, p) == 1
+def is_quadratic_residue(a: int, p: int) -> bool:
+    """Euler criterion a^((p-1)/2) = 1 mod the prime p.  Zero is
+    rejected: it is neither a residue nor a non-residue under this
+    contract."""
+    if not a % p:
+        raise ValueError(f"is_quadratic_residue({a}, {p}) is undefined")
+    return pow(a, (p - 1) // 2, p) == 1
 
 
 def has_sqrt3(p: int) -> bool:
     """Whether 3 is a square mod p (p > 3 prime).  Classically equivalent
     to p = +-1 mod 12, which the acceptance suite checks exhaustively."""
     require_prime(p, "has_sqrt3")
-    return is_quadratic_residue(Zmod(p).elem(3))
+    return is_quadratic_residue(3, p)
 
 
 class Quad:
@@ -247,14 +217,14 @@ class Quad:
     __slots__ = ("p", "N", "modulus", "g0")
 
     def __init__(self, p: int, g0: int, N: int = 1):
-        fp = Zmod(p)
+        require_prime(p, "Quad")
         if N < 1:
             raise ValueError("precision N must be >= 1")
         self.p = p
         self.N = N
         self.modulus = p ** N
         self.g0 = g0 % self.modulus
-        if g0 % p == 0 or is_quadratic_residue(fp.elem(-g0)):
+        if g0 % p == 0 or is_quadratic_residue(-g0, p):
             raise ValueError(f"x^2 + {self.g0} is reducible over F_{p}")
 
     @property
@@ -444,8 +414,9 @@ class QuadElem:
         return f"{self.a}+{self.b}{x} (in {where})"
 
 
-# bench/tracer.py counts products by wrapping FpElem.__mul__ and
-# Fq2Elem.__mul__ under these names; ROADMAP item 1 retires them.
+# bench/tracer.py counts products by wrapping FpElem.__mul__ (which no
+# command calls) and Fq2Elem.__mul__ under these names; ROADMAP item 1
+# retires them.
 FpElem = ZmodElem
 Fq2Elem = QuadElem
 
@@ -457,33 +428,29 @@ def fq2_context(p: int) -> Quad:
     require_prime(p, "fq2_context")
     if p % 4 == 3:
         return Quad(p, 1)
-    F = Zmod(p)
     return Quad(p, -next(n for n in count(2)
-                         if not is_quadratic_residue(F.elem(n))))
+                         if not is_quadratic_residue(n, p)))
 
 
 @lru_cache(maxsize=None)
-def _sylow(ring, r: int) -> tuple:
-    """(e, t, c, zeta): |ring^*| = r^e t with r not dividing t, c = g^t
+def _sylow(ring: Quad, r: int) -> tuple:
+    """(e, t, c, zeta): |F_{p^2}^*| = r^e t with r not dividing t, c = g^t
     generates the r-Sylow subgroup and zeta = c^(r^(e-1)), for the first
-    g that is not an r-th power: g = 2, 3, ... in F_p, and g = a + b*xbar
-    with b != 0 (b = 1, 2, ..., a = 0..p-1) in F_{p^2}, skipping F_p:
-    when p = 2 mod 3 every element of F_p is a cube."""
+    g = a + b*xbar that is not an r-th power, with b != 0 (b = 1, 2, ...,
+    a = 0..p-1): F_p is skipped, since when p = 2 mod 3 every element of
+    F_p is a cube."""
     p, order = ring.p, ring.size - 1
     e, t = 0, order
     while t % r == 0:
         t //= r
         e += 1
-    if isinstance(ring, Quad):
-        gs = (ring.elem(a, b) for b in count(1) for a in range(p))
-    else:
-        gs = map(ring.elem, count(2))
+    gs = (ring.elem(a, b) for b in count(1) for a in range(p))
     c = next(g for g in gs if g ** (order // r) != 1) ** t
     return e, t, c, c ** (r ** (e - 1))
 
 
 def rth_root(x, r: int):
-    """An r-th root of x in F_p or F_{p^2}, for a prime r, by the method
+    """An r-th root of x in F_{p^2}, for a prime r, by the method
     of Adleman, Manders and Miller (1977): Tonelli-Shanks at r = 2.  The
     package's one square and cube root.  Which root comes back is the
     one the loop below reaches, not a canonical representative such as
@@ -498,11 +465,13 @@ def rth_root(x, r: int):
     so for the one s in 0..r-1 with zeta^s top = 1, y c_k^s and
     b c_k^(rs) keep y^r = x b and take b into order dividing r^(k-1).
     At the end b = 1 and y is the root; when e = 1 that is y = x^u at
-    once.  Zero returns zero; an x that is not an r-th power raises
-    ValueError, as does W(F_{p^2})/p^N."""
+    once.  An x in F_p is passed as a scalar of F_{p^2}; its square
+    roots lie in F_p exactly when it is a square there.  Zero returns
+    zero; an x that is not an r-th power raises ValueError, as does any
+    x outside F_{p^2}, an element of W(F_{p^2})/p^N included."""
+    if not isinstance(x, QuadElem) or x.ring.N != 1:
+        raise ValueError(f"rth_root wants F_p^2, not {x!r}")
     ring = x.ring
-    if ring.N != 1:
-        raise ValueError(f"rth_root wants F_p or F_p^2, not {ring}")
     if not x:
         return x
     e, t, c, zeta = _sylow(ring, r)

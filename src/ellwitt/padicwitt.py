@@ -74,8 +74,8 @@ def lift_context(ctx: Quad, N: int) -> Quad:
 def teichmuller(x, N: int):
     """The unique root-of-unity (or zero) lift of x in F_{p^2} to
     W(F_{p^2})/p^N (lift_context): t^(p^2) = t, reducing to x mod p.
-    An element of F_p is passed as a scalar of F_{p^2}; a Zmod element
-    or any other argument raises TypeError."""
+    An element of F_p is passed as a scalar of F_{p^2}; any other
+    argument raises TypeError."""
     field = getattr(x, "ring", None)
     if not isinstance(field, Quad) or field.N != 1:
         raise TypeError("teichmuller wants an element of F_{p^2}")

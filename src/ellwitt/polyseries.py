@@ -7,7 +7,8 @@ through the usual operators.  In the program that ring is Quad (F_{p^2}
 and W(F_{p^2})/p^N) from arith; F_p is not one.  A polynomial over F_p
 is an ascending int list read mod p, which the int-list kernels (_FpX)
 take, over F_p only, never a ring with N > 1: roots_in_field,
-count_roots_in_fp and is_squarefree run on them.
+count_roots_in_fp and is_squarefree run on them, and the root finder
+takes its square roots of F_p squares as scalars of F_{p^2}.
 
 Poly: coeffs[i] is the degree-i coefficient; the leading stored
 coefficient is nonzero ([] is the zero polynomial).  The program builds
@@ -36,7 +37,7 @@ import random
 import struct
 from operator import mul
 
-from .arith import Quad, Zmod, power, rth_root
+from .arith import Quad, fq2_context, power, rth_root
 from .errors import PrecisionError, ValidationError
 
 __all__ = [
@@ -290,7 +291,8 @@ class _FpX:
         else V, or U when V is constant (equal traces force distinct
         norms), takes distinct values y1, y2 on them;
         Y^2 = s*Y - P mod g gives s = y1 + y2 and P = y1*y2, and
-        gcd(g, Y - y1) is one factor.  One inverse per node serves the
+        gcd(g, Y - y1) is one factor, y1 - y2 = +-sqrt(s^2 - 4P) taken
+        in fq2_context(p).  One inverse per node serves the
         reductions of F and F^2 and the powmod."""
         n = len(g) - 1
         if n <= d:
@@ -311,7 +313,7 @@ class _FpX:
             t = len(Y) - 1
             s = Y2[t] * pow(Y[t], -1, p) % p
             P = s * Y[0] - Y2[0]
-            r = rth_root(Zmod(p).elem(s * s - 4 * P), 2).value
+            r = rth_root(fq2_context(p).elem(s * s - 4 * P), 2).a
             h = self.gcd(g, self.add(Y, [(s + r) * pow(2, -1, p)], -1))
         else:
             while True:
@@ -365,11 +367,10 @@ def roots_in_field(f: list, field) -> set:
     rest = fx.divrem(g, lin, fx.inv_rev(lin, len(g)))[0]
     inv2 = pow(2, -1, p)
     dinv = pow(-4 * field.g0, -1, p)
-    fp = Zmod(p)
     for c0, c1, _ in fx.split(rest, 2, rng, xp):
         # X^2 + c1 X + c0 has the roots -c1/2 +- s*xbar, where
         # c1^2 - 4 c0 = (2 s xbar)^2 = -4 g0 s^2
-        s = rth_root(fp.elem((c1 * c1 - 4 * c0) * dinv), 2).value
+        s = rth_root(field.elem((c1 * c1 - 4 * c0) * dinv), 2).a
         out.add(field.elem(-c1 * inv2, s))
         out.add(field.elem(-c1 * inv2, -s))
     return out

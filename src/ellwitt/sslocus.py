@@ -37,7 +37,6 @@ the class numbers of the orders Z[sqrt(-p)] and Z[(1 + sqrt(-p))/2]
 
 from __future__ import annotations
 
-import struct
 from functools import lru_cache
 from itertools import accumulate
 from math import comb, gcd, isqrt
@@ -323,8 +322,9 @@ def ss_j_point_count(p: int) -> frozenset:
     its character sum is S(c) = 1 + sum_v H(v) chi(v + c), where
     H(v) = sum of chi(x + 1) over x != -1 with g(x) = v.  That is one
     correlation over the additive group (Z/p)^2 for every c at once,
-    computed as a single Kronecker big-int product of two p x p grids
-    folded mod p in both coordinates: O(p^2) work plus one product.
+    computed mod p as one Kronecker product (_FpX.mul) of two p x p
+    grids folded mod p in both coordinates: O(p^2) work plus one
+    product.
     j = 0 and 1728 are direct sums.  The p <= 31 bound is enforced."""
     require_prime(p, "ss_j_point_count", MAX_POINT_COUNT_PRIME)
     ctx = fq2_context(p)
@@ -360,21 +360,16 @@ def ss_j_point_count(p: int) -> frozenset:
         n = pow((a * a + g0 * b * b) % p, -1, p)
         va, vb = mul(cube, (a * n, -b * n))  # x^3 / y
         h[va + p * vb] += chi[a + p * b]
-    # sum_u (h(-u) + 3)(chi(c - u) + 1) for every c: both grids hold
-    # their p x p values in rows of 2p slots, so the linear product
-    # (rows 2p - 1 wide) never carries into the next row, and no slot
-    # of it is negative or above 12q
-    code = "H" if 12 * q < 1 << 16 else "I"
-    w = struct.calcsize(code)
+    # sum_u (h(-u) + 3)(chi(c - u) + 1) mod p for every c: both grids
+    # hold their p x p values in rows of 2p slots, so the linear product
+    # (rows 2p - 1 wide) never reaches into the next row
     hgrid = [0] * (2 * q)
     cgrid = [0] * (2 * q)
     for i, (a, b) in enumerate(elems):
-        hgrid[a + 2 * p * b] = h[(-a) % p + p * ((-b) % p)] + 3
+        hgrid[a + 2 * p * b] = (h[(-a) % p + p * ((-b) % p)] + 3) % p
         cgrid[a + 2 * p * b] = chi[i] + 1
-    x, y = (int.from_bytes(struct.pack(f"<{2 * q}{code}", *g), "little")
-            for g in (hgrid, cgrid))
-    lin = struct.unpack(f"<{4 * q}{code}",
-                        (x * y).to_bytes(4 * q * w, "little"))
+    lin = _FpX(p, 2 * q).mul(hgrid, cgrid)
+    lin += [0] * (4 * q - len(lin))
     off = sum(h) + 3 * sum(chi) + 3 * q
     r = 2 * q  # fold rows b + p and columns a + p onto (a, b)
     for i, (a, b) in enumerate(elems):

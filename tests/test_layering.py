@@ -3,14 +3,16 @@ top, the supersingular locus loads without the formal-group layer that
 reads it, no module imports or loads a rational module (`fractions`,
 `decimal`, `numbers`), no command loads `json` or `re` and only a cache
 hit loads `_json`, each class and function is bound under its own name
-alone, every name a module exports in `__all__` is bound, and F_p stays
-out of the coefficient rings."""
+alone, every name a module exports in `__all__` is bound, F_p stays out
+of the coefficient rings, and no command builds an F_p element."""
 
 import ast
 import importlib
 import json
 import pkgutil
 from pathlib import Path
+
+import pytest
 
 import ellwitt
 from ellwitt.arith import Zmod, ZmodElem
@@ -220,14 +222,36 @@ def _defines(cls) -> tuple:
 
 
 def test_f_p_is_no_coefficient_ring():
-    # Zmod is the field that rth_root and the Euler test read: no ring
-    # protocol (zero, one, from_int, coerce, is_unit, inv) and elements
-    # that multiply, power and invert but neither add, subtract, negate
-    # nor hash
-    assert _defines(Zmod) == ({"p", "N", "size", "elem"},
-                              {"__init__", "__eq__", "__hash__", "__repr__"})
+    # Zmod is the field that QuadElem.to_fp returns into: no ring
+    # protocol (zero, one, from_int, coerce, is_unit, inv), and elements
+    # that carry a value and multiply (the product bench/tracer.py
+    # counts), but neither add, subtract, negate, power, invert nor
+    # compare
+    assert _defines(Zmod) == ({"p", "elem"},
+                              {"__init__", "__eq__", "__repr__"})
+    assert Zmod.__hash__ is None
     assert _defines(ZmodElem) == (
-        {"value", "ring", "_same", "inverse"},
-        {"__init__", "__mul__", "__rmul__", "__pow__", "__bool__", "__eq__",
-         "__repr__"})
-    assert ZmodElem.__hash__ is None
+        {"value", "ring", "_same"},
+        {"__init__", "__mul__", "__rmul__", "__repr__"})
+    assert ZmodElem.__hash__ is object.__hash__
+
+
+#: Commands that find, lift and split roots, and scan residues.
+F_P_AS_INTS = ("hasse --prime 397", "ss --prime 97",
+               "lift --prime 29 --precision 5", "scan sqrt3 --max 1000",
+               "verify all --max 13")
+
+
+@pytest.mark.parametrize("line", F_P_AS_INTS)
+def test_no_command_builds_an_f_p_element(tmp_path, line):
+    # F_p residues are ints: square roots in F_p are taken as scalars of
+    # F_{p^2}, and the Euler test reads an int; each command runs cold
+    code = ("import sys\n"
+            "from ellwitt import arith\n"
+            "from ellwitt.cli import main\n"
+            "def built(self, *args):\n"
+            "    raise AssertionError(f'built a {type(self).__name__}')\n"
+            "arith.Zmod.__init__ = arith.ZmodElem.__init__ = built\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    proc = fresh_python(code, *line.split(), ELLWITT_CACHE_DIR=str(tmp_path))
+    assert proc.returncode == 0, proc.stderr

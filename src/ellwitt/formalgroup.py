@@ -349,11 +349,12 @@ def classical_hasse(a, p: int) -> int:
                for i in range((m + 1) // 2, 2 * m // 3 + 1)) % p
 
 
-def _hasse_form_value(hf: dict, c4: int, c6: int, p: int) -> int:
-    """hasse_form's int coefficients evaluated at (E4, E6) = (c4, -c6),
-    mod p."""
-    return sum(c * pow(c4, a, p) * pow(-c6, b, p)
-               for (a, b), c in hf.items()) % p
+def _hasse_form_value(hf: dict, c4: int, c6: int, disc: int,
+                      p: int) -> int:
+    """hasse_form's int coefficients evaluated at (E4, E6, Delta) =
+    (c4, -c6, disc), mod p."""
+    return sum(c * pow(c4, a, p) * pow(-c6, b, p) * pow(disc, i, p)
+               for (a, b, i), c in hf.items()) % p
 
 
 DeligneReport = record(
@@ -363,7 +364,7 @@ DeligneReport = record(
 def verify_deligne(p: int) -> DeligneReport:
     """Exhaustive three-way check over all nonsingular y^2 = x^3+Ax+B
     over F_p: formal-group v1 = classical x^(p-1) coefficient =
-    hasse_form at (c4, -c6).  Any disagreement raises ValidationError
+    hasse_form at (c4, -c6, disc).  Any disagreement raises ValidationError
     naming the curve and all three values."""
     require_prime(p, "verify_deligne", MAX_FORMAL_PRIME)
     hf = modforms.hasse_form(p)
@@ -375,8 +376,7 @@ def verify_deligne(p: int) -> DeligneReport:
                 continue
             v1, _ = v_invariants((A, B), p)
             ch = classical_hasse((A, B), p)
-            c4, c6, _ = _c4_c6_disc(A, B)
-            ev = _hasse_form_value(hf, c4, c6, p)
+            ev = _hasse_form_value(hf, *_c4_c6_disc(A, B), p)
             if not (v1 == ch == ev):
                 raise ValidationError(
                     f"Deligne disagreement at p={p}, (A,B)=({A},{B}): "

@@ -10,16 +10,17 @@ same int list reduced mod p, never reduced from rationals; and the
 Eisenstein factor -2k/B_k is read off the integer tangent numbers,
 which also certify E_{p-1} = 1 mod p.
 
-The Eisenstein locus route solves E_{p-1} mod p in the E4/E6 basis on
-int lists mod p (hasse_form), then reads ss_p off it through
-j = E4^3/Delta (ss_poly_eisenstein), an int list mod p as well.
+The Eisenstein locus route writes E_{p-1} mod p in the basis
+E4^a E6^b Delta^i, whose forms lead with q^i, by one back-substitution
+on int lists mod p (hasse_form); through E4^3 = j Delta, ss_p is that
+coefficient list read backwards times the fixed factors
+(ss_poly_eisenstein), an int list mod p as well.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, reduce
 from math import gcd
-from operator import mul
 
 from .arith import record, require_prime
 from .errors import ValidationError
@@ -27,7 +28,7 @@ from .polyseries import _div, _mul, is_squarefree
 
 __all__ = [
     "eisenstein_q", "eta24_q", "j_q",
-    "weight_basis", "express_in_e4e6",
+    "express_in_e4e6",
     "HasseDecomposition", "hasse_decomposition", "times_fixed_factors",
     "hasse_form", "ss_poly_eisenstein",
     "MAX_EISENSTEIN_WEIGHT", "MAX_EISENSTEIN_PRIME",
@@ -126,90 +127,52 @@ def _dim_mk(k: int) -> int:
     return k // 12 + (0 if k % 12 == 2 else 1)
 
 
-def weight_basis(k: int) -> tuple:
-    """The monomials E4^a E6^b spanning M_k, as (a, b) pairs with b
-    ascending."""
-    mons = []
-    b = 0
-    while 6 * b <= k:
-        if (k - 6 * b) % 4 == 0:
-            mons.append(((k - 6 * b) // 4, b))
-        b += 1
-    if len(mons) != _dim_mk(k):
-        raise ValidationError(
-            f"monomial count {len(mons)} != dim M_{k} = {_dim_mk(k)}")
-    return tuple(mons)
-
-
-def _solve_exact(rows, rhs, p: int) -> list:
-    """Gaussian elimination mod the prime p on int rows; a singular or
-    inconsistent system raises ValidationError."""
-    n = len(rows[0])
-    m = len(rows)
-    aug = [[x % p for x in rows[i]] + [rhs[i] % p] for i in range(m)]
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if aug[i][col]), None)
-        if piv is None:
-            raise ValidationError("singular linear system (precision bug?)")
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = pow(aug[r][col], -1, p)
-        aug[r] = [x * inv % p for x in aug[r]]
-        for i in range(m):
-            f = aug[i][col]
-            if i != r and f:
-                aug[i] = [(x - f * y) % p for x, y in zip(aug[i], aug[r])]
-        r += 1
-    # remaining rows must have zero rhs (consistency)
-    for i in range(r, m):
-        if aug[i][n]:
-            raise ValidationError("inconsistent linear system")
-    return [aug[i][n] for i in range(n)]
-
-
 _GUARD = 4
 
 
 def express_in_e4e6(s: list, k: int, p: int) -> dict:
-    """Coefficients c_ab in [0, p) with sum c_ab E4^a E6^b = s mod p,
-    for s the int list of q-coefficients of a modular form of weight k,
-    solved from its first dim M_k coefficients and verified on 4 guard
-    coefficients, so s must carry dim M_k + 4.  The monomials are int
-    lists mod p; E6^2/E4^3, the step between them, is exact in Z because
-    E4^3 has constant term 1."""
+    """Coefficients c_i in [0, p) with sum c_i E4^a E6^b Delta^i = s mod
+    p, as {(a, b, i): c_i}, for s the int list of q-coefficients of a
+    modular form of weight k.  With d = dim M_k, i runs over 0..d-1, a =
+    alpha + 3(d - 1 - i) and b = beta, 4 alpha + 6 beta = k - 12(d - 1).
+
+    Each basis form is 1*q^i + ..., the one before it times Delta/E4^3,
+    which is exact in Z as E4^3 has constant term 1; so c_i is what is
+    left at q^i once the forms before it are taken off.  What is left
+    must vanish on every coefficient read: the first d, which the solve
+    reads, and 4 guard coefficients, so s must carry d + 4."""
     require_prime(p, "express_in_e4e6")
-    basis = weight_basis(k)
-    d = len(basis)
+    d = _dim_mk(k)
     if not d:
         raise ValueError(f"M_{k} = 0: no nonzero modular form of weight {k}")
     need = d + _GUARD
     if len(s) < need:
         raise ValueError(
             f"need abs precision >= {need} for weight {k}, got {len(s)}")
-    s = [c % p for c in s[:need]]
 
     def times(x, y):
         return [c % p for c in _mul(x, y, need)]
 
     e4, e6 = ([c % p for c in f] for f in _e4_e6(need))
-    a, b = basis[0]
-    cols = [reduce(times, [e4] * a + [e6] * b)]
-    if d > 1:  # E6^2/E4^3: b ascends by 2, a falls by 3
-        step = [c % p for c in _div(times(e6, e6), times(times(e4, e4), e4))]
-        for _ in range(d - 1):
-            cols.append(times(cols[-1], step))
-    rows = list(zip(*cols))  # rows[i][j]: q^i coefficient of monomial j
-    sol = _solve_exact(rows[:d], s[:d], p)
-    for i in range(d, need):
-        if sum(map(mul, sol, rows[i])) % p != s[i]:
-            raise ValidationError(
-                f"guard coefficient q^{i} mismatch: input is not a "
-                f"modular form of weight {k}")
-    if sum(sol) % p != s[0]:
+    beta = k % 4 // 2
+    alpha = (k - 12 * (d - 1) - 6 * beta) // 4
+    form = reduce(times, [e4] * (alpha + 3 * (d - 1)) + [e6] * beta)
+    if d > 1:   # Delta/E4^3, with Delta = (E4^3 - E6^2)/1728
+        e4_3 = times(times(e4, e4), e4)
+        u = pow(1728, -1, p)
+        step = [c * u % p for c in _div(
+            [a - b for a, b in zip(e4_3, times(e6, e6))], e4_3)]
+    out, left = {}, [c % p for c in s[:need]]
+    for i in range(d):
+        if i:
+            form = times(form, step)
+        c = out[alpha + 3 * (d - 1 - i), beta, i] = left[i]
+        left = [(x - c * y) % p for x, y in zip(left, form)]
+    if any(left):
         raise ValidationError(
-            f"weight {k}: the E4^a E6^b coefficients sum to "
-            f"{sum(sol) % p}, the constant term is {s[0]}")
-    return dict(zip(basis, sol))
+            f"q^{next(n for n, x in enumerate(left) if x)} coefficient "
+            f"mismatch: input is not a modular form of weight {k}")
+    return out
 
 
 #: p - 1 = 12m + 4*delta + 6*eps with delta, eps in {0, 1}.
@@ -229,55 +192,48 @@ def times_fixed_factors(s: list, p: int) -> list:
     when p = 3 mod 4 (hasse_decomposition)."""
     _, delta, eps = hasse_decomposition(p)
     s = [0] * delta + s
-    return _times_x_minus_1728(s, p) if eps else s
+    if eps:
+        s = [(lo - 1728 * hi) % p for lo, hi in zip([0] + s, s + [0])]
+    return s
 
 
 @lru_cache(maxsize=None)
 def hasse_form(p: int) -> dict:
-    """E_{p-1} reduced mod p, written in the E4^a E6^b basis over F_p,
-    as {(a, b): c_ab} with each c_ab an int in [0, p).
+    """E_{p-1} reduced mod p, written in the basis E4^a E6^eps Delta^i
+    over F_p (express_in_e4e6), as {(delta + 3(m - i), eps, i): c_i}
+    for i = 0..m with each c_i an int in [0, p) (hasse_decomposition).
 
     E_{p-1} - 1 = c sum sigma_{p-2}(n) q^n, with c = -2(p-1)/B_{p-1}
     read off T_h for h = (p-1)/2 (_eisenstein_factor), is 0 mod p at
     every precision exactly when p divides the numerator of c (von
     Staudt-Clausen), which is certified on the integers.  The constant
     1 over F_p is then solved: the combination is the Hasse invariant
-    and its coefficients sum to 1.
+    and its Delta^0 coefficient is 1.
     """
     require_prime(p, "hasse_form", MAX_EISENSTEIN_PRIME)
     if _eisenstein_factor((p - 1) // 2)[0] % p:
         raise ValidationError(f"E_{p-1} mod {p} is not the constant 1")
-    need = _dim_mk(p - 1) + _GUARD
-    out = express_in_e4e6([1] + [0] * (need - 1), p - 1, p)
-    if sum(out.values()) % p != 1:
+    m, delta, eps = hasse_decomposition(p)
+    out = express_in_e4e6([1] + [0] * (m + _GUARD), p - 1, p)
+    if out[delta + 3 * m, eps, 0] != 1:
         raise ValidationError(f"hasse_form({p}) constant term is not 1")
     return out
-
-
-def _times_x_minus_1728(s: list, p: int) -> list:
-    """(X - 1728) s mod p, for s an int coefficient list (s[i] is the
-    coefficient of X^i)."""
-    return [(lo - 1728 * hi) % p for lo, hi in zip([0] + s, s + [0])]
 
 
 def ss_poly_eisenstein(p: int) -> list:
     """The supersingular polynomial over F_p, read off hasse_form(p).
 
-    With p - 1 = 12m + 4 delta + 6 eps, a = delta + 3i, b = eps + 2k and
-    i + k = m, E4^3 = j Delta and E6^2 = (j - 1728) Delta give
-    E4^a E6^b = E4^delta E6^eps Delta^m j^i (j - 1728)^k (Kaneko and
-    Zagier, 1998, section 2).  So phi(X) = sum c_ab X^i (X - 1728)^k,
-    built by Horner in X - 1728, and ss_p = X^delta (X - 1728)^eps phi:
-    monic, degree m + delta + eps, squarefree, phi(0), phi(1728) != 0.
+    With p - 1 = 12m + 4 delta + 6 eps, E4^3 = j Delta turns
+    E_{p-1} = sum c_i E4^(delta + 3(m - i)) E6^eps Delta^i into
+    E4^delta E6^eps Delta^m sum c_i j^(m - i) (Kaneko and Zagier, 1998,
+    section 2).  So phi(X) = sum c_i X^(m - i), the c_i read backwards,
+    and ss_p = X^delta (X - 1728)^eps phi: monic, degree
+    m + delta + eps, squarefree, phi(0), phi(1728) != 0.
     """
     require_prime(p, "ss_poly_eisenstein", MAX_EISENSTEIN_PRIME)
     m, delta, eps = hasse_decomposition(p)
     hf = hasse_form(p)
-    c = [hf[delta + 3 * (m - k), eps + 2 * k] for k in range(m + 1)]
-    phi = [c[m]]
-    for k in range(m - 1, -1, -1):  # phi has degree m - k after this step
-        phi = _times_x_minus_1728(phi, p)
-        phi[m - k] = (phi[m - k] + c[k]) % p
+    phi = [hf[delta + 3 * e, eps, m - e] for e in range(m + 1)]
     if not phi[0]:
         raise ValidationError(f"phi(0) = 0 at p={p}: contradicts simple roots")
     if not sum(x * pow(1728, i, p) for i, x in enumerate(phi)) % p:

@@ -14,7 +14,7 @@ ROUTES holds one row per route, named as below:
   square root, and its orbit and the conjugate one.  One cached pass,
   hasse_roots, yields the lambda-set, the j-set and the "deuring
   quotient" row's ss_p.
-- "eisenstein" (modforms): E_{p-1} mod p in the E4/E6 basis.
+- "eisenstein" (modforms): E_{p-1} mod p in the E4^a E6^b Delta^i basis.
 - "point-count": character-sum point counts over F_{p^2}, one big-int
   correlation for a twist family y^2 = x^3 + cx + c at every c at once;
   a curve is supersingular exactly when its trace vanishes mod p.

@@ -25,9 +25,10 @@ ellwitt builds over F_p and for hasse_form's integer certificate that
 E_{p-1} = 1 mod p.
 
 express_in_e4e6 and solve_exact are the E4^a E6^b solve over any field
-ring, on QSeries and ring elements: run over QQ and reduced mod p, they
-are the reference for modforms.express_in_e4e6, which solves on int
-lists mod p.
+ring, on QSeries and ring elements, by Gaussian elimination on the
+monomials of weight_basis: run over QQ and reduced mod p, they are the
+reference for modforms.express_in_e4e6, which solves on int lists mod p
+in the basis E4^a E6^b Delta^i.
 
 pretty is the printer of a Poly that the reports used before F_p
 polynomials became int lists: the reference for cli._poly_str.
@@ -41,10 +42,10 @@ from ellwitt.formalgroup import _c4_c6_disc, formal_expansion
 from ellwitt.modforms import (
     _GUARD,
     MAX_EISENSTEIN_WEIGHT,
+    _dim_mk,
     _e4_e6,
     _sigma,
     _tangent_numbers,
-    weight_basis,
 )
 from ellwitt.polyseries import Poly, QSeries
 
@@ -221,6 +222,21 @@ def solve_exact(rows, rhs, ring):
         if aug[i][n] != 0:
             raise ValidationError("inconsistent linear system")
     return [aug[i][n] for i in range(n)]
+
+
+def weight_basis(k: int) -> tuple:
+    """The monomials E4^a E6^b spanning M_k, as (a, b) pairs with b
+    ascending."""
+    mons = []
+    b = 0
+    while 6 * b <= k:
+        if (k - 6 * b) % 4 == 0:
+            mons.append(((k - 6 * b) // 4, b))
+        b += 1
+    if len(mons) != _dim_mk(k):
+        raise ValidationError(
+            f"monomial count {len(mons)} != dim M_{k} = {_dim_mk(k)}")
+    return tuple(mons)
 
 
 def express_in_e4e6(s: QSeries, k: int) -> dict:

@@ -186,9 +186,13 @@ def _sweep(cache: Path) -> dict:
     return json.loads(proc.stdout)
 
 
+def leaves() -> set:
+    """The words of every leaf command of cli.COMMANDS."""
+    return {w for w, row in cli.COMMANDS.items() if row.flags is not None}
+
+
 def test_the_sweep_runs_every_leaf_command():
-    leaves = {w for w, row in cli.COMMANDS.items() if row.flags is not None}
-    assert set(SWEEP) == leaves
+    assert set(SWEEP) == leaves()
 
 
 def test_every_src_function_is_entered_or_allowed(tmp_path):

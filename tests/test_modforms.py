@@ -15,7 +15,6 @@ from ellwitt import modforms
 from ellwitt.modforms import (
     MAX_EISENSTEIN_WEIGHT,
     _level_one_forms,
-    _solve_exact,
     _tangent_numbers,
     eisenstein_q,
     eta24_q,
@@ -25,11 +24,10 @@ from ellwitt.modforms import (
     j_q,
     ss_poly_eisenstein,
     times_fixed_factors,
-    weight_basis,
 )
 from ellwitt.polyseries import Poly, QSeries, _mul
 from ellwitt.sslocus import sigma
-from oracles import QQ, bernoulli, eisenstein_series, reduce_mod
+from oracles import QQ, bernoulli, eisenstein_series, reduce_mod, weight_basis
 from oracles import express_in_e4e6 as rational_express
 
 PRIMES = [p for p in range(5, 98) if is_prime(p)]
@@ -121,14 +119,6 @@ def test_hasse_form_builds_no_ring_element_or_series(monkeypatch):
         assert all(type(c) is int and 0 <= c < p for c in got.values())
 
 
-def test_solve_exact_invariant_failures_are_validation_errors():
-    assert _solve_exact([[2, 0], [0, 3]], [4, 9], 7) == [2, 3]
-    with pytest.raises(ValidationError, match="singular"):
-        _solve_exact([[1, 2], [2, 4]], [1, 2], 7)
-    with pytest.raises(ValidationError, match="inconsistent"):
-        _solve_exact([[1], [2]], [1, 3], 7)
-
-
 def test_eisenstein_expansions():
     assert eisenstein_q(4, 3) == (1, [1, 240, 2160])
     assert eisenstein_q(6, 3) == (1, [1, -504, -16632])
@@ -190,6 +180,20 @@ def _mod_p(exact: dict, p: int) -> dict:
             for mon, c in exact.items()}
 
 
+def _on_e4e6(solve: dict, p: int) -> dict:
+    """A solve on the basis E4^a E6^b Delta^i moved onto the monomials
+    E4^a E6^b mod p, b ascending: Delta^i = 1728^-i (E4^3 - E6^2)^i,
+    expanded binomially."""
+    out = {}
+    for (a, b, i), c in solve.items():
+        scale = c * pow(-1728, -i, p)
+        for j in range(i + 1):
+            mon = (a + 3 * j, b + 2 * (i - j))
+            out[mon] = (out.get(mon, 0)
+                        + scale * (-1) ** j * comb(i, j)) % p
+    return dict(sorted(out.items(), key=lambda kv: kv[0][1]))
+
+
 def test_express_examples():
     dlt = _level_one_forms(8)[2]
     exact = {"E10": rational_express(eisenstein_series(10, 8), 10),
@@ -198,19 +202,63 @@ def test_express_examples():
     assert exact["E10"] == {(1, 1): Fraction(1)}
     assert exact["Delta"] == {
         (3, 0): Fraction(1, 1728), (0, 2): Fraction(-1, 1728)}
-    # the int solve mod p is the exact solve, reduced mod p
+    # the int solve mod p, moved onto E4^a E6^b, is the exact solve,
+    # reduced mod p
     for p in (11, 13, 97):
         for form, k, (den, nums) in (("E10", 10, eisenstein_q(10, 8)),
                                      ("E12", 12, eisenstein_q(12, 8)),
                                      ("Delta", 12, (1, dlt))):
             ints = [c * pow(den, -1, p) % p for c in nums]
             got = express_in_e4e6(ints, k, p)
-            assert got == _mod_p(exact[form], p), (form, p)
+            assert _on_e4e6(got, p) == _mod_p(exact[form], p), (form, p)
             assert all(type(c) is int and 0 <= c < p for c in got.values())
-    assert express_in_e4e6([c * pow(691, -1, 13) for c in
-                            eisenstein_q(12, 8)[1]], 12, 13) == \
-        {(3, 0): 6, (0, 2): 8}
+        assert express_in_e4e6(dlt, 12, p) == {(3, 0, 0): 0, (0, 0, 1): 1}
+        assert express_in_e4e6(eisenstein_q(10, 8)[1], 10, p) == \
+            {(1, 1, 0): 1}
+    # E12 = 6 E4^3 + 8 E6^2 = E4^3 + 8 Delta mod 13, as E6^2 = E4^3 -
+    # 1728 Delta
+    e12 = express_in_e4e6([c * pow(691, -1, 13) for c in
+                           eisenstein_q(12, 8)[1]], 12, 13)
+    assert e12 == {(3, 0, 0): 1, (0, 0, 1): 8}
+    assert _on_e4e6(e12, 13) == {(3, 0): 6, (0, 2): 8}
     assert (6 + 8) % 13 == 1
+
+
+@pytest.mark.parametrize("p", [13, 97, 101, 1009])
+def test_express_every_weight_expands_back_to_e_k(p):
+    # E_k mod p at every even weight 4..200 at which it is p-integral:
+    # the solve, moved onto E4^a E6^b and multiplied out with E4 and E6
+    # from eisenstein_q, is E_k mod p.  Two forms of weight k mod p that
+    # agree on the first dim M_k coefficients are equal, so this pins
+    # every coefficient of the solve; it is checked to q^20 at every k.
+    top = MAX_EISENSTEIN_WEIGHT
+    need = modforms._dim_mk(top) + modforms._GUARD
+
+    def powers(f, n):
+        out = [[1] + [0] * (need - 1)]
+        for _ in range(n):
+            out.append([c % p for c in _mul(out[-1], f, need)])
+        return out
+
+    e4 = powers(eisenstein_q(4, need)[1], top // 4)
+    e6 = powers(eisenstein_q(6, need)[1], top // 6)
+    skipped = []
+    for k in range(4, top + 1, 2):
+        den, nums = eisenstein_q(k, need)
+        if not den % p:
+            skipped.append(k)
+            continue
+        s = [c * pow(den, -1, p) % p for c in nums]
+        got = express_in_e4e6(s, k, p)
+        assert len(got) == modforms._dim_mk(k), k
+        back = [0] * need
+        for (a, b), c in _on_e4e6(got, p).items():
+            for n, x in enumerate(_mul(e4[a], e6[b], need)):
+                back[n] += c * x
+        assert [x % p for x in back] == s, k
+    # 101 divides the numerator of B_68, and so, by Kummer's congruence,
+    # that of B_168/168: E_68 and E_168 are not 101-integral
+    assert skipped == ([68, 168] if p == 101 else [])
 
 
 def test_express_rejects_non_modular_input():
@@ -224,8 +272,9 @@ def test_express_rejects_non_modular_input():
 
 def test_express_refuses_coefficients_that_miss_the_constant_term(
         monkeypatch):
-    # with E4's constant term moved to 2, the input 2 + 240q + ... solves
-    # and passes every guard coefficient, but as E4^1 with coefficient 1
+    # with E4's constant term moved to 2, the input 2 + 240q + ... is
+    # that E4 itself, but the solve reads its coefficient off q^0 as if
+    # the form led with 1, and leaves 2 - 2*2 at q^0
     real = modforms._e4_e6
 
     def shifted(prec):
@@ -233,15 +282,16 @@ def test_express_refuses_coefficients_that_miss_the_constant_term(
         return [e4[0] + 1] + e4[1:], e6
 
     monkeypatch.setattr(modforms, "_e4_e6", shifted)
-    with pytest.raises(ValidationError, match=r"weight 4: the E4\^a E6\^b "
-                       r"coefficients sum to 1, the constant term is 2"):
+    with pytest.raises(ValidationError, match=r"q\^0 coefficient mismatch: "
+                       r"input is not a modular form of weight 4"):
         express_in_e4e6(shifted(8)[0], 4, 97)
 
 
 def test_hasse_form_frozen_values():
-    assert hasse_form(5) == {(1, 0): 1}
-    assert hasse_form(11) == {(1, 1): 1}
-    assert hasse_form(13) == {(3, 0): 6, (0, 2): 8}
+    assert hasse_form(5) == {(1, 0, 0): 1}
+    assert hasse_form(11) == {(1, 1, 0): 1}
+    # 6 E4^3 + 8 E6^2, as E6^2 = E4^3 - 1728 Delta
+    assert hasse_form(13) == {(3, 0, 0): 1, (0, 0, 1): 8}
 
 
 def test_hasse_form_reduces_to_one_mod_p():
@@ -251,6 +301,9 @@ def test_hasse_form_reduces_to_one_mod_p():
         if not is_prime(p):
             continue
         hf = hasse_form(p)
+        m, delta, eps = hasse_decomposition(p)
+        assert hf[delta + 3 * m, eps, 0] == 1
+        hf = _on_e4e6(hf, p)
         field = fq2_context(p)
         e4 = reduce_mod(eisenstein_series(4, 30), field)
         e6 = reduce_mod(eisenstein_series(6, 30), field)
@@ -380,18 +433,22 @@ def test_hasse_form_matches_the_rational_solve(p):
     assert all(type(c) is Fraction for c in exact.values())
     want = _mod_p(exact, p)
     got = hasse_form.__wrapped__(p)
-    assert list(got) == list(want)
-    assert got == want
+    m, delta, eps = hasse_decomposition(p)
+    assert list(got) == [(delta + 3 * (m - i), eps, i) for i in range(m + 1)]
+    assert list(_on_e4e6(got, p)) == list(want)
+    assert _on_e4e6(got, p) == want
     assert all(type(c) is int for c in got.values())
 
 
 @pytest.mark.parametrize("change, match", [
-    ({(0, 6): 0}, r"phi\(0\) = 0"),        # c_ab at k = m
-    ({(9, 0): 0}, r"phi\(1728\) = 0"),     # c_ab at k = 0
-    ({(9, 0): 3}, "degree/monicity"),       # sum c_ab = 2
+    ({(0, 0, 3): 0}, r"phi\(0\) = 0"),      # c_3 is phi(0)
+    ({(0, 0, 3): 9}, r"phi\(1728\) = 0"),   # phi(1728) - phi(0) = -9
+    ({(9, 0, 0): 3}, "degree/monicity"),     # c_0 leads phi
 ])
 def test_ss_poly_checks_see_a_wrong_hasse_form(change, match, monkeypatch):
     hf = dict(hasse_form(37))                  # m = 3, delta = eps = 0
+    # phi = X^3 + 23 X^2 + 5 X + 11, and phi(1728) = 2 mod 37
+    assert [hf[3 * e, 0, 3 - e] for e in range(4)] == [11, 5, 23, 1]
     hf.update(change)
     monkeypatch.setattr(modforms, "hasse_form", lambda p: hf)
     with pytest.raises(ValidationError, match=match):

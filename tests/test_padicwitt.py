@@ -267,6 +267,57 @@ def test_lift_ss_poly_frobenius_fixed_and_compatible():
                 list(sM.coeffs)
 
 
+def _reduce(f: list, g: list, M: int) -> list:
+    """f mod (M, g), g monic of degree n, as n ints in [0, M)."""
+    f = [c % M for c in f]
+    n = len(g) - 1
+    for i in range(len(f) - 1, n - 1, -1):
+        c = f[i]
+        for j in range(n + 1):
+            f[i - n + j] = (f[i - n + j] - c * g[j]) % M
+    return (f + [0] * n)[:n]
+
+
+def _x_power(e: int, g: list, M: int) -> list:
+    """X^e mod (M, g), by repeated squaring."""
+    out, sq = _reduce([1], g, M), _reduce([0, 1], g, M)
+    while e:
+        if e & 1:
+            out = _reduce(_times(out, sq), g, M)
+        sq = _reduce(_times(sq, sq), g, M)
+        e >>= 1
+    return out
+
+
+def _times(a: list, b: list) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_lift_is_certified_by_one_power():
+    # ss_p is squarefree and divides X^(p^2) - X mod p, so by Hensel the
+    # monic divisor of X^(p^2) - X over Z/p^N that reduces to ss_p is
+    # unique: X^(p^2) = X mod (p^N, S_p-hat) pins S_p-hat, and it shares
+    # no code with the roots it was built from
+    primes = [p for p in range(5, 98) if is_prime(p)]
+    certified = refused = 0
+    for p in primes:
+        for N in (1, 2, 8, 64):
+            M = p ** N
+            shat = lift_ss_poly(p, N).coeffs
+            assert all(c.b == 0 for c in shat) and shat[-1].a == 1
+            g = [c.a for c in shat]
+            certified += _x_power(p * p, g, M) == _reduce([0, 1], g, M)
+            if N > 1:
+                g[0] = (g[0] + p ** (N - 1)) % M
+                refused += _x_power(p * p, g, M) != _reduce([0, 1], g, M)
+    assert (certified, refused) == (92, 69)
+    assert len(primes) == 23
+
+
 def test_lift_ss_poly_refuses_roots_that_do_not_descend(monkeypatch):
     # p = 37: j-set {8} and one conjugate pair; moving one root of the
     # pair keeps the trace a scalar but not the product

@@ -1,5 +1,4 @@
-"""The field F_p and the unramified quadratic rings over Z/p^N, for
-primes p > 3.
+"""The unramified quadratic rings over Z/p^N, for primes p > 3.
 
 Quad(p, g0, N) is (Z/p^N)[x]/(x^2 + g0), on ints mod p^N, with -g0 a
 non-residue mod p: the field F_{p^2} at N = 1, and W(F_{p^2})/p^N when
@@ -7,16 +6,14 @@ non-residue mod p: the field F_{p^2} at N = 1, and W(F_{p^2})/p^N when
 computes; it is the one coefficient ring of Poly and QSeries.  Every
 F_{p^2} model here is x^2 = n for a non-residue n, so the Frobenius
 z -> z^p (and its lift to W) is a + b*xbar -> a - b*xbar.  F_p
-residues are ints: Zmod(p) is F_p only as the type that
-QuadElem.to_fp returns, and its elements carry a value and a product.
+residues are ints, and so is what QuadElem.to_fp returns.
 
 An operation takes ints and elements of its own ring alone: an element
 of another ring of its class raises ValueError instead of guessing, and
-any other operand, an element of F_p in a Quad included, TypeError (and
-compares unequal).  The F_{p^2} model is selected deterministically per
-prime by fq2_context() so that serialized data is reproducible:
-x^2 + 1 when p = 3 mod 4, otherwise x^2 - n with n the smallest
-quadratic non-residue.
+any other operand TypeError (and compares unequal).  The F_{p^2} model
+is selected deterministically per prime by fq2_context() so that
+serialized data is reproducible: x^2 + 1 when p = 3 mod 4, otherwise
+x^2 - n with n the smallest quadratic non-residue.
 
 rth_root is the one root routine, square and cube roots in F_{p^2}
 (an F_p square has its two roots in F_p, so it serves F_p too), and
@@ -39,8 +36,6 @@ __all__ = [
     "is_prime",
     "require_prime",
     "power",
-    "Zmod",
-    "ZmodElem",
     "Quad",
     "QuadElem",
     "is_quadratic_residue",
@@ -55,11 +50,10 @@ def record(name: str, fields: str, defaults=()) -> type:
     read-only property per field of the space-separated `fields`, as
     collections.namedtuple builds but without compiling a constructor
     by eval: it takes its values by position or keyword, the last
-    len(defaults) of them optional, and _replace(**changes) copies a
-    record with some fields changed.  A record equals and hashes as the
+    len(defaults) of them optional.  A record equals and hashes as the
     plain tuple of its values and has the namedtuple's repr; it has no
-    _fields, _asdict or _make, and copy.copy and unpickling raise
-    TypeError, since nothing uses them."""
+    _replace, _fields, _asdict or _make, and copy.copy and unpickling
+    raise TypeError, since nothing uses them."""
     names, missing = tuple(fields.split()), object()
     slots = (missing,) * (len(names) - len(defaults)) + tuple(defaults)
 
@@ -71,17 +65,10 @@ def record(name: str, fields: str, defaults=()) -> type:
             raise TypeError(f"{name} takes the fields {fields!r}")
         return tuple.__new__(cls, values)
 
-    def _replace(self, **changes):
-        new = tuple.__new__(type(self), map(changes.pop, names, self))
-        if changes:
-            raise ValueError(f"{name} has no fields {sorted(changes)}")
-        return new
-
     def __repr__(self):
         return f"{name}({', '.join(map('{}={!r}'.format, names, self))})"
 
-    namespace = {"__slots__": (), "__new__": __new__, "_replace": _replace,
-                 "__repr__": __repr__,
+    namespace = {"__slots__": (), "__new__": __new__, "__repr__": __repr__,
                  "__module__": sys._getframe(1).f_globals["__name__"]}
     for i, field in enumerate(names):
         namespace[field] = property(itemgetter(i))
@@ -135,58 +122,6 @@ def require_prime(p: int, what: str, bound: int | None = None) -> None:
     if p <= 3 or (bound is not None and p > bound) or not is_prime(p):
         top = "" if bound is None else f" <= {bound}"
         raise ValueError(f"{what} wants a prime 3 < p{top}, got {p}")
-
-
-class Zmod:
-    """The field F_p for a prime p > 3, as the ring of what
-    QuadElem.to_fp returns.  It is no ring to compute in: F_p residues
-    are ints everywhere else."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: int):
-        require_prime(p, "Zmod")
-        self.p = p
-
-    def elem(self, value: int) -> "ZmodElem":
-        return ZmodElem(value, self)
-
-    def __eq__(self, other):
-        return isinstance(other, Zmod) and other.p == self.p
-
-    def __repr__(self):
-        return f"F_{self.p}"
-
-
-class ZmodElem:
-    """A residue mod p, pinned to its field, and its products."""
-
-    __slots__ = ("value", "ring")
-
-    def __init__(self, value: int, ring: Zmod):
-        self.value = value % ring.p
-        self.ring = ring
-
-    def _same(self, other) -> "ZmodElem":
-        if isinstance(other, ZmodElem):
-            if other.ring is not self.ring and other.ring != self.ring:
-                raise ValueError(
-                    f"mixed moduli: {self.ring} vs {other.ring}")
-            return other
-        if isinstance(other, int):
-            return ZmodElem(other, self.ring)
-        return NotImplemented
-
-    def __mul__(self, other):
-        o = self._same(other)
-        if o is NotImplemented:
-            return o
-        return ZmodElem(self.value * o.value, self.ring)
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        return f"{self.value} (mod {self.ring.p})"
 
 
 def is_quadratic_residue(a: int, p: int) -> bool:
@@ -379,11 +314,11 @@ class QuadElem:
         """Whether self is a scalar (in F_p at N = 1)."""
         return self.b == 0
 
-    def to_fp(self) -> ZmodElem:
-        """A scalar of F_{p^2} as an element of F_p."""
+    def to_fp(self) -> int:
+        """A scalar of F_{p^2} as its residue in F_p, an int in [0, p)."""
         if self.ring.N != 1 or self.b != 0:
             raise ValueError(f"{self!r} is not in the prime field")
-        return Zmod(self.ring.p).elem(self.a)
+        return self.a
 
     def reduce_precision(self, M: int) -> "QuadElem":
         return QuadElem(self.a, self.b, self.ring.at(M))
@@ -414,10 +349,11 @@ class QuadElem:
         return f"{self.a}+{self.b}{x} (in {where})"
 
 
-# bench/tracer.py counts products by wrapping FpElem.__mul__ (which no
-# command calls) and Fq2Elem.__mul__ under these names; ROADMAP item 1
-# retires them.
-FpElem = ZmodElem
+# bench/tracer.py counts products by wrapping FpElem.__mul__ and
+# Fq2Elem.__mul__ under these names; ROADMAP item 1 retires them.  F_p
+# residues are ints, so FpElem names int: the tracer finds __mul__ in
+# vars(int), patches no ellwitt class for it, and counts no product.
+FpElem = int
 Fq2Elem = QuadElem
 
 

@@ -100,19 +100,25 @@ def _level_one_forms(prec: int) -> tuple:
 
 
 def eta24_q(prec: int) -> list:
-    """q * prod_{n>=1} (1 - q^n)^24 as an int list through q^(prec-1),
-    expanded directly from the product.
+    """q * prod_{n>=1} (1 - q^n)^24 as an int list through q^(prec-1):
+    the product e is Euler's pentagonal series, sum over all integers m
+    of (-1)^m q^(m(3m-1)/2), and eta^24 = q e^16 e^8, four squarings and
+    one product.
 
     Serves as the second engine for the Delta identity.
     """
     if prec < 2:
         raise ValueError("prec must be >= 2")
-    c = [0, 1] + [0] * (prec - 2)
-    for n in range(1, prec - 1):
-        for _ in range(24):
-            for i in range(prec - 1, n, -1):
-                c[i] -= c[i - n]
-    return c
+    n, m = prec - 1, 0
+    e = [0] * n
+    while m * (3 * m - 1) // 2 < n:
+        for k in (m * (3 * m - 1) // 2, m * (3 * m + 1) // 2):
+            if k < n:
+                e[k] = (-1) ** m
+        m += 1
+    for _ in range(3):
+        e = _mul(e, e, n)
+    return [0] + _mul(_mul(e, e, n), e, n)
 
 
 def j_q(prec: int) -> list:

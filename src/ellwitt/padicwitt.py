@@ -74,8 +74,8 @@ def lift_context(ctx: Quad, N: int) -> Quad:
 def teichmuller(x, N: int):
     """The unique root-of-unity (or zero) lift of x in F_{p^2} to
     W(F_{p^2})/p^N (lift_context): t^(p^2) = t, reducing to x mod p.
-    An element of F_p is passed as a scalar of F_{p^2}; any other
-    argument raises TypeError."""
+    An F_p residue is passed as a scalar of F_{p^2}; any other
+    argument, an int included, raises TypeError."""
     field = getattr(x, "ring", None)
     if not isinstance(field, Quad) or field.N != 1:
         raise TypeError("teichmuller wants an element of F_{p^2}")
@@ -86,9 +86,9 @@ def hensel_root(f: Poly, r0):
     """Newton-lift a simple root: f(r0) = 0 mod p with f'(r0) a unit.
 
     f lives over W(F_{p^2})/p^N; r0 is an element of that ring, or an
-    element of F_{p^2} in the same model, which is lifted naively.  A
-    polynomial over any other ring, or an r0 of F_p, raises TypeError,
-    and a residue of another Quad ValueError.  Quadratic
+    element of F_{p^2} in the same model, which is lifted naively, or
+    an int.  A polynomial over any other ring, or any other r0, raises
+    TypeError, and a residue of another Quad ValueError.  Quadratic
     convergence; at most ceil(log2 N) + 1 steps.  A root that is not
     simple, or not a root mod p, raises ValidationError.
     """

@@ -30,6 +30,10 @@ monomials of weight_basis: run over QQ and reduced mod p, they are the
 reference for modforms.express_in_e4e6, which solves on int lists mod p
 in the basis E4^a E6^b Delta^i.
 
+eta24_q is q prod (1 - q^n)^24 expanded factor by factor, 24 passes
+per n, the reference for modforms.eta24_q, which squares Euler's
+pentagonal series.
+
 pretty is the printer of a Poly that the reports used before F_p
 polynomials became int lists: the reference for cli._poly_str.
 """
@@ -222,6 +226,17 @@ def solve_exact(rows, rhs, ring):
         if aug[i][n] != 0:
             raise ValidationError("inconsistent linear system")
     return [aug[i][n] for i in range(n)]
+
+
+def eta24_q(prec: int) -> list:
+    """q * prod_{n>=1} (1 - q^n)^24 as an int list through q^(prec-1),
+    expanded directly from the product."""
+    c = [0, 1] + [0] * (prec - 2)
+    for n in range(1, prec - 1):
+        for _ in range(24):
+            for i in range(prec - 1, n, -1):
+                c[i] -= c[i - n]
+    return c
 
 
 def weight_basis(k: int) -> tuple:

@@ -18,12 +18,12 @@ is kept as oracles too: the square roots above, Quad's irreducibility
 check and fq2_context's scan for the least non-residue."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from ellwitt.arith import (
     Quad,
-    Zmod,
     fq2_context,
     has_sqrt3,
     is_prime,
@@ -52,13 +52,15 @@ def test_is_prime_small():
 def test_field_rejects_nonprime_and_small():
     for bad in (0, 1, 2, 3, 4, 9, 15, 91):
         with pytest.raises(ValueError):
-            Zmod(bad)
+            fq2_context(bad)
+        with pytest.raises(ValueError):
+            Quad(bad, 1)
 
 
 def test_mixed_moduli_is_hard_error():
-    a = Zmod(5).elem(2)
-    b = Zmod(7).elem(2)
-    with pytest.raises(ValueError, match="mixed moduli"):
+    a = fq2_context(5).elem(2)
+    b = fq2_context(7).elem(2)
+    with pytest.raises(ValueError, match="mixed contexts"):
         a * b
 
 
@@ -236,8 +238,9 @@ def test_sqrt_fq2_rejects_other_rings():
     for ring in (Quad(7, 1, 2), Quad(7, 1, 5)):  # W(F_49)/7^2 and /7^5
         with pytest.raises(ValueError, match="wants F_p\\^2"):
             rth_root(ring.from_int(4), 2)
-    # an element of F_p, or an int, is no element of F_{p^2}
-    for x in (Zmod(7).elem(4), 4):
+    # an F_p residue, an int, is no element of F_{p^2}, nor is another
+    # type of number
+    for x in (Fraction(4), 4):
         with pytest.raises(ValueError, match="wants F_p\\^2"):
             rth_root(x, 2)
 

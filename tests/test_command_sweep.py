@@ -19,9 +19,8 @@ one of four kinds:
   its message or the report of a failed assertion, and the named test
   shows what it prints;
 - "acceptance: <criterion>": an acceptance test reads it;
-- "test API: <test id>": the equality of two F_p objects, and the
-  `_replace` and repr of the result records, as the named test uses
-  them.
+- "test API: <test id>": the repr of the result records, as the named
+  test uses it.
 
 An entry that names no function, or a function the sweep enters, is
 stale and fails the ledger as well."""
@@ -79,23 +78,12 @@ ALLOWED = {
     "formalgroup._curve_str": "error path: tests/test_pseries_integral.py"
                               "::test_a_series_that_does_not_factor_names"
                               "_the_curve",
-    "arith.Zmod.__repr__": _REPRS,
-    "arith.ZmodElem.__repr__": _REPRS,
     "arith.Quad.__repr__": _REPRS,
     "arith.QuadElem.__repr__": _REPRS,
     "polyseries.Poly.__repr__": _REPRS,
     "arith.QuadElem.to_fp": "acceptance: criterion 6, the Witt layer",
-    **{f"arith.{name}": "acceptance: criterion 6, the Witt layer"
-       for name in ("Zmod.__init__", "Zmod.elem", "ZmodElem.__init__")},
-    "arith.ZmodElem.__mul__": "ROADMAP 1c",
-    "arith.ZmodElem._same": "ROADMAP 1c",
     "arith.QuadElem.reduce_precision":
         "acceptance: criterion 6, the Witt layer",
-    "arith.Zmod.__eq__": "test API: tests/test_rings.py"
-                         "::test_precision_one_is_the_field",
-    "arith.record.<locals>._replace":
-        "test API: tests/test_records.py"
-        "::test_every_record_behaves_like_its_namedtuple",
     "arith.record.<locals>.__repr__":
         "test API: tests/test_records.py"
         "::test_every_record_behaves_like_its_namedtuple",

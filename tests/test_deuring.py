@@ -247,7 +247,8 @@ def test_a_repeated_or_zero_root_of_q_is_not_squarefree(
     R = Poly(F, _s3_quotient(ints(q), p))
     real = modforms.hasse_decomposition(p)
     monkeypatch.setattr(modforms, "hasse_decomposition",
-                        lambda p: real._replace(m=real.m + k))
+                        lambda p: modforms.HasseDecomposition(
+                            real.m + k, real.delta, real.eps))
     assert _s3_quotient(bad, p) == \
         ints(R * arith.power(Poly(F, [-c, 1]), k))
     monkeypatch.setattr(sslocus, "_legendre_half", lambda p: bad)

@@ -3,8 +3,9 @@ top, the supersingular locus loads without the formal-group layer that
 reads it, no module imports or loads a rational module (`fractions`,
 `decimal`, `numbers`), no command loads `json` or `re` and only a cache
 hit loads `_json`, each class and function is bound under its own name
-alone, every name a module exports in `__all__` is bound, F_p stays out
-of the coefficient rings, and no command builds an F_p element."""
+alone, every name a module exports in `__all__` is bound, F_p residues
+are ints and no ring type of the package, and no command reads one back
+from F_{p^2}."""
 
 import ast
 import importlib
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import ellwitt
-from ellwitt.arith import Zmod, ZmodElem
+from ellwitt import arith
 from conftest import fresh_python
 from test_command_sweep import SWEEP
 
@@ -188,8 +189,9 @@ def test_every_name_in_all_is_bound():
     assert not stale, stale
 
 
-#: The second names that bench/tracer.py still wraps (ROADMAP item 1).
-ALIASES = {"ellwitt.arith.FpElem", "ellwitt.arith.Fq2Elem"}
+#: The second name that bench/tracer.py still wraps (ROADMAP item 1);
+#: its other, FpElem, names int, no class of the package.
+ALIASES = {"ellwitt.arith.Fq2Elem"}
 
 
 def test_every_class_and_function_has_one_name():
@@ -213,27 +215,15 @@ def test_every_class_and_function_has_one_name():
     assert not found, "\n".join(found)
 
 
-def _defines(cls) -> tuple:
-    """(the names cls binds itself other than dunders, the dunders it
-    binds to a callable)."""
-    own = vars(cls)
-    dunders = {n for n in own if n.startswith("__") and n.endswith("__")}
-    return set(own) - dunders, {n for n in dunders if callable(own[n])}
-
-
 def test_f_p_is_no_coefficient_ring():
-    # Zmod is the field that QuadElem.to_fp returns into: no ring
-    # protocol (zero, one, from_int, coerce, is_unit, inv), and elements
-    # that carry a value and multiply (the product bench/tracer.py
-    # counts), but neither add, subtract, negate, power, invert nor
-    # compare
-    assert _defines(Zmod) == ({"p", "elem"},
-                              {"__init__", "__eq__", "__repr__"})
-    assert Zmod.__hash__ is None
-    assert _defines(ZmodElem) == (
-        {"value", "ring", "_same"},
-        {"__init__", "__mul__", "__rmul__", "__repr__"})
-    assert ZmodElem.__hash__ is object.__hash__
+    # F_p residues are ints: the field layer's one ring class is Quad,
+    # and the alias that bench/tracer.py counts F_p products under
+    # names int, which no ellwitt namespace binds a product of
+    classes = {c for c in vars(arith).values()
+               if isinstance(c, type) and c.__module__ == arith.__name__}
+    assert classes == {arith.Quad, arith.QuadElem}
+    assert not hasattr(arith, "Zmod") and not hasattr(arith, "ZmodElem")
+    assert arith.FpElem is int
 
 
 #: Commands that find, lift and split roots, and scan residues.
@@ -244,14 +234,16 @@ F_P_AS_INTS = ("hasse --prime 397", "ss --prime 97",
 
 @pytest.mark.parametrize("line", F_P_AS_INTS)
 def test_no_command_builds_an_f_p_element(tmp_path, line):
-    # F_p residues are ints: square roots in F_p are taken as scalars of
-    # F_{p^2}, and the Euler test reads an int; each command runs cold
+    # F_p residues are the ints the commands compute: square roots in F_p
+    # are taken as scalars of F_{p^2}, the Euler test reads an int, and
+    # no command reads a residue back through QuadElem.to_fp, the one
+    # way from F_{p^2} to F_p; each command runs cold
     code = ("import sys\n"
             "from ellwitt import arith\n"
             "from ellwitt.cli import main\n"
             "def built(self, *args):\n"
-            "    raise AssertionError(f'built a {type(self).__name__}')\n"
-            "arith.Zmod.__init__ = arith.ZmodElem.__init__ = built\n"
+            "    raise AssertionError(f'built an F_p residue of {self!r}')\n"
+            "arith.QuadElem.to_fp = built\n"
             "sys.exit(main(sys.argv[1:]))\n")
     proc = fresh_python(code, *line.split(), ELLWITT_CACHE_DIR=str(tmp_path))
     assert proc.returncode == 0, proc.stderr

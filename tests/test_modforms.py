@@ -28,6 +28,7 @@ from ellwitt.modforms import (
 from ellwitt.polyseries import Poly, QSeries, _mul
 from ellwitt.sslocus import sigma
 from oracles import QQ, bernoulli, eisenstein_series, reduce_mod, weight_basis
+from oracles import eta24_q as product_eta24
 from oracles import express_in_e4e6 as rational_express
 
 PRIMES = [p for p in range(5, 98) if is_prime(p)]
@@ -109,10 +110,10 @@ def test_hasse_form_reads_no_rational_series(monkeypatch):
 
 
 def test_hasse_form_builds_no_ring_element_or_series(monkeypatch):
-    # the solve runs on int lists mod p: no Zmod, ZmodElem or QSeries
+    # the solve runs on int lists mod p: no Quad, QuadElem or QSeries
     def built(self, *args):
         raise AssertionError(f"hasse_form built a {type(self).__name__}")
-    for cls in (arith.Zmod, arith.ZmodElem, polyseries.QSeries):
+    for cls in (arith.Quad, arith.QuadElem, polyseries.QSeries):
         monkeypatch.setattr(cls, "__init__", built)
     for p in PRIMES:
         got = hasse_form.__wrapped__(p)
@@ -157,6 +158,17 @@ def test_delta_and_eta24():
     assert d == [0, 1, -24, 252, -1472]
     assert eta24_q(5) == d
     assert _level_one_forms(50)[2] == eta24_q(50)
+
+
+def test_eta24_is_the_product_expansion():
+    # the pentagonal route is the product expanded factor by factor at
+    # every precision 2..200 (the range of `verify all`); a coefficient
+    # does not depend on the precision, so one expansion serves all
+    want = product_eta24(200)
+    for prec in range(2, 201):
+        assert eta24_q(prec) == want[:prec], prec
+    with pytest.raises(ValueError, match="prec must be >= 2"):
+        eta24_q(1)
 
 
 def test_j_expansion():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from ellwitt.arith import Zmod, fq2_context
+from ellwitt.arith import fq2_context
 from ellwitt.errors import PrecisionError, ValidationError
 from ellwitt.padicwitt import lift_context
 from ellwitt.polyseries import (
@@ -96,7 +96,7 @@ def test_fp_polynomials_are_int_lists_read_mod_p():
             roots_in_field(zero, F11)
         with pytest.raises(ValueError, match="nonzero f over F_p"):
             count_roots_in_fp(zero, 11)
-    for ring in (lift_context(fq2_context(11), 2), Zmod(11)):
+    for ring in (lift_context(fq2_context(11), 2), 11):
         with pytest.raises(ValueError, match="roots_in_field wants F_p\\^2"):
             roots_in_field([-1, 1], ring)
 
@@ -116,7 +116,7 @@ def with_roots(ctx, pts) -> list:
     f = Poly(ctx, [ctx.one()])
     for r in pts:
         f = f * Poly(ctx, [-r, ctx.one()])
-    return [c.to_fp().value for c in f.coeffs]
+    return [c.to_fp() for c in f.coeffs]
 
 
 def test_roots_in_field_known_conjugate_and_rational_roots():

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from ellwitt.arith import Quad, Zmod, fq2_context, has_sqrt3
+from ellwitt.arith import Quad, fq2_context, has_sqrt3
 from ellwitt.formalgroup import (
     mult_by_p_series,
     verify_deligne,
@@ -32,7 +32,6 @@ _CURVE = (1, 1)
 
 #: (entry point, call with p, (bound, next prime above it) or None)
 ENTRY_POINTS = (
-    ("Zmod", Zmod, None),
     ("Quad", lambda p: Quad(p, 1), None),
     ("has_sqrt3", has_sqrt3, None),
     ("fq2_context", fq2_context, None),

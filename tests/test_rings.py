@@ -1,17 +1,17 @@
-"""The two ring shapes: Zmod(p), the field F_p that QuadElem.to_fp
-returns into, and Quad(p, g0, N), the one coefficient ring (F_{p^2} at
-N = 1, W(F_{p^2})/p^N over the Teichmuller modulus), at every
-precision.  The F_p-only kernels must never serve N > 1, and no
-element crosses into another ring."""
+"""The one ring shape, Quad(p, g0, N), the one coefficient ring
+(F_{p^2} at N = 1, W(F_{p^2})/p^N over the Teichmuller modulus), at
+every precision; F_p residues are ints, and QuadElem.to_fp returns one.
+The F_p-only kernels must never serve N > 1, and no element crosses
+into another ring."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from ellwitt import arith, polyseries
 from ellwitt.arith import (
     QuadElem,
-    Zmod,
     fq2_context,
     power,
     rth_root,
@@ -47,16 +47,12 @@ def test_reduce_precision_is_a_ring_hom():
 
 def test_precision_one_is_the_field():
     for p in (5, 7, 11, 13, 97):
-        assert Zmod(p) == Zmod(p)
-        assert Zmod(p) != Zmod(101) and Zmod(p) != fq2_context(p)
         ctx = fq2_context(p)
         assert lift_context(ctx, 1) == ctx
         assert lift_context(ctx, 3).at(1) == ctx
 
 
 def test_reprs_follow_the_precision():
-    F7 = Zmod(7)
-    assert (repr(F7), repr(F7.elem(3))) == ("F_7", "3 (mod 7)")
     c7, w = fq2_context(7), lift_context(fq2_context(7), 3)
     assert repr(c7) == "F_7^2[x^2+1]"
     assert repr(c7.elem(2, 3)) == "2+3x (in F_7^2)"
@@ -72,8 +68,6 @@ def test_reprs_follow_the_precision():
 
 def test_precisions_never_mix():
     f25, w125 = fq2_context(5), lift_context(fq2_context(5), 3)
-    with pytest.raises(ValueError, match="mixed moduli"):
-        Zmod(5).elem(1) * Zmod(7).elem(1)
     with pytest.raises(ValueError, match="mixed contexts"):
         f25.one() * W25.one()
     with pytest.raises(ValueError, match="mixed contexts"):
@@ -85,13 +79,13 @@ def test_precisions_never_mix():
 
 
 def test_elements_never_cross_rings():
-    # an element of F_p is no scalar of F_{p^2} or W(F_{p^2})/p^N: it is
-    # neither coerced nor combined, and it compares unequal
-    three = Zmod(5).elem(3)
+    # a value of another type is no scalar of F_{p^2} or W(F_{p^2})/p^N:
+    # it is neither coerced nor combined, and it compares unequal
+    three = Fraction(3)
     for ring in (fq2_context(5), W25):
-        with pytest.raises(TypeError, match="cannot coerce ZmodElem"):
+        with pytest.raises(TypeError, match="cannot coerce Fraction"):
             ring.coerce(three)
-        with pytest.raises(TypeError, match="cannot coerce ZmodElem"):
+        with pytest.raises(TypeError, match="cannot coerce Fraction"):
             ring.lift(three)
         with pytest.raises(TypeError):
             ring.one() + three
@@ -101,18 +95,30 @@ def test_elements_never_cross_rings():
         assert (three == ring.from_int(3)) is False
         assert three not in [ring.from_int(3)]
     # to_fp is the one way from F_{p^2} to F_p; W/p^N has none
-    three = fq2_context(5).from_int(3).to_fp()
-    assert (three.ring, three.value) == (Zmod(5), 3)
     with pytest.raises(ValueError, match="not in the prime field"):
         W25.from_int(3).to_fp()
+    with pytest.raises(ValueError, match="not in the prime field"):
+        fq2_context(5).elem(3, 1).to_fp()
+
+
+def test_to_fp_returns_the_residue_as_an_int():
+    # F_p residues are ints: a scalar of F_{p^2} reads back as its
+    # residue in [0, p), the int it equals
+    three = fq2_context(5).from_int(3).to_fp()
+    assert type(three) is int and three == 3
+    for p in (5, 7, 13):
+        ctx = fq2_context(p)
+        for v in range(-p, 2 * p):
+            assert ctx.from_int(v).to_fp() == v % p
 
 
 def test_equality_with_another_ring_is_false():
     f25 = fq2_context(5)
-    assert (f25.one() == Zmod(7).elem(1)) is False
-    assert (f25.one() == Zmod(5).elem(1)) is False
+    for other in (Fraction(1), object()):
+        assert (f25.one() == other) is False
+        assert (other == f25.one()) is False
+        assert other not in [f25.one()]
     assert (f25.one() == W25.one()) is False
-    assert Zmod(7).elem(1) not in [f25.one()]
     # an int still compares by value
     assert f25.from_int(3) == 8 and f25.elem(3, 1) != 3
     assert W25.from_int(3) == 28 and W25.from_int(3) != 8

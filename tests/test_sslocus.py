@@ -308,8 +308,9 @@ def _mutant(real, edit):
     def wrong(p):
         out = real(p)
         if isinstance(out, sslocus.DeuringPass):
-            return out._replace(
-                ss_poly=_mutant(lambda p: out.ss_poly, edit)(p))
+            return sslocus.DeuringPass(
+                out.lambdas, out.j_set,
+                _mutant(lambda p: out.ss_poly, edit)(p))
         if edit == "coefficient":
             return [(out[0] + 1) % p] + out[1:]
         j = fq2_context(p).from_int(19)
@@ -348,7 +349,7 @@ def test_non_squarefree_ss_poly_is_refused(monkeypatch):
     monkeypatch.setattr(sslocus, "ss_poly_closed", lambda p: bad)
     monkeypatch.setattr(modforms, "ss_poly_eisenstein", lambda p: bad)
     monkeypatch.setattr(sslocus, "hasse_roots",
-                        lambda p: real(p)._replace(ss_poly=bad))
+                        lambda p: sslocus.DeuringPass(*real(p)[:2], bad))
     with pytest.raises(ValidationError,
                        match=r"p=23: .* vs deuring disagree"):
         cross_validate.__wrapped__(23)

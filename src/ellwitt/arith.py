@@ -24,25 +24,10 @@ its callers use +-r alike.
 All values are immutable.
 """
 
-from __future__ import annotations
-
 import sys
 from functools import lru_cache
 from itertools import count
 from operator import itemgetter
-
-__all__ = [
-    "record",
-    "is_prime",
-    "require_prime",
-    "power",
-    "Quad",
-    "QuadElem",
-    "is_quadratic_residue",
-    "has_sqrt3",
-    "fq2_context",
-    "rth_root",
-]
 
 
 def record(name: str, fields: str, defaults=()) -> type:

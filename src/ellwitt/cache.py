@@ -17,8 +17,6 @@ the `json` package, and a miss or an uncached command neither.  Only an
 entry the scanner cannot read whole goes on to `json.loads`.
 """
 
-from __future__ import annotations
-
 import os
 import sys
 from types import SimpleNamespace

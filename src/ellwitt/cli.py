@@ -7,8 +7,6 @@ names the prime, the curve and the methods involved), an internal error
 or a report that cannot be written (a closed pipe, a full disk).
 """
 
-from __future__ import annotations
-
 import gc
 import os
 import sys

@@ -29,8 +29,6 @@ v2, the classical Hasse coefficient and the Deligne and Gross-Landweber
 checks all run on ints mod p and build no ring object.
 """
 
-from __future__ import annotations
-
 from itertools import compress
 from math import comb, gcd
 from operator import add, mul
@@ -39,14 +37,6 @@ from .arith import record, require_prime
 from .errors import PrecisionError, ValidationError
 from .polyseries import QSeries, _div, _mul
 from . import modforms, sslocus
-
-__all__ = [
-    "curve_from_j", "formal_expansion",
-    "mult_by_p_series", "v_invariants", "heights_from_series",
-    "classical_hasse", "has_bad_reduction",
-    "verify_deligne", "verify_gross_landweber",
-    "DeligneReport", "GLReport", "MAX_FORMAL_PRIME",
-]
 
 MAX_FORMAL_PRIME = 13
 MAX_EXPANSION_PREC = 200

@@ -17,22 +17,12 @@ coefficient list read backwards times the fixed factors
 (ss_poly_eisenstein), an int list mod p as well.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache, reduce
 from math import gcd
 
 from .arith import record, require_prime
 from .errors import ValidationError
 from .polyseries import _div, _mul, is_squarefree
-
-__all__ = [
-    "eisenstein_q", "eta24_q", "j_q",
-    "express_in_e4e6",
-    "HasseDecomposition", "hasse_decomposition", "times_fixed_factors",
-    "hasse_form", "ss_poly_eisenstein",
-    "MAX_EISENSTEIN_WEIGHT", "MAX_EISENSTEIN_PRIME",
-]
 
 MAX_EISENSTEIN_WEIGHT = 200
 MAX_EISENSTEIN_PRIME = 97

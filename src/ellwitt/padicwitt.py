@@ -14,8 +14,6 @@ Contexts and Teichmuller roots are built once per (p, N) and shared;
 all values are immutable.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from itertools import combinations
 
@@ -23,12 +21,6 @@ from .arith import Quad, fq2_context, require_prime
 from .errors import ValidationError
 from .polyseries import Poly
 from . import sslocus
-
-__all__ = [
-    "lift_context", "teichmuller", "hensel_root",
-    "lift_ss_poly", "splitting_idempotents",
-    "MAX_LIFT_PRECISION", "MAX_SPLIT_PRIME", "MAX_SPLIT_PRECISION",
-]
 
 MAX_LIFT_PRECISION = 64
 MAX_SPLIT_PRIME = 47

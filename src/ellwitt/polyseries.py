@@ -30,8 +30,6 @@ the [p]-series in formalgroup, whose chain hands them the coefficients
 of one class r mod g as a dense list of its own.
 """
 
-from __future__ import annotations
-
 import math
 import random
 import struct
@@ -39,11 +37,6 @@ from operator import mul
 
 from .arith import Quad, fq2_context, power, rth_root
 from .errors import PrecisionError, ValidationError
-
-__all__ = [
-    "Poly", "QSeries", "roots_in_field", "count_roots_in_fp",
-    "is_squarefree",
-]
 
 
 class Poly:

@@ -11,8 +11,6 @@ plus a newline, byte for byte, as tests/test_stdlib_stand_ins.py::
 test_canonical_json_equals_json_dumps checks.
 """
 
-from __future__ import annotations
-
 from math import isfinite
 
 SCHEMA_VERSION = "1"

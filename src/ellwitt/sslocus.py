@@ -35,8 +35,6 @@ the class numbers of the orders Z[sqrt(-p)] and Z[(1 + sqrt(-p))/2]
 (Delfs and Galbraith).
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from itertools import accumulate
 from math import comb, gcd, isqrt
@@ -46,15 +44,6 @@ from .errors import ValidationError
 from .polyseries import (
     _FpX, count_roots_in_fp, is_squarefree, roots_in_field)
 from . import modforms
-
-__all__ = [
-    "sigma", "hasse_polynomial", "hasse_roots", "DeuringPass",
-    "legendre_to_j", "ss_j_deuring", "ss_j_point_count", "ss_poly_closed",
-    "class_number", "rational_ss_count", "sorted_j", "frobenius_descent",
-    "cross_validate", "ogg_scan", "SSLocus", "ROUTES", "admitted_routes",
-    "MONSTER_PRIMES", "MAX_CROSS_VALIDATE_PRIME", "MAX_DEURING_PRIME",
-    "MAX_POINT_COUNT_PRIME", "MAX_OGG_SCAN",
-]
 
 MAX_DEURING_PRIME = 1000
 #: ogg_scan(3000) takes about 1.5 s and ogg_scan(10^4) 45 s in one

@@ -3,9 +3,8 @@ top, the supersingular locus loads without the formal-group layer that
 reads it, no module imports or loads a rational module (`fractions`,
 `decimal`, `numbers`), no command loads `json` or `re` and only a cache
 hit loads `_json`, each class and function is bound under its own name
-alone, every name a module exports in `__all__` is bound, F_p residues
-are ints and no ring type of the package, and no command reads one back
-from F_{p^2}."""
+alone, F_p residues are ints and no ring type of the package, and no
+command reads one back from F_{p^2}."""
 
 import ast
 import importlib
@@ -177,16 +176,6 @@ def test_start_up_loads_neither_json_nor_re(tmp_path):
 def _modules() -> list:
     return [importlib.import_module(f"ellwitt.{m.name}")
             for m in pkgutil.iter_modules(ellwitt.__path__)]
-
-
-def test_every_name_in_all_is_bound():
-    # a name deleted from a module but left in its __all__ breaks
-    # `from ellwitt.<module> import *`
-    exporting = [m for m in _modules() if hasattr(m, "__all__")]
-    assert len(exporting) > 1, exporting
-    stale = [f"{m.__name__}.{key}" for m in exporting
-             for key in m.__all__ if not hasattr(m, key)]
-    assert not stale, stale
 
 
 #: The second name that bench/tracer.py still wraps (ROADMAP item 1);
